@@ -17,9 +17,10 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .harness import (CONTROLLER_ALIASES, ConfigError, ExperimentConfig,
-                      config_to_dict, default_config, load_config,
-                      resolve_out_dir, run_suite, run_trial, write_trace_csv)
+from .harness import (CONTROLLER_ALIASES, SEED_ERROR, ConfigError,
+                      ExperimentConfig, config_to_dict, default_config,
+                      load_config, resolve_out_dir, run_suite, run_trial,
+                      valid_seed, write_trace_csv)
 from .report import build_report
 
 
@@ -67,8 +68,8 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError(["seed: must be an unsigned 64-bit integer"])
+        if not valid_seed(args.seed):
+            raise ConfigError([SEED_ERROR])
         config = dataclasses.replace(config, seed=args.seed)
     return config
 

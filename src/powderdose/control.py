@@ -16,6 +16,15 @@ vibration mode for the rest of the trial and selects against the vibration
 coefficient instead. The latch is one way, a trial never falls back to
 gravity.
 
+The search runs over an action table built once per (ValveKinematics,
+ActionGrid) pair and cached: both axes, L**2.5 per command, the
+dispensing window T(L) + t stored dwell-major, and the capacity and floor
+factors. A step then costs one multiply by C', one subtract-abs against
+W_target and one argmin, whose first minimum in dwell-major order is the
+smaller-dwell-then-smaller-command tie-break. Commands, dwells and
+coefficients are validated where they enter (ValveAction, ModeFit, the
+plant), not again on every step.
+
 While a mode has no usable coefficient the controller walks a probe ladder:
 smallest productive command first, escalating one grid step at a time, so
 exploration cannot overshoot even a 20 mg request. A candidate first
@@ -32,16 +41,16 @@ and no logging.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .flow import (GRAVITY, VIBRATION, DispenseModel, ValveKinematics,
-                   predicted_drop, travel_time)
-from .identify import (MIN_OBSERVABLE_MG, CoefficientEstimate, ModeFit,
-                       ObservationLog)
+from .flow import GRAVITY, VIBRATION, ValveKinematics
+from .identify import MIN_OBSERVABLE_MG, CoefficientEstimate, ObservationLog
 
 DEFAULT_K_P = 0.5
 DEFAULT_TOLERANCE_MG = 2.0
@@ -122,6 +131,43 @@ class ActionSelection:
     needs_bootstrap: str | None = None
 
 
+class _ActionTable(NamedTuple):
+    """Everything select_action needs that depends only on the kinematics
+    and the grid, built once per (ValveKinematics, ActionGrid) pair.
+
+    Rows of window run over dwells and columns over commands, so the first
+    minimum of a flattened cost array is the smallest dwell, then the
+    smallest command. The capacity and floor factors are the two terms of
+    (L**2.5) * (T(L) + t) at the largest action and at the smallest
+    productive one, kept apart so c' multiplies in the same order as the
+    drop model.
+    """
+
+    l_vals: np.ndarray
+    t_vals: np.ndarray
+    l_pow: np.ndarray              # L**2.5 per command
+    window: np.ndarray             # T(L) + t, shape (dwells, commands)
+    capacity: tuple[float, float]
+    floor: tuple[float, float] | None
+
+
+@functools.lru_cache(maxsize=16)
+def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
+    l_vals = grid.l_values(kin)
+    t_vals = grid.t_values(kin)
+    window = t_vals[:, None] + (l_vals / kin.travel_rate)[None, :]
+    capacity = (kin.l_max ** 2.5,
+                kin.l_max / kin.travel_rate + kin.t_pose_max)
+    positive = l_vals[l_vals > 0]
+    floor = None
+    if positive.size:
+        smallest = float(positive[0])
+        floor = (smallest ** 2.5,
+                 smallest / kin.travel_rate + kin.t_pose_min)
+    return _ActionTable(l_vals, t_vals, np.power(l_vals, 2.5), window,
+                        capacity, floor)
+
+
 def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
                   w_target: float, *, use_vibration: bool = False,
                   grid: ActionGrid | None = None) -> ActionSelection:
@@ -137,40 +183,35 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     """
     if not math.isfinite(w_target) or w_target <= 0:
         raise ValueError("w_target must be finite and > 0")
-    if grid is None:
-        grid = ActionGrid()
-    mode = VIBRATION if use_vibration else GRAVITY
-    mode_fit = estimate.for_mode(mode)
+    table = _action_table(kin, grid if grid is not None else ActionGrid())
+    mode_fit = estimate.vibration if use_vibration else estimate.gravity
     if not mode_fit.usable:
-        return ActionSelection(None, None, use_vibration, needs_bootstrap=mode)
-    if mode == GRAVITY:
-        capacity = predicted_drop(DispenseModel(mode_fit.c_prime, GRAVITY),
-                                  kin, kin.l_max, kin.t_pose_max)
-        if capacity < w_target:
+        return ActionSelection(
+            None, None, use_vibration,
+            needs_bootstrap=VIBRATION if use_vibration else GRAVITY)
+    c = mode_fit.c_prime
+    if not use_vibration:
+        l_pow, window = table.capacity
+        if (c * l_pow) * window < w_target:
             use_vibration = True
-            mode = VIBRATION
-            mode_fit = estimate.for_mode(mode)
+            mode_fit = estimate.vibration
             if not mode_fit.usable:
-                return ActionSelection(None, None, True, needs_bootstrap=mode)
-    model = DispenseModel(mode_fit.c_prime, mode)
-    l_vals = grid.l_values(kin)
-    t_vals = grid.t_values(kin)
-    positive = l_vals[l_vals > 0]
-    if positive.size:
-        floor = predicted_drop(model, kin, float(positive[0]), kin.t_pose_min)
+                return ActionSelection(None, None, True,
+                                       needs_bootstrap=VIBRATION)
+            c = mode_fit.c_prime
+    if table.floor is not None:
+        l_pow, window = table.floor
+        floor = (c * l_pow) * window
         if w_target < floor:
             w_target = floor
-    coef_l = model.coefficient * np.power(l_vals, 2.5)
-    window = (l_vals / kin.travel_rate)[:, None] + t_vals[None, :]
-    pred = coef_l[:, None] * window
-    cost = np.abs(pred - w_target)
-    best = cost.min()
-    rows, cols = np.nonzero(cost == best)
-    j = cols.min()
-    i = rows[cols == j].min()
-    action = ValveAction(float(l_vals[i]), float(t_vals[j]),
-                         vibration=(mode == VIBRATION))
-    return ActionSelection(action, float(pred[i, j]), use_vibration)
+    pred = (c * table.l_pow) * table.window
+    cost = pred - w_target
+    np.abs(cost, out=cost)
+    best = int(cost.argmin())
+    j, i = divmod(best, table.l_vals.size)
+    action = ValveAction(float(table.l_vals[i]), float(table.t_vals[j]),
+                         vibration=use_vibration)
+    return ActionSelection(action, float(pred.flat[best]), use_vibration)
 
 
 class _ProbeLadder:
@@ -253,15 +294,10 @@ class DispensingController:
         self.w_measured: float | None = None
         self.w_error: float | None = None
         self.w_target: float | None = None
-        self._fits: dict[str, ModeFit] = {GRAVITY: ModeFit(),
-                                          VIBRATION: ModeFit()}
+        # replaced whenever a refit changes one mode's fit, read every step
+        self.estimate = CoefficientEstimate()
         self._ladder = _ProbeLadder(self.kin, self.grid)
         self._last_action: ValveAction | None = None
-
-    @property
-    def estimate(self) -> CoefficientEstimate:
-        return CoefficientEstimate(gravity=self._fits[GRAVITY],
-                                   vibration=self._fits[VIBRATION])
 
     def step(self, reading: float, *, hopper_empty: bool = False) -> StepDecision:
         """Consume one stabilised balance reading, emit the next action.
@@ -301,7 +337,7 @@ class DispensingController:
             delta = 0.0
         action = self._last_action
         mode = VIBRATION if action.vibration else GRAVITY
-        if self._fits[mode].usable:
+        if self.estimate.for_mode(mode).usable:
             if self.log.record(action.l_command, action.t_pose_s,
                                action.vibration, delta, self.step_count):
                 self._refit(mode)
@@ -318,13 +354,17 @@ class DispensingController:
             self._refit(mode)
 
     def _refit(self, mode: str) -> None:
-        self._fits[mode] = self.log.fit(self.kin, mode)
+        fit = self.log.fit(self.kin, mode)
+        if mode == GRAVITY:
+            self.estimate = CoefficientEstimate(fit, self.estimate.vibration)
+        else:
+            self.estimate = CoefficientEstimate(self.estimate.gravity, fit)
 
     def _choose(self) -> StepDecision:
         raw_target = self.k_p * self.w_error
         self.w_target = raw_target
         mode = VIBRATION if self.use_vibration else GRAVITY
-        if not self._fits[mode].usable:
+        if not self.estimate.for_mode(mode).usable:
             return self._probe(mode)
         selection = select_action(self.estimate, self.kin, raw_target,
                                   use_vibration=self.use_vibration,
@@ -343,7 +383,7 @@ class DispensingController:
             # vibration and keep probing there.
             self.use_vibration = True
             mode = VIBRATION
-            if self._fits[mode].usable:
+            if self.estimate.vibration.usable:
                 return self._choose()
             action = self._ladder.next_probe(mode)
         if action is None:

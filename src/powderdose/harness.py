@@ -37,8 +37,7 @@ from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_PID_PROFILE,
                       DEFAULT_TOLERANCE_MG, ActionGrid, DispensingController,
                       PidBaselineController, PidGains, TrialStatus)
 from .flow import GRAVITY, VIBRATION, PowderSpec, ValveKinematics
-from .identify import (MIN_OBSERVABLE_MG, Observation, fit_coefficient,
-                       r_squared)
+from .identify import MIN_OBSERVABLE_MG, Observation, fit_coefficient
 from .plant import BalanceModel, SimulatedPlant
 from .powders import ARCHETYPES, archetype
 
@@ -363,11 +362,9 @@ def pooled_fits(records: Iterable[TrialRecord], kin: ValveKinematics,
             if not selected:
                 continue
             fit = fit_coefficient(selected, kin, mode)
-            score = (r_squared(selected, kin, fit.c_prime)
-                     if fit.c_prime is not None else None)
             fits.append(PooledFit(
                 powder=powder, mode=mode, c_prime=fit.c_prime,
-                r_squared=score, n_points=len(selected)))
+                r_squared=fit.r_squared, n_points=len(selected)))
     return fits
 
 
@@ -420,13 +417,18 @@ def write_trace_csv(record: TrialRecord, path: Path) -> None:
 
 
 def read_trace_csv(path: Path) -> list[StepTrace]:
+    """Parse a trace CSV; raises ValueError on a bad header or row."""
     rows = []
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != TRACE_COLUMNS:
             raise ValueError(f"{path}: unexpected trace header {header!r}")
         for raw in reader:
+            if len(raw) != len(TRACE_COLUMNS):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(raw)} fields, "
+                    f"expected {len(TRACE_COLUMNS)}")
             rows.append(StepTrace(
                 step=int(raw[0]),
                 l_command=float(raw[1]),
@@ -581,6 +583,10 @@ def config_from_dict(data: Any) -> ExperimentConfig:
         else:
             controllers.append(canon)
 
+    for name, values in (("powder", powders), ("controller", controllers)):
+        for value in sorted({v for v in values if values.count(v) > 1}):
+            errors.append(f"{name}: {value!r} is listed more than once")
+
     targets = data.get("targets_mg", [20.0, 50.0, 500.0, 3000.0])
     targets_out: list[float] = []
     if not isinstance(targets, (list, tuple)) or not targets:
@@ -593,6 +599,7 @@ def config_from_dict(data: Any) -> ExperimentConfig:
                               f"numbers, got {t!r}")
             else:
                 targets_out.append(float(t))
+        errors.extend(_target_collisions(targets_out))
 
     trials = _int_field(data, "trials", 10, 1, errors)
     max_steps = _int_field(data, "max_steps", DEFAULT_MAX_STEPS, 1, errors)
@@ -660,9 +667,8 @@ def config_from_dict(data: Any) -> ExperimentConfig:
                     overrides[name] = clean
 
     seed = data.get("seed", 7)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 \
-            or seed >= 2 ** 64:
-        errors.append("seed: must be an unsigned 64-bit integer")
+    if not valid_seed(seed):
+        errors.append(SEED_ERROR)
         seed = 7
     out_dir = data.get("out_dir", "artifacts")
     if not isinstance(out_dir, str) or not out_dir:
@@ -688,6 +694,32 @@ def resolve_out_dir(config: ExperimentConfig,
     if env:
         return env
     return config.out_dir
+
+
+SEED_ERROR = "seed: must be an unsigned 64-bit integer"
+
+
+def valid_seed(value) -> bool:
+    """The one seed rule, shared by config files and the --seed flag."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and 0 <= value < 2 ** 64)
+
+
+def _target_collisions(targets: list[float]) -> list[str]:
+    """Pairs of targets that trial ids and stream keys cannot tell apart.
+
+    Both key a target by f"{t:g}", so targets equal to six significant
+    digits, duplicates included, would share a trace file and RNG stream.
+    """
+    errors = []
+    for i, first in enumerate(targets):
+        for second in targets[i + 1:]:
+            if f"{first:g}" == f"{second:g}":
+                errors.append(
+                    f"targets_mg: {first!r} and {second!r} both key as "
+                    f"t{first:g}; their trials would share a trial id, "
+                    f"trace file and RNG stream")
+    return errors
 
 
 def _str_list(value, default: list[str], name: str,

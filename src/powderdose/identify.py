@@ -10,6 +10,14 @@ observations is
 refreshed after every accepted observation. Gravity and vibration
 observations are kept strictly apart; each mode carries its own coefficient.
 
+The controller's ObservationLog keeps per-mode running sums n, sum(x*dW),
+sum(x**2), sum(dW) and sum(dW**2), added in log order. That is the order
+fit_coefficient sums in, so a refit is O(1) and C' is bit-identical to a
+full refit. The log's R^2 comes from the same sums and may differ from
+r_squared() in the last digits; it is never persisted. fit_coefficient and
+r_squared keep the exact two-pass form for the pooled report fits, where
+sum(dW**2) - sum(dW)**2 / n would cancel badly.
+
 Deltas below the balance's reliable range (default 0.5 mg) are discarded
 before they reach the log, so noise-level readings never steer the fit.
 """
@@ -52,6 +60,11 @@ class ModeFit:
     n_obs: int = 0
     r_squared: float | None = None
     degenerate: bool = False
+
+    def __post_init__(self) -> None:
+        if self.c_prime is not None and not (math.isfinite(self.c_prime)
+                                             and self.c_prime >= 0):
+            raise ValueError("ModeFit.c_prime must be finite and >= 0")
 
     @property
     def usable(self) -> bool:
@@ -149,11 +162,47 @@ def r_squared(observations: list[Observation], kin: ValveKinematics,
     return 1.0 - ss_res / ss_tot
 
 
+class _RunningSums:
+    """Per-mode sums of the observations folded in so far, in log order."""
+
+    __slots__ = ("n", "sxy", "sxx", "sy", "syy")
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.sxy = 0.0
+        self.sxx = 0.0
+        self.sy = 0.0
+        self.syy = 0.0
+
+    def fit(self) -> ModeFit:
+        """Same estimate as fit_coefficient; R^2 from the running sums."""
+        if self.n == 0 or self.sxx == 0.0:
+            return ModeFit()
+        raw = self.sxy / self.sxx
+        degenerate = raw < 0.0
+        c_prime = 0.0 if degenerate else raw
+        score = None
+        if self.n >= 2:
+            ss_res = max(self.syy - 2.0 * c_prime * self.sxy
+                         + c_prime * c_prime * self.sxx, 0.0)
+            ss_tot = max(self.syy - self.sy * self.sy / self.n, 0.0)
+            if ss_res == 0.0:
+                score = 1.0
+            elif ss_tot != 0.0:
+                score = 1.0 - ss_res / ss_tot
+        return ModeFit(c_prime=c_prime, n_obs=self.n, r_squared=score,
+                       degenerate=degenerate)
+
+
 class ObservationLog:
     """Append-only store of accepted observations.
 
     record() applies the minimum-observable gate; everything below the
     threshold is dropped and the log reports whether the entry was kept.
+    fit() folds the observations recorded since the previous fit into
+    per-mode running sums, so a refit costs O(new observations) and gives
+    the same coefficient as fit_coefficient over the whole log. The sums
+    belong to one ValveKinematics; fitting with another rebuilds them.
     """
 
     def __init__(self, min_observable: float = MIN_OBSERVABLE_MG) -> None:
@@ -161,6 +210,9 @@ class ObservationLog:
             raise ValueError("min_observable must be finite and >= 0")
         self.min_observable = min_observable
         self._observations: list[Observation] = []
+        self._kin: ValveKinematics | None = None
+        self._sums: dict[str, _RunningSums] = {}
+        self._folded = 0
 
     def __len__(self) -> int:
         return len(self._observations)
@@ -191,7 +243,31 @@ class ObservationLog:
         return True
 
     def fit(self, kin: ValveKinematics, mode: str) -> ModeFit:
-        return fit_coefficient(self._observations, kin, mode)
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if kin is not self._kin and kin != self._kin:
+            self._kin = kin
+            self._sums = {GRAVITY: _RunningSums(), VIBRATION: _RunningSums()}
+            self._folded = 0
+        observations = self._observations
+        while self._folded < len(observations):
+            obs = observations[self._folded]
+            l_command = obs.l_command
+            if not 0.0 <= l_command <= kin.l_max:
+                raise ValueError(
+                    f"l_command {l_command} outside [0, {kin.l_max}]")
+            # regressor() without its per-call checks, same arithmetic
+            x = l_command ** 2.5 * (l_command / kin.travel_rate
+                                    + obs.t_pose_s)
+            y = obs.delta_w_mg
+            sums = self._sums[_mode_of(obs)]
+            sums.n += 1
+            sums.sxy += x * y
+            sums.sxx += x * x
+            sums.sy += y
+            sums.syy += y * y
+            self._folded += 1
+        return self._sums[mode].fit()
 
 
 def _mode_of(obs: Observation) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,14 +55,20 @@ def load_suite_records(artifact_dir: str | Path
             payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         return [], {}, [f"cannot read {index_path}: {exc}"]
+    if not isinstance(payload, dict) \
+            or not isinstance(payload.get("trials", []), list):
+        return [], {}, [f"{index_path}: expected an object with a "
+                        f"'trials' list"]
     records: list[TrialRecord] = []
-    for entry in payload.get("trials", []):
-        trace_rel = entry.get("trace_csv", "")
-        trace_path = root / trace_rel
+    for position, entry in enumerate(payload.get("trials", [])):
+        problem = _index_entry_problem(entry)
+        if problem is not None:
+            errors.append(f"{index_path}: trials[{position}]: {problem}")
+            continue
         try:
-            steps = read_trace_csv(trace_path)
-        except (OSError, ValueError) as exc:
-            errors.append(f"trial {entry.get('trial_id')}: {exc}")
+            steps = read_trace_csv(root / entry["trace_csv"])
+        except (OSError, ValueError, csv.Error) as exc:
+            errors.append(f"trial {entry['trial_id']}: {exc}")
             continue
         if len(steps) != entry["total_steps"]:
             errors.append(
@@ -73,14 +80,45 @@ def load_suite_records(artifact_dir: str | Path
             powder=entry["powder"],
             controller=entry["controller"],
             target_mg=float(entry["target_mg"]),
-            trial_index=int(entry["trial_index"]),
+            trial_index=entry["trial_index"],
             status=TrialStatus(entry["status"]),
             final_mass_mg=float(entry["final_mass_mg"]),
-            total_steps=int(entry["total_steps"]),
+            total_steps=entry["total_steps"],
             total_sim_time_s=float(entry["total_sim_time_s"]),
             steps=tuple(steps),
         ))
     return records, payload.get("config", {}), errors
+
+
+_INDEX_FIELDS = {
+    "trial_id": str, "powder": str, "controller": str, "trace_csv": str,
+    "status": str, "trial_index": int, "total_steps": int,
+    "target_mg": float, "final_mass_mg": float, "total_sim_time_s": float,
+}
+_STATUSES = {status.value for status in TrialStatus}
+
+
+def _index_entry_problem(entry) -> str | None:
+    """What is wrong with one summary.json trial entry, or None."""
+    if not isinstance(entry, dict):
+        return "entry is not an object"
+    for key, kind in _INDEX_FIELDS.items():
+        if key not in entry:
+            return f"missing key {key!r}"
+        value = entry[key]
+        if kind is str:
+            ok = isinstance(value, str)
+        elif kind is int:
+            ok = (isinstance(value, int) and not isinstance(value, bool)
+                  and value >= 0)
+        else:
+            ok = (isinstance(value, (int, float))
+                  and not isinstance(value, bool) and math.isfinite(value))
+        if not ok:
+            return f"{key} has the wrong type or value: {value!r}"
+    if entry["status"] not in _STATUSES:
+        return f"unknown status {entry['status']!r}"
+    return None
 
 
 def build_report(artifact_dir: str | Path, *,
@@ -98,24 +136,27 @@ def build_report(artifact_dir: str | Path, *,
         errors.append(f"config echo invalid: {exc}")
         return ReportResult(root, None, (), (), tuple(errors))
     conditions = compute_metrics(records, config.tolerance_mg)
-    fits = pooled_fits(records, config.kinematics)
+    try:
+        fits = pooled_fits(records, config.kinematics)
+    except ValueError as exc:  # a trace step outside the valve's envelope
+        errors.append(f"cannot refit the traces: {exc}")
+        return ReportResult(root, None, (), (), tuple(errors))
     report_dir = None
     if write:
         report_dir = root / "report"
         report_dir.mkdir(parents=True, exist_ok=True)
         write_summary_csv(conditions, report_dir / "summary_recomputed.csv")
-        _write_fit_points(records, config, report_dir)
+        _write_fit_points(records, fits, config.kinematics, report_dir)
         _write_text_report(conditions, fits, records,
                            report_dir / "report.txt")
     return ReportResult(root, report_dir, tuple(conditions), tuple(fits),
                         tuple(errors))
 
 
-def _write_fit_points(records, config, report_dir: Path) -> None:
-    kin = config.kinematics
-    fits = {(f.powder, f.mode): f for f in pooled_fits(records, kin)}
+def _write_fit_points(records, fits, kin, report_dir: Path) -> None:
     pools = pooled_observations(records)
-    for (powder, mode), fit in fits.items():
+    for fit in fits:
+        powder, mode = fit.powder, fit.mode
         rows = [o for o in pools[powder]
                 if ("vibration" if o.vibration else "gravity") == mode]
         path = report_dir / f"fit_{powder}_{mode}.csv"

@@ -20,6 +20,8 @@ from powderdose import (
     ValveKinematics,
 )
 from powderdose.control import select_action
+from powderdose.plant import SimulatedPlant
+from powderdose.powders import archetype
 
 
 def estimate(c_gravity=None, c_vibration=None):
@@ -31,12 +33,14 @@ def estimate(c_gravity=None, c_vibration=None):
     )
 
 
-def brute_select(c_gravity, c_vibration, kin, grid, w_target):
+def brute_select(c_gravity, c_vibration, kin, grid, w_target,
+                 use_vibration=False):
     """Pure-python reference for select_action, same arithmetic order."""
     c, vibration = c_gravity, False
-    capacity = (c * kin.l_max ** 2.5) * (kin.l_max / kin.travel_rate
-                                         + kin.t_pose_max)
-    if capacity < w_target:
+    if use_vibration:
+        c, vibration = c_vibration, True
+    elif (c * kin.l_max ** 2.5) * (kin.l_max / kin.travel_rate
+                                   + kin.t_pose_max) < w_target:
         vibration = True
         if c_vibration is None:
             return None, None, True
@@ -126,6 +130,16 @@ class TestSelectAction:
         sel = select_action(estimate(c_vibration=0.0), ValveKinematics(), 5.0,
                             use_vibration=True)
         assert sel.action == ValveAction(0.0, 0.0, vibration=True)
+
+    def test_exact_tie_prefers_smaller_dwell_over_smaller_command(self):
+        # (L=1, t=31.75) and (L=4, t=0) both predict exactly 32 mg
+        kin = ValveKinematics(travel_rate=4.0, l_min=1.0, l_max=4.0,
+                              t_pose_max=31.75)
+        grid = ActionGrid(l_step=3.0, t_step=31.75)
+        sel = select_action(estimate(c_gravity=1.0), kin, 32.0, grid=grid)
+        assert sel.action == ValveAction(4.0, 0.0)
+        assert sel.predicted_mg == 32.0
+        assert brute_select(1.0, None, kin, grid, 32.0)[0] == sel.action
 
     def test_capacity_boundary_is_strict(self):
         kin = ValveKinematics()
@@ -292,6 +306,40 @@ class TestBootstrapProbing:
         assert ctl.use_vibration
         assert decision.probe
         assert decision.action == ValveAction(5.0, 0.0, vibration=True)
+
+
+class TestControllerMatchesReference:
+    @pytest.mark.parametrize("powder, target", [
+        ("glass-beads", 500.0), ("glass-beads", 3000.0), ("tio2", 500.0)])
+    def test_every_model_step_picks_the_brute_force_action(self, powder,
+                                                           target):
+        kin = ValveKinematics(travel_rate=80.0, l_max=180.0,
+                              t_pose_min=0.5, t_pose_max=12.0)
+        grid = ActionGrid(l_step=7.5, t_step=0.75)
+        ctl = DispensingController(target, kin, grid=grid, k_p=0.6)
+        plant = SimulatedPlant(archetype(powder), kin, seed=3)
+        reading, _ = plant.read_balance(wait_settle=False)
+        compared = 0
+        while True:
+            latched = ctl.use_vibration
+            decision = ctl.step(reading, hopper_empty=plant.depleted)
+            if decision.status.terminal:
+                break
+            if not decision.probe:
+                est = ctl.estimate
+                action, predicted, vibration = brute_select(
+                    est.c_prime_gravity, est.c_prime_vibration, kin, grid,
+                    ctl.w_target,
+                    use_vibration=latched or not est.gravity.usable)
+                assert decision.action == action
+                assert decision.predicted_mg == pytest.approx(predicted,
+                                                              rel=1e-12)
+                assert ctl.use_vibration == vibration
+                compared += 1
+            a = decision.action
+            plant.execute(a.l_command, a.t_pose_s, a.vibration)
+            reading, _ = plant.read_balance()
+        assert compared >= 3
 
 
 class TestControllerValidation:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -30,6 +31,7 @@ from powderdose import (
     run_suite,
     run_trial,
 )
+from powderdose.cli import main as cli_main
 from powderdose.harness import (
     DIRECT_PID,
     MODEL_BASED,
@@ -61,6 +63,14 @@ def trace_row(step, l, t, delta, vibration=False, probe=False):
                      predicted_mg=None, measured_delta_mg=delta,
                      cprime_gravity=None, cprime_vibration=None,
                      w_error_mg=0.0, sim_time_s=0.0, probe=probe)
+
+
+def widen_every_command(trace):
+    """Rewrite a trace CSV with every L beyond the valve's l_max."""
+    header, *rows = trace.read_text().splitlines()
+    fields = [row.split(",") for row in rows]
+    trace.write_text("\n".join(
+        [header] + [",".join([f[0], "999.0", *f[2:]]) for f in fields]) + "\n")
 
 
 class TestConfigParsing:
@@ -109,6 +119,24 @@ class TestConfigParsing:
                      {"seed": -1}, {"seed": 2 ** 64}, {"seed": True}):
             with pytest.raises(ConfigError):
                 config_from_dict(data)
+
+    def test_colliding_targets_are_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"targets_mg": [20, 20.0000001, 50, 50, 20.0]})
+        collisions = [e for e in info.value.errors if "both key as" in e]
+        # every colliding pair: three among the 20s, one duplicated 50
+        assert len(collisions) == 4
+        assert "20.0 and 20.0000001 both key as t20" in collisions[0]
+        assert any("50.0 and 50.0 both key as t50" in e for e in collisions)
+        config_from_dict({"targets_mg": [20, 20.001]})   # t20 vs t20.001
+
+    def test_duplicate_powders_and_controllers_are_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"powder": ["msg", "tio2", "msg"],
+                              "controller": ["model", "model-based"]})
+        assert info.value.errors == [
+            "powder: 'msg' is listed more than once",
+            "controller: 'model-based' is listed more than once"]
 
     def test_plant_powder_overrides_patch_the_archetype(self):
         config = config_from_dict(
@@ -346,6 +374,34 @@ class TestArtifacts:
         assert fit_csv.read_text().splitlines()[0] \
             == "regressor,measured_mg,predicted_mg"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda entry, trace: entry.pop("total_steps"),
+         "missing key 'total_steps'"),
+        (lambda entry, trace: entry.update(status="finished"),
+         "unknown status 'finished'"),
+        (lambda entry, trace: trace.write_text(
+            trace.read_text() + "99,5.0,0.0\n"),
+         "has 3 fields, expected 10"),
+        (lambda entry, trace: trace.write_text(""),
+         "unexpected trace header ()"),
+        (lambda entry, trace: widen_every_command(trace),
+         "cannot refit the traces"),
+    ], ids=["missing-key", "unknown-status", "short-row", "empty-trace",
+            "command-beyond-l-max"])
+    def test_report_rejects_a_hand_edited_index(self, suite, tmp_path, capsys,
+                                                edit, message):
+        _, _, out = suite
+        copy = tmp_path / "edited"
+        shutil.copytree(out, copy)
+        index = json.loads((copy / "summary.json").read_text())
+        entry = index["trials"][1]
+        edit(entry, copy / entry["trace_csv"])
+        (copy / "summary.json").write_text(json.dumps(index))
+        assert cli_main(["report", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_report_without_artifacts_reports_errors(self, tmp_path):
         result = build_report(tmp_path / "nothing")
         assert not result.ok
@@ -415,6 +471,17 @@ class TestCli:
         report = self.run_cli("report", str(env_dir))
         assert report.returncode == 0
         assert (env_dir / "report" / "report.txt").is_file()
+
+    @pytest.mark.parametrize("command", ["run-suite", "run-trial"])
+    def test_seed_flag_uses_the_config_seed_rule(self, command, cfg_path,
+                                                 tmp_path, capsys):
+        for seed in ("99999999999999999999999", str(2 ** 64), "-1"):
+            code = cli_main([command, "--config", str(cfg_path),
+                             "--seed", seed, "--out", str(tmp_path)])
+            assert code == 2
+            assert "seed: must be an unsigned 64-bit integer" \
+                in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_report_on_empty_dir_fails(self, tmp_path):
         proc = self.run_cli("report", str(tmp_path / "empty"))

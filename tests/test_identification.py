@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powderdose import (
     GRAVITY,
     MIN_OBSERVABLE_MG,
+    MODES,
     VIBRATION,
     CoefficientEstimate,
     ModeFit,
@@ -199,3 +202,62 @@ class TestObservationLog:
             Observation(10.0, 2.0, False, float("inf"))
         row = Observation(10.0, 2.0, True, 1.5, step_index=4)
         assert row.step_index == 4
+
+
+entries = st.lists(
+    st.tuples(
+        st.floats(0.0, KIN.l_max),
+        st.floats(KIN.t_pose_min, KIN.t_pose_max),
+        st.booleans(),
+        st.floats(MIN_OBSERVABLE_MG, 5000.0),
+        st.booleans(),
+    ),
+    max_size=40)
+
+
+class TestRunningSumFit:
+    @settings(max_examples=300, deadline=None)
+    @given(entries, st.sampled_from(MODES))
+    def test_matches_full_refit_bit_for_bit(self, rows, mode):
+        log = ObservationLog()
+        for l, t, vibration, delta, refit_now in rows:
+            assert log.record(l, t, vibration, delta)
+            checked = (GRAVITY, VIBRATION) if refit_now else ()
+            for m in checked + (mode,):
+                fit = log.fit(KIN, m)
+                full = fit_coefficient(log.for_mode(m), KIN, m)
+                assert fit.c_prime == full.c_prime
+                assert fit.n_obs == full.n_obs
+                assert fit.degenerate == full.degenerate
+
+    def test_r_squared_from_sums_agrees_with_two_pass(self):
+        log = ObservationLog(min_observable=0.0)
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            l = float(rng.uniform(1.0, 210.0))
+            t = float(rng.uniform(0.0, 20.0))
+            noise = float(rng.normal(1.0, 0.1))
+            log.record(l, t, False, 0.03 * regressor(KIN, l, t) * noise)
+        fit = log.fit(KIN, GRAVITY)
+        rows = log.for_mode(GRAVITY)
+        assert fit.r_squared == pytest.approx(
+            r_squared(rows, KIN, fit.c_prime), rel=1e-9)
+
+    def test_other_kinematics_rebuild_the_sums(self):
+        log = ObservationLog(min_observable=0.0)
+        log.record(50.0, 2.0, False, 10.0)
+        log.fit(KIN, GRAVITY)
+        log.record(80.0, 1.0, False, 30.0)
+        slow = ValveKinematics(travel_rate=20.0)
+        for kin in (slow, KIN):
+            fit = log.fit(kin, GRAVITY)
+            full = fit_coefficient(log.observations, kin, GRAVITY)
+            assert (fit.c_prime, fit.n_obs) == (full.c_prime, full.n_obs)
+
+    def test_command_outside_the_envelope_is_rejected(self):
+        log = ObservationLog(min_observable=0.0)
+        log.record(KIN.l_max + 1.0, 2.0, False, 10.0)
+        with pytest.raises(ValueError):
+            log.fit(KIN, GRAVITY)
+        with pytest.raises(ValueError):
+            fit_coefficient(log.observations, KIN, GRAVITY)
