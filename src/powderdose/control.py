@@ -36,7 +36,9 @@ there.
 
 PidBaselineController is the comparison controller: a direct PID on the
 weight error mapped linearly to the valve command, fixed dwell, no model
-and no logging.
+and no logging. Both controllers inherit one trial lifecycle (goal,
+tolerance and step budget checks, trial state, stop rule), so they stop
+by the same rule trial for trial.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import GRAVITY, VIBRATION, ValveKinematics
-from .identify import MIN_OBSERVABLE_MG, CoefficientEstimate, ObservationLog
+from .identify import CoefficientEstimate, ObservationLog
 
 DEFAULT_K_P = 0.5
 DEFAULT_TOLERANCE_MG = 2.0
@@ -231,14 +233,11 @@ class _ProbeLadder:
         self._next = {GRAVITY: 0, VIBRATION: 0}
         self.pending: tuple[str, ValveAction, float] | None = None
 
-    def exhausted(self, mode: str) -> bool:
-        return self._next[mode] >= len(self._rungs)
-
     def next_probe(self, mode: str) -> ValveAction | None:
         """The next action to try for this mode, or None when exhausted."""
         if self.pending is not None and self.pending[0] == mode:
             return self.pending[1]
-        if self.exhausted(mode):
+        if self._next[mode] >= len(self._rungs):
             return None
         l_command = self._rungs[self._next[mode]]
         self._next[mode] += 1
@@ -264,35 +263,71 @@ class _ProbeLadder:
         return None
 
 
-class DispensingController:
-    """Model-based closed-loop dispenser for a single trial."""
+class _TrialController:
+    """Trial lifecycle shared by both controllers.
 
-    def __init__(self, w_goal: float, kin: ValveKinematics | None = None, *,
-                 k_p: float = DEFAULT_K_P,
-                 tolerance: float = DEFAULT_TOLERANCE_MG,
-                 max_steps: int = DEFAULT_MAX_STEPS,
-                 grid: ActionGrid | None = None,
-                 min_observable: float = MIN_OBSERVABLE_MG) -> None:
+    Owns the goal, tolerance and step budget checks, the trial state and
+    the stop rule. _stop() takes one balance reading and checks, in order:
+    a finished trial (RuntimeError), a non-finite reading (aborted), then
+    success (|W_error| < tolerance), overshoot, an empty hopper and the
+    step budget. It returns the terminal decision, or counts one more step
+    and returns None, in which case the caller emits that step's action.
+    """
+
+    def __init__(self, w_goal: float, kin: ValveKinematics | None,
+                 tolerance: float, max_steps: int) -> None:
         if not math.isfinite(w_goal) or w_goal <= 0:
             raise ValueError("w_goal must be finite and > 0")
-        if not 0 < k_p <= 1:
-            raise ValueError("k_p must satisfy 0 < k_p <= 1")
         if not math.isfinite(tolerance) or tolerance <= 0:
             raise ValueError("tolerance must be > 0")
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         self.w_goal = w_goal
         self.kin = kin if kin is not None else ValveKinematics()
-        self.k_p = k_p
         self.tolerance = tolerance
         self.max_steps = max_steps
-        self.grid = grid if grid is not None else ActionGrid()
-        self.log = ObservationLog(min_observable)
         self.status = TrialStatus.RUNNING
-        self.use_vibration = False
         self.step_count = 0
         self.w_measured: float | None = None
         self.w_error: float | None = None
+
+    def _stop(self, reading: float, hopper_empty: bool) -> StepDecision | None:
+        if self.status.terminal:
+            raise RuntimeError(f"trial already ended: {self.status.value}")
+        if not math.isfinite(reading):
+            self.status = TrialStatus.ABORTED
+            return StepDecision(self.status)
+        self.w_measured = reading
+        self.w_error = self.w_goal - reading
+        if abs(self.w_error) < self.tolerance:
+            self.status = TrialStatus.SUCCESS
+        elif self.w_error < 0:
+            self.status = TrialStatus.OVERSHOOT_FAIL
+        elif hopper_empty:
+            self.status = TrialStatus.DEPLETED_FAIL
+        elif self.step_count >= self.max_steps:
+            self.status = TrialStatus.STEP_LIMIT_FAIL
+        else:
+            self.step_count += 1
+            return None
+        return StepDecision(self.status)
+
+
+class DispensingController(_TrialController):
+    """Model-based closed-loop dispenser for a single trial."""
+
+    def __init__(self, w_goal: float, kin: ValveKinematics | None = None, *,
+                 k_p: float = DEFAULT_K_P,
+                 tolerance: float = DEFAULT_TOLERANCE_MG,
+                 max_steps: int = DEFAULT_MAX_STEPS,
+                 grid: ActionGrid | None = None) -> None:
+        super().__init__(w_goal, kin, tolerance, max_steps)
+        if not 0 < k_p <= 1:
+            raise ValueError("k_p must satisfy 0 < k_p <= 1")
+        self.k_p = k_p
+        self.grid = grid if grid is not None else ActionGrid()
+        self.log = ObservationLog(self.kin)
+        self.use_vibration = False
         self.w_target: float | None = None
         # replaced whenever a refit changes one mode's fit, read every step
         self.estimate = CoefficientEstimate()
@@ -305,28 +340,13 @@ class DispensingController:
         Terminal statuses carry no action. Calling again after termination
         is an error; one controller drives exactly one trial.
         """
-        if self.status.terminal:
-            raise RuntimeError(f"trial already ended: {self.status.value}")
-        if not math.isfinite(reading):
-            self.status = TrialStatus.ABORTED
-            return StepDecision(self.status)
         previous = self.w_measured
-        self.w_measured = reading
-        self.w_error = self.w_goal - reading
-        if abs(self.w_error) < self.tolerance:
-            self.status = TrialStatus.SUCCESS
-        elif self.w_error < 0:
-            self.status = TrialStatus.OVERSHOOT_FAIL
-        elif hopper_empty:
-            self.status = TrialStatus.DEPLETED_FAIL
-        elif self.step_count >= self.max_steps:
-            self.status = TrialStatus.STEP_LIMIT_FAIL
-        if self.status.terminal:
-            return StepDecision(self.status)
+        stop = self._stop(reading, hopper_empty)
+        if stop is not None:
+            return stop
         self._ingest(previous, reading)
         decision = self._choose()
         self._last_action = decision.action
-        self.step_count += 1
         return decision
 
     def _ingest(self, previous: float | None, reading: float) -> None:
@@ -339,7 +359,7 @@ class DispensingController:
         mode = VIBRATION if action.vibration else GRAVITY
         if self.estimate.for_mode(mode).usable:
             if self.log.record(action.l_command, action.t_pose_s,
-                               action.vibration, delta, self.step_count):
+                               action.vibration, delta):
                 self._refit(mode)
             return
         confirmed = self._ladder.note_result(mode, action, delta,
@@ -347,14 +367,13 @@ class DispensingController:
         if confirmed is not None:
             first_action, first_delta = confirmed
             self.log.record(first_action.l_command, first_action.t_pose_s,
-                            first_action.vibration, first_delta,
-                            self.step_count)
+                            first_action.vibration, first_delta)
             self.log.record(action.l_command, action.t_pose_s,
-                            action.vibration, delta, self.step_count)
+                            action.vibration, delta)
             self._refit(mode)
 
     def _refit(self, mode: str) -> None:
-        fit = self.log.fit(self.kin, mode)
+        fit = self.log.fit(mode)
         if mode == GRAVITY:
             self.estimate = CoefficientEstimate(fit, self.estimate.vibration)
         else:
@@ -435,13 +454,13 @@ DEFAULT_PID_PROFILE = PidGains(
 )
 
 
-class PidBaselineController:
+class PidBaselineController(_TrialController):
     """Direct PID on the weight error, no model, no observation logging.
 
     The PID output u = k_p*e + k_i*sum(e) + k_d*(e - e_prev) is mapped
     through output_slope to a valve command and clamped to the kinematic
-    range; the dwell is fixed. Termination conditions match the model-based
-    controller so the two are comparable trial for trial.
+    range; the dwell is fixed. The trial lifecycle is the model-based
+    controller's, so the two are comparable trial for trial.
     """
 
     def __init__(self, w_goal: float, kin: ValveKinematics | None = None, *,
@@ -449,25 +468,12 @@ class PidBaselineController:
                  vibration: bool = False,
                  tolerance: float = DEFAULT_TOLERANCE_MG,
                  max_steps: int = DEFAULT_MAX_STEPS) -> None:
-        if not math.isfinite(w_goal) or w_goal <= 0:
-            raise ValueError("w_goal must be finite and > 0")
-        if not math.isfinite(tolerance) or tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
-        if max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        self.w_goal = w_goal
-        self.kin = kin if kin is not None else ValveKinematics()
+        super().__init__(w_goal, kin, tolerance, max_steps)
         if not (self.kin.t_pose_min <= gains.t_pose_fixed_s
                 <= self.kin.t_pose_max):
             raise ValueError("PidGains.t_pose_fixed_s outside dwell bounds")
         self.gains = gains
         self.vibration = vibration
-        self.tolerance = tolerance
-        self.max_steps = max_steps
-        self.status = TrialStatus.RUNNING
-        self.step_count = 0
-        self.w_measured: float | None = None
-        self.w_error: float | None = None
         self.integral = 0.0
         self.previous_error: float | None = None
 
@@ -492,23 +498,8 @@ class PidBaselineController:
                            vibration=self.vibration)
 
     def step(self, reading: float, *, hopper_empty: bool = False) -> StepDecision:
-        if self.status.terminal:
-            raise RuntimeError(f"trial already ended: {self.status.value}")
-        if not math.isfinite(reading):
-            self.status = TrialStatus.ABORTED
-            return StepDecision(self.status)
-        self.w_measured = reading
-        self.w_error = self.w_goal - reading
-        if abs(self.w_error) < self.tolerance:
-            self.status = TrialStatus.SUCCESS
-        elif self.w_error < 0:
-            self.status = TrialStatus.OVERSHOOT_FAIL
-        elif hopper_empty:
-            self.status = TrialStatus.DEPLETED_FAIL
-        elif self.step_count >= self.max_steps:
-            self.status = TrialStatus.STEP_LIMIT_FAIL
-        if self.status.terminal:
-            return StepDecision(self.status)
-        action = self.action_for_error(self.w_error)
-        self.step_count += 1
-        return StepDecision(TrialStatus.RUNNING, action)
+        stop = self._stop(reading, hopper_empty)
+        if stop is not None:
+            return stop
+        return StepDecision(TrialStatus.RUNNING,
+                            self.action_for_error(self.w_error))

@@ -114,20 +114,16 @@ class ValveKinematics:
 class DispenseModel:
     """Lumped one-parameter drop model: W = coefficient * L**2.5 * duration.
 
-    coefficient has units mg * s^-1 * (command unit)^-2.5. mode records which
-    flow regime the coefficient was identified in; gravity and vibration use
-    the same functional form but separate coefficients.
+    coefficient has units mg * s^-1 * (command unit)^-2.5. Gravity and
+    vibration use the same functional form with separate coefficients.
     """
 
     coefficient: float
-    mode: str = GRAVITY
 
     def __post_init__(self) -> None:
         _require_finite("coefficient", self.coefficient)
         if self.coefficient < 0:
             raise ValueError("DispenseModel.coefficient must be >= 0")
-        if self.mode not in MODES:
-            raise ValueError(f"DispenseModel.mode must be one of {MODES}")
 
 
 def beverloo_rate(spec: PowderSpec, orifice_diameter: float,

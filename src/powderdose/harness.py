@@ -25,6 +25,7 @@ Summary CSV columns:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_PID_PROFILE,
-                      DEFAULT_TOLERANCE_MG, ActionGrid, DispensingController,
+                      DEFAULT_TOLERANCE_MG, DispensingController,
                       PidBaselineController, PidGains, TrialStatus)
 from .flow import GRAVITY, VIBRATION, PowderSpec, ValveKinematics
 from .identify import MIN_OBSERVABLE_MG, Observation, fit_coefficient
@@ -207,8 +208,7 @@ def _needs_vibration(spec: PowderSpec, kin: ValveKinematics) -> bool:
 
 def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
               powder: str | None = None, controller: str | None = None,
-              target_mg: float | None = None,
-              grid: ActionGrid | None = None) -> TrialRecord:
+              target_mg: float | None = None) -> TrialRecord:
     """Run one closed-loop trial and return its full record.
 
     The condition may come from keyword overrides; otherwise the config
@@ -227,8 +227,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
         ctl: DispensingController | PidBaselineController = \
             DispensingController(
                 target, kin, k_p=config.k_p_for(powder),
-                tolerance=config.tolerance_mg, max_steps=config.max_steps,
-                grid=grid)
+                tolerance=config.tolerance_mg, max_steps=config.max_steps)
     elif controller_name == DIRECT_PID:
         ctl = PidBaselineController(
             target, kin, gains=config.pid_gains,
@@ -328,8 +327,7 @@ def _sample_std(values: list[float]) -> float:
     return math.sqrt(sum((v - m) ** 2 for v in values) / (n - 1))
 
 
-def pooled_observations(records: Iterable[TrialRecord],
-                        min_observable: float = MIN_OBSERVABLE_MG
+def pooled_observations(records: Iterable[TrialRecord]
                         ) -> dict[str, list[Observation]]:
     """Measurable steps of model-based trials, pooled per powder.
 
@@ -342,20 +340,18 @@ def pooled_observations(records: Iterable[TrialRecord],
         if record.controller != MODEL_BASED:
             continue
         for row in record.steps:
-            if row.measured_delta_mg < min_observable:
+            if row.measured_delta_mg < MIN_OBSERVABLE_MG:
                 continue
             pools.setdefault(record.powder, []).append(Observation(
                 l_command=row.l_command, t_pose_s=row.t_pose_s,
-                vibration=row.vibration, delta_w_mg=row.measured_delta_mg,
-                step_index=row.step))
+                vibration=row.vibration, delta_w_mg=row.measured_delta_mg))
     return pools
 
 
-def pooled_fits(records: Iterable[TrialRecord], kin: ValveKinematics,
-                min_observable: float = MIN_OBSERVABLE_MG) -> list[PooledFit]:
+def pooled_fits(records: Iterable[TrialRecord],
+                kin: ValveKinematics) -> list[PooledFit]:
     fits = []
-    for powder, observations in pooled_observations(
-            records, min_observable).items():
+    for powder, observations in pooled_observations(records).items():
         for mode in (GRAVITY, VIBRATION):
             selected = [o for o in observations
                         if (VIBRATION if o.vibration else GRAVITY) == mode]
@@ -429,11 +425,14 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
                 raise ValueError(
                     f"{path}: line {reader.line_num} has {len(raw)} fields, "
                     f"expected {len(TRACE_COLUMNS)}")
+            if raw[3] not in ("0", "1"):
+                raise ValueError(f"{path}: line {reader.line_num}: vibration "
+                                 f"must be 0 or 1, got {raw[3]!r}")
             rows.append(StepTrace(
                 step=int(raw[0]),
                 l_command=float(raw[1]),
                 t_pose_s=float(raw[2]),
-                vibration=bool(int(raw[3])),
+                vibration=raw[3] == "1",
                 predicted_mg=float(raw[4]) if raw[4] else None,
                 measured_delta_mg=float(raw[5]),
                 cprime_gravity=float(raw[6]) if raw[6] else None,
@@ -473,17 +472,22 @@ def _dataclass_dict(obj) -> dict:
 
 def write_summary_csv(conditions: Iterable[ConditionStats],
                       path: Path) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS)
-        for c in conditions:
-            writer.writerow([
-                c.powder, c.controller, fmt_cell(c.target_mg), c.trials,
-                c.successes, fmt_cell(c.dropped_mean_mg),
-                fmt_cell(c.dropped_std_mg), fmt_cell(c.steps_mean),
-                fmt_cell(c.steps_std), fmt_cell(c.time_mean_s),
-                fmt_cell(c.time_std_s),
-            ])
+    path.write_text(_summary_csv_text(conditions), newline="")
+
+
+def _summary_csv_text(conditions: Iterable[ConditionStats]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(SUMMARY_COLUMNS)
+    for c in conditions:
+        writer.writerow([
+            c.powder, c.controller, fmt_cell(c.target_mg), c.trials,
+            c.successes, fmt_cell(c.dropped_mean_mg),
+            fmt_cell(c.dropped_std_mg), fmt_cell(c.steps_mean),
+            fmt_cell(c.steps_std), fmt_cell(c.time_mean_s),
+            fmt_cell(c.time_std_s),
+        ])
+    return buffer.getvalue()
 
 
 def write_suite_artifacts(summary: SuiteSummary,

@@ -10,13 +10,13 @@ observations is
 refreshed after every accepted observation. Gravity and vibration
 observations are kept strictly apart; each mode carries its own coefficient.
 
-The controller's ObservationLog keeps per-mode running sums n, sum(x*dW),
-sum(x**2), sum(dW) and sum(dW**2), added in log order. That is the order
+The controller's ObservationLog stores no observations. It is bound to one
+ValveKinematics and adds each accepted delta straight into its mode's n,
+sum(x*dW) and sum(x**2), in arrival order. That is the order
 fit_coefficient sums in, so a refit is O(1) and C' is bit-identical to a
-full refit. The log's R^2 comes from the same sums and may differ from
-r_squared() in the last digits; it is never persisted. fit_coefficient and
-r_squared keep the exact two-pass form for the pooled report fits, where
-sum(dW**2) - sum(dW)**2 / n would cancel badly.
+full refit. The controller never reads an R^2, so the log keeps none.
+fit_coefficient and r_squared work on stored Observation lists for the
+pooled report fits, with R^2 in the exact two-pass form.
 
 Deltas below the balance's reliable range (default 0.5 mg) are discarded
 before they reach the log, so noise-level readings never steer the fit.
@@ -25,7 +25,7 @@ before they reach the log, so noise-level readings never steer the fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .flow import GRAVITY, MODES, VIBRATION, ValveKinematics, travel_time
 
@@ -40,7 +40,6 @@ class Observation:
     t_pose_s: float
     vibration: bool
     delta_w_mg: float
-    step_index: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.delta_w_mg) or self.delta_w_mg < 0:
@@ -93,14 +92,6 @@ class CoefficientEstimate:
     def c_prime_vibration(self) -> float | None:
         return self.vibration.c_prime
 
-    @property
-    def n_gravity(self) -> int:
-        return self.gravity.n_obs
-
-    @property
-    def n_vibration(self) -> int:
-        return self.vibration.n_obs
-
 
 def regressor(kin: ValveKinematics, l_command: float, t_pose_s: float) -> float:
     """x = L**2.5 * (T(L) + t_pose), the model's per-step regressor."""
@@ -118,26 +109,29 @@ def fit_coefficient(observations: list[Observation], kin: ValveKinematics,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    selected = [o for o in observations if _mode_of(o) == mode]
-    if not selected:
-        return ModeFit()
+    selected = [o for o in observations
+                if (VIBRATION if o.vibration else GRAVITY) == mode]
     num = 0.0
     den = 0.0
     for obs in selected:
         x = regressor(kin, obs.l_command, obs.t_pose_s)
         num += x * obs.delta_w_mg
         den += x * x
-    if den == 0.0:
+    fit = _fit_from_sums(len(selected), num, den)
+    if fit.c_prime is None:
+        return fit
+    return replace(fit, r_squared=r_squared(selected, kin, fit.c_prime))
+
+
+def _fit_from_sums(n: int, sxy: float, sxx: float) -> ModeFit:
+    """C' = sxy / sxx, clamped to zero and flagged degenerate if negative;
+    unfitted while sxx is zero."""
+    if sxx == 0.0:
         return ModeFit()
-    raw = num / den
+    raw = sxy / sxx
     degenerate = raw < 0.0
-    c_prime = 0.0 if degenerate else raw
-    return ModeFit(
-        c_prime=c_prime,
-        n_obs=len(selected),
-        r_squared=r_squared(selected, kin, c_prime),
-        degenerate=degenerate,
-    )
+    return ModeFit(c_prime=0.0 if degenerate else raw, n_obs=n,
+                   degenerate=degenerate)
 
 
 def r_squared(observations: list[Observation], kin: ValveKinematics,
@@ -162,113 +156,56 @@ def r_squared(observations: list[Observation], kin: ValveKinematics,
     return 1.0 - ss_res / ss_tot
 
 
-class _RunningSums:
-    """Per-mode sums of the observations folded in so far, in log order."""
+class _ModeSums:
+    """n, sum(x*dW) and sum(x**2) of one mode's accepted observations."""
 
-    __slots__ = ("n", "sxy", "sxx", "sy", "syy")
+    __slots__ = ("n", "sxy", "sxx")
 
     def __init__(self) -> None:
         self.n = 0
         self.sxy = 0.0
         self.sxx = 0.0
-        self.sy = 0.0
-        self.syy = 0.0
-
-    def fit(self) -> ModeFit:
-        """Same estimate as fit_coefficient; R^2 from the running sums."""
-        if self.n == 0 or self.sxx == 0.0:
-            return ModeFit()
-        raw = self.sxy / self.sxx
-        degenerate = raw < 0.0
-        c_prime = 0.0 if degenerate else raw
-        score = None
-        if self.n >= 2:
-            ss_res = max(self.syy - 2.0 * c_prime * self.sxy
-                         + c_prime * c_prime * self.sxx, 0.0)
-            ss_tot = max(self.syy - self.sy * self.sy / self.n, 0.0)
-            if ss_res == 0.0:
-                score = 1.0
-            elif ss_tot != 0.0:
-                score = 1.0 - ss_res / ss_tot
-        return ModeFit(c_prime=c_prime, n_obs=self.n, r_squared=score,
-                       degenerate=degenerate)
 
 
 class ObservationLog:
-    """Append-only store of accepted observations.
+    """Per-mode least-squares sums of one trial's accepted observations.
 
-    record() applies the minimum-observable gate; everything below the
-    threshold is dropped and the log reports whether the entry was kept.
-    fit() folds the observations recorded since the previous fit into
-    per-mode running sums, so a refit costs O(new observations) and gives
-    the same coefficient as fit_coefficient over the whole log. The sums
-    belong to one ValveKinematics; fitting with another rebuilds them.
+    The log belongs to the ValveKinematics it is built with. record()
+    drops a delta below the observability gate and reports whether it was
+    kept; a kept one must come from a command inside [0, l_max], and its
+    regressor and delta go straight into that mode's sums. fit() turns the
+    sums into a ModeFit in O(1), with the same C', n and degenerate flag as
+    fit_coefficient over the same observations, and no R^2.
     """
 
-    def __init__(self, min_observable: float = MIN_OBSERVABLE_MG) -> None:
+    def __init__(self, kin: ValveKinematics,
+                 min_observable: float = MIN_OBSERVABLE_MG) -> None:
         if not math.isfinite(min_observable) or min_observable < 0:
             raise ValueError("min_observable must be finite and >= 0")
+        self._kin = kin
         self.min_observable = min_observable
-        self._observations: list[Observation] = []
-        self._kin: ValveKinematics | None = None
-        self._sums: dict[str, _RunningSums] = {}
-        self._folded = 0
-
-    def __len__(self) -> int:
-        return len(self._observations)
-
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        return tuple(self._observations)
-
-    def for_mode(self, mode: str) -> list[Observation]:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        return [o for o in self._observations if _mode_of(o) == mode]
+        self._sums = {GRAVITY: _ModeSums(), VIBRATION: _ModeSums()}
 
     def record(self, l_command: float, t_pose_s: float, vibration: bool,
-               delta_w_mg: float, step_index: int = 0) -> bool:
-        """Store one measured delta if it clears the observable threshold."""
+               delta_w_mg: float) -> bool:
+        """Add one measured delta if it clears the observable threshold."""
         if not math.isfinite(delta_w_mg):
             raise ValueError("delta_w_mg must be finite")
         if delta_w_mg < self.min_observable:
             return False
-        self._observations.append(Observation(
-            l_command=l_command,
-            t_pose_s=t_pose_s,
-            vibration=vibration,
-            delta_w_mg=delta_w_mg,
-            step_index=step_index,
-        ))
+        kin = self._kin
+        if not 0.0 <= l_command <= kin.l_max:
+            raise ValueError(f"l_command {l_command} outside [0, {kin.l_max}]")
+        # regressor() without its per-call checks, same arithmetic
+        x = l_command ** 2.5 * (l_command / kin.travel_rate + t_pose_s)
+        sums = self._sums[VIBRATION if vibration else GRAVITY]
+        sums.n += 1
+        sums.sxy += x * delta_w_mg
+        sums.sxx += x * x
         return True
 
-    def fit(self, kin: ValveKinematics, mode: str) -> ModeFit:
+    def fit(self, mode: str) -> ModeFit:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if kin is not self._kin and kin != self._kin:
-            self._kin = kin
-            self._sums = {GRAVITY: _RunningSums(), VIBRATION: _RunningSums()}
-            self._folded = 0
-        observations = self._observations
-        while self._folded < len(observations):
-            obs = observations[self._folded]
-            l_command = obs.l_command
-            if not 0.0 <= l_command <= kin.l_max:
-                raise ValueError(
-                    f"l_command {l_command} outside [0, {kin.l_max}]")
-            # regressor() without its per-call checks, same arithmetic
-            x = l_command ** 2.5 * (l_command / kin.travel_rate
-                                    + obs.t_pose_s)
-            y = obs.delta_w_mg
-            sums = self._sums[_mode_of(obs)]
-            sums.n += 1
-            sums.sxy += x * y
-            sums.sxx += x * x
-            sums.sy += y
-            sums.syy += y * y
-            self._folded += 1
-        return self._sums[mode].fit()
-
-
-def _mode_of(obs: Observation) -> str:
-    return VIBRATION if obs.vibration else GRAVITY
+        sums = self._sums[mode]
+        return _fit_from_sums(sums.n, sums.sxy, sums.sxx)

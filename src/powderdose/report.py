@@ -2,7 +2,9 @@
 
 Reads an artifact directory produced by run_suite (summary.json plus the
 per-trial trace CSVs), recomputes the condition statistics and pooled
-drop-model fits from scratch, and writes a report/ subdirectory:
+drop-model fits from scratch, checks them against the stored summary
+(the conditions and pooled fits in summary.json, and summary.csv), and
+writes a report/ subdirectory:
 
     report/summary_recomputed.csv   same schema as summary.csv
     report/report.txt               formatted condition and fit tables
@@ -11,7 +13,8 @@ drop-model fits from scratch, and writes a report/ subdirectory:
 
 Because trials are rebuilt in their original order from exact string
 round-tripped floats, the recomputed summary matches the one written at
-run time byte for byte.
+run time byte for byte; any difference is reported as an error, per
+condition and per pooled fit.
 """
 
 from __future__ import annotations
@@ -23,10 +26,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .control import TrialStatus
-from .harness import (ConditionStats, PooledFit, TrialRecord, compute_metrics,
-                      config_from_dict, fmt_cell, pooled_fits,
-                      pooled_observations, read_trace_csv, write_summary_csv)
+from .harness import (ConditionStats, PooledFit, TrialRecord,
+                      _condition_dict, _pooled_dict, _summary_csv_text,
+                      compute_metrics, config_from_dict, fmt_cell,
+                      pooled_fits, pooled_observations, read_trace_csv,
+                      write_summary_csv)
 from .identify import regressor
+from .powders import ARCHETYPES
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,10 @@ class ReportResult:
 
 def load_suite_records(artifact_dir: str | Path
                        ) -> tuple[list[TrialRecord], dict, list[str]]:
-    """Rebuild trial records from summary.json and the trace CSVs."""
+    """Rebuild trial records from summary.json and the trace CSVs.
+
+    Returns the records, the parsed summary.json and the problems found.
+    """
     root = Path(artifact_dir)
     errors: list[str] = []
     index_path = root / "summary.json"
@@ -87,7 +96,7 @@ def load_suite_records(artifact_dir: str | Path
             total_sim_time_s=float(entry["total_sim_time_s"]),
             steps=tuple(steps),
         ))
-    return records, payload.get("config", {}), errors
+    return records, payload, errors
 
 
 _INDEX_FIELDS = {
@@ -118,6 +127,8 @@ def _index_entry_problem(entry) -> str | None:
             return f"{key} has the wrong type or value: {value!r}"
     if entry["status"] not in _STATUSES:
         return f"unknown status {entry['status']!r}"
+    if entry["powder"] not in ARCHETYPES:
+        return f"unknown powder {entry['powder']!r}"
     return None
 
 
@@ -125,13 +136,13 @@ def build_report(artifact_dir: str | Path, *,
                  write: bool = True) -> ReportResult:
     """Recompute statistics from an artifact directory; optionally persist."""
     root = Path(artifact_dir)
-    records, config_echo, errors = load_suite_records(root)
+    records, payload, errors = load_suite_records(root)
     if not records and not errors:
         errors.append(f"no data: {root} holds no trials")
     if not records:
         return ReportResult(root, None, (), (), tuple(errors))
     try:
-        config = config_from_dict(config_echo)
+        config = config_from_dict(payload.get("config", {}))
     except ValueError as exc:
         errors.append(f"config echo invalid: {exc}")
         return ReportResult(root, None, (), (), tuple(errors))
@@ -141,6 +152,9 @@ def build_report(artifact_dir: str | Path, *,
     except ValueError as exc:  # a trace step outside the valve's envelope
         errors.append(f"cannot refit the traces: {exc}")
         return ReportResult(root, None, (), (), tuple(errors))
+    if not errors:  # a trial that failed to load already explains a mismatch
+        errors.extend(_stored_summary_problems(root, payload, conditions,
+                                               fits))
     report_dir = None
     if write:
         report_dir = root / "report"
@@ -151,6 +165,49 @@ def build_report(artifact_dir: str | Path, *,
                            report_dir / "report.txt")
     return ReportResult(root, report_dir, tuple(conditions), tuple(fits),
                         tuple(errors))
+
+
+def _stored_summary_problems(root: Path, payload: dict,
+                             conditions: list[ConditionStats],
+                             fits: list[PooledFit]) -> list[str]:
+    """Where the stored summary differs from the recomputed one.
+
+    Both list conditions and pooled fits in the order the trials ran, so
+    entries are compared position by position.
+    """
+    problems = []
+    for section, recomputed, keys in (
+            ("conditions", [_condition_dict(c) for c in conditions],
+             ("powder", "controller", "target_mg")),
+            ("pooled_fits", [_pooled_dict(f) for f in fits],
+             ("powder", "mode"))):
+        stored = payload.get(section)
+        if not isinstance(stored, list) or len(stored) != len(recomputed):
+            problems.append(f"summary.json: {section} does not hold the "
+                            f"{len(recomputed)} entries recomputed from the "
+                            f"traces")
+            continue
+        for entry, fresh in zip(stored, recomputed):
+            if entry == fresh:
+                continue
+            label = " / ".join(str(fresh[k]) for k in keys)
+            if not isinstance(entry, dict):
+                entry = {}
+            differences = ", ".join(
+                f"{k} stored {entry.get(k)!r}, recomputed {fresh.get(k)!r}"
+                for k in sorted(entry.keys() | fresh.keys())
+                if k not in entry or k not in fresh or entry[k] != fresh[k])
+            problems.append(f"summary.json: {section} {label}: {differences}")
+    try:
+        with (root / "summary.csv").open(newline="") as handle:
+            stored_csv = handle.read()
+    except (OSError, ValueError) as exc:
+        problems.append(f"cannot read summary.csv: {exc}")
+    else:
+        if stored_csv != _summary_csv_text(conditions):
+            problems.append("summary.csv: does not match the summary "
+                            "recomputed from the traces")
+    return problems
 
 
 def _write_fit_points(records, fits, kin, report_dir: Path) -> None:

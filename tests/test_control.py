@@ -250,9 +250,9 @@ class TestBootstrapProbing:
         assert second.action == ValveAction(10.0, 0.0)
         third = ctl.step(5.0)            # measurable once: repeat to confirm
         assert third.probe and third.action == ValveAction(10.0, 0.0)
-        assert len(ctl.log) == 0
+        assert ctl.log.fit(GRAVITY).n_obs == 0
         fourth = ctl.step(10.0)          # confirmed: both observations land
-        assert len(ctl.log) == 2
+        assert ctl.log.fit(GRAVITY).n_obs == 2
         x = 10.0 ** 2.5 * (10.0 / 100.0 + 0.0)
         assert ctl.estimate.c_prime_gravity == pytest.approx(5.0 / x,
                                                              rel=1e-12)
@@ -270,7 +270,7 @@ class TestBootstrapProbing:
         ctl.step(0.0)                    # probe (10, 0)
         ctl.step(5.0)                    # candidate, repeat (10, 0)
         decision = ctl.step(5.3)         # repeat delta 0.3: below the gate
-        assert len(ctl.log) == 0
+        assert ctl.log.fit(GRAVITY).n_obs == 0
         assert not ctl.estimate.for_mode(GRAVITY).usable
         assert decision.probe and decision.action == ValveAction(15.0, 0.0)
 

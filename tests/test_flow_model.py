@@ -6,8 +6,6 @@ import pytest
 
 from powderdose import (
     G_MM_S2,
-    GRAVITY,
-    VIBRATION,
     DispenseModel,
     PowderSpec,
     ValveKinematics,
@@ -182,7 +180,4 @@ class TestValidation:
             DispenseModel(-0.001)
         with pytest.raises(ValueError):
             DispenseModel(float("inf"))
-        with pytest.raises(ValueError):
-            DispenseModel(0.001, mode="shaken")
-        assert DispenseModel(0.001, mode=VIBRATION).mode == VIBRATION
-        assert DispenseModel(0.0).mode == GRAVITY
+        assert DispenseModel(0.0).coefficient == 0.0

@@ -65,6 +65,13 @@ def trace_row(step, l, t, delta, vibration=False, probe=False):
                      w_error_mg=0.0, sim_time_s=0.0, probe=probe)
 
 
+def set_first_vibration_cell(trace, value):
+    header, first, *rows = trace.read_text().splitlines()
+    fields = first.split(",")
+    fields[TRACE_COLUMNS.index("vibration")] = value
+    trace.write_text("\n".join([header, ",".join(fields), *rows]) + "\n")
+
+
 def widen_every_command(trace):
     """Rewrite a trace CSV with every L beyond the valve's l_max."""
     header, *rows = trace.read_text().splitlines()
@@ -386,8 +393,12 @@ class TestArtifacts:
          "unexpected trace header ()"),
         (lambda entry, trace: widen_every_command(trace),
          "cannot refit the traces"),
+        (lambda entry, trace: entry.update(powder="glass/beads"),
+         "unknown powder 'glass/beads'"),
+        (lambda entry, trace: set_first_vibration_cell(trace, "2"),
+         "vibration must be 0 or 1, got '2'"),
     ], ids=["missing-key", "unknown-status", "short-row", "empty-trace",
-            "command-beyond-l-max"])
+            "command-beyond-l-max", "powder-with-slash", "vibration-cell"])
     def test_report_rejects_a_hand_edited_index(self, suite, tmp_path, capsys,
                                                 edit, message):
         _, _, out = suite
@@ -396,6 +407,30 @@ class TestArtifacts:
         index = json.loads((copy / "summary.json").read_text())
         entry = index["trials"][1]
         edit(entry, copy / entry["trace_csv"])
+        (copy / "summary.json").write_text(json.dumps(index))
+        assert cli_main(["report", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda index, out: index["conditions"][0].update(successes=1),
+         "conditions glass-beads / model-based / 50.0: successes stored 1, "
+         "recomputed 2"),
+        (lambda index, out: index["pooled_fits"][0].update(c_prime=0.5),
+         "pooled_fits glass-beads / gravity: c_prime stored 0.5, "
+         "recomputed 0.0379"),
+        (lambda index, out: (out / "summary.csv").write_text(
+            (out / "summary.csv").read_text() + "glass-beads,x\n"),
+         "summary.csv: does not match the summary recomputed"),
+    ], ids=["successes", "c-prime", "summary-csv-row"])
+    def test_report_checks_the_stored_summary(self, suite, tmp_path, capsys,
+                                              edit, message):
+        _, _, out = suite
+        copy = tmp_path / "edited"
+        shutil.copytree(out, copy)
+        index = json.loads((copy / "summary.json").read_text())
+        edit(index, copy)
         (copy / "summary.json").write_text(json.dumps(index))
         assert cli_main(["report", str(copy)]) == 1
         err = capsys.readouterr().err

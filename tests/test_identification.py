@@ -153,46 +153,45 @@ class TestModeFitAndEstimate:
         assert est.for_mode(VIBRATION).c_prime == 5.0
         assert est.c_prime_gravity == 2.0
         assert est.c_prime_vibration == 5.0
-        assert est.n_gravity == 3
-        assert est.n_vibration == 1
         with pytest.raises(ValueError):
             est.for_mode("sideways")
 
 
 class TestObservationLog:
     def test_observability_gate(self):
-        log = ObservationLog()
+        log = ObservationLog(KIN)
         assert log.min_observable == MIN_OBSERVABLE_MG
         assert not log.record(10.0, 2.0, False, 0.4)
         assert not log.record(10.0, 2.0, False, 0.0)
         assert log.record(10.0, 2.0, False, 0.5)
-        assert len(log) == 1
+        assert log.fit(GRAVITY).n_obs == 1
 
     def test_rejects_non_finite_delta(self):
-        log = ObservationLog()
+        log = ObservationLog(KIN)
         with pytest.raises(ValueError):
             log.record(10.0, 2.0, False, float("nan"))
 
     def test_mode_isolation_and_fit(self):
-        log = ObservationLog(min_observable=0.0)
+        log = ObservationLog(KIN, min_observable=0.0)
         log.record(1.0, 1.99, False, 4.0)
         log.record(1.0, 0.99, True, 7.0)
-        assert len(log.for_mode(GRAVITY)) == 1
-        assert len(log.for_mode(VIBRATION)) == 1
-        assert log.fit(KIN, GRAVITY).c_prime == 2.0
-        assert log.fit(KIN, VIBRATION).c_prime == 7.0
+        assert log.fit(GRAVITY).n_obs == 1
+        assert log.fit(VIBRATION).n_obs == 1
+        assert log.fit(GRAVITY).c_prime == 2.0
+        assert log.fit(VIBRATION).c_prime == 7.0
+        assert log.fit(GRAVITY).r_squared is None
 
     def test_refit_is_fixed_point_on_model_consistent_data(self):
         # feeding the fitted model's own predictions back in cannot move it
-        log = ObservationLog(min_observable=0.0)
+        log = ObservationLog(KIN, min_observable=0.0)
         rng = np.random.default_rng(7)
         for _ in range(6):
             l = float(rng.uniform(1.0, 210.0))
             t = float(rng.uniform(0.0, 20.0))
             log.record(l, t, False, 0.03 * regressor(KIN, l, t))
-        first = log.fit(KIN, GRAVITY).c_prime
+        first = log.fit(GRAVITY).c_prime
         log.record(40.0, 3.0, False, first * regressor(KIN, 40.0, 3.0))
-        again = log.fit(KIN, GRAVITY).c_prime
+        again = log.fit(GRAVITY).c_prime
         assert math.isclose(first, again, rel_tol=1e-12)
 
     def test_observation_validation(self):
@@ -200,8 +199,8 @@ class TestObservationLog:
             Observation(10.0, 2.0, False, -1.0)
         with pytest.raises(ValueError):
             Observation(10.0, 2.0, False, float("inf"))
-        row = Observation(10.0, 2.0, True, 1.5, step_index=4)
-        assert row.step_index == 4
+        row = Observation(10.0, 2.0, True, 1.5)
+        assert row.vibration and row.delta_w_mg == 1.5
 
 
 entries = st.lists(
@@ -219,45 +218,27 @@ class TestRunningSumFit:
     @settings(max_examples=300, deadline=None)
     @given(entries, st.sampled_from(MODES))
     def test_matches_full_refit_bit_for_bit(self, rows, mode):
-        log = ObservationLog()
+        log = ObservationLog(KIN)
+        kept = []
         for l, t, vibration, delta, refit_now in rows:
             assert log.record(l, t, vibration, delta)
+            kept.append(Observation(l, t, vibration, delta))
             checked = (GRAVITY, VIBRATION) if refit_now else ()
             for m in checked + (mode,):
-                fit = log.fit(KIN, m)
-                full = fit_coefficient(log.for_mode(m), KIN, m)
+                fit = log.fit(m)
+                full = fit_coefficient(kept, KIN, m)
                 assert fit.c_prime == full.c_prime
                 assert fit.n_obs == full.n_obs
                 assert fit.degenerate == full.degenerate
 
-    def test_r_squared_from_sums_agrees_with_two_pass(self):
-        log = ObservationLog(min_observable=0.0)
-        rng = np.random.default_rng(5)
-        for _ in range(12):
-            l = float(rng.uniform(1.0, 210.0))
-            t = float(rng.uniform(0.0, 20.0))
-            noise = float(rng.normal(1.0, 0.1))
-            log.record(l, t, False, 0.03 * regressor(KIN, l, t) * noise)
-        fit = log.fit(KIN, GRAVITY)
-        rows = log.for_mode(GRAVITY)
-        assert fit.r_squared == pytest.approx(
-            r_squared(rows, KIN, fit.c_prime), rel=1e-9)
-
-    def test_other_kinematics_rebuild_the_sums(self):
-        log = ObservationLog(min_observable=0.0)
-        log.record(50.0, 2.0, False, 10.0)
-        log.fit(KIN, GRAVITY)
-        log.record(80.0, 1.0, False, 30.0)
-        slow = ValveKinematics(travel_rate=20.0)
-        for kin in (slow, KIN):
-            fit = log.fit(kin, GRAVITY)
-            full = fit_coefficient(log.observations, kin, GRAVITY)
-            assert (fit.c_prime, fit.n_obs) == (full.c_prime, full.n_obs)
-
     def test_command_outside_the_envelope_is_rejected(self):
-        log = ObservationLog(min_observable=0.0)
-        log.record(KIN.l_max + 1.0, 2.0, False, 10.0)
+        log = ObservationLog(KIN)
+        assert not log.record(KIN.l_max + 1.0, 2.0, False, 0.1)  # gated out
         with pytest.raises(ValueError):
-            log.fit(KIN, GRAVITY)
+            log.record(KIN.l_max + 1.0, 2.0, False, 10.0)
         with pytest.raises(ValueError):
-            fit_coefficient(log.observations, KIN, GRAVITY)
+            log.record(-1.0, 2.0, False, 10.0)
+        assert log.fit(GRAVITY).n_obs == 0
+        with pytest.raises(ValueError):
+            fit_coefficient([Observation(KIN.l_max + 1.0, 2.0, False, 10.0)],
+                            KIN, GRAVITY)
