@@ -8,18 +8,14 @@ and reordering conditions never shifts anybody's draws.
 
 Artifacts written by run_suite:
 
-    <out>/summary.csv        one row per condition (schema below)
+    <out>/summary.csv        one row per condition, SUMMARY_COLUMNS
     <out>/summary.json       config echo, condition stats, pooled fits,
                              per-trial index
-    <out>/trials/<id>.csv    per-step trace of each trial
+    <out>/trials/<id>.csv    per-step trace of each trial, TRACE_COLUMNS
 
-Trace CSV columns:
-    step,L,t_pose_s,vibration,predicted_mg,measured_delta_mg,
-    cprime_gravity,cprime_vibration,w_error_mg,sim_time_s
-
-Summary CSV columns:
-    powder,controller,target_mg,trials,successes,dropped_mean_mg,
-    dropped_std_mg,steps_mean,steps_std,time_mean_s,time_std_s
+Each format is defined once, below, and written and read through that one
+definition. A summary.json trial entry must name trial_id(powder,
+controller, target_mg, trial_index) and that trial's trials/<id>.csv.
 """
 
 from __future__ import annotations
@@ -30,7 +26,8 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -50,13 +47,6 @@ CONTROLLER_ALIASES = {
 }
 
 OUT_DIR_ENV = "POWDERDOSE_OUT"
-
-TRACE_COLUMNS = ("step", "L", "t_pose_s", "vibration", "predicted_mg",
-                 "measured_delta_mg", "cprime_gravity", "cprime_vibration",
-                 "w_error_mg", "sim_time_s")
-SUMMARY_COLUMNS = ("powder", "controller", "target_mg", "trials", "successes",
-                   "dropped_mean_mg", "dropped_std_mg", "steps_mean",
-                   "steps_std", "time_mean_s", "time_std_s")
 
 
 class ConfigError(ValueError):
@@ -144,6 +134,10 @@ class TrialRecord:
     total_sim_time_s: float
     steps: tuple[StepTrace, ...]
 
+    @property
+    def trace_csv(self) -> str:
+        return _trace_csv(self.trial_id)
+
 
 @dataclass(frozen=True)
 class ConditionStats:
@@ -193,6 +187,10 @@ def _condition_checksum(powder: str, controller: str, target_mg: float) -> int:
 def trial_id(powder: str, controller: str, target_mg: float,
              trial_index: int) -> str:
     return f"{powder}--{controller}--t{target_mg:g}--{trial_index:03d}"
+
+
+def _trace_csv(trial_id: str) -> str:
+    return f"trials/{trial_id}.csv"
 
 
 def build_plant(config: ExperimentConfig, powder: str, controller: str,
@@ -348,10 +346,18 @@ def pooled_observations(records: Iterable[TrialRecord]
     return pools
 
 
-def pooled_fits(records: Iterable[TrialRecord],
+def pooled_fits(records: Iterable[TrialRecord]
+                | Mapping[str, list[Observation]],
                 kin: ValveKinematics) -> list[PooledFit]:
+    """One refit per powder and mode of the pooled observations.
+
+    records may also be the pools pooled_observations made of them, for a
+    caller that needs the pools too.
+    """
+    pools = (records if isinstance(records, Mapping)
+             else pooled_observations(records))
     fits = []
-    for powder, observations in pooled_observations(records).items():
+    for powder, observations in pools.items():
         for mode in (GRAVITY, VIBRATION):
             selected = [o for o in observations
                         if (VIBRATION if o.vibration else GRAVITY) == mode]
@@ -390,57 +396,65 @@ def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,
 # ---------------------------------------------------------------------------
 # persistence
 
-def fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    return str(value)
+# The trace CSV format: (column, StepTrace attribute, cell) in file order.
+# A cell is an "int", a "float", a "float?" (None as an empty cell) or a
+# "0/1" bool. The attributes are StepTrace's leading fields, in order.
+_TRACE_FORMAT = (
+    ("step", "step", "int"), ("L", "l_command", "float"),
+    ("t_pose_s", "t_pose_s", "float"), ("vibration", "vibration", "0/1"),
+    ("predicted_mg", "predicted_mg", "float?"),
+    ("measured_delta_mg", "measured_delta_mg", "float"),
+    ("cprime_gravity", "cprime_gravity", "float?"),
+    ("cprime_vibration", "cprime_vibration", "float?"),
+    ("w_error_mg", "w_error_mg", "float"),
+    ("sim_time_s", "sim_time_s", "float"),
+)
+TRACE_COLUMNS = tuple(column for column, _, _ in _TRACE_FORMAT)
 
 
 def write_trace_csv(record: TrialRecord, path: Path) -> None:
+    columns = []
+    for _, attr, cell in _TRACE_FORMAT:
+        values = map(attrgetter(attr), record.steps)
+        columns.append(map(int, values) if cell == "0/1" else values)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRACE_COLUMNS)
-        for row in record.steps:
-            writer.writerow([
-                row.step, fmt_cell(row.l_command), fmt_cell(row.t_pose_s),
-                fmt_cell(row.vibration), fmt_cell(row.predicted_mg),
-                fmt_cell(row.measured_delta_mg), fmt_cell(row.cprime_gravity),
-                fmt_cell(row.cprime_vibration), fmt_cell(row.w_error_mg),
-                fmt_cell(row.sim_time_s),
-            ])
+        writer.writerows(zip(*columns))
 
 
 def read_trace_csv(path: Path) -> list[StepTrace]:
-    """Parse a trace CSV; raises ValueError on a bad header or row."""
-    rows = []
+    """Parse a trace CSV a column at a time; ValueError on a bad cell."""
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         header = tuple(next(reader, ()))
         if header != TRACE_COLUMNS:
             raise ValueError(f"{path}: unexpected trace header {header!r}")
+        rows = []
         for raw in reader:
             if len(raw) != len(TRACE_COLUMNS):
                 raise ValueError(
                     f"{path}: line {reader.line_num} has {len(raw)} fields, "
                     f"expected {len(TRACE_COLUMNS)}")
-            if raw[3] not in ("0", "1"):
-                raise ValueError(f"{path}: line {reader.line_num}: vibration "
-                                 f"must be 0 or 1, got {raw[3]!r}")
-            rows.append(StepTrace(
-                step=int(raw[0]),
-                l_command=float(raw[1]),
-                t_pose_s=float(raw[2]),
-                vibration=raw[3] == "1",
-                predicted_mg=float(raw[4]) if raw[4] else None,
-                measured_delta_mg=float(raw[5]),
-                cprime_gravity=float(raw[6]) if raw[6] else None,
-                cprime_vibration=float(raw[7]) if raw[7] else None,
-                w_error_mg=float(raw[8]),
-                sim_time_s=float(raw[9]),
-            ))
-    return rows
+            rows.append(raw)
+    columns = [_parse_cells(path, column, cell, cells) for (column, _, cell),
+               cells in zip(_TRACE_FORMAT, zip(*rows))]
+    return list(map(StepTrace, *columns)) if rows else []
+
+
+def _parse_cells(path: Path, column: str, cell: str,
+                 cells: tuple[str, ...]) -> list:
+    if cell == "float":
+        return list(map(float, cells))
+    if cell == "float?":
+        return [float(text) if text else None for text in cells]
+    if cell == "int":
+        return list(map(int, cells))
+    for line, text in enumerate(cells, start=2):
+        if text not in ("0", "1"):
+            raise ValueError(f"{path}: line {line}: {column} must be 0 or 1, "
+                             f"got {text!r}")
+    return [text == "1" for text in cells]
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -454,10 +468,10 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "max_steps": config.max_steps,
         "k_p": (dict(config.k_p) if isinstance(config.k_p, Mapping)
                 else config.k_p),
-        "pid_gains": _dataclass_dict(config.pid_gains),
-        "kinematics": _dataclass_dict(config.kinematics),
+        "pid_gains": asdict(config.pid_gains),
+        "kinematics": asdict(config.kinematics),
         "plant": {
-            "balance": _dataclass_dict(config.balance),
+            "balance": asdict(config.balance),
             "powders": {name: dict(ov)
                         for name, ov in config.powder_overrides.items()},
         },
@@ -466,75 +480,104 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def _dataclass_dict(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in dataclass_fields(obj)}
+# summary.csv holds every ConditionStats field but the degenerate flag.
+SUMMARY_COLUMNS = tuple(f.name for f in dataclass_fields(ConditionStats)
+                        if f.name != "degenerate_stats")
 
 
 def write_summary_csv(conditions: Iterable[ConditionStats],
                       path: Path) -> None:
-    path.write_text(_summary_csv_text(conditions), newline="")
+    path.write_text(summary_csv_text(conditions), newline="")
 
 
-def _summary_csv_text(conditions: Iterable[ConditionStats]) -> str:
+def summary_csv_text(conditions: Iterable[ConditionStats]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(SUMMARY_COLUMNS)
-    for c in conditions:
-        writer.writerow([
-            c.powder, c.controller, fmt_cell(c.target_mg), c.trials,
-            c.successes, fmt_cell(c.dropped_mean_mg),
-            fmt_cell(c.dropped_std_mg), fmt_cell(c.steps_mean),
-            fmt_cell(c.steps_std), fmt_cell(c.time_mean_s),
-            fmt_cell(c.time_std_s),
-        ])
+    writer.writerows(map(attrgetter(*SUMMARY_COLUMNS), conditions))
     return buffer.getvalue()
+
+
+# A summary.json trial entry: (key, type) in file order. Each key is a
+# TrialRecord attribute, written as is (a TrialStatus as its string) and
+# read back through its type.
+_INDEX_ENTRY = (
+    ("trial_id", str), ("powder", str), ("controller", str),
+    ("target_mg", float), ("trial_index", int), ("status", TrialStatus),
+    ("final_mass_mg", float), ("total_steps", int),
+    ("total_sim_time_s", float), ("trace_csv", str),
+)
+_RECORD_FIELDS = {f.name for f in dataclass_fields(TrialRecord)}
+_STATUSES = {status.value for status in TrialStatus}
+
+
+def index_entry_problem(entry: Any) -> str | None:
+    """What is wrong with one summary.json trial entry, or None.
+
+    The trace path must follow from the condition, so a reader of a valid
+    entry opens nothing outside the artifact directory's trials/.
+    """
+    if not isinstance(entry, dict):
+        return "entry is not an object"
+    for key, kind in _INDEX_ENTRY:
+        if key not in entry:
+            return f"missing key {key!r}"
+        value = entry[key]
+        if kind is int:
+            ok = (isinstance(value, int) and not isinstance(value, bool)
+                  and value >= 0)
+        elif kind is float:
+            try:  # an int too large for a float overflows
+                ok = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):
+                ok = False
+        else:
+            ok = isinstance(value, str)
+        if not ok:
+            return f"{key} has the wrong type or value: {value!r}"
+    if entry["status"] not in _STATUSES:
+        return f"unknown status {entry['status']!r}"
+    if entry["powder"] not in ARCHETYPES:
+        return f"unknown powder {entry['powder']!r}"
+    if entry["controller"] not in (MODEL_BASED, DIRECT_PID):
+        return f"unknown controller {entry['controller']!r}"
+    expected = trial_id(entry["powder"], entry["controller"],
+                        entry["target_mg"], entry["trial_index"])
+    if entry["trial_id"] != expected:
+        return (f"trial_id {entry['trial_id']!r} does not match its "
+                f"condition, expected {expected!r}")
+    if entry["trace_csv"] != _trace_csv(expected):
+        return (f"trace_csv {entry['trace_csv']!r} is not the trial's trace "
+                f"{_trace_csv(expected)!r}")
+    return None
+
+
+def record_from_index(entry: Mapping,
+                      steps: Iterable[StepTrace]) -> TrialRecord:
+    """The TrialRecord of a valid summary.json trial entry and its trace."""
+    return TrialRecord(steps=tuple(steps), **{
+        key: kind(entry[key]) for key, kind in _INDEX_ENTRY
+        if key in _RECORD_FIELDS})
 
 
 def write_suite_artifacts(summary: SuiteSummary,
                           out_dir: str | Path | None = None) -> Path:
     out = Path(out_dir if out_dir is not None else summary.config.out_dir)
-    trials_dir = out / "trials"
-    trials_dir.mkdir(parents=True, exist_ok=True)
+    (out / "trials").mkdir(parents=True, exist_ok=True)
     for record in summary.trials:
-        write_trace_csv(record, trials_dir / f"{record.trial_id}.csv")
+        write_trace_csv(record, out / record.trace_csv)
     write_summary_csv(summary.conditions, out / "summary.csv")
     payload = {
         "config": config_to_dict(summary.config),
-        "conditions": [_condition_dict(c) for c in summary.conditions],
-        "pooled_fits": [_pooled_dict(p) for p in summary.pooled_fits],
-        "trials": [{
-            "trial_id": r.trial_id,
-            "powder": r.powder,
-            "controller": r.controller,
-            "target_mg": r.target_mg,
-            "trial_index": r.trial_index,
-            "status": r.status.value,
-            "final_mass_mg": r.final_mass_mg,
-            "total_steps": r.total_steps,
-            "total_sim_time_s": r.total_sim_time_s,
-            "trace_csv": f"trials/{r.trial_id}.csv",
-        } for r in summary.trials],
+        "conditions": [asdict(c) for c in summary.conditions],
+        "pooled_fits": [asdict(p) for p in summary.pooled_fits],
+        "trials": [{key: getattr(r, key) for key, _ in _INDEX_ENTRY}
+                   for r in summary.trials],
     }
     with (out / "summary.json").open("w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     return out
-
-
-def _condition_dict(c: ConditionStats) -> dict:
-    return {
-        "powder": c.powder, "controller": c.controller,
-        "target_mg": c.target_mg, "trials": c.trials,
-        "successes": c.successes, "dropped_mean_mg": c.dropped_mean_mg,
-        "dropped_std_mg": c.dropped_std_mg, "steps_mean": c.steps_mean,
-        "steps_std": c.steps_std, "time_mean_s": c.time_mean_s,
-        "time_std_s": c.time_std_s, "degenerate_stats": c.degenerate_stats,
-    }
-
-
-def _pooled_dict(p: PooledFit) -> dict:
-    return {"powder": p.powder, "mode": p.mode, "c_prime": p.c_prime,
-            "r_squared": p.r_squared, "n_points": p.n_points}
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +826,7 @@ def _build(raw, cls, default, name: str, errors: list[str]):
     if bad:
         return default
     try:
-        return cls(**{**_dataclass_dict(default), **clean})
+        return replace(default, **clean)
     except ValueError as exc:
         errors.append(f"{name}: {exc}")
         return default

@@ -21,18 +21,15 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .control import TrialStatus
+from .flow import VIBRATION
 from .harness import (ConditionStats, PooledFit, TrialRecord,
-                      _condition_dict, _pooled_dict, _summary_csv_text,
-                      compute_metrics, config_from_dict, fmt_cell,
+                      compute_metrics, config_from_dict, index_entry_problem,
                       pooled_fits, pooled_observations, read_trace_csv,
-                      write_summary_csv)
+                      record_from_index, summary_csv_text, write_summary_csv)
 from .identify import regressor
-from .powders import ARCHETYPES
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ def load_suite_records(artifact_dir: str | Path
                         f"'trials' list"]
     records: list[TrialRecord] = []
     for position, entry in enumerate(payload.get("trials", [])):
-        problem = _index_entry_problem(entry)
+        problem = index_entry_problem(entry)
         if problem is not None:
             errors.append(f"{index_path}: trials[{position}]: {problem}")
             continue
@@ -84,52 +81,8 @@ def load_suite_records(artifact_dir: str | Path
                 f"trial {entry['trial_id']}: index says "
                 f"{entry['total_steps']} steps, trace has {len(steps)}")
             continue
-        records.append(TrialRecord(
-            trial_id=entry["trial_id"],
-            powder=entry["powder"],
-            controller=entry["controller"],
-            target_mg=float(entry["target_mg"]),
-            trial_index=entry["trial_index"],
-            status=TrialStatus(entry["status"]),
-            final_mass_mg=float(entry["final_mass_mg"]),
-            total_steps=entry["total_steps"],
-            total_sim_time_s=float(entry["total_sim_time_s"]),
-            steps=tuple(steps),
-        ))
+        records.append(record_from_index(entry, steps))
     return records, payload, errors
-
-
-_INDEX_FIELDS = {
-    "trial_id": str, "powder": str, "controller": str, "trace_csv": str,
-    "status": str, "trial_index": int, "total_steps": int,
-    "target_mg": float, "final_mass_mg": float, "total_sim_time_s": float,
-}
-_STATUSES = {status.value for status in TrialStatus}
-
-
-def _index_entry_problem(entry) -> str | None:
-    """What is wrong with one summary.json trial entry, or None."""
-    if not isinstance(entry, dict):
-        return "entry is not an object"
-    for key, kind in _INDEX_FIELDS.items():
-        if key not in entry:
-            return f"missing key {key!r}"
-        value = entry[key]
-        if kind is str:
-            ok = isinstance(value, str)
-        elif kind is int:
-            ok = (isinstance(value, int) and not isinstance(value, bool)
-                  and value >= 0)
-        else:
-            ok = (isinstance(value, (int, float))
-                  and not isinstance(value, bool) and math.isfinite(value))
-        if not ok:
-            return f"{key} has the wrong type or value: {value!r}"
-    if entry["status"] not in _STATUSES:
-        return f"unknown status {entry['status']!r}"
-    if entry["powder"] not in ARCHETYPES:
-        return f"unknown powder {entry['powder']!r}"
-    return None
 
 
 def build_report(artifact_dir: str | Path, *,
@@ -148,7 +101,8 @@ def build_report(artifact_dir: str | Path, *,
         return ReportResult(root, None, (), (), tuple(errors))
     conditions = compute_metrics(records, config.tolerance_mg)
     try:
-        fits = pooled_fits(records, config.kinematics)
+        pools = pooled_observations(records)
+        fits = pooled_fits(pools, config.kinematics)
     except ValueError as exc:  # a trace step outside the valve's envelope
         errors.append(f"cannot refit the traces: {exc}")
         return ReportResult(root, None, (), (), tuple(errors))
@@ -160,7 +114,7 @@ def build_report(artifact_dir: str | Path, *,
         report_dir = root / "report"
         report_dir.mkdir(parents=True, exist_ok=True)
         write_summary_csv(conditions, report_dir / "summary_recomputed.csv")
-        _write_fit_points(records, fits, config.kinematics, report_dir)
+        _write_fit_points(pools, fits, config.kinematics, report_dir)
         _write_text_report(conditions, fits, records,
                            report_dir / "report.txt")
     return ReportResult(root, report_dir, tuple(conditions), tuple(fits),
@@ -177,9 +131,9 @@ def _stored_summary_problems(root: Path, payload: dict,
     """
     problems = []
     for section, recomputed, keys in (
-            ("conditions", [_condition_dict(c) for c in conditions],
+            ("conditions", [asdict(c) for c in conditions],
              ("powder", "controller", "target_mg")),
-            ("pooled_fits", [_pooled_dict(f) for f in fits],
+            ("pooled_fits", [asdict(f) for f in fits],
              ("powder", "mode"))):
         stored = payload.get(section)
         if not isinstance(stored, list) or len(stored) != len(recomputed):
@@ -204,28 +158,26 @@ def _stored_summary_problems(root: Path, payload: dict,
     except (OSError, ValueError) as exc:
         problems.append(f"cannot read summary.csv: {exc}")
     else:
-        if stored_csv != _summary_csv_text(conditions):
+        if stored_csv != summary_csv_text(conditions):
             problems.append("summary.csv: does not match the summary "
                             "recomputed from the traces")
     return problems
 
 
-def _write_fit_points(records, fits, kin, report_dir: Path) -> None:
-    pools = pooled_observations(records)
+def _write_fit_points(pools, fits, kin, report_dir: Path) -> None:
     for fit in fits:
-        powder, mode = fit.powder, fit.mode
-        rows = [o for o in pools[powder]
-                if ("vibration" if o.vibration else "gravity") == mode]
-        path = report_dir / f"fit_{powder}_{mode}.csv"
+        vibration = fit.mode == VIBRATION
+        path = report_dir / f"fit_{fit.powder}_{fit.mode}.csv"
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(("regressor", "measured_mg", "predicted_mg"))
-            for o in rows:
+            for o in pools[fit.powder]:
+                if o.vibration != vibration:
+                    continue
                 x = regressor(kin, o.l_command, o.t_pose_s)
                 predicted = (fit.c_prime * x if fit.c_prime is not None
                              else None)
-                writer.writerow([fmt_cell(x), fmt_cell(o.delta_w_mg),
-                                 fmt_cell(predicted)])
+                writer.writerow((x, o.delta_w_mg, predicted))
 
 
 def _write_text_report(conditions, fits, records, path: Path) -> None:

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script runs to completion against the current package and
+leaves nothing behind in its working or temporary directory."""
 
 import os
 import subprocess
@@ -22,3 +23,5 @@ def test_demo_exits_cleanly(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    leftovers = sorted(p.name for p in tmp_path.iterdir())
+    assert not leftovers, f"{demo.name} left {leftovers} behind"

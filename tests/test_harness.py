@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,12 @@ from powderdose import (
     GRAVITY,
     VIBRATION,
     BalanceModel,
+    ConditionStats,
     ConfigError,
     ExperimentConfig,
+    PooledFit,
     StepTrace,
+    SuiteSummary,
     TrialRecord,
     TrialStatus,
     ValveKinematics,
@@ -30,6 +34,7 @@ from powderdose import (
     read_trace_csv,
     run_suite,
     run_trial,
+    write_suite_artifacts,
 )
 from powderdose.cli import main as cli_main
 from powderdose.harness import (
@@ -38,7 +43,9 @@ from powderdose.harness import (
     SUMMARY_COLUMNS,
     TRACE_COLUMNS,
     resolve_out_dir,
+    trial_id,
 )
+from powderdose.report import load_suite_records
 
 SMALL = dict(powder=["glass-beads"], targets_mg=[50], trials=2, seed=7)
 
@@ -317,6 +324,118 @@ def suite(tmp_path_factory):
     return config, summary, out
 
 
+GOLDEN_TRACE = (
+    "step,L,t_pose_s,vibration,predicted_mg,measured_delta_mg,"
+    "cprime_gravity,cprime_vibration,w_error_mg,sim_time_s\r\n"
+    "1,0.30000000000000004,2.5,1,,1.2,,3.5e-06,-0.75,12.0\r\n"
+    "2,40.0,0.0,0,2.25,0.0,1e-05,,48.8,30.5\r\n")
+GOLDEN_SUMMARY_CSV = (
+    "powder,controller,target_mg,trials,successes,dropped_mean_mg,"
+    "dropped_std_mg,steps_mean,steps_std,time_mean_s,time_std_s\r\n"
+    "glass-beads,model-based,50.0,1,0,0.30000000000000004,0.0,2.0,0.0,"
+    "30.5,0.0\r\n")
+GOLDEN_SUMMARY_JSON_TAIL = """\
+  "conditions": [
+    {
+      "powder": "glass-beads",
+      "controller": "model-based",
+      "target_mg": 50.0,
+      "trials": 1,
+      "successes": 0,
+      "dropped_mean_mg": 0.30000000000000004,
+      "dropped_std_mg": 0.0,
+      "steps_mean": 2.0,
+      "steps_std": 0.0,
+      "time_mean_s": 30.5,
+      "time_std_s": 0.0,
+      "degenerate_stats": true
+    }
+  ],
+  "pooled_fits": [
+    {
+      "powder": "glass-beads",
+      "mode": "gravity",
+      "c_prime": 1e-05,
+      "r_squared": null,
+      "n_points": 1
+    }
+  ],
+  "trials": [
+    {
+      "trial_id": "glass-beads--model-based--t50--003",
+      "powder": "glass-beads",
+      "controller": "model-based",
+      "target_mg": 50.0,
+      "trial_index": 3,
+      "status": "overshoot-fail",
+      "final_mass_mg": 51.2,
+      "total_steps": 2,
+      "total_sim_time_s": 30.5,
+      "trace_csv": "trials/glass-beads--model-based--t50--003.csv"
+    }
+  ]
+}
+"""
+
+
+class TestArtifactFormats:
+    """Exact bytes of each persisted format for one hand-built suite.
+
+    Rerun-equals-rerun cannot see a format change that both runs share;
+    these strings can. The record has an empty (None) cell, a vibration
+    step and a float whose repr needs 17 digits.
+    """
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        record = TrialRecord(
+            trial_id=trial_id("glass-beads", MODEL_BASED, 50.0, 3),
+            powder="glass-beads", controller=MODEL_BASED, target_mg=50.0,
+            trial_index=3, status=TrialStatus.OVERSHOOT_FAIL,
+            final_mass_mg=51.2, total_steps=2, total_sim_time_s=30.5,
+            steps=(
+                StepTrace(step=1, l_command=0.1 + 0.2, t_pose_s=2.5,
+                          vibration=True, predicted_mg=None,
+                          measured_delta_mg=1.2, cprime_gravity=None,
+                          cprime_vibration=3.5e-06, w_error_mg=-0.75,
+                          sim_time_s=12.0),
+                StepTrace(step=2, l_command=40.0, t_pose_s=0.0,
+                          vibration=False, predicted_mg=2.25,
+                          measured_delta_mg=0.0, cprime_gravity=1e-05,
+                          cprime_vibration=None, w_error_mg=48.8,
+                          sim_time_s=30.5),
+            ))
+        stats = ConditionStats(
+            powder="glass-beads", controller=MODEL_BASED, target_mg=50.0,
+            trials=1, successes=0, dropped_mean_mg=0.1 + 0.2,
+            dropped_std_mg=0.0, steps_mean=2.0, steps_std=0.0,
+            time_mean_s=30.5, time_std_s=0.0, degenerate_stats=True)
+        fit = PooledFit(powder="glass-beads", mode=GRAVITY, c_prime=1e-05,
+                        r_squared=None, n_points=1)
+        write_suite_artifacts(
+            SuiteSummary(small_config(), (stats,), (fit,), (record,)),
+            tmp_path)
+        return record, tmp_path
+
+    def test_trace_csv_bytes(self, written):
+        record, out = written
+        path = out / "trials" / "glass-beads--model-based--t50--003.csv"
+        assert path.read_bytes() == GOLDEN_TRACE.encode()
+        assert read_trace_csv(path) == list(record.steps)
+
+    def test_summary_csv_bytes(self, written):
+        _, out = written
+        assert (out / "summary.csv").read_bytes() \
+            == GOLDEN_SUMMARY_CSV.encode()
+
+    def test_summary_json_entries(self, written):
+        record, out = written
+        text = (out / "summary.json").read_text()
+        assert text.endswith(GOLDEN_SUMMARY_JSON_TAIL)
+        assert text[:-len(GOLDEN_SUMMARY_JSON_TAIL)].endswith("},\n")
+        assert load_suite_records(out)[::2] == ([record], [])
+
+
 class TestArtifacts:
     def test_summary_csv_schema(self, suite):
         _, summary, out = suite
@@ -397,8 +516,25 @@ class TestArtifacts:
          "unknown powder 'glass/beads'"),
         (lambda entry, trace: set_first_vibration_cell(trace, "2"),
          "vibration must be 0 or 1, got '2'"),
+        # a valid trace, but named by a path the index rule does not give
+        (lambda entry, trace: entry.update(trace_csv=str(trace.resolve())),
+         "is not the trial's trace 'trials/glass-beads--model-based--t50--001"
+         ".csv'"),
+        (lambda entry, trace: entry.update(
+            trace_csv="../edited/" + entry["trace_csv"]),
+         "trace_csv '../edited/trials/"),
+        (lambda entry, trace: entry.update(
+            trial_id="glass-beads--model-based--t50--000"),
+         "trial_id 'glass-beads--model-based--t50--000' does not match its "
+         "condition, expected 'glass-beads--model-based--t50--001'"),
+        (lambda entry, trace: entry.update(controller="bang-bang"),
+         "unknown controller 'bang-bang'"),
+        (lambda entry, trace: entry.update(final_mass_mg=10 ** 400),
+         "final_mass_mg has the wrong type or value"),
     ], ids=["missing-key", "unknown-status", "short-row", "empty-trace",
-            "command-beyond-l-max", "powder-with-slash", "vibration-cell"])
+            "command-beyond-l-max", "powder-with-slash", "vibration-cell",
+            "absolute-trace-path", "parent-trace-path", "trial-id-mismatch",
+            "unknown-controller", "mass-beyond-float"])
     def test_report_rejects_a_hand_edited_index(self, suite, tmp_path, capsys,
                                                 edit, message):
         _, _, out = suite
@@ -465,6 +601,9 @@ class TestCli:
         env = dict(os.environ)
         env.pop("POWDERDOSE_OUT", None)
         env.update(env_extra or {})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         return subprocess.run(
             [sys.executable, "-m", "powderdose.cli", *args],
             capture_output=True, text=True, env=env)
