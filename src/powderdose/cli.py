@@ -17,10 +17,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .harness import (CONTROLLER_ALIASES, SEED_ERROR, ConfigError,
-                      ExperimentConfig, config_to_dict, default_config,
-                      load_config, resolve_out_dir, run_suite, run_trial,
-                      valid_seed, write_trace_csv)
+from .harness import (ConfigError, ExperimentConfig, config_to_dict,
+                      default_config, load_config, resolve_out_dir,
+                      run_suite, run_trial, write_trace_csv)
 from .report import build_report
 
 
@@ -34,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(trial)
     trial.add_argument("--powder", help="powder archetype name")
     trial.add_argument("--controller",
-                       choices=sorted(CONTROLLER_ALIASES),
-                       help="controller to drive the trial")
+                       help="controller to drive the trial: model-based "
+                            "(model) or direct-pid (pid)")
     trial.add_argument("--target", type=float, help="target mass in mg")
     trial.add_argument("--trial-index", type=int, default=0,
                        help="trial index within the condition (default 0)")
@@ -68,8 +67,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
-        if not valid_seed(args.seed):
-            raise ConfigError([SEED_ERROR])
         config = dataclasses.replace(config, seed=args.seed)
     return config
 
@@ -78,9 +75,8 @@ def _cmd_run_trial(args) -> int:
     config = _load(args)
     record = run_trial(config, args.trial_index, powder=args.powder,
                        controller=args.controller, target_mg=args.target)
-    out = Path(resolve_out_dir(config, args.out)) / "trials"
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{record.trial_id}.csv"
+    path = Path(resolve_out_dir(config, args.out)) / record.trace_csv
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_trace_csv(record, path)
     print(f"{record.trial_id}: {record.status.value}, "
           f"dispensed {record.final_mass_mg:g} mg of {record.target_mg:g} mg "
@@ -110,8 +106,7 @@ def _cmd_report(args) -> int:
         return 2
     target = args.artifact_dir or args.out
     if target is None:
-        config = load_config(args.config) if args.config else default_config()
-        target = resolve_out_dir(config)
+        target = resolve_out_dir(_load(args))
     result = build_report(target)
     for message in result.errors:
         print(f"report: {message}", file=sys.stderr)

@@ -26,16 +26,19 @@ import json
 import math
 import os
 import zlib
-from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
+from collections.abc import Iterable, Mapping
+from dataclasses import (asdict, dataclass, field,
+                         fields as dataclass_fields, replace)
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_PID_PROFILE,
                       DEFAULT_TOLERANCE_MG, DispensingController,
                       PidBaselineController, PidGains, TrialStatus)
 from .flow import GRAVITY, VIBRATION, PowderSpec, ValveKinematics
-from .identify import MIN_OBSERVABLE_MG, Observation, fit_coefficient
+from .identify import (MIN_OBSERVABLE_MG, Observation, fit_coefficient,
+                       select_mode)
 from .plant import BalanceModel, SimulatedPlant
 from .powders import ARCHETYPES, archetype
 
@@ -59,7 +62,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved benchmark configuration.
+    """Resolved benchmark configuration; every config rule lives here.
+
+    Construction, from JSON, Python or dataclasses.replace, checks every
+    field and raises one ConfigError listing each problem under its JSON
+    name. It normalises a single powder or controller name to a one-tuple,
+    an alias to its controller, and targets, tolerance and k_p to floats.
+    With direct-pid among the controllers, pid_gains.t_pose_fixed_s must
+    lie in the kinematics dwell range.
 
     k_p may be a single gain or a per-powder mapping; k_p_for() resolves it.
     powder_overrides patches archetype fields per powder before a trial
@@ -76,22 +86,101 @@ class ExperimentConfig:
     pid_gains: PidGains = DEFAULT_PID_PROFILE
     kinematics: ValveKinematics = ValveKinematics()
     balance: BalanceModel = BalanceModel()
-    powder_overrides: Mapping[str, Mapping[str, float]] = None  # type: ignore
+    powder_overrides: Mapping[str, Mapping[str, float]] = field(
+        default_factory=dict)
     seed: int = 7
     out_dir: str = "artifacts"
 
     def __post_init__(self) -> None:
-        if self.powder_overrides is None:
-            object.__setattr__(self, "powder_overrides", {})
+        errors: list[str] = []
+        powders = _names(self.powders, "powder", errors)
+        errors.extend(f"powder: unknown archetype {name!r}"
+                      for name in powders if name not in ARCHETYPES)
+        names = _names(self.controllers, "controller", errors)
+        errors.extend(f"controller: must be one of "
+                      f"{sorted(CONTROLLER_ALIASES)}, got {name!r}"
+                      for name in names if name not in CONTROLLER_ALIASES)
+        controllers = [CONTROLLER_ALIASES[name] for name in names
+                       if name in CONTROLLER_ALIASES]
+        for what, listed in (("powder", powders),
+                             ("controller", controllers)):
+            errors.extend(f"{what}: {name!r} is listed more than once"
+                          for name in sorted({n for n in listed
+                                              if listed.count(n) > 1}))
+
+        targets: list[float] = []
+        if not isinstance(self.targets_mg, (list, tuple)) \
+                or not self.targets_mg:
+            errors.append("targets_mg: must be a non-empty list of masses")
+        else:
+            for t in self.targets_mg:
+                if _finite(t) and t > 0:
+                    targets.append(float(t))
+                else:
+                    errors.append(f"targets_mg: entries must be positive "
+                                  f"finite numbers, got {t!r}")
+            errors.extend(_target_collisions(targets))
+
+        for name in ("trials", "max_steps"):
+            if not _is_count(getattr(self, name), 1):
+                errors.append(f"{name}: must be an integer >= 1")
+        if not _finite(self.tolerance_mg):
+            errors.append("tolerance_mg: must be a finite number")
+        elif self.tolerance_mg <= 0:
+            errors.append("tolerance_mg: must be > 0")
+
+        k_p = self.k_p
+        if isinstance(k_p, Mapping):
+            gains = {}
+            for name, value in k_p.items():
+                if name not in ARCHETYPES:
+                    errors.append(f"k_p: unknown powder {name!r}")
+                if _finite(value) and 0 < value <= 1:
+                    gains[name] = float(value)
+                else:
+                    errors.append(f"k_p[{name!r}]: must be in (0, 1]")
+            k_p = gains
+        elif _finite(k_p) and 0 < k_p <= 1:
+            k_p = float(k_p)
+        else:
+            errors.append("k_p: must be in (0, 1]")
+
+        pid, kin = self.pid_gains, self.kinematics
+        wrong = [f"{name}: must be a {kind.__name__}"
+                 for value, name, kind in (
+                     (pid, "pid_gains", PidGains),
+                     (kin, "kinematics", ValveKinematics),
+                     (self.balance, "plant.balance", BalanceModel))
+                 if not isinstance(value, kind)]
+        errors.extend(wrong)
+        if DIRECT_PID in controllers and not wrong and not (
+                kin.t_pose_min <= pid.t_pose_fixed_s <= kin.t_pose_max):
+            errors.append(
+                f"pid_gains.t_pose_fixed_s: {pid.t_pose_fixed_s:g} s is "
+                f"outside the kinematics dwell range "
+                f"[{kin.t_pose_min:g}, {kin.t_pose_max:g}] s")
+        overrides = _powder_overrides(self.powder_overrides, errors)
+
+        if not (_is_count(self.seed, 0) and self.seed < 2 ** 64):
+            errors.append("seed: must be an unsigned 64-bit integer")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            errors.append("out_dir: must be a non-empty string")
+        if errors:
+            raise ConfigError(errors)
+        for name, value in (("powders", tuple(powders)),
+                            ("controllers", tuple(controllers)),
+                            ("targets_mg", tuple(targets)),
+                            ("tolerance_mg", float(self.tolerance_mg)),
+                            ("k_p", k_p), ("powder_overrides", overrides)):
+            object.__setattr__(self, name, value)
 
     def k_p_for(self, powder: str) -> float:
         if isinstance(self.k_p, Mapping):
-            return float(self.k_p.get(powder, DEFAULT_K_P))
-        return float(self.k_p)
+            return self.k_p.get(powder, DEFAULT_K_P)
+        return self.k_p
 
     def powder_spec(self, powder: str) -> PowderSpec:
-        overrides = dict(self.powder_overrides.get(powder, {}))
-        return archetype(powder, **overrides)
+        return archetype(powder, **self.powder_overrides.get(powder, {}))
 
     def conditions(self) -> list[tuple[str, str, float]]:
         return [(p, c, t) for p in self.powders for c in self.controllers
@@ -209,15 +298,21 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
               target_mg: float | None = None) -> TrialRecord:
     """Run one closed-loop trial and return its full record.
 
-    The condition may come from keyword overrides; otherwise the config
-    must pin exactly one powder, controller and target.
+    The overrides replace the config's lists, under the config's rules;
+    the config must then pin exactly one powder, controller and target.
     """
-    powder = powder if powder is not None else _only(config.powders, "powder")
-    controller_name = (controller if controller is not None
-                       else _only(config.controllers, "controller"))
-    controller_name = CONTROLLER_ALIASES.get(controller_name, controller_name)
-    target = float(target_mg if target_mg is not None
-                   else _only(config.targets_mg, "target"))
+    overrides = {name: (value,) for name, value in (
+        ("powders", powder), ("controllers", controller),
+        ("targets_mg", target_mg)) if value is not None}
+    config = replace(config, **overrides)
+    conditions = config.conditions()
+    if len(conditions) != 1:
+        raise ConfigError([f"run_trial needs exactly one condition, config "
+                           f"names {len(conditions)}"])
+    if not _is_count(trial_index, 0):
+        raise ConfigError([f"trial_index: must be an integer >= 0, "
+                           f"got {trial_index!r}"])
+    ((powder, controller_name, target),) = conditions
     spec = config.powder_spec(powder)
     kin = config.kinematics
     plant = build_plant(config, powder, controller_name, target, trial_index)
@@ -226,14 +321,11 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
             DispensingController(
                 target, kin, k_p=config.k_p_for(powder),
                 tolerance=config.tolerance_mg, max_steps=config.max_steps)
-    elif controller_name == DIRECT_PID:
+    else:
         ctl = PidBaselineController(
             target, kin, gains=config.pid_gains,
             vibration=_needs_vibration(spec, kin),
             tolerance=config.tolerance_mg, max_steps=config.max_steps)
-    else:
-        raise ConfigError([f"controller: unknown controller "
-                           f"{controller_name!r}"])
     reading, _ = plant.read_balance(wait_settle=False)
     steps: list[StepTrace] = []
     while True:
@@ -272,14 +364,6 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
         total_sim_time_s=plant.sim_clock,
         steps=tuple(steps),
     )
-
-
-def _only(values: Iterable, what: str):
-    values = list(values)
-    if len(values) != 1:
-        raise ConfigError([f"{what}: run_trial needs exactly one {what}, "
-                           f"config names {len(values)}"])
-    return values[0]
 
 
 def compute_metrics(records: Iterable[TrialRecord],
@@ -359,8 +443,7 @@ def pooled_fits(records: Iterable[TrialRecord]
     fits = []
     for powder, observations in pools.items():
         for mode in (GRAVITY, VIBRATION):
-            selected = [o for o in observations
-                        if (VIBRATION if o.vibration else GRAVITY) == mode]
+            selected = select_mode(observations, mode)
             if not selected:
                 continue
             fit = fit_coefficient(selected, kin, mode)
@@ -599,137 +682,47 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def config_from_dict(data: Any) -> ExperimentConfig:
-    """Build an ExperimentConfig from a plain dict, fail-fast.
+# JSON key -> ExperimentConfig field, but for the three sections
+_JSON_FIELDS = {"powder": "powders", "controller": "controllers",
+                "targets_mg": "targets_mg", "trials": "trials",
+                "tolerance_mg": "tolerance_mg", "max_steps": "max_steps",
+                "k_p": "k_p", "seed": "seed", "out_dir": "out_dir"}
 
-    Unknown keys at any level are errors; all problems found are reported
-    together in the raised ConfigError.
+
+def config_from_dict(data: Any) -> ExperimentConfig:
+    """Map a JSON config onto ExperimentConfig, which checks its values.
+
+    Keys are the fields but for powder, controller, plant.balance and
+    plant.powders (powder_overrides); a key left out takes the field's
+    default. Unknown keys at any level are errors, raised in one
+    ConfigError with every problem the config's own rules find.
     """
-    errors: list[str] = []
     if not isinstance(data, Mapping):
         raise ConfigError(["config root must be a JSON object"])
-    known = {"powder", "controller", "targets_mg", "trials", "tolerance_mg",
-             "max_steps", "k_p", "pid_gains", "kinematics", "plant", "seed",
-             "out_dir"}
-    for key in data:
-        if key not in known:
-            errors.append(f"unknown key {key!r}")
-
-    powders = _str_list(data.get("powder"), list(ARCHETYPES), "powder", errors)
-    for name in powders:
-        if name not in ARCHETYPES:
-            errors.append(f"powder: unknown archetype {name!r}")
-    controllers_raw = _str_list(data.get("controller"), [MODEL_BASED],
-                                "controller", errors)
-    controllers = []
-    for name in controllers_raw:
-        canon = CONTROLLER_ALIASES.get(name)
-        if canon is None:
-            errors.append(f"controller: must be one of "
-                          f"{sorted(set(CONTROLLER_ALIASES))}, got {name!r}")
-        else:
-            controllers.append(canon)
-
-    for name, values in (("powder", powders), ("controller", controllers)):
-        for value in sorted({v for v in values if values.count(v) > 1}):
-            errors.append(f"{name}: {value!r} is listed more than once")
-
-    targets = data.get("targets_mg", [20.0, 50.0, 500.0, 3000.0])
-    targets_out: list[float] = []
-    if not isinstance(targets, (list, tuple)) or not targets:
-        errors.append("targets_mg: must be a non-empty list of masses")
-    else:
-        for t in targets:
-            if not isinstance(t, (int, float)) or isinstance(t, bool) \
-                    or not math.isfinite(t) or t <= 0:
-                errors.append(f"targets_mg: entries must be positive finite "
-                              f"numbers, got {t!r}")
-            else:
-                targets_out.append(float(t))
-        errors.extend(_target_collisions(targets_out))
-
-    trials = _int_field(data, "trials", 10, 1, errors)
-    max_steps = _int_field(data, "max_steps", DEFAULT_MAX_STEPS, 1, errors)
-    tolerance = _num_field(data, "tolerance_mg", DEFAULT_TOLERANCE_MG, errors)
-    if tolerance is not None and tolerance <= 0:
-        errors.append("tolerance_mg: must be > 0")
-
-    k_p_raw = data.get("k_p", DEFAULT_K_P)
-    k_p: float | dict[str, float]
-    if isinstance(k_p_raw, Mapping):
-        k_p = {}
-        for name, value in k_p_raw.items():
-            if name not in ARCHETYPES:
-                errors.append(f"k_p: unknown powder {name!r}")
-            if not _valid_gain(value):
-                errors.append(f"k_p[{name!r}]: must be in (0, 1]")
-            else:
-                k_p[str(name)] = float(value)
-    elif _valid_gain(k_p_raw):
-        k_p = float(k_p_raw)
-    else:
-        errors.append("k_p: must be in (0, 1]")
-        k_p = DEFAULT_K_P
-
-    pid_gains = _build(data.get("pid_gains", {}), PidGains,
-                       DEFAULT_PID_PROFILE, "pid_gains", errors)
-    kinematics = _build(data.get("kinematics", {}), ValveKinematics,
-                        ValveKinematics(), "kinematics", errors)
-
-    plant_raw = data.get("plant", {})
-    balance = BalanceModel()
-    overrides: dict[str, dict[str, float]] = {}
-    if not isinstance(plant_raw, Mapping):
+    errors = [f"unknown key {key!r}" for key in data if key not in
+              (*_JSON_FIELDS, "pid_gains", "kinematics", "plant")]
+    fields = {_JSON_FIELDS[key]: value for key, value in data.items()
+              if key in _JSON_FIELDS}
+    plant = data.get("plant", {})
+    if not isinstance(plant, Mapping):
         errors.append("plant: must be an object")
-    else:
-        for key in plant_raw:
-            if key not in ("balance", "powders"):
-                errors.append(f"plant: unknown key {key!r}")
-        balance = _build(plant_raw.get("balance", {}), BalanceModel,
-                         BalanceModel(), "plant.balance", errors)
-        powders_raw = plant_raw.get("powders", {})
-        if not isinstance(powders_raw, Mapping):
-            errors.append("plant.powders: must be an object")
-        else:
-            spec_fields = {f.name for f in dataclass_fields(PowderSpec)} - {"name"}
-            for name, patch in powders_raw.items():
-                if name not in ARCHETYPES:
-                    errors.append(f"plant.powders: unknown powder {name!r}")
-                    continue
-                if not isinstance(patch, Mapping):
-                    errors.append(f"plant.powders[{name!r}]: must be an object")
-                    continue
-                clean = {}
-                for field_name, value in patch.items():
-                    if field_name not in spec_fields:
-                        errors.append(f"plant.powders[{name!r}]: unknown field "
-                                      f"{field_name!r}")
-                    else:
-                        clean[field_name] = value
-                if clean:
-                    try:
-                        archetype(name, **clean)
-                    except ValueError as exc:
-                        errors.append(f"plant.powders[{name!r}]: {exc}")
-                    overrides[name] = clean
-
-    seed = data.get("seed", 7)
-    if not valid_seed(seed):
-        errors.append(SEED_ERROR)
-        seed = 7
-    out_dir = data.get("out_dir", "artifacts")
-    if not isinstance(out_dir, str) or not out_dir:
-        errors.append("out_dir: must be a non-empty string")
-        out_dir = "artifacts"
-
+        plant = {}
+    errors.extend(f"plant: unknown key {key!r}" for key in plant
+                  if key not in ("balance", "powders"))
+    if "powders" in plant:
+        fields["powder_overrides"] = plant["powders"]
+    for name, path, raw in (
+            ("pid_gains", "pid_gains", data.get("pid_gains", {})),
+            ("kinematics", "kinematics", data.get("kinematics", {})),
+            ("balance", "plant.balance", plant.get("balance", {}))):
+        fields[name] = _build(raw, name, path, errors)
+    try:
+        config = ExperimentConfig(**fields)
+    except ConfigError as exc:
+        errors.extend(exc.errors)
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        powders=tuple(powders), controllers=tuple(controllers),
-        targets_mg=tuple(targets_out), trials=trials,
-        tolerance_mg=float(tolerance), max_steps=max_steps, k_p=k_p,
-        pid_gains=pid_gains, kinematics=kinematics, balance=balance,
-        powder_overrides=overrides, seed=seed, out_dir=out_dir)
+    return config
 
 
 def resolve_out_dir(config: ExperimentConfig,
@@ -741,15 +734,6 @@ def resolve_out_dir(config: ExperimentConfig,
     if env:
         return env
     return config.out_dir
-
-
-SEED_ERROR = "seed: must be an unsigned 64-bit integer"
-
-
-def valid_seed(value) -> bool:
-    """The one seed rule, shared by config files and the --seed flag."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and 0 <= value < 2 ** 64)
 
 
 def _target_collisions(targets: list[float]) -> list[str]:
@@ -769,64 +753,84 @@ def _target_collisions(targets: list[float]) -> list[str]:
     return errors
 
 
-def _str_list(value, default: list[str], name: str,
-              errors: list[str]) -> list[str]:
-    if value is None:
-        return list(default)
+def _names(value: Any, what: str, errors: list[str]) -> list[str]:
+    """A name or a non-empty list of names, as a list."""
     if isinstance(value, str):
         return [value]
     if isinstance(value, (list, tuple)) and value \
             and all(isinstance(v, str) for v in value):
         return list(value)
-    errors.append(f"{name}: must be a name or non-empty list of names")
-    return list(default)
+    errors.append(f"{what}: must be a name or non-empty list of names")
+    return []
 
 
-def _int_field(data: Mapping, name: str, default: int, minimum: int,
-               errors: list[str]) -> int:
-    value = data.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < minimum:
-        errors.append(f"{name}: must be an integer >= {minimum}")
-        return default
-    return value
+def _is_count(value: Any, minimum: int) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= minimum)
 
 
-def _num_field(data: Mapping, name: str, default: float,
-               errors: list[str]) -> float:
-    value = data.get(name, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or not math.isfinite(value):
-        errors.append(f"{name}: must be a finite number")
-        return default
-    return float(value)
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _valid_gain(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and 0 < value <= 1)
+def _finite(value: Any) -> bool:
+    try:  # an int too large for a float overflows
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
-def _build(raw, cls, default, name: str, errors: list[str]):
+_SPEC_FIELDS = {f.name for f in dataclass_fields(PowderSpec)} - {"name"}
+
+
+def _powder_overrides(raw: Any, errors: list[str]) -> dict:
+    """plant.powders' non-empty patches, each tried on its archetype."""
     if not isinstance(raw, Mapping):
-        errors.append(f"{name}: must be an object")
+        errors.append("plant.powders: must be an object")
+        return {}
+    overrides = {}
+    for name, patch in raw.items():
+        where = f"plant.powders[{name!r}]"
+        if name not in ARCHETYPES:
+            errors.append(f"plant.powders: unknown powder {name!r}")
+            continue
+        if not isinstance(patch, Mapping):
+            errors.append(f"{where}: must be an object")
+            continue
+        clean = {}
+        for key, value in patch.items():
+            if key not in _SPEC_FIELDS:
+                errors.append(f"{where}: unknown field {key!r}")
+            elif not _is_number(value):
+                errors.append(f"{where}.{key}: must be a number")
+            else:
+                clean[key] = value
+        if clean:
+            try:
+                archetype(name, **clean)
+            except (ValueError, OverflowError) as exc:
+                errors.append(f"{where}: {exc}")
+            overrides[name] = clean
+    return overrides
+
+
+def _build(raw: Any, field_name: str, path: str, errors: list[str]):
+    """The field's default with raw's fields replaced; on a problem, as is."""
+    default = getattr(ExperimentConfig, field_name)  # a plain field default
+    if not isinstance(raw, Mapping):
+        errors.append(f"{path}: must be an object")
         return default
-    allowed = {f.name for f in dataclass_fields(cls)}
-    clean = {}
-    bad = False
+    allowed = {f.name for f in dataclass_fields(default)}
+    found = len(errors)
     for key, value in raw.items():
         if key not in allowed:
-            errors.append(f"{name}: unknown field {key!r}")
-            bad = True
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{name}.{key}: must be a number")
-            bad = True
-        else:
-            clean[key] = float(value)
-    if bad:
+            errors.append(f"{path}: unknown field {key!r}")
+        elif not _is_number(value):
+            errors.append(f"{path}.{key}: must be a number")
+    if len(errors) > found:
         return default
     try:
-        return replace(default, **clean)
-    except ValueError as exc:
-        errors.append(f"{name}: {exc}")
+        return replace(default, **{k: float(v) for k, v in raw.items()})
+    except (ValueError, OverflowError) as exc:
+        errors.append(f"{path}: {exc}")
         return default

@@ -25,6 +25,7 @@ before they reach the log, so noise-level readings never steer the fit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from .flow import GRAVITY, MODES, VIBRATION, ValveKinematics, travel_time
@@ -44,6 +45,13 @@ class Observation:
     def __post_init__(self) -> None:
         if not math.isfinite(self.delta_w_mg) or self.delta_w_mg < 0:
             raise ValueError("Observation.delta_w_mg must be finite and >= 0")
+
+
+def select_mode(observations: Iterable[Observation],
+                mode: str) -> list[Observation]:
+    """The observations taken in the given flow mode, in order."""
+    vibration = mode == VIBRATION
+    return [o for o in observations if o.vibration == vibration]
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,7 @@ def fit_coefficient(observations: list[Observation], kin: ValveKinematics,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    selected = [o for o in observations
-                if (VIBRATION if o.vibration else GRAVITY) == mode]
+    selected = select_mode(observations, mode)
     num = 0.0
     den = 0.0
     for obs in selected:

@@ -24,12 +24,11 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .flow import VIBRATION
 from .harness import (ConditionStats, PooledFit, TrialRecord,
                       compute_metrics, config_from_dict, index_entry_problem,
                       pooled_fits, pooled_observations, read_trace_csv,
                       record_from_index, summary_csv_text, write_summary_csv)
-from .identify import regressor
+from .identify import regressor, select_mode
 
 
 @dataclass(frozen=True)
@@ -166,14 +165,11 @@ def _stored_summary_problems(root: Path, payload: dict,
 
 def _write_fit_points(pools, fits, kin, report_dir: Path) -> None:
     for fit in fits:
-        vibration = fit.mode == VIBRATION
         path = report_dir / f"fit_{fit.powder}_{fit.mode}.csv"
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(("regressor", "measured_mg", "predicted_mg"))
-            for o in pools[fit.powder]:
-                if o.vibration != vibration:
-                    continue
+            for o in select_mode(pools[fit.powder], fit.mode):
                 x = regressor(kin, o.l_command, o.t_pose_s)
                 predicted = (fit.c_prime * x if fit.c_prime is not None
                              else None)

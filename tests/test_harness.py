@@ -199,6 +199,53 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize("data", [
+        {"powder": None}, {"controller": None},
+        {"targets_mg": [10 ** 400]}, {"tolerance_mg": 10 ** 400},
+        {"k_p": 10 ** 400}, {"k_p": {"msg": 10 ** 400}},
+        {"kinematics": {"l_max": 10 ** 400}},
+        {"plant": {"powders": {"tio2": {"initial_load": 10 ** 400}}}},
+        {"plant": {"powders": {"tio2": {"initial_load": "heavy"}}}},
+        {"plant": {"powders": {"tio2": {"initial_load": True}}}},
+    ], ids=["null-powder", "null-controller", "huge-target",
+            "huge-tolerance", "huge-k_p", "huge-k_p-entry", "huge-l_max",
+            "huge-override", "text-override", "bool-override"])
+    def test_odd_json_values_become_config_errors(self, data):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    def test_python_configs_obey_the_json_rules(self):
+        base = {"powder": ["glass-beads"], "trials": 1}
+        for data, kwargs in (
+                ({"targets_mg": [20, 20.0000001]},
+                 {"targets_mg": [20, 20.0000001]}),
+                ({"controller": ["model", "model-based"]},
+                 {"controllers": ["model", "model-based"]}),
+                ({"powder": None}, {"powders": None})):
+            with pytest.raises(ConfigError) as from_json:
+                config_from_dict({**base, **data})
+            with pytest.raises(ConfigError) as from_python:
+                ExperimentConfig(**{"powders": ["glass-beads"], "trials": 1,
+                                    **kwargs})
+            assert from_python.value.errors == from_json.value.errors
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(kinematics={"l_max": 100.0})
+        assert info.value.errors == ["kinematics: must be a ValveKinematics"]
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(default_config(), seed=2 ** 64)
+        assert info.value.errors == [
+            "seed: must be an unsigned 64-bit integer"]
+        assert ExperimentConfig(powders="msg", controllers="pid",
+                                targets_mg=[50], k_p=1) == config_from_dict(
+            {"powder": "msg", "controller": "pid", "targets_mg": [50],
+             "k_p": 1})
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+        ids=lambda path: path.name)
+    def test_shipped_configs_load(self, path):
+        assert load_config(path).trials >= 1
+
     def test_dict_roundtrip_is_identity(self):
         config = small_config(
             controller=["model", "pid"],
@@ -292,6 +339,11 @@ class TestRunTrial:
                            controller="model", target_mg=50.0)
         assert record.controller == MODEL_BASED
         assert record.status is TrialStatus.SUCCESS
+
+    def test_rejects_a_bad_trial_index(self):
+        for index in (-1, 1.5, True):
+            with pytest.raises(ConfigError):
+                run_trial(small_config(), index)
 
     def test_depleted_hopper_fails_cleanly(self):
         config = small_config(
@@ -649,13 +701,40 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run-suite", "run-trial"])
     def test_seed_flag_uses_the_config_seed_rule(self, command, cfg_path,
                                                  tmp_path, capsys):
-        for seed in ("99999999999999999999999", str(2 ** 64), "-1"):
-            code = cli_main([command, "--config", str(cfg_path),
-                             "--seed", seed, "--out", str(tmp_path)])
+        """--seed, and run-trial's condition flags, obey the config rules."""
+        cases = [(["--seed", seed], "seed: must be an unsigned 64-bit integer")
+                 for seed in ("99999999999999999999999", str(2 ** 64), "-1")]
+        if command == "run-trial":
+            cases += [
+                (["--target", "-5"], "targets_mg: entries must be positive "
+                                     "finite numbers, got -5.0"),
+                (["--target", "nan"], "got nan"),
+                (["--powder", "granite"],
+                 "powder: unknown archetype 'granite'"),
+                (["--controller", "bang-bang"], "controller: must be one of"),
+                (["--trial-index", "-1"],
+                 "trial_index: must be an integer >= 0"),
+            ]
+        for flags, message in cases:
+            code = cli_main([command, "--config", str(cfg_path), *flags,
+                             "--out", str(tmp_path)])
             assert code == 2
-            assert "seed: must be an unsigned 64-bit integer" \
-                in capsys.readouterr().err
+            assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("data, code", [
+        ({"controller": "direct-pid",
+          "pid_gains": {"t_pose_fixed_s": 25.0}}, 2),
+        ({"controller": "direct-pid", "kinematics": {"t_pose_max": 1.0}}, 2),
+        ({"controller": "model-based", "kinematics": {"t_pose_max": 1.0}}, 0),
+    ])
+    def test_validate_config_checks_the_pid_dwell(self, data, code, tmp_path,
+                                                  capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["validate-config", "--config", str(path)]) == code
+        assert ("pid_gains.t_pose_fixed_s" in capsys.readouterr().err) \
+            == (code == 2)
 
     def test_report_on_empty_dir_fails(self, tmp_path):
         proc = self.run_cli("report", str(tmp_path / "empty"))
