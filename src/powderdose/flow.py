@@ -139,11 +139,23 @@ def beverloo_rate(spec: PowderSpec, orifice_diameter: float,
     _require_finite("g", g)
     if g <= 0:
         raise ValueError("g must be > 0")
-    effective = orifice_diameter - spec.particle_correction * spec.particle_diameter
+    return beverloo_discharge(
+        spec.flow_coefficient * spec.bulk_density * math.sqrt(g),
+        spec.particle_correction * spec.particle_diameter, orifice_diameter)
+
+
+def beverloo_discharge(scale: float, offset: float,
+                       orifice_diameter: float) -> float:
+    """The Beverloo formula from its factors, without checks.
+
+    scale is C * rho_b * sqrt(g) and offset is k * d; a caller that checked
+    its inputs once computes both once. Returns 0 when the corrected
+    opening orifice_diameter - offset is not positive.
+    """
+    effective = orifice_diameter - offset
     if effective <= 0:
         return 0.0
-    return (spec.flow_coefficient * spec.bulk_density
-            * math.sqrt(g) * effective ** 2.5)
+    return scale * effective ** 2.5
 
 
 def travel_time(kin: ValveKinematics, l_command: float) -> float:

@@ -304,7 +304,8 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
     overrides = {name: (value,) for name, value in (
         ("powders", powder), ("controllers", controller),
         ("targets_mg", target_mg)) if value is not None}
-    config = replace(config, **overrides)
+    if overrides:
+        config = replace(config, **overrides)
     conditions = config.conditions()
     if len(conditions) != 1:
         raise ConfigError([f"run_trial needs exactly one condition, config "
@@ -462,9 +463,10 @@ def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,
     """
     records: list[TrialRecord] = []
     for powder, controller, target in config.conditions():
+        condition = replace(config, powders=(powder,),
+                            controllers=(controller,), targets_mg=(target,))
         for index in range(config.trials):
-            records.append(run_trial(config, index, powder=powder,
-                                     controller=controller, target_mg=target))
+            records.append(run_trial(condition, index))
     summary = SuiteSummary(
         config=config,
         conditions=tuple(compute_metrics(records, config.tolerance_mg)),

@@ -13,18 +13,35 @@ from zero), and each stabilised reading costs a settling wait.
 Randomness contract: a plant draws from two independent substreams spawned
 from one seed sequence, one for flow disturbances and one for the balance.
 Enabling or disabling either noise source therefore never shifts the draws
-of the other, and a fixed seed reproduces a trial bit for bit.
+of the other, and a fixed seed reproduces a trial bit for bit. Each stream
+is drawn BLOCK standard normals at a time and a variate is formed as
+loc + scale * z, which is what Generator.normal(loc, scale) computes: the
+values, and their order, are those of one scalar normal() draw per use
+(one flow draw per executed cycle, one noise draw per reading, one settle
+draw per settled reading). Draws left in a block when a trial ends are
+never read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .flow import PowderSpec, ValveKinematics, beverloo_rate, travel_time
+from .flow import G_MM_S2, PowderSpec, ValveKinematics, beverloo_discharge
+
+# Standard normals drawn from a stream at a time. A trial uses tens to a
+# few hundred from each stream; one block of 64 costs about five scalar
+# normal() calls.
+BLOCK = 64
+
+# The fast path of quantize_reading handles fewer ticks than this. Then
+# ticks * Decimal(repr(resolution)) has at most 10 + 17 digits, so the
+# default 28-digit context computes it exactly.
+_FAST_TICKS = 1e10
 
 
 @dataclass(frozen=True)
@@ -50,13 +67,44 @@ class BalanceModel:
 def quantize_reading(value: float, resolution: float) -> float:
     """Snap a raw weight to the display grid, rounding half away from zero.
 
-    Done in decimal arithmetic so that e.g. 1.25 mg at 0.1 mg resolution
-    reads 1.3 despite the binary representation of the ratio landing a hair
-    below the midpoint.
+    The result is that of decimal arithmetic on the shortest reprs, so that
+    e.g. 1.25 mg at 0.1 mg resolution reads 1.3 although the binary ratio
+    lands a hair below the midpoint, and a negative value that rounds to no
+    ticks reads -0.0.
+
+    Fast path: the tick count comes from the float ratio, and the reading
+    is ticks * p / q, where p / q is the resolution's decimal value as an
+    exact ratio; Python's integer true division rounds correctly, so this
+    is float(ticks * Decimal(repr(resolution))). The float ratio can sit up
+    to about 3e-16 of itself away from the decimal one, so a fraction
+    within 1e-9 + 1e-15 * ticks of a half tick, a count of 1e10 ticks or
+    more, and a non-finite ratio are left to the decimal computation. At
+    the noise-free config's 1e-12 resolution every reading of 0.01 mg or
+    more takes that path.
     """
+    x = abs(value / resolution)
+    if x < _FAST_TICKS:
+        ticks = math.floor(x)
+        fraction = x - ticks
+        if abs(fraction - 0.5) > 1e-9 + 1e-15 * x:
+            if fraction > 0.5:
+                ticks += 1
+            p, q = _decimal_ratio(resolution)
+            return math.copysign(ticks * p / q, value)
     ticks = (Decimal(repr(value)) / Decimal(repr(resolution))).quantize(
         Decimal(1), rounding=ROUND_HALF_UP)
     return float(ticks * Decimal(repr(resolution)))
+
+
+@functools.lru_cache(maxsize=16)
+def _decimal_ratio(resolution: float) -> tuple[int, int]:
+    return Decimal(repr(resolution)).as_integer_ratio()
+
+
+def _standard_normals(rng: np.random.Generator):
+    """Endless standard normals from rng, drawn BLOCK at a time."""
+    while True:
+        yield from rng.standard_normal(BLOCK).tolist()
 
 
 class SimulatedPlant:
@@ -78,8 +126,11 @@ class SimulatedPlant:
         self.stream_key = tuple(stream_key)
         root = np.random.SeedSequence(seed, spawn_key=self.stream_key)
         flow_ss, balance_ss = root.spawn(2)
-        self._flow_rng = np.random.default_rng(flow_ss)
-        self._balance_rng = np.random.default_rng(balance_ss)
+        self._flow_z = _standard_normals(np.random.default_rng(flow_ss))
+        self._balance_z = _standard_normals(np.random.default_rng(balance_ss))
+        self._rate_scale = (spec.flow_coefficient * spec.bulk_density
+                            * math.sqrt(G_MM_S2))
+        self._rate_offset = spec.particle_correction * spec.particle_diameter
         self.dispensed_total = 0.0
         self.sim_clock = 0.0
         self.steps_executed = 0
@@ -93,9 +144,16 @@ class SimulatedPlant:
         return self.remaining <= 0.0
 
     def flow_rate(self, l_command: float, vibration: bool) -> float:
-        """Noise-free discharge rate in mg/s at the given opening."""
+        """Noise-free discharge rate in mg/s at the given opening.
+
+        Raises ValueError for a command outside [l_min, l_max].
+        """
+        _check_command(self.kin, l_command)
+        return self._rate(l_command, vibration)
+
+    def _rate(self, l_command: float, vibration: bool) -> float:
         orifice = self.kin.opening_per_command * l_command
-        base = beverloo_rate(self.spec, orifice)
+        base = beverloo_discharge(self._rate_scale, self._rate_offset, orifice)
         if vibration:
             return self.spec.vibration_gain * base
         if orifice > self.spec.critical_arch_diameter:
@@ -113,19 +171,19 @@ class SimulatedPlant:
         position depends only on the step count.
         """
         kin = self.kin
-        if not kin.l_min <= l_command <= kin.l_max:
-            raise ValueError(
-                f"l_command {l_command} outside [{kin.l_min}, {kin.l_max}]")
+        _check_command(kin, l_command)
         if not kin.t_pose_min <= t_pose_s <= kin.t_pose_max:
             raise ValueError(
                 f"t_pose_s {t_pose_s} outside "
                 f"[{kin.t_pose_min}, {kin.t_pose_max}]")
-        eps = self._flow_rng.normal(0.0, self.spec.flow_noise_sigma)
+        # Generator.normal(0, sigma) is 0.0 + sigma * z; the 0.0 changes
+        # only the sign of a zero eps, which 1 + eps does not see.
+        eps = self.spec.flow_noise_sigma * next(self._flow_z)
         if eps < -1.0:
             eps = -1.0
-        travel = travel_time(kin, l_command)
+        travel = l_command / kin.travel_rate
         duration = travel + t_pose_s
-        dispensed = self.flow_rate(l_command, vibration) * duration * (1.0 + eps)
+        dispensed = self._rate(l_command, vibration) * duration * (1.0 + eps)
         if dispensed >= self.remaining:
             dispensed = self.remaining
             self.dispensed_total = self.spec.initial_load
@@ -143,14 +201,23 @@ class SimulatedPlant:
         balance is already stable before dispensing starts, so no settling
         time is charged and no settle variate is drawn.
         """
-        eta = self._balance_rng.normal(0.0, self.balance.noise_sigma)
+        balance = self.balance
+        # As in execute, the 0.0 of 0.0 + sigma * z is left out: the total
+        # it is added to is never -0.0.
+        eta = balance.noise_sigma * next(self._balance_z)
         reading = quantize_reading(self.dispensed_total + eta,
-                                   self.balance.resolution)
+                                   balance.resolution)
         settle = 0.0
         if wait_settle:
-            settle = self._balance_rng.normal(self.balance.settle_time_mean,
-                                              self.balance.settle_time_sigma)
+            settle = (balance.settle_time_mean
+                      + balance.settle_time_sigma * next(self._balance_z))
             if settle < 0.0:
                 settle = 0.0
             self.sim_clock += settle
         return reading, settle
+
+
+def _check_command(kin: ValveKinematics, l_command: float) -> None:
+    if not kin.l_min <= l_command <= kin.l_max:
+        raise ValueError(
+            f"l_command {l_command} outside [{kin.l_min}, {kin.l_max}]")

@@ -1,6 +1,7 @@
 """Benchmark harness: config parsing, trials, metrics, artifacts, CLI."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -47,6 +48,7 @@ from powderdose.harness import (
 )
 from powderdose.report import load_suite_records
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SMALL = dict(powder=["glass-beads"], targets_mg=[50], trials=2, seed=7)
 
 
@@ -240,8 +242,7 @@ class TestConfigParsing:
             {"powder": "msg", "controller": "pid", "targets_mg": [50],
              "k_p": 1})
 
-    @pytest.mark.parametrize("path", sorted(
-        (Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
         ids=lambda path: path.name)
     def test_shipped_configs_load(self, path):
         assert load_config(path).trials >= 1
@@ -366,6 +367,33 @@ class TestRunTrial:
             clock += 2.0 * row.l_command / 100.0 + row.t_pose_s + 8.0
             assert row.sim_time_s == pytest.approx(clock, rel=1e-12)
         assert record.total_sim_time_s == pytest.approx(clock, rel=1e-12)
+
+
+# Digest of each shipped config's in-memory suite, measured when the plant
+# step was made cheaper. A change meant only to be faster must leave them;
+# a change that moves the simulation on purpose updates them and says why.
+GOLDEN_SUITE_DIGESTS = {
+    "default.json": "2e394c572516d206",
+    "noise-free.json": "a2a9ddc071764678",
+    "pid-contrast.json": "077fb60cb88cf041",
+    "quick.json": "c4b74740e8dbeade",
+}
+
+
+def suite_digest(summary):
+    """Hash of every StepTrace field, status and final mass of each trial."""
+    digest = hashlib.sha256()
+    for record in summary.trials:
+        digest.update(repr((
+            record.trial_id, record.status.value, record.final_mass_mg,
+            [dataclasses.astuple(row) for row in record.steps])).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUITE_DIGESTS))
+def test_shipped_configs_simulate_as_pinned(name):
+    summary = run_suite(load_config(CONFIGS / name), write_artifacts=False)
+    assert suite_digest(summary) == GOLDEN_SUITE_DIGESTS[name]
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,15 @@
 """Stochastic plant: hopper, valve cycle, vibration motor and balance."""
 
 import math
+import struct
+from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from powderdose import plant as plant_module
 from powderdose import (
     BalanceModel,
     DispenseModel,
@@ -32,6 +38,39 @@ def quiet_plant(spec=None, kin=None, **kw):
                           QUIET_BALANCE, **kw)
 
 
+QUANTIZE_RESOLUTIONS = (0.1, 0.25, 1.0, 10.0, 1e-12)
+
+
+def decimal_quantize(value, resolution):
+    """Reference: round half away from zero in decimal arithmetic."""
+    ticks = (Decimal(repr(value)) / Decimal(repr(resolution))).quantize(
+        Decimal(1), rounding=ROUND_HALF_UP)
+    return float(ticks * Decimal(repr(resolution)))
+
+
+def quantize_values(resolution):
+    """Raw weights for one resolution, biased to the quantizer's edges."""
+    step = Decimal(repr(resolution))
+    half = Decimal("0.5")
+    signs = st.sampled_from((1.0, -1.0))
+
+    def on_grid(ticks, sign):
+        return sign * float(ticks * step)
+
+    def half_ticks(low, high):
+        return st.builds(on_grid, st.integers(low, high).map(
+            lambda k: Decimal(k) + half), signs)
+
+    return st.one_of(
+        half_ticks(0, 10 ** 7),
+        half_ticks(10 ** 7, 10 ** 13),               # large tick counts
+        st.builds(on_grid, st.integers(0, 10 ** 13).map(Decimal), signs),
+        st.sampled_from((0.0, -0.0)),
+        st.floats(-0.05, 0.05),                      # tare readings
+        st.floats(-1e4, 1e4),
+    )
+
+
 class TestQuantizeReading:
     @pytest.mark.parametrize("value,resolution,expected", [
         (1.234, 0.1, 1.2),
@@ -43,13 +82,23 @@ class TestQuantizeReading:
         (123.456, 0.5, 123.5),
     ])
     def test_cases(self, value, resolution, expected):
-        assert quantize_reading(value, resolution) == pytest.approx(
-            expected, abs=1e-12)
+        assert quantize_reading(value, resolution) == expected
 
     def test_multiples_pass_through(self):
         for k in range(-30, 30):
             v = k * 0.1
             assert quantize_reading(v, 0.1) == pytest.approx(v, abs=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=st.one_of([st.tuples(quantize_values(r), st.just(r))
+                           for r in QUANTIZE_RESOLUTIONS]))
+    @example(case=(-0.0, 0.1))
+    @example(case=(-0.03, 0.1))
+    @example(case=(749597.95, 0.1))
+    def test_matches_decimal_reference(self, case):
+        value, resolution = case
+        assert struct.pack("d", quantize_reading(value, resolution)) == \
+            struct.pack("d", decimal_quantize(value, resolution))
 
 
 class TestFlowGate:
@@ -179,6 +228,45 @@ class TestReadBalance:
         plant.read_balance()                 # + 8.0
         assert plant.sim_clock == pytest.approx(4.0 + 8.0 + 2.5 + 8.0,
                                                 abs=1e-12)
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("flow_sigma,noise_sigma,settle_sigma",
+                             [(0.3, 0.2, 1.5), (0.0, 0.0, 0.0)])
+    def test_draws_equal_scalar_normal_draws(self, monkeypatch, flow_sigma,
+                                             noise_sigma, settle_sigma):
+        # every eps, eta and settle of a plant equals one scalar
+        # Generator.normal(loc, scale) call on its substream, in order
+        seed, key = 11, (5, 3)
+        spec = make_spec(flow_noise_sigma=flow_sigma, initial_load=1e9)
+        balance = BalanceModel(resolution=0.1, noise_sigma=noise_sigma,
+                               settle_time_mean=8.0,
+                               settle_time_sigma=settle_sigma)
+        kin = ValveKinematics()
+        plant = SimulatedPlant(spec, kin, balance, seed=seed, stream_key=key)
+        flow_ss, balance_ss = np.random.SeedSequence(
+            seed, spawn_key=key).spawn(2)
+        flow_rng = np.random.default_rng(flow_ss)
+        balance_rng = np.random.default_rng(balance_ss)
+        raw = []
+        monkeypatch.setattr(plant_module, "quantize_reading",
+                            lambda value, resolution: raw.append(value))
+
+        plant.read_balance(wait_settle=False)
+        assert raw == [0.0 + balance_rng.normal(0.0, noise_sigma)]
+        for step in range(2 * plant_module.BLOCK + 7):
+            l_command, t_pose = 40.0 + step % 50, 0.5 + step % 3
+            before = plant.dispensed_total
+            eps = max(flow_rng.normal(0.0, flow_sigma), -1.0)
+            expected = (plant.flow_rate(l_command, False)
+                        * (l_command / kin.travel_rate + t_pose)
+                        * (1.0 + eps))
+            assert plant.execute(l_command, t_pose, False)[0] == expected
+            assert plant.dispensed_total == before + expected
+            eta = balance_rng.normal(0.0, noise_sigma)
+            settle = balance_rng.normal(8.0, settle_sigma)
+            assert plant.read_balance()[1] == settle
+            assert raw[-1] == plant.dispensed_total + eta
 
 
 class TestDeterminism:
