@@ -21,9 +21,11 @@ ActionGrid) pair and cached: both axes, L**2.5 per command, the
 dispensing window T(L) + t stored dwell-major, and the capacity and floor
 factors. A step then costs one multiply by C', one subtract-abs against
 W_target and one argmin, whose first minimum in dwell-major order is the
-smaller-dwell-then-smaller-command tie-break. Commands, dwells and
-coefficients are validated where they enter (ValveAction, ModeFit, the
-plant), not again on every step.
+smaller-dwell-then-smaller-command tie-break. The search checks nothing
+per step: the grid axes run over the valve envelope's bounds, a
+coefficient is checked when its ModeFit is built, and the plant puts
+every action it executes through ValveKinematics.check, the one envelope
+test.
 
 While a mode has no usable coefficient the controller walks a probe ladder:
 smallest productive command first, escalating one grid step at a time, so
@@ -51,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import GRAVITY, VIBRATION, ValveKinematics
+from .flow import GRAVITY, VIBRATION, ValveKinematics, check_fields
 from .identify import CoefficientEstimate, ObservationLog
 
 DEFAULT_K_P = 0.5
@@ -68,6 +70,7 @@ class ValveAction:
     vibration: bool = False
 
     def __post_init__(self) -> None:
+        # inline: built every step; check_fields adds 0.24 us (Xeon, timeit)
         if not math.isfinite(self.l_command) or self.l_command < 0:
             raise ValueError("ValveAction.l_command must be finite and >= 0")
         if not math.isfinite(self.t_pose_s) or self.t_pose_s < 0:
@@ -82,10 +85,7 @@ class ActionGrid:
     t_step: float = 0.5
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.l_step) or self.l_step <= 0:
-            raise ValueError("ActionGrid.l_step must be > 0")
-        if not math.isfinite(self.t_step) or self.t_step <= 0:
-            raise ValueError("ActionGrid.t_step must be > 0")
+        check_fields(self, "> 0", "l_step", "t_step")
 
     def l_values(self, kin: ValveKinematics) -> np.ndarray:
         return _axis(kin.l_min, kin.l_max, self.l_step)
@@ -124,13 +124,12 @@ class StepDecision:
 
 @dataclass(frozen=True)
 class ActionSelection:
-    """Result of a grid search, or a bootstrap signal when the needed
-    mode has no usable coefficient yet."""
+    """Result of a grid search. action is None when the mode it needs,
+    vibration if use_vibration else gravity, has no usable coefficient."""
 
     action: ValveAction | None
     predicted_mg: float | None
     use_vibration: bool
-    needs_bootstrap: str | None = None
 
 
 class _ActionTable(NamedTuple):
@@ -188,9 +187,7 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     table = _action_table(kin, grid if grid is not None else ActionGrid())
     mode_fit = estimate.vibration if use_vibration else estimate.gravity
     if not mode_fit.usable:
-        return ActionSelection(
-            None, None, use_vibration,
-            needs_bootstrap=VIBRATION if use_vibration else GRAVITY)
+        return ActionSelection(None, None, use_vibration)
     c = mode_fit.c_prime
     if not use_vibration:
         l_pow, window = table.capacity
@@ -198,8 +195,7 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
             use_vibration = True
             mode_fit = estimate.vibration
             if not mode_fit.usable:
-                return ActionSelection(None, None, True,
-                                       needs_bootstrap=VIBRATION)
+                return ActionSelection(None, None, True)
             c = mode_fit.c_prime
     if table.floor is not None:
         l_pow, window = table.floor
@@ -380,37 +376,34 @@ class DispensingController(_TrialController):
             self.estimate = CoefficientEstimate(self.estimate.gravity, fit)
 
     def _choose(self) -> StepDecision:
-        raw_target = self.k_p * self.w_error
-        self.w_target = raw_target
-        mode = VIBRATION if self.use_vibration else GRAVITY
-        if not self.estimate.for_mode(mode).usable:
-            return self._probe(mode)
-        selection = select_action(self.estimate, self.kin, raw_target,
-                                  use_vibration=self.use_vibration,
-                                  grid=self.grid)
-        if selection.use_vibration and not self.use_vibration:
-            self.use_vibration = True
-        if selection.needs_bootstrap is not None:
-            return self._probe(selection.needs_bootstrap)
-        return StepDecision(TrialStatus.RUNNING, selection.action,
-                            selection.predicted_mg)
-
-    def _probe(self, mode: str) -> StepDecision:
-        action = self._ladder.next_probe(mode)
-        if action is None and mode == GRAVITY:
+        """The model's action, or a probe while the mode it needs has no
+        coefficient. The vibration latch is set here and nowhere else."""
+        self.w_target = self.k_p * self.w_error
+        vibration = self.use_vibration
+        action = predicted = None
+        if (self.estimate.vibration if vibration
+                else self.estimate.gravity).usable:
+            selection = select_action(self.estimate, self.kin, self.w_target,
+                                      use_vibration=vibration, grid=self.grid)
+            action, predicted = selection.action, selection.predicted_mg
+            vibration = selection.use_vibration
+        probe = action is None
+        if probe:
+            action = self._ladder.next_probe(
+                VIBRATION if vibration else GRAVITY)
+        if action is None and not vibration:
             # Nothing measurable across the whole gravity range: latch
             # vibration and keep probing there.
-            self.use_vibration = True
-            mode = VIBRATION
-            if self.estimate.vibration.usable:
-                return self._choose()
-            action = self._ladder.next_probe(mode)
+            vibration = True
+            action = self._ladder.next_probe(VIBRATION)
         if action is None:
             # Both ladders spent with nothing measurable; push the most
             # aggressive action until a termination condition ends the trial.
             action = ValveAction(self.kin.l_max, self.kin.t_pose_max,
                                  vibration=True)
-        return StepDecision(TrialStatus.RUNNING, action, None, probe=True)
+        self.use_vibration = vibration
+        return StepDecision(TrialStatus.RUNNING, action, predicted,
+                            probe=probe)
 
 
 @dataclass(frozen=True)
@@ -429,16 +422,9 @@ class PidGains:
     integral_limit: float = 10000.0
 
     def __post_init__(self) -> None:
-        for name in ("k_p", "k_i", "k_d", "output_slope", "t_pose_fixed_s",
-                     "integral_limit"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"PidGains.{name} must be finite")
-        if self.output_slope <= 0:
-            raise ValueError("PidGains.output_slope must be > 0")
-        if self.t_pose_fixed_s < 0:
-            raise ValueError("PidGains.t_pose_fixed_s must be >= 0")
-        if self.integral_limit < 0:
-            raise ValueError("PidGains.integral_limit must be >= 0")
+        check_fields(self, None, "k_p", "k_i", "k_d")
+        check_fields(self, "> 0", "output_slope")
+        check_fields(self, ">= 0", "t_pose_fixed_s", "integral_limit")
 
 
 # Tuned once against the glass-beads 500 mg condition and frozen. The

@@ -35,6 +35,19 @@ VIBRATION = "vibration"
 MODES = (GRAVITY, VIBRATION)
 
 
+def check_fields(owner: object, sign: str | None, *names: str) -> None:
+    """Raise ValueError unless each named field of owner is finite and,
+    for sign "> 0" or ">= 0", on that side of zero (None: finite only).
+    The message names the field as Class.field."""
+    for name in names:
+        value = getattr(owner, name)
+        if not math.isfinite(value) or (
+                value <= 0 if sign == "> 0" else sign == ">= 0" and value < 0):
+            rule = f"finite and {sign}" if sign else "finite"
+            raise ValueError(f"{type(owner).__name__}.{name} must be {rule}, "
+                             f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class PowderSpec:
     """Physical description of one powder as seen by the plant.
@@ -59,22 +72,10 @@ class PowderSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("PowderSpec.name must be non-empty")
-        _require_finite("bulk_density", self.bulk_density)
-        if self.bulk_density <= 0:
-            raise ValueError("PowderSpec.bulk_density must be > 0")
-        _require_finite("particle_diameter", self.particle_diameter)
-        if self.particle_diameter < 0:
-            raise ValueError("PowderSpec.particle_diameter must be >= 0")
-        for field in ("flow_coefficient", "particle_correction",
-                      "critical_arch_diameter", "vibration_gain",
-                      "flow_noise_sigma"):
-            value = getattr(self, field)
-            _require_finite(field, value)
-            if value < 0:
-                raise ValueError(f"PowderSpec.{field} must be >= 0")
-        _require_finite("initial_load", self.initial_load)
-        if self.initial_load <= 0:
-            raise ValueError("PowderSpec.initial_load must be > 0")
+        check_fields(self, "> 0", "bulk_density", "initial_load")
+        check_fields(self, ">= 0", "particle_diameter", "flow_coefficient",
+                     "particle_correction", "critical_arch_diameter",
+                     "vibration_gain", "flow_noise_sigma")
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,8 @@ class ValveKinematics:
     opening_per_command: orifice mm opened per command unit (kappa).
     travel_rate: command units traversed per second, so T(L) = L / travel_rate.
     Command and dwell bounds delimit the action space; dwell t_pose is the
-    hold time at the commanded opening before closing again.
+    hold time at the commanded opening before closing again. check() is
+    the one test of an action against that envelope.
     """
 
     opening_per_command: float = 0.05
@@ -95,19 +97,25 @@ class ValveKinematics:
     t_pose_max: float = 20.0
 
     def __post_init__(self) -> None:
-        _require_finite("opening_per_command", self.opening_per_command)
-        if self.opening_per_command <= 0:
-            raise ValueError("ValveKinematics.opening_per_command must be > 0")
-        _require_finite("travel_rate", self.travel_rate)
-        if self.travel_rate <= 0:
-            raise ValueError("ValveKinematics.travel_rate must be > 0")
-        for field in ("l_min", "l_max", "t_pose_min", "t_pose_max"):
-            _require_finite(field, getattr(self, field))
-        if not 0 <= self.l_min < self.l_max:
-            raise ValueError("ValveKinematics requires 0 <= l_min < l_max")
-        if not 0 <= self.t_pose_min < self.t_pose_max:
+        check_fields(self, "> 0", "opening_per_command", "travel_rate")
+        check_fields(self, ">= 0", "l_min", "t_pose_min")
+        check_fields(self, None, "l_max", "t_pose_max")
+        for low, high in (("l_min", "l_max"), ("t_pose_min", "t_pose_max")):
+            if getattr(self, high) <= getattr(self, low):
+                raise ValueError(f"ValveKinematics.{high} must be > {low}, "
+                                 f"got {getattr(self, high)!r}")
+
+    def check(self, l_command: float, t_pose_s: float | None = None) -> None:
+        """Raise ValueError unless l_command lies in [l_min, l_max] and the
+        dwell, when given, in [t_pose_min, t_pose_max]. NaN and +-inf fail
+        the range test like any other value outside it."""
+        if not (self.l_min <= l_command <= self.l_max and (
+                t_pose_s is None
+                or self.t_pose_min <= t_pose_s <= self.t_pose_max)):
             raise ValueError(
-                "ValveKinematics requires 0 <= t_pose_min < t_pose_max")
+                f"action L={l_command!r}, t_pose_s={t_pose_s!r} is outside "
+                f"the valve envelope L in [{self.l_min}, {self.l_max}], "
+                f"t_pose_s in [{self.t_pose_min}, {self.t_pose_max}]")
 
 
 @dataclass(frozen=True)
@@ -121,9 +129,7 @@ class DispenseModel:
     coefficient: float
 
     def __post_init__(self) -> None:
-        _require_finite("coefficient", self.coefficient)
-        if self.coefficient < 0:
-            raise ValueError("DispenseModel.coefficient must be >= 0")
+        check_fields(self, ">= 0", "coefficient")
 
 
 def beverloo_rate(spec: PowderSpec, orifice_diameter: float,
@@ -133,12 +139,10 @@ def beverloo_rate(spec: PowderSpec, orifice_diameter: float,
     Returns 0 when the particle-corrected opening is not positive. Raises
     ValueError for a negative or non-finite diameter or non-positive g.
     """
-    _require_finite("orifice_diameter", orifice_diameter)
-    if orifice_diameter < 0:
-        raise ValueError("orifice_diameter must be >= 0")
-    _require_finite("g", g)
-    if g <= 0:
-        raise ValueError("g must be > 0")
+    if not (math.isfinite(orifice_diameter) and orifice_diameter >= 0
+            and math.isfinite(g) and g > 0):
+        raise ValueError(f"beverloo_rate needs a finite orifice_diameter >= 0 "
+                         f"and a finite g > 0, got {orifice_diameter!r}, {g!r}")
     return beverloo_discharge(
         spec.flow_coefficient * spec.bulk_density * math.sqrt(g),
         spec.particle_correction * spec.particle_diameter, orifice_diameter)
@@ -160,11 +164,7 @@ def beverloo_discharge(scale: float, offset: float,
 
 def travel_time(kin: ValveKinematics, l_command: float) -> float:
     """Seconds the valve needs to travel from closed to the commanded opening."""
-    _require_finite("l_command", l_command)
-    if l_command < 0:
-        raise ValueError("l_command must be >= 0")
-    if l_command > kin.l_max:
-        raise ValueError(f"l_command {l_command} exceeds l_max {kin.l_max}")
+    kin.check(l_command)
     return l_command / kin.travel_rate
 
 
@@ -175,16 +175,9 @@ def predicted_drop(model: DispenseModel, kin: ValveKinematics,
     The dispensing window is the valve travel time plus the dwell. Commands
     and dwells outside the kinematic bounds are rejected.
     """
-    _require_finite("l_command", l_command)
-    _require_finite("t_pose_s", t_pose_s)
-    if not kin.l_min <= l_command <= kin.l_max:
-        raise ValueError(
-            f"l_command {l_command} outside [{kin.l_min}, {kin.l_max}]")
-    if not kin.t_pose_min <= t_pose_s <= kin.t_pose_max:
-        raise ValueError(
-            f"t_pose_s {t_pose_s} outside [{kin.t_pose_min}, {kin.t_pose_max}]")
+    kin.check(l_command, t_pose_s)
     return (model.coefficient * l_command ** 2.5) * (
-        travel_time(kin, l_command) + t_pose_s)
+        l_command / kin.travel_rate + t_pose_s)
 
 
 def effective_coefficient(spec: PowderSpec, kin: ValveKinematics,
@@ -199,7 +192,3 @@ def effective_coefficient(spec: PowderSpec, kin: ValveKinematics,
     return (gain * spec.flow_coefficient * spec.bulk_density
             * math.sqrt(g) * kin.opening_per_command ** 2.5)
 
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")

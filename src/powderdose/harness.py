@@ -67,13 +67,14 @@ class ExperimentConfig:
     Construction, from JSON, Python or dataclasses.replace, checks every
     field and raises one ConfigError listing each problem under its JSON
     name. It normalises a single powder or controller name to a one-tuple,
-    an alias to its controller, and targets, tolerance and k_p to floats.
+    an alias to its controller, and targets, tolerance, k_p and powder
+    override values to floats.
     With direct-pid among the controllers, pid_gains.t_pose_fixed_s must
     lie in the kinematics dwell range.
 
     k_p may be a single gain or a per-powder mapping; k_p_for() resolves it.
     powder_overrides patches archetype fields per powder before a trial
-    builds its plant.
+    builds its plant, under the same rule as a JSON section (_patch).
     """
 
     powders: tuple[str, ...] = tuple(ARCHETYPES)
@@ -159,7 +160,16 @@ class ExperimentConfig:
                 f"pid_gains.t_pose_fixed_s: {pid.t_pose_fixed_s:g} s is "
                 f"outside the kinematics dwell range "
                 f"[{kin.t_pose_min:g}, {kin.t_pose_max:g}] s")
-        overrides = _powder_overrides(self.powder_overrides, errors)
+        overrides = {}
+        if isinstance(self.powder_overrides, Mapping):
+            for name, raw in self.powder_overrides.items():
+                if name not in ARCHETYPES:
+                    errors.append(f"plant.powders: unknown powder {name!r}")
+                elif patch := _patch(ARCHETYPES[name], raw,
+                                     f"plant.powders[{name!r}]", errors):
+                    overrides[name] = patch
+        else:
+            errors.append("plant.powders: must be an object")
 
         if not (_is_count(self.seed, 0) and self.seed < 2 ** 64):
             errors.append("seed: must be an unsigned 64-bit integer")
@@ -717,7 +727,8 @@ def config_from_dict(data: Any) -> ExperimentConfig:
             ("pid_gains", "pid_gains", data.get("pid_gains", {})),
             ("kinematics", "kinematics", data.get("kinematics", {})),
             ("balance", "plant.balance", plant.get("balance", {}))):
-        fields[name] = _build(raw, name, path, errors)
+        default = getattr(ExperimentConfig, name)  # a plain field default
+        fields[name] = replace(default, **_patch(default, raw, path, errors))
     try:
         config = ExperimentConfig(**fields)
     except ConfigError as exc:
@@ -782,47 +793,18 @@ def _finite(value: Any) -> bool:
         return False
 
 
-_SPEC_FIELDS = {f.name for f in dataclass_fields(PowderSpec)} - {"name"}
+def _patch(base: Any, raw: Any, path: str, errors: list[str]) -> dict:
+    """raw as a patch of the dataclass instance base, values as floats.
 
-
-def _powder_overrides(raw: Any, errors: list[str]) -> dict:
-    """plant.powders' non-empty patches, each tried on its archetype."""
-    if not isinstance(raw, Mapping):
-        errors.append("plant.powders: must be an object")
-        return {}
-    overrides = {}
-    for name, patch in raw.items():
-        where = f"plant.powders[{name!r}]"
-        if name not in ARCHETYPES:
-            errors.append(f"plant.powders: unknown powder {name!r}")
-            continue
-        if not isinstance(patch, Mapping):
-            errors.append(f"{where}: must be an object")
-            continue
-        clean = {}
-        for key, value in patch.items():
-            if key not in _SPEC_FIELDS:
-                errors.append(f"{where}: unknown field {key!r}")
-            elif not _is_number(value):
-                errors.append(f"{where}.{key}: must be a number")
-            else:
-                clean[key] = value
-        if clean:
-            try:
-                archetype(name, **clean)
-            except (ValueError, OverflowError) as exc:
-                errors.append(f"{where}: {exc}")
-            overrides[name] = clean
-    return overrides
-
-
-def _build(raw: Any, field_name: str, path: str, errors: list[str]):
-    """The field's default with raw's fields replaced; on a problem, as is."""
-    default = getattr(ExperimentConfig, field_name)  # a plain field default
+    Each key must name a numeric field of base and hold a number; only
+    then is base patched, so that its own rules check the values. Every
+    problem goes to errors under path and leaves the patch empty.
+    """
     if not isinstance(raw, Mapping):
         errors.append(f"{path}: must be an object")
-        return default
-    allowed = {f.name for f in dataclass_fields(default)}
+        return {}
+    allowed = {f.name for f in dataclass_fields(base)
+               if _is_number(getattr(base, f.name))}
     found = len(errors)
     for key, value in raw.items():
         if key not in allowed:
@@ -830,9 +812,11 @@ def _build(raw: Any, field_name: str, path: str, errors: list[str]):
         elif not _is_number(value):
             errors.append(f"{path}.{key}: must be a number")
     if len(errors) > found:
-        return default
+        return {}
     try:
-        return replace(default, **{k: float(v) for k, v in raw.items()})
+        patch = {key: float(value) for key, value in raw.items()}
+        replace(base, **patch)
     except (ValueError, OverflowError) as exc:
         errors.append(f"{path}: {exc}")
-        return default
+        return {}
+    return patch

@@ -16,7 +16,10 @@ sum(x*dW) and sum(x**2), in arrival order. That is the order
 fit_coefficient sums in, so a refit is O(1) and C' is bit-identical to a
 full refit. The controller never reads an R^2, so the log keeps none.
 fit_coefficient and r_squared work on stored Observation lists for the
-pooled report fits, with R^2 in the exact two-pass form.
+pooled report fits, with R^2 in the exact two-pass form. Every regressor,
+the log's included, comes from regressor(), which first puts the action
+through ValveKinematics.check: an action outside the valve envelope is a
+ValueError, never a data point.
 
 Deltas below the balance's reliable range (default 0.5 mg) are discarded
 before they reach the log, so noise-level readings never steer the fit.
@@ -28,7 +31,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
-from .flow import GRAVITY, MODES, VIBRATION, ValveKinematics, travel_time
+from .flow import GRAVITY, MODES, VIBRATION, ValveKinematics, check_fields
 
 MIN_OBSERVABLE_MG = 0.5
 
@@ -43,8 +46,7 @@ class Observation:
     delta_w_mg: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.delta_w_mg) or self.delta_w_mg < 0:
-            raise ValueError("Observation.delta_w_mg must be finite and >= 0")
+        check_fields(self, ">= 0", "delta_w_mg")
 
 
 def select_mode(observations: Iterable[Observation],
@@ -69,6 +71,7 @@ class ModeFit:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
+        # inline: built every refit; check_fields adds 0.16 us (Xeon, timeit)
         if self.c_prime is not None and not (math.isfinite(self.c_prime)
                                              and self.c_prime >= 0):
             raise ValueError("ModeFit.c_prime must be finite and >= 0")
@@ -102,8 +105,10 @@ class CoefficientEstimate:
 
 
 def regressor(kin: ValveKinematics, l_command: float, t_pose_s: float) -> float:
-    """x = L**2.5 * (T(L) + t_pose), the model's per-step regressor."""
-    return l_command ** 2.5 * (travel_time(kin, l_command) + t_pose_s)
+    """x = L**2.5 * (T(L) + t_pose), the model's per-step regressor, for
+    an action inside the valve envelope."""
+    kin.check(l_command, t_pose_s)
+    return l_command ** 2.5 * (l_command / kin.travel_rate + t_pose_s)
 
 
 def fit_coefficient(observations: list[Observation], kin: ValveKinematics,
@@ -179,10 +184,11 @@ class ObservationLog:
 
     The log belongs to the ValveKinematics it is built with. record()
     drops a delta below the observability gate and reports whether it was
-    kept; a kept one must come from a command inside [0, l_max], and its
-    regressor and delta go straight into that mode's sums. fit() turns the
-    sums into a ModeFit in O(1), with the same C', n and degenerate flag as
-    fit_coefficient over the same observations, and no R^2.
+    kept; a kept one must come from an action inside the valve envelope,
+    and its regressor and delta go straight into that mode's sums. fit()
+    turns the sums into a ModeFit in O(1), with the same C', n and
+    degenerate flag as fit_coefficient over the same observations, and no
+    R^2.
     """
 
     def __init__(self, kin: ValveKinematics,
@@ -200,11 +206,7 @@ class ObservationLog:
             raise ValueError("delta_w_mg must be finite")
         if delta_w_mg < self.min_observable:
             return False
-        kin = self._kin
-        if not 0.0 <= l_command <= kin.l_max:
-            raise ValueError(f"l_command {l_command} outside [0, {kin.l_max}]")
-        # regressor() without its per-call checks, same arithmetic
-        x = l_command ** 2.5 * (l_command / kin.travel_rate + t_pose_s)
+        x = regressor(self._kin, l_command, t_pose_s)
         sums = self._sums[VIBRATION if vibration else GRAVITY]
         sums.n += 1
         sums.sxy += x * delta_w_mg

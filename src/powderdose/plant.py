@@ -31,7 +31,8 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .flow import G_MM_S2, PowderSpec, ValveKinematics, beverloo_discharge
+from .flow import (G_MM_S2, PowderSpec, ValveKinematics, beverloo_discharge,
+                   check_fields)
 
 # Standard normals drawn from a stream at a time. A trial uses tens to a
 # few hundred from each stream; one block of 64 costs about five scalar
@@ -54,14 +55,8 @@ class BalanceModel:
     settle_time_sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.resolution) or self.resolution <= 0:
-            raise ValueError("BalanceModel.resolution must be > 0")
-        if not math.isfinite(self.settle_time_mean) or self.settle_time_mean <= 0:
-            raise ValueError("BalanceModel.settle_time_mean must be > 0")
-        for name in ("noise_sigma", "settle_time_sigma"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"BalanceModel.{name} must be >= 0")
+        check_fields(self, "> 0", "resolution", "settle_time_mean")
+        check_fields(self, ">= 0", "noise_sigma", "settle_time_sigma")
 
 
 def quantize_reading(value: float, resolution: float) -> float:
@@ -122,9 +117,7 @@ class SimulatedPlant:
         self.spec = spec
         self.kin = kin
         self.balance = balance if balance is not None else BalanceModel()
-        self.seed = seed
-        self.stream_key = tuple(stream_key)
-        root = np.random.SeedSequence(seed, spawn_key=self.stream_key)
+        root = np.random.SeedSequence(seed, spawn_key=tuple(stream_key))
         flow_ss, balance_ss = root.spawn(2)
         self._flow_z = _standard_normals(np.random.default_rng(flow_ss))
         self._balance_z = _standard_normals(np.random.default_rng(balance_ss))
@@ -133,7 +126,6 @@ class SimulatedPlant:
         self._rate_offset = spec.particle_correction * spec.particle_diameter
         self.dispensed_total = 0.0
         self.sim_clock = 0.0
-        self.steps_executed = 0
 
     @property
     def remaining(self) -> float:
@@ -148,7 +140,7 @@ class SimulatedPlant:
 
         Raises ValueError for a command outside [l_min, l_max].
         """
-        _check_command(self.kin, l_command)
+        self.kin.check(l_command)
         return self._rate(l_command, vibration)
 
     def _rate(self, l_command: float, vibration: bool) -> float:
@@ -171,11 +163,7 @@ class SimulatedPlant:
         position depends only on the step count.
         """
         kin = self.kin
-        _check_command(kin, l_command)
-        if not kin.t_pose_min <= t_pose_s <= kin.t_pose_max:
-            raise ValueError(
-                f"t_pose_s {t_pose_s} outside "
-                f"[{kin.t_pose_min}, {kin.t_pose_max}]")
+        kin.check(l_command, t_pose_s)
         # Generator.normal(0, sigma) is 0.0 + sigma * z; the 0.0 changes
         # only the sign of a zero eps, which 1 + eps does not see.
         eps = self.spec.flow_noise_sigma * next(self._flow_z)
@@ -191,7 +179,6 @@ class SimulatedPlant:
             self.dispensed_total += dispensed
         elapsed = 2.0 * travel + t_pose_s
         self.sim_clock += elapsed
-        self.steps_executed += 1
         return dispensed, elapsed
 
     def read_balance(self, *, wait_settle: bool = True) -> tuple[float, float]:
@@ -215,9 +202,3 @@ class SimulatedPlant:
                 settle = 0.0
             self.sim_clock += settle
         return reading, settle
-
-
-def _check_command(kin: ValveKinematics, l_command: float) -> None:
-    if not kin.l_min <= l_command <= kin.l_max:
-        raise ValueError(
-            f"l_command {l_command} outside [{kin.l_min}, {kin.l_max}]")

@@ -84,9 +84,8 @@ def load_suite_records(artifact_dir: str | Path
     return records, payload, errors
 
 
-def build_report(artifact_dir: str | Path, *,
-                 write: bool = True) -> ReportResult:
-    """Recompute statistics from an artifact directory; optionally persist."""
+def build_report(artifact_dir: str | Path) -> ReportResult:
+    """Recompute statistics from an artifact directory and write report/."""
     root = Path(artifact_dir)
     records, payload, errors = load_suite_records(root)
     if not records and not errors:
@@ -108,14 +107,11 @@ def build_report(artifact_dir: str | Path, *,
     if not errors:  # a trial that failed to load already explains a mismatch
         errors.extend(_stored_summary_problems(root, payload, conditions,
                                                fits))
-    report_dir = None
-    if write:
-        report_dir = root / "report"
-        report_dir.mkdir(parents=True, exist_ok=True)
-        write_summary_csv(conditions, report_dir / "summary_recomputed.csv")
-        _write_fit_points(pools, fits, config.kinematics, report_dir)
-        _write_text_report(conditions, fits, records,
-                           report_dir / "report.txt")
+    report_dir = root / "report"
+    report_dir.mkdir(parents=True, exist_ok=True)
+    write_summary_csv(conditions, report_dir / "summary_recomputed.csv")
+    _write_fit_points(pools, fits, config.kinematics, report_dir)
+    _write_text_report(conditions, fits, records, report_dir / "report.txt")
     return ReportResult(root, report_dir, tuple(conditions), tuple(fits),
                         tuple(errors))
 

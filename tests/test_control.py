@@ -93,7 +93,6 @@ class TestSelectAction:
         assert sel.predicted_mg == pytest.approx(0.6640783086353597,
                                                  rel=1e-14)
         assert not sel.use_vibration
-        assert sel.needs_bootstrap is None
 
     def test_matches_brute_force_reference(self):
         rng = np.random.default_rng(97)
@@ -119,7 +118,7 @@ class TestSelectAction:
             action, predicted, vibration = brute_select(
                 c_grav, c_vib, kin, grid, w_target)
             if action is None:
-                assert sel.needs_bootstrap == VIBRATION
+                assert sel.action is None
                 assert sel.use_vibration
                 continue
             assert sel.action == action
@@ -155,9 +154,8 @@ class TestSelectAction:
     def test_capacity_switch_without_vibration_fit_requests_bootstrap(self):
         kin = ValveKinematics()
         sel = select_action(estimate(c_gravity=1e-9), kin, 1000.0)
-        assert sel.needs_bootstrap == VIBRATION
-        assert sel.use_vibration
         assert sel.action is None
+        assert sel.use_vibration
 
     def test_subresolution_target_floors_to_smallest_action(self):
         kin = ValveKinematics(l_min=10.0, t_pose_min=1.0)
@@ -166,8 +164,7 @@ class TestSelectAction:
 
     def test_unfitted_mode_requests_bootstrap(self):
         sel = select_action(estimate(), ValveKinematics(), 5.0)
-        assert sel == ActionSelection(None, None, False,
-                                      needs_bootstrap=GRAVITY)
+        assert sel == ActionSelection(None, None, False)
 
     def test_rejects_bad_target(self):
         est = estimate(c_gravity=0.01)
@@ -197,7 +194,7 @@ class TestControllerTermination:
     @pytest.mark.parametrize("make", [
         lambda: DispensingController(100.0),
         lambda: PidBaselineController(100.0),
-    ])
+    ], ids=["model-based", "direct-pid"])
     def test_tolerance_band_is_exclusive(self, make):
         assert make().step(98.1).status is TrialStatus.SUCCESS
         assert make().step(101.9).status is TrialStatus.SUCCESS
@@ -207,7 +204,7 @@ class TestControllerTermination:
     @pytest.mark.parametrize("make", [
         lambda: DispensingController(100.0),
         lambda: PidBaselineController(100.0),
-    ])
+    ], ids=["model-based", "direct-pid"])
     def test_empty_hopper_and_bad_reading(self, make):
         ctl = make()
         assert ctl.step(50.0, hopper_empty=True).status \
@@ -217,7 +214,7 @@ class TestControllerTermination:
     @pytest.mark.parametrize("make", [
         lambda: DispensingController(100.0, max_steps=3),
         lambda: PidBaselineController(100.0, max_steps=3),
-    ])
+    ], ids=["model-based", "direct-pid"])
     def test_step_limit(self, make):
         ctl = make()
         for _ in range(3):
@@ -227,7 +224,7 @@ class TestControllerTermination:
     @pytest.mark.parametrize("make", [
         lambda: DispensingController(100.0),
         lambda: PidBaselineController(100.0),
-    ])
+    ], ids=["model-based", "direct-pid"])
     def test_stepping_a_finished_trial_is_an_error(self, make):
         ctl = make()
         ctl.step(100.5)

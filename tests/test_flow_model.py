@@ -1,13 +1,20 @@
 """Discharge law, valve timing and the lumped drop model."""
 
+import dataclasses
 import math
+import re
 
 import pytest
 
 from powderdose import (
     G_MM_S2,
+    ActionGrid,
+    BalanceModel,
     DispenseModel,
+    ObservationLog,
+    PidGains,
     PowderSpec,
+    SimulatedPlant,
     ValveKinematics,
     beverloo_rate,
     effective_coefficient,
@@ -181,3 +188,98 @@ class TestValidation:
         with pytest.raises(ValueError):
             DispenseModel(float("inf"))
         assert DispenseModel(0.0).coefficient == 0.0
+
+
+ENVELOPE = ValveKinematics(l_min=10.0, l_max=100.0, t_pose_min=1.0,
+                           t_pose_max=5.0)
+
+
+def take_action(entry, l_command, t_pose_s):
+    """Send one action through the named entry point, with ENVELOPE."""
+    if entry == "travel_time":
+        return travel_time(ENVELOPE, l_command)
+    if entry == "predicted_drop":
+        return predicted_drop(DispenseModel(0.01), ENVELOPE, l_command,
+                              t_pose_s)
+    if entry == "ObservationLog.record":  # a delta above the gate
+        return ObservationLog(ENVELOPE).record(l_command, t_pose_s, False,
+                                               10.0)
+    plant = SimulatedPlant(make_spec(), ENVELOPE)
+    return plant.execute(l_command, t_pose_s, False)
+
+
+class TestValveEnvelope:
+    """Every entry point that takes an action applies the same envelope."""
+
+    ENTRIES = ("travel_time", "predicted_drop", "ObservationLog.record",
+               "SimulatedPlant.execute")
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("l_command", [
+        9.0, 101.0, float("nan"), float("inf"), -float("inf")],
+        ids=["below-l_min", "above-l_max", "nan", "inf", "-inf"])
+    def test_command_outside_is_rejected(self, entry, l_command):
+        with pytest.raises(ValueError, match="outside the valve envelope"):
+            take_action(entry, l_command, 2.0)
+
+    @pytest.mark.parametrize("entry", ENTRIES[1:])  # travel_time has no dwell
+    @pytest.mark.parametrize("t_pose_s", [0.5, 5.5, float("nan")],
+                             ids=["below-t_pose_min", "above-t_pose_max",
+                                  "nan"])
+    def test_dwell_outside_is_rejected(self, entry, t_pose_s):
+        with pytest.raises(ValueError, match="outside the valve envelope"):
+            take_action(entry, 50.0, t_pose_s)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_envelope_edges_are_accepted(self, entry):
+        for l_command in (10.0, 100.0):
+            for t_pose_s in (1.0, 5.0):
+                take_action(entry, l_command, t_pose_s)
+
+
+# (class, keyword arguments it needs, field, a value on the field's
+# out-of-range side or None for a field that only has to be finite)
+FIELD_RULES = [
+    *((PowderSpec, {"name": "p", "bulk_density": 1.0,
+                    "particle_diameter": 0.1}, field, bad)
+      for field, bad in (
+          ("bulk_density", 0.0), ("particle_diameter", -1.0),
+          ("flow_coefficient", -1.0), ("particle_correction", -1.0),
+          ("critical_arch_diameter", -1.0), ("vibration_gain", -1.0),
+          ("flow_noise_sigma", -1.0), ("initial_load", 0.0))),
+    *((ValveKinematics, {}, field, bad) for field, bad in (
+        ("opening_per_command", 0.0), ("travel_rate", 0.0),
+        ("l_min", -1.0), ("l_max", 0.0), ("t_pose_min", -1.0),
+        ("t_pose_max", 0.0))),
+    *((BalanceModel, {}, field, bad) for field, bad in (
+        ("resolution", 0.0), ("noise_sigma", -1.0),
+        ("settle_time_mean", 0.0), ("settle_time_sigma", -1.0))),
+    *((PidGains, {}, field, bad) for field, bad in (
+        ("k_p", None), ("k_i", None), ("k_d", None),
+        ("output_slope", 0.0), ("t_pose_fixed_s", -1.0),
+        ("integral_limit", -1.0))),
+    *((ActionGrid, {}, field, bad) for field, bad in (
+        ("l_step", 0.0), ("t_step", 0.0))),
+]
+
+
+class TestFieldRules:
+    def test_table_covers_every_numeric_field(self):
+        covered = {(cls, field) for cls, _, field, _ in FIELD_RULES}
+        for cls in {cls for cls, _, _, _ in FIELD_RULES}:
+            for f in dataclasses.fields(cls):
+                if f.name != "name":
+                    assert (cls, f.name) in covered
+
+    @pytest.mark.parametrize(
+        "cls, base, field, bad", FIELD_RULES,
+        ids=[f"{cls.__name__}.{field}" for cls, _, field, _ in FIELD_RULES])
+    def test_field_rejects_non_finite_and_out_of_range(self, cls, base,
+                                                       field, bad):
+        values = [float("nan"), float("inf"), -float("inf")]
+        if bad is not None:
+            values.append(bad)
+        for value in values:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{cls.__name__}.{field} ")):
+                cls(**{**base, field: value})
