@@ -18,14 +18,15 @@ gravity.
 
 The search runs over an action table built once per (ValveKinematics,
 ActionGrid) pair and cached: both axes, L**2.5 per command, the
-dispensing window T(L) + t stored dwell-major, and the capacity and floor
-factors. A step then costs one multiply by C', one subtract-abs against
-W_target and one argmin, whose first minimum in dwell-major order is the
+dispensing window T(L) + t stored dwell-major, the capacity and floor
+factors, and each mode's probe rungs as prebuilt ValveActions. A step
+then costs one multiply by C', one subtract-abs against W_target and one
+argmin, whose first minimum in dwell-major order is the
 smaller-dwell-then-smaller-command tie-break. The search checks nothing
-per step: the grid axes run over the valve envelope's bounds, a
-coefficient is checked when its ModeFit is built, and the plant puts
-every action it executes through ValveKinematics.check, the one envelope
-test.
+per step: the grid axes run over the valve envelope's bounds and never
+past them, a coefficient is checked when its ModeFit is built, and the
+plant puts every action it executes through ValveKinematics.check, the
+one envelope test.
 
 While a mode has no usable coefficient the controller walks a probe ladder:
 smallest productive command first, escalating one grid step at a time, so
@@ -47,8 +48,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -95,8 +98,10 @@ class ActionGrid:
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+    # The 1e-9 keeps a bound that float steps miss by a hair on the axis;
+    # the clamp keeps such a last value from landing a hair above hi.
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    return np.minimum(lo + step * np.arange(n), hi)
 
 
 class TrialStatus(str, Enum):
@@ -112,8 +117,7 @@ class TrialStatus(str, Enum):
         return self is not TrialStatus.RUNNING
 
 
-@dataclass(frozen=True)
-class StepDecision:
+class StepDecision(NamedTuple):
     """Outcome of one controller step: either an action or a terminal status."""
 
     status: TrialStatus
@@ -122,8 +126,7 @@ class StepDecision:
     probe: bool = False
 
 
-@dataclass(frozen=True)
-class ActionSelection:
+class ActionSelection(NamedTuple):
     """Result of a grid search. action is None when the mode it needs,
     vibration if use_vibration else gravity, has no usable coefficient."""
 
@@ -141,7 +144,8 @@ class _ActionTable(NamedTuple):
     smallest command. The capacity and floor factors are the two terms of
     (L**2.5) * (T(L) + t) at the largest action and at the smallest
     productive one, kept apart so c' multiplies in the same order as the
-    drop model.
+    drop model. probes holds each mode's probe ladder: one ValveAction per
+    positive command, smallest first, at the minimum dwell.
     """
 
     l_vals: np.ndarray
@@ -150,6 +154,7 @@ class _ActionTable(NamedTuple):
     window: np.ndarray             # T(L) + t, shape (dwells, commands)
     capacity: tuple[float, float]
     floor: tuple[float, float] | None
+    probes: Mapping[str, tuple[ValveAction, ...]]
 
 
 @functools.lru_cache(maxsize=16)
@@ -159,14 +164,19 @@ def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
     window = t_vals[:, None] + (l_vals / kin.travel_rate)[None, :]
     capacity = (kin.l_max ** 2.5,
                 kin.l_max / kin.travel_rate + kin.t_pose_max)
-    positive = l_vals[l_vals > 0]
+    positive = l_vals[l_vals > 0].tolist()
     floor = None
-    if positive.size:
-        smallest = float(positive[0])
+    if positive:
+        smallest = positive[0]
         floor = (smallest ** 2.5,
                  smallest / kin.travel_rate + kin.t_pose_min)
+    probes = MappingProxyType({
+        mode: tuple(ValveAction(l, kin.t_pose_min,
+                                vibration=(mode == VIBRATION))
+                    for l in positive)
+        for mode in (GRAVITY, VIBRATION)})
     return _ActionTable(l_vals, t_vals, np.power(l_vals, 2.5), window,
-                        capacity, floor)
+                        capacity, floor, probes)
 
 
 def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
@@ -216,16 +226,15 @@ class _ProbeLadder:
     """Escalating probe schedule used while a mode has no coefficient.
 
     Rungs are the positive grid commands from smallest to largest, probed
-    at the minimum dwell. A rung that produces a measurable delta becomes a
-    pending candidate; the same action is repeated once and the mode is
-    seeded only if the repeat is measurable too. A failed repeat discards
-    the candidate and the ladder moves on.
+    at the minimum dwell; they are the action table's prebuilt probes. A
+    rung that produces a measurable delta becomes a pending candidate; the
+    same action is repeated once and the mode is seeded only if the repeat
+    is measurable too. A failed repeat discards the candidate and the
+    ladder moves on.
     """
 
-    def __init__(self, kin: ValveKinematics, grid: ActionGrid) -> None:
-        self._kin = kin
-        l_vals = grid.l_values(kin)
-        self._rungs = [float(v) for v in l_vals if v > 0]
+    def __init__(self, table: _ActionTable) -> None:
+        self._rungs = table.probes
         self._next = {GRAVITY: 0, VIBRATION: 0}
         self.pending: tuple[str, ValveAction, float] | None = None
 
@@ -233,12 +242,12 @@ class _ProbeLadder:
         """The next action to try for this mode, or None when exhausted."""
         if self.pending is not None and self.pending[0] == mode:
             return self.pending[1]
-        if self._next[mode] >= len(self._rungs):
+        rungs = self._rungs[mode]
+        rung = self._next[mode]
+        if rung >= len(rungs):
             return None
-        l_command = self._rungs[self._next[mode]]
-        self._next[mode] += 1
-        return ValveAction(l_command, self._kin.t_pose_min,
-                           vibration=(mode == VIBRATION))
+        self._next[mode] = rung + 1
+        return rungs[rung]
 
     def note_result(self, mode: str, action: ValveAction, delta_w: float,
                     gate: float) -> tuple[ValveAction, float] | None:
@@ -327,7 +336,7 @@ class DispensingController(_TrialController):
         self.w_target: float | None = None
         # replaced whenever a refit changes one mode's fit, read every step
         self.estimate = CoefficientEstimate()
-        self._ladder = _ProbeLadder(self.kin, self.grid)
+        self._ladder = _ProbeLadder(_action_table(self.kin, self.grid))
         self._last_action: ValveAction | None = None
 
     def step(self, reading: float, *, hopper_empty: bool = False) -> StepDecision:

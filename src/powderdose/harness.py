@@ -31,7 +31,7 @@ from dataclasses import (asdict, dataclass, field,
                          fields as dataclass_fields, replace)
 from operator import attrgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_PID_PROFILE,
                       DEFAULT_TOLERANCE_MG, DispensingController,
@@ -197,9 +197,8 @@ class ExperimentConfig:
                 for t in self.targets_mg]
 
 
-@dataclass(frozen=True)
-class StepTrace:
-    """One executed dispensing step of a trial.
+class StepTrace(NamedTuple):
+    """One executed dispensing step of a trial, an immutable record.
 
     true_delta_mg is the plant's actual dispensed mass, kept in memory for
     diagnostics; the persisted trace carries only the measured delta, which
@@ -348,21 +347,18 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
                                       action.vibration)
         previous = reading
         reading, _ = plant.read_balance()
-        estimate = getattr(ctl, "estimate", None)
+        if controller_name == MODEL_BASED:
+            estimate = ctl.estimate
+            c_gravity = estimate.gravity.c_prime
+            c_vibration = estimate.vibration.c_prime
+        else:
+            c_gravity = c_vibration = None
+        # positional, in StepTrace field order
         steps.append(StepTrace(
-            step=len(steps) + 1,
-            l_command=action.l_command,
-            t_pose_s=action.t_pose_s,
-            vibration=action.vibration,
-            predicted_mg=decision.predicted_mg,
-            measured_delta_mg=reading - previous,
-            cprime_gravity=(estimate.c_prime_gravity if estimate else None),
-            cprime_vibration=(estimate.c_prime_vibration if estimate else None),
-            w_error_mg=target - reading,
-            sim_time_s=plant.sim_clock,
-            true_delta_mg=true_delta,
-            probe=decision.probe,
-        ))
+            len(steps) + 1, action.l_command, action.t_pose_s,
+            action.vibration, decision.predicted_mg, reading - previous,
+            c_gravity, c_vibration, target - reading, plant.sim_clock,
+            true_delta, decision.probe))
     return TrialRecord(
         trial_id=trial_id(powder, controller_name, target, trial_index),
         powder=powder,

@@ -10,16 +10,18 @@ The balance is read between steps. Readings are the true dispensed total
 plus Gaussian noise, quantised to the display resolution (round half away
 from zero), and each stabilised reading costs a settling wait.
 
-Randomness contract: a plant draws from two independent substreams spawned
-from one seed sequence, one for flow disturbances and one for the balance.
-Enabling or disabling either noise source therefore never shifts the draws
-of the other, and a fixed seed reproduces a trial bit for bit. Each stream
-is drawn BLOCK standard normals at a time and a variate is formed as
-loc + scale * z, which is what Generator.normal(loc, scale) computes: the
-values, and their order, are those of one scalar normal() draw per use
-(one flow draw per executed cycle, one noise draw per reading, one settle
-draw per settled reading). Draws left in a block when a trial ends are
-never read.
+Randomness contract: a plant draws from two independent substreams, one
+for flow disturbances and one for the balance. They are seeded by the
+children (*stream_key, 0) and (*stream_key, 1) of the trial's seed, the
+two SeedSequences that SeedSequence(seed, spawn_key=stream_key).spawn(2)
+returns, built directly without the root. Enabling or disabling either
+noise source therefore never shifts the draws of the other, and a fixed
+seed reproduces a trial bit for bit. Each stream is drawn BLOCK standard
+normals at a time and a variate is formed as loc + scale * z, which is
+what Generator.normal(loc, scale) computes: the values, and their order,
+are those of one scalar normal() draw per use (one flow draw per executed
+cycle, one noise draw per reading, one settle draw per settled reading).
+Draws left in a block when a trial ends are never read.
 """
 
 from __future__ import annotations
@@ -117,10 +119,12 @@ class SimulatedPlant:
         self.spec = spec
         self.kin = kin
         self.balance = balance if balance is not None else BalanceModel()
-        root = np.random.SeedSequence(seed, spawn_key=tuple(stream_key))
-        flow_ss, balance_ss = root.spawn(2)
-        self._flow_z = _standard_normals(np.random.default_rng(flow_ss))
-        self._balance_z = _standard_normals(np.random.default_rng(balance_ss))
+        flow_rng, balance_rng = (
+            np.random.default_rng(np.random.SeedSequence(
+                seed, spawn_key=(*stream_key, child)))
+            for child in (0, 1))
+        self._flow_z = _standard_normals(flow_rng)
+        self._balance_z = _standard_normals(balance_rng)
         self._rate_scale = (spec.flow_coefficient * spec.bulk_density
                             * math.sqrt(G_MM_S2))
         self._rate_offset = spec.particle_correction * spec.particle_diameter

@@ -15,6 +15,8 @@ from powderdose import (
     ModeFit,
     PidBaselineController,
     PidGains,
+    StepDecision,
+    StepTrace,
     TrialStatus,
     ValveAction,
     ValveKinematics,
@@ -73,6 +75,19 @@ class TestActionGrid:
     def test_non_divisible_span_stops_inside(self):
         kin = ValveKinematics(l_max=7.0)
         assert list(ActionGrid(l_step=5.0).l_values(kin)) == [0.0, 5.0]
+
+    @pytest.mark.parametrize("kin", [
+        ValveKinematics(l_min=0.1, l_max=15.099999999999998),
+        ValveKinematics(t_pose_min=0.1, t_pose_max=20.099999999999998),
+    ], ids=["command", "dwell"])
+    def test_last_value_stays_inside_the_envelope(self, kin):
+        # (hi - lo) / step lands a hair below a whole count; the axis still
+        # ends on the bound, not a hair above it
+        grid = ActionGrid()
+        l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
+        assert l_vals[-1] == kin.l_max and t_vals[-1] == kin.t_pose_max
+        for l_command in l_vals:
+            kin.check(float(l_command), float(t_vals[-1]))
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
@@ -171,6 +186,33 @@ class TestSelectAction:
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 select_action(est, ValveKinematics(), bad)
+
+
+class TestStepRecords:
+    @pytest.mark.parametrize("make", [
+        lambda: StepDecision(TrialStatus.RUNNING, ValveAction(5.0, 0.5),
+                             12.5, probe=True),
+        lambda: ActionSelection(ValveAction(5.0, 0.5), 12.5, False),
+        lambda: StepTrace(1, 5.0, 0.5, False, None, 1.5, 0.01, None, 18.5,
+                          9.1, true_delta_mg=1.4, probe=True),
+    ], ids=["StepDecision", "ActionSelection", "StepTrace"])
+    def test_immutable_and_hashable(self, make):
+        record = make()
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert record == make() and hash(record) == hash(make())
+
+    def test_controllers_share_the_cached_probe_rungs(self):
+        # equal kinematics and grids give one action table, so both
+        # controllers hand out the very same prebuilt probe actions
+        first = DispensingController(20.0, ValveKinematics())
+        second = DispensingController(50.0, ValveKinematics(),
+                                      grid=ActionGrid())
+        for _ in range(3):
+            a, b = first.step(0.0), second.step(0.0)
+            assert a.probe and b.probe
+            assert a.action is b.action
 
 
 class TestTrialStatus:

@@ -386,7 +386,7 @@ def suite_digest(summary):
     for record in summary.trials:
         digest.update(repr((
             record.trial_id, record.status.value, record.final_mass_mg,
-            [dataclasses.astuple(row) for row in record.steps])).encode())
+            [tuple(row) for row in record.steps])).encode())
     return digest.hexdigest()[:16]
 
 
@@ -763,6 +763,22 @@ class TestCli:
         assert cli_main(["validate-config", "--config", str(path)]) == code
         assert ("pid_gains.t_pose_fixed_s" in capsys.readouterr().err) \
             == (code == 2)
+
+    @pytest.mark.parametrize("kinematics", [
+        {"l_min": 0.1, "l_max": 15.099999999999998},
+        {"t_pose_min": 0.1, "t_pose_max": 20.099999999999998},
+    ], ids=["command", "dwell"])
+    def test_run_suite_on_an_inexact_grid_span(self, kinematics, tmp_path):
+        # (hi - lo) / step misses a whole count by a hair; the grid's last
+        # command or dwell must still pass the plant's envelope check
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "powder": "glass-beads", "targets_mg": [3000], "trials": 1,
+            "kinematics": kinematics}))
+        proc = self.run_cli("run-suite", "--config", str(path),
+                            "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_report_on_empty_dir_fails(self, tmp_path):
         proc = self.run_cli("report", str(tmp_path / "empty"))
