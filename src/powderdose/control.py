@@ -19,9 +19,12 @@ gravity.
 The search runs over an action table built once per (ValveKinematics,
 ActionGrid) pair and cached: both axes, L**2.5 per command, the
 dispensing window T(L) + t stored dwell-major, the capacity and floor
-factors, and each mode's probe rungs as prebuilt ValveActions. A step
-then costs one multiply by C', one subtract-abs against W_target and one
-argmin, whose first minimum in dwell-major order is the
+factors, and every ValveAction the controller emits from the grid. Those
+are each mode's probe rungs, built with the table, and each searched
+cell's action, built the first time the search picks that cell in that
+mode and handed out from the table after that. A step then costs one
+multiply by C', one subtract-abs against W_target and one argmin, whose
+first minimum in dwell-major order is the
 smaller-dwell-then-smaller-command tie-break. The search checks nothing
 per step: the grid axes run over the valve envelope's bounds and never
 past them, a coefficient is checked when its ModeFit is built, and the
@@ -145,7 +148,11 @@ class _ActionTable(NamedTuple):
     (L**2.5) * (T(L) + t) at the largest action and at the smallest
     productive one, kept apart so c' multiplies in the same order as the
     drop model. probes holds each mode's probe ladder: one ValveAction per
-    positive command, smallest first, at the minimum dwell.
+    positive command, smallest first, at the minimum dwell. cells holds
+    the searched cells' actions, gravity then vibration, indexed by the
+    flattened cell. action() builds a slot's ValveAction the first time
+    that cell is asked for in that mode; the table stays cheap to build,
+    and a cell's action is built once per table, not once per step.
     """
 
     l_vals: np.ndarray
@@ -155,6 +162,18 @@ class _ActionTable(NamedTuple):
     capacity: tuple[float, float]
     floor: tuple[float, float] | None
     probes: Mapping[str, tuple[ValveAction, ...]]
+    cells: tuple[list[ValveAction | None], list[ValveAction | None]]
+
+    def action(self, cell: int, vibration: bool) -> ValveAction:
+        """The action of a flattened cell in one mode, built on first use."""
+        cells = self.cells[vibration]
+        action = cells[cell]
+        if action is None:
+            j, i = divmod(cell, self.l_vals.size)
+            action = cells[cell] = ValveAction(
+                float(self.l_vals[i]), float(self.t_vals[j]),
+                vibration=vibration)
+        return action
 
 
 @functools.lru_cache(maxsize=16)
@@ -176,7 +195,8 @@ def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
                     for l in positive)
         for mode in (GRAVITY, VIBRATION)})
     return _ActionTable(l_vals, t_vals, np.power(l_vals, 2.5), window,
-                        capacity, floor, probes)
+                        capacity, floor, probes,
+                        ([None] * window.size, [None] * window.size))
 
 
 def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
@@ -195,18 +215,19 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     if not math.isfinite(w_target) or w_target <= 0:
         raise ValueError("w_target must be finite and > 0")
     table = _action_table(kin, grid if grid is not None else ActionGrid())
+    # ModeFit.usable, read without the property call
     mode_fit = estimate.vibration if use_vibration else estimate.gravity
-    if not mode_fit.usable:
-        return ActionSelection(None, None, use_vibration)
     c = mode_fit.c_prime
+    if c is None or mode_fit.degenerate:
+        return ActionSelection(None, None, use_vibration)
     if not use_vibration:
         l_pow, window = table.capacity
         if (c * l_pow) * window < w_target:
             use_vibration = True
             mode_fit = estimate.vibration
-            if not mode_fit.usable:
-                return ActionSelection(None, None, True)
             c = mode_fit.c_prime
+            if c is None or mode_fit.degenerate:
+                return ActionSelection(None, None, True)
     if table.floor is not None:
         l_pow, window = table.floor
         floor = (c * l_pow) * window
@@ -216,10 +237,11 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     cost = pred - w_target
     np.abs(cost, out=cost)
     best = int(cost.argmin())
-    j, i = divmod(best, table.l_vals.size)
-    action = ValveAction(float(table.l_vals[i]), float(table.t_vals[j]),
-                         vibration=use_vibration)
-    return ActionSelection(action, float(pred.flat[best]), use_vibration)
+    # the memo read of table.action, inline
+    action = table.cells[use_vibration][best]
+    if action is None:
+        action = table.action(best, use_vibration)
+    return ActionSelection(action, pred.item(best), use_vibration)
 
 
 class _ProbeLadder:
@@ -297,7 +319,7 @@ class _TrialController:
         self.w_error: float | None = None
 
     def _stop(self, reading: float, hopper_empty: bool) -> StepDecision | None:
-        if self.status.terminal:
+        if self.status is not TrialStatus.RUNNING:
             raise RuntimeError(f"trial already ended: {self.status.value}")
         if not math.isfinite(reading):
             self.status = TrialStatus.ABORTED
@@ -361,8 +383,11 @@ class DispensingController(_TrialController):
         if delta < 0.0:
             delta = 0.0
         action = self._last_action
-        mode = VIBRATION if action.vibration else GRAVITY
-        if self.estimate.for_mode(mode).usable:
+        if action.vibration:
+            mode, fit = VIBRATION, self.estimate.vibration
+        else:
+            mode, fit = GRAVITY, self.estimate.gravity
+        if fit.c_prime is not None and not fit.degenerate:  # fit.usable
             if self.log.record(action.l_command, action.t_pose_s,
                                action.vibration, delta):
                 self._refit(mode)
@@ -390,8 +415,8 @@ class DispensingController(_TrialController):
         self.w_target = self.k_p * self.w_error
         vibration = self.use_vibration
         action = predicted = None
-        if (self.estimate.vibration if vibration
-                else self.estimate.gravity).usable:
+        fit = self.estimate.vibration if vibration else self.estimate.gravity
+        if fit.c_prime is not None and not fit.degenerate:  # fit.usable
             selection = select_action(self.estimate, self.kin, self.w_target,
                                       use_vibration=vibration, grid=self.grid)
             action, predicted = selection.action, selection.predicted_mg

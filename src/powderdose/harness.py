@@ -336,18 +336,22 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
             target, kin, gains=config.pid_gains,
             vibration=_needs_vibration(spec, kin),
             tolerance=config.tolerance_mg, max_steps=config.max_steps)
+    # plant.depleted is remaining <= 0, which for finite floats is this
+    initial_load = plant.spec.initial_load
+    model_based = controller_name == MODEL_BASED
     reading, _ = plant.read_balance(wait_settle=False)
     steps: list[StepTrace] = []
     while True:
-        decision = ctl.step(reading, hopper_empty=plant.depleted)
-        if decision.status.terminal:
+        decision = ctl.step(
+            reading, hopper_empty=plant.dispensed_total >= initial_load)
+        if decision.status is not TrialStatus.RUNNING:
             break
         action = decision.action
         true_delta, _ = plant.execute(action.l_command, action.t_pose_s,
                                       action.vibration)
         previous = reading
         reading, _ = plant.read_balance()
-        if controller_name == MODEL_BASED:
+        if model_based:
             estimate = ctl.estimate
             c_gravity = estimate.gravity.c_prime
             c_vibration = estimate.vibration.c_prime
@@ -431,9 +435,10 @@ def pooled_observations(records: Iterable[TrialRecord]
         for row in record.steps:
             if row.measured_delta_mg < MIN_OBSERVABLE_MG:
                 continue
+            # positional, in Observation field order
             pools.setdefault(record.powder, []).append(Observation(
-                l_command=row.l_command, t_pose_s=row.t_pose_s,
-                vibration=row.vibration, delta_w_mg=row.measured_delta_mg))
+                row.l_command, row.t_pose_s, row.vibration,
+                row.measured_delta_mg))
     return pools
 
 
@@ -681,10 +686,12 @@ def default_config() -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON config file. Raises ConfigError."""
     try:
-        with Path(path).open() as handle:
+        with Path(path).open(encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError([f"cannot read config: {exc}"])
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config is not UTF-8 text: {exc}"])
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"])
     return config_from_dict(data)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 
 import numpy as np
 
@@ -77,7 +77,9 @@ def quantize_reading(value: float, resolution: float) -> float:
     within 1e-9 + 1e-15 * ticks of a half tick, a count of 1e10 ticks or
     more, and a non-finite ratio are left to the decimal computation. At
     the noise-free config's 1e-12 resolution every reading of 0.01 mg or
-    more takes that path.
+    more takes that path. That computation runs in the default 28-digit
+    context, and from 1e28 ticks on, which that context cannot hold, with
+    as many digits as the tick count needs.
     """
     x = abs(value / resolution)
     if x < _FAST_TICKS:
@@ -88,9 +90,23 @@ def quantize_reading(value: float, resolution: float) -> float:
                 ticks += 1
             p, q = _decimal_ratio(resolution)
             return math.copysign(ticks * p / q, value)
-    ticks = (Decimal(repr(value)) / Decimal(repr(resolution))).quantize(
-        Decimal(1), rounding=ROUND_HALF_UP)
-    return float(ticks * Decimal(repr(resolution)))
+    exact_value, step = Decimal(repr(value)), Decimal(repr(resolution))
+    try:
+        ticks = (exact_value / step).quantize(Decimal(1),
+                                              rounding=ROUND_HALF_UP)
+    except InvalidOperation:
+        # 1e28 ticks or more do not fit the default 28-digit context.
+        with localcontext() as ctx:
+            # The quotient's integer digits, plus 25 more: a ratio of two
+            # 17-digit decimals that is not a whole or half tick lies at
+            # least 1/(2 * 10**17) from a half, so rounding it after 25
+            # fractional digits cannot move it across one. ticks * step
+            # then has at most prec digits and is exact.
+            ctx.prec = exact_value.adjusted() - step.adjusted() + 26
+            ticks = (exact_value / step).quantize(Decimal(1),
+                                                  rounding=ROUND_HALF_UP)
+            return float(ticks * step)
+    return float(ticks * step)
 
 
 @functools.lru_cache(maxsize=16)
@@ -119,9 +135,10 @@ class SimulatedPlant:
         self.spec = spec
         self.kin = kin
         self.balance = balance if balance is not None else BalanceModel()
+        # Generator(PCG64(seq)) is what default_rng(seq) builds
         flow_rng, balance_rng = (
-            np.random.default_rng(np.random.SeedSequence(
-                seed, spawn_key=(*stream_key, child)))
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                seed, spawn_key=(*stream_key, child))))
             for child in (0, 1))
         self._flow_z = _standard_normals(flow_rng)
         self._balance_z = _standard_normals(balance_rng)

@@ -56,9 +56,9 @@ def load_suite_records(artifact_dir: str | Path
     if not index_path.is_file():
         return [], {}, [f"no data: {index_path} not found"]
     try:
-        with index_path.open() as handle:
+        with index_path.open(encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return [], {}, [f"cannot read {index_path}: {exc}"]
     if not isinstance(payload, dict) \
             or not isinstance(payload.get("trials", []), list):

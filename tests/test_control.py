@@ -21,7 +21,7 @@ from powderdose import (
     ValveAction,
     ValveKinematics,
 )
-from powderdose.control import select_action
+from powderdose.control import _action_table, select_action
 from powderdose.plant import SimulatedPlant
 from powderdose.powders import archetype
 
@@ -214,6 +214,33 @@ class TestStepRecords:
             assert a.probe and b.probe
             assert a.action is b.action
 
+    def test_every_cell_action_is_built_from_the_axes(self):
+        kin, grid = ValveKinematics(), ActionGrid()
+        table = _action_table(kin, grid)
+        l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
+        for vibration in (False, True):
+            for cell in range(t_vals.size * l_vals.size):
+                j, i = divmod(cell, l_vals.size)   # dwell-major
+                action = table.action(cell, vibration)
+                assert action == ValveAction(float(l_vals[i]),
+                                             float(t_vals[j]), vibration)
+                # Python floats, so traces write them by their float repr
+                assert type(action.l_command) is float
+                assert type(action.t_pose_s) is float
+                assert table.action(cell, vibration) is action
+
+    def test_controllers_share_the_memoised_cell_actions(self):
+        first = DispensingController(20.0, ValveKinematics())
+        second = DispensingController(50.0, ValveKinematics(),
+                                      grid=ActionGrid())
+        for ctl in (first, second):
+            ctl.estimate = estimate(2e-5, 2e-5)
+        a, b = first.step(0.0), second.step(30.0)   # the same 20 mg error
+        assert not a.probe and not b.probe
+        assert a.action is b.action
+        assert a.action is select_action(
+            estimate(2e-5, 2e-5), ValveKinematics(), first.w_target).action
+
 
 class TestTrialStatus:
     def test_terminal_split(self):
@@ -293,7 +320,7 @@ class TestBootstrapProbing:
         fourth = ctl.step(10.0)          # confirmed: both observations land
         assert ctl.log.fit(GRAVITY).n_obs == 2
         x = 10.0 ** 2.5 * (10.0 / 100.0 + 0.0)
-        assert ctl.estimate.c_prime_gravity == pytest.approx(5.0 / x,
+        assert ctl.estimate.gravity.c_prime == pytest.approx(5.0 / x,
                                                              rel=1e-12)
         assert ctl.w_target == 5.0       # k_p 0.5 * error 10
         assert not fourth.probe
@@ -367,7 +394,7 @@ class TestControllerMatchesReference:
             if not decision.probe:
                 est = ctl.estimate
                 action, predicted, vibration = brute_select(
-                    est.c_prime_gravity, est.c_prime_vibration, kin, grid,
+                    est.gravity.c_prime, est.vibration.c_prime, kin, grid,
                     ctl.w_target,
                     use_vibration=latched or not est.gravity.usable)
                 assert decision.action == action

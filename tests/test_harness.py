@@ -37,6 +37,7 @@ from powderdose import (
     run_trial,
     write_suite_artifacts,
 )
+from powderdose import control, harness, plant
 from powderdose.cli import main as cli_main
 from powderdose.harness import (
     DIRECT_PID,
@@ -46,6 +47,7 @@ from powderdose.harness import (
     resolve_out_dir,
     trial_id,
 )
+from powderdose.identify import ObservationLog
 from powderdose.report import load_suite_records
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -396,6 +398,54 @@ def test_shipped_configs_simulate_as_pinned(name):
     assert suite_digest(summary) == GOLDEN_SUITE_DIGESTS[name]
 
 
+def test_traced_names_see_every_unit_of_work(monkeypatch):
+    """The names the benchmark tracer wraps stay on the hot path.
+
+    One select_action call finds each model action that is not a probe,
+    one quantize_reading call makes each balance reading, one
+    ObservationLog.record call takes each ingested model step and two each
+    confirmed first observation, and one harness fit_coefficient call
+    makes each pooled fit.
+    """
+    seen: dict[str, list] = {}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+        results = seen[name] = []
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            results.append(result)
+            return result
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(control, "select_action")
+    spy(harness, "fit_coefficient")
+    spy(plant, "quantize_reading")
+    spy(ObservationLog, "record")
+    summary = run_suite(small_config(
+        powder=["glass-beads", "msg"], controller=[MODEL_BASED, DIRECT_PID],
+        targets_mg=[20, 500]), write_artifacts=False)
+    model = [r for r in summary.trials if r.controller == MODEL_BASED]
+    assert 0 < len(model) < len(summary.trials)
+    rows = [row for r in model for row in r.steps]
+    selected = [s for s in seen["select_action"] if s.action is not None]
+    assert len(selected) == sum(not row.probe for row in rows) > 0
+    # a search whose mode has no usable fit hands the step to a probe
+    assert len(seen["select_action"]) - len(selected) \
+        <= sum(row.probe for row in rows)
+    assert len(seen["quantize_reading"]) \
+        == sum(r.total_steps + 1 for r in summary.trials)
+    # the last step of a trial is never ingested; a mode fitted by the
+    # end of a trial was confirmed once, from two recorded observations
+    ingested = sum(not row.probe for r in model for row in r.steps[:-1])
+    confirmed = sum((r.steps[-1].cprime_gravity is not None)
+                    + (r.steps[-1].cprime_vibration is not None)
+                    for r in model if r.steps)
+    assert len(seen["record"]) == ingested + 2 * confirmed
+    assert len(seen["fit_coefficient"]) == len(summary.pooled_fits) > 0
+
+
 @pytest.fixture(scope="module")
 def suite(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
@@ -611,10 +661,13 @@ class TestArtifacts:
          "unknown controller 'bang-bang'"),
         (lambda entry, trace: entry.update(final_mass_mg=10 ** 400),
          "final_mass_mg has the wrong type or value"),
+        # an edit that returns bytes makes them the whole summary.json
+        (lambda entry, trace: b"\xff\xfe{",
+         "summary.json: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["missing-key", "unknown-status", "short-row", "empty-trace",
             "command-beyond-l-max", "powder-with-slash", "vibration-cell",
             "absolute-trace-path", "parent-trace-path", "trial-id-mismatch",
-            "unknown-controller", "mass-beyond-float"])
+            "unknown-controller", "mass-beyond-float", "index-not-utf8"])
     def test_report_rejects_a_hand_edited_index(self, suite, tmp_path, capsys,
                                                 edit, message):
         _, _, out = suite
@@ -622,8 +675,9 @@ class TestArtifacts:
         shutil.copytree(out, copy)
         index = json.loads((copy / "summary.json").read_text())
         entry = index["trials"][1]
-        edit(entry, copy / entry["trace_csv"])
-        (copy / "summary.json").write_text(json.dumps(index))
+        raw = edit(entry, copy / entry["trace_csv"])
+        (copy / "summary.json").write_bytes(
+            raw if isinstance(raw, bytes) else json.dumps(index).encode())
         assert cli_main(["report", str(copy)]) == 1
         err = capsys.readouterr().err
         assert message in err
@@ -775,6 +829,32 @@ class TestCli:
         path.write_text(json.dumps({
             "powder": "glass-beads", "targets_mg": [3000], "trials": 1,
             "kinematics": kinematics}))
+        proc = self.run_cli("run-suite", "--config", str(path),
+                            "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["validate-config", "run-suite"])
+    def test_config_that_is_not_utf8_is_a_config_error(self, command,
+                                                       tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"trials": 1\xff}')
+        out = ["--out", str(tmp_path / "out")] if command == "run-suite" \
+            else []
+        assert cli_main([command, "--config", str(path), *out]) == 2
+        err = capsys.readouterr().err
+        assert "config error: config is not UTF-8 text" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("balance", [
+        {"noise_sigma": 1e27}, {"resolution": 1e-300},
+    ], ids=["noise", "resolution"])
+    def test_run_suite_on_readings_of_1e28_ticks(self, balance, tmp_path):
+        # tick counts past the 28 digits of the default decimal context
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "plant": {"balance": balance}, "trials": 1, "powder": "msg",
+            "targets_mg": [20]}))
         proc = self.run_cli("run-suite", "--config", str(path),
                             "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr

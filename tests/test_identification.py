@@ -151,8 +151,8 @@ class TestModeFitAndEstimate:
                                   ModeFit(c_prime=5.0, n_obs=1))
         assert est.for_mode(GRAVITY).c_prime == 2.0
         assert est.for_mode(VIBRATION).c_prime == 5.0
-        assert est.c_prime_gravity == 2.0
-        assert est.c_prime_vibration == 5.0
+        assert est.gravity.c_prime == 2.0
+        assert est.vibration.c_prime == 5.0
         with pytest.raises(ValueError):
             est.for_mode("sideways")
 

@@ -2,7 +2,7 @@
 
 import math
 import struct
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -99,6 +99,25 @@ class TestQuantizeReading:
         value, resolution = case
         assert struct.pack("d", quantize_reading(value, resolution)) == \
             struct.pack("d", decimal_quantize(value, resolution))
+
+    @pytest.mark.parametrize("value,resolution", [
+        (1e300, 0.1),
+        (-1e300, 0.1),
+        (1e28, 1.0),
+        (-2.5e27, 0.01),
+        (20.0, 1e-300),
+        (7.000000000000001e-290, 3e-320),
+        (1.7976931348623157e308, 5e-324),
+    ])
+    def test_tick_counts_past_the_default_decimal_context(self, value,
+                                                          resolution):
+        # 1e28 ticks and more overflow the default 28-digit context; the
+        # reference computes in 1000 digits
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            expected = decimal_quantize(value, resolution)
+        assert struct.pack("d", quantize_reading(value, resolution)) == \
+            struct.pack("d", expected)
 
 
 class TestFlowGate:
