@@ -12,24 +12,23 @@ report rebuilds summary tables from persisted artifacts, cli wires it all
 to the `powderdose` command.
 """
 
-from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_PID_PROFILE,
-                      DEFAULT_TOLERANCE_MG, ActionGrid, ActionSelection,
-                      DispensingController, PidBaselineController, PidGains,
-                      StepDecision, TrialStatus, ValveAction, select_action)
+from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_TOLERANCE_MG,
+                      ActionGrid, ActionSelection, DispensingController,
+                      PidBaselineController, PidGains, StepDecision,
+                      TrialStatus, ValveAction, select_action)
 from .flow import (G_MM_S2, GRAVITY, MODES, VIBRATION, DispenseModel,
                    PowderSpec, ValveKinematics, beverloo_rate,
-                   effective_coefficient, predicted_drop, travel_time)
+                   effective_coefficient, predicted_drop)
 from .harness import (CONTROLLER_ALIASES, DIRECT_PID, MODEL_BASED,
                       ConditionStats, ConfigError, ExperimentConfig,
                       PooledFit, StepTrace, SuiteSummary, TrialRecord,
                       compute_metrics, config_from_dict, config_to_dict,
-                      default_config, load_config, pooled_fits,
-                      pooled_observations, read_trace_csv, resolve_out_dir,
-                      run_suite, run_trial, write_suite_artifacts,
-                      write_trace_csv)
+                      load_config, pooled_fits, pooled_observations,
+                      read_trace_csv, resolve_out_dir, run_suite, run_trial,
+                      write_suite_artifacts, write_trace_csv)
 from .identify import (MIN_OBSERVABLE_MG, CoefficientEstimate, ModeFit,
                        Observation, ObservationLog, fit_coefficient,
-                       r_squared, regressor)
+                       regressor)
 from .plant import BalanceModel, SimulatedPlant, quantize_reading
 from .powders import ARCHETYPES, GLASS_BEADS, MSG, TIO2, archetype
 from .report import ReportResult, build_report
@@ -39,19 +38,17 @@ __version__ = "0.1.0"
 __all__ = [
     "ARCHETYPES", "ActionGrid", "ActionSelection", "BalanceModel",
     "CONTROLLER_ALIASES", "CoefficientEstimate", "ConditionStats",
-    "ConfigError", "DEFAULT_K_P", "DEFAULT_MAX_STEPS", "DEFAULT_PID_PROFILE",
-    "DEFAULT_TOLERANCE_MG", "DIRECT_PID", "DispenseModel",
-    "DispensingController", "ExperimentConfig", "G_MM_S2", "GLASS_BEADS",
-    "GRAVITY", "MIN_OBSERVABLE_MG", "MODEL_BASED", "MODES", "MSG", "ModeFit",
-    "Observation", "ObservationLog", "PidBaselineController", "PidGains",
-    "PooledFit", "PowderSpec", "ReportResult", "SimulatedPlant",
-    "StepDecision", "StepTrace", "SuiteSummary", "TIO2", "TrialRecord",
-    "TrialStatus", "VIBRATION", "ValveAction", "ValveKinematics",
-    "archetype", "beverloo_rate", "build_report", "compute_metrics",
-    "config_from_dict", "config_to_dict", "default_config",
+    "ConfigError", "DEFAULT_K_P", "DEFAULT_MAX_STEPS", "DEFAULT_TOLERANCE_MG",
+    "DIRECT_PID", "DispenseModel", "DispensingController", "ExperimentConfig",
+    "G_MM_S2", "GLASS_BEADS", "GRAVITY", "MIN_OBSERVABLE_MG", "MODEL_BASED",
+    "MODES", "MSG", "ModeFit", "Observation", "ObservationLog",
+    "PidBaselineController", "PidGains", "PooledFit", "PowderSpec",
+    "ReportResult", "SimulatedPlant", "StepDecision", "StepTrace",
+    "SuiteSummary", "TIO2", "TrialRecord", "TrialStatus", "VIBRATION",
+    "ValveAction", "ValveKinematics", "archetype", "beverloo_rate",
+    "build_report", "compute_metrics", "config_from_dict", "config_to_dict",
     "effective_coefficient", "fit_coefficient", "load_config", "pooled_fits",
-    "pooled_observations",
-    "predicted_drop", "quantize_reading", "r_squared", "read_trace_csv",
-    "regressor", "resolve_out_dir", "run_suite", "run_trial", "select_action",
-    "travel_time", "write_suite_artifacts", "write_trace_csv",
+    "pooled_observations", "predicted_drop", "quantize_reading",
+    "read_trace_csv", "regressor", "resolve_out_dir", "run_suite", "run_trial",
+    "select_action", "write_suite_artifacts", "write_trace_csv",
 ]

@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from .harness import (ConfigError, ExperimentConfig, config_to_dict,
-                      default_config, load_config, resolve_out_dir,
-                      run_suite, run_trial, write_trace_csv)
+                      load_config, resolve_out_dir, run_suite, run_trial,
+                      write_trace_csv)
 from .report import build_report
 
 
@@ -65,7 +65,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else default_config()
+    config = load_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config

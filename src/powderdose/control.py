@@ -19,12 +19,12 @@ gravity.
 The search runs over an action table built once per (ValveKinematics,
 ActionGrid) pair and cached: both axes, L**2.5 per command, the
 dispensing window T(L) + t stored dwell-major, the capacity and floor
-factors, and every ValveAction the controller emits from the grid. Those
-are each mode's probe rungs, built with the table, and each searched
-cell's action, built the first time the search picks that cell in that
-mode and handed out from the table after that. A step then costs one
-multiply by C', one subtract-abs against W_target and one argmin, whose
-first minimum in dwell-major order is the
+factors, and every ValveAction the controller emits from the grid. A
+cell's action is built the first time the search or the probe ladder
+asks for that cell in that mode, and handed out from the table after
+that; the probe rungs are the cells at the minimum dwell. A step then
+costs one multiply by C', one subtract-abs against W_target and one
+argmin, whose first minimum in dwell-major order is the
 smaller-dwell-then-smaller-command tie-break. The search checks nothing
 per step: the grid axes run over the valve envelope's bounds and never
 past them, a coefficient is checked when its ModeFit is built, and the
@@ -51,10 +51,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -115,10 +113,6 @@ class TrialStatus(str, Enum):
     DEPLETED_FAIL = "depleted-fail"
     ABORTED = "aborted"
 
-    @property
-    def terminal(self) -> bool:
-        return self is not TrialStatus.RUNNING
-
 
 class StepDecision(NamedTuple):
     """Outcome of one controller step: either an action or a terminal status."""
@@ -147,12 +141,11 @@ class _ActionTable(NamedTuple):
     smallest command. The capacity and floor factors are the two terms of
     (L**2.5) * (T(L) + t) at the largest action and at the smallest
     productive one, kept apart so c' multiplies in the same order as the
-    drop model. probes holds each mode's probe ladder: one ValveAction per
-    positive command, smallest first, at the minimum dwell. cells holds
-    the searched cells' actions, gravity then vibration, indexed by the
-    flattened cell. action() builds a slot's ValveAction the first time
-    that cell is asked for in that mode; the table stays cheap to build,
-    and a cell's action is built once per table, not once per step.
+    drop model. cells holds the cells' actions, gravity then vibration,
+    indexed by the flattened cell; the first row, the minimum dwell, is
+    the probe ladder's. action() builds a slot's ValveAction the first
+    time that cell is asked for in that mode; the table stays cheap to
+    build, and a cell's action is built once per table, not once per step.
     """
 
     l_vals: np.ndarray
@@ -161,7 +154,6 @@ class _ActionTable(NamedTuple):
     window: np.ndarray             # T(L) + t, shape (dwells, commands)
     capacity: tuple[float, float]
     floor: tuple[float, float] | None
-    probes: Mapping[str, tuple[ValveAction, ...]]
     cells: tuple[list[ValveAction | None], list[ValveAction | None]]
 
     def action(self, cell: int, vibration: bool) -> ValveAction:
@@ -189,13 +181,8 @@ def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
         smallest = positive[0]
         floor = (smallest ** 2.5,
                  smallest / kin.travel_rate + kin.t_pose_min)
-    probes = MappingProxyType({
-        mode: tuple(ValveAction(l, kin.t_pose_min,
-                                vibration=(mode == VIBRATION))
-                    for l in positive)
-        for mode in (GRAVITY, VIBRATION)})
     return _ActionTable(l_vals, t_vals, np.power(l_vals, 2.5), window,
-                        capacity, floor, probes,
+                        capacity, floor,
                         ([None] * window.size, [None] * window.size))
 
 
@@ -248,45 +235,47 @@ class _ProbeLadder:
     """Escalating probe schedule used while a mode has no coefficient.
 
     Rungs are the positive grid commands from smallest to largest, probed
-    at the minimum dwell; they are the action table's prebuilt probes. A
-    rung that produces a measurable delta becomes a pending candidate; the
-    same action is repeated once and the mode is seeded only if the repeat
-    is measurable too. A failed repeat discards the candidate and the
-    ladder moves on.
+    at the minimum dwell: a mode's rung is the action table's first-row
+    cell in that mode, so a probe and a search pick of the same cell are
+    one ValveAction. Counters and the pending candidate are keyed by the
+    action's vibration flag. A rung that produces a measurable delta
+    becomes a pending candidate; the same action is repeated once and the
+    mode is seeded only if the repeat is measurable too. A failed repeat
+    discards the candidate and the ladder moves on.
     """
 
     def __init__(self, table: _ActionTable) -> None:
-        self._rungs = table.probes
-        self._next = {GRAVITY: 0, VIBRATION: 0}
-        self.pending: tuple[str, ValveAction, float] | None = None
+        self._table = table
+        first = int(np.count_nonzero(table.l_vals <= 0))
+        self._next = [first, first]      # gravity, vibration
+        self.pending: tuple[ValveAction, float] | None = None
 
-    def next_probe(self, mode: str) -> ValveAction | None:
-        """The next action to try for this mode, or None when exhausted."""
-        if self.pending is not None and self.pending[0] == mode:
-            return self.pending[1]
-        rungs = self._rungs[mode]
-        rung = self._next[mode]
-        if rung >= len(rungs):
+    def next_probe(self, vibration: bool) -> ValveAction | None:
+        """The next action to try in this mode, or None when exhausted."""
+        if self.pending is not None and self.pending[0].vibration == vibration:
+            return self.pending[0]
+        col = self._next[vibration]
+        if col >= self._table.l_vals.size:
             return None
-        self._next[mode] = rung + 1
-        return rungs[rung]
+        self._next[vibration] = col + 1
+        return self._table.action(col, vibration)
 
-    def note_result(self, mode: str, action: ValveAction, delta_w: float,
+    def note_result(self, action: ValveAction, delta_w: float,
                     gate: float) -> tuple[ValveAction, float] | None:
         """Feed back a probe's measured delta.
 
         Returns the (action, delta) pair of the confirmed first observation
-        when a pending candidate is corroborated, else None. Measurable
-        first-time deltas only open a pending candidate.
+        when a pending candidate of the action's mode is corroborated, else
+        None. Measurable first-time deltas only open a pending candidate.
         """
-        if self.pending is not None and self.pending[0] == mode:
-            _, pending_action, pending_delta = self.pending
+        pending = self.pending
+        if pending is not None and pending[0].vibration == action.vibration:
             self.pending = None
             if delta_w >= gate:
-                return pending_action, pending_delta
+                return pending
             return None
         if delta_w >= gate:
-            self.pending = (mode, action, delta_w)
+            self.pending = (action, delta_w)
         return None
 
 
@@ -392,7 +381,7 @@ class DispensingController(_TrialController):
                                action.vibration, delta):
                 self._refit(mode)
             return
-        confirmed = self._ladder.note_result(mode, action, delta,
+        confirmed = self._ladder.note_result(action, delta,
                                              self.log.min_observable)
         if confirmed is not None:
             first_action, first_delta = confirmed
@@ -423,13 +412,12 @@ class DispensingController(_TrialController):
             vibration = selection.use_vibration
         probe = action is None
         if probe:
-            action = self._ladder.next_probe(
-                VIBRATION if vibration else GRAVITY)
+            action = self._ladder.next_probe(vibration)
         if action is None and not vibration:
             # Nothing measurable across the whole gravity range: latch
             # vibration and keep probing there.
             vibration = True
-            action = self._ladder.next_probe(VIBRATION)
+            action = self._ladder.next_probe(True)
         if action is None:
             # Both ladders spent with nothing measurable; push the most
             # aggressive action until a termination condition ends the trial.
@@ -446,32 +434,23 @@ class PidGains:
 
     output_slope maps the PID output (mg) to a valve command (units/mg).
     integral_limit bounds |sum of errors| for anti-windup, in mg*steps.
+    The defaults were tuned once against the glass-beads 500 mg condition
+    and frozen. The tuning sweep maximised success rate there, preferring
+    the smallest integral gain among ties (least windup), then the fewest
+    steps.
     """
 
-    k_p: float = 1.0
-    k_i: float = 0.0
-    k_d: float = 0.0
-    output_slope: float = 0.05
+    k_p: float = 0.5
+    k_i: float = 0.01
+    k_d: float = 1.0
+    output_slope: float = 0.08
     t_pose_fixed_s: float = 2.0
-    integral_limit: float = 10000.0
+    integral_limit: float = 9000.0
 
     def __post_init__(self) -> None:
         check_fields(self, None, "k_p", "k_i", "k_d")
         check_fields(self, "> 0", "output_slope")
         check_fields(self, ">= 0", "t_pose_fixed_s", "integral_limit")
-
-
-# Tuned once against the glass-beads 500 mg condition and frozen. The
-# tuning sweep maximised success rate there, preferring the smallest
-# integral gain among ties (least windup), then the fewest steps.
-DEFAULT_PID_PROFILE = PidGains(
-    k_p=0.5,
-    k_i=0.01,
-    k_d=1.0,
-    output_slope=0.08,
-    t_pose_fixed_s=2.0,
-    integral_limit=9000.0,
-)
 
 
 class PidBaselineController(_TrialController):
@@ -484,7 +463,7 @@ class PidBaselineController(_TrialController):
     """
 
     def __init__(self, w_goal: float, kin: ValveKinematics | None = None, *,
-                 gains: PidGains = DEFAULT_PID_PROFILE,
+                 gains: PidGains = PidGains(),
                  vibration: bool = False,
                  tolerance: float = DEFAULT_TOLERANCE_MG,
                  max_steps: int = DEFAULT_MAX_STEPS) -> None:

@@ -162,12 +162,6 @@ def beverloo_discharge(scale: float, offset: float,
     return scale * effective ** 2.5
 
 
-def travel_time(kin: ValveKinematics, l_command: float) -> float:
-    """Seconds the valve needs to travel from closed to the commanded opening."""
-    kin.check(l_command)
-    return l_command / kin.travel_rate
-
-
 def predicted_drop(model: DispenseModel, kin: ValveKinematics,
                    l_command: float, t_pose_s: float) -> float:
     """Predicted dispensed mass in mg for one open-dwell-close cycle.

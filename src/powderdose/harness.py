@@ -33,9 +33,9 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_PID_PROFILE,
-                      DEFAULT_TOLERANCE_MG, DispensingController,
-                      PidBaselineController, PidGains, TrialStatus)
+from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_TOLERANCE_MG,
+                      DispensingController, PidBaselineController, PidGains,
+                      TrialStatus)
 from .flow import GRAVITY, VIBRATION, PowderSpec, ValveKinematics
 from .identify import (MIN_OBSERVABLE_MG, Observation, fit_coefficient,
                        select_mode)
@@ -84,7 +84,7 @@ class ExperimentConfig:
     tolerance_mg: float = DEFAULT_TOLERANCE_MG
     max_steps: int = DEFAULT_MAX_STEPS
     k_p: float | Mapping[str, float] = DEFAULT_K_P
-    pid_gains: PidGains = DEFAULT_PID_PROFILE
+    pid_gains: PidGains = PidGains()
     kinematics: ValveKinematics = ValveKinematics()
     balance: BalanceModel = BalanceModel()
     powder_overrides: Mapping[str, Mapping[str, float]] = field(
@@ -291,13 +291,6 @@ def _trace_csv(trial_id: str) -> str:
     return f"trials/{trial_id}.csv"
 
 
-def build_plant(config: ExperimentConfig, powder: str, controller: str,
-                target_mg: float, trial_index: int) -> SimulatedPlant:
-    key = (_condition_checksum(powder, controller, target_mg), trial_index)
-    return SimulatedPlant(config.powder_spec(powder), config.kinematics,
-                          config.balance, seed=config.seed, stream_key=key)
-
-
 def _needs_vibration(spec: PowderSpec, kin: ValveKinematics) -> bool:
     return spec.critical_arch_diameter >= kin.opening_per_command * kin.l_max
 
@@ -325,7 +318,10 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
     ((powder, controller_name, target),) = conditions
     spec = config.powder_spec(powder)
     kin = config.kinematics
-    plant = build_plant(config, powder, controller_name, target, trial_index)
+    plant = SimulatedPlant(
+        spec, kin, config.balance, seed=config.seed,
+        stream_key=(_condition_checksum(powder, controller_name, target),
+                    trial_index))
     if controller_name == MODEL_BASED:
         ctl: DispensingController | PidBaselineController = \
             DispensingController(
@@ -337,7 +333,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
             vibration=_needs_vibration(spec, kin),
             tolerance=config.tolerance_mg, max_steps=config.max_steps)
     # plant.depleted is remaining <= 0, which for finite floats is this
-    initial_load = plant.spec.initial_load
+    initial_load = spec.initial_load
     model_based = controller_name == MODEL_BASED
     reading, _ = plant.read_balance(wait_settle=False)
     steps: list[StepTrace] = []
@@ -678,10 +674,6 @@ def write_suite_artifacts(summary: SuiteSummary,
 
 # ---------------------------------------------------------------------------
 # configuration ingestion
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON config file. Raises ConfigError."""

@@ -15,11 +15,11 @@ ValveKinematics and adds each accepted delta straight into its mode's n,
 sum(x*dW) and sum(x**2), in arrival order. That is the order
 fit_coefficient sums in, so a refit is O(1) and C' is bit-identical to a
 full refit. The controller never reads an R^2, so the log keeps none.
-fit_coefficient and r_squared work on stored Observation lists for the
-pooled report fits, with R^2 in the exact two-pass form. fit_coefficient
-computes each observation's regressor once and hands the same values, in
-the same order, to the R^2 pass, so C' and R^2 are bit for bit those of
-computing it in each pass. Every regressor, the log's included, comes
+fit_coefficient works on stored Observation lists for the pooled report
+fits, with R^2 in the exact two-pass form. It computes each
+observation's regressor once and hands the same values, in the same
+order, to the R^2 pass, so C' and R^2 are bit for bit those of computing
+it in each pass. Every regressor, the log's included, comes
 from regressor(), which first puts the action through
 ValveKinematics.check: an action outside the valve envelope is a
 ValueError, never a data point.
@@ -94,13 +94,6 @@ class CoefficientEstimate:
     gravity: ModeFit = field(default_factory=ModeFit)
     vibration: ModeFit = field(default_factory=ModeFit)
 
-    def for_mode(self, mode: str) -> ModeFit:
-        if mode == GRAVITY:
-            return self.gravity
-        if mode == VIBRATION:
-            return self.vibration
-        raise ValueError(f"mode must be one of {MODES}")
-
 
 def regressor(kin: ValveKinematics, l_command: float, t_pose_s: float) -> float:
     """x = L**2.5 * (T(L) + t_pose), the model's per-step regressor, for
@@ -144,22 +137,15 @@ def _fit_from_sums(n: int, sxy: float, sxx: float) -> ModeFit:
                    degenerate=degenerate)
 
 
-def r_squared(observations: list[Observation], kin: ValveKinematics,
-              c_prime: float) -> float | None:
-    """Coefficient of determination of c_prime against the observations.
+def _r_squared(observations: list[Observation], xs: list[float],
+               c_prime: float) -> float | None:
+    """Coefficient of determination of c_prime against the observations,
+    whose regressors xs are given in the same order.
 
     Needs at least two observations, otherwise None. With zero total
     variance the value is 1.0 when the residuals are all zero and None
     (undefined) when they are not.
     """
-    return _r_squared(observations, (regressor(kin, o.l_command, o.t_pose_s)
-                                     for o in observations), c_prime)
-
-
-def _r_squared(observations: list[Observation], xs: Iterable[float],
-               c_prime: float) -> float | None:
-    """r_squared with the observations' regressors given, in order; xs
-    is read only when there are at least two observations."""
     if len(observations) < 2:
         return None
     mean = sum(o.delta_w_mg for o in observations) / len(observations)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
+from decimal import Decimal
 
 import numpy as np
 
@@ -41,9 +41,9 @@ from .flow import (G_MM_S2, PowderSpec, ValveKinematics, beverloo_discharge,
 # normal() calls.
 BLOCK = 64
 
-# The fast path of quantize_reading handles fewer ticks than this. Then
-# ticks * Decimal(repr(resolution)) has at most 10 + 17 digits, so the
-# default 28-digit context computes it exactly.
+# The fast path of quantize_reading handles fewer ticks than this, which
+# keeps its half-tick margin under 1e-5 of a tick; larger counts take the
+# exact integer path.
 _FAST_TICKS = 1e10
 
 
@@ -69,17 +69,17 @@ def quantize_reading(value: float, resolution: float) -> float:
     lands a hair below the midpoint, and a negative value that rounds to no
     ticks reads -0.0.
 
-    Fast path: the tick count comes from the float ratio, and the reading
-    is ticks * p / q, where p / q is the resolution's decimal value as an
-    exact ratio; Python's integer true division rounds correctly, so this
-    is float(ticks * Decimal(repr(resolution))). The float ratio can sit up
-    to about 3e-16 of itself away from the decimal one, so a fraction
-    within 1e-9 + 1e-15 * ticks of a half tick, a count of 1e10 ticks or
-    more, and a non-finite ratio are left to the decimal computation. At
-    the noise-free config's 1e-12 resolution every reading of 0.01 mg or
-    more takes that path. That computation runs in the default 28-digit
-    context, and from 1e28 ticks on, which that context cannot hold, with
-    as many digits as the tick count needs.
+    The reading is ticks * p / q, where p / q is the resolution's decimal
+    value as an exact ratio; Python's integer true division rounds
+    correctly, so this is the float nearest the exact decimal product.
+    Fast path: the tick count comes from the float ratio. That ratio can
+    sit up to about 3e-16 of itself away from the decimal one, so a
+    fraction within 1e-9 + 1e-15 * ticks of a half tick, a count of 1e10
+    ticks or more, and a non-finite ratio are left to the exact path,
+    which rounds the ratio a * q / (b * p) of the integers, a / b being
+    the value's decimal repr. At the noise-free config's 1e-12 resolution
+    every reading of 0.01 mg or more takes that path. No step depends on
+    the decimal context. A non-finite value reads as itself.
     """
     x = abs(value / resolution)
     if x < _FAST_TICKS:
@@ -90,23 +90,13 @@ def quantize_reading(value: float, resolution: float) -> float:
                 ticks += 1
             p, q = _decimal_ratio(resolution)
             return math.copysign(ticks * p / q, value)
-    exact_value, step = Decimal(repr(value)), Decimal(repr(resolution))
-    try:
-        ticks = (exact_value / step).quantize(Decimal(1),
-                                              rounding=ROUND_HALF_UP)
-    except InvalidOperation:
-        # 1e28 ticks or more do not fit the default 28-digit context.
-        with localcontext() as ctx:
-            # The quotient's integer digits, plus 25 more: a ratio of two
-            # 17-digit decimals that is not a whole or half tick lies at
-            # least 1/(2 * 10**17) from a half, so rounding it after 25
-            # fractional digits cannot move it across one. ticks * step
-            # then has at most prec digits and is exact.
-            ctx.prec = exact_value.adjusted() - step.adjusted() + 26
-            ticks = (exact_value / step).quantize(Decimal(1),
-                                                  rounding=ROUND_HALF_UP)
-            return float(ticks * step)
-    return float(ticks * step)
+    if not math.isfinite(value):
+        return value
+    a, b = Decimal(repr(abs(value))).as_integer_ratio()
+    p, q = _decimal_ratio(resolution)
+    # round half up: floor(a*q / (b*p) + 1/2)
+    ticks = (2 * a * q + b * p) // (2 * b * p)
+    return math.copysign(ticks * p / q, value)
 
 
 @functools.lru_cache(maxsize=16)

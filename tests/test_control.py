@@ -241,14 +241,22 @@ class TestStepRecords:
         assert a.action is select_action(
             estimate(2e-5, 2e-5), ValveKinematics(), first.w_target).action
 
+    @pytest.mark.parametrize("vibration", [False, True],
+                             ids=["gravity", "vibration"])
+    def test_a_probe_and_a_search_pick_of_one_cell_are_one_action(
+            self, vibration):
+        ctl = DispensingController(20.0, ValveKinematics())
+        ctl.use_vibration = vibration    # probe this mode's ladder
+        probe = ctl.step(0.0)
+        assert probe.probe
+        assert probe.action == ValveAction(5.0, 0.0, vibration)
+        # a tiny request is floored to the smallest productive cell
+        picked = select_action(estimate(2e-5, 2e-5), ValveKinematics(), 1e-6,
+                               use_vibration=vibration)
+        assert picked.action is probe.action
+
 
 class TestTrialStatus:
-    def test_terminal_split(self):
-        assert not TrialStatus.RUNNING.terminal
-        for status in TrialStatus:
-            if status is not TrialStatus.RUNNING:
-                assert status.terminal
-
     def test_wire_values(self):
         assert TrialStatus.SUCCESS.value == "success"
         assert TrialStatus.OVERSHOOT_FAIL.value == "overshoot-fail"
@@ -337,7 +345,7 @@ class TestBootstrapProbing:
         ctl.step(5.0)                    # candidate, repeat (10, 0)
         decision = ctl.step(5.3)         # repeat delta 0.3: below the gate
         assert ctl.log.fit(GRAVITY).n_obs == 0
-        assert not ctl.estimate.for_mode(GRAVITY).usable
+        assert not ctl.estimate.gravity.usable
         assert decision.probe and decision.action == ValveAction(15.0, 0.0)
 
     def test_gravity_exhaustion_latches_vibration_then_falls_back(self):
@@ -368,7 +376,7 @@ class TestBootstrapProbing:
         ctl.step(0.0)                    # probe (5, 0)
         ctl.step(0.6)                    # candidate at (5, 0), repeat it
         decision = ctl.step(1.2)         # confirmed, and capacity falls short
-        assert ctl.estimate.for_mode(GRAVITY).usable
+        assert ctl.estimate.gravity.usable
         assert ctl.use_vibration
         assert decision.probe
         assert decision.action == ValveAction(5.0, 0.0, vibration=True)
@@ -389,7 +397,7 @@ class TestControllerMatchesReference:
         while True:
             latched = ctl.use_vibration
             decision = ctl.step(reading, hopper_empty=plant.depleted)
-            if decision.status.terminal:
+            if decision.status is not TrialStatus.RUNNING:
                 break
             if not decision.probe:
                 est = ctl.estimate
@@ -430,7 +438,7 @@ class TestControllerValidation:
 
 class TestPidBaseline:
     def test_proportional_mapping(self):
-        gains = PidGains(k_p=1.0, output_slope=0.1)
+        gains = PidGains(k_p=1.0, k_i=0.0, k_d=0.0, output_slope=0.1)
         ctl = PidBaselineController(1000.0, gains=gains)
         action = ctl.action_for_error(500.0)
         assert action.l_command == 50.0
@@ -454,7 +462,7 @@ class TestPidBaseline:
         assert ctl.integral == 10.0
 
     def test_derivative_kicks_in_from_second_sample(self):
-        gains = PidGains(k_p=0.0, k_d=1.0, output_slope=1.0)
+        gains = PidGains(k_p=0.0, k_i=0.0, k_d=1.0, output_slope=1.0)
         ctl = PidBaselineController(100.0, gains=gains)
         assert ctl.action_for_error(30.0).l_command == 0.0   # no history yet
         assert ctl.action_for_error(20.0).l_command == 0.0   # derivative -10

@@ -19,7 +19,6 @@ from powderdose import (
     beverloo_rate,
     effective_coefficient,
     predicted_drop,
-    travel_time,
 )
 
 
@@ -73,22 +72,18 @@ class TestBeverlooRate:
 
 
 class TestTravelTime:
-    def test_default_rate_full_stroke(self):
-        assert travel_time(ValveKinematics(), 210.0) == 2.1
+    """T(L) = L / travel_rate: a cycle without dwell travels out and back."""
 
-    def test_explicit_rate(self):
-        kin = ValveKinematics(travel_rate=50.0)
-        assert travel_time(kin, 100.0) == 2.0
-
-    def test_zero_command(self):
-        assert travel_time(ValveKinematics(), 0.0) == 0.0
-
-    def test_rejects_out_of_range(self):
-        kin = ValveKinematics()
-        with pytest.raises(ValueError):
-            travel_time(kin, -1.0)
-        with pytest.raises(ValueError):
-            travel_time(kin, 210.1)
+    @pytest.mark.parametrize("kin, l_command, travel", [
+        (ValveKinematics(), 210.0, 2.1),
+        (ValveKinematics(travel_rate=50.0), 100.0, 2.0),
+        (ValveKinematics(), 0.0, 0.0),
+    ], ids=["default-rate-full-stroke", "explicit-rate", "zero-command"])
+    def test_cycle_without_dwell_is_two_travels(self, kin, l_command,
+                                                travel):
+        _, elapsed = SimulatedPlant(make_spec(), kin).execute(l_command, 0.0,
+                                                              False)
+        assert elapsed == 2.0 * travel
 
 
 class TestPredictedDrop:
@@ -196,8 +191,6 @@ ENVELOPE = ValveKinematics(l_min=10.0, l_max=100.0, t_pose_min=1.0,
 
 def take_action(entry, l_command, t_pose_s):
     """Send one action through the named entry point, with ENVELOPE."""
-    if entry == "travel_time":
-        return travel_time(ENVELOPE, l_command)
     if entry == "predicted_drop":
         return predicted_drop(DispenseModel(0.01), ENVELOPE, l_command,
                               t_pose_s)
@@ -205,14 +198,16 @@ def take_action(entry, l_command, t_pose_s):
         return ObservationLog(ENVELOPE).record(l_command, t_pose_s, False,
                                                10.0)
     plant = SimulatedPlant(make_spec(), ENVELOPE)
+    if entry == "SimulatedPlant.flow_rate":
+        return plant.flow_rate(l_command, False)
     return plant.execute(l_command, t_pose_s, False)
 
 
 class TestValveEnvelope:
     """Every entry point that takes an action applies the same envelope."""
 
-    ENTRIES = ("travel_time", "predicted_drop", "ObservationLog.record",
-               "SimulatedPlant.execute")
+    ENTRIES = ("SimulatedPlant.flow_rate", "predicted_drop",
+               "ObservationLog.record", "SimulatedPlant.execute")
 
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("l_command", [
@@ -222,7 +217,7 @@ class TestValveEnvelope:
         with pytest.raises(ValueError, match="outside the valve envelope"):
             take_action(entry, l_command, 2.0)
 
-    @pytest.mark.parametrize("entry", ENTRIES[1:])  # travel_time has no dwell
+    @pytest.mark.parametrize("entry", ENTRIES[1:])  # flow_rate has no dwell
     @pytest.mark.parametrize("t_pose_s", [0.5, 5.5, float("nan")],
                              ids=["below-t_pose_min", "above-t_pose_max",
                                   "nan"])

@@ -28,7 +28,6 @@ from powderdose import (
     compute_metrics,
     config_from_dict,
     config_to_dict,
-    default_config,
     load_config,
     pooled_fits,
     pooled_observations,
@@ -93,7 +92,7 @@ def widen_every_command(trace):
 
 class TestConfigParsing:
     def test_empty_dict_is_the_default(self):
-        assert config_from_dict({}) == default_config()
+        assert config_from_dict({}) == ExperimentConfig()
 
     def test_unknown_keys_collected_across_levels(self):
         with pytest.raises(ConfigError) as err:
@@ -236,7 +235,7 @@ class TestConfigParsing:
             ExperimentConfig(kinematics={"l_max": 100.0})
         assert info.value.errors == ["kinematics: must be a ValveKinematics"]
         with pytest.raises(ConfigError) as info:
-            dataclasses.replace(default_config(), seed=2 ** 64)
+            dataclasses.replace(ExperimentConfig(), seed=2 ** 64)
         assert info.value.errors == [
             "seed: must be an unsigned 64-bit integer"]
         assert ExperimentConfig(powders="msg", controllers="pid",
@@ -337,8 +336,8 @@ class TestRunTrial:
 
     def test_requires_a_pinned_condition(self):
         with pytest.raises(ConfigError):
-            run_trial(default_config(), 0)
-        record = run_trial(default_config(), 0, powder="glass-beads",
+            run_trial(ExperimentConfig(), 0)
+        record = run_trial(ExperimentConfig(), 0, powder="glass-beads",
                            controller="model", target_mg=50.0)
         assert record.controller == MODEL_BASED
         assert record.status is TrialStatus.SUCCESS

@@ -18,7 +18,6 @@ from powderdose import (
     ObservationLog,
     ValveKinematics,
     fit_coefficient,
-    r_squared,
     regressor,
 )
 
@@ -121,22 +120,30 @@ class TestFitCoefficient:
 
 
 class TestRSquared:
+    """The fit's R^2, at the C' the fit itself found."""
+
+    @staticmethod
+    def r_squared(rows):
+        return fit_coefficient(rows, KIN, GRAVITY).r_squared
+
     def test_hand_case(self):
         rows = [obs(1.0, 1.0), obs(2.0, 3.0)]
-        # residuals at c=1.4: (1-1.4), (3-2.8); SS_res=0.2, SS_tot=2.0
-        assert r_squared(rows, KIN, 1.4) == pytest.approx(0.9, rel=1e-12)
+        # c' = 7/5; residuals (1-1.4), (3-2.8); SS_res=0.2, SS_tot=2.0
+        assert self.r_squared(rows) == pytest.approx(0.9, rel=1e-12)
 
     def test_fewer_than_two_observations(self):
-        assert r_squared([], KIN, 1.0) is None
-        assert r_squared([obs(2.0, 4.0)], KIN, 1.0) is None
+        assert self.r_squared([]) is None
+        assert self.r_squared([obs(2.0, 4.0)]) is None
 
     def test_perfect_fit_is_one(self):
+        # c' = 28/14 = 2 exactly, so every residual is zero
         rows = [obs(1.0, 2.0), obs(2.0, 4.0), obs(3.0, 6.0)]
-        assert r_squared(rows, KIN, 2.0) == 1.0
+        assert self.r_squared(rows) == 1.0
 
     def test_constant_response_with_residuals_is_undefined(self):
+        # c' = 15/5 = 3 leaves residuals 2 and -1 on a constant response
         rows = [obs(1.0, 5.0), obs(2.0, 5.0)]
-        assert r_squared(rows, KIN, 1.0) is None
+        assert self.r_squared(rows) is None
 
 
 class TestModeFitAndEstimate:
@@ -149,12 +156,8 @@ class TestModeFitAndEstimate:
     def test_estimate_accessors(self):
         est = CoefficientEstimate(ModeFit(c_prime=2.0, n_obs=3),
                                   ModeFit(c_prime=5.0, n_obs=1))
-        assert est.for_mode(GRAVITY).c_prime == 2.0
-        assert est.for_mode(VIBRATION).c_prime == 5.0
         assert est.gravity.c_prime == 2.0
         assert est.vibration.c_prime == 5.0
-        with pytest.raises(ValueError):
-            est.for_mode("sideways")
 
 
 class TestObservationLog:

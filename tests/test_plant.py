@@ -19,7 +19,6 @@ from powderdose import (
     effective_coefficient,
     predicted_drop,
     quantize_reading,
-    travel_time,
 )
 
 QUIET_BALANCE = BalanceModel(resolution=1e-9, noise_sigma=0.0,
@@ -95,10 +94,29 @@ class TestQuantizeReading:
     @example(case=(-0.0, 0.1))
     @example(case=(-0.03, 0.1))
     @example(case=(749597.95, 0.1))
+    @example(case=(2.616122026331733e+16, 2.4865945709414833e-11))
     def test_matches_decimal_reference(self, case):
         value, resolution = case
+        # an exact reference: the default 28 digits can round ticks * step
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            expected = decimal_quantize(value, resolution)
         assert struct.pack("d", quantize_reading(value, resolution)) == \
-            struct.pack("d", decimal_quantize(value, resolution))
+            struct.pack("d", expected)
+
+    def test_reading_does_not_depend_on_the_decimal_context(self):
+        cases = [(2.616122026331733e+16, 2.4865945709414833e-11),
+                 (1.25, 0.1), (1e300, 0.1), (20.0, 1e-300)]
+        outside = [quantize_reading(v, r) for v, r in cases]
+        with localcontext() as ctx:
+            ctx.prec = 3
+            assert [quantize_reading(v, r) for v, r in cases] == outside
+        assert outside[0] == 2.6161220263317332e+16
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_reads_as_itself(self, value):
+        got = quantize_reading(value, 0.1)
+        assert struct.pack("d", got) == struct.pack("d", value)
 
     @pytest.mark.parametrize("value,resolution", [
         (1e300, 0.1),
