@@ -17,19 +17,20 @@ coefficient instead. The latch is one way, a trial never falls back to
 gravity.
 
 The search runs over an action table built once per (ValveKinematics,
-ActionGrid) pair and cached: both axes, L**2.5 per command, the
-dispensing window T(L) + t stored dwell-major, the capacity and floor
-factors, and every ValveAction the controller emits from the grid. A
-cell's action is built the first time the search or the probe ladder
-asks for that cell in that mode, and handed out from the table after
-that; the probe rungs are the cells at the minimum dwell. A step then
-costs one multiply by C', one subtract-abs against W_target and one
-argmin, whose first minimum in dwell-major order is the
-smaller-dwell-then-smaller-command tie-break. The search checks nothing
-per step: the grid axes run over the valve envelope's bounds and never
-past them, a coefficient is checked when its ModeFit is built, and the
-plant puts every action it executes through ValveKinematics.check, the
-one envelope test.
+ActionGrid) pair and cached: both axes, every cell's L**2.5 and
+dispensing window T(L) + t, the cells sorted by their product, the
+capacity and floor factors, and every ValveAction the controller emits
+from the grid. A cell's action is built the first time the search or the
+probe ladder asks for that cell in that mode, and handed out from the
+table after that; the probe rungs are the cells at the minimum dwell. A
+step then bisects the sorted products at W_target / C' and computes the
+exact prediction of the few cells on either side that could be nearest;
+ties go to the smaller flat index in dwell-major order, the smaller
+dwell, then the smaller command. The search checks nothing per step: the
+grid axes run over the valve envelope's bounds and never past them, a
+coefficient is checked when its ModeFit is built, and the plant puts
+every action it executes through ValveKinematics.check, the one envelope
+test.
 
 While a mode has no usable coefficient the controller walks a probe ladder:
 smallest productive command first, escalating one grid step at a time, so
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -136,24 +138,32 @@ class _ActionTable(NamedTuple):
     """Everything select_action needs that depends only on the kinematics
     and the grid, built once per (ValveKinematics, ActionGrid) pair.
 
-    Rows of window run over dwells and columns over commands, so the first
-    minimum of a flattened cost array is the smallest dwell, then the
-    smallest command. The capacity and floor factors are the two terms of
-    (L**2.5) * (T(L) + t) at the largest action and at the smallest
-    productive one, kept apart so c' multiplies in the same order as the
-    drop model. cells holds the cells' actions, gravity then vibration,
-    indexed by the flattened cell; the first row, the minimum dwell, is
-    the probe ladder's. action() builds a slot's ValveAction the first
-    time that cell is asked for in that mode; the table stays cheap to
-    build, and a cell's action is built once per table, not once per step.
+    Cells are flattened dwell-major: cell j * commands + i is dwell j and
+    command i, so the smallest flat index is the smallest dwell, then the
+    smallest command. products holds every cell's (L**2.5) * (T(L) + t)
+    in ascending order, ties by flat index, and ranked the same cells in
+    the same order as (cell, L**2.5, T(L) + t), the two factors kept apart
+    so c' multiplies in the same order as the drop model. The capacity and
+    floor factors are those two terms at the largest action and at the
+    smallest productive one; first_productive is the column of that
+    smallest positive command, the probe ladder's first rung, and equals
+    the number of commands when there is none. window_bound is the largest
+    window plus 2, for select_action's underflow slack. cells holds the
+    cells' actions, gravity then vibration, indexed by the flattened cell;
+    the first row, the minimum dwell, is the probe ladder's. action()
+    builds a slot's ValveAction the first time that cell is asked for in
+    that mode; the table stays cheap to build, and a cell's action is
+    built once per table, not once per step.
     """
 
-    l_vals: np.ndarray
-    t_vals: np.ndarray
-    l_pow: np.ndarray              # L**2.5 per command
-    window: np.ndarray             # T(L) + t, shape (dwells, commands)
+    l_vals: list[float]
+    t_vals: list[float]
+    first_productive: int
     capacity: tuple[float, float]
     floor: tuple[float, float] | None
+    products: list[float]
+    ranked: list[tuple[int, float, float]]
+    window_bound: float
     cells: tuple[list[ValveAction | None], list[ValveAction | None]]
 
     def action(self, cell: int, vibration: bool) -> ValveAction:
@@ -161,10 +171,9 @@ class _ActionTable(NamedTuple):
         cells = self.cells[vibration]
         action = cells[cell]
         if action is None:
-            j, i = divmod(cell, self.l_vals.size)
+            j, i = divmod(cell, len(self.l_vals))
             action = cells[cell] = ValveAction(
-                float(self.l_vals[i]), float(self.t_vals[j]),
-                vibration=vibration)
+                self.l_vals[i], self.t_vals[j], vibration=vibration)
         return action
 
 
@@ -172,18 +181,35 @@ class _ActionTable(NamedTuple):
 def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
     l_vals = grid.l_values(kin)
     t_vals = grid.t_values(kin)
-    window = t_vals[:, None] + (l_vals / kin.travel_rate)[None, :]
+    window = (t_vals[:, None] + (l_vals / kin.travel_rate)[None, :]).ravel()
+    l_pow = np.tile(np.power(l_vals, 2.5), t_vals.size)
+    product = l_pow * window
+    order = np.argsort(product, kind="stable")
     capacity = (kin.l_max ** 2.5,
                 kin.l_max / kin.travel_rate + kin.t_pose_max)
-    positive = l_vals[l_vals > 0].tolist()
+    first = int(np.count_nonzero(l_vals <= 0))
     floor = None
-    if positive:
-        smallest = positive[0]
+    if first < l_vals.size:
+        smallest = float(l_vals[first])
         floor = (smallest ** 2.5,
                  smallest / kin.travel_rate + kin.t_pose_min)
-    return _ActionTable(l_vals, t_vals, np.power(l_vals, 2.5), window,
-                        capacity, floor,
-                        ([None] * window.size, [None] * window.size))
+    return _ActionTable(
+        l_vals.tolist(), t_vals.tolist(), first, capacity, floor,
+        product[order].tolist(),
+        list(zip(order.tolist(), l_pow[order].tolist(),
+                 window[order].tolist())),
+        float(window.max()) + 2.0,
+        ([None] * window.size, [None] * window.size))
+
+
+# A cell's prediction (c' * L**2.5) * window and c' times its stored
+# product differ by a few ulp, so the scan bounds every cell beyond the
+# current one by c' * product widened by this relative margin. The
+# absolute slack, (c' + window_bound) times twenty of the smallest
+# subnormal, covers products and predictions that underflow.
+_BELOW = 1.0 - 1e-15
+_ABOVE = 1.0 + 1e-15
+_TINY = 1e-322
 
 
 def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
@@ -198,6 +224,12 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     grid action so the search never chases a sub-resolution request; in
     that regime the smallest action wins. Exact cost ties break toward the
     smaller dwell, then the smaller command.
+
+    The search bisects the table's sorted products at W_target / c' and
+    scans outward both ways, computing each cell's exact prediction and
+    |prediction - W_target|. A scan stops once a rounding-safe bound shows
+    that no cell beyond it can reach the best cost, so the pick is the
+    (cost, flat index) minimum over every cell, as a full sweep finds it.
     """
     if not math.isfinite(w_target) or w_target <= 0:
         raise ValueError("w_target must be finite and > 0")
@@ -220,15 +252,36 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
         floor = (c * l_pow) * window
         if w_target < floor:
             w_target = floor
-    pred = (c * table.l_pow) * table.window
-    cost = pred - w_target
-    np.abs(cost, out=cost)
-    best = int(cost.argmin())
+    products, ranked = table.products, table.ranked
+    n = len(products)
+    mid = bisect_left(products, w_target / c) if c > 0 else n
+    slack = (c + table.window_bound) * _TINY
+    best_cost, best, best_pred = math.inf, n, 0.0
+    k = mid
+    while k < n:       # up: every cell from k on predicts at least this
+        if c * products[k] * _BELOW - slack - w_target > best_cost:
+            break
+        cell, l_pow, window = ranked[k]
+        pred = (c * l_pow) * window
+        cost = abs(pred - w_target)
+        if cost < best_cost or cost == best_cost and cell < best:
+            best_cost, best, best_pred = cost, cell, pred
+        k += 1
+    k = mid - 1
+    while k >= 0:      # down: every cell from k down predicts at most this
+        if w_target - (c * products[k] * _ABOVE + slack) > best_cost:
+            break
+        cell, l_pow, window = ranked[k]
+        pred = (c * l_pow) * window
+        cost = abs(pred - w_target)
+        if cost < best_cost or cost == best_cost and cell < best:
+            best_cost, best, best_pred = cost, cell, pred
+        k -= 1
     # the memo read of table.action, inline
     action = table.cells[use_vibration][best]
     if action is None:
         action = table.action(best, use_vibration)
-    return ActionSelection(action, pred.item(best), use_vibration)
+    return ActionSelection(action, best_pred, use_vibration)
 
 
 class _ProbeLadder:
@@ -246,7 +299,7 @@ class _ProbeLadder:
 
     def __init__(self, table: _ActionTable) -> None:
         self._table = table
-        first = int(np.count_nonzero(table.l_vals <= 0))
+        first = table.first_productive
         self._next = [first, first]      # gravity, vibration
         self.pending: tuple[ValveAction, float] | None = None
 
@@ -255,7 +308,7 @@ class _ProbeLadder:
         if self.pending is not None and self.pending[0].vibration == vibration:
             return self.pending[0]
         col = self._next[vibration]
-        if col >= self._table.l_vals.size:
+        if col >= len(self._table.l_vals):
             return None
         self._next[vibration] = col + 1
         return self._table.action(col, vibration)

@@ -366,7 +366,10 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
         target_mg=target,
         trial_index=trial_index,
         status=ctl.status,
-        final_mass_mg=float(ctl.w_measured),
+        # the last finite reading; a trial aborted at the tare dispensed
+        # nothing
+        final_mass_mg=(0.0 if ctl.w_measured is None
+                       else float(ctl.w_measured)),
         total_steps=len(steps),
         total_sim_time_s=plant.sim_clock,
         steps=tuple(steps),
@@ -413,7 +416,14 @@ def _sample_std(values: list[float]) -> float:
     if n < 2:
         return 0.0
     m = _mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / (n - 1))
+    try:
+        variance = sum((v - m) ** 2 for v in values) / (n - 1)
+    except OverflowError:
+        variance = math.inf
+    if variance != math.inf:
+        return math.sqrt(variance)
+    # a deviation past about 1e154 squares out of range; hypot scales
+    return math.hypot(*(v - m for v in values)) / math.sqrt(n - 1)
 
 
 def pooled_observations(records: Iterable[TrialRecord]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from powderdose import (
     GRAVITY,
@@ -37,30 +39,71 @@ def estimate(c_gravity=None, c_vibration=None):
 
 def brute_select(c_gravity, c_vibration, kin, grid, w_target,
                  use_vibration=False):
-    """Pure-python reference for select_action, same arithmetic order."""
-    c, vibration = c_gravity, False
-    if use_vibration:
+    """Full-sweep reference for select_action: every cell's prediction in
+    the drop model's operation order, L**2.5 from np.power as in the
+    action table, then the first minimum of |prediction - W_target| in
+    dwell-major order."""
+    c, vibration = (c_vibration, True) if use_vibration else (c_gravity,
+                                                              False)
+    if not vibration and (c * kin.l_max ** 2.5) * (
+            kin.l_max / kin.travel_rate + kin.t_pose_max) < w_target:
         c, vibration = c_vibration, True
-    elif (c * kin.l_max ** 2.5) * (kin.l_max / kin.travel_rate
-                                   + kin.t_pose_max) < w_target:
-        vibration = True
-        if c_vibration is None:
-            return None, None, True
-        c = c_vibration
-    l_vals = [float(v) for v in grid.l_values(kin)]
-    t_vals = [float(v) for v in grid.t_values(kin)]
-    positive = [l for l in l_vals if l > 0]
-    if positive:
-        floor = (c * positive[0] ** 2.5) * (positive[0] / kin.travel_rate
-                                            + kin.t_pose_min)
-        if w_target < floor:
-            w_target = floor
-    best = min(
-        (abs((c * l ** 2.5) * (l / kin.travel_rate + t) - w_target), t, l)
-        for l in l_vals for t in t_vals)
-    _, t, l = best
-    return ValveAction(l, t, vibration=vibration), \
-        (c * l ** 2.5) * (l / kin.travel_rate + t), vibration
+    if c is None:
+        return None, None, vibration
+    l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
+    positive = l_vals[l_vals > 0]
+    if positive.size:
+        smallest = float(positive[0])
+        floor = (c * smallest ** 2.5) * (smallest / kin.travel_rate
+                                         + kin.t_pose_min)
+        w_target = max(w_target, floor)
+    window = t_vals[:, None] + (l_vals / kin.travel_rate)[None, :]
+    with np.errstate(over="ignore"):
+        pred = (c * np.power(l_vals, 2.5)) * window
+    best = int(np.abs(pred - w_target).argmin())
+    j, i = divmod(best, l_vals.size)
+    return (ValveAction(float(l_vals[i]), float(t_vals[j]), vibration),
+            pred.item(best), vibration)
+
+
+def exact_cell_prediction(c, kin, grid, cell):
+    l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
+    j, i = divmod(cell % (l_vals.size * t_vals.size), l_vals.size)
+    with np.errstate(over="ignore"):
+        return float((c * np.power(l_vals[i], 2.5))
+                     * (t_vals[j] + l_vals[i] / kin.travel_rate))
+
+
+@st.composite
+def search_setups(draw):
+    """Kinematics and grid: the defaults, a random envelope as in the
+    acceptance oracle, or commands 1, 4, ..., 16 at T(L) = L, where
+    L**2.5 is 1, 32 and 1024 and cells tie exactly: (1, 127 + 32 k) with
+    (4, k), and (4, 508 + 32 k) with (16, k)."""
+    family = draw(st.sampled_from(["default", "random", "tied"]))
+    if family == "default":
+        return ValveKinematics(), ActionGrid()
+    if family == "tied":
+        return (ValveKinematics(travel_rate=1.0, l_min=1.0, l_max=16.0,
+                                t_pose_max=draw(st.sampled_from(
+                                    [127.0, 640.0]))),
+                ActionGrid(l_step=3.0,
+                           t_step=draw(st.sampled_from([0.5, 1.0, 4.0]))))
+    l_min = draw(st.just(0.0) | st.floats(0.0, 50.0))
+    l_max = l_min + draw(st.floats(5.0, 300.0))
+    t_min = draw(st.just(0.0) | st.floats(0.0, 3.0))
+    t_max = t_min + draw(st.floats(0.5, 30.0))
+    kin = ValveKinematics(travel_rate=draw(st.floats(10.0, 500.0)),
+                          l_min=l_min, l_max=l_max,
+                          t_pose_min=t_min, t_pose_max=t_max)
+    return kin, ActionGrid(
+        l_step=(l_max - l_min) / draw(st.integers(1, 100)),
+        t_step=(t_max - t_min) / draw(st.integers(1, 100)))
+
+
+coefficients = st.just(0.0) | st.builds(
+    lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+    st.floats(1.0, 10.0), st.integers(-300, 299))
 
 
 class TestActionGrid:
@@ -139,6 +182,37 @@ class TestSelectAction:
             assert sel.action == action
             assert sel.predicted_mg == pytest.approx(predicted, rel=1e-12)
             assert sel.use_vibration == vibration
+
+    @settings(max_examples=250, deadline=None)
+    @given(setup=search_setups(), c_gravity=coefficients,
+           c_vibration=st.none() | coefficients,
+           use_vibration=st.booleans(),
+           target=st.sampled_from(["cell", "near-cell", "below-floor",
+                                   "above-capacity"]),
+           cell=st.integers(0, 10 ** 6), scale=st.floats(0.5, 2.0))
+    def test_matches_the_full_sweep_bit_for_bit(
+            self, setup, c_gravity, c_vibration, use_vibration, target, cell,
+            scale):
+        kin, grid = setup
+        assume(not (use_vibration and c_vibration is None))
+        c = c_vibration if use_vibration else c_gravity
+        w_target = {
+            "cell": exact_cell_prediction(c, kin, grid, cell),
+            "near-cell": exact_cell_prediction(c, kin, grid, cell) * scale,
+            "below-floor": 5e-324,
+            "above-capacity": 1e308,
+        }[target]
+        assume(0.0 < w_target < math.inf)
+        sel = select_action(estimate(c_gravity, c_vibration), kin, w_target,
+                            use_vibration=use_vibration, grid=grid)
+        action, predicted, vibration = brute_select(
+            c_gravity, c_vibration, kin, grid, w_target, use_vibration)
+        assert sel.action == action
+        assert sel.use_vibration == vibration
+        if predicted is None:
+            assert sel.predicted_mg is None
+        else:
+            assert sel.predicted_mg.hex() == predicted.hex()
 
     def test_all_tie_prefers_smallest_dwell_then_command(self):
         sel = select_action(estimate(c_vibration=0.0), ValveKinematics(), 5.0,

@@ -274,6 +274,14 @@ class TestComputeMetrics:
         (stats,) = compute_metrics(records)
         assert stats.successes == 2
 
+    def test_spread_past_the_square_range_is_finite(self):
+        # deviations of 2e307 square past the float range; the spread does
+        # not
+        records = [record_for(final, index=i) for i, final in
+                   enumerate((1e307, -1e307, 3e307))]
+        (stats,) = compute_metrics(records)
+        assert stats.dropped_std_mg == pytest.approx(2e307, rel=1e-15)
+
     def test_single_trial_flags_degenerate_dispersion(self):
         (stats,) = compute_metrics([record_for(500.0)])
         assert stats.dropped_std_mg == 0.0
@@ -858,6 +866,32 @@ class TestCli:
                             "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("noise, trials", [(1e308, 1), (1e307, 3)],
+                             ids=["aborted-at-the-tare", "spread-overflow"])
+    def test_run_suite_and_report_on_readings_near_the_float_limit(
+            self, noise, trials, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "plant": {"balance": {"noise_sigma": noise}}, "trials": trials,
+            "powder": "msg", "targets_mg": [20]}))
+        out = tmp_path / "out"
+        proc = self.run_cli("run-suite", "--config", str(path),
+                            "--out", str(out))
+        assert proc.returncode in (0, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 2:
+            return
+        index = json.loads((out / "summary.json").read_text())
+        for entry in index["trials"]:
+            if entry["status"] == TrialStatus.ABORTED.value \
+                    and entry["total_steps"] == 0:
+                assert entry["final_mass_mg"] == 0.0
+        for condition in index["conditions"]:
+            assert condition["dropped_std_mg"] < float("inf")
+        report = self.run_cli("report", str(out))
+        assert report.returncode == 0, report.stderr
+        assert "Traceback" not in report.stderr
 
     def test_report_on_empty_dir_fails(self, tmp_path):
         proc = self.run_cli("report", str(tmp_path / "empty"))
