@@ -32,6 +32,13 @@ coefficient is checked when its ModeFit is built, and the plant puts
 every action it executes through ValveKinematics.check, the one envelope
 test.
 
+A controller is built from shared immutable parts: every controller
+starts from one unfitted CoefficientEstimate and, unless given a grid,
+searches one default ActionGrid. Both are frozen, and a refit replaces
+the estimate rather than changing it, so building a controller for each
+trial allocates neither. The running status is bound to a module name
+once, since each step both tests and emits it.
+
 While a mode has no usable coefficient the controller walks a probe ladder:
 smallest productive command first, escalating one grid step at a time, so
 exploration cannot overshoot even a 20 mg request. A candidate first
@@ -65,6 +72,10 @@ from .identify import CoefficientEstimate, ObservationLog
 DEFAULT_K_P = 0.5
 DEFAULT_TOLERANCE_MG = 2.0
 DEFAULT_MAX_STEPS = 100
+
+# Every controller's starting estimate, both modes unfitted; shared, since
+# a refit replaces the estimate rather than changing it.
+_UNFITTED = CoefficientEstimate()
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,10 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.minimum(lo + step * np.arange(n), hi)
 
 
+# Shared by every controller that takes the default grid; frozen.
+_DEFAULT_GRID = ActionGrid()
+
+
 class TrialStatus(str, Enum):
     RUNNING = "running"
     SUCCESS = "success"
@@ -114,6 +129,11 @@ class TrialStatus(str, Enum):
     STEP_LIMIT_FAIL = "step-limit-fail"
     DEPLETED_FAIL = "depleted-fail"
     ABORTED = "aborted"
+
+
+# Bound once: each step tests and emits it, and every TrialStatus.RUNNING
+# is a lookup on the enum class.
+_RUNNING = TrialStatus.RUNNING
 
 
 class StepDecision(NamedTuple):
@@ -233,7 +253,7 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     """
     if not math.isfinite(w_target) or w_target <= 0:
         raise ValueError("w_target must be finite and > 0")
-    table = _action_table(kin, grid if grid is not None else ActionGrid())
+    table = _action_table(kin, grid if grid is not None else _DEFAULT_GRID)
     # ModeFit.usable, read without the property call
     mode_fit = estimate.vibration if use_vibration else estimate.gravity
     c = mode_fit.c_prime
@@ -355,13 +375,13 @@ class _TrialController:
         self.kin = kin if kin is not None else ValveKinematics()
         self.tolerance = tolerance
         self.max_steps = max_steps
-        self.status = TrialStatus.RUNNING
+        self.status = _RUNNING
         self.step_count = 0
         self.w_measured: float | None = None
         self.w_error: float | None = None
 
     def _stop(self, reading: float, hopper_empty: bool) -> StepDecision | None:
-        if self.status is not TrialStatus.RUNNING:
+        if self.status is not _RUNNING:
             raise RuntimeError(f"trial already ended: {self.status.value}")
         if not math.isfinite(reading):
             self.status = TrialStatus.ABORTED
@@ -394,12 +414,12 @@ class DispensingController(_TrialController):
         if not 0 < k_p <= 1:
             raise ValueError("k_p must satisfy 0 < k_p <= 1")
         self.k_p = k_p
-        self.grid = grid if grid is not None else ActionGrid()
+        self.grid = grid if grid is not None else _DEFAULT_GRID
         self.log = ObservationLog(self.kin)
         self.use_vibration = False
         self.w_target: float | None = None
         # replaced whenever a refit changes one mode's fit, read every step
-        self.estimate = CoefficientEstimate()
+        self.estimate = _UNFITTED
         self._ladder = _ProbeLadder(_action_table(self.kin, self.grid))
         self._last_action: ValveAction | None = None
 
@@ -477,8 +497,7 @@ class DispensingController(_TrialController):
             action = ValveAction(self.kin.l_max, self.kin.t_pose_max,
                                  vibration=True)
         self.use_vibration = vibration
-        return StepDecision(TrialStatus.RUNNING, action, predicted,
-                            probe=probe)
+        return StepDecision(_RUNNING, action, predicted, probe)
 
 
 @dataclass(frozen=True)
@@ -553,5 +572,4 @@ class PidBaselineController(_TrialController):
         stop = self._stop(reading, hopper_empty)
         if stop is not None:
             return stop
-        return StepDecision(TrialStatus.RUNNING,
-                            self.action_for_error(self.w_error))
+        return StepDecision(_RUNNING, self.action_for_error(self.w_error))

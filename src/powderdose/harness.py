@@ -51,6 +51,11 @@ CONTROLLER_ALIASES = {
 
 OUT_DIR_ENV = "POWDERDOSE_OUT"
 
+# The least-squares fits square reading differences, and a float square
+# overflows past about 1.3e154. A normal draw stays under 14, so with this
+# bound a sum of even 1e9 squared differences stays far below the limit.
+_MAX_NOISE_SIGMA_MG = 1e100
+
 
 class ConfigError(ValueError):
     """Raised on invalid configuration; carries all field-level messages."""
@@ -160,6 +165,13 @@ class ExperimentConfig:
                 f"pid_gains.t_pose_fixed_s: {pid.t_pose_fixed_s:g} s is "
                 f"outside the kinematics dwell range "
                 f"[{kin.t_pose_min:g}, {kin.t_pose_max:g}] s")
+        if isinstance(self.balance, BalanceModel) \
+                and self.balance.noise_sigma > _MAX_NOISE_SIGMA_MG:
+            errors.append(
+                f"plant.balance.noise_sigma: must be <= "
+                f"{_MAX_NOISE_SIGMA_MG:g} mg, got "
+                f"{self.balance.noise_sigma:g}; the fits square reading "
+                f"differences, and those squares overflow near 1e154 mg")
         overrides = {}
         if isinstance(self.powder_overrides, Mapping):
             for name, raw in self.powder_overrides.items():
@@ -335,12 +347,13 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
     # plant.depleted is remaining <= 0, which for finite floats is this
     initial_load = spec.initial_load
     model_based = controller_name == MODEL_BASED
+    running = TrialStatus.RUNNING
     reading, _ = plant.read_balance(wait_settle=False)
     steps: list[StepTrace] = []
     while True:
         decision = ctl.step(
             reading, hopper_empty=plant.dispensed_total >= initial_load)
-        if decision.status is not TrialStatus.RUNNING:
+        if decision.status is not running:
             break
         action = decision.action
         true_delta, _ = plant.execute(action.l_command, action.t_pose_s,

@@ -11,10 +11,14 @@ plus Gaussian noise, quantised to the display resolution (round half away
 from zero), and each stabilised reading costs a settling wait.
 
 Randomness contract: a plant draws from two independent substreams, one
-for flow disturbances and one for the balance. They are seeded by the
-children (*stream_key, 0) and (*stream_key, 1) of the trial's seed, the
-two SeedSequences that SeedSequence(seed, spawn_key=stream_key).spawn(2)
-returns, built directly without the root. Enabling or disabling either
+for flow disturbances and one for the balance. They are the children
+(*stream_key, 0) and (*stream_key, 1) of the trial's seed, the two
+SeedSequences that SeedSequence(seed, spawn_key=stream_key).spawn(2)
+returns, each in the state default_rng would give it. _stream builds
+that state without the root and at less than half numpy's cost: it hands
+SeedSequence the child's entropy words as one uint32 array, computes the
+128-bit PCG64 seed from the mixed pool in Python ints, and passes it to
+PCG64 through a fixed-state ISeedSequence. Enabling or disabling either
 noise source therefore never shifts the draws of the other, and a fixed
 seed reproduces a trial bit for bit. Each stream is drawn BLOCK standard
 normals at a time and a variate is formed as loc + scale * z, which is
@@ -28,10 +32,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .flow import (G_MM_S2, PowderSpec, ValveKinematics, beverloo_discharge,
                    check_fields)
@@ -104,6 +110,72 @@ def _decimal_ratio(resolution: float) -> tuple[int, int]:
     return Decimal(repr(resolution)).as_integer_ratio()
 
 
+# SeedSequence.generate_state's hash: each output word i is
+# ((pool[i % 4] ^ h_i) * h_(i+1)) mod 2**32, then xor-shifted right by 16,
+# with h_0 = INIT_B and h_(i+1) = h_i * MULT_B mod 2**32. PCG64 reads 8
+# such words, paired little-endian into 4 uint64.
+_MASK32 = 0xFFFFFFFF
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_HASH_PAIRS = tuple((_INIT_B * _MULT_B ** i & _MASK32,
+                     _INIT_B * _MULT_B ** (i + 1) & _MASK32)
+                    for i in range(8))
+
+
+class _FixedState(ISeedSequence):
+    """A seed sequence whose generate_state returns a state computed
+    beforehand, for PCG64, which asks for generate_state(4, uint64)."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._state
+
+
+def _append_words(value: int, words: list[int]) -> None:
+    """value's little-endian 32-bit words, as SeedSequence splits it (0 is
+    one word)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = -1
+    if n < 0:
+        raise ValueError(f"seed and spawn key elements must be integers "
+                         f">= 0, got {value!r}")
+    words.append(n & _MASK32)
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+
+
+def _stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+    """A Generator in the state of
+    default_rng(SeedSequence(seed, spawn_key=spawn_key)).
+
+    The entropy is assembled as SeedSequence assembles it: the seed's
+    words, zero-padded to the pool size of 4 when a spawn key is present,
+    then each key element's words. As one uint32 array it takes
+    SeedSequence's array path, which mixes the same pool.
+    """
+    words: list[int] = []
+    _append_words(seed, words)
+    if spawn_key:
+        words.extend([0] * (4 - len(words)))
+    for element in spawn_key:
+        _append_words(element, words)
+    entropy = np.array(words, dtype=np.uint32)
+    pool = np.random.SeedSequence(entropy).pool.tolist()
+    state = []
+    for i, (h, h_next) in enumerate(_HASH_PAIRS):
+        word = ((pool[i & 3] ^ h) * h_next) & _MASK32
+        state.append(word ^ (word >> 16))
+    seed_words = np.array([state[k] | state[k + 1] << 32
+                           for k in range(0, 8, 2)], dtype=np.uint64)
+    return np.random.Generator(np.random.PCG64(_FixedState(seed_words)))
+
+
 def _standard_normals(rng: np.random.Generator):
     """Endless standard normals from rng, drawn BLOCK at a time."""
     while True:
@@ -125,13 +197,10 @@ class SimulatedPlant:
         self.spec = spec
         self.kin = kin
         self.balance = balance if balance is not None else BalanceModel()
-        # Generator(PCG64(seq)) is what default_rng(seq) builds
-        flow_rng, balance_rng = (
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-                seed, spawn_key=(*stream_key, child))))
-            for child in (0, 1))
-        self._flow_z = _standard_normals(flow_rng)
-        self._balance_z = _standard_normals(balance_rng)
+        # the children (*stream_key, 0) and (*stream_key, 1) of the seed,
+        # in the state default_rng gives each
+        self._flow_z = _standard_normals(_stream(seed, (*stream_key, 0)))
+        self._balance_z = _standard_normals(_stream(seed, (*stream_key, 1)))
         self._rate_scale = (spec.flow_coefficient * spec.bulk_density
                             * math.sqrt(G_MM_S2))
         self._rate_offset = spec.particle_correction * spec.particle_diameter

@@ -893,6 +893,41 @@ class TestCli:
         assert report.returncode == 0, report.stderr
         assert "Traceback" not in report.stderr
 
+    @pytest.mark.parametrize("noise, seed", [(1e154, 1), (1e308, 4),
+                                             (1e308, 1)],
+                             ids=["pooled-r-squared", "pooled-delta",
+                                  "controller-refit"])
+    def test_run_suite_on_noise_that_overflows_a_fit(self, noise, seed,
+                                                     tmp_path):
+        # each overflowed a different fit at this seed before noise_sigma
+        # was bounded: the pooled R^2, an infinite pooled delta, and the
+        # controller's own refit
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "plant": {"balance": {"noise_sigma": noise}}, "trials": 10,
+            "powder": ["msg", "glass-beads"], "targets_mg": [20, 3000],
+            "seed": seed}))
+        proc = self.run_cli("run-suite", "--config", str(path),
+                            "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "plant.balance.noise_sigma: must be <= 1e+100" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_run_suite_and_report_at_the_noise_bound(self, seed, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "plant": {"balance": {"noise_sigma": 1e100}}, "trials": 10,
+            "powder": ["msg", "glass-beads"], "targets_mg": [20, 3000],
+            "seed": seed}))
+        out = tmp_path / "out"
+        proc = self.run_cli("run-suite", "--config", str(path),
+                            "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        report = self.run_cli("report", str(out))
+        assert report.returncode == 0, report.stderr
+
     def test_report_on_empty_dir_fails(self, tmp_path):
         proc = self.run_cli("report", str(tmp_path / "empty"))
         assert proc.returncode == 1

@@ -305,6 +305,31 @@ class TestBlockDraws:
             assert raw[-1] == plant.dispensed_total + eta
 
 
+U64 = st.integers(0, 2 ** 64 - 1)
+
+
+class TestStreamSeeding:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=U64, key=st.lists(U64, min_size=1, max_size=4))
+    @example(seed=0, key=[0])
+    @example(seed=2 ** 32 - 1, key=[2 ** 32, 1])
+    @example(seed=2 ** 32, key=[2 ** 32 - 1, 0])
+    @example(seed=2 ** 64 - 1, key=[2 ** 64 - 1, 2 ** 33, 7, 0])
+    def test_stream_is_default_rng_of_the_seed_sequence(self, seed, key):
+        key = tuple(key)
+        expected = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=key))
+        assert (plant_module._stream(seed, key).bit_generator.state
+                == expected.bit_generator.state)
+
+    @pytest.mark.parametrize("seed, key", [
+        (-1, (0,)), (0, (-1,)), (5, (3, -2 ** 40)), (1.0, (0,)),
+        (0, (0.5,)), (None, (0,))])
+    def test_negative_or_non_integer_input_is_a_value_error(self, seed, key):
+        with pytest.raises(ValueError, match="integers >= 0"):
+            plant_module._stream(seed, key)
+
+
 class TestDeterminism:
     def test_same_seed_same_trajectory(self):
         def run(seed, key):
