@@ -15,16 +15,17 @@ for flow disturbances and one for the balance. They are the children
 (*stream_key, 0) and (*stream_key, 1) of the trial's seed, the two
 SeedSequences that SeedSequence(seed, spawn_key=stream_key).spawn(2)
 returns, each in the state default_rng would give it. _stream builds
-that state without the root and at less than half numpy's cost: it hands
-SeedSequence the child's entropy words as one uint32 array, computes the
-128-bit PCG64 seed from the mixed pool in Python ints, and passes it to
-PCG64 through a fixed-state ISeedSequence. Enabling or disabling either
-noise source therefore never shifts the draws of the other, and a fixed
-seed reproduces a trial bit for bit. Each stream is drawn BLOCK standard
-normals at a time and a variate is formed as loc + scale * z, which is
-what Generator.normal(loc, scale) computes: the values, and their order,
-are those of one scalar normal() draw per use (one flow draw per executed
-cycle, one noise draw per reading, one settle draw per settled reading).
+that state without the root and at about half numpy's cost: it hands
+SeedSequence the child's entropy words as one uint32 array, computes
+PCG64's four 64-bit seed words from the mixed pool in Python ints, and
+passes them to PCG64 through a fixed-state ISeedSequence. Enabling or
+disabling either noise source therefore never shifts the draws of the
+other, and a fixed seed reproduces a trial bit for bit. Each stream is
+drawn BLOCK standard normals at a time and a variate is formed as
+loc + scale * z, which is what Generator.normal(loc, scale) computes: the
+values, and their order, are those of one scalar normal() draw per use
+(one flow draw per executed cycle, one noise draw per reading, one settle
+draw per settled reading).
 Draws left in a block when a trial ends are never read.
 """
 
