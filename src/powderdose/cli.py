@@ -17,9 +17,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .harness import (ConfigError, ExperimentConfig, config_to_dict,
-                      load_config, resolve_out_dir, run_suite, run_trial,
-                      write_trace_csv)
+from .harness import (ConfigError, ExperimentConfig, load_config,
+                      resolve_out_dir, run_suite, run_trial, write_trace_csv)
 from .report import build_report
 
 
@@ -120,13 +119,12 @@ def _cmd_report(args) -> int:
 
 def _cmd_validate_config(args) -> int:
     config = load_config(args.config)
-    resolved = config_to_dict(config)
     print(f"{args.config}: ok")
     print(f"conditions: {len(config.conditions())} "
           f"({len(config.powders)} powders x {len(config.controllers)} "
           f"controllers x {len(config.targets_mg)} targets), "
           f"{config.trials} trials each")
-    print(f"seed: {resolved['seed']}, out_dir: {resolved['out_dir']}")
+    print(f"seed: {config.seed}, out_dir: {config.out_dir}")
     return 0
 
 

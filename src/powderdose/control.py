@@ -39,14 +39,14 @@ the estimate rather than changing it, so building a controller for each
 trial allocates neither. The running status is bound to a module name
 once, since each step both tests and emits it.
 
-While a mode has no usable coefficient the controller walks a probe ladder:
-smallest productive command first, escalating one grid step at a time, so
-exploration cannot overshoot even a 20 mg request. A candidate first
-observation is accepted only after an immediate repeat of the same probe
-also clears the observability gate; a single noise spike on a quiet balance
-therefore cannot seed a phantom model. When the gravity ladder tops out
-with nothing measurable the controller latches vibration and starts probing
-there.
+While a mode has no coefficient (its c_prime is None) the controller
+walks a probe ladder: smallest productive command first, escalating one
+grid step at a time, so exploration cannot overshoot even a 20 mg request.
+A candidate first observation is accepted only after an immediate repeat
+of the same probe also clears the observability gate (MIN_OBSERVABLE_MG);
+a single noise spike on a quiet balance therefore cannot seed a phantom
+model. When the gravity ladder tops out with nothing measurable the
+controller latches vibration and starts probing there.
 
 PidBaselineController is the comparison controller: a direct PID on the
 weight error mapped linearly to the valve command, fixed dwell, no model
@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import GRAVITY, VIBRATION, ValveKinematics, check_fields
-from .identify import CoefficientEstimate, ObservationLog
+from .identify import MIN_OBSERVABLE_MG, CoefficientEstimate, ObservationLog
 
 DEFAULT_K_P = 0.5
 DEFAULT_TOLERANCE_MG = 2.0
@@ -147,7 +147,7 @@ class StepDecision(NamedTuple):
 
 class ActionSelection(NamedTuple):
     """Result of a grid search. action is None when the mode it needs,
-    vibration if use_vibration else gravity, has no usable coefficient."""
+    vibration if use_vibration else gravity, has no coefficient."""
 
     action: ValveAction | None
     predicted_mg: float | None
@@ -254,18 +254,15 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     if not math.isfinite(w_target) or w_target <= 0:
         raise ValueError("w_target must be finite and > 0")
     table = _action_table(kin, grid if grid is not None else _DEFAULT_GRID)
-    # ModeFit.usable, read without the property call
-    mode_fit = estimate.vibration if use_vibration else estimate.gravity
-    c = mode_fit.c_prime
-    if c is None or mode_fit.degenerate:
+    c = (estimate.vibration if use_vibration else estimate.gravity).c_prime
+    if c is None:
         return ActionSelection(None, None, use_vibration)
     if not use_vibration:
         l_pow, window = table.capacity
         if (c * l_pow) * window < w_target:
             use_vibration = True
-            mode_fit = estimate.vibration
-            c = mode_fit.c_prime
-            if c is None or mode_fit.degenerate:
+            c = estimate.vibration.c_prime
+            if c is None:
                 return ActionSelection(None, None, True)
     if table.floor is not None:
         l_pow, window = table.floor
@@ -333,8 +330,8 @@ class _ProbeLadder:
         self._next[vibration] = col + 1
         return self._table.action(col, vibration)
 
-    def note_result(self, action: ValveAction, delta_w: float,
-                    gate: float) -> tuple[ValveAction, float] | None:
+    def note_result(self, action: ValveAction,
+                    delta_w: float) -> tuple[ValveAction, float] | None:
         """Feed back a probe's measured delta.
 
         Returns the (action, delta) pair of the confirmed first observation
@@ -344,10 +341,10 @@ class _ProbeLadder:
         pending = self.pending
         if pending is not None and pending[0].vibration == action.vibration:
             self.pending = None
-            if delta_w >= gate:
+            if delta_w >= MIN_OBSERVABLE_MG:
                 return pending
             return None
-        if delta_w >= gate:
+        if delta_w >= MIN_OBSERVABLE_MG:
             self.pending = (action, delta_w)
         return None
 
@@ -439,7 +436,7 @@ class DispensingController(_TrialController):
         return decision
 
     def _ingest(self, previous: float | None, reading: float) -> None:
-        if self._last_action is None or previous is None:
+        if previous is None:
             return
         delta = reading - previous
         if delta < 0.0:
@@ -449,13 +446,12 @@ class DispensingController(_TrialController):
             mode, fit = VIBRATION, self.estimate.vibration
         else:
             mode, fit = GRAVITY, self.estimate.gravity
-        if fit.c_prime is not None and not fit.degenerate:  # fit.usable
+        if fit.c_prime is not None:
             if self.log.record(action.l_command, action.t_pose_s,
                                action.vibration, delta):
                 self._refit(mode)
             return
-        confirmed = self._ladder.note_result(action, delta,
-                                             self.log.min_observable)
+        confirmed = self._ladder.note_result(action, delta)
         if confirmed is not None:
             first_action, first_delta = confirmed
             self.log.record(first_action.l_command, first_action.t_pose_s,
@@ -478,7 +474,7 @@ class DispensingController(_TrialController):
         vibration = self.use_vibration
         action = predicted = None
         fit = self.estimate.vibration if vibration else self.estimate.gravity
-        if fit.c_prime is not None and not fit.degenerate:  # fit.usable
+        if fit.c_prime is not None:
             selection = select_action(self.estimate, self.kin, self.w_target,
                                       use_vibration=vibration, grid=self.grid)
             action, predicted = selection.action, selection.predicted_mg

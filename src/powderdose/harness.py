@@ -379,10 +379,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
         target_mg=target,
         trial_index=trial_index,
         status=ctl.status,
-        # the last finite reading; a trial aborted at the tare dispensed
-        # nothing
-        final_mass_mg=(0.0 if ctl.w_measured is None
-                       else float(ctl.w_measured)),
+        final_mass_mg=ctl.w_measured,
         total_steps=len(steps),
         total_sim_time_s=plant.sim_clock,
         steps=tuple(steps),

@@ -24,8 +24,10 @@ from regressor(), which first puts the action through
 ValveKinematics.check: an action outside the valve envelope is a
 ValueError, never a data point.
 
-Deltas below the balance's reliable range (default 0.5 mg) are discarded
-before they reach the log, so noise-level readings never steer the fit.
+Deltas below the balance's reliable range (MIN_OBSERVABLE_MG, 0.5 mg) are
+discarded before they reach the log, so noise-level readings never steer
+the fit. A mode is fitted exactly when its c_prime is not None. Every
+regressor and every stored delta is >= 0, so C' is >= 0 by construction.
 """
 
 from __future__ import annotations
@@ -64,27 +66,18 @@ def select_mode(observations: Iterable[Observation],
 
 @dataclass(frozen=True)
 class ModeFit:
-    """Fit state for one flow mode. c_prime is None while unfitted.
-
-    degenerate marks a fit whose raw estimate was negative and got clamped
-    to zero; such a model predicts nothing useful and callers should treat
-    it like an unfitted mode.
-    """
+    """Fit state for one flow mode. c_prime is None while unfitted and
+    a finite C' >= 0 once fitted."""
 
     c_prime: float | None = None
     n_obs: int = 0
     r_squared: float | None = None
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         # inline: built every refit; check_fields adds 0.16 us (Xeon, timeit)
         if self.c_prime is not None and not (math.isfinite(self.c_prime)
                                              and self.c_prime >= 0):
             raise ValueError("ModeFit.c_prime must be finite and >= 0")
-
-    @property
-    def usable(self) -> bool:
-        return self.c_prime is not None and not self.degenerate
 
 
 @dataclass(frozen=True)
@@ -107,9 +100,8 @@ def fit_coefficient(observations: list[Observation], kin: ValveKinematics,
     """Least-squares coefficient through the origin for one mode.
 
     Only observations matching the requested mode enter the fit. An empty
-    selection returns an unfitted ModeFit. A negative raw estimate (possible
-    only with pathological inputs, the storage gate keeps deltas positive)
-    is clamped to zero and flagged degenerate.
+    selection, or one whose regressors are all zero, returns an unfitted
+    ModeFit.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -127,14 +119,10 @@ def fit_coefficient(observations: list[Observation], kin: ValveKinematics,
 
 
 def _fit_from_sums(n: int, sxy: float, sxx: float) -> ModeFit:
-    """C' = sxy / sxx, clamped to zero and flagged degenerate if negative;
-    unfitted while sxx is zero."""
+    """C' = sxy / sxx; unfitted while sxx is zero."""
     if sxx == 0.0:
         return ModeFit()
-    raw = sxy / sxx
-    degenerate = raw < 0.0
-    return ModeFit(c_prime=0.0 if degenerate else raw, n_obs=n,
-                   degenerate=degenerate)
+    return ModeFit(c_prime=sxy / sxx, n_obs=n)
 
 
 def _r_squared(observations: list[Observation], xs: list[float],
@@ -174,20 +162,15 @@ class ObservationLog:
     """Per-mode least-squares sums of one trial's accepted observations.
 
     The log belongs to the ValveKinematics it is built with. record()
-    drops a delta below the observability gate and reports whether it was
-    kept; a kept one must come from an action inside the valve envelope,
-    and its regressor and delta go straight into that mode's sums. fit()
-    turns the sums into a ModeFit in O(1), with the same C', n and
-    degenerate flag as fit_coefficient over the same observations, and no
-    R^2.
+    drops a delta below MIN_OBSERVABLE_MG and reports whether it was kept;
+    a kept one must come from an action inside the valve envelope, and its
+    regressor and delta go straight into that mode's sums. fit() turns the
+    sums into a ModeFit in O(1), with the same C' and n as fit_coefficient
+    over the same observations, and no R^2.
     """
 
-    def __init__(self, kin: ValveKinematics,
-                 min_observable: float = MIN_OBSERVABLE_MG) -> None:
-        if not math.isfinite(min_observable) or min_observable < 0:
-            raise ValueError("min_observable must be finite and >= 0")
+    def __init__(self, kin: ValveKinematics) -> None:
         self._kin = kin
-        self.min_observable = min_observable
         self._sums = {GRAVITY: _ModeSums(), VIBRATION: _ModeSums()}
 
     def record(self, l_command: float, t_pose_s: float, vibration: bool,
@@ -195,7 +178,7 @@ class ObservationLog:
         """Add one measured delta if it clears the observable threshold."""
         if not math.isfinite(delta_w_mg):
             raise ValueError("delta_w_mg must be finite")
-        if delta_w_mg < self.min_observable:
+        if delta_w_mg < MIN_OBSERVABLE_MG:
             return False
         x = regressor(self._kin, l_command, t_pose_s)
         sums = self._sums[VIBRATION if vibration else GRAVITY]

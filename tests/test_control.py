@@ -419,7 +419,7 @@ class TestBootstrapProbing:
         ctl.step(5.0)                    # candidate, repeat (10, 0)
         decision = ctl.step(5.3)         # repeat delta 0.3: below the gate
         assert ctl.log.fit(GRAVITY).n_obs == 0
-        assert not ctl.estimate.gravity.usable
+        assert ctl.estimate.gravity.c_prime is None
         assert decision.probe and decision.action == ValveAction(15.0, 0.0)
 
     def test_gravity_exhaustion_latches_vibration_then_falls_back(self):
@@ -450,7 +450,7 @@ class TestBootstrapProbing:
         ctl.step(0.0)                    # probe (5, 0)
         ctl.step(0.6)                    # candidate at (5, 0), repeat it
         decision = ctl.step(1.2)         # confirmed, and capacity falls short
-        assert ctl.estimate.gravity.usable
+        assert ctl.estimate.gravity.c_prime is not None
         assert ctl.use_vibration
         assert decision.probe
         assert decision.action == ValveAction(5.0, 0.0, vibration=True)
@@ -478,7 +478,7 @@ class TestControllerMatchesReference:
                 action, predicted, vibration = brute_select(
                     est.gravity.c_prime, est.vibration.c_prime, kin, grid,
                     ctl.w_target,
-                    use_vibration=latched or not est.gravity.usable)
+                    use_vibration=latched or est.gravity.c_prime is None)
                 assert decision.action == action
                 assert decision.predicted_mg == pytest.approx(predicted,
                                                               rel=1e-12)

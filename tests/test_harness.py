@@ -867,41 +867,16 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("noise, trials", [(1e308, 1), (1e307, 3)],
-                             ids=["aborted-at-the-tare", "spread-overflow"])
-    def test_run_suite_and_report_on_readings_near_the_float_limit(
-            self, noise, trials, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "plant": {"balance": {"noise_sigma": noise}}, "trials": trials,
-            "powder": "msg", "targets_mg": [20]}))
-        out = tmp_path / "out"
-        proc = self.run_cli("run-suite", "--config", str(path),
-                            "--out", str(out))
-        assert proc.returncode in (0, 2), proc.stderr
-        assert "Traceback" not in proc.stderr
-        if proc.returncode == 2:
-            return
-        index = json.loads((out / "summary.json").read_text())
-        for entry in index["trials"]:
-            if entry["status"] == TrialStatus.ABORTED.value \
-                    and entry["total_steps"] == 0:
-                assert entry["final_mass_mg"] == 0.0
-        for condition in index["conditions"]:
-            assert condition["dropped_std_mg"] < float("inf")
-        report = self.run_cli("report", str(out))
-        assert report.returncode == 0, report.stderr
-        assert "Traceback" not in report.stderr
-
     @pytest.mark.parametrize("noise, seed", [(1e154, 1), (1e308, 4),
-                                             (1e308, 1)],
+                                             (1e308, 1), (1e307, 1)],
                              ids=["pooled-r-squared", "pooled-delta",
-                                  "controller-refit"])
+                                  "controller-refit", "refit-at-1e307"])
     def test_run_suite_on_noise_that_overflows_a_fit(self, noise, seed,
                                                      tmp_path):
-        # each overflowed a different fit at this seed before noise_sigma
-        # was bounded: the pooled R^2, an infinite pooled delta, and the
-        # controller's own refit
+        # each overflowed a fit at this seed before noise_sigma was
+        # bounded: the pooled R^2, an infinite pooled delta, and the
+        # controller's own refit, at 1e308 and at 1e307, where every
+        # reading is still finite
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "plant": {"balance": {"noise_sigma": noise}}, "trials": 10,
