@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from powderdose import (
     GRAVITY,
+    MIN_OBSERVABLE_MG,
     VIBRATION,
     ActionGrid,
     ActionSelection,
@@ -421,6 +422,22 @@ class TestBootstrapProbing:
         assert ctl.log.fit(GRAVITY).n_obs == 0
         assert ctl.estimate.gravity.c_prime is None
         assert decision.probe and decision.action == ValveAction(15.0, 0.0)
+
+    def test_deltas_at_the_gate_confirm_and_land_in_the_log(self):
+        # the ladder and the log gate on the same MIN_OBSERVABLE_MG: a
+        # probe and its repeat that each move exactly the gate confirm,
+        # and the log keeps both
+        ctl = DispensingController(20.0)
+        ctl.step(0.0)                    # probe (5, 0)
+        second = ctl.step(MIN_OBSERVABLE_MG)
+        assert second.probe and second.action == ValveAction(5.0, 0.0)
+        assert ctl.log.fit(GRAVITY).n_obs == 0
+        third = ctl.step(2 * MIN_OBSERVABLE_MG)  # repeat confirmed
+        assert ctl.log.fit(GRAVITY).n_obs == 2
+        x = 5.0 ** 2.5 * (5.0 / 100.0 + 0.0)
+        assert ctl.estimate.gravity.c_prime == pytest.approx(
+            MIN_OBSERVABLE_MG / x, rel=1e-12)
+        assert not third.probe
 
     def test_gravity_exhaustion_latches_vibration_then_falls_back(self):
         ctl = DispensingController(3000.0)
