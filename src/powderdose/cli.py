@@ -7,7 +7,9 @@
 
 Output directory precedence: --out flag, then the POWDERDOSE_OUT
 environment variable, then the config's out_dir. Exit status is zero on
-success and nonzero when configuration or input artifacts are invalid.
+success and nonzero when configuration or input artifacts are invalid, or
+when an output path cannot be written (1, with one stderr line naming the
+path and the OS error).
 """
 
 from __future__ import annotations
@@ -143,6 +145,9 @@ def main(argv: list[str] | None = None) -> int:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output path that cannot be written
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -16,6 +16,12 @@ Artifacts written by run_suite:
 Each format is defined once, below, and written and read through that one
 definition. A summary.json trial entry must name trial_id(powder,
 controller, target_mg, trial_index) and that trial's trials/<id>.csv.
+
+A trace CSV's bytes: a header line of TRACE_COLUMNS, then one line per
+step, every line ended by CRLF and its cells joined by commas. step and
+vibration are decimal integers (vibration 0 or 1), a float is its Python
+repr, and None is an empty cell. Every cell is numeric, so none is ever
+quoted, and these are the bytes csv.writer gives the same rows.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import zlib
 from collections.abc import Iterable, Mapping
 from dataclasses import (asdict, dataclass, field,
                          fields as dataclass_fields, replace)
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -524,34 +531,61 @@ _TRACE_FORMAT = (
 TRACE_COLUMNS = tuple(column for column, _, _ in _TRACE_FORMAT)
 
 
+# A trace line's %-format, one conversion per cell kind. A "float?" cell is
+# turned into its text (repr, or "" for None) before it is formatted.
+_CELL_CONVERSION = {"int": "%d", "0/1": "%d", "float": "%r", "float?": "%s"}
+_TRACE_HEADER = ",".join(TRACE_COLUMNS) + "\r\n"
+_TRACE_LINE = ",".join(_CELL_CONVERSION[cell]
+                       for _, _, cell in _TRACE_FORMAT) + "\r\n"
+# The StepTrace fields past the traced ones, as a read trace gives them.
+_UNTRACED_DEFAULTS = tuple(StepTrace._field_defaults[name] for name
+                           in StepTrace._fields[len(_TRACE_FORMAT):])
+
+
 def write_trace_csv(record: TrialRecord, path: Path) -> None:
-    columns = []
-    for _, attr, cell in _TRACE_FORMAT:
-        values = map(attrgetter(attr), record.steps)
-        columns.append(map(int, values) if cell == "0/1" else values)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(zip(*columns))
+    """Write a trial's trace as one buffer, in the byte format above."""
+    # zip(*steps) gives StepTrace's columns; zipping with _TRACE_FORMAT
+    # keeps the traced ones.
+    columns = [["" if value is None else repr(value) for value in values]
+               if cell == "float?" else values
+               for (_, _, cell), values in zip(_TRACE_FORMAT,
+                                               zip(*record.steps))]
+    text = _TRACE_HEADER + "".join(map(_TRACE_LINE.__mod__, zip(*columns)))
+    with open(path, "wb") as handle:
+        handle.write(text.encode())
 
 
 def read_trace_csv(path: Path) -> list[StepTrace]:
     """Parse a trace CSV a column at a time; ValueError on a bad cell."""
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader, ()))
-        if header != TRACE_COLUMNS:
-            raise ValueError(f"{path}: unexpected trace header {header!r}")
-        rows = []
-        for raw in reader:
-            if len(raw) != len(TRACE_COLUMNS):
-                raise ValueError(
-                    f"{path}: line {reader.line_num} has {len(raw)} fields, "
-                    f"expected {len(TRACE_COLUMNS)}")
-            rows.append(raw)
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    header = tuple(rows[0]) if rows else ()
+    if header != TRACE_COLUMNS:
+        raise ValueError(f"{path}: unexpected trace header {header!r}")
+    del rows[0]
+    if any(map(len(TRACE_COLUMNS).__ne__, map(len, rows))):
+        raise ValueError(_field_count_problem(path))
+    if not rows:
+        return []
     columns = [_parse_cells(path, column, cell, cells) for (column, _, cell),
                cells in zip(_TRACE_FORMAT, zip(*rows))]
-    return list(map(StepTrace, *columns)) if rows else []
+    # tuple.__new__ builds each StepTrace without a Python call per row
+    return list(map(tuple.__new__, repeat(StepTrace),
+                    zip(*columns, *map(repeat, _UNTRACED_DEFAULTS))))
+
+
+def _field_count_problem(path: Path) -> str:
+    """Name the first trace row of the wrong width, read again for its line
+    number (a quoted cell may span lines)."""
+    width = len(TRACE_COLUMNS)
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader, None)
+        for raw in reader:
+            if len(raw) != width:
+                return (f"{path}: line {reader.line_num} has {len(raw)} "
+                        f"fields, expected {width}")
+    return f"{path}: changed while it was read"
 
 
 def _parse_cells(path: Path, column: str, cell: str,
@@ -562,11 +596,12 @@ def _parse_cells(path: Path, column: str, cell: str,
         return [float(text) if text else None for text in cells]
     if cell == "int":
         return list(map(int, cells))
-    for line, text in enumerate(cells, start=2):
-        if text not in ("0", "1"):
-            raise ValueError(f"{path}: line {line}: {column} must be 0 or 1, "
-                             f"got {text!r}")
-    return [text == "1" for text in cells]
+    if not {"0", "1"}.issuperset(cells):
+        for line, text in enumerate(cells, start=2):
+            if text not in ("0", "1"):
+                raise ValueError(f"{path}: line {line}: {column} must be 0 "
+                                 f"or 1, got {text!r}")
+    return list(map("1".__eq__, cells))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

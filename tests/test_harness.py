@@ -1,15 +1,21 @@
 """Benchmark harness: config parsing, trials, metrics, artifacts, CLI."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powderdose import (
     GRAVITY,
@@ -35,6 +41,7 @@ from powderdose import (
     run_suite,
     run_trial,
     write_suite_artifacts,
+    write_trace_csv,
 )
 from powderdose import control, harness, plant
 from powderdose.cli import main as cli_main
@@ -573,6 +580,86 @@ class TestArtifactFormats:
         assert load_suite_records(out)[::2] == ([record], [])
 
 
+# Floats of every kind a float cell can hold, the edge values always drawn
+FLOAT_CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     2.2250738585072014e-308, 1e308, -1e308]),
+    st.floats())
+STEP_TRACES = st.builds(
+    StepTrace, step=st.integers(0, 2 ** 63), l_command=FLOAT_CELLS,
+    t_pose_s=FLOAT_CELLS, vibration=st.booleans(),
+    predicted_mg=st.none() | FLOAT_CELLS, measured_delta_mg=FLOAT_CELLS,
+    cprime_gravity=st.none() | FLOAT_CELLS,
+    cprime_vibration=st.none() | FLOAT_CELLS, w_error_mg=FLOAT_CELLS,
+    sim_time_s=FLOAT_CELLS, true_delta_mg=FLOAT_CELLS, probe=st.booleans())
+
+
+def csv_writer_trace(steps):
+    """A trace CSV as csv.writer writes it, the reference for the format."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(TRACE_COLUMNS)
+    for row in steps:
+        writer.writerow([int(getattr(row, attr)) if cell == "0/1"
+                         else getattr(row, attr)
+                         for _, attr, cell in harness._TRACE_FORMAT])
+    return buffer.getvalue().encode()
+
+
+def same_cell(parsed, original):
+    if isinstance(original, float) and math.isnan(original):
+        return isinstance(parsed, float) and math.isnan(parsed)
+    if isinstance(original, float):
+        return (parsed == original
+                and math.copysign(1.0, parsed) == math.copysign(1.0, original))
+    return parsed == original and type(parsed) is type(original)
+
+
+def numbered_steps(count):
+    return [trace_row(step, 0.5 * step, 1.0, 0.1 * step)
+            for step in range(1, count + 1)]
+
+
+class TestTraceCsvIo:
+    """The trace writer formats every line itself; these pin it to the csv
+    module's output and the reader to its input."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(STEP_TRACES, max_size=6))
+    def test_bytes_and_values_match_the_csv_module(self, steps):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "trace.csv"
+            write_trace_csv(record_for(0.0, steps=steps), path)
+            assert path.read_bytes() == csv_writer_trace(steps)
+            parsed = read_trace_csv(path)
+        assert len(parsed) == len(steps)
+        for got, original in zip(parsed, steps):
+            for _, attr, _ in harness._TRACE_FORMAT:
+                assert same_cell(getattr(got, attr), getattr(original, attr)), \
+                    (attr, getattr(got, attr), getattr(original, attr))
+            assert (got.true_delta_mg, got.probe) == (0.0, False)
+
+    def test_a_shorter_trace_replaces_a_longer_one(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(record_for(0.0, steps=numbered_steps(30)), path)
+        short = record_for(0.0, steps=numbered_steps(3))
+        write_trace_csv(short, path)
+        assert path.read_bytes() == csv_writer_trace(short.steps)
+        assert read_trace_csv(path) == list(short.steps)
+
+    @pytest.mark.parametrize("width", [3, 11])
+    def test_a_row_of_the_wrong_width_names_its_line(self, tmp_path, width):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(record_for(0.0, steps=numbered_steps(30)), path)
+        lines = path.read_bytes().split(b"\r\n")
+        cells = lines[4].split(b",")
+        lines[4] = b",".join((cells * 2)[:width])
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError,
+                           match=f"line 5 has {width} fields, expected 10$"):
+            read_trace_csv(path)
+
+
 class TestArtifacts:
     def test_summary_csv_schema(self, suite):
         _, summary, out = suite
@@ -902,6 +989,37 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         report = self.run_cli("report", str(out))
         assert report.returncode == 0, report.stderr
+
+    @pytest.mark.parametrize("command, blocked, kind", [
+        ("run-suite", "out", "file"),
+        ("run-trial", "out", "file"),
+        ("run-suite", "out/summary.json", "dir"),
+        ("report", "out/report", "file"),
+        ("report", "out/report/summary_recomputed.csv", "dir"),
+    ], ids=["suite-out-is-a-file", "trial-out-is-a-file",
+            "summary-json-is-a-dir", "report-dir-is-a-file",
+            "recomputed-csv-is-a-dir"])
+    def test_unwritable_output_path_is_an_error(self, command, blocked, kind,
+                                                cfg_path, suite, tmp_path):
+        out = tmp_path / "out"
+        if command == "report":
+            shutil.copytree(suite[2], out,
+                            ignore=shutil.ignore_patterns("report"))
+        path = tmp_path / blocked
+        if kind == "file":
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("")
+        else:
+            path.mkdir(parents=True)
+        args = {"run-suite": ["--config", str(cfg_path), "--out", str(out)],
+                "run-trial": ["--powder", "tio2", "--controller", "model",
+                              "--target", "50", "--out", str(out)],
+                "report": [str(out)]}[command]
+        proc = self.run_cli(command, *args)
+        assert proc.returncode == 1
+        assert str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_report_on_empty_dir_fails(self, tmp_path):
         proc = self.run_cli("report", str(tmp_path / "empty"))
