@@ -22,6 +22,10 @@ step, every line ended by CRLF and its cells joined by commas. step and
 vibration are decimal integers (vibration 0 or 1), a float is its Python
 repr, and None is an empty cell. Every cell is numeric, so none is ever
 quoted, and these are the bytes csv.writer gives the same rows.
+
+A rerun into an existing directory rewrites each file it writes in place
+to exactly the new bytes; the trace files of trials the new config no
+longer has are left as they are.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import zlib
 from collections.abc import Iterable, Mapping
 from dataclasses import (asdict, dataclass, field,
                          fields as dataclass_fields, replace)
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -551,8 +555,23 @@ def write_trace_csv(record: TrialRecord, path: Path) -> None:
                for (_, _, cell), values in zip(_TRACE_FORMAT,
                                                zip(*record.steps))]
     text = _TRACE_HEADER + "".join(map(_TRACE_LINE.__mod__, zip(*columns)))
-    with open(path, "wb") as handle:
-        handle.write(text.encode())
+    _write_bytes(path, text.encode())
+
+
+def _write_bytes(path: Path, data: bytes) -> None:
+    """Make data the whole file at path, writing over any old bytes in place.
+
+    Permissions and errors are open(path, "wb")'s, but an existing file is
+    not truncated to zero first: only its tail past the new length is cut.
+    On ext4, rewriting a trace-sized file through a truncation to zero
+    cost about ten times formatting it, most likely because closing such
+    a file starts its writeback at once.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    with open(fd, "wb") as handle:
+        handle.write(data)
+        handle.truncate()
 
 
 def read_trace_csv(path: Path) -> list[StepTrace]:
@@ -563,8 +582,12 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
     if header != TRACE_COLUMNS:
         raise ValueError(f"{path}: unexpected trace header {header!r}")
     del rows[0]
-    if any(map(len(TRACE_COLUMNS).__ne__, map(len, rows))):
-        raise ValueError(_field_count_problem(path))
+    width = len(TRACE_COLUMNS)
+    if any(map(width.__ne__, map(len, rows))):
+        row = next(row for row, cells in enumerate(rows)
+                   if len(cells) != width)
+        raise ValueError(f"{path}: line {_line_of(path, row)} has "
+                         f"{len(rows[row])} fields, expected {width}")
     if not rows:
         return []
     columns = [_parse_cells(path, column, cell, cells) for (column, _, cell),
@@ -574,34 +597,47 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
                     zip(*columns, *map(repeat, _UNTRACED_DEFAULTS))))
 
 
-def _field_count_problem(path: Path) -> str:
-    """Name the first trace row of the wrong width, read again for its line
-    number (a quoted cell may span lines)."""
-    width = len(TRACE_COLUMNS)
+def _line_of(path: Path, row: int) -> int:
+    """The line a trace's data row (0 for the first) ends on, read again,
+    since a quoted cell may span lines."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        next(reader, None)
-        for raw in reader:
-            if len(raw) != width:
-                return (f"{path}: line {reader.line_num} has {len(raw)} "
-                        f"fields, expected {width}")
-    return f"{path}: changed while it was read"
+        for _ in islice(reader, row + 2):
+            pass
+        return reader.line_num
+
+
+def _bools(cells: tuple[str, ...]) -> list[bool]:
+    if not {"0", "1"}.issuperset(cells):
+        raise ValueError("not 0 or 1")
+    return list(map("1".__eq__, cells))
+
+
+# Per cell kind: a parser of a whole column, and what a cell must be.
+_CELL_PARSERS = {
+    "int": (lambda cells: list(map(int, cells)), "an integer"),
+    "float": (lambda cells: list(map(float, cells)), "a number"),
+    "float?": (lambda cells: [float(text) if text else None
+                              for text in cells], "a number"),
+    "0/1": (_bools, "0 or 1"),
+}
 
 
 def _parse_cells(path: Path, column: str, cell: str,
                  cells: tuple[str, ...]) -> list:
-    if cell == "float":
-        return list(map(float, cells))
-    if cell == "float?":
-        return [float(text) if text else None for text in cells]
-    if cell == "int":
-        return list(map(int, cells))
-    if not {"0", "1"}.issuperset(cells):
-        for line, text in enumerate(cells, start=2):
-            if text not in ("0", "1"):
-                raise ValueError(f"{path}: line {line}: {column} must be 0 "
-                                 f"or 1, got {text!r}")
-    return list(map("1".__eq__, cells))
+    parse, rule = _CELL_PARSERS[cell]
+    try:
+        return parse(cells)
+    except ValueError:
+        # scan again, a cell at a time, to name the first bad one
+        for row, text in enumerate(cells):
+            try:
+                parse((text,))
+            except ValueError:
+                raise ValueError(f"{path}: line {_line_of(path, row)}: "
+                                 f"{column} must be {rule}, got {text!r}"
+                                 ) from None
+        raise
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -634,7 +670,7 @@ SUMMARY_COLUMNS = tuple(f.name for f in dataclass_fields(ConditionStats)
 
 def write_summary_csv(conditions: Iterable[ConditionStats],
                       path: Path) -> None:
-    path.write_text(summary_csv_text(conditions), newline="")
+    _write_bytes(path, summary_csv_text(conditions).encode())
 
 
 def summary_csv_text(conditions: Iterable[ConditionStats]) -> str:
@@ -721,9 +757,8 @@ def write_suite_artifacts(summary: SuiteSummary,
         "trials": [{key: getattr(r, key) for key, _ in _INDEX_ENTRY}
                    for r in summary.trials],
     }
-    with (out / "summary.json").open("w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_bytes(out / "summary.json",
+                 (json.dumps(payload, indent=2) + "\n").encode())
     return out
 
 

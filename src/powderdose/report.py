@@ -20,11 +20,12 @@ condition and per pooled fit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .harness import (ConditionStats, PooledFit, TrialRecord,
+from .harness import (ConditionStats, PooledFit, TrialRecord, _write_bytes,
                       compute_metrics, config_from_dict, index_entry_problem,
                       pooled_fits, pooled_observations, read_trace_csv,
                       record_from_index, summary_csv_text, write_summary_csv)
@@ -161,15 +162,16 @@ def _stored_summary_problems(root: Path, payload: dict,
 
 def _write_fit_points(pools, fits, kin, report_dir: Path) -> None:
     for fit in fits:
-        path = report_dir / f"fit_{fit.powder}_{fit.mode}.csv"
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("regressor", "measured_mg", "predicted_mg"))
-            for o in select_mode(pools[fit.powder], fit.mode):
-                x = regressor(kin, o.l_command, o.t_pose_s)
-                predicted = (fit.c_prime * x if fit.c_prime is not None
-                             else None)
-                writer.writerow((x, o.delta_w_mg, predicted))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(("regressor", "measured_mg", "predicted_mg"))
+        for o in select_mode(pools[fit.powder], fit.mode):
+            x = regressor(kin, o.l_command, o.t_pose_s)
+            predicted = (fit.c_prime * x if fit.c_prime is not None
+                         else None)
+            writer.writerow((x, o.delta_w_mg, predicted))
+        _write_bytes(report_dir / f"fit_{fit.powder}_{fit.mode}.csv",
+                     buffer.getvalue().encode())
 
 
 def _write_text_report(conditions, fits, records, path: Path) -> None:
@@ -205,4 +207,4 @@ def _write_text_report(conditions, fits, records, path: Path) -> None:
         lines.append(f"{f.powder:<16} {f.mode:<10} {coeff:>14} "
                      f"{score:>8} {f.n_points:>7}")
     lines.append("")
-    path.write_text("\n".join(lines) + "\n")
+    _write_bytes(path, ("\n".join(lines) + "\n").encode())

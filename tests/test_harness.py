@@ -82,10 +82,10 @@ def trace_row(step, l, t, delta, vibration=False, probe=False):
                      w_error_mg=0.0, sim_time_s=0.0, probe=probe)
 
 
-def set_first_vibration_cell(trace, value):
+def set_first_cell(trace, column, value):
     header, first, *rows = trace.read_text().splitlines()
     fields = first.split(",")
-    fields[TRACE_COLUMNS.index("vibration")] = value
+    fields[TRACE_COLUMNS.index(column)] = value
     trace.write_text("\n".join([header, ",".join(fields), *rows]) + "\n")
 
 
@@ -659,6 +659,30 @@ class TestTraceCsvIo:
                            match=f"line 5 has {width} fields, expected 10$"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("column, text, message", [
+        ("measured_delta_mg", "x",
+         "line 5: measured_delta_mg must be a number, got 'x'"),
+        ("cprime_gravity", "1e", "line 5: cprime_gravity must be a number, "
+                                 "got '1e'"),
+        ("step", "1.5", "line 5: step must be an integer, got '1.5'"),
+        ("vibration", "2", "line 5: vibration must be 0 or 1, got '2'"),
+        ("L", "1,2", "line 5 has 11 fields, expected 10"),
+    ], ids=["float", "optional-float", "int", "bool", "width"])
+    def test_a_bad_row_after_a_two_line_cell_names_its_line(
+            self, tmp_path, column, text, message):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(record_for(0.0, steps=numbered_steps(4)), path)
+        lines = path.read_bytes().split(b"\r\n")
+        # the first step's quoted step cell spans two lines, so the third
+        # step is on line 5
+        lines[1] = b'"1\r\n"' + lines[1][1:]
+        cells = lines[3].split(b",")
+        cells[TRACE_COLUMNS.index(column)] = text.encode()
+        lines[3] = b",".join(cells)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError, match=f"{message}$"):
+            read_trace_csv(path)
+
 
 class TestArtifacts:
     def test_summary_csv_schema(self, suite):
@@ -712,6 +736,33 @@ class TestArtifacts:
         name = f"trials/{summary.trials[0].trial_id}.csv"
         assert (again / name).read_bytes() == (out / name).read_bytes()
 
+    # Rerun over seed 12345, the traces and fit files shrink; over seed 1,
+    # summary.csv, summary.json and the recomputed summary do.
+    @pytest.mark.parametrize("other_seed", [12345, 1])
+    def test_rerun_over_another_seed_equals_a_fresh_run(self, tmp_path,
+                                                        other_seed):
+        config = small_config(powder=["glass-beads", "msg"],
+                              controller=[MODEL_BASED, DIRECT_PID],
+                              targets_mg=[20, 500])
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_suite(dataclasses.replace(config, seed=other_seed),
+                  out_dir=reused)
+        assert build_report(reused).ok
+        before = {path.relative_to(reused): path.stat().st_size
+                  for path in reused.rglob("*") if path.is_file()}
+        for out in (reused, fresh):
+            run_suite(config, out_dir=out)
+            assert build_report(out).ok
+        expected = {path.relative_to(fresh): path.read_bytes()
+                    for path in fresh.rglob("*") if path.is_file()}
+        assert before.keys() == expected.keys()
+        assert any(before[name] > len(data)
+                   for name, data in expected.items())
+        assert any(before[name] < len(data)
+                   for name, data in expected.items())
+        for name, data in expected.items():
+            assert (reused / name).read_bytes() == data, name
+
     def test_report_recomputes_identically(self, suite):
         _, _, out = suite
         result = build_report(out)
@@ -738,8 +789,12 @@ class TestArtifacts:
          "cannot refit the traces"),
         (lambda entry, trace: entry.update(powder="glass/beads"),
          "unknown powder 'glass/beads'"),
-        (lambda entry, trace: set_first_vibration_cell(trace, "2"),
-         "vibration must be 0 or 1, got '2'"),
+        (lambda entry, trace: set_first_cell(trace, "vibration", "2"),
+         "line 2: vibration must be 0 or 1, got '2'"),
+        (lambda entry, trace: set_first_cell(trace, "measured_delta_mg", "x"),
+         "line 2: measured_delta_mg must be a number, got 'x'"),
+        (lambda entry, trace: set_first_cell(trace, "step", "1.5"),
+         "line 2: step must be an integer, got '1.5'"),
         # a valid trace, but named by a path the index rule does not give
         (lambda entry, trace: entry.update(trace_csv=str(trace.resolve())),
          "is not the trial's trace 'trials/glass-beads--model-based--t50--001"
@@ -760,6 +815,7 @@ class TestArtifacts:
          "summary.json: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["missing-key", "unknown-status", "short-row", "empty-trace",
             "command-beyond-l-max", "powder-with-slash", "vibration-cell",
+            "delta-cell-not-a-number", "step-cell-not-an-integer",
             "absolute-trace-path", "parent-trace-path", "trial-id-mismatch",
             "unknown-controller", "mass-beyond-float", "index-not-utf8"])
     def test_report_rejects_a_hand_edited_index(self, suite, tmp_path, capsys,
@@ -996,9 +1052,11 @@ class TestCli:
         ("run-suite", "out/summary.json", "dir"),
         ("report", "out/report", "file"),
         ("report", "out/report/summary_recomputed.csv", "dir"),
+        ("run-suite", "out/trials/glass-beads--model-based--t50--000.csv",
+         "dir"),
     ], ids=["suite-out-is-a-file", "trial-out-is-a-file",
             "summary-json-is-a-dir", "report-dir-is-a-file",
-            "recomputed-csv-is-a-dir"])
+            "recomputed-csv-is-a-dir", "trace-is-a-dir"])
     def test_unwritable_output_path_is_an_error(self, command, blocked, kind,
                                                 cfg_path, suite, tmp_path):
         out = tmp_path / "out"
