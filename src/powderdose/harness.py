@@ -562,16 +562,27 @@ def _write_bytes(path: Path, data: bytes) -> None:
     """Make data the whole file at path, writing over any old bytes in place.
 
     Permissions and errors are open(path, "wb")'s, but an existing file is
-    not truncated to zero first: only its tail past the new length is cut.
+    not truncated to zero first: only its tail past the new length is cut,
+    and only when it has one, so a new file costs no more than with "wb".
     On ext4, rewriting a trace-sized file through a truncation to zero
     cost about ten times formatting it, most likely because closing such
     a file starts its writeback at once.
+
+    That is a trade against durability. A write that fails partway
+    (ENOSPC, EIO) or a process killed before the cut leaves the new bytes
+    so far followed by the old file's tail, where open(path, "wb") left a
+    bare prefix; and after a crash the file may hold old or mixed blocks
+    at its new length. `powderdose report` rejects a trace, summary.json
+    or summary.csv that holds new bytes over an old tail, so it is the
+    check to run after an interrupted rerun.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
                  0o666)
     with open(fd, "wb") as handle:
+        old_size = os.fstat(fd).st_size
         handle.write(data)
-        handle.truncate()
+        if old_size > len(data):
+            handle.truncate()
 
 
 def read_trace_csv(path: Path) -> list[StepTrace]:

@@ -763,6 +763,26 @@ class TestArtifacts:
         for name, data in expected.items():
             assert (reused / name).read_bytes() == data, name
 
+    @pytest.mark.parametrize("stop", [0.5, 1.0],
+                             ids=["halfway", "at-the-new-end"])
+    @pytest.mark.parametrize("name", [
+        "summary.json", "summary.csv",
+        "trials/msg--model-based--t20--000.csv"])
+    def test_report_rejects_new_bytes_over_an_old_tail(self, tmp_path, name,
+                                                       stop):
+        # What an in-place rewrite cut short can leave: the new bytes
+        # written so far, then the rest of the longer old file.
+        config = small_config(powder=["glass-beads", "msg"],
+                              targets_mg=[20, 500])
+        old, out = tmp_path / "old", tmp_path / "out"
+        run_suite(dataclasses.replace(config, seed=1), out_dir=old)
+        run_suite(config, out_dir=out)
+        stale, data = (old / name).read_bytes(), (out / name).read_bytes()
+        assert len(stale) > len(data)
+        cut = int(len(data) * stop)
+        (out / name).write_bytes(data[:cut] + stale[cut:])
+        assert not build_report(out).ok
+
     def test_report_recomputes_identically(self, suite):
         _, _, out = suite
         result = build_report(out)
