@@ -1,17 +1,26 @@
 """Closed-loop powder micro-dispensing: model, controllers, simulated rig.
 
-The package has five layers:
+The package has these layers, each importing only from those above it:
 
-    flow      granular discharge model and the command-unit drop predictor
-    identify  online least-squares estimation of the lumped coefficient
-    control   model-based dispensing controller and a direct-PID baseline
-    plant     stochastic simulated hopper, valve, vibrator and balance
-    harness   benchmark configs, trial and suite runners, CSV/JSON artifacts
-
-report rebuilds summary tables from persisted artifacts, cli wires it all
-to the `powderdose` command.
+    flow       granular discharge model and the command-unit drop predictor
+    identify   online least-squares estimation of the lumped coefficient
+    control    model-based dispensing controller and a direct-PID baseline
+    plant      stochastic simulated hopper, valve, vibrator and balance
+    powders    the three archetype powders
+    config     the experiment config, its rules and its JSON form
+    artifacts  the persisted records and every artifact format: written,
+               read and checked
+    harness    trial and suite runners and their metrics
+    report     rebuilds and checks summary tables from persisted artifacts
+    cli        wires it all to the `powderdose` command
 """
 
+from .artifacts import (ConditionStats, PooledFit, StepTrace, SuiteSummary,
+                        TrialRecord, read_trace_csv, write_suite_artifacts,
+                        write_trace_csv)
+from .config import (CONTROLLER_ALIASES, DIRECT_PID, MODEL_BASED, ConfigError,
+                     ExperimentConfig, config_from_dict, config_to_dict,
+                     load_config, resolve_out_dir)
 from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_TOLERANCE_MG,
                       ActionGrid, ActionSelection, DispensingController,
                       PidBaselineController, PidGains, StepDecision,
@@ -19,13 +28,8 @@ from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_TOLERANCE_MG,
 from .flow import (G_MM_S2, GRAVITY, MODES, VIBRATION, DispenseModel,
                    PowderSpec, ValveKinematics, beverloo_rate,
                    effective_coefficient, predicted_drop)
-from .harness import (CONTROLLER_ALIASES, DIRECT_PID, MODEL_BASED,
-                      ConditionStats, ConfigError, ExperimentConfig,
-                      PooledFit, StepTrace, SuiteSummary, TrialRecord,
-                      compute_metrics, config_from_dict, config_to_dict,
-                      load_config, pooled_fits, pooled_observations,
-                      read_trace_csv, resolve_out_dir, run_suite, run_trial,
-                      write_suite_artifacts, write_trace_csv)
+from .harness import (compute_metrics, pooled_fits, pooled_observations,
+                      run_suite, run_trial)
 from .identify import (MIN_OBSERVABLE_MG, CoefficientEstimate, ModeFit,
                        Observation, ObservationLog, fit_coefficient,
                        regressor)

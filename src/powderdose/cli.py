@@ -5,8 +5,13 @@
     powderdose report      rebuild summary tables from an artifact dir
     powderdose validate-config   parse a config and report every problem
 
-Output directory precedence: --out flag, then the POWDERDOSE_OUT
-environment variable, then the config's out_dir. Exit status is zero on
+Each command is a thin wrapper: configs are read through config, trials
+and suites run through harness, a trace is written through artifacts and
+a report is built by report.
+
+Output directory precedence: --out flag (for report, its artifact_dir
+argument), then the POWDERDOSE_OUT environment variable, then the
+config's out_dir (for report, that of --config). Exit status is zero on
 success and nonzero when configuration or input artifacts are invalid, or
 when an output path cannot be written (1, with one stderr line naming the
 path and the OS error).
@@ -19,8 +24,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .harness import (ConfigError, ExperimentConfig, load_config,
-                      resolve_out_dir, run_suite, run_trial, write_trace_csv)
+from .artifacts import write_trace_csv
+from .config import ConfigError, ExperimentConfig, load_config, resolve_out_dir
+from .harness import run_suite, run_trial
 from .report import build_report
 
 
@@ -49,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="artifact directory (default: resolved output dir)")
     rep.add_argument("--config", help="config JSON, used only to resolve "
                                       "the default artifact directory")
-    rep.add_argument("--out", help="artifact directory, same as the "
-                                   "positional argument")
 
     check = sub.add_parser("validate-config",
                            help="validate a config file and exit")
@@ -101,13 +105,7 @@ def _cmd_run_suite(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.artifact_dir and args.out and args.artifact_dir != args.out:
-        print("report: give the artifact directory once, not twice",
-              file=sys.stderr)
-        return 2
-    target = args.artifact_dir or args.out
-    if target is None:
-        target = resolve_out_dir(_load(args))
+    target = args.artifact_dir or resolve_out_dir(_load(args))
     result = build_report(target)
     for message in result.errors:
         print(f"report: {message}", file=sys.stderr)

@@ -216,14 +216,6 @@ class SimulatedPlant:
     def depleted(self) -> bool:
         return self.remaining <= 0.0
 
-    def flow_rate(self, l_command: float, vibration: bool) -> float:
-        """Noise-free discharge rate in mg/s at the given opening.
-
-        Raises ValueError for a command outside [l_min, l_max].
-        """
-        self.kin.check(l_command)
-        return self._rate(l_command, vibration)
-
     def _rate(self, l_command: float, vibration: bool) -> float:
         orifice = self.kin.opening_per_command * l_command
         base = beverloo_discharge(self._rate_scale, self._rate_offset, orifice)

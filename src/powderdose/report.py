@@ -11,6 +11,9 @@ writes a report/ subdirectory:
     report/fit_<powder>_<mode>.csv  regressor, measured and predicted drop
                                     per pooled data point
 
+A report over an earlier one rewrites these files and removes the fit
+CSVs of fits it no longer has.
+
 Because trials are rebuilt in their original order from exact string
 round-tripped floats, the recomputed summary matches the one written at
 run time byte for byte; any difference is reported as an error, per
@@ -21,14 +24,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
-from .harness import (ConditionStats, PooledFit, TrialRecord, _write_bytes,
-                      compute_metrics, config_from_dict, index_entry_problem,
-                      pooled_fits, pooled_observations, read_trace_csv,
-                      record_from_index, summary_csv_text, write_summary_csv)
+from .artifacts import (ConditionStats, PooledFit, load_suite_records,
+                        stored_config, stored_summary_problems,
+                        summary_csv_text, write_bytes)
+from .harness import compute_metrics, pooled_fits, pooled_observations
 from .identify import regressor, select_mode
 
 
@@ -45,46 +47,6 @@ class ReportResult:
         return not self.errors
 
 
-def load_suite_records(artifact_dir: str | Path
-                       ) -> tuple[list[TrialRecord], dict, list[str]]:
-    """Rebuild trial records from summary.json and the trace CSVs.
-
-    Returns the records, the parsed summary.json and the problems found.
-    """
-    root = Path(artifact_dir)
-    errors: list[str] = []
-    index_path = root / "summary.json"
-    if not index_path.is_file():
-        return [], {}, [f"no data: {index_path} not found"]
-    try:
-        with index_path.open(encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return [], {}, [f"cannot read {index_path}: {exc}"]
-    if not isinstance(payload, dict) \
-            or not isinstance(payload.get("trials", []), list):
-        return [], {}, [f"{index_path}: expected an object with a "
-                        f"'trials' list"]
-    records: list[TrialRecord] = []
-    for position, entry in enumerate(payload.get("trials", [])):
-        problem = index_entry_problem(entry)
-        if problem is not None:
-            errors.append(f"{index_path}: trials[{position}]: {problem}")
-            continue
-        try:
-            steps = read_trace_csv(root / entry["trace_csv"])
-        except (OSError, ValueError, csv.Error) as exc:
-            errors.append(f"trial {entry['trial_id']}: {exc}")
-            continue
-        if len(steps) != entry["total_steps"]:
-            errors.append(
-                f"trial {entry['trial_id']}: index says "
-                f"{entry['total_steps']} steps, trace has {len(steps)}")
-            continue
-        records.append(record_from_index(entry, steps))
-    return records, payload, errors
-
-
 def build_report(artifact_dir: str | Path) -> ReportResult:
     """Recompute statistics from an artifact directory and write report/."""
     root = Path(artifact_dir)
@@ -94,7 +56,7 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
     if not records:
         return ReportResult(root, None, (), (), tuple(errors))
     try:
-        config = config_from_dict(payload.get("config", {}))
+        config = stored_config(payload)
     except ValueError as exc:
         errors.append(f"config echo invalid: {exc}")
         return ReportResult(root, None, (), (), tuple(errors))
@@ -106,61 +68,22 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
         errors.append(f"cannot refit the traces: {exc}")
         return ReportResult(root, None, (), (), tuple(errors))
     if not errors:  # a trial that failed to load already explains a mismatch
-        errors.extend(_stored_summary_problems(root, payload, conditions,
-                                               fits))
+        errors.extend(stored_summary_problems(root, payload, conditions,
+                                              fits))
     report_dir = root / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(conditions, report_dir / "summary_recomputed.csv")
+    write_bytes(report_dir / "summary_recomputed.csv",
+                summary_csv_text(conditions).encode())
     _write_fit_points(pools, fits, config.kinematics, report_dir)
     _write_text_report(conditions, fits, records, report_dir / "report.txt")
     return ReportResult(root, report_dir, tuple(conditions), tuple(fits),
                         tuple(errors))
 
 
-def _stored_summary_problems(root: Path, payload: dict,
-                             conditions: list[ConditionStats],
-                             fits: list[PooledFit]) -> list[str]:
-    """Where the stored summary differs from the recomputed one.
-
-    Both list conditions and pooled fits in the order the trials ran, so
-    entries are compared position by position.
-    """
-    problems = []
-    for section, recomputed, keys in (
-            ("conditions", [asdict(c) for c in conditions],
-             ("powder", "controller", "target_mg")),
-            ("pooled_fits", [asdict(f) for f in fits],
-             ("powder", "mode"))):
-        stored = payload.get(section)
-        if not isinstance(stored, list) or len(stored) != len(recomputed):
-            problems.append(f"summary.json: {section} does not hold the "
-                            f"{len(recomputed)} entries recomputed from the "
-                            f"traces")
-            continue
-        for entry, fresh in zip(stored, recomputed):
-            if entry == fresh:
-                continue
-            label = " / ".join(str(fresh[k]) for k in keys)
-            if not isinstance(entry, dict):
-                entry = {}
-            differences = ", ".join(
-                f"{k} stored {entry.get(k)!r}, recomputed {fresh.get(k)!r}"
-                for k in sorted(entry.keys() | fresh.keys())
-                if k not in entry or k not in fresh or entry[k] != fresh[k])
-            problems.append(f"summary.json: {section} {label}: {differences}")
-    try:
-        with (root / "summary.csv").open(newline="") as handle:
-            stored_csv = handle.read()
-    except (OSError, ValueError) as exc:
-        problems.append(f"cannot read summary.csv: {exc}")
-    else:
-        if stored_csv != summary_csv_text(conditions):
-            problems.append("summary.csv: does not match the summary "
-                            "recomputed from the traces")
-    return problems
-
-
 def _write_fit_points(pools, fits, kin, report_dir: Path) -> None:
+    """One fit CSV per pooled fit; the fit CSVs an earlier report wrote
+    for a fit this one does not have are removed."""
+    written = set()
     for fit in fits:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
@@ -170,8 +93,12 @@ def _write_fit_points(pools, fits, kin, report_dir: Path) -> None:
             predicted = (fit.c_prime * x if fit.c_prime is not None
                          else None)
             writer.writerow((x, o.delta_w_mg, predicted))
-        _write_bytes(report_dir / f"fit_{fit.powder}_{fit.mode}.csv",
-                     buffer.getvalue().encode())
+        path = report_dir / f"fit_{fit.powder}_{fit.mode}.csv"
+        write_bytes(path, buffer.getvalue().encode())
+        written.add(path)
+    for path in report_dir.glob("fit_*.csv"):
+        if path not in written:
+            path.unlink()
 
 
 def _write_text_report(conditions, fits, records, path: Path) -> None:
@@ -207,4 +134,4 @@ def _write_text_report(conditions, fits, records, path: Path) -> None:
         lines.append(f"{f.powder:<16} {f.mode:<10} {coeff:>14} "
                      f"{score:>8} {f.n_points:>7}")
     lines.append("")
-    _write_bytes(path, ("\n".join(lines) + "\n").encode())
+    write_bytes(path, ("\n".join(lines) + "\n").encode())

@@ -197,17 +197,15 @@ def take_action(entry, l_command, t_pose_s):
     if entry == "ObservationLog.record":  # a delta above the gate
         return ObservationLog(ENVELOPE).record(l_command, t_pose_s, False,
                                                10.0)
-    plant = SimulatedPlant(make_spec(), ENVELOPE)
-    if entry == "SimulatedPlant.flow_rate":
-        return plant.flow_rate(l_command, False)
-    return plant.execute(l_command, t_pose_s, False)
+    return SimulatedPlant(make_spec(), ENVELOPE).execute(l_command, t_pose_s,
+                                                         False)
 
 
 class TestValveEnvelope:
     """Every entry point that takes an action applies the same envelope."""
 
-    ENTRIES = ("SimulatedPlant.flow_rate", "predicted_drop",
-               "ObservationLog.record", "SimulatedPlant.execute")
+    ENTRIES = ("predicted_drop", "ObservationLog.record",
+               "SimulatedPlant.execute")
 
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("l_command", [
@@ -217,7 +215,7 @@ class TestValveEnvelope:
         with pytest.raises(ValueError, match="outside the valve envelope"):
             take_action(entry, l_command, 2.0)
 
-    @pytest.mark.parametrize("entry", ENTRIES[1:])  # flow_rate has no dwell
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("t_pose_s", [0.5, 5.5, float("nan")],
                              ids=["below-t_pose_min", "above-t_pose_max",
                                   "nan"])

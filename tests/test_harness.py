@@ -43,18 +43,16 @@ from powderdose import (
     write_suite_artifacts,
     write_trace_csv,
 )
-from powderdose import control, harness, plant
-from powderdose.cli import main as cli_main
-from powderdose.harness import (
-    DIRECT_PID,
-    MODEL_BASED,
+from powderdose import artifacts, control, harness, plant
+from powderdose.artifacts import (
     SUMMARY_COLUMNS,
     TRACE_COLUMNS,
-    resolve_out_dir,
+    load_suite_records,
     trial_id,
 )
+from powderdose.cli import main as cli_main
+from powderdose.config import DIRECT_PID, MODEL_BASED, resolve_out_dir
 from powderdose.identify import ObservationLog
-from powderdose.report import load_suite_records
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SMALL = dict(powder=["glass-beads"], targets_mg=[50], trials=2, seed=7)
@@ -412,6 +410,31 @@ def test_shipped_configs_simulate_as_pinned(name):
     assert suite_digest(summary) == GOLDEN_SUITE_DIGESTS[name]
 
 
+# Digest of every file that run-suite and report write for quick.json,
+# report/ included, measured before the persisted formats moved into one
+# module. A change to any artifact byte shows here.
+GOLDEN_QUICK_TREE_DIGEST = "bcf060cb3f42f247"
+
+
+def tree_digest(root):
+    """Hash of each file's path under root and the hash of its bytes."""
+    digest = hashlib.sha256()
+    for name in sorted(path.relative_to(root).as_posix()
+                       for path in root.rglob("*") if path.is_file()):
+        digest.update(name.encode() + b"\0")
+        digest.update(hashlib.sha256((root / name).read_bytes()).digest())
+    return digest.hexdigest()[:16]
+
+
+def test_quick_config_artifacts_are_pinned(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["run-suite", "--config", str(CONFIGS / "quick.json"),
+                     "--out", str(out)]) == 0
+    assert cli_main(["report", str(out)]) == 0
+    capsys.readouterr()
+    assert tree_digest(out) == GOLDEN_QUICK_TREE_DIGEST
+
+
 def test_traced_names_see_every_unit_of_work(monkeypatch):
     """The names the benchmark tracer wraps stay on the hot path.
 
@@ -602,7 +625,7 @@ def csv_writer_trace(steps):
     for row in steps:
         writer.writerow([int(getattr(row, attr)) if cell == "0/1"
                          else getattr(row, attr)
-                         for _, attr, cell in harness._TRACE_FORMAT])
+                         for _, attr, cell in artifacts._TRACE_FORMAT])
     return buffer.getvalue().encode()
 
 
@@ -634,7 +657,7 @@ class TestTraceCsvIo:
             parsed = read_trace_csv(path)
         assert len(parsed) == len(steps)
         for got, original in zip(parsed, steps):
-            for _, attr, _ in harness._TRACE_FORMAT:
+            for _, attr, _ in artifacts._TRACE_FORMAT:
                 assert same_cell(getattr(got, attr), getattr(original, attr)), \
                     (attr, getattr(got, attr), getattr(original, attr))
             assert (got.true_delta_mg, got.probe) == (0.0, False)
@@ -771,17 +794,36 @@ class TestArtifacts:
     def test_report_rejects_new_bytes_over_an_old_tail(self, tmp_path, name,
                                                        stop):
         # What an in-place rewrite cut short can leave: the new bytes
-        # written so far, then the rest of the longer old file.
+        # written so far, then the rest of the longer old file. The old
+        # file is another seed's, its bytes repeated until it is longer
+        # than the new one whatever either run simulated.
         config = small_config(powder=["glass-beads", "msg"],
                               targets_mg=[20, 500])
         old, out = tmp_path / "old", tmp_path / "out"
         run_suite(dataclasses.replace(config, seed=1), out_dir=old)
         run_suite(config, out_dir=out)
         stale, data = (old / name).read_bytes(), (out / name).read_bytes()
+        stale *= len(data) // len(stale) + 1
         assert len(stale) > len(data)
         cut = int(len(data) * stop)
         (out / name).write_bytes(data[:cut] + stale[cut:])
         assert not build_report(out).ok
+
+    def test_report_removes_the_fit_files_of_a_dropped_powder(self,
+                                                                tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        run_suite(small_config(powder=["glass-beads", "msg"]), out_dir=out)
+        assert build_report(out).ok
+        assert (out / "report" / f"fit_msg_{GRAVITY}.csv").is_file()
+        for directory in (out, fresh):
+            run_suite(small_config(), out_dir=directory)
+            assert build_report(directory).ok
+        report = {path.name: path.read_bytes()
+                  for path in (out / "report").iterdir()}
+        assert report == {path.name: path.read_bytes()
+                          for path in (fresh / "report").iterdir()}
+        # the dropped powder's traces stay, as the index no longer names them
+        assert (out / "trials" / "msg--model-based--t50--000.csv").is_file()
 
     def test_report_recomputes_identically(self, suite):
         _, _, out = suite

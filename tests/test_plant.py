@@ -16,6 +16,7 @@ from powderdose import (
     PowderSpec,
     SimulatedPlant,
     ValveKinematics,
+    beverloo_rate,
     effective_coefficient,
     predicted_drop,
     quantize_reading,
@@ -139,26 +140,31 @@ class TestQuantizeReading:
 
 
 class TestFlowGate:
+    # with no flow noise a step dispenses rate * (T(L) + t_pose) exactly
     def test_arching_blocks_gravity_at_and_below_critical(self):
-        spec = make_spec(critical_arch_diameter=0.5, particle_correction=0.0)
+        spec = make_spec(critical_arch_diameter=0.5, particle_correction=0.0,
+                         flow_noise_sigma=0.0)
         kin = ValveKinematics(opening_per_command=0.5)
-        plant = SimulatedPlant(spec, kin, QUIET_BALANCE)
-        assert plant.flow_rate(1.0, False) == 0.0    # orifice == critical
-        assert plant.flow_rate(0.5, False) == 0.0
-        assert plant.flow_rate(1.2, False) > 0.0
+
+        def drop(l_command):
+            return quiet_plant(spec, kin).execute(l_command, 2.0, False)[0]
+
+        assert drop(1.0) == 0.0    # orifice == critical
+        assert drop(0.5) == 0.0
+        assert drop(1.2) > 0.0
 
     def test_vibration_bypasses_arch_and_applies_gain(self):
         spec = make_spec(critical_arch_diameter=10.0, particle_correction=0.0,
-                         vibration_gain=2.5)
+                         vibration_gain=2.5, flow_noise_sigma=0.0)
         kin = ValveKinematics()
-        plant = SimulatedPlant(spec, kin, QUIET_BALANCE)
-        assert plant.flow_rate(100.0, False) == 0.0
-        vib = plant.flow_rate(100.0, True)
+        assert quiet_plant(spec, kin).execute(100.0, 2.0, False)[0] == 0.0
+        vib = quiet_plant(spec, kin).execute(100.0, 2.0, True)[0]
         assert vib > 0.0
-        free = make_spec(critical_arch_diameter=0.0, particle_correction=0.0)
+        free = make_spec(critical_arch_diameter=0.0, particle_correction=0.0,
+                         flow_noise_sigma=0.0)
         assert vib == pytest.approx(
-            2.5 * SimulatedPlant(free, kin, QUIET_BALANCE)
-            .flow_rate(100.0, False), rel=1e-12)
+            2.5 * quiet_plant(free, kin).execute(100.0, 2.0, False)[0],
+            rel=1e-12)
 
 
 class TestExecute:
@@ -294,7 +300,8 @@ class TestBlockDraws:
             l_command, t_pose = 40.0 + step % 50, 0.5 + step % 3
             before = plant.dispensed_total
             eps = max(flow_rng.normal(0.0, flow_sigma), -1.0)
-            expected = (plant.flow_rate(l_command, False)
+            expected = (beverloo_rate(spec, kin.opening_per_command
+                                      * l_command)
                         * (l_command / kin.travel_rate + t_pose)
                         * (1.0 + eps))
             assert plant.execute(l_command, t_pose, False)[0] == expected
