@@ -19,6 +19,7 @@ from powderdose import (
     beverloo_rate,
     effective_coefficient,
     predicted_drop,
+    regressor,
 )
 
 
@@ -194,6 +195,8 @@ def take_action(entry, l_command, t_pose_s):
     if entry == "predicted_drop":
         return predicted_drop(DispenseModel(0.01), ENVELOPE, l_command,
                               t_pose_s)
+    if entry == "regressor":
+        return regressor(ENVELOPE, l_command, t_pose_s)
     if entry == "ObservationLog.record":  # a delta above the gate
         return ObservationLog(ENVELOPE).record(l_command, t_pose_s, False,
                                                10.0)
@@ -204,7 +207,7 @@ def take_action(entry, l_command, t_pose_s):
 class TestValveEnvelope:
     """Every entry point that takes an action applies the same envelope."""
 
-    ENTRIES = ("predicted_drop", "ObservationLog.record",
+    ENTRIES = ("predicted_drop", "regressor", "ObservationLog.record",
                "SimulatedPlant.execute")
 
     @pytest.mark.parametrize("entry", ENTRIES)
