@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import GRAVITY, VIBRATION, ValveKinematics, check_fields
+from .flow import ValveKinematics, check_fields
 from .identify import MIN_OBSERVABLE_MG, CoefficientEstimate, ObservationLog
 
 DEFAULT_K_P = 0.5
@@ -442,30 +442,24 @@ class DispensingController(_TrialController):
         if delta < 0.0:
             delta = 0.0
         action = self._last_action
-        if action.vibration:
-            mode, fit = VIBRATION, self.estimate.vibration
-        else:
-            mode, fit = GRAVITY, self.estimate.gravity
-        if fit.c_prime is not None:
-            if self.log.record(action.l_command, action.t_pose_s,
-                               action.vibration, delta):
-                self._refit(mode)
-            return
-        confirmed = self._ladder.note_result(action, delta)
-        if confirmed is not None:
+        vibration = action.vibration
+        estimate = self.estimate
+        if (estimate.vibration if vibration
+                else estimate.gravity).c_prime is None:
+            confirmed = self._ladder.note_result(action, delta)
+            if confirmed is None:
+                return
             first_action, first_delta = confirmed
             self.log.record(first_action.l_command, first_action.t_pose_s,
-                            first_action.vibration, first_delta)
-            self.log.record(action.l_command, action.t_pose_s,
-                            action.vibration, delta)
-            self._refit(mode)
-
-    def _refit(self, mode: str) -> None:
-        fit = self.log.fit(mode)
-        if mode == GRAVITY:
-            self.estimate = CoefficientEstimate(fit, self.estimate.vibration)
+                            vibration, first_delta)
+        fit = self.log.record(action.l_command, action.t_pose_s, vibration,
+                              delta)
+        if fit is None:
+            return
+        if vibration:
+            self.estimate = CoefficientEstimate(estimate.gravity, fit)
         else:
-            self.estimate = CoefficientEstimate(self.estimate.gravity, fit)
+            self.estimate = CoefficientEstimate(fit, estimate.vibration)
 
     def _choose(self) -> StepDecision:
         """The model's action, or a probe while the mode it needs has no

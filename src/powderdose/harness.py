@@ -188,16 +188,10 @@ def pooled_observations(records: Iterable[TrialRecord]
     return pools
 
 
-def pooled_fits(records: Iterable[TrialRecord]
-                | Mapping[str, list[Observation]],
+def pooled_fits(pools: Mapping[str, list[Observation]],
                 kin: ValveKinematics) -> list[PooledFit]:
-    """One refit per powder and mode of the pooled observations.
-
-    records may also be the pools pooled_observations made of them, for a
-    caller that needs the pools too.
-    """
-    pools = (records if isinstance(records, Mapping)
-             else pooled_observations(records))
+    """One refit per powder and mode of the pools pooled_observations
+    makes of a suite's records."""
     fits = []
     for powder, observations in pools.items():
         for mode in (GRAVITY, VIBRATION):
@@ -227,7 +221,8 @@ def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,
     summary = SuiteSummary(
         config=config,
         conditions=tuple(compute_metrics(records, config.tolerance_mg)),
-        pooled_fits=tuple(pooled_fits(records, config.kinematics)),
+        pooled_fits=tuple(pooled_fits(pooled_observations(records),
+                                      config.kinematics)),
         trials=tuple(records),
     )
     if write_artifacts:

@@ -10,19 +10,23 @@ observations is
 refreshed after every accepted observation. Gravity and vibration
 observations are kept strictly apart; each mode carries its own coefficient.
 
-The controller's ObservationLog stores no observations. It is bound to one
-ValveKinematics and adds each accepted delta straight into its mode's n,
-sum(x*dW) and sum(x**2), in arrival order. That is the order
-fit_coefficient sums in, so a refit is O(1) and C' is bit-identical to a
-full refit. The controller never reads an R^2, so the log keeps none.
-fit_coefficient works on stored Observation lists for the pooled report
-fits, with R^2 in the exact two-pass form. It computes each
-observation's regressor once and hands the same values, in the same
-order, to the R^2 pass, so C' and R^2 are bit for bit those of computing
-it in each pass. Every regressor, the log's included, comes
-from regressor(), which first puts the action through
-ValveKinematics.check: an action outside the valve envelope is a
-ValueError, never a data point.
+One accumulator, _ModeSums, is the estimator. It adds each observation's
+regressor and delta into n, sum(x*dW) and sum(x**2), in arrival order,
+and fit() turns the sums into a ModeFit. The controller's ObservationLog
+keeps one per mode, keyed by the vibration flag, and stores no
+observations: record() adds an accepted delta and returns its mode's
+refreshed ModeFit, or None when it drops the delta, so a refit is O(1).
+fit_coefficient runs stored Observation lists for the pooled report fits
+through a fresh accumulator in the same order, so online and pooled C'
+come from the same code. A change to the estimator therefore moves both
+fits; it must say whether the pooled fit, which acceptance criterion 4
+judges as a test of model adequacy, stays least squares. The
+controller never reads an R^2, so the log keeps none; fit_coefficient
+adds it in the exact two-pass form, from the same regressors in the same
+order, so C' and R^2 are bit for bit those of computing it in each pass.
+Every regressor, the log's included, comes from regressor(), which first
+puts the action through ValveKinematics.check: an action outside the
+valve envelope is a ValueError, never a data point.
 
 Deltas below the balance's reliable range (MIN_OBSERVABLE_MG, 0.5 mg) are
 discarded before they reach the log, so noise-level readings never steer
@@ -36,7 +40,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
-from .flow import GRAVITY, MODES, VIBRATION, ValveKinematics
+from .flow import MODES, VIBRATION, ValveKinematics
 
 MIN_OBSERVABLE_MG = 0.5
 
@@ -107,22 +111,13 @@ def fit_coefficient(observations: list[Observation], kin: ValveKinematics,
         raise ValueError(f"mode must be one of {MODES}")
     selected = select_mode(observations, mode)
     xs = [regressor(kin, obs.l_command, obs.t_pose_s) for obs in selected]
-    num = 0.0
-    den = 0.0
+    sums = _ModeSums()
     for obs, x in zip(selected, xs):
-        num += x * obs.delta_w_mg
-        den += x * x
-    fit = _fit_from_sums(len(selected), num, den)
+        sums.add(x, obs.delta_w_mg)
+    fit = sums.fit()
     if fit.c_prime is None:
         return fit
     return replace(fit, r_squared=_r_squared(selected, xs, fit.c_prime))
-
-
-def _fit_from_sums(n: int, sxy: float, sxx: float) -> ModeFit:
-    """C' = sxy / sxx; unfitted while sxx is zero."""
-    if sxx == 0.0:
-        return ModeFit()
-    return ModeFit(c_prime=sxy / sxx, n_obs=n)
 
 
 def _r_squared(observations: list[Observation], xs: list[float],
@@ -148,7 +143,8 @@ def _r_squared(observations: list[Observation], xs: list[float],
 
 
 class _ModeSums:
-    """n, sum(x*dW) and sum(x**2) of one mode's accepted observations."""
+    """The least-squares estimator of one mode: n, sum(x*dW) and sum(x**2)
+    of its accepted observations, added in arrival order."""
 
     __slots__ = ("n", "sxy", "sxx")
 
@@ -157,38 +153,46 @@ class _ModeSums:
         self.sxy = 0.0
         self.sxx = 0.0
 
+    def add(self, x: float, delta_w_mg: float) -> None:
+        self.n += 1
+        self.sxy += x * delta_w_mg
+        self.sxx += x * x
+
+    def fit(self) -> ModeFit:
+        """C' = sum(x*dW) / sum(x**2); unfitted while sum(x**2) is zero."""
+        if self.sxx == 0.0:
+            return ModeFit()
+        return ModeFit(c_prime=self.sxy / self.sxx, n_obs=self.n)
+
 
 class ObservationLog:
     """Per-mode least-squares sums of one trial's accepted observations.
 
     The log belongs to the ValveKinematics it is built with. record()
-    drops a delta below MIN_OBSERVABLE_MG and reports whether it was kept;
-    a kept one must come from an action inside the valve envelope, and its
-    regressor and delta go straight into that mode's sums. fit() turns the
-    sums into a ModeFit in O(1), with the same C' and n as fit_coefficient
-    over the same observations, and no R^2.
+    drops a delta below MIN_OBSERVABLE_MG and returns None; a kept one
+    must come from an action inside the valve envelope, goes into its
+    mode's sums, and record() returns that mode's refreshed ModeFit.
+    fit() gives the same C' and n as fit_coefficient over the same
+    observations, and no R^2.
     """
 
     def __init__(self, kin: ValveKinematics) -> None:
         self._kin = kin
-        self._sums = {GRAVITY: _ModeSums(), VIBRATION: _ModeSums()}
+        self._gravity = _ModeSums()
+        self._vibration = _ModeSums()
 
     def record(self, l_command: float, t_pose_s: float, vibration: bool,
-               delta_w_mg: float) -> bool:
+               delta_w_mg: float) -> ModeFit | None:
         """Add one measured delta if it clears the observable threshold."""
         if not math.isfinite(delta_w_mg):
             raise ValueError("delta_w_mg must be finite")
         if delta_w_mg < MIN_OBSERVABLE_MG:
-            return False
-        x = regressor(self._kin, l_command, t_pose_s)
-        sums = self._sums[VIBRATION if vibration else GRAVITY]
-        sums.n += 1
-        sums.sxy += x * delta_w_mg
-        sums.sxx += x * x
-        return True
+            return None
+        sums = self._vibration if vibration else self._gravity
+        sums.add(regressor(self._kin, l_command, t_pose_s), delta_w_mg)
+        return sums.fit()
 
     def fit(self, mode: str) -> ModeFit:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        sums = self._sums[mode]
-        return _fit_from_sums(sums.n, sums.sxy, sums.sxx)
+        return (self._vibration if mode == VIBRATION else self._gravity).fit()

@@ -324,7 +324,7 @@ class TestPooledFits:
                               index=1)]
         pools = pooled_observations(records)
         assert len(pools["glass-beads"]) == 2    # pid record contributes none
-        fits = pooled_fits(records, ValveKinematics())
+        fits = pooled_fits(pools, ValveKinematics())
         by_mode = {f.mode: f for f in fits}
         assert by_mode[GRAVITY].n_points == 1
         assert by_mode[VIBRATION].n_points == 1
