@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from .config import (DIRECT_PID, MODEL_BASED, ExperimentConfig,
-                     config_from_dict, config_to_dict, finite, is_count)
+                     config_to_dict, finite, is_count)
 from .control import TrialStatus
 from .powders import ARCHETYPES
 
@@ -405,11 +405,6 @@ def load_suite_records(artifact_dir: str | Path
             continue
         records.append(record_from_index(entry, steps))
     return records, payload, errors
-
-
-def stored_config(payload: Mapping) -> ExperimentConfig:
-    """The config a parsed summary.json echoes; ConfigError if invalid."""
-    return config_from_dict(payload.get("config", {}))
 
 
 def stored_summary_problems(root: Path, payload: Mapping,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+import zlib
 from collections.abc import Mapping
 from dataclasses import (asdict, dataclass, field,
                          fields as dataclass_fields, replace)
@@ -19,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_TOLERANCE_MG,
-                      PidGains)
+                      ActionGrid, PidGains)
 from .flow import PowderSpec, ValveKinematics
 from .plant import BalanceModel
 from .powders import ARCHETYPES, archetype
@@ -37,6 +39,20 @@ OUT_DIR_ENV = "POWDERDOSE_OUT"
 # overflows past about 1.3e154. A normal draw stays under 14, so with this
 # bound a sum of even 1e9 squared differences stays far below the limit.
 _MAX_NOISE_SIGMA_MG = 1e100
+
+# The model-based controller builds one action table per envelope, about
+# 200 bytes a cell (tracemalloc, CPython 3.11: 16.0 MB at 79 581 cells,
+# 20.4 MB at 99 992). The cap keeps a table near 20 MB and allows 57
+# times the default grid's 1763 cells.
+_MAX_GRID_CELLS = 100_000
+
+# A bound that a log-space value must stay under for the value to be a
+# finite float; logs never raise OverflowError as float powers do.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+# A normal draw stays under 14, so no settle wait exceeds
+# settle_time_mean + 14 * settle_time_sigma.
+_SETTLE_SIGMAS = 14.0
 
 
 class ConfigError(ValueError):
@@ -57,7 +73,9 @@ class ExperimentConfig:
     an alias to its controller, and targets, tolerance, k_p and powder
     override values to floats.
     With direct-pid among the controllers, pid_gains.t_pose_fixed_s must
-    lie in the kinematics dwell range.
+    lie in the kinematics dwell range. No two conditions may share a
+    stream key (condition_checksum), and a config valid field by field
+    must still be able to run (_run_bounds).
 
     k_p may be a single gain or a per-powder mapping; k_p_for() resolves it.
     powder_overrides patches archetype fields per powder before a trial
@@ -108,6 +126,7 @@ class ExperimentConfig:
                     errors.append(f"targets_mg: entries must be positive "
                                   f"finite numbers, got {t!r}")
             errors.extend(_target_collisions(targets))
+            errors.extend(_stream_collisions(powders, controllers, targets))
 
         for name in ("trials", "max_steps"):
             if not is_count(getattr(self, name), 1):
@@ -154,6 +173,9 @@ class ExperimentConfig:
                 f"{_MAX_NOISE_SIGMA_MG:g} mg, got "
                 f"{self.balance.noise_sigma:g}; the fits square reading "
                 f"differences, and those squares overflow near 1e154 mg")
+        if not wrong and is_count(self.max_steps, 1) \
+                and is_count(self.trials, 1):
+            errors.extend(_run_bounds(self, MODEL_BASED in controllers))
         overrides = {}
         if isinstance(self.powder_overrides, Mapping):
             for name, raw in self.powder_overrides.items():
@@ -297,6 +319,70 @@ def _target_collisions(targets: list[float]) -> list[str]:
                     f"targets_mg: {first!r} and {second!r} both key as "
                     f"t{first:g}; their trials would share a trial id, "
                     f"trace file and RNG stream")
+    return errors
+
+
+def condition_checksum(powder: str, controller: str,
+                       target_mg: float) -> int:
+    """The stream key of a condition's trials: the CRC-32 of its text key
+    powder/controller/target, the target written f"{target_mg:g}"."""
+    return zlib.crc32(f"{powder}/{controller}/{target_mg:g}".encode())
+
+
+def _stream_collisions(powders: list[str], controllers: list[str],
+                       targets: list[float]) -> list[str]:
+    """Pairs of conditions whose text keys differ but whose stream keys
+    match: their trials would draw the same flow and balance noise.
+    Conditions with the same text key are _target_collisions' to report."""
+    errors = []
+    seen: dict[int, str] = {}
+    for powder in powders:
+        for controller in controllers:
+            for target in targets:
+                key = f"{powder}/{controller}/{target:g}"
+                checksum = condition_checksum(powder, controller, target)
+                first = seen.setdefault(checksum, key)
+                if first != key:
+                    errors.append(
+                        f"conditions {first} and {key} share the stream "
+                        f"key {checksum}; their trials would draw the same "
+                        f"flow and balance noise")
+    return errors
+
+
+def _run_bounds(config: ExperimentConfig, model_based: bool) -> list[str]:
+    """What makes a config that is valid field by field impossible to run:
+    a model-based action table too large to build, fit sums or trial
+    times past the float range."""
+    kin, balance = config.kinematics, config.balance
+    errors = []
+    if model_based:
+        cells = ActionGrid().cells(kin)
+        if cells > _MAX_GRID_CELLS:
+            errors.append(
+                f"kinematics: the envelope holds {cells:.4g} cells of the "
+                f"model-based controller's action grid, more than "
+                f"{_MAX_GRID_CELLS}; its action table takes about 200 "
+                f"bytes a cell")
+        # max_steps * x**2 at the largest action bounds the fit's sum(x**2)
+        window = kin.l_max / kin.travel_rate + kin.t_pose_max
+        if not (math.log(config.max_steps) + 5.0 * math.log(kin.l_max)
+                + 2.0 * math.log(window)) < _LOG_FLOAT_MAX:
+            errors.append(
+                "kinematics: max_steps times the squared regressor at "
+                "l_max and t_pose_max overflows a float; the fits sum "
+                "those squares")
+    # The means sum every trial's time; each trial runs at most max_steps
+    # cycles of travel out and back, dwell and settle.
+    cycle = (2.0 * kin.l_max / kin.travel_rate + kin.t_pose_max
+             + balance.settle_time_mean
+             + _SETTLE_SIGMAS * balance.settle_time_sigma)
+    if not (math.log(config.trials) + math.log(config.max_steps)
+            + math.log(cycle)) < _LOG_FLOAT_MAX:
+        errors.append(
+            f"max_steps: {config.trials} trials of {config.max_steps} "
+            f"worst-case cycles of {cycle:.4g} s overflow a float; trial "
+            f"times and their means would be infinite")
     return errors
 
 

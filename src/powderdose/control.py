@@ -110,11 +110,23 @@ class ActionGrid:
     def t_values(self, kin: ValveKinematics) -> np.ndarray:
         return _axis(kin.t_pose_min, kin.t_pose_max, self.t_step)
 
+    def cells(self, kin: ValveKinematics) -> float:
+        """How many actions the grid holds over kin's envelope, counted
+        without building an axis; inf past the float range."""
+        return (_axis_size(kin.l_min, kin.l_max, self.l_step)
+                * _axis_size(kin.t_pose_min, kin.t_pose_max, self.t_step))
+
+
+def _axis_size(lo: float, hi: float, step: float) -> float:
+    # The 1e-9 keeps a bound that float steps miss by a hair on the axis.
+    span = (hi - lo) / step + 1e-9
+    return math.floor(span) + 1 if span < math.inf else math.inf
+
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    # The 1e-9 keeps a bound that float steps miss by a hair on the axis;
-    # the clamp keeps such a last value from landing a hair above hi.
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    # The clamp puts a last value that float steps land a hair above hi
+    # back on hi.
+    n = _axis_size(lo, hi, step)
     return np.minimum(lo + step * np.arange(n), hi)
 
 

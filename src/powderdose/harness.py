@@ -13,24 +13,20 @@ the artifacts it writes in artifacts.
 from __future__ import annotations
 
 import math
-import zlib
 from collections.abc import Iterable, Mapping
 from dataclasses import replace
 from pathlib import Path
 
 from .artifacts import (ConditionStats, PooledFit, StepTrace, SuiteSummary,
                         TrialRecord, trial_id, write_suite_artifacts)
-from .config import MODEL_BASED, ConfigError, ExperimentConfig, is_count
+from .config import (MODEL_BASED, ConfigError, ExperimentConfig,
+                     condition_checksum, is_count)
 from .control import (DEFAULT_TOLERANCE_MG, DispensingController,
                       PidBaselineController, TrialStatus)
 from .flow import GRAVITY, VIBRATION, PowderSpec, ValveKinematics
 from .identify import (MIN_OBSERVABLE_MG, Observation, fit_coefficient,
                        select_mode)
 from .plant import SimulatedPlant
-
-
-def _condition_checksum(powder: str, controller: str, target_mg: float) -> int:
-    return zlib.crc32(f"{powder}/{controller}/{target_mg:g}".encode())
 
 
 def _needs_vibration(spec: PowderSpec, kin: ValveKinematics) -> bool:
@@ -62,7 +58,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
     kin = config.kinematics
     plant = SimulatedPlant(
         spec, kin, config.balance, seed=config.seed,
-        stream_key=(_condition_checksum(powder, controller_name, target),
+        stream_key=(condition_checksum(powder, controller_name, target),
                     trial_index))
     if controller_name == MODEL_BASED:
         ctl: DispensingController | PidBaselineController = \

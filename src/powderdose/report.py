@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .artifacts import (ConditionStats, PooledFit, load_suite_records,
-                        stored_config, stored_summary_problems,
-                        summary_csv_text, write_bytes)
+                        stored_summary_problems, summary_csv_text,
+                        write_bytes)
+from .config import config_from_dict
 from .harness import compute_metrics, pooled_fits, pooled_observations
 from .identify import regressor, select_mode
 
@@ -55,8 +56,12 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
         errors.append(f"no data: {root} holds no trials")
     if not records:
         return ReportResult(root, None, (), (), tuple(errors))
+    if "config" not in payload:
+        errors.append("summary.json: no 'config' key; the report needs the "
+                      "run's config echo to recompute the summary")
+        return ReportResult(root, None, (), (), tuple(errors))
     try:
-        config = stored_config(payload)
+        config = config_from_dict(payload["config"])
     except ValueError as exc:
         errors.append(f"config echo invalid: {exc}")
         return ReportResult(root, None, (), (), tuple(errors))

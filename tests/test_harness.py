@@ -152,6 +152,50 @@ class TestConfigParsing:
         assert any("50.0 and 50.0 both key as t50" in e for e in collisions)
         config_from_dict({"targets_mg": [20, 20.001]})   # t20 vs t20.001
 
+    def test_conditions_sharing_a_stream_key_are_rejected(self):
+        # both text keys have the CRC-32 2027330778
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"powder": "glass-beads",
+                              "controller": [MODEL_BASED, DIRECT_PID],
+                              "targets_mg": [814.528, 1050.2]})
+        assert info.value.errors == [
+            "conditions glass-beads/model-based/814.528 and "
+            "glass-beads/direct-pid/1050.2 share the stream key 2027330778; "
+            "their trials would draw the same flow and balance noise"]
+        config_from_dict({"powder": "glass-beads", "targets_mg": [814.528,
+                                                                 1050.2]})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"kinematics": {"l_max": 1e12}},
+         "kinematics: the envelope holds 8.2e+12 cells of the model-based "
+         "controller's action grid, more than 100000"),
+        ({"kinematics": {"t_pose_max": 1e12}},
+         "kinematics: the envelope holds 8.6e+13 cells"),
+        ({"kinematics": {"travel_rate": 1e-307}},
+         "kinematics: max_steps times the squared regressor at l_max and "
+         "t_pose_max overflows a float"),
+        ({"plant": {"balance": {"settle_time_mean": 1e308}}},
+         "max_steps: 10 trials of 100 worst-case cycles of 1e+308 s "
+         "overflow a float"),
+    ], ids=["l-max", "t-pose-max", "travel-rate", "settle-time"])
+    def test_configs_that_cannot_run_are_rejected(self, data, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert any(e.startswith(message) for e in info.value.errors), \
+            info.value.errors
+
+    def test_run_bounds_hold_at_the_limits(self):
+        # the grid cap counts model-based cells only
+        config_from_dict({"controller": DIRECT_PID,
+                          "kinematics": {"l_max": 1e12}})
+        # at the grid's 5-unit, 0.5 s steps: 12 499 x 8 = 99 992 cells
+        config_from_dict({"kinematics": {"l_max": 62490.0,
+                                         "t_pose_max": 3.5}})
+        with pytest.raises(ConfigError):
+            config_from_dict({"kinematics": {"l_max": 62500.0,
+                                             "t_pose_max": 3.5}})
+        config_from_dict({"plant": {"balance": {"settle_time_mean": 1e305}}})
+
     def test_duplicate_powders_and_controllers_are_rejected(self):
         with pytest.raises(ConfigError) as info:
             config_from_dict({"powder": ["msg", "tio2", "msg"],
@@ -905,7 +949,9 @@ class TestArtifacts:
         (lambda index, out: (out / "summary.csv").write_text(
             (out / "summary.csv").read_text() + "glass-beads,x\n"),
          "summary.csv: does not match the summary recomputed"),
-    ], ids=["successes", "c-prime", "summary-csv-row"])
+        (lambda index, out: index.pop("config"),
+         "summary.json: no 'config' key"),
+    ], ids=["successes", "c-prime", "summary-csv-row", "no-config-echo"])
     def test_report_checks_the_stored_summary(self, suite, tmp_path, capsys,
                                               edit, message):
         _, _, out = suite
