@@ -20,7 +20,7 @@ from powderdose import (
     archetype,
     effective_coefficient,
     pooled_fits,
-    pooled_observations,
+    pooled_points,
     run_trial,
 )
 
@@ -47,7 +47,7 @@ for row in rec.steps:
 
 # pooled across trials the estimate tightens further
 records = [run_trial(cfg, i) for i in range(cfg.trials)]
-fits = pooled_fits(pooled_observations(records), kin)
+fits = pooled_fits(pooled_points(records, kin))
 print()
 for f in fits:
     err_pct = 100.0 * (f.c_prime - c_true) / c_true
@@ -60,7 +60,7 @@ clean = ExperimentConfig(powders=["glass-beads"], controllers=["model-based"],
                          targets_mg=[500.0], trials=8, seed=3,
                          powder_overrides={"glass-beads": {"particle_correction": 0.0}})
 records = [run_trial(clean, i) for i in range(clean.trials)]
-for f in pooled_fits(pooled_observations(records), kin):
+for f in pooled_fits(pooled_points(records, kin)):
     err_pct = 100.0 * (f.c_prime - c_true) / c_true
     print(f"no-correction plant:    C' = {f.c_prime:.6f} ({err_pct:+.2f} %), "
           f"R^2 = {f.r_squared:.4f} over {f.n_points} points")

@@ -28,8 +28,8 @@ from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_TOLERANCE_MG,
 from .flow import (G_MM_S2, GRAVITY, MODES, VIBRATION, DispenseModel,
                    PowderSpec, ValveKinematics, beverloo_rate,
                    effective_coefficient, predicted_drop)
-from .harness import (compute_metrics, pooled_fits, pooled_observations,
-                      run_suite, run_trial)
+from .harness import (compute_metrics, pooled_fits, pooled_points, run_suite,
+                      run_trial)
 from .identify import (MIN_OBSERVABLE_MG, CoefficientEstimate, ModeFit,
                        Observation, ObservationLog, fit_coefficient,
                        regressor)
@@ -52,7 +52,7 @@ __all__ = [
     "ValveAction", "ValveKinematics", "archetype", "beverloo_rate",
     "build_report", "compute_metrics", "config_from_dict", "config_to_dict",
     "effective_coefficient", "fit_coefficient", "load_config", "pooled_fits",
-    "pooled_observations", "predicted_drop", "quantize_reading",
+    "pooled_points", "predicted_drop", "quantize_reading",
     "read_trace_csv", "regressor", "resolve_out_dir", "run_suite", "run_trial",
     "select_action", "write_suite_artifacts", "write_trace_csv",
 ]

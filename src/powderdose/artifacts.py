@@ -17,6 +17,11 @@ vibration are decimal integers (vibration 0 or 1), a float is its Python
 repr, and None is an empty cell. Every cell is numeric, so none is ever
 quoted, and these are the bytes csv.writer gives the same rows.
 
+The fit CSVs that report writes, report/fit_<powder>_<mode>.csv, follow
+the same rules: a header line regressor,measured_mg,predicted_mg, then
+one line per pooled point, its regressor, its measured delta and the
+fit's prediction C' * regressor, an empty cell while the fit is unfitted.
+
 A rerun into an existing directory rewrites each file it writes in place
 to exactly the new bytes; the trace files of trials the new config no
 longer has are left as they are.
@@ -167,6 +172,19 @@ def write_trace_csv(record: TrialRecord, path: Path) -> None:
                for (_, _, cell), values in zip(_TRACE_FORMAT,
                                                zip(*record.steps))]
     text = _TRACE_HEADER + "".join(map(_TRACE_LINE.__mod__, zip(*columns)))
+    write_bytes(path, text.encode())
+
+
+def write_fit_csv(xs: list[float], deltas: list[float],
+                  c_prime: float | None, path: Path) -> None:
+    """Write one pooled fit's points, regressors xs and measured deltas,
+    as one buffer in the byte format above."""
+    rows = zip(xs, deltas, strict=True)
+    if c_prime is None:
+        lines = map("%r,%r,\r\n".__mod__, rows)
+    else:
+        lines = ["%r,%r,%r\r\n" % (x, dw, c_prime * x) for x, dw in rows]
+    text = "regressor,measured_mg,predicted_mg\r\n" + "".join(lines)
     write_bytes(path, text.encode())
 
 

@@ -6,6 +6,11 @@ substreams derived from (suite seed, condition checksum, trial index), so
 a single trial rerun standalone reproduces its in-suite twin bit for bit
 and reordering conditions never shifts anybody's draws.
 
+pooled_points gives, per (powder, mode), the regressors and measured
+deltas of a suite's gated model-based steps as two parallel lists;
+pooled_fits fits each pair through identify.fit_points, and report writes
+the same lists to its fit CSVs.
+
 The config rules live in config, and the records run_suite returns and
 the artifacts it writes in artifacts.
 """
@@ -13,7 +18,7 @@ the artifacts it writes in artifacts.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,9 +28,8 @@ from .config import (MODEL_BASED, ConfigError, ExperimentConfig,
                      condition_checksum, is_count)
 from .control import (DEFAULT_TOLERANCE_MG, DispensingController,
                       PidBaselineController, TrialStatus)
-from .flow import GRAVITY, VIBRATION, PowderSpec, ValveKinematics
-from .identify import (MIN_OBSERVABLE_MG, Observation, fit_coefficient,
-                       select_mode)
+from .flow import MODES, PowderSpec, ValveKinematics
+from .identify import MIN_OBSERVABLE_MG, fit_points, regressor
 from .plant import SimulatedPlant
 
 
@@ -162,43 +166,54 @@ def _sample_std(values: list[float]) -> float:
     return math.hypot(*(v - m for v in values)) / math.sqrt(n - 1)
 
 
-def pooled_observations(records: Iterable[TrialRecord]
-                        ) -> dict[str, list[Observation]]:
-    """Measurable steps of model-based trials, pooled per powder.
+# (powder, mode) -> (regressors, measured deltas), as pooled_points gives it
+_Points = dict[tuple[str, str], tuple[list[float], list[float]]]
 
-    Every executed step whose measured delta clears the observability gate
-    counts, probe steps included; the pool is what a suite-wide refit of
-    the drop model sees.
+
+def pooled_points(records: Iterable[TrialRecord],
+                  kin: ValveKinematics) -> _Points:
+    """The data points of a suite-wide refit of the drop model.
+
+    Maps each (powder, mode) to two parallel lists, the regressors and the
+    measured deltas of the executed steps of model-based trials whose
+    delta clears the observability gate, probe steps included, in trial
+    and step order. Keys run by powder in order of first appearance,
+    gravity before vibration. ValueError, naming the trial and the 1-based
+    step, on a gated delta that is not finite or a step outside the valve
+    envelope.
     """
-    pools: dict[str, list[Observation]] = {}
+    # powder -> (regressors, deltas) of gravity, then of vibration
+    pools: dict[str, tuple[tuple[list[float], list[float]], ...]] = {}
     for record in records:
         if record.controller != MODEL_BASED:
             continue
-        for row in record.steps:
-            if row.measured_delta_mg < MIN_OBSERVABLE_MG:
+        for step, row in enumerate(record.steps, 1):
+            if row.measured_delta_mg < MIN_OBSERVABLE_MG:  # nan passes
                 continue
-            # positional, in Observation field order
-            pools.setdefault(record.powder, []).append(Observation(
-                row.l_command, row.t_pose_s, row.vibration,
-                row.measured_delta_mg))
-    return pools
+            try:
+                # inline: check_fields costs 0.2 us a row (Xeon, timeit)
+                if not math.isfinite(row.measured_delta_mg):
+                    raise ValueError(f"measured_delta_mg must be finite, got "
+                                     f"{row.measured_delta_mg!r}")
+                x = regressor(kin, row.l_command, row.t_pose_s)
+            except ValueError as exc:
+                raise ValueError(f"trial {record.trial_id} step {step}: "
+                                 f"{exc}") from None
+            if record.powder not in pools:
+                pools[record.powder] = (([], []), ([], []))
+            xs, deltas = pools[record.powder][1 if row.vibration else 0]
+            xs.append(x)
+            deltas.append(row.measured_delta_mg)
+    return {(powder, mode): pair for powder, pairs in pools.items()
+            for mode, pair in zip(MODES, pairs) if pair[0]}
 
 
-def pooled_fits(pools: Mapping[str, list[Observation]],
-                kin: ValveKinematics) -> list[PooledFit]:
-    """One refit per powder and mode of the pools pooled_observations
-    makes of a suite's records."""
-    fits = []
-    for powder, observations in pools.items():
-        for mode in (GRAVITY, VIBRATION):
-            selected = select_mode(observations, mode)
-            if not selected:
-                continue
-            fit = fit_coefficient(selected, kin, mode)
-            fits.append(PooledFit(
-                powder=powder, mode=mode, c_prime=fit.c_prime,
-                r_squared=fit.r_squared, n_points=len(selected)))
-    return fits
+def pooled_fits(points: _Points) -> list[PooledFit]:
+    """One refit per (powder, mode) of the points pooled_points makes of
+    a suite's records, in their order."""
+    return [PooledFit(powder, mode, fit.c_prime, fit.r_squared, len(xs))
+            for (powder, mode), (xs, deltas) in points.items()
+            for fit in (fit_points(xs, deltas),)]
 
 
 def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,
@@ -217,8 +232,8 @@ def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,
     summary = SuiteSummary(
         config=config,
         conditions=tuple(compute_metrics(records, config.tolerance_mg)),
-        pooled_fits=tuple(pooled_fits(pooled_observations(records),
-                                      config.kinematics)),
+        pooled_fits=tuple(pooled_fits(
+            pooled_points(records, config.kinematics))),
         trials=tuple(records),
     )
     if write_artifacts:

@@ -16,14 +16,16 @@ and fit() turns the sums into a ModeFit. The controller's ObservationLog
 keeps one per mode, keyed by the vibration flag, and stores no
 observations: record() adds an accepted delta and returns its mode's
 refreshed ModeFit, or None when it drops the delta, so a refit is O(1).
-fit_coefficient runs stored Observation lists for the pooled report fits
-through a fresh accumulator in the same order, so online and pooled C'
-come from the same code. A change to the estimator therefore moves both
-fits; it must say whether the pooled fit, which acceptance criterion 4
-judges as a test of model adequacy, stays least squares. The
-controller never reads an R^2, so the log keeps none; fit_coefficient
-adds it in the exact two-pass form, from the same regressors in the same
-order, so C' and R^2 are bit for bit those of computing it in each pass.
+fit_points runs a mode's regressor and delta columns through a fresh
+accumulator in list order; the suite-wide pooled fits (harness.pooled_fits)
+and fit_coefficient, which takes a list of Observation, both go through
+it. So the online log, fit_coefficient and the pooled fits all feed
+_ModeSums, and a change to the estimator moves all three; it must say
+whether the pooled fit, which acceptance criterion 4 judges as a test of
+model adequacy, stays least squares. The controller never reads an R^2,
+so the log keeps none; fit_points adds it in the exact two-pass form,
+from the same columns in the same order, so C' and R^2 are bit for bit
+those of computing it in each pass.
 Every regressor, the log's included, comes from regressor(), which first
 puts the action through ValveKinematics.check: an action outside the
 valve envelope is a ValueError, never a data point.
@@ -40,7 +42,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
-from .flow import MODES, VIBRATION, ValveKinematics
+from .flow import MODES, VIBRATION, ValveKinematics, check_fields
 
 MIN_OBSERVABLE_MG = 0.5
 
@@ -55,10 +57,7 @@ class Observation:
     delta_w_mg: float
 
     def __post_init__(self) -> None:
-        # inline: built per pooled row; check_fields adds 0.3 us (Xeon, timeit)
-        if not math.isfinite(self.delta_w_mg) or self.delta_w_mg < 0:
-            raise ValueError(f"Observation.delta_w_mg must be finite and "
-                             f">= 0, got {self.delta_w_mg!r}")
+        check_fields(self, ">= 0", "delta_w_mg")
 
 
 def select_mode(observations: Iterable[Observation],
@@ -103,38 +102,49 @@ def fit_coefficient(observations: list[Observation], kin: ValveKinematics,
                     mode: str) -> ModeFit:
     """Least-squares coefficient through the origin for one mode.
 
-    Only observations matching the requested mode enter the fit. An empty
-    selection, or one whose regressors are all zero, returns an unfitted
-    ModeFit.
+    Only observations matching the requested mode enter the fit, through
+    fit_points. An empty selection, or one whose regressors are all zero,
+    returns an unfitted ModeFit.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     selected = select_mode(observations, mode)
-    xs = [regressor(kin, obs.l_command, obs.t_pose_s) for obs in selected]
+    return fit_points([regressor(kin, o.l_command, o.t_pose_s)
+                       for o in selected],
+                      [o.delta_w_mg for o in selected])
+
+
+def fit_points(xs: list[float], deltas: list[float]) -> ModeFit:
+    """Least-squares C' through the origin of one mode's data points.
+
+    xs are the points' regressors, as regressor() gives them, and deltas
+    their measured drops (finite and >= 0), paired by position; the lists
+    must be of equal length. No points, or all-zero regressors, give an
+    unfitted ModeFit; a fitted one carries the fit's R^2.
+    """
     sums = _ModeSums()
-    for obs, x in zip(selected, xs):
-        sums.add(x, obs.delta_w_mg)
+    for x, delta_w_mg in zip(xs, deltas, strict=True):
+        sums.add(x, delta_w_mg)
     fit = sums.fit()
     if fit.c_prime is None:
         return fit
-    return replace(fit, r_squared=_r_squared(selected, xs, fit.c_prime))
+    return replace(fit, r_squared=_r_squared(xs, deltas, fit.c_prime))
 
 
-def _r_squared(observations: list[Observation], xs: list[float],
+def _r_squared(xs: list[float], deltas: list[float],
                c_prime: float) -> float | None:
-    """Coefficient of determination of c_prime against the observations,
-    whose regressors xs are given in the same order.
+    """Coefficient of determination of c_prime against the deltas, whose
+    regressors xs are given in the same order.
 
-    Needs at least two observations, otherwise None. With zero total
-    variance the value is 1.0 when the residuals are all zero and None
-    (undefined) when they are not.
+    Needs at least two points, otherwise None. With zero total variance
+    the value is 1.0 when the residuals are all zero and None (undefined)
+    when they are not.
     """
-    if len(observations) < 2:
+    if len(deltas) < 2:
         return None
-    mean = sum(o.delta_w_mg for o in observations) / len(observations)
-    ss_tot = sum((o.delta_w_mg - mean) ** 2 for o in observations)
-    ss_res = sum((o.delta_w_mg - c_prime * x) ** 2
-                 for o, x in zip(observations, xs))
+    mean = sum(deltas) / len(deltas)
+    ss_tot = sum((d - mean) ** 2 for d in deltas)
+    ss_res = sum((d - c_prime * x) ** 2 for x, d in zip(xs, deltas))
     if ss_res == 0.0:
         return 1.0
     if ss_tot == 0.0:

@@ -22,17 +22,14 @@ condition and per pooled fit.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
 from .artifacts import (ConditionStats, PooledFit, load_suite_records,
                         stored_summary_problems, summary_csv_text,
-                        write_bytes)
+                        write_bytes, write_fit_csv)
 from .config import config_from_dict
-from .harness import compute_metrics, pooled_fits, pooled_observations
-from .identify import regressor, select_mode
+from .harness import compute_metrics, pooled_fits, pooled_points
 
 
 @dataclass(frozen=True)
@@ -67,11 +64,11 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
         return ReportResult(root, None, (), (), tuple(errors))
     conditions = compute_metrics(records, config.tolerance_mg)
     try:
-        pools = pooled_observations(records)
-        fits = pooled_fits(pools, config.kinematics)
-    except ValueError as exc:  # a trace step outside the valve's envelope
+        points = pooled_points(records, config.kinematics)
+    except ValueError as exc:  # a trace step the refit cannot take
         errors.append(f"cannot refit the traces: {exc}")
         return ReportResult(root, None, (), (), tuple(errors))
+    fits = pooled_fits(points)
     if not errors:  # a trial that failed to load already explains a mismatch
         errors.extend(stored_summary_problems(root, payload, conditions,
                                               fits))
@@ -79,27 +76,20 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
     report_dir.mkdir(parents=True, exist_ok=True)
     write_bytes(report_dir / "summary_recomputed.csv",
                 summary_csv_text(conditions).encode())
-    _write_fit_points(pools, fits, config.kinematics, report_dir)
+    _write_fit_points(points, fits, report_dir)
     _write_text_report(conditions, fits, records, report_dir / "report.txt")
     return ReportResult(root, report_dir, tuple(conditions), tuple(fits),
                         tuple(errors))
 
 
-def _write_fit_points(pools, fits, kin, report_dir: Path) -> None:
-    """One fit CSV per pooled fit; the fit CSVs an earlier report wrote
-    for a fit this one does not have are removed."""
+def _write_fit_points(points, fits, report_dir: Path) -> None:
+    """One fit CSV per pooled fit, of the points it was fitted to; the
+    fit CSVs an earlier report wrote for a fit this one does not have are
+    removed."""
     written = set()
     for fit in fits:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(("regressor", "measured_mg", "predicted_mg"))
-        for o in select_mode(pools[fit.powder], fit.mode):
-            x = regressor(kin, o.l_command, o.t_pose_s)
-            predicted = (fit.c_prime * x if fit.c_prime is not None
-                         else None)
-            writer.writerow((x, o.delta_w_mg, predicted))
         path = report_dir / f"fit_{fit.powder}_{fit.mode}.csv"
-        write_bytes(path, buffer.getvalue().encode())
+        write_fit_csv(*points[fit.powder, fit.mode], fit.c_prime, path)
         written.add(path)
     for path in report_dir.glob("fit_*.csv"):
         if path not in written:

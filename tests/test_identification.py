@@ -20,6 +20,7 @@ from powderdose import (
     fit_coefficient,
     regressor,
 )
+from powderdose.identify import fit_points
 
 KIN = ValveKinematics()
 
@@ -242,3 +243,25 @@ class TestRunningSumFit:
         with pytest.raises(ValueError):
             fit_coefficient([Observation(KIN.l_max + 1.0, 2.0, False, 10.0)],
                             KIN, GRAVITY)
+
+
+class TestFitPoints:
+    """fit_coefficient and the pooled fits share one estimator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries, st.sampled_from(MODES))
+    def test_fit_coefficient_is_fit_points_over_its_mode(self, rows, mode):
+        observations = [Observation(l, t, vibration, delta)
+                        for l, t, vibration, delta, _ in rows]
+        selected = [o for o in observations
+                    if o.vibration == (mode == VIBRATION)]
+        fit = fit_coefficient(observations, KIN, mode)
+        pooled = fit_points([regressor(KIN, o.l_command, o.t_pose_s)
+                             for o in selected],
+                            [o.delta_w_mg for o in selected])
+        assert (fit.c_prime, fit.n_obs, fit.r_squared) \
+            == (pooled.c_prime, pooled.n_obs, pooled.r_squared)
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        with pytest.raises(ValueError):
+            fit_points([1.0, 2.0], [1.0])
