@@ -520,12 +520,6 @@ class TestControllerValidation:
         with pytest.raises(ValueError):
             DispensingController(100.0, max_steps=0)
 
-    def test_valve_action_bounds(self):
-        with pytest.raises(ValueError):
-            ValveAction(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            ValveAction(10.0, float("nan"))
-
 
 class TestPidBaseline:
     def test_proportional_mapping(self):
