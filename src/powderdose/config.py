@@ -50,9 +50,10 @@ _MAX_GRID_CELLS = 100_000
 # finite float; logs never raise OverflowError as float powers do.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-# A normal draw stays under 14, so no settle wait exceeds
-# settle_time_mean + 14 * settle_time_sigma.
-_SETTLE_SIGMAS = 14.0
+# A normal draw stays under 14 in magnitude, so no settle wait exceeds
+# settle_time_mean + 14 * settle_time_sigma, and no reading's noise
+# 14 * noise_sigma.
+_NOISE_SIGMAS = 14.0
 
 
 class ConfigError(ValueError):
@@ -173,9 +174,6 @@ class ExperimentConfig:
                 f"{_MAX_NOISE_SIGMA_MG:g} mg, got "
                 f"{self.balance.noise_sigma:g}; the fits square reading "
                 f"differences, and those squares overflow near 1e154 mg")
-        if not wrong and is_count(self.max_steps, 1) \
-                and is_count(self.trials, 1):
-            errors.extend(_run_bounds(self, MODEL_BASED in controllers))
         overrides = {}
         if isinstance(self.powder_overrides, Mapping):
             for name, raw in self.powder_overrides.items():
@@ -186,6 +184,12 @@ class ExperimentConfig:
                     overrides[name] = patch
         else:
             errors.append("plant.powders: must be an object")
+        if not wrong and is_count(self.max_steps, 1) \
+                and is_count(self.trials, 1):
+            loads = {name: overrides.get(name, {}).get(
+                         "initial_load", ARCHETYPES[name].initial_load)
+                     for name in powders if name in ARCHETYPES}
+            errors.extend(_run_bounds(self, controllers, targets, loads))
 
         if not (is_count(self.seed, 0) and self.seed < 2 ** 64):
             errors.append("seed: must be an unsigned 64-bit integer")
@@ -350,13 +354,27 @@ def _stream_collisions(powders: list[str], controllers: list[str],
     return errors
 
 
-def _run_bounds(config: ExperimentConfig, model_based: bool) -> list[str]:
+def _run_bounds(config: ExperimentConfig, controllers: list[str],
+                targets: list[float], loads: dict[str, float]) -> list[str]:
     """What makes a config that is valid field by field impossible to run:
-    a model-based action table too large to build, fit sums or trial
-    times past the float range."""
+    a model-based action table too large to build, fit sums, PID outputs
+    or trial times past the float range.
+
+    loads maps each powder to its initial_load after plant.powders. A
+    pooled fit takes up to n = trials * targets * max_steps points, each
+    with a regressor x <= x_max (at l_max and t_pose_max) and a delta of
+    at most D: the whole load, 14 noise sigmas on each of two readings
+    and one resolution step. Its sums then stay under n*x_max*D and
+    n*x_max**2, and, as |C'x| <= sqrt(n)*D for a fit through the origin,
+    its squared residuals under 4*n**2*D**2.
+    """
     kin, balance = config.kinematics, config.balance
     errors = []
-    if model_based:
+    reach = {name: load + 2.0 * _NOISE_SIGMAS * balance.noise_sigma
+             + balance.resolution for name, load in loads.items()}
+    points = (f"{config.trials} x {len(targets)} x {config.max_steps} "
+              f"(trials x targets x max_steps)")
+    if MODEL_BASED in controllers:
         cells = ActionGrid().cells(kin)
         if cells > _MAX_GRID_CELLS:
             errors.append(
@@ -364,19 +382,42 @@ def _run_bounds(config: ExperimentConfig, model_based: bool) -> list[str]:
                 f"model-based controller's action grid, more than "
                 f"{_MAX_GRID_CELLS}; its action table takes about 200 "
                 f"bytes a cell")
-        # max_steps * x**2 at the largest action bounds the fit's sum(x**2)
-        window = kin.l_max / kin.travel_rate + kin.t_pose_max
-        if not (math.log(config.max_steps) + 5.0 * math.log(kin.l_max)
-                + 2.0 * math.log(window)) < _LOG_FLOAT_MAX:
+        if targets:
+            log_n = (math.log(config.trials) + math.log(len(targets))
+                     + math.log(config.max_steps))
+            window = kin.l_max / kin.travel_rate + kin.t_pose_max
+            log_x = 2.5 * math.log(kin.l_max) + math.log(window)
+            if not log_n + 2.0 * log_x < _LOG_FLOAT_MAX:
+                errors.append(
+                    f"kinematics: a pooled fit sums up to {points} squared "
+                    f"regressors at l_max and t_pose_max, which overflows "
+                    f"a float")
+            else:  # with the regressors in range, D is at fault
+                for name, d in reach.items():
+                    log_d = math.log(d)
+                    if not max(log_n + log_x + log_d, math.log(4.0)
+                               + 2.0 * (log_n + log_d)) < _LOG_FLOAT_MAX:
+                        errors.append(
+                            f"plant.powders[{name!r}]: a pooled fit of up "
+                            f"to {points} points with deltas up to {d:.4g} "
+                            f"mg overflows a float in its sums of x*dW and "
+                            f"of squared residuals")
+    if DIRECT_PID in controllers and targets and reach:
+        # the error and its step-to-step change stay within E and 2E
+        e = max(targets) + max(reach.values())
+        pid = config.pid_gains
+        if not math.isfinite(abs(pid.k_p) * e
+                             + abs(pid.k_i) * pid.integral_limit
+                             + 2.0 * abs(pid.k_d) * e):
             errors.append(
-                "kinematics: max_steps times the squared regressor at "
-                "l_max and t_pose_max overflows a float; the fits sum "
-                "those squares")
+                f"pid_gains: the PID output at weight errors up to "
+                f"{e:.4g} mg overflows a float, and its valve command "
+                f"would be nan")
     # The means sum every trial's time; each trial runs at most max_steps
     # cycles of travel out and back, dwell and settle.
     cycle = (2.0 * kin.l_max / kin.travel_rate + kin.t_pose_max
              + balance.settle_time_mean
-             + _SETTLE_SIGMAS * balance.settle_time_sigma)
+             + _NOISE_SIGMAS * balance.settle_time_sigma)
     if not (math.log(config.trials) + math.log(config.max_steps)
             + math.log(cycle)) < _LOG_FLOAT_MAX:
         errors.append(

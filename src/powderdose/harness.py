@@ -177,15 +177,17 @@ def pooled_points(records: Iterable[TrialRecord],
     Maps each (powder, mode) to two parallel lists, the regressors and the
     measured deltas of the executed steps of model-based trials whose
     delta clears the observability gate, probe steps included, in trial
-    and step order. Keys run by powder in order of first appearance,
-    gravity before vibration. ValueError, naming the trial and the 1-based
-    step, on a gated delta that is not finite or a step outside the valve
-    envelope.
+    and step order; aborted trials, which end on a reading that is not
+    finite, are left out, as compute_metrics leaves them out. Keys run by
+    powder in order of first appearance, gravity before vibration.
+    ValueError, naming the trial and the 1-based step, on a gated delta
+    that is not finite or a step outside the valve envelope.
     """
     # powder -> (regressors, deltas) of gravity, then of vibration
     pools: dict[str, tuple[tuple[list[float], list[float]], ...]] = {}
     for record in records:
-        if record.controller != MODEL_BASED:
+        if record.controller != MODEL_BASED \
+                or record.status is TrialStatus.ABORTED:
             continue
         for step, row in enumerate(record.steps, 1):
             if row.measured_delta_mg < MIN_OBSERVABLE_MG:  # nan passes
@@ -210,10 +212,21 @@ def pooled_points(records: Iterable[TrialRecord],
 
 def pooled_fits(points: _Points) -> list[PooledFit]:
     """One refit per (powder, mode) of the points pooled_points makes of
-    a suite's records, in their order."""
-    return [PooledFit(powder, mode, fit.c_prime, fit.r_squared, len(xs))
-            for (powder, mode), (xs, deltas) in points.items()
-            for fit in (fit_points(xs, deltas),)]
+    a suite's records, in their order. ValueError, naming the powder and
+    the mode, on a fit that leaves the float range."""
+    fits = []
+    for (powder, mode), (xs, deltas) in points.items():
+        try:
+            fit = fit_points(xs, deltas)
+        except OverflowError:
+            raise ValueError(f"pooled {mode} fit of {powder}: its sums "
+                             f"overflow a float") from None
+        except ValueError as exc:
+            raise ValueError(f"pooled {mode} fit of {powder}: {exc}") \
+                from None
+        fits.append(PooledFit(powder, mode, fit.c_prime, fit.r_squared,
+                              len(xs)))
+    return fits
 
 
 def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,

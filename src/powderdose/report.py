@@ -65,10 +65,10 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
     conditions = compute_metrics(records, config.tolerance_mg)
     try:
         points = pooled_points(records, config.kinematics)
-    except ValueError as exc:  # a trace step the refit cannot take
+        fits = pooled_fits(points)
+    except ValueError as exc:  # a trace step or a fit the refit cannot take
         errors.append(f"cannot refit the traces: {exc}")
         return ReportResult(root, None, (), (), tuple(errors))
-    fits = pooled_fits(points)
     if not errors:  # a trial that failed to load already explains a mismatch
         errors.extend(stored_summary_problems(root, payload, conditions,
                                               fits))

@@ -179,12 +179,24 @@ class TestConfigParsing:
         ({"kinematics": {"t_pose_max": 1e12}},
          "kinematics: the envelope holds 8.6e+13 cells"),
         ({"kinematics": {"travel_rate": 1e-307}},
-         "kinematics: max_steps times the squared regressor at l_max and "
-         "t_pose_max overflows a float"),
+         "kinematics: a pooled fit sums up to 10 x 4 x 100 (trials x "
+         "targets x max_steps) squared regressors at l_max and t_pose_max, "
+         "which overflows a float"),
         ({"plant": {"balance": {"settle_time_mean": 1e308}}},
          "max_steps: 10 trials of 100 worst-case cycles of 1e+308 s "
          "overflow a float"),
-    ], ids=["l-max", "t-pose-max", "travel-rate", "settle-time"])
+        ({"powder": "glass-beads", "targets_mg": [1e199], "trials": 2,
+          "plant": {"powders": {"glass-beads": {"bulk_density": 1e200,
+                                                "initial_load": 1e200}}}},
+         "plant.powders['glass-beads']: a pooled fit of up to 2 x 1 x 100 "
+         "(trials x targets x max_steps) points with deltas up to 1e+200 "
+         "mg overflows a float"),
+        ({"powder": "msg", "controller": "direct-pid", "targets_mg": [3000],
+          "trials": 1, "pid_gains": {"k_p": 1e308, "k_d": 1e308}},
+         "pid_gains: the PID output at weight errors up to 8003 mg "
+         "overflows a float"),
+    ], ids=["l-max", "t-pose-max", "travel-rate", "settle-time", "fit-sums",
+            "pid-output"])
     def test_configs_that_cannot_run_are_rejected(self, data, message):
         with pytest.raises(ConfigError) as info:
             config_from_dict(data)
@@ -202,6 +214,31 @@ class TestConfigParsing:
             config_from_dict({"kinematics": {"l_max": 62500.0,
                                              "t_pose_max": 3.5}})
         config_from_dict({"plant": {"balance": {"settle_time_mean": 1e305}}})
+
+    def test_fit_and_pid_bounds_hold_at_the_limits(self):
+        def one_point(load, controller=MODEL_BASED):
+            return config_from_dict({
+                "powder": "glass-beads", "controller": controller,
+                "targets_mg": [20], "trials": 1, "max_steps": 1,
+                "plant": {"powders": {"glass-beads": {"initial_load": load}}}})
+
+        # one pooled point: 4 * D**2 overflows past D = 6.7039e153 mg, D
+        # being the load plus 28 noise sigmas and one resolution step
+        one_point(6.70e153)
+        with pytest.raises(ConfigError, match=r"deltas up to 6\.71e\+153"):
+            one_point(6.71e153)
+        one_point(6.71e153, DIRECT_PID)   # pooled fits are model-based
+
+        def msg_pid(k_p, controller=DIRECT_PID):
+            return config_from_dict({
+                "powder": "msg", "controller": controller,
+                "targets_mg": [3000], "pid_gains": {"k_p": k_p}})
+
+        # E = 3000 + 5000 + 2.8 + 0.1 mg; k_i and k_d add 90 and 2 * E
+        msg_pid(2.24e304)
+        with pytest.raises(ConfigError, match="errors up to 8003 mg"):
+            msg_pid(2.25e304)
+        msg_pid(1e308, MODEL_BASED)       # the PID bound is direct-pid's
 
     def test_duplicate_powders_and_controllers_are_rejected(self):
         with pytest.raises(ConfigError) as info:
@@ -383,6 +420,18 @@ class TestPooledFits:
         x = 50.0 ** 2.5 * (0.5 + 2.0)
         assert by_mode[GRAVITY].c_prime == pytest.approx(5.0 / x, rel=1e-12)
         assert by_mode[VIBRATION].c_prime == pytest.approx(7.0 / x, rel=1e-12)
+
+    def test_aborted_trials_are_left_out(self):
+        # a trial aborts on a reading that is not finite; its last delta
+        # is then nan and must not reach the refit
+        rows = [trace_row(1, 50.0, 2.0, 5.0),
+                trace_row(2, 50.0, 2.0, math.nan)]
+        aborted = record_for(500.0, status=TrialStatus.ABORTED, steps=rows)
+        assert pooled_points([aborted], ValveKinematics()) == {}
+        kept = record_for(500.0, steps=rows[:1], index=1)
+        points = pooled_points([aborted, kept], ValveKinematics())
+        assert points == pooled_points([kept], ValveKinematics())
+        assert [len(xs) for xs, _ in points.values()] == [1]
 
     def test_equal_one_fit_coefficient_per_powder_and_mode(self):
         # msg at 3000 mg latches vibration, so both of its modes are pooled
@@ -989,6 +1038,15 @@ class TestArtifacts:
                                              "nan"),
          "cannot refit the traces: trial glass-beads--model-based--t50--001 "
          "step 1: measured_delta_mg must be finite, got nan"),
+        # finite deltas whose pooled fit leaves the float range
+        (lambda entry, trace: set_first_cell(trace, "measured_delta_mg",
+                                             "1e160"),
+         "cannot refit the traces: pooled gravity fit of glass-beads: its "
+         "sums overflow a float"),
+        (lambda entry, trace: set_first_cell(trace, "measured_delta_mg",
+                                             "1e308"),
+         "cannot refit the traces: pooled gravity fit of glass-beads: "
+         "ModeFit.c_prime must be finite and >= 0"),
         (lambda entry, trace: entry.update(powder="glass/beads"),
          "unknown powder 'glass/beads'"),
         (lambda entry, trace: set_first_cell(trace, "vibration", "2"),
@@ -1017,7 +1075,8 @@ class TestArtifacts:
          "summary.json: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["missing-key", "unknown-status", "short-row", "empty-trace",
             "command-beyond-l-max", "delta-cell-inf", "delta-cell-nan",
-            "powder-with-slash", "vibration-cell", "delta-cell-not-a-number",
+            "delta-cell-1e160", "delta-cell-1e308", "powder-with-slash",
+            "vibration-cell", "delta-cell-not-a-number",
             "step-cell-not-an-integer", "absolute-trace-path",
             "parent-trace-path", "trial-id-mismatch", "unknown-controller",
             "mass-beyond-float", "index-not-utf8"])
@@ -1026,6 +1085,7 @@ class TestArtifacts:
         _, _, out = suite
         copy = tmp_path / "edited"
         shutil.copytree(out, copy)
+        shutil.rmtree(copy / "report", ignore_errors=True)
         index = json.loads((copy / "summary.json").read_text())
         entry = index["trials"][1]
         raw = edit(entry, copy / entry["trace_csv"])
@@ -1035,6 +1095,8 @@ class TestArtifacts:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        if message.startswith("cannot refit the traces"):
+            assert not (copy / "report").exists()  # nothing written
 
     @pytest.mark.parametrize("edit, message", [
         (lambda index, out: index["conditions"][0].update(successes=1),
@@ -1216,6 +1278,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: config is not UTF-8 text" in err
         assert not (tmp_path / "out").exists()
+
+    def test_run_suite_and_report_skip_an_aborted_trial(self, tmp_path):
+        # a gravity step of tio2 flows nothing, and 0 * (1 + inf) is nan:
+        # the reading goes nan and the trial aborts
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "powder": "tio2", "targets_mg": [3000], "trials": 1,
+            "plant": {"powders": {"tio2": {"flow_noise_sigma": 1e308}}}}))
+        out = tmp_path / "out"
+        assert cli_main(["run-suite", "--config", str(path),
+                         "--out", str(out)]) == 0
+        assert cli_main(["report", str(out)]) == 0
 
     @pytest.mark.parametrize("balance", [
         {"noise_sigma": 1e27}, {"resolution": 1e-300},

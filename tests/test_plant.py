@@ -317,8 +317,11 @@ U64 = st.integers(0, 2 ** 64 - 1)
 
 class TestStreamSeeding:
     @settings(max_examples=300, deadline=None)
-    @given(seed=U64, key=st.lists(U64, min_size=1, max_size=4))
+    @given(seed=st.integers(0, 2 ** 256), key=st.lists(U64, max_size=4))
     @example(seed=0, key=[0])
+    @example(seed=0, key=[])
+    @example(seed=2 ** 128 + 7, key=[])
+    @example(seed=2 ** 128 + 7, key=[2 ** 32, 1])
     @example(seed=2 ** 32 - 1, key=[2 ** 32, 1])
     @example(seed=2 ** 32, key=[2 ** 32 - 1, 0])
     @example(seed=2 ** 64 - 1, key=[2 ** 64 - 1, 2 ** 33, 7, 0])
