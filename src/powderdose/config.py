@@ -370,8 +370,9 @@ def _run_bounds(config: ExperimentConfig, controllers: list[str],
     """
     kin, balance = config.kinematics, config.balance
     errors = []
-    reach = {name: load + 2.0 * _NOISE_SIGMAS * balance.noise_sigma
-             + balance.resolution for name, load in loads.items()}
+    # D per powder
+    max_delta = {name: load + 2.0 * _NOISE_SIGMAS * balance.noise_sigma
+                 + balance.resolution for name, load in loads.items()}
     points = (f"{config.trials} x {len(targets)} x {config.max_steps} "
               f"(trials x targets x max_steps)")
     if MODEL_BASED in controllers:
@@ -393,7 +394,7 @@ def _run_bounds(config: ExperimentConfig, controllers: list[str],
                     f"regressors at l_max and t_pose_max, which overflows "
                     f"a float")
             else:  # with the regressors in range, D is at fault
-                for name, d in reach.items():
+                for name, d in max_delta.items():
                     log_d = math.log(d)
                     if not max(log_n + log_x + log_d, math.log(4.0)
                                + 2.0 * (log_n + log_d)) < _LOG_FLOAT_MAX:
@@ -402,9 +403,9 @@ def _run_bounds(config: ExperimentConfig, controllers: list[str],
                             f"to {points} points with deltas up to {d:.4g} "
                             f"mg overflows a float in its sums of x*dW and "
                             f"of squared residuals")
-    if DIRECT_PID in controllers and targets and reach:
+    if DIRECT_PID in controllers and targets and max_delta:
         # the error and its step-to-step change stay within E and 2E
-        e = max(targets) + max(reach.values())
+        e = max(targets) + max(max_delta.values())
         pid = config.pid_gains
         if not math.isfinite(abs(pid.k_p) * e
                              + abs(pid.k_i) * pid.integral_limit
