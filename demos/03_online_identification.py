@@ -7,11 +7,12 @@ Every dispensing step yields one (regressor, measured drop) pair:
 
     W = C' * L^2.5 * (L / v + t_pose)
 
-A one-parameter least-squares line through the origin recovers C'
-from those pairs while the trial is still running.  This script runs
-several noisy trials, tracks the running estimate inside each trial,
-then pools all trials into a single fit and compares against the
-coefficient the plant was actually built with.
+Within a trial the controller takes C' as the mean of the pairs'
+ratios, drop over regressor, refreshed while the trial is still
+running; across trials a least-squares line through the origin pools
+them.  This script runs several noisy trials, tracks the running
+estimate inside each trial, then pools all trials into a single fit
+and compares against the coefficient the plant was actually built with.
 """
 
 from powderdose import (

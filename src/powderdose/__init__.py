@@ -3,7 +3,7 @@
 The package has these layers, each importing only from those above it:
 
     flow       granular discharge model and the command-unit drop predictor
-    identify   online least-squares estimation of the lumped coefficient
+    identify   online and pooled estimation of the lumped coefficient
     control    model-based dispensing controller and a direct-PID baseline
     plant      stochastic simulated hopper, valve, vibrator and balance
     powders    the three archetype powders

@@ -27,7 +27,7 @@ from pathlib import Path
 from .artifacts import write_trace_csv
 from .config import ConfigError, ExperimentConfig, load_config, resolve_out_dir
 from .harness import run_suite, run_trial
-from .report import build_report
+from .report import build_report, format_mass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +98,8 @@ def _cmd_run_suite(args) -> int:
     for c in summary.conditions:
         print(f"{c.powder} / {c.controller} / {c.target_mg:g} mg: "
               f"{c.successes}/{c.trials} ok, "
-              f"dropped {c.dropped_mean_mg:.2f} +/- {c.dropped_std_mg:.2f} mg, "
+              f"dropped {format_mass(c.dropped_mean_mg)} +/- "
+              f"{format_mass(c.dropped_std_mg)} mg, "
               f"steps {c.steps_mean:.1f} +/- {c.steps_std:.1f}")
     print(f"artifacts: {out}")
     return 0

@@ -366,7 +366,10 @@ def _run_bounds(config: ExperimentConfig, controllers: list[str],
     at most D: the whole load, 14 noise sigmas on each of two readings
     and one resolution step. Its sums then stay under n*x_max*D and
     n*x_max**2, and, as |C'x| <= sqrt(n)*D for a fit through the origin,
-    its squared residuals under 4*n**2*D**2.
+    its squared residuals under 4*n**2*D**2. The controller's online fit
+    sums dW/x over a trial's steps, each x a grid regressor or that of the
+    largest action, so its sum stays under n*D/x_min, x_min the smallest
+    positive grid regressor: the smallest positive command at t_pose_min.
     """
     kin, balance = config.kinematics, config.balance
     errors = []
@@ -376,7 +379,8 @@ def _run_bounds(config: ExperimentConfig, controllers: list[str],
     points = (f"{config.trials} x {len(targets)} x {config.max_steps} "
               f"(trials x targets x max_steps)")
     if MODEL_BASED in controllers:
-        cells = ActionGrid().cells(kin)
+        grid = ActionGrid()
+        cells = grid.cells(kin)
         if cells > _MAX_GRID_CELLS:
             errors.append(
                 f"kinematics: the envelope holds {cells:.4g} cells of the "
@@ -403,6 +407,20 @@ def _run_bounds(config: ExperimentConfig, controllers: list[str],
                             f"to {points} points with deltas up to {d:.4g} "
                             f"mg overflows a float in its sums of x*dW and "
                             f"of squared residuals")
+            # the command axis runs l_min, l_min + l_step, ... up to l_max
+            l_first = kin.l_min if kin.l_min > 0 else min(grid.l_step,
+                                                          kin.l_max)
+            window = l_first / kin.travel_rate + kin.t_pose_min
+            log_x_min = 2.5 * math.log(l_first) + (
+                math.log(window) if window > 0  # else it underflowed
+                else math.log(l_first) - math.log(kin.travel_rate))
+            d = max(max_delta.values(), default=1.0)
+            if not log_n + math.log(d) - log_x_min < _LOG_FLOAT_MAX:
+                errors.append(
+                    f"kinematics: the online fit sums up to {points} ratios "
+                    f"of deltas up to {d:.4g} mg to the smallest positive "
+                    f"grid regressor, at L={l_first:g} and t_pose_s="
+                    f"{kin.t_pose_min:g}, which overflows a float")
     if DIRECT_PID in controllers and targets and max_delta:
         # the error and its step-to-step change stay within E and 2E
         e = max(targets) + max(max_delta.values())

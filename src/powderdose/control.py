@@ -42,11 +42,17 @@ once, since each step both tests and emits it.
 While a mode has no coefficient (its c_prime is None) the controller
 walks a probe ladder: smallest productive command first, escalating one
 grid step at a time, so exploration cannot overshoot even a 20 mg request.
-A candidate first observation is accepted only after an immediate repeat
-of the same probe also clears the observability gate (MIN_OBSERVABLE_MG);
-a single noise spike on a quiet balance therefore cannot seed a phantom
-model. When the gravity ladder tops out with nothing measurable the
-controller latches vibration and starts probing there.
+A probe opens a candidate first observation only when it moves at least
+SEED_GATE_MG (1 mg, twice the observability gate), and the candidate is
+accepted only after an immediate repeat of the same probe clears the
+observability gate (MIN_OBSERVABLE_MG); a single noise spike on a quiet
+balance therefore cannot seed a phantom model, and a seed is not a
+noise-level pair. When the gravity ladder tops out with nothing
+measurable the controller latches vibration and starts probing there, at
+the first productive command. When instead the fitted gravity model
+cannot deliver the request even at the largest action (the capacity
+latch), vibration's ladder starts one rung below gravity's next one, at
+the rung that seeded gravity, not back at the smallest command.
 
 PidBaselineController is the comparison controller: a direct PID on the
 weight error mapped linearly to the valve command, fixed dwell, no model
@@ -72,6 +78,13 @@ from .identify import MIN_OBSERVABLE_MG, CoefficientEstimate, ObservationLog
 DEFAULT_K_P = 0.5
 DEFAULT_TOLERANCE_MG = 2.0
 DEFAULT_MAX_STEPS = 100
+
+# The least delta of a probe that opens a seed candidate. A pair at the
+# 0.5 mg gate sits at a 0.1 mg balance's noise level and comes from the
+# smallest openings, where the plant's Beverloo offset makes the apparent
+# C' a fraction of that at the openings the search then picks. A 2 mg
+# gate fails acceptance criterion 1.
+SEED_GATE_MG = 2 * MIN_OBSERVABLE_MG
 
 # Every controller's starting estimate, both modes unfitted; shared, since
 # a refit replaces the estimate rather than changing it.
@@ -318,7 +331,7 @@ class _ProbeLadder:
     at the minimum dwell: a mode's rung is the action table's first-row
     cell in that mode, so a probe and a search pick of the same cell are
     one ValveAction. Counters and the pending candidate are keyed by the
-    action's vibration flag. A rung that produces a measurable delta
+    action's vibration flag. A rung whose delta reaches SEED_GATE_MG
     becomes a pending candidate; the same action is repeated once and the
     mode is seeded only if the repeat is measurable too. A failed repeat
     discards the candidate and the ladder moves on.
@@ -340,13 +353,21 @@ class _ProbeLadder:
         self._next[vibration] = col + 1
         return self._table.action(col, vibration)
 
+    def latch_on_capacity(self) -> None:
+        """Start the vibration ladder no lower than one rung below
+        gravity's next column, the rung that seeded gravity, so vibration
+        is seeded at an opening that already moved measurable powder, not
+        from noise-level drops at the smallest commands."""
+        self._next[True] = max(self._next[True], self._next[False] - 1)
+
     def note_result(self, action: ValveAction,
                     delta_w: float) -> tuple[ValveAction, float] | None:
         """Feed back a probe's measured delta.
 
         Returns the (action, delta) pair of the confirmed first observation
-        when a pending candidate of the action's mode is corroborated, else
-        None. Measurable first-time deltas only open a pending candidate.
+        when a pending candidate of the action's mode is corroborated by a
+        measurable repeat, else None. A first-time delta of at least
+        SEED_GATE_MG only opens a pending candidate.
         """
         pending = self.pending
         if pending is not None and pending[0].vibration == action.vibration:
@@ -354,7 +375,7 @@ class _ProbeLadder:
             if delta_w >= MIN_OBSERVABLE_MG:
                 return pending
             return None
-        if delta_w >= MIN_OBSERVABLE_MG:
+        if delta_w >= SEED_GATE_MG:
             self.pending = (action, delta_w)
         return None
 
@@ -482,6 +503,8 @@ class DispensingController(_TrialController):
             selection = select_action(self.estimate, self.kin, self.w_target,
                                       use_vibration=vibration, grid=self.grid)
             action, predicted = selection.action, selection.predicted_mg
+            if selection.use_vibration and not vibration:
+                self._ladder.latch_on_capacity()
             vibration = selection.use_vibration
         probe = action is None
         if probe:

@@ -2,30 +2,42 @@
 
 Each dispensing step yields one observation (L, t_pose, measured delta-W).
 With the regressor x = L**2.5 * (T(L) + t_pose), the drop model is linear
-through the origin, W = C' * x, and the least-squares estimate over n
-observations is
+through the origin, W = C' * x. Gravity and vibration observations are
+kept strictly apart; each mode carries its own coefficient. Two
+estimators of C' serve two purposes.
+
+The controller's online fit, ObservationLog, is relative: over a mode's n
+accepted observations
+
+    C' = sum(dW_i / x_i) / n
+
+the mean of the observed ratios, refreshed after every accepted
+observation. The plant's flow noise is multiplicative, dW = C' x (1 + eps),
+so each ratio carries the same relative noise, and the mean weighs every
+step alike. A least-squares fit weighs a step by x**2, so once one large
+step lands, C' is about that step's own (1 + eps) and the next step
+overshoots by the ratio of two draws. The log keeps per mode only n and
+the sum of ratios, added in arrival order, and stores no observations:
+record() adds an accepted delta and returns its mode's refreshed ModeFit,
+or None when it drops the delta, so a refit is O(1). An observation whose
+regressor is 0 (a zero command, or one whose x underflows) has no ratio
+and leaves the fit as it was.
+
+The offline fits stay least squares through the origin,
 
     C' = sum(x_i * dW_i) / sum(x_i**2)
 
-refreshed after every accepted observation. Gravity and vibration
-observations are kept strictly apart; each mode carries its own coefficient.
-
-One accumulator, _ModeSums, is the estimator. It adds each observation's
-regressor and delta into n, sum(x*dW) and sum(x**2), in arrival order,
-and fit() turns the sums into a ModeFit. The controller's ObservationLog
-keeps one per mode, keyed by the vibration flag, and stores no
-observations: record() adds an accepted delta and returns its mode's
-refreshed ModeFit, or None when it drops the delta, so a refit is O(1).
-fit_points runs a mode's regressor and delta columns through a fresh
-accumulator in list order; the suite-wide pooled fits (harness.pooled_fits)
-and fit_coefficient, which takes a list of Observation, both go through
-it. So the online log, fit_coefficient and the pooled fits all feed
-_ModeSums, and a change to the estimator moves all three; it must say
-whether the pooled fit, which acceptance criterion 4 judges as a test of
-model adequacy, stays least squares. The controller never reads an R^2,
-so the log keeps none; fit_points adds it in the exact two-pass form,
-from the same columns in the same order, so C' and R^2 are bit for bit
-those of computing it in each pass.
+in one estimator, fit_points, which adds a mode's regressor and delta
+columns into sum(x*dW) and sum(x**2) in list order. The suite-wide pooled
+fits (harness.pooled_fits) and fit_coefficient, which takes a list of
+Observation, both go through it. Acceptance criteria 4 and 6 judge these
+fits, and their R^2, as a test of the drop model's adequacy, which is a
+least-squares question; moving this estimator to ratios too fails
+criterion 6, whose property suite checks it against a least-squares
+oracle. The controller never reads an R^2, so the log keeps none;
+fit_points adds it in the exact two-pass form, from the same columns in
+the same order, so C' and R^2 are bit for bit those of computing it in
+each pass.
 Every regressor, the log's included, comes from regressor(), which first
 puts the action through ValveKinematics.check: an action outside the
 valve envelope is a ValueError, never a data point.
@@ -122,12 +134,13 @@ def fit_points(xs: list[float], deltas: list[float]) -> ModeFit:
     must be of equal length. No points, or all-zero regressors, give an
     unfitted ModeFit; a fitted one carries the fit's R^2.
     """
-    sums = _ModeSums()
+    sxy = sxx = 0.0
     for x, delta_w_mg in zip(xs, deltas, strict=True):
-        sums.add(x, delta_w_mg)
-    fit = sums.fit()
-    if fit.c_prime is None:
-        return fit
+        sxy += x * delta_w_mg
+        sxx += x * x
+    if sxx == 0.0:
+        return ModeFit()
+    fit = ModeFit(c_prime=sxy / sxx, n_obs=len(xs))
     return replace(fit, r_squared=_r_squared(xs, deltas, fit.c_prime))
 
 
@@ -152,57 +165,49 @@ def _r_squared(xs: list[float], deltas: list[float],
     return 1.0 - ss_res / ss_tot
 
 
-class _ModeSums:
-    """The least-squares estimator of one mode: n, sum(x*dW) and sum(x**2)
-    of its accepted observations, added in arrival order."""
-
-    __slots__ = ("n", "sxy", "sxx")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.sxy = 0.0
-        self.sxx = 0.0
-
-    def add(self, x: float, delta_w_mg: float) -> None:
-        self.n += 1
-        self.sxy += x * delta_w_mg
-        self.sxx += x * x
-
-    def fit(self) -> ModeFit:
-        """C' = sum(x*dW) / sum(x**2); unfitted while sum(x**2) is zero."""
-        if self.sxx == 0.0:
-            return ModeFit()
-        return ModeFit(c_prime=self.sxy / self.sxx, n_obs=self.n)
-
-
 class ObservationLog:
-    """Per-mode least-squares sums of one trial's accepted observations.
+    """Per-mode count and sum of dW/x of one trial's accepted observations.
 
     The log belongs to the ValveKinematics it is built with. record()
-    drops a delta below MIN_OBSERVABLE_MG and returns None; a kept one
-    must come from an action inside the valve envelope, goes into its
-    mode's sums, and record() returns that mode's refreshed ModeFit.
-    fit() gives the same C' and n as fit_coefficient over the same
-    observations, and no R^2.
+    drops a delta below MIN_OBSERVABLE_MG, or one whose regressor is 0,
+    and returns None; a kept one must come from an action inside the
+    valve envelope, adds its ratio to its mode's sum, and record() returns
+    that mode's refreshed ModeFit. fit() gives C' as the mean of those
+    ratios, in arrival order, with their count and no R^2; it is not
+    fit_coefficient's least-squares C' over the same observations.
     """
 
     def __init__(self, kin: ValveKinematics) -> None:
         self._kin = kin
-        self._gravity = _ModeSums()
-        self._vibration = _ModeSums()
+        self._n = [0, 0]            # gravity, vibration
+        self._ratios = [0.0, 0.0]
 
     def record(self, l_command: float, t_pose_s: float, vibration: bool,
                delta_w_mg: float) -> ModeFit | None:
-        """Add one measured delta if it clears the observable threshold."""
+        """Add one measured delta if it clears the observable threshold.
+
+        A delta whose ratio leaves the float range is a ValueError, from
+        ModeFit, and leaves the log as it was.
+        """
         if not math.isfinite(delta_w_mg):
             raise ValueError("delta_w_mg must be finite")
         if delta_w_mg < MIN_OBSERVABLE_MG:
             return None
-        sums = self._vibration if vibration else self._gravity
-        sums.add(regressor(self._kin, l_command, t_pose_s), delta_w_mg)
-        return sums.fit()
+        x = regressor(self._kin, l_command, t_pose_s)
+        if x == 0.0:
+            return None
+        n = self._n[vibration] + 1
+        ratios = self._ratios[vibration] + delta_w_mg / x
+        fit = ModeFit(c_prime=ratios / n, n_obs=n)
+        self._n[vibration] = n
+        self._ratios[vibration] = ratios
+        return fit
 
     def fit(self, mode: str) -> ModeFit:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        return (self._vibration if mode == VIBRATION else self._gravity).fit()
+        vibration = mode == VIBRATION
+        n = self._n[vibration]
+        if n == 0:
+            return ModeFit()
+        return ModeFit(c_prime=self._ratios[vibration] / n, n_obs=n)

@@ -32,6 +32,19 @@ from .config import config_from_dict
 from .harness import compute_metrics, pooled_fits, pooled_points
 
 
+# Masses print with two decimals below this magnitude and with six
+# significant digits from it on: at the config bounds a two-decimal mass
+# runs to 150 digits and pushes the report table out of its columns.
+_FIXED_POINT_MASS_MG = 1e6
+
+
+def format_mass(value: float) -> str:
+    """A mass in mg as run-suite's summary lines and report.txt print it."""
+    if abs(value) < _FIXED_POINT_MASS_MG:
+        return f"{value:.2f}"
+    return f"{value:.6g}"
+
+
 @dataclass(frozen=True)
 class ReportResult:
     artifact_dir: Path
@@ -102,18 +115,21 @@ def _write_text_report(conditions, fits, records, path: Path) -> None:
     lines.append(f"trials: {len(records)}")
     lines.append("")
     lines.append("Per-condition accuracy")
+    masses = [f"{format_mass(c.dropped_mean_mg)} +/- "
+              f"{format_mass(c.dropped_std_mg)}" for c in conditions]
+    width = max([22, *map(len, masses)])
     header = (f"{'powder':<16} {'controller':<12} {'target':>9} "
-              f"{'ok':>5} {'dropped mg':>22} {'steps':>16} {'time s':>18}")
+              f"{'ok':>5} {'dropped mg':>{width}} {'steps':>16} "
+              f"{'time s':>18}")
     lines.append(header)
     lines.append("-" * len(header))
-    for c in conditions:
+    for c, dropped in zip(conditions, masses):
         rate = f"{c.successes}/{c.trials}"
-        dropped = f"{c.dropped_mean_mg:.2f} +/- {c.dropped_std_mg:.2f}"
         steps = f"{c.steps_mean:.1f} +/- {c.steps_std:.1f}"
         time_s = f"{c.time_mean_s:.1f} +/- {c.time_std_s:.1f}"
         flag = " *" if c.degenerate_stats else ""
         lines.append(f"{c.powder:<16} {c.controller:<12} "
-                     f"{c.target_mg:>9g} {rate:>5} {dropped:>22} "
+                     f"{c.target_mg:>9g} {rate:>5} {dropped:>{width}} "
                      f"{steps:>16} {time_s:>18}{flag}")
     if any(c.degenerate_stats for c in conditions):
         lines.append("* fewer than two completed trials behind these numbers")

@@ -24,7 +24,7 @@ from powderdose import (
     ValveAction,
     ValveKinematics,
 )
-from powderdose.control import _action_table, select_action
+from powderdose.control import SEED_GATE_MG, _action_table, select_action
 from powderdose.plant import SimulatedPlant
 from powderdose.powders import archetype
 
@@ -424,20 +424,24 @@ class TestBootstrapProbing:
         assert decision.probe and decision.action == ValveAction(15.0, 0.0)
 
     def test_deltas_at_the_gate_confirm_and_land_in_the_log(self):
-        # the ladder and the log gate on the same MIN_OBSERVABLE_MG: a
-        # probe and its repeat that each move exactly the gate confirm,
-        # and the log keeps both
+        # a probe opens a candidate at SEED_GATE_MG and not below it, and
+        # a repeat confirms at the log's MIN_OBSERVABLE_MG: a probe of
+        # exactly the seed gate and a repeat of exactly the observability
+        # gate confirm, and the log keeps both
         ctl = DispensingController(20.0)
         ctl.step(0.0)                    # probe (5, 0)
-        second = ctl.step(MIN_OBSERVABLE_MG)
-        assert second.probe and second.action == ValveAction(5.0, 0.0)
+        second = ctl.step(MIN_OBSERVABLE_MG)    # below the seed gate
+        assert second.probe and second.action == ValveAction(10.0, 0.0)
+        reading = MIN_OBSERVABLE_MG + SEED_GATE_MG
+        third = ctl.step(reading)        # at the seed gate: repeat
+        assert third.probe and third.action == ValveAction(10.0, 0.0)
         assert ctl.log.fit(GRAVITY).n_obs == 0
-        third = ctl.step(2 * MIN_OBSERVABLE_MG)  # repeat confirmed
+        fourth = ctl.step(reading + MIN_OBSERVABLE_MG)  # repeat confirmed
         assert ctl.log.fit(GRAVITY).n_obs == 2
-        x = 5.0 ** 2.5 * (5.0 / 100.0 + 0.0)
+        x = 10.0 ** 2.5 * (10.0 / 100.0 + 0.0)
         assert ctl.estimate.gravity.c_prime == pytest.approx(
-            MIN_OBSERVABLE_MG / x, rel=1e-12)
-        assert not third.probe
+            (SEED_GATE_MG / x + MIN_OBSERVABLE_MG / x) / 2, rel=1e-12)
+        assert not fourth.probe
 
     def test_gravity_exhaustion_latches_vibration_then_falls_back(self):
         ctl = DispensingController(3000.0)
@@ -465,11 +469,35 @@ class TestBootstrapProbing:
         kin = ValveKinematics(l_max=10.0, t_pose_max=1.0)
         ctl = DispensingController(3000.0, kin, k_p=1.0)
         ctl.step(0.0)                    # probe (5, 0)
-        ctl.step(0.6)                    # candidate at (5, 0), repeat it
-        decision = ctl.step(1.2)         # confirmed, and capacity falls short
+        ctl.step(1.0)                    # candidate at (5, 0), repeat it
+        decision = ctl.step(2.0)         # confirmed, and capacity falls short
         assert ctl.estimate.gravity.c_prime is not None
         assert ctl.use_vibration
         assert decision.probe
+        assert decision.action == ValveAction(5.0, 0.0, vibration=True)
+
+    def test_capacity_latch_starts_vibration_at_the_gravity_seed_rung(self):
+        # gravity seeds at its fifth rung, (25, 0), and cannot reach the
+        # target even at its largest action: the vibration ladder starts
+        # one rung below gravity's next column, at (25, 0), not at (5, 0)
+        kin = ValveKinematics(l_max=50.0, t_pose_max=1.0)
+        ctl = DispensingController(3000.0, kin, k_p=1.0)
+        for l in (5.0, 10.0, 15.0, 20.0, 25.0):
+            decision = ctl.step(0.0)
+            assert decision.probe and decision.action == ValveAction(l, 0.0)
+        assert ctl.step(1.0).action == ValveAction(25.0, 0.0)  # repeat
+        decision = ctl.step(2.0)         # confirmed; capacity falls short
+        assert ctl.estimate.gravity.c_prime is not None
+        assert ctl.use_vibration
+        assert decision.probe
+        assert decision.action == ValveAction(25.0, 0.0, vibration=True)
+        assert ctl.step(2.0).action == ValveAction(30.0, 0.0, vibration=True)
+        # a latch on an exhausted gravity ladder starts at the first rung
+        ctl = DispensingController(3000.0, kin, k_p=1.0)
+        for l in range(5, 55, 5):
+            assert ctl.step(0.0).action == ValveAction(float(l), 0.0)
+        decision = ctl.step(0.0)
+        assert ctl.use_vibration and ctl.estimate.gravity.c_prime is None
         assert decision.action == ValveAction(5.0, 0.0, vibration=True)
 
 

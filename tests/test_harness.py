@@ -60,8 +60,28 @@ from powderdose.identify import (
     fit_coefficient,
     select_mode,
 )
+from powderdose.report import format_mass
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# A command of 1e-124 has an L**2.5 near 1e-310, so its regressor at
+# t_pose 0 underflows to 0, and at a dwell of 0.5 s its dW/x leaves the
+# float range.
+ONLINE_FIT_UNDERFLOW = {
+    "powder": "glass-beads", "targets_mg": [500], "trials": 3,
+    "kinematics": {"l_min": 1e-124},
+    "plant": {"balance": {"noise_sigma": 3.0}}}
+
+
+def online_fit_limit(travel_rate):
+    """One glass-beads trial of up to 100 steps whose smallest positive
+    grid regressor is 1 / travel_rate, at L = 1 and t_pose 0; the online
+    fit's bound is 100 * D * travel_rate, D = 5000 + 28 * 3 + 0.1 mg."""
+    return {"powder": "glass-beads", "targets_mg": [20], "trials": 1,
+            "kinematics": {"l_min": 1.0, "travel_rate": travel_rate},
+            "plant": {"balance": {"noise_sigma": 3.0}}}
+
+
 SMALL = dict(powder=["glass-beads"], targets_mg=[50], trials=2, seed=7)
 
 
@@ -510,14 +530,16 @@ class TestRunTrial:
         assert record.total_sim_time_s == pytest.approx(clock, rel=1e-12)
 
 
-# Digest of each shipped config's in-memory suite, measured when the plant
-# step was made cheaper. A change meant only to be faster must leave them;
-# a change that moves the simulation on purpose updates them and says why.
+# Digest of each shipped config's in-memory suite, measured when the
+# controller moved to the 1 mg seed gate, the capacity latch's vibration
+# start and the online mean-of-ratios fit. A change meant only to be
+# faster must leave them; a change that moves the simulation on purpose
+# updates them and says why.
 GOLDEN_SUITE_DIGESTS = {
-    "default.json": "2e394c572516d206",
-    "noise-free.json": "a2a9ddc071764678",
-    "pid-contrast.json": "077fb60cb88cf041",
-    "quick.json": "c4b74740e8dbeade",
+    "default.json": "d86383cb37751be2",
+    "noise-free.json": "525fe7ee52a9c487",
+    "pid-contrast.json": "30e56273f92194f7",
+    "quick.json": "1b377090af41545e",
 }
 
 
@@ -538,9 +560,9 @@ def test_shipped_configs_simulate_as_pinned(name):
 
 
 # Digest of every file that run-suite and report write for quick.json,
-# report/ included, measured before the persisted formats moved into one
-# module. A change to any artifact byte shows here.
-GOLDEN_QUICK_TREE_DIGEST = "bcf060cb3f42f247"
+# report/ included, measured with GOLDEN_SUITE_DIGESTS. A change to any
+# artifact byte shows here.
+GOLDEN_QUICK_TREE_DIGEST = "b9ebbd9c562c4651"
 
 
 def tree_digest(root):
@@ -563,12 +585,11 @@ def test_quick_config_artifacts_are_pinned(tmp_path, capsys):
 
 
 # The same pin for the configs whose report writes vibration fit files
-# (default.json: msg and tio2) and for the PID contrast, measured before
-# the pooled refit moved to regressor columns. Like GOLDEN_SUITE_DIGESTS,
-# ROADMAP items 2-4 move the simulation on purpose and re-pin these.
+# (default.json: msg and tio2) and for the PID contrast, measured with
+# GOLDEN_SUITE_DIGESTS; a change that moves the simulation re-pins these.
 GOLDEN_TREE_DIGESTS = {
-    "default.json": "c904d70765ac77cd",
-    "pid-contrast.json": "f4ac81595a857e26",
+    "default.json": "dd00da829c6767c7",
+    "pid-contrast.json": "30165220bb166798",
 }
 
 
@@ -580,6 +601,25 @@ def test_shipped_config_artifacts_are_pinned(tmp_path, capsys, name):
     assert cli_main(["report", str(out)]) == 0
     capsys.readouterr()
     assert tree_digest(out) == GOLDEN_TREE_DIGESTS[name]
+
+
+def test_default_protocol_lands_within_20_mg_at_seeds_1_to_10():
+    """The abstract's worst error, about 20 mg, on the default.json
+    protocol at seeds 1-10 (1200 trials); seeds 11-60 are held out for
+    the CI check."""
+    base = load_config(CONFIGS / "default.json")
+    worst, past = 0.0, []
+    for seed in range(1, 11):
+        summary = run_suite(dataclasses.replace(base, seed=seed),
+                            write_artifacts=False)
+        errors = {r.trial_id: abs(r.final_mass_mg - r.target_mg)
+                  for r in summary.trials}
+        print(f"seed {seed}: worst |err| {max(errors.values()):.2f} mg")
+        worst = max(worst, *errors.values())
+        past += [f"seed {seed} {trial}" for trial, err in errors.items()
+                 if err > 20.0]
+    assert past == []
+    assert worst <= 20.0
 
 
 def test_traced_names_see_every_unit_of_work(monkeypatch):
@@ -1104,7 +1144,7 @@ class TestArtifacts:
          "recomputed 2"),
         (lambda index, out: index["pooled_fits"][0].update(c_prime=0.5),
          "pooled_fits glass-beads / gravity: c_prime stored 0.5, "
-         "recomputed 0.0379"),
+         "recomputed 0.0380078"),
         (lambda index, out: (out / "summary.csv").write_text(
             (out / "summary.csv").read_text() + "glass-beads,x\n"),
          "summary.csv: does not match the summary recomputed"),
@@ -1290,6 +1330,73 @@ class TestCli:
         assert cli_main(["run-suite", "--config", str(path),
                          "--out", str(out)]) == 0
         assert cli_main(["report", str(out)]) == 0
+
+    @pytest.mark.parametrize("data, message", [
+        (ONLINE_FIT_UNDERFLOW,
+         "3 x 1 x 100 (trials x targets x max_steps) ratios of deltas up "
+         "to 5084 mg to the smallest positive grid regressor, at L=1e-124 "
+         "and t_pose_s=0, which overflows a float"),
+        (online_fit_limit(3.54e302),
+         "1 x 1 x 100 (trials x targets x max_steps) ratios of deltas up "
+         "to 5084 mg to the smallest positive grid regressor, at L=1 and "
+         "t_pose_s=0, which overflows a float"),
+    ], ids=["underflowing-regressor", "past-the-limit"])
+    @pytest.mark.parametrize("command", ["validate-config", "run-suite"])
+    def test_online_fit_past_the_float_range_is_a_config_error(
+            self, command, data, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = ["--out", str(tmp_path / "out")] if command == "run-suite" \
+            else []
+        assert cli_main([command, "--config", str(path), *out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: kinematics: the online fit sums up to {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_run_suite_and_report_at_the_online_fit_limit(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(online_fit_limit(3.53e302)))
+        out = tmp_path / "out"
+        assert cli_main(["run-suite", "--config", str(path),
+                         "--out", str(out)]) == 0
+        assert cli_main(["report", str(out)]) == 0
+
+    def test_masses_past_a_million_mg_print_in_six_digits(self, tmp_path,
+                                                          capsys):
+        # a config at the fit bounds: loads of 1.675e151 mg
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "powder": "glass-beads", "targets_mg": [1e149, 1e151],
+            "trials": 2, "plant": {"powders": {"glass-beads": {
+                "bulk_density": 1e150, "initial_load": 1.675e151}}}}))
+        out = tmp_path / "out"
+        assert cli_main(["run-suite", "--config", str(path),
+                         "--out", str(out)]) == 0
+        assert cli_main(["report", str(out)]) == 0
+        printed = capsys.readouterr().out
+        records = load_suite_records(out)[0]
+        dropped = [f"{format_mass(c.dropped_mean_mg)} +/- "
+                   f"{format_mass(c.dropped_std_mg)}"
+                   for c in compute_metrics(records)]
+        assert all("e+1" in text and len(text) < 30 for text in dropped)
+        for text in dropped:
+            assert f"dropped {text} mg" in printed
+        # the dropped column widens to its rows and keeps the header's edge
+        lines = (out / "report" / "report.txt").read_text().splitlines()
+        header = next(line for line in lines if "dropped mg" in line)
+        edge = header.index("dropped mg") + len("dropped mg")
+        rows = [line for line in lines if line.startswith("glass-beads  ")
+                and "model-based" in line]
+        assert [row[:edge].endswith(text)
+                for row, text in zip(rows, dropped)] == [True, True]
+
+    def test_masses_below_a_million_mg_keep_two_decimals(self):
+        assert format_mass(3000.0) == "3000.00"
+        assert format_mass(-0.1) == "-0.10"
+        assert format_mass(999999.994) == "999999.99"
+        assert format_mass(1e6) == "1e+06"
+        assert format_mass(-1.2345678e151) == "-1.23457e+151"
 
     @pytest.mark.parametrize("balance", [
         {"noise_sigma": 1e27}, {"resolution": 1e-300},

@@ -1,10 +1,11 @@
-"""Online least-squares identification of the lumped drop coefficient."""
+"""Identification of the lumped drop coefficient: the controller's online
+mean-of-ratios fit and the least-squares fits of a mode's points."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powderdose import (
@@ -171,6 +172,27 @@ class TestObservationLog:
         with pytest.raises(ValueError):
             log.record(10.0, 2.0, False, float("nan"))
 
+    def test_fit_is_the_mean_of_the_ratios(self):
+        # ratios 1 and 3 average to 2; least squares gives
+        # (1*1 + 2*6) / (1 + 4) = 2.6 over the same points
+        log = ObservationLog(KIN)
+        first, second = obs(1.0, 1.0), obs(2.0, 6.0)
+        for o in (first, second):
+            assert log.record(o.l_command, o.t_pose_s, False, o.delta_w_mg)
+        assert log.fit(GRAVITY) == ModeFit(c_prime=2.0, n_obs=2)
+        assert fit_coefficient([first, second], KIN, GRAVITY).c_prime == 2.6
+
+    def test_zero_regressor_leaves_the_fit(self):
+        # a zero command, and a command whose L**2.5 underflows, have no
+        # ratio to add
+        log = ObservationLog(KIN)
+        assert log.record(0.0, 5.0, False, 10.0) is None
+        assert log.fit(GRAVITY) == ModeFit()
+        assert log.record(1.0, 1.99, False, 4.0) == ModeFit(c_prime=2.0,
+                                                            n_obs=1)
+        assert log.record(1e-200, 20.0, False, 10.0) is None
+        assert log.fit(GRAVITY) == ModeFit(c_prime=2.0, n_obs=1)
+
     def test_mode_isolation_and_fit(self):
         log = ObservationLog(KIN)
         assert log.record(1.0, 1.99, False, 4.0)
@@ -218,19 +240,41 @@ entries = st.lists(
 class TestRunningSumFit:
     @settings(max_examples=300, deadline=None)
     @given(entries, st.sampled_from(MODES))
+    @example([(0.0, 2.0, False, 10.0, True),         # x == 0
+              (1e-123, 1.0, False, 5000.0, True),    # ratio overflows
+              (5.0, 1.0, False, 1.0, True)], GRAVITY)
     def test_matches_full_refit_bit_for_bit(self, rows, mode):
+        """The log's C' is the mean of dW/x over the observations it kept
+        of a mode, summed in arrival order. An observation with x == 0,
+        or one whose ratio would leave the float range, changes nothing;
+        the second is a ValueError."""
         log = ObservationLog(KIN)
-        kept = []
+        kept = {GRAVITY: [], VIBRATION: []}
+
+        def mean(ratios):
+            total = 0.0
+            for ratio in ratios:
+                total += ratio
+            return total / len(ratios) if ratios else None
+
         for l, t, vibration, delta, refit_now in rows:
-            assert log.record(l, t, vibration, delta)
-            kept.append(Observation(l, t, vibration, delta))
+            m = VIBRATION if vibration else GRAVITY
+            x = regressor(KIN, l, t)
+            if x == 0.0:
+                assert log.record(l, t, vibration, delta) is None
+            elif math.isfinite(mean(kept[m] + [delta / x])):
+                kept[m].append(delta / x)
+                assert log.record(l, t, vibration, delta) \
+                    == ModeFit(c_prime=mean(kept[m]), n_obs=len(kept[m]))
+            else:
+                with pytest.raises(ValueError):
+                    log.record(l, t, vibration, delta)
             checked = (GRAVITY, VIBRATION) if refit_now else ()
             for m in checked + (mode,):
                 fit = log.fit(m)
-                full = fit_coefficient(kept, KIN, m)
-                assert fit.c_prime == full.c_prime
-                assert fit.n_obs == full.n_obs
-                assert full.c_prime is None or full.c_prime >= 0.0
+                assert (fit.c_prime, fit.n_obs, fit.r_squared) \
+                    == (mean(kept[m]), len(kept[m]), None)
+                assert fit.c_prime is None or fit.c_prime >= 0.0
 
     def test_command_outside_the_envelope_is_rejected(self):
         log = ObservationLog(KIN)
