@@ -22,6 +22,8 @@ from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .artifacts import (ConditionStats, PooledFit, StepTrace, SuiteSummary,
                         TrialRecord, trial_id, write_suite_artifacts)
 from .config import (MODEL_BASED, ConfigError, ExperimentConfig,
@@ -30,20 +32,29 @@ from .control import (DEFAULT_TOLERANCE_MG, DispensingController,
                       PidBaselineController, TrialStatus)
 from .flow import MODES, PowderSpec, ValveKinematics
 from .identify import MIN_OBSERVABLE_MG, fit_points, regressor
-from .plant import SimulatedPlant
+from .plant import SimulatedPlant, plant_states
 
 
 def _needs_vibration(spec: PowderSpec, kin: ValveKinematics) -> bool:
     return spec.critical_arch_diameter >= kin.opening_per_command * kin.l_max
 
 
+def _stream_key(powder: str, controller: str, target: float,
+                trial_index: int) -> tuple[int, int]:
+    return condition_checksum(powder, controller, target), trial_index
+
+
 def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
               powder: str | None = None, controller: str | None = None,
-              target_mg: float | None = None) -> TrialRecord:
+              target_mg: float | None = None,
+              states: np.ndarray | None = None) -> TrialRecord:
     """Run one closed-loop trial and return its full record.
 
     The overrides replace the config's lists, under the config's rules;
     the config must then pin exactly one powder, controller and target.
+    states, when given, are the trial's stream states as plant_states
+    gives them for its stream key; run_suite computes every trial's in
+    one call. Without them the plant computes its own.
     """
     overrides = {name: (value,) for name, value in (
         ("powders", powder), ("controllers", controller),
@@ -62,8 +73,8 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
     kin = config.kinematics
     plant = SimulatedPlant(
         spec, kin, config.balance, seed=config.seed,
-        stream_key=(condition_checksum(powder, controller_name, target),
-                    trial_index))
+        stream_key=_stream_key(powder, controller_name, target, trial_index),
+        states=states)
     if controller_name == MODEL_BASED:
         ctl: DispensingController | PidBaselineController = \
             DispensingController(
@@ -236,12 +247,21 @@ def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,
     Trials run sequentially in a deterministic order; artifacts land under
     out_dir (default: the config's out_dir) unless write_artifacts is off.
     """
+    conditions = config.conditions()
+    trials = range(config.trials)
+    # 32 bytes a stream; each trial builds its Generators from its rows
+    states = plant_states(config.seed, [
+        _stream_key(*condition, index)
+        for condition in conditions for index in trials]
+    ).reshape(len(conditions), len(trials), 2, 4)
     records: list[TrialRecord] = []
-    for powder, controller, target in config.conditions():
+    for (powder, controller, target), condition_states in zip(conditions,
+                                                              states):
         condition = replace(config, powders=(powder,),
                             controllers=(controller,), targets_mg=(target,))
-        for index in range(config.trials):
-            records.append(run_trial(condition, index))
+        for index in trials:
+            records.append(run_trial(condition, index,
+                                     states=condition_states[index]))
     summary = SuiteSummary(
         config=config,
         conditions=tuple(compute_metrics(records, config.tolerance_mg)),

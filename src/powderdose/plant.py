@@ -12,13 +12,19 @@ from zero), and each stabilised reading costs a settling wait.
 
 Randomness contract: a plant draws from two independent substreams, one
 for flow disturbances and one for the balance. They are the children
-(*stream_key, 0) and (*stream_key, 1) of the trial's seed, each the
-Generator default_rng(SeedSequence(seed, spawn_key=(*stream_key, i)))
-returns. _stream builds it by that recipe: the entropy words SeedSequence
-would assemble, then SeedSequence, then PCG64. It assembles the words
-itself (_append_words) and hands them over as one uint32 array, because
-SeedSequence's own assembly from an int seed and a key tuple costs about
-29 us a stream against 19 us for the array (2-CPU Xeon, numpy 2.4). As
+(*stream_key, 0) and (*stream_key, 1) of the trial's seed, each in the
+state of the Generator default_rng(SeedSequence(seed, spawn_key=(*stream_key,
+i))) returns. The plant builds PCG64 from seed words that plant_states
+computes for any number of plants in one call: _stream_states assembles
+each key's entropy words as SeedSequence would (_append_words), then
+runs SeedSequence's pool mixing and generate_state(4, uint64) for every
+key of the same word count at once, in numpy uint32 array arithmetic.
+run_suite calls it once for all of a suite's trials and keeps 32 bytes a
+stream; each trial builds its Generators when it runs. A stream then
+costs about 7 us with its Generator, against about 20 us through
+SeedSequence, but the vectorized mixing costs about 0.1 ms a call
+whatever the batch, which a plant seeded on its own pays in full (2-CPU
+Xeon, numpy 2.4; the tests check every row against SeedSequence). As
 the streams are separate, enabling or disabling either noise source never
 shifts the draws of the other, and a fixed seed reproduces a trial bit
 for bit. Each stream is drawn BLOCK standard normals at a time and a
@@ -34,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -130,24 +137,154 @@ def _append_words(value: int, words: list[int]) -> None:
         n >>= 32
 
 
-def _stream(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
-    """A Generator in the state of
-    default_rng(SeedSequence(seed, spawn_key=spawn_key)).
+# SeedSequence's constants. Its words are uint32 and every product is
+# taken mod 2**32, which numpy's uint32 arithmetic does without a warning.
+# The constants an array meets are 0-d arrays: numpy applies one of those
+# in about a third of a scalar's time.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L = np.array(0xCA01F9DD, dtype=np.uint32)
+_MIX_R = np.array(0x4973F715, dtype=np.uint32)
+_SHIFT = np.array(16, dtype=np.uint32)
+# for each pool word, the other pool words it is mixed into
+_OTHERS = tuple(np.array([d for d in range(_POOL) if d != s])
+                for s in range(_POOL))
 
-    The entropy is assembled as SeedSequence assembles it: the seed's
-    words, zero-padded to the pool size of 4 when a spawn key is present,
-    then each key element's words. As one uint32 array it takes
-    SeedSequence's array path, which mixes the same pool, and PCG64 draws
-    its state from that SeedSequence as default_rng's does.
+
+def _hash_columns(init: int, mult: int, shapes: list[tuple[int, ...]]
+                  ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (xor, multiplier) constants of consecutive hashes, one pair of
+    arrays of each shape plus a trailing axis of 1, in order. The k-th
+    hash xors with h_k and multiplies by h_(k+1), where h_0 = init and
+    h_(k+1) = h_k * mult mod 2**32."""
+    h = [init]
+    for _ in range(sum(math.prod(shape) for shape in shapes)):
+        h.append(h[-1] * mult & _MASK32)
+    table = np.array(h, dtype=np.uint32)
+    out, first = [], 0
+    for shape in shapes:
+        last = first + math.prod(shape)
+        out.append((table[first:last].reshape(*shape, 1),
+                    table[first + 1:last + 1].reshape(*shape, 1)))
+        first = last
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=8)
+def _mix_hashes(extra: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """mix_entropy's hash constants for 4 + extra entropy words: hashing
+    the first 4 words into the pool, mixing each pool word into the 3
+    others in source order, then mixing each extra word into all 4."""
+    return _hash_columns(_INIT_A, _MULT_A, [(_POOL,)]
+                         + [(_POOL - 1,)] * _POOL + [(extra, _POOL)])
+
+
+# generate_state(4, uint64) hashes 8 uint32 words, word i from pool word
+# i % 4, and pairs them low word first
+_CYCLE = np.arange(8) % _POOL
+((_STATE_XOR, _STATE_MUL),) = _hash_columns(_INIT_B, _MULT_B, [(8,)])
+
+
+def _hash(values: np.ndarray, xor: np.ndarray,
+          mul: np.ndarray) -> np.ndarray:
+    v = (values ^ xor) * mul
+    return v ^ (v >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> _SHIFT)
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """generate_state(4, uint64) of SeedSequence(row) for each row of an
+    n x width uint32 array of assembled entropy words, as n x 4 uint64.
+
+    SeedSequence's hash multipliers advance once per hash whatever the
+    data, so all rows of one width take the same constants, and each
+    array operation below does one step of the mixing for all of them.
     """
-    words: list[int] = []
-    _append_words(seed, words)
-    if spawn_key:
-        words.extend([0] * (4 - len(words)))
-    for element in spawn_key:
-        _append_words(element, words)
-    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(seq))
+    n, width = entropy.shape
+    words = entropy.T  # one row per entropy word, one column per stream
+    if width < _POOL:  # mix_entropy hashes zeros past the end
+        words = np.concatenate(
+            [words, np.zeros((_POOL - width, n), dtype=np.uint32)])
+    (xor, mul), *spread, (extra_xor, extra_mul) = \
+        _mix_hashes(max(width - _POOL, 0))
+    pool = _hash(words[:_POOL], xor, mul)
+    for dst, src, (src_xor, src_mul) in zip(_OTHERS, pool, spread):
+        pool[dst] = _mix(pool[dst], _hash(src, src_xor, src_mul))
+    # the extra words' hashes do not depend on the pool: all at once
+    for hashed in _hash(words[_POOL:, None], extra_xor, extra_mul):
+        pool = _mix(pool, hashed)
+    state = _hash(pool[_CYCLE], _STATE_XOR, _STATE_MUL).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
+
+
+def _stream_states(seed: int,
+                   keys: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """PCG64's seed words in default_rng(SeedSequence(seed, spawn_key=key))
+    for each key, one row of 4 uint64 per key in key order.
+
+    Each row's entropy is assembled as SeedSequence assembles it: the
+    seed's words, zero-padded to the pool size of 4 when the key is not
+    empty, then each key element's words. Rows are grouped by word count
+    and each group is mixed by _pcg64_seeds in one pass. ValueError on a
+    negative or non-integer seed or key element.
+    """
+    seed_words: list[int] = []
+    _append_words(seed, seed_words)
+    padded = seed_words + [0] * (_POOL - len(seed_words))
+    # word count -> (row numbers, their words end to end)
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for row, key in enumerate(keys):
+        words = padded.copy() if key else seed_words.copy()
+        for element in key:
+            _append_words(element, words)
+        group = groups.get(len(words))
+        if group is None:
+            group = groups[len(words)] = ([], [])
+        group[0].append(row)
+        group[1].extend(words)
+    states = np.empty((len(keys), 4), dtype=np.uint64)
+    for width, (rows, flat) in groups.items():
+        states[rows] = _pcg64_seeds(
+            np.array(flat, dtype=np.uint32).reshape(-1, width))
+    return states
+
+
+def plant_states(seed: int,
+                 stream_keys: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The stream states of the plants of the given stream keys under one
+    seed: shape (n, 2, 4), the flow and then the balance stream of each,
+    the children (*stream_key, 0) and (*stream_key, 1). run_suite computes
+    a whole suite's at once and hands each trial's to SimulatedPlant."""
+    return _stream_states(
+        seed, [(*key, child) for key in stream_keys for child in (0, 1)]
+    ).reshape(-1, 2, 4)
+
+
+@functools.cache
+def _fixed_state_type() -> type:
+    """A seed sequence type whose generate_state returns a state computed
+    beforehand; PCG64 asks it for generate_state(4, np.uint64). Made on
+    first use: importing numpy.random costs about 13 ms and 6 MB, which
+    a process that only reads artifacts never needs."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self._state
+
+    return FixedState
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_fixed_state_type()(state)))
 
 
 def _standard_normals(rng: np.random.Generator):
@@ -163,18 +300,28 @@ class SimulatedPlant:
     remaining + dispensed_total == initial_load holds at every step.
     sim_clock accrues 2*T(L) + t_pose per executed cycle (travel out,
     dwell, travel back) plus the settling wait of each stabilised reading.
+
+    The random streams come from seed and stream_key, or from states: the
+    two rows plant_states gives for them, computed beforehand.
     """
 
     def __init__(self, spec: PowderSpec, kin: ValveKinematics,
                  balance: BalanceModel | None = None, *, seed: int = 0,
-                 stream_key: tuple[int, ...] = ()) -> None:
+                 stream_key: tuple[int, ...] = (),
+                 states: np.ndarray | None = None) -> None:
         self.spec = spec
         self.kin = kin
         self.balance = balance if balance is not None else BalanceModel()
-        # the children (*stream_key, 0) and (*stream_key, 1) of the seed,
-        # in the state default_rng gives each
-        self._flow_z = _standard_normals(_stream(seed, (*stream_key, 0)))
-        self._balance_z = _standard_normals(_stream(seed, (*stream_key, 1)))
+        if states is None:
+            states = plant_states(seed, (stream_key,))[0]
+        else:
+            # PCG64 reads the rows through a raw pointer
+            states = np.ascontiguousarray(states, dtype=np.uint64)
+            if states.shape != (2, 4):
+                raise ValueError(f"states must be 2 x 4, got shape "
+                                 f"{states.shape}")
+        self._flow_z = _standard_normals(_generator(states[0]))
+        self._balance_z = _standard_normals(_generator(states[1]))
         self._rate_scale = (spec.flow_coefficient * spec.bulk_density
                             * math.sqrt(G_MM_S2))
         self._rate_offset = spec.particle_correction * spec.particle_diameter

@@ -489,10 +489,17 @@ class TestRunTrial:
         assert first != run_trial(config, 0)
 
     def test_matches_in_suite_execution(self):
-        config = small_config()
+        # suite trials take their streams from one batch over the suite,
+        # a standalone trial from a batch of its own
+        config = small_config(powder=["glass-beads", "msg"],
+                              controller=["model-based", "direct-pid"],
+                              targets_mg=[20, 50, 200])
         summary = run_suite(config, write_artifacts=False)
-        for index in range(config.trials):
-            assert summary.trials[index] == run_trial(config, index)
+        assert len(summary.trials) == 2 * 2 * 3 * config.trials
+        for record in summary.trials:
+            assert record == run_trial(
+                config, record.trial_index, powder=record.powder,
+                controller=record.controller, target_mg=record.target_mg)
 
     def test_requires_a_pinned_condition(self):
         with pytest.raises(ConfigError):

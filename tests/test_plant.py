@@ -317,27 +317,41 @@ U64 = st.integers(0, 2 ** 64 - 1)
 
 class TestStreamSeeding:
     @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2 ** 256), key=st.lists(U64, max_size=4))
-    @example(seed=0, key=[0])
-    @example(seed=0, key=[])
-    @example(seed=2 ** 128 + 7, key=[])
-    @example(seed=2 ** 128 + 7, key=[2 ** 32, 1])
-    @example(seed=2 ** 32 - 1, key=[2 ** 32, 1])
-    @example(seed=2 ** 32, key=[2 ** 32 - 1, 0])
-    @example(seed=2 ** 64 - 1, key=[2 ** 64 - 1, 2 ** 33, 7, 0])
-    def test_stream_is_default_rng_of_the_seed_sequence(self, seed, key):
-        key = tuple(key)
-        expected = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=key))
-        assert (plant_module._stream(seed, key).bit_generator.state
-                == expected.bit_generator.state)
+    @given(seed=st.integers(0, 2 ** 256),
+           keys=st.lists(st.lists(U64, max_size=4), min_size=1, max_size=5))
+    @example(seed=0, keys=[[0]])
+    @example(seed=0, keys=[[]])
+    @example(seed=2 ** 128 + 7, keys=[[]])
+    @example(seed=2 ** 128 + 7, keys=[[2 ** 32, 1]])
+    @example(seed=2 ** 32 - 1, keys=[[2 ** 32, 1]])
+    @example(seed=2 ** 32, keys=[[2 ** 32 - 1, 0]])
+    @example(seed=2 ** 64 - 1, keys=[[2 ** 64 - 1, 2 ** 33, 7, 0]])
+    # word counts 7, 2, 5, 8 and 2 in one batch, which mixes them in
+    # separate groups but must return the rows in input order
+    @example(seed=2 ** 40 + 3,
+             keys=[[2 ** 32, 1], [], [5], [2 ** 64 - 1, 0, 7], []])
+    def test_rows_are_default_rng_of_the_seed_sequence(self, seed, keys):
+        keys = [tuple(key) for key in keys]
+        states = plant_module._stream_states(seed, keys)
+        assert states.shape == (len(keys), 4)
+        for row, key in zip(states, keys):
+            expected = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=key))
+            assert (plant_module._generator(row).bit_generator.state
+                    == expected.bit_generator.state)
 
     @pytest.mark.parametrize("seed, key", [
         (-1, (0,)), (0, (-1,)), (5, (3, -2 ** 40)), (1.0, (0,)),
         (0, (0.5,)), (None, (0,))])
     def test_negative_or_non_integer_input_is_a_value_error(self, seed, key):
         with pytest.raises(ValueError, match="integers >= 0"):
-            plant_module._stream(seed, key)
+            plant_module._stream_states(seed, [(1,), key])
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (2, 3), (3, 4)])
+    def test_states_of_another_shape_are_a_value_error(self, shape):
+        with pytest.raises(ValueError, match="2 x 4"):
+            SimulatedPlant(make_spec(), ValveKinematics(),
+                           states=np.zeros(shape, dtype=np.uint64))
 
 
 class TestDeterminism:
