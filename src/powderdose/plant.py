@@ -13,18 +13,19 @@ from zero), and each stabilised reading costs a settling wait.
 Randomness contract: a plant draws from two independent substreams, one
 for flow disturbances and one for the balance. They are the children
 (*stream_key, 0) and (*stream_key, 1) of the trial's seed, each in the
-state of the Generator default_rng(SeedSequence(seed, spawn_key=(*stream_key,
-i))) returns. The plant builds PCG64 from seed words that plant_states
+state of the Generator default_rng(SeedSequence(seed, spawn_key=child))
+returns. The plant builds PCG64 from seed words that plant_states
 computes for any number of plants in one call: _stream_states assembles
 each key's entropy words as SeedSequence would (_append_words), then
 runs SeedSequence's pool mixing and generate_state(4, uint64) for every
 key of the same word count at once, in numpy uint32 array arithmetic.
 run_suite calls it once for all of a suite's trials and keeps 32 bytes a
-stream; each trial builds its Generators when it runs. A stream then
-costs about 7 us with its Generator, against about 20 us through
-SeedSequence, but the vectorized mixing costs about 0.1 ms a call
-whatever the batch, which a plant seeded on its own pays in full (2-CPU
-Xeon, numpy 2.4; the tests check every row against SeedSequence). As
+stream; each trial builds its Generators when it runs. In a suite of
+120 trials a stream then costs about 7 us with its Generator, against
+13-20 us through SeedSequence. The array operations cost about 0.1 ms a
+call whatever the batch, so a plant seeded on its own takes 0.08-0.13
+ms for its two streams, against 25-40 us through SeedSequence (2-CPU
+Xeon, numpy 2.4). The tests check every row against SeedSequence. As
 the streams are separate, enabling or disabling either noise source never
 shifts the draws of the other, and a fixed seed reproduces a trial bit
 for bit. Each stream is drawn BLOCK standard normals at a time and a

@@ -330,7 +330,7 @@ class TestStreamSeeding:
     # separate groups but must return the rows in input order
     @example(seed=2 ** 40 + 3,
              keys=[[2 ** 32, 1], [], [5], [2 ** 64 - 1, 0, 7], []])
-    def test_rows_are_default_rng_of_the_seed_sequence(self, seed, keys):
+    def test_stream_is_default_rng_of_the_seed_sequence(self, seed, keys):
         keys = [tuple(key) for key in keys]
         states = plant_module._stream_states(seed, keys)
         assert states.shape == (len(keys), 4)
