@@ -20,17 +20,21 @@ The search runs over an action table built once per (ValveKinematics,
 ActionGrid) pair and cached: both axes, every cell's L**2.5 and
 dispensing window T(L) + t, the cells sorted by their product, the
 capacity and floor factors, and every ValveAction the controller emits
-from the grid. A cell's action is built the first time the search or the
-probe ladder asks for that cell in that mode, and handed out from the
-table after that; the probe rungs are the cells at the minimum dwell. A
-step then bisects the sorted products at W_target / C' and computes the
-exact prediction of the few cells on either side that could be nearest;
-ties go to the smaller flat index in dwell-major order, the smaller
-dwell, then the smaller command. The search checks nothing per step: the
-grid axes run over the valve envelope's bounds and never past them, a
-coefficient is checked when its ModeFit is built, and the plant puts
-every action it executes through ValveKinematics.check, the one envelope
-test.
+from the grid. A step reaches the table without hashing: select_action
+keeps the kin and grid objects of its last call with their table, and
+when a call passes those same two objects, as every step of a trial
+does, it takes that table; only another pair goes through the cache,
+whose key hashes both frozen dataclasses. A cell's action is built the
+first time the search or the probe ladder asks for that cell in that
+mode, and handed out from the table after that; the probe rungs are the
+cells at the minimum dwell. A step then bisects the sorted products at
+W_target / C' and computes the exact prediction of the few cells on
+either side that could be nearest; ties go to the smaller flat index in
+dwell-major order, the smaller dwell, then the smaller command. The
+search checks nothing per step: the grid axes run over the valve
+envelope's bounds and never past them, a coefficient is checked when its
+ModeFit is built, and the plant puts every action it executes through
+ValveKinematics.check, the one envelope test.
 
 A controller is built from shared immutable parts: every controller
 starts from one unfitted CoefficientEstimate and, unless given a grid,
@@ -158,6 +162,11 @@ class TrialStatus(str, Enum):
 # is a lookup on the enum class.
 _RUNNING = TrialStatus.RUNNING
 
+# A NamedTuple's own constructor is a Python-level __new__. The decisions
+# and selections made on every step are built with tuple.__new__, every
+# field given in order: an equal instance at half the cost (Xeon, timeit).
+_new = tuple.__new__
+
 
 class StepDecision(NamedTuple):
     """Outcome of one controller step: either an action or a terminal status."""
@@ -254,6 +263,12 @@ _BELOW = 1.0 - 1e-15
 _ABOVE = 1.0 + 1e-15
 _TINY = 1e-322
 
+# The (kin, grid, table) of select_action's last call. A trial passes the
+# same two objects on every step; an identity test of both costs far less
+# than hashing them for _action_table's cache (0.7 us a call, Xeon,
+# timeit). Holding the objects keeps their ids from being reused.
+_last_table: tuple = (None, None, None)
+
 
 def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
                   w_target: float, *, use_vibration: bool = False,
@@ -274,9 +289,15 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     that no cell beyond it can reach the best cost, so the pick is the
     (cost, flat index) minimum over every cell, as a full sweep finds it.
     """
+    global _last_table
     if not math.isfinite(w_target) or w_target <= 0:
         raise ValueError("w_target must be finite and > 0")
-    table = _action_table(kin, grid if grid is not None else _DEFAULT_GRID)
+    if grid is None:
+        grid = _DEFAULT_GRID
+    last_kin, last_grid, table = _last_table
+    if kin is not last_kin or grid is not last_grid:
+        table = _action_table(kin, grid)
+        _last_table = (kin, grid, table)
     c = (estimate.vibration if use_vibration else estimate.gravity).c_prime
     if c is None:
         return ActionSelection(None, None, use_vibration)
@@ -321,7 +342,7 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     action = table.cells[use_vibration][best]
     if action is None:
         action = table.action(best, use_vibration)
-    return ActionSelection(action, best_pred, use_vibration)
+    return _new(ActionSelection, (action, best_pred, use_vibration))
 
 
 class _ProbeLadder:
@@ -462,9 +483,7 @@ class DispensingController(_TrialController):
         if stop is not None:
             return stop
         self._ingest(previous, reading)
-        decision = self._choose()
-        self._last_action = decision.action
-        return decision
+        return self._choose()
 
     def _ingest(self, previous: float | None, reading: float) -> None:
         if previous is None:
@@ -500,12 +519,12 @@ class DispensingController(_TrialController):
         action = predicted = None
         fit = self.estimate.vibration if vibration else self.estimate.gravity
         if fit.c_prime is not None:
-            selection = select_action(self.estimate, self.kin, self.w_target,
-                                      use_vibration=vibration, grid=self.grid)
-            action, predicted = selection.action, selection.predicted_mg
-            if selection.use_vibration and not vibration:
+            action, predicted, selected = select_action(
+                self.estimate, self.kin, self.w_target,
+                use_vibration=vibration, grid=self.grid)
+            if selected and not vibration:
                 self._ladder.latch_on_capacity()
-            vibration = selection.use_vibration
+            vibration = selected
         probe = action is None
         if probe:
             action = self._ladder.next_probe(vibration)
@@ -520,7 +539,8 @@ class DispensingController(_TrialController):
             action = ValveAction(self.kin.l_max, self.kin.t_pose_max,
                                  vibration=True)
         self.use_vibration = vibration
-        return StepDecision(_RUNNING, action, predicted, probe)
+        self._last_action = action
+        return _new(StepDecision, (_RUNNING, action, predicted, probe))
 
 
 @dataclass(frozen=True)
@@ -595,4 +615,6 @@ class PidBaselineController(_TrialController):
         stop = self._stop(reading, hopper_empty)
         if stop is not None:
             return stop
-        return StepDecision(_RUNNING, self.action_for_error(self.w_error))
+        return _new(StepDecision,
+                    (_RUNNING, self.action_for_error(self.w_error), None,
+                     False))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -89,30 +90,29 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
     initial_load = spec.initial_load
     model_based = controller_name == MODEL_BASED
     running = TrialStatus.RUNNING
+    c_gravity = c_vibration = None
     reading, _ = plant.read_balance(wait_settle=False)
-    steps: list[StepTrace] = []
+    # one plain tuple per step in StepTrace field order; the StepTraces
+    # are built once the trial has ended
+    rows: list[tuple] = []
     while True:
-        decision = ctl.step(
+        status, action, predicted, probe = ctl.step(
             reading, hopper_empty=plant.dispensed_total >= initial_load)
-        if decision.status is not running:
+        if status is not running:
             break
-        action = decision.action
-        true_delta, _ = plant.execute(action.l_command, action.t_pose_s,
-                                      action.vibration)
+        l_command = action.l_command
+        t_pose_s = action.t_pose_s
+        vibration = action.vibration
+        true_delta, _ = plant.execute(l_command, t_pose_s, vibration)
         previous = reading
         reading, _ = plant.read_balance()
         if model_based:
             estimate = ctl.estimate
             c_gravity = estimate.gravity.c_prime
             c_vibration = estimate.vibration.c_prime
-        else:
-            c_gravity = c_vibration = None
-        # positional, in StepTrace field order
-        steps.append(StepTrace(
-            len(steps) + 1, action.l_command, action.t_pose_s,
-            action.vibration, decision.predicted_mg, reading - previous,
-            c_gravity, c_vibration, target - reading, plant.sim_clock,
-            true_delta, decision.probe))
+        rows.append((len(rows) + 1, l_command, t_pose_s, vibration,
+                     predicted, reading - previous, c_gravity, c_vibration,
+                     target - reading, plant.sim_clock, true_delta, probe))
     return TrialRecord(
         trial_id=trial_id(powder, controller_name, target, trial_index),
         powder=powder,
@@ -121,9 +121,11 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
         trial_index=trial_index,
         status=ctl.status,
         final_mass_mg=ctl.w_measured,
-        total_steps=len(steps),
+        total_steps=len(rows),
         total_sim_time_s=plant.sim_clock,
-        steps=tuple(steps),
+        # tuple.__new__ builds each StepTrace without a Python call per
+        # step, as read_trace_csv does
+        steps=tuple(map(tuple.__new__, repeat(StepTrace), rows)),
     )
 
 

@@ -198,7 +198,7 @@ class ObservationLog:
             return None
         n = self._n[vibration] + 1
         ratios = self._ratios[vibration] + delta_w_mg / x
-        fit = ModeFit(c_prime=ratios / n, n_obs=n)
+        fit = ModeFit(ratios / n, n)  # positional: c_prime, n_obs
         self._n[vibration] = n
         self._ratios[vibration] = ratios
         return fit

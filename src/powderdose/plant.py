@@ -6,6 +6,13 @@ gate: gravity flow stops entirely once the orifice is at or below the
 powder's critical arch diameter. Vibration defeats the gate and scales the
 rate by the powder's vibration gain.
 
+SimulatedPlant.execute works from factors computed when the plant is
+built: the Beverloo scale C * rho_b * sqrt(g) and offset k * d, which it
+hands to flow.beverloo_discharge, the formula's one implementation. A step
+adds only its own arithmetic: the envelope check, the flow draw, the arch
+gate and vibration gain applied inline, and one clamp against what the
+hopper holds.
+
 The balance is read between steps. Readings are the true dispensed total
 plus Gaussian noise, quantised to the display resolution (round half away
 from zero), and each stabilised reading costs a settling wait.
@@ -41,9 +48,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -288,10 +296,12 @@ def _generator(state: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_fixed_state_type()(state)))
 
 
-def _standard_normals(rng: np.random.Generator):
-    """Endless standard normals from rng, drawn BLOCK at a time."""
-    while True:
-        yield from rng.standard_normal(BLOCK).tolist()
+def _standard_normals(rng: np.random.Generator) -> Iterator[float]:
+    """Endless standard normals from rng, drawn BLOCK at a time when the
+    last block runs out; an iterator of C-level parts, so that next() on
+    it runs no Python frame."""
+    return chain.from_iterable(map(np.ndarray.tolist,
+                                   map(rng.standard_normal, repeat(BLOCK))))
 
 
 class SimulatedPlant:
@@ -337,15 +347,6 @@ class SimulatedPlant:
     def depleted(self) -> bool:
         return self.remaining <= 0.0
 
-    def _rate(self, l_command: float, vibration: bool) -> float:
-        orifice = self.kin.opening_per_command * l_command
-        base = beverloo_discharge(self._rate_scale, self._rate_offset, orifice)
-        if vibration:
-            return self.spec.vibration_gain * base
-        if orifice > self.spec.critical_arch_diameter:
-            return base
-        return 0.0
-
     def execute(self, l_command: float, t_pose_s: float,
                 vibration: bool) -> tuple[float, float]:
         """Run one open-dwell-close cycle; returns (dispensed mg, elapsed s).
@@ -358,17 +359,28 @@ class SimulatedPlant:
         """
         kin = self.kin
         kin.check(l_command, t_pose_s)
+        spec = self.spec
         # Generator.normal(0, sigma) is 0.0 + sigma * z; the 0.0 changes
         # only the sign of a zero eps, which 1 + eps does not see.
-        eps = self.spec.flow_noise_sigma * next(self._flow_z)
+        eps = spec.flow_noise_sigma * next(self._flow_z)
         if eps < -1.0:
             eps = -1.0
         travel = l_command / kin.travel_rate
-        duration = travel + t_pose_s
-        dispensed = self._rate(l_command, vibration) * duration * (1.0 + eps)
-        if dispensed >= self.remaining:
-            dispensed = self.remaining
-            self.dispensed_total = self.spec.initial_load
+        orifice = kin.opening_per_command * l_command
+        if vibration:
+            rate = spec.vibration_gain * beverloo_discharge(
+                self._rate_scale, self._rate_offset, orifice)
+        elif orifice > spec.critical_arch_diameter:
+            rate = beverloo_discharge(self._rate_scale, self._rate_offset,
+                                      orifice)
+        else:
+            rate = 0.0
+        # a zero rate still multiplies: at 1 + eps = inf the step is nan
+        dispensed = rate * (travel + t_pose_s) * (1.0 + eps)
+        remaining = spec.initial_load - self.dispensed_total
+        if dispensed >= remaining:
+            dispensed = remaining
+            self.dispensed_total = spec.initial_load
         else:
             self.dispensed_total += dispensed
         elapsed = 2.0 * travel + t_pose_s

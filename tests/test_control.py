@@ -184,6 +184,27 @@ class TestSelectAction:
             assert sel.predicted_mg == pytest.approx(predicted, rel=1e-12)
             assert sel.use_vibration == vibration
 
+    def test_each_kinematics_and_grid_object_gets_its_own_table(self):
+        # select_action keeps the table of its last (kin, grid) pair; a
+        # call that changes either object must not reuse it
+        kin = ValveKinematics(l_min=10.0, l_max=20.0,
+                              t_pose_min=1.0, t_pose_max=2.0)
+        wide = ValveKinematics(l_min=10.0, l_max=40.0,
+                               t_pose_min=1.0, t_pose_max=2.0)
+        coarse = ActionGrid(l_step=10.0, t_step=1.0)
+        fine = ActionGrid(l_step=5.0, t_step=0.5)
+        picks = set()
+        for k, g in ((kin, coarse), (kin, fine), (wide, fine), (wide, coarse),
+                     (kin, coarse), (wide, fine)):
+            for w_target in (1.0, 12.0):
+                sel = select_action(estimate(0.001, 0.002), k, w_target,
+                                    grid=g)
+                action, predicted, vibration = brute_select(
+                    0.001, 0.002, k, g, w_target)
+                assert sel == (action, predicted, vibration)
+                picks.add(sel.action)
+        assert len(picks) >= 4
+
     @settings(max_examples=250, deadline=None)
     @given(setup=search_setups(), c_gravity=coefficients,
            c_vibration=st.none() | coefficients,

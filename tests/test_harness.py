@@ -679,10 +679,43 @@ def test_traced_names_see_every_unit_of_work(monkeypatch):
     assert len(seen["fit_points"]) == len(summary.pooled_fits) > 0
 
 
+def test_steps_call_the_traced_names(monkeypatch):
+    """Every step goes through the module and class attributes the
+    benchmark tracer wraps, looked up when called: one
+    SimulatedPlant.execute per executed step, one read_balance and one
+    quantize_reading per reading (each step's and each trial's tare), and
+    control.select_action for the model's searches. A name bound when its
+    caller was defined, not looked up at the call, would count 0 here."""
+    calls = dict.fromkeys(("select_action", "quantize_reading", "execute",
+                           "read_balance"), 0)
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(control, "select_action")
+    count(plant, "quantize_reading")
+    count(plant.SimulatedPlant, "execute")
+    count(plant.SimulatedPlant, "read_balance")
+    summary = run_suite(small_config(
+        powder=["glass-beads", "tio2"], controller=[MODEL_BASED, DIRECT_PID],
+        targets_mg=[20, 500]), write_artifacts=False)
+    assert {r.controller for r in summary.trials} == {MODEL_BASED, DIRECT_PID}
+    steps = sum(r.total_steps for r in summary.trials)
+    assert calls["execute"] == steps > 0
+    assert calls["read_balance"] == calls["quantize_reading"] \
+        == steps + len(summary.trials)
+    assert calls["select_action"] > 0
+
+
 @pytest.fixture(scope="module")
 def suite(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
-    config = small_config()
+    config = small_config(controller=[MODEL_BASED, DIRECT_PID])
     summary = run_suite(config, out_dir=out)
     return config, summary, out
 
@@ -957,14 +990,46 @@ class TestArtifacts:
         assert first[TRACE_COLUMNS.index("vibration")] == "0"
 
     def test_trace_roundtrip(self, suite):
-        _, summary, out = suite
-        record = summary.trials[0]
-        rows = read_trace_csv(out / "trials" / f"{record.trial_id}.csv")
-        assert len(rows) == record.total_steps
-        for parsed, original in zip(rows, record.steps):
-            for name in TRACE_COLUMNS:
-                key = {"step": "step", "L": "l_command"}.get(name, name)
-                assert getattr(parsed, key) == getattr(original, key)
+        """Every trial's trace reads back as its in-memory steps, and each
+        of those is a whole StepTrace whose fields hold what their names
+        say: run_trial builds them from plain row tuples at the end of a
+        trial, so a short or misordered row would show here."""
+        config, summary, out = suite
+        assert {r.controller for r in summary.trials} == {MODEL_BASED,
+                                                          DIRECT_PID}
+        for record in summary.trials:
+            model = record.controller == MODEL_BASED
+            rows = read_trace_csv(out / "trials" / f"{record.trial_id}.csv")
+            assert len(rows) == len(record.steps) == record.total_steps > 0
+            vibrated = False
+            for number, (parsed, original) in enumerate(
+                    zip(rows, record.steps), 1):
+                assert type(original) is StepTrace
+                assert len(original) == len(StepTrace._fields)
+                assert original.step == number
+                assert type(original.vibration) is type(original.probe) \
+                    is bool
+                # a model step is predicted unless it probes; a PID step
+                # is neither, and runs at the fixed dwell
+                assert (original.predicted_mg is None) \
+                    == (original.probe or not model)
+                if not model:
+                    assert original.t_pose_s == \
+                        config.pid_gains.t_pose_fixed_s
+                    assert original.cprime_gravity is None
+                # no vibration fit before a vibration step
+                vibrated = vibrated or original.vibration
+                assert original.cprime_vibration is None or vibrated
+                for name in TRACE_COLUMNS:
+                    key = {"step": "step", "L": "l_command"}.get(name, name)
+                    assert getattr(parsed, key) == getattr(original, key)
+            for before, after in zip(record.steps, record.steps[1:]):
+                assert after.sim_time_s > before.sim_time_s
+                assert after.measured_delta_mg == pytest.approx(
+                    before.w_error_mg - after.w_error_mg, abs=1e-9)
+            last = record.steps[-1]
+            assert last.sim_time_s == record.total_sim_time_s
+            assert last.w_error_mg == record.target_mg - record.final_mass_mg
 
     def test_summary_json_echoes_the_config(self, suite):
         config, summary, out = suite
