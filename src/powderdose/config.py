@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 import zlib
 from collections.abc import Mapping
 from dataclasses import (asdict, dataclass, field,
@@ -35,25 +34,60 @@ CONTROLLER_ALIASES = {
 
 OUT_DIR_ENV = "POWDERDOSE_OUT"
 
-# The least-squares fits square reading differences, and a float square
-# overflows past about 1.3e154. A normal draw stays under 14, so with this
-# bound a sum of even 1e9 squared differences stays far below the limit.
-_MAX_NOISE_SIGMA_MG = 1e100
-
 # The model-based controller builds one action table per envelope, about
 # 200 bytes a cell (tracemalloc, CPython 3.11: 16.0 MB at 79 581 cells,
 # 20.4 MB at 99 992). The cap keeps a table near 20 MB and allows 57
 # times the default grid's 1763 cells.
 _MAX_GRID_CELLS = 100_000
 
-# A bound that a log-space value must stay under for the value to be a
-# finite float; logs never raise OverflowError as float powers do.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-# A normal draw stays under 14 in magnitude, so no settle wait exceeds
-# settle_time_mean + 14 * settle_time_sigma, and no reading's noise
-# 14 * noise_sigma.
-_NOISE_SIGMAS = 14.0
+# The physical domain of each numeric config field by JSON path, with
+# plant.powders fields under plant.powders: (low, high) admits 0 and the
+# magnitudes from low to high. Signs and finiteness are the section
+# dataclasses' rules. A suite takes at most n = _MAX_RUN_STEPS steps per
+# powder (trials x len(targets_mg) x max_steps), so no sum in the package
+# overflows (1.8e308) and no grid regressor squares below 2.2e-308:
+# - a regressor x = L**2.5 * (L / travel_rate + t_pose) is at most
+#   1e10 * (1e7 + 1e4) = 1e17; the smallest positive one on the grid,
+#   L = 1e-3 at t_pose 0 and travel_rate 1e6, is 3e-17, its square 1e-33;
+# - a delta D is at most the load, 28 noise sigmas and one resolution
+#   step, about 1e7 mg, so a pooled fit's sums stay under n * x_max**2 =
+#   1e41 and n * x_max * D = 1e31, its squared residuals under
+#   4 * n**2 * D**2 = 4e28, and the online fit's n * D / x_min under 3e30;
+# - a cycle, 2 * l_max / travel_rate + t_pose_max and a 14-sigma settle,
+#   is at most 2e7 s, so trial-time sums stay under 2e14 s;
+# - the PID output |k_p| E + |k_i| integral_limit + 2 |k_d| E stays under
+#   1e18 (E = 2e7 mg), its command before the clamp under 1e24;
+# - the plant's rate is at most 10 * 100 * 99 * (10 * 1e4)**2.5 * 1e3 =
+#   3e20 mg/s before the hopper's clamp, a reading 1e19 ticks.
+_MAX_RUN_STEPS = 10 ** 7
+_DOMAIN: dict[str, tuple[float, float]] = {
+    "targets_mg": (0.0, 1e7),
+    "tolerance_mg": (0.0, 1e7),
+    "pid_gains.k_p": (0.0, 1e6),
+    "pid_gains.k_i": (0.0, 1e6),
+    "pid_gains.k_d": (0.0, 1e6),
+    "pid_gains.output_slope": (0.0, 1e6),
+    "pid_gains.t_pose_fixed_s": (0.0, 1e4),
+    "pid_gains.integral_limit": (0.0, 1e12),
+    "kinematics.opening_per_command": (0.0, 10.0),
+    "kinematics.travel_rate": (1e-3, 1e6),
+    "kinematics.l_min": (1e-3, 1e4),
+    "kinematics.l_max": (1e-3, 1e4),
+    "kinematics.t_pose_min": (0.0, 1e4),
+    "kinematics.t_pose_max": (0.0, 1e4),
+    "plant.balance.resolution": (1e-12, 100.0),
+    "plant.balance.noise_sigma": (0.0, 100.0),
+    "plant.balance.settle_time_mean": (0.0, 1e4),
+    "plant.balance.settle_time_sigma": (0.0, 1e4),
+    "plant.powders.bulk_density": (0.0, 100.0),
+    "plant.powders.particle_diameter": (0.0, 100.0),
+    "plant.powders.flow_coefficient": (0.0, 10.0),
+    "plant.powders.particle_correction": (0.0, 10.0),
+    "plant.powders.critical_arch_diameter": (0.0, 1e5),
+    "plant.powders.vibration_gain": (0.0, 1e3),
+    "plant.powders.flow_noise_sigma": (0.0, 10.0),
+    "plant.powders.initial_load": (0.0, 1e7),
+}
 
 
 class ConfigError(ValueError):
@@ -72,11 +106,11 @@ class ExperimentConfig:
     field and raises one ConfigError listing each problem under its JSON
     name. It normalises a single powder or controller name to a one-tuple,
     an alias to its controller, and targets, tolerance, k_p and powder
-    override values to floats.
-    With direct-pid among the controllers, pid_gains.t_pose_fixed_s must
-    lie in the kinematics dwell range. No two conditions may share a
-    stream key (condition_checksum), and a config valid field by field
-    must still be able to run (_run_bounds).
+    override values to floats. Every numeric field must lie in its domain
+    (_DOMAIN), and a suite may take at most _MAX_RUN_STEPS steps per
+    powder. With direct-pid among the controllers, t_pose_fixed_s must lie
+    in the dwell range; with model-based, the action grid may hold at
+    most _MAX_GRID_CELLS cells. No two conditions may share a stream key.
 
     k_p may be a single gain or a per-powder mapping; k_p_for() resolves it.
     powder_overrides patches archetype fields per powder before a trial
@@ -123,6 +157,7 @@ class ExperimentConfig:
             for t in self.targets_mg:
                 if finite(t) and t > 0:
                     targets.append(float(t))
+                    errors.extend(_outside("", {"targets_mg": t}))
                 else:
                     errors.append(f"targets_mg: entries must be positive "
                                   f"finite numbers, got {t!r}")
@@ -136,6 +171,13 @@ class ExperimentConfig:
             errors.append("tolerance_mg: must be a finite number")
         elif self.tolerance_mg <= 0:
             errors.append("tolerance_mg: must be > 0")
+        else:
+            errors.extend(_outside("", {"tolerance_mg": self.tolerance_mg}))
+        if is_count(self.trials, 1) and is_count(self.max_steps, 1) \
+                and (n := self.trials * len(targets) * self.max_steps) \
+                > _MAX_RUN_STEPS:
+            errors.append(f"max_steps: trials x targets x max_steps is {n}, "
+                          f"more than {_MAX_RUN_STEPS}")
 
         k_p = self.k_p
         if isinstance(k_p, Mapping):
@@ -154,26 +196,17 @@ class ExperimentConfig:
             errors.append("k_p: must be in (0, 1]")
 
         pid, kin = self.pid_gains, self.kinematics
-        wrong = [f"{name}: must be a {kind.__name__}"
-                 for value, name, kind in (
-                     (pid, "pid_gains", PidGains),
-                     (kin, "kinematics", ValveKinematics),
-                     (self.balance, "plant.balance", BalanceModel))
+        sections = (("pid_gains", pid, PidGains),
+                    ("kinematics", kin, ValveKinematics),
+                    ("plant.balance", self.balance, BalanceModel))
+        wrong = [f"{path}: must be a {kind.__name__}"
+                 for path, value, kind in sections
                  if not isinstance(value, kind)]
-        errors.extend(wrong)
-        if DIRECT_PID in controllers and not wrong and not (
-                kin.t_pose_min <= pid.t_pose_fixed_s <= kin.t_pose_max):
-            errors.append(
-                f"pid_gains.t_pose_fixed_s: {pid.t_pose_fixed_s:g} s is "
-                f"outside the kinematics dwell range "
-                f"[{kin.t_pose_min:g}, {kin.t_pose_max:g}] s")
-        if isinstance(self.balance, BalanceModel) \
-                and self.balance.noise_sigma > _MAX_NOISE_SIGMA_MG:
-            errors.append(
-                f"plant.balance.noise_sigma: must be <= "
-                f"{_MAX_NOISE_SIGMA_MG:g} mg, got "
-                f"{self.balance.noise_sigma:g}; the fits square reading "
-                f"differences, and those squares overflow near 1e154 mg")
+        # asdict, not vars: a read __dict__ doubles the cost of every later
+        # attribute load on these objects, which each trial step makes
+        outside = [error for path, value, kind in sections
+                   if isinstance(value, kind)
+                   for error in _outside(path, asdict(value))]
         overrides = {}
         if isinstance(self.powder_overrides, Mapping):
             for name, raw in self.powder_overrides.items():
@@ -182,14 +215,26 @@ class ExperimentConfig:
                 elif patch := _patch(ARCHETYPES[name], raw,
                                      f"plant.powders[{name!r}]", errors):
                     overrides[name] = patch
+                    outside += _outside("plant.powders", patch,
+                                        f"plant.powders[{name!r}]")
         else:
             errors.append("plant.powders: must be an object")
-        if not wrong and is_count(self.max_steps, 1) \
-                and is_count(self.trials, 1):
-            loads = {name: overrides.get(name, {}).get(
-                         "initial_load", ARCHETYPES[name].initial_load)
-                     for name in powders if name in ARCHETYPES}
-            errors.extend(_run_bounds(self, controllers, targets, loads))
+        errors += wrong + outside
+        # a value past its domain is one error; these rules would add more
+        in_domain = not (wrong or outside)
+        if in_domain and DIRECT_PID in controllers and not (
+                kin.t_pose_min <= pid.t_pose_fixed_s <= kin.t_pose_max):
+            errors.append(
+                f"pid_gains.t_pose_fixed_s: {pid.t_pose_fixed_s:g} s is "
+                f"outside the kinematics dwell range "
+                f"[{kin.t_pose_min:g}, {kin.t_pose_max:g}] s")
+        if in_domain and MODEL_BASED in controllers \
+                and (cells := ActionGrid().cells(kin)) > _MAX_GRID_CELLS:
+            errors.append(
+                f"kinematics: the envelope holds {cells:.4g} cells of the "
+                f"model-based controller's action grid, more than "
+                f"{_MAX_GRID_CELLS}; its action table takes about 200 "
+                f"bytes a cell")
 
         if not (is_count(self.seed, 0) and self.seed < 2 ** 64):
             errors.append("seed: must be an unsigned 64-bit integer")
@@ -354,95 +399,18 @@ def _stream_collisions(powders: list[str], controllers: list[str],
     return errors
 
 
-def _run_bounds(config: ExperimentConfig, controllers: list[str],
-                targets: list[float], loads: dict[str, float]) -> list[str]:
-    """What makes a config that is valid field by field impossible to run:
-    a model-based action table too large to build, fit sums, PID outputs
-    or trial times past the float range.
-
-    loads maps each powder to its initial_load after plant.powders. A
-    pooled fit takes up to n = trials * targets * max_steps points, each
-    with a regressor x <= x_max (at l_max and t_pose_max) and a delta of
-    at most D: the whole load, 14 noise sigmas on each of two readings
-    and one resolution step. Its sums then stay under n*x_max*D and
-    n*x_max**2, and, as |C'x| <= sqrt(n)*D for a fit through the origin,
-    its squared residuals under 4*n**2*D**2. The controller's online fit
-    sums dW/x over a trial's steps, each x a grid regressor or that of the
-    largest action, so its sum stays under n*D/x_min, x_min the smallest
-    positive grid regressor: the smallest positive command at t_pose_min.
-    """
-    kin, balance = config.kinematics, config.balance
+def _outside(section: str, values: Mapping[str, float],
+             path: str | None = None) -> list[str]:
+    """An error for each field of values outside its _DOMAIN entry under
+    section, naming the field under path (default: the section)."""
     errors = []
-    # D per powder
-    max_delta = {name: load + 2.0 * _NOISE_SIGMAS * balance.noise_sigma
-                 + balance.resolution for name, load in loads.items()}
-    points = (f"{config.trials} x {len(targets)} x {config.max_steps} "
-              f"(trials x targets x max_steps)")
-    if MODEL_BASED in controllers:
-        grid = ActionGrid()
-        cells = grid.cells(kin)
-        if cells > _MAX_GRID_CELLS:
-            errors.append(
-                f"kinematics: the envelope holds {cells:.4g} cells of the "
-                f"model-based controller's action grid, more than "
-                f"{_MAX_GRID_CELLS}; its action table takes about 200 "
-                f"bytes a cell")
-        if targets:
-            log_n = (math.log(config.trials) + math.log(len(targets))
-                     + math.log(config.max_steps))
-            window = kin.l_max / kin.travel_rate + kin.t_pose_max
-            log_x = 2.5 * math.log(kin.l_max) + math.log(window)
-            if not log_n + 2.0 * log_x < _LOG_FLOAT_MAX:
-                errors.append(
-                    f"kinematics: a pooled fit sums up to {points} squared "
-                    f"regressors at l_max and t_pose_max, which overflows "
-                    f"a float")
-            else:  # with the regressors in range, D is at fault
-                for name, d in max_delta.items():
-                    log_d = math.log(d)
-                    if not max(log_n + log_x + log_d, math.log(4.0)
-                               + 2.0 * (log_n + log_d)) < _LOG_FLOAT_MAX:
-                        errors.append(
-                            f"plant.powders[{name!r}]: a pooled fit of up "
-                            f"to {points} points with deltas up to {d:.4g} "
-                            f"mg overflows a float in its sums of x*dW and "
-                            f"of squared residuals")
-            # the command axis runs l_min, l_min + l_step, ... up to l_max
-            l_first = kin.l_min if kin.l_min > 0 else min(grid.l_step,
-                                                          kin.l_max)
-            window = l_first / kin.travel_rate + kin.t_pose_min
-            log_x_min = 2.5 * math.log(l_first) + (
-                math.log(window) if window > 0  # else it underflowed
-                else math.log(l_first) - math.log(kin.travel_rate))
-            d = max(max_delta.values(), default=1.0)
-            if not log_n + math.log(d) - log_x_min < _LOG_FLOAT_MAX:
-                errors.append(
-                    f"kinematics: the online fit sums up to {points} ratios "
-                    f"of deltas up to {d:.4g} mg to the smallest positive "
-                    f"grid regressor, at L={l_first:g} and t_pose_s="
-                    f"{kin.t_pose_min:g}, which overflows a float")
-    if DIRECT_PID in controllers and targets and max_delta:
-        # the error and its step-to-step change stay within E and 2E
-        e = max(targets) + max(max_delta.values())
-        pid = config.pid_gains
-        if not math.isfinite(abs(pid.k_p) * e
-                             + abs(pid.k_i) * pid.integral_limit
-                             + 2.0 * abs(pid.k_d) * e):
-            errors.append(
-                f"pid_gains: the PID output at weight errors up to "
-                f"{e:.4g} mg overflows a float, and its valve command "
-                f"would be nan")
-    # The means sum every trial's time; each trial runs at most max_steps
-    # cycles of travel out and back, dwell and settle.
-    cycle = (2.0 * kin.l_max / kin.travel_rate + kin.t_pose_max
-             + balance.settle_time_mean
-             + _NOISE_SIGMAS * balance.settle_time_sigma)
-    if not (math.log(config.trials) + math.log(config.max_steps)
-            + math.log(cycle)) < _LOG_FLOAT_MAX:
-        errors.append(
-            f"max_steps: {config.trials} trials of {config.max_steps} "
-            f"worst-case cycles of {cycle:.4g} s overflow a float; trial "
-            f"times and their means would be infinite")
+    for name, value in values.items():
+        low, high = _DOMAIN[f"{section}.{name}".lstrip(".")]
+        if not (value == 0 or low <= abs(value) <= high):
+            rule = f"0 or {low:g} to {high:g}" if low else f"at most {high:g}"
+            where = f"{path or section}.{name}".lstrip(".")
+            errors.append(f"{where}: must be {rule} in magnitude, "
+                          f"got {value!r}")
     return errors
 
 

@@ -45,6 +45,11 @@ def _stream_key(powder: str, controller: str, target: float,
     return condition_checksum(powder, controller, target), trial_index
 
 
+def _listed(value: object, values: tuple) -> bool:
+    """Whether value is one of a config's checked values, type and all."""
+    return type(value) is type(values[0]) and value in values
+
+
 def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
               powder: str | None = None, controller: str | None = None,
               target_mg: float | None = None,
@@ -53,23 +58,36 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
 
     The overrides replace the config's lists, under the config's rules;
     the config must then pin exactly one powder, controller and target.
-    states, when given, are the trial's stream states as plant_states
-    gives them for its stream key; run_suite computes every trial's in
-    one call. Without them the plant computes its own.
+    An override that is one of the config's own values, as run_suite
+    passes them, is already checked and rebuilds nothing. states, when
+    given, are the trial's stream states as plant_states gives them for
+    its stream key; run_suite computes every trial's in one call. Without
+    them the plant computes its own.
     """
-    overrides = {name: (value,) for name, value in (
-        ("powders", powder), ("controllers", controller),
-        ("targets_mg", target_mg)) if value is not None}
-    if overrides:
-        config = replace(config, **overrides)
-    conditions = config.conditions()
-    if len(conditions) != 1:
+    picks = {"powders": powder, "controllers": controller,
+             "targets_mg": target_mg}
+    if any(pick is not None and not _listed(pick, getattr(config, name))
+           for name, pick in picks.items()):
+        config = replace(config, **{name: (pick,) for name, pick
+                                    in picks.items() if pick is not None})
+        picks = dict.fromkeys(picks)
+    choices = [getattr(config, name) if pick is None else (pick,)
+               for name, pick in picks.items()]
+    if (count := math.prod(map(len, choices))) != 1:
         raise ConfigError([f"run_trial needs exactly one condition, config "
-                           f"names {len(conditions)}"])
+                           f"names {count}"])
     if not is_count(trial_index, 0):
         raise ConfigError([f"trial_index: must be an integer >= 0, "
                            f"got {trial_index!r}"])
-    ((powder, controller_name, target),) = conditions
+    ((powder,), (controller,), (target_mg,)) = choices
+    return _run_condition(config, powder, controller, target_mg,
+                          trial_index, states)
+
+
+def _run_condition(config: ExperimentConfig, powder: str,
+                   controller_name: str, target: float, trial_index: int,
+                   states: np.ndarray | None) -> TrialRecord:
+    """run_trial's trial, of a condition the config has checked."""
     spec = config.powder_spec(powder)
     kin = config.kinematics
     plant = SimulatedPlant(
@@ -259,11 +277,12 @@ def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,
     records: list[TrialRecord] = []
     for (powder, controller, target), condition_states in zip(conditions,
                                                               states):
-        condition = replace(config, powders=(powder,),
-                            controllers=(controller,), targets_mg=(target,))
         for index in trials:
-            records.append(run_trial(condition, index,
-                                     states=condition_states[index]))
+            # run_trial takes the config's own values without rebuilding
+            # it, and benchmarks/tracing.py times each trial at this call
+            records.append(run_trial(
+                config, index, powder=powder, controller=controller,
+                target_mg=target, states=condition_states[index]))
     summary = SuiteSummary(
         config=config,
         conditions=tuple(compute_metrics(records, config.tolerance_mg)),

@@ -33,8 +33,9 @@ from .harness import compute_metrics, pooled_fits, pooled_points
 
 
 # Masses print with two decimals below this magnitude and with six
-# significant digits from it on: at the config bounds a two-decimal mass
-# runs to 150 digits and pushes the report table out of its columns.
+# significant digits from it on. A config keeps masses under about 1e7 mg,
+# but a hand-edited final_mass_mg in summary.json may be any finite float,
+# and at two decimals it runs to 300 digits and breaks the table's columns.
 _FIXED_POINT_MASS_MG = 1e6
 
 

@@ -1,5 +1,6 @@
 """Benchmark harness: config parsing, trials, metrics, artifacts, CLI."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -11,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -43,7 +45,7 @@ from powderdose import (
     write_suite_artifacts,
     write_trace_csv,
 )
-from powderdose import artifacts, control, harness, plant
+from powderdose import artifacts, config, control, harness, plant
 from powderdose.artifacts import (
     SUMMARY_COLUMNS,
     TRACE_COLUMNS,
@@ -58,28 +60,52 @@ from powderdose.identify import (
     Observation,
     ObservationLog,
     fit_coefficient,
+    regressor,
     select_mode,
 )
 from powderdose.report import format_mass
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# A command of 1e-124 has an L**2.5 near 1e-310, so its regressor at
-# t_pose 0 underflows to 0, and at a dwell of 0.5 s its dW/x leaves the
-# float range.
-ONLINE_FIT_UNDERFLOW = {
-    "powder": "glass-beads", "targets_mg": [500], "trials": 3,
-    "kinematics": {"l_min": 1e-124},
+# The smallest positive grid regressor the config domain admits: a
+# command of 1e-3 at t_pose 0 and travel_rate 1e6, about 3e-17. At
+# glass-beads' 0.028 mm particle offset such a command flows nothing, so
+# its pooled points are balance noise over that regressor.
+SMALLEST_REGRESSOR = {
+    "powder": "glass-beads", "targets_mg": [20], "trials": 1,
+    "kinematics": {"l_min": 1e-3, "travel_rate": 1e6},
     "plant": {"balance": {"noise_sigma": 3.0}}}
 
 
-def online_fit_limit(travel_rate):
-    """One glass-beads trial of up to 100 steps whose smallest positive
-    grid regressor is 1 / travel_rate, at L = 1 and t_pose 0; the online
-    fit's bound is 100 * D * travel_rate, D = 5000 + 28 * 3 + 0.1 mg."""
-    return {"powder": "glass-beads", "targets_mg": [20], "trials": 1,
-            "kinematics": {"l_min": 1.0, "travel_rate": travel_rate},
-            "plant": {"balance": {"noise_sigma": 3.0}}}
+def past(value):
+    """The next float above value."""
+    return math.nextafter(value, math.inf)
+
+
+def domain_corners():
+    """(JSON path, value, inside) at and just past each edge of the config
+    domain, each sign included; inside tells whether the domain admits
+    the value, which the field's own sign rule may still reject."""
+    for path, (low, high) in config._DOMAIN.items():
+        edges = [(high, True), (past(high), False)]
+        edges += [(low, True), (math.nextafter(low, 0.0), False)] if low \
+            else [(0.0, True), (5e-324, True)]
+        for value, inside in edges:
+            yield path, value, inside
+            yield path, -value, inside
+    for max_steps, inside in ((10 ** 7, True), (10 ** 7 + 1, False)):
+        yield "max_steps", max_steps, inside
+
+
+def patch_at(path, value, powder):
+    """The config patch that sets the field at path to value."""
+    *sections, name = path.split(".")
+    if sections == ["plant", "powders"]:
+        sections.append(powder)
+    patch = {name: [value] if name == "targets_mg" else value}
+    for section in reversed(sections):
+        patch = {section: patch}
+    return patch
 
 
 SMALL = dict(powder=["glass-beads"], targets_mg=[50], trials=2, seed=7)
@@ -192,73 +218,117 @@ class TestConfigParsing:
         config_from_dict({"powder": "glass-beads", "targets_mg": [814.528,
                                                                  1050.2]})
 
-    @pytest.mark.parametrize("data, message", [
+    @pytest.mark.parametrize("data, messages", [
         ({"kinematics": {"l_max": 1e12}},
-         "kinematics: the envelope holds 8.2e+12 cells of the model-based "
-         "controller's action grid, more than 100000"),
-        ({"kinematics": {"t_pose_max": 1e12}},
-         "kinematics: the envelope holds 8.6e+13 cells"),
+         ["kinematics.l_max: must be 0 or 0.001 to 10000 in magnitude, got "
+          "1000000000000.0"]),
+        ({"kinematics": {"t_pose_max": 1e4}},
+         ["kinematics: the envelope holds 8.6e+05 cells of the model-based "
+          "controller's action grid, more than 100000; its action table "
+          "takes about 200 bytes a cell"]),
         ({"kinematics": {"travel_rate": 1e-307}},
-         "kinematics: a pooled fit sums up to 10 x 4 x 100 (trials x "
-         "targets x max_steps) squared regressors at l_max and t_pose_max, "
-         "which overflows a float"),
+         ["kinematics.travel_rate: must be 0 or 0.001 to 1e+06 in "
+          "magnitude, got 1e-307"]),
         ({"plant": {"balance": {"settle_time_mean": 1e308}}},
-         "max_steps: 10 trials of 100 worst-case cycles of 1e+308 s "
-         "overflow a float"),
+         ["plant.balance.settle_time_mean: must be at most 10000 in "
+          "magnitude, got 1e+308"]),
         ({"powder": "glass-beads", "targets_mg": [1e199], "trials": 2,
           "plant": {"powders": {"glass-beads": {"bulk_density": 1e200,
                                                 "initial_load": 1e200}}}},
-         "plant.powders['glass-beads']: a pooled fit of up to 2 x 1 x 100 "
-         "(trials x targets x max_steps) points with deltas up to 1e+200 "
-         "mg overflows a float"),
+         ["targets_mg: must be at most 1e+07 in magnitude, got 1e+199",
+          "plant.powders['glass-beads'].bulk_density: must be at most 100 "
+          "in magnitude, got 1e+200",
+          "plant.powders['glass-beads'].initial_load: must be at most "
+          "1e+07 in magnitude, got 1e+200"]),
         ({"powder": "msg", "controller": "direct-pid", "targets_mg": [3000],
-          "trials": 1, "pid_gains": {"k_p": 1e308, "k_d": 1e308}},
-         "pid_gains: the PID output at weight errors up to 8003 mg "
-         "overflows a float"),
-    ], ids=["l-max", "t-pose-max", "travel-rate", "settle-time", "fit-sums",
-            "pid-output"])
-    def test_configs_that_cannot_run_are_rejected(self, data, message):
+          "trials": 1, "pid_gains": {"k_p": 1e308, "k_d": -1e308}},
+         ["pid_gains.k_p: must be at most 1e+06 in magnitude, got 1e+308",
+          "pid_gains.k_d: must be at most 1e+06 in magnitude, got -1e+308"]),
+        ({"trials": 10 ** 7, "max_steps": 2},
+         ["max_steps: trials x targets x max_steps is 80000000, more than "
+          "10000000"]),
+    ], ids=["l-max", "t-pose-max", "travel-rate", "settle-time", "masses",
+            "pid-gains", "run-size"])
+    def test_configs_that_cannot_run_are_rejected(self, data, messages):
         with pytest.raises(ConfigError) as info:
             config_from_dict(data)
-        assert any(e.startswith(message) for e in info.value.errors), \
-            info.value.errors
+        assert info.value.errors == messages
 
     def test_run_bounds_hold_at_the_limits(self):
         # the grid cap counts model-based cells only
         config_from_dict({"controller": DIRECT_PID,
-                          "kinematics": {"l_max": 1e12}})
-        # at the grid's 5-unit, 0.5 s steps: 12 499 x 8 = 99 992 cells
-        config_from_dict({"kinematics": {"l_max": 62490.0,
-                                         "t_pose_max": 3.5}})
-        with pytest.raises(ConfigError):
-            config_from_dict({"kinematics": {"l_max": 62500.0,
-                                             "t_pose_max": 3.5}})
-        config_from_dict({"plant": {"balance": {"settle_time_mean": 1e305}}})
+                          "kinematics": {"t_pose_max": 1e4}})
+        # at the grid's 5-unit, 0.5 s steps: 2000 x 50 = 100 000 cells
+        config_from_dict({"kinematics": {"l_max": 9995.0,
+                                         "t_pose_max": 24.5}})
+        with pytest.raises(ConfigError, match="more than 100000"):
+            config_from_dict({"kinematics": {"l_max": 1e4,
+                                             "t_pose_max": 24.5}})
+        # 25 000 trials x 4 targets x 100 steps is the most a suite runs
+        config_from_dict({"trials": 25_000})
+        with pytest.raises(ConfigError, match="is 10000400, more than"):
+            config_from_dict({"trials": 25_001})
+        for name in ("settle_time_mean", "settle_time_sigma"):
+            config_from_dict({"plant": {"balance": {name: 1e4}}})
+            with pytest.raises(ConfigError, match=f"balance.{name}: must"):
+                config_from_dict({"plant": {"balance": {name: past(1e4)}}})
 
     def test_fit_and_pid_bounds_hold_at_the_limits(self):
         def one_point(load, controller=MODEL_BASED):
             return config_from_dict({
                 "powder": "glass-beads", "controller": controller,
-                "targets_mg": [20], "trials": 1, "max_steps": 1,
+                "targets_mg": [1e7], "trials": 1, "max_steps": 1,
                 "plant": {"powders": {"glass-beads": {"initial_load": load}}}})
 
-        # one pooled point: 4 * D**2 overflows past D = 6.7039e153 mg, D
-        # being the load plus 28 noise sigmas and one resolution step
-        one_point(6.70e153)
-        with pytest.raises(ConfigError, match=r"deltas up to 6\.71e\+153"):
-            one_point(6.71e153)
-        one_point(6.71e153, DIRECT_PID)   # pooled fits are model-based
+        # the domain is every controller's
+        for controller in (MODEL_BASED, DIRECT_PID):
+            one_point(1e7, controller)
+            with pytest.raises(ConfigError, match=r"^plant\.powders\['glass-"
+                               r"beads'\]\.initial_load: must be at most "
+                               r"1e\+07 in magnitude, got 10000000\.000000002$"):
+                one_point(past(1e7), controller)
 
-        def msg_pid(k_p, controller=DIRECT_PID):
+        def msg_pid(controller=DIRECT_PID, **gains):
             return config_from_dict({
                 "powder": "msg", "controller": controller,
-                "targets_mg": [3000], "pid_gains": {"k_p": k_p}})
+                "targets_mg": [3000], "pid_gains": gains})
 
-        # E = 3000 + 5000 + 2.8 + 0.1 mg; k_i and k_d add 90 and 2 * E
-        msg_pid(2.24e304)
-        with pytest.raises(ConfigError, match="errors up to 8003 mg"):
-            msg_pid(2.25e304)
-        msg_pid(1e308, MODEL_BASED)       # the PID bound is direct-pid's
+        for controller in (MODEL_BASED, DIRECT_PID):
+            msg_pid(controller, k_p=-1e6, k_i=1e6, k_d=-1e6,
+                    output_slope=1e6, integral_limit=1e12)
+            for name, edge in (("k_p", -1e6), ("k_i", 1e6), ("k_d", 1e6),
+                               ("output_slope", 1e6),
+                               ("integral_limit", 1e12)):
+                beyond = -past(1e6) if edge < 0 else past(edge)
+                with pytest.raises(ConfigError) as info:
+                    msg_pid(controller, **{name: beyond})
+                assert info.value.errors == [
+                    f"pid_gains.{name}: must be at most {abs(edge):g} in "
+                    f"magnitude, got {beyond!r}"]
+
+    def test_each_value_past_the_domain_is_one_error(self):
+        for path, value, inside in domain_corners():
+            if inside:
+                continue
+            with pytest.raises(ConfigError) as info:
+                config_from_dict({
+                    "controller": [MODEL_BASED, DIRECT_PID],
+                    "targets_mg": [50], "trials": 1,
+                    **patch_at(path, value, "msg")})
+            (error,) = info.value.errors
+            assert path.split(".")[-1] in error
+
+    def test_the_smallest_grid_regressor_squares_to_a_normal_float(self):
+        config = config_from_dict(SMALLEST_REGRESSOR)
+        kin = config.kinematics
+        assert (kin.l_min, kin.t_pose_min, kin.travel_rate) == (1e-3, 0.0,
+                                                                1e6)
+        x = regressor(kin, kin.l_min, kin.t_pose_min)
+        assert x * x >= sys.float_info.min
+        with pytest.raises(ConfigError, match="kinematics.l_min: must be 0 "
+                                              "or 0.001 to 10000"):
+            config_from_dict({**SMALLEST_REGRESSOR,
+                              "kinematics": {"l_min": 0.000999}})
 
     def test_duplicate_powders_and_controllers_are_rejected(self):
         with pytest.raises(ConfigError) as info:
@@ -508,6 +578,13 @@ class TestRunTrial:
                            controller="model", target_mg=50.0)
         assert record.controller == MODEL_BASED
         assert record.status is TrialStatus.SUCCESS
+        # a pick of the config's own value in another type is checked as
+        # a new value: an int target becomes a float, a bool is rejected
+        record = run_trial(small_config(), 0, target_mg=50)
+        assert type(record.target_mg) is float
+        assert record == run_trial(small_config(), 0, target_mg=50.0)
+        with pytest.raises(ConfigError, match="got True"):
+            run_trial(small_config(targets_mg=[1]), 0, target_mg=True)
 
     def test_rejects_a_bad_trial_index(self):
         for index in (-1, 1.5, True):
@@ -1391,27 +1468,72 @@ class TestCli:
         assert "config error: config is not UTF-8 text" in err
         assert not (tmp_path / "out").exists()
 
-    def test_run_suite_and_report_skip_an_aborted_trial(self, tmp_path):
-        # a gravity step of tio2 flows nothing, and 0 * (1 + inf) is nan:
-        # the reading goes nan and the trial aborts
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "powder": "tio2", "targets_mg": [3000], "trials": 1,
-            "plant": {"powders": {"tio2": {"flow_noise_sigma": 1e308}}}}))
-        out = tmp_path / "out"
-        assert cli_main(["run-suite", "--config", str(path),
-                         "--out", str(out)]) == 0
-        assert cli_main(["report", str(out)]) == 0
+    def test_run_suite_and_report_skip_an_aborted_trial(self, suite,
+                                                        tmp_path, capsys):
+        # no config in the domain aborts a trial, a hand-edited index does:
+        # the report leaves the trial out of its statistics and its refit,
+        # and says how they now differ from the stored summary
+        _, _, out = suite
+        copy = tmp_path / "edited"
+        shutil.copytree(out, copy)
+        index = json.loads((copy / "summary.json").read_text())
+        entry = index["trials"][1]
+        assert entry["controller"] == MODEL_BASED
+        entry["status"] = TrialStatus.ABORTED.value
+        (copy / "summary.json").write_text(json.dumps(index))
+        assert cli_main(["report", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "conditions glass-beads / model-based / 50.0: " in err
+        assert "trials stored 2, recomputed 1" in err
+        result = build_report(copy)
+        records = load_suite_records(copy)[0]
+        kept = [r for r in records if r.status is not TrialStatus.ABORTED]
+        assert len(kept) == len(records) - 1
+        assert list(result.conditions) == compute_metrics(
+            kept, small_config().tolerance_mg)
+        assert list(result.fits) == pooled_fits(pooled_points(
+            kept, small_config().kinematics))
+
+    @settings(max_examples=50, deadline=None)
+    @given(corner=st.sampled_from(list(domain_corners())),
+           powder=st.sampled_from(["glass-beads", "msg", "tio2"]))
+    def test_configs_at_and_past_the_domain_corners(self, corner, powder):
+        """A config at a corner of the domain runs and reports; one past
+        it is one config error line that names the field."""
+        path, value, inside = corner
+        data = {"powder": powder, "controller": [MODEL_BASED, DIRECT_PID],
+                "targets_mg": [50], "trials": 1, "max_steps": 20,
+                **patch_at(path, value, powder)}
+        if path == "max_steps":  # every trial stops at its tare
+            data["tolerance_mg"] = 1e7
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as root, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            cfg = Path(root) / "cfg.json"
+            cfg.write_text(json.dumps(data))
+            out = str(Path(root) / "out")
+            code = cli_main(["run-suite", "--config", str(cfg), "--out", out])
+            if code == 0:
+                code = cli_main(["report", out])
+                assert code == 0, err.getvalue()
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert inside and lines == []
+        else:
+            assert code == 2 and len(lines) == 1, lines
+            assert lines[0].startswith("config error: ")
+            assert inside or path.split(".")[-1] in lines[0]
 
     @pytest.mark.parametrize("data, message", [
-        (ONLINE_FIT_UNDERFLOW,
-         "3 x 1 x 100 (trials x targets x max_steps) ratios of deltas up "
-         "to 5084 mg to the smallest positive grid regressor, at L=1e-124 "
-         "and t_pose_s=0, which overflows a float"),
-        (online_fit_limit(3.54e302),
-         "1 x 1 x 100 (trials x targets x max_steps) ratios of deltas up "
-         "to 5084 mg to the smallest positive grid regressor, at L=1 and "
-         "t_pose_s=0, which overflows a float"),
+        ({**SMALLEST_REGRESSOR, "kinematics": {"l_min": 1e-124}},
+         "kinematics.l_min: must be 0 or 0.001 to 10000 in magnitude, got "
+         "1e-124"),
+        ({**SMALLEST_REGRESSOR,
+          "kinematics": {"l_min": 1.0, "travel_rate": 3.54e302}},
+         "kinematics.travel_rate: must be 0 or 0.001 to 1e+06 in magnitude, "
+         "got 3.54e+302"),
     ], ids=["underflowing-regressor", "past-the-limit"])
     @pytest.mark.parametrize("command", ["validate-config", "run-suite"])
     def test_online_fit_past_the_float_range_is_a_config_error(
@@ -1422,44 +1544,55 @@ class TestCli:
             else []
         assert cli_main([command, "--config", str(path), *out]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"config error: kinematics: the online fit sums up to {message}"]
+            f"config error: {message}"]
         assert not (tmp_path / "out").exists()
 
     def test_run_suite_and_report_at_the_online_fit_limit(self, tmp_path,
                                                           capsys):
+        # every pooled point of the 1e-3 command is noise over a regressor
+        # of 3e-17, whose square 1e-33 keeps the fit's sums normal
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(online_fit_limit(3.53e302)))
+        path.write_text(json.dumps({**SMALLEST_REGRESSOR, "trials": 3}))
         out = tmp_path / "out"
         assert cli_main(["run-suite", "--config", str(path),
                          "--out", str(out)]) == 0
         assert cli_main(["report", str(out)]) == 0
+        smallest = regressor(config_from_dict(SMALLEST_REGRESSOR).kinematics,
+                             1e-3, 0.0)
+        fit = out / "report" / f"fit_glass-beads_{GRAVITY}.csv"
+        xs = [float(line.split(",")[0])
+              for line in fit.read_text().splitlines()[1:]]
+        assert smallest in xs
+        fits = json.loads((out / "summary.json").read_text())["pooled_fits"]
+        assert fits and all(f["c_prime"] is not None for f in fits)
+        assert "unfitted" not in capsys.readouterr().out
 
-    def test_masses_past_a_million_mg_print_in_six_digits(self, tmp_path,
-                                                          capsys):
-        # a config at the fit bounds: loads of 1.675e151 mg
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "powder": "glass-beads", "targets_mg": [1e149, 1e151],
-            "trials": 2, "plant": {"powders": {"glass-beads": {
-                "bulk_density": 1e150, "initial_load": 1.675e151}}}}))
-        out = tmp_path / "out"
-        assert cli_main(["run-suite", "--config", str(path),
-                         "--out", str(out)]) == 0
-        assert cli_main(["report", str(out)]) == 0
+    def test_masses_past_a_million_mg_print_in_six_digits(self, suite,
+                                                          tmp_path, capsys):
+        # a config keeps every mass under about 1e7 mg; a hand-edited
+        # final_mass_mg may hold any finite float
+        _, _, out = suite
+        copy = tmp_path / "edited"
+        shutil.copytree(out, copy)
+        index = json.loads((copy / "summary.json").read_text())
+        for entry, final in zip(index["trials"],
+                                (1.2345678e151, -3e149, 2.5e6, 7e150)):
+            entry["final_mass_mg"] = final
+        (copy / "summary.json").write_text(json.dumps(index))
+        assert cli_main(["report", str(copy)]) == 1  # the stored summary
         printed = capsys.readouterr().out
-        records = load_suite_records(out)[0]
+        records = load_suite_records(copy)[0]
         dropped = [f"{format_mass(c.dropped_mean_mg)} +/- "
                    f"{format_mass(c.dropped_std_mg)}"
                    for c in compute_metrics(records)]
         assert all("e+1" in text and len(text) < 30 for text in dropped)
         for text in dropped:
-            assert f"dropped {text} mg" in printed
+            assert f" {text} " in printed
         # the dropped column widens to its rows and keeps the header's edge
-        lines = (out / "report" / "report.txt").read_text().splitlines()
+        lines = (copy / "report" / "report.txt").read_text().splitlines()
         header = next(line for line in lines if "dropped mg" in line)
         edge = header.index("dropped mg") + len("dropped mg")
-        rows = [line for line in lines if line.startswith("glass-beads  ")
-                and "model-based" in line]
+        rows = [line for line in lines if line.startswith("glass-beads  ")]
         assert [row[:edge].endswith(text)
                 for row, text in zip(rows, dropped)] == [True, True]
 
@@ -1470,47 +1603,57 @@ class TestCli:
         assert format_mass(1e6) == "1e+06"
         assert format_mass(-1.2345678e151) == "-1.23457e+151"
 
-    @pytest.mark.parametrize("balance", [
-        {"noise_sigma": 1e27}, {"resolution": 1e-300},
-    ], ids=["noise", "resolution"])
-    def test_run_suite_on_readings_of_1e28_ticks(self, balance, tmp_path):
-        # tick counts past the 28 digits of the default decimal context
+    def test_run_suite_on_readings_of_1e19_ticks(self, tmp_path,
+                                                 monkeypatch):
+        # at the domain's 1e-12 mg resolution a reading near the 1e7 mg
+        # load is about 1e19 ticks, past the fast path's 1e10: each such
+        # reading is rounded on the exact decimal path
+        decimals, readings = [], []
+        quantize = plant.quantize_reading
+
+        def spy_decimal(text):
+            decimals.append(text)
+            return Decimal(text)
+
+        def spy_quantize(value, resolution):
+            readings.append(quantize(value, resolution))
+            return readings[-1]
+        monkeypatch.setattr(plant, "Decimal", spy_decimal)
+        monkeypatch.setattr(plant, "quantize_reading", spy_quantize)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
-            "plant": {"balance": balance}, "trials": 1, "powder": "msg",
-            "targets_mg": [20]}))
-        proc = self.run_cli("run-suite", "--config", str(path),
-                            "--out", str(tmp_path / "out"))
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
+            "plant": {"balance": {"resolution": 1e-12},
+                      "powders": {"glass-beads": {"initial_load": 1e7}}},
+            "trials": 1, "powder": "glass-beads", "targets_mg": [1e7]}))
+        assert cli_main(["run-suite", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert max(readings) > 1e6
+        assert len(decimals) >= sum(abs(r) >= 0.01 for r in readings)
+        for reading in readings:
+            assert Decimal(repr(reading)) % Decimal("1e-12") == 0
 
-    @pytest.mark.parametrize("noise, seed", [(1e154, 1), (1e308, 4),
-                                             (1e308, 1), (1e307, 1)],
-                             ids=["pooled-r-squared", "pooled-delta",
-                                  "controller-refit", "refit-at-1e307"])
-    def test_run_suite_on_noise_that_overflows_a_fit(self, noise, seed,
-                                                     tmp_path):
-        # each overflowed a fit at this seed before noise_sigma was
-        # bounded: the pooled R^2, an infinite pooled delta, and the
-        # controller's own refit, at 1e308 and at 1e307, where every
-        # reading is still finite
+    @pytest.mark.parametrize("noise", [past(100.0), 1e154, 1e307, 1e308],
+                             ids=["just-past", "1e154", "1e307", "1e308"])
+    def test_run_suite_on_noise_that_overflows_a_fit(self, noise, tmp_path):
+        # noise past 100 mg is outside the domain; from about 1e154 mg it
+        # overflowed the pooled fits, and from 1e307 mg the controller's
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "plant": {"balance": {"noise_sigma": noise}}, "trials": 10,
-            "powder": ["msg", "glass-beads"], "targets_mg": [20, 3000],
-            "seed": seed}))
+            "powder": ["msg", "glass-beads"], "targets_mg": [20, 3000]}))
         proc = self.run_cli("run-suite", "--config", str(path),
                             "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "plant.balance.noise_sigma: must be <= 1e+100" in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"config error: plant.balance.noise_sigma: must be at most 100 "
+            f"in magnitude, got {noise!r}"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_run_suite_and_report_at_the_noise_bound(self, seed, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
-            "plant": {"balance": {"noise_sigma": 1e100}}, "trials": 10,
+            "plant": {"balance": {"noise_sigma": 100.0}}, "trials": 10,
             "powder": ["msg", "glass-beads"], "targets_mg": [20, 3000],
             "seed": seed}))
         out = tmp_path / "out"
