@@ -20,28 +20,32 @@ The search runs over an action table built once per (ValveKinematics,
 ActionGrid) pair and cached: both axes, every cell's L**2.5 and
 dispensing window T(L) + t, the cells sorted by their product, the
 capacity and floor factors, and every ValveAction the controller emits
-from the grid. A step reaches the table without hashing: select_action
+from the grid. A step reaches the table without hashing: _table_for,
+through which select_action and the controller's constructor both go,
 keeps the kin and grid objects of its last call with their table, and
-when a call passes those same two objects, as every step of a trial
-does, it takes that table; only another pair goes through the cache,
-whose key hashes both frozen dataclasses. A cell's action is built the
-first time the search or the probe ladder asks for that cell in that
-mode, and handed out from the table after that; the probe rungs are the
-cells at the minimum dwell. A step then bisects the sorted products at
-W_target / C' and computes the exact prediction of the few cells on
-either side that could be nearest; ties go to the smaller flat index in
-dwell-major order, the smaller dwell, then the smaller command. The
-search checks nothing per step: the grid axes run over the valve
-envelope's bounds and never past them, a coefficient is checked when its
-ModeFit is built, and the plant puts every action it executes through
-ValveKinematics.check, the one envelope test.
+when a call passes those same two objects, as every step of a trial and
+every trial of a suite does, it takes that table; only another pair goes
+through the cache, whose key hashes both frozen dataclasses. A cell's
+action is built the first time the search or the probe ladder asks for
+that cell in that mode, and handed out from the table after that; the
+probe rungs are the cells at the minimum dwell. A step then bisects the
+sorted products at W_target / C' and computes the exact prediction of
+the few cells on either side that could be nearest; ties go to the
+smaller flat index in dwell-major order, the smaller dwell, then the
+smaller command. The search checks nothing per step: the grid axes run
+over the valve envelope's bounds and never past them, a coefficient is
+checked when its ModeFit is built, and the plant puts every action it
+executes through ValveKinematics.check, the one envelope test.
 
 A controller is built from shared immutable parts: every controller
-starts from one unfitted CoefficientEstimate and, unless given a grid,
-searches one default ActionGrid. Both are frozen, and a refit replaces
-the estimate rather than changing it, so building a controller for each
-trial allocates neither. The running status is bound to a module name
-once, since each step both tests and emits it.
+starts from one unfitted CoefficientEstimate, a NamedTuple, and, unless
+given a grid, searches one default ActionGrid, a frozen dataclass. A
+refit replaces the estimate rather than changing it, so building a
+controller for each trial allocates neither. The running status is bound
+to a module name once, since each step both tests and emits it. The
+records a step emits or keeps, ValveAction, StepDecision, ActionSelection
+and the refitted CoefficientEstimate, are NamedTuples, as immutable as a
+frozen dataclass and cheaper to build.
 
 While a mode has no coefficient (its c_prime is None) the controller
 walks a probe ladder: smallest productive command first, escalating one
@@ -95,13 +99,13 @@ SEED_GATE_MG = 2 * MIN_OBSERVABLE_MG
 _UNFITTED = CoefficientEstimate()
 
 
-@dataclass(frozen=True)
-class ValveAction:
+class ValveAction(NamedTuple):
     """One dispensing command: opening, dwell, vibration flag.
 
-    It holds any values. Whether they lie in the valve envelope is
-    ValveKinematics.check's to decide, and every consumer of an action
-    (SimulatedPlant.execute, identify.regressor, predicted_drop) runs it.
+    An immutable NamedTuple that holds any values. Whether they lie in
+    the valve envelope is ValveKinematics.check's to decide, and every
+    consumer of an action (SimulatedPlant.execute, identify.regressor,
+    predicted_drop) runs it.
     """
 
     l_command: float
@@ -162,9 +166,10 @@ class TrialStatus(str, Enum):
 # is a lookup on the enum class.
 _RUNNING = TrialStatus.RUNNING
 
-# A NamedTuple's own constructor is a Python-level __new__. The decisions
-# and selections made on every step are built with tuple.__new__, every
-# field given in order: an equal instance at half the cost (Xeon, timeit).
+# A NamedTuple's own constructor is a Python-level __new__. The decisions,
+# selections, PID actions and refitted estimates made on every step are
+# built with tuple.__new__, every field given in order: an equal instance
+# at half the cost (Xeon, timeit).
 _new = tuple.__new__
 
 
@@ -263,11 +268,23 @@ _BELOW = 1.0 - 1e-15
 _ABOVE = 1.0 + 1e-15
 _TINY = 1e-322
 
-# The (kin, grid, table) of select_action's last call. A trial passes the
-# same two objects on every step; an identity test of both costs far less
-# than hashing them for _action_table's cache (0.7 us a call, Xeon,
-# timeit). Holding the objects keeps their ids from being reused.
+# The (kin, grid, table) of _table_for's last call. A trial passes the
+# same two objects on every step, and a suite to every trial; an identity
+# test of both costs far less than hashing them for _action_table's cache
+# (0.7 us a call, Xeon, timeit). Holding the objects keeps their ids from
+# being reused.
 _last_table: tuple = (None, None, None)
+
+
+def _table_for(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
+    """The action table of (kin, grid): the memo's when both are the
+    objects of the last call, else _action_table's."""
+    global _last_table
+    last_kin, last_grid, table = _last_table
+    if kin is not last_kin or grid is not last_grid:
+        table = _action_table(kin, grid)
+        _last_table = (kin, grid, table)
+    return table
 
 
 def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
@@ -289,15 +306,9 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     that no cell beyond it can reach the best cost, so the pick is the
     (cost, flat index) minimum over every cell, as a full sweep finds it.
     """
-    global _last_table
     if not math.isfinite(w_target) or w_target <= 0:
         raise ValueError("w_target must be finite and > 0")
-    if grid is None:
-        grid = _DEFAULT_GRID
-    last_kin, last_grid, table = _last_table
-    if kin is not last_kin or grid is not last_grid:
-        table = _action_table(kin, grid)
-        _last_table = (kin, grid, table)
+    table = _table_for(kin, grid if grid is not None else _DEFAULT_GRID)
     c = (estimate.vibration if use_vibration else estimate.gravity).c_prime
     if c is None:
         return ActionSelection(None, None, use_vibration)
@@ -469,7 +480,7 @@ class DispensingController(_TrialController):
         self.w_target: float | None = None
         # replaced whenever a refit changes one mode's fit, read every step
         self.estimate = _UNFITTED
-        self._ladder = _ProbeLadder(_action_table(self.kin, self.grid))
+        self._ladder = _ProbeLadder(_table_for(self.kin, self.grid))
         self._last_action: ValveAction | None = None
 
     def step(self, reading: float, *, hopper_empty: bool = False) -> StepDecision:
@@ -506,10 +517,9 @@ class DispensingController(_TrialController):
                               delta)
         if fit is None:
             return
-        if vibration:
-            self.estimate = CoefficientEstimate(estimate.gravity, fit)
-        else:
-            self.estimate = CoefficientEstimate(fit, estimate.vibration)
+        self.estimate = _new(CoefficientEstimate,
+                             (estimate.gravity, fit) if vibration
+                             else (fit, estimate.vibration))
 
     def _choose(self) -> StepDecision:
         """The model's action, or a probe while the mode it needs has no
@@ -608,8 +618,8 @@ class PidBaselineController(_TrialController):
             l_command = self.kin.l_min
         elif l_command > self.kin.l_max:
             l_command = self.kin.l_max
-        return ValveAction(l_command, g.t_pose_fixed_s,
-                           vibration=self.vibration)
+        return _new(ValveAction,
+                    (l_command, g.t_pose_fixed_s, self.vibration))
 
     def step(self, reading: float, *, hopper_empty: bool = False) -> StepDecision:
         stop = self._stop(reading, hopper_empty)

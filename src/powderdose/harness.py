@@ -90,9 +90,11 @@ def _run_condition(config: ExperimentConfig, powder: str,
     """run_trial's trial, of a condition the config has checked."""
     spec = config.powder_spec(powder)
     kin = config.kinematics
+    # the plant reads the stream key only when it is given no states
     plant = SimulatedPlant(
         spec, kin, config.balance, seed=config.seed,
-        stream_key=_stream_key(powder, controller_name, target, trial_index),
+        stream_key=() if states is not None else _stream_key(
+            powder, controller_name, target, trial_index),
         states=states)
     if controller_name == MODEL_BASED:
         ctl: DispensingController | PidBaselineController = \

@@ -46,13 +46,16 @@ Deltas below the balance's reliable range (MIN_OBSERVABLE_MG, 0.5 mg) are
 discarded before they reach the log, so noise-level readings never steer
 the fit. A mode is fitted exactly when its c_prime is not None. Every
 regressor and every stored delta is >= 0, so C' is >= 0 by construction.
+ModeFit and CoefficientEstimate are immutable NamedTuples: a refit builds
+new ones and never changes one in place.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .flow import MODES, VIBRATION, ValveKinematics, check_fields
 
@@ -72,35 +75,55 @@ class Observation:
         check_fields(self, ">= 0", "delta_w_mg")
 
 
+def _is_vibration(mode: str) -> bool:
+    """Whether mode names vibration; ValueError unless it is one of MODES."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    return mode == VIBRATION
+
+
 def select_mode(observations: Iterable[Observation],
                 mode: str) -> list[Observation]:
     """The observations taken in the given flow mode, in order."""
-    vibration = mode == VIBRATION
+    vibration = _is_vibration(mode)
     return [o for o in observations if o.vibration == vibration]
 
 
-@dataclass(frozen=True)
-class ModeFit:
-    """Fit state for one flow mode. c_prime is None while unfitted and
-    a finite C' >= 0 once fitted."""
-
+class _ModeFitFields(NamedTuple):
     c_prime: float | None = None
     n_obs: int = 0
     r_squared: float | None = None
 
-    def __post_init__(self) -> None:
+
+class ModeFit(_ModeFitFields):
+    """Fit state for one flow mode. c_prime is None while unfitted and
+    a finite C' >= 0 once fitted.
+
+    An immutable NamedTuple. typing.NamedTuple takes no __new__ in its own
+    body, so the c_prime rule sits in this subclass's __new__, which the
+    constructor, _replace, _make and unpickling all go through.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, c_prime: float | None = None, n_obs: int = 0,
+                r_squared: float | None = None) -> ModeFit:
         # inline: built every refit; check_fields adds 0.16 us (Xeon, timeit)
-        if self.c_prime is not None and not (math.isfinite(self.c_prime)
-                                             and self.c_prime >= 0):
+        if c_prime is not None and not (math.isfinite(c_prime)
+                                        and c_prime >= 0):
             raise ValueError("ModeFit.c_prime must be finite and >= 0")
+        return tuple.__new__(cls, (c_prime, n_obs, r_squared))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ModeFit:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CoefficientEstimate:
+class CoefficientEstimate(NamedTuple):
     """Per-mode coefficient estimates as of some controller step."""
 
-    gravity: ModeFit = field(default_factory=ModeFit)
-    vibration: ModeFit = field(default_factory=ModeFit)
+    gravity: ModeFit = ModeFit()
+    vibration: ModeFit = ModeFit()
 
 
 def regressor(kin: ValveKinematics, l_command: float, t_pose_s: float) -> float:
@@ -118,8 +141,6 @@ def fit_coefficient(observations: list[Observation], kin: ValveKinematics,
     fit_points. An empty selection, or one whose regressors are all zero,
     returns an unfitted ModeFit.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
     selected = select_mode(observations, mode)
     return fit_points([regressor(kin, o.l_command, o.t_pose_s)
                        for o in selected],
@@ -141,7 +162,7 @@ def fit_points(xs: list[float], deltas: list[float]) -> ModeFit:
     if sxx == 0.0:
         return ModeFit()
     fit = ModeFit(c_prime=sxy / sxx, n_obs=len(xs))
-    return replace(fit, r_squared=_r_squared(xs, deltas, fit.c_prime))
+    return fit._replace(r_squared=_r_squared(xs, deltas, fit.c_prime))
 
 
 def _r_squared(xs: list[float], deltas: list[float],
@@ -204,9 +225,7 @@ class ObservationLog:
         return fit
 
     def fit(self, mode: str) -> ModeFit:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        vibration = mode == VIBRATION
+        vibration = _is_vibration(mode)
         n = self._n[vibration]
         if n == 0:
             return ModeFit()

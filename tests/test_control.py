@@ -1,6 +1,7 @@
 """Action selection, bootstrap probing and both closed-loop controllers."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -291,13 +292,26 @@ class TestStepRecords:
         lambda: ActionSelection(ValveAction(5.0, 0.5), 12.5, False),
         lambda: StepTrace(1, 5.0, 0.5, False, None, 1.5, 0.01, None, 18.5,
                           9.1, true_delta_mg=1.4, probe=True),
-    ], ids=["StepDecision", "ActionSelection", "StepTrace"])
+        lambda: ValveAction(5.0, 0.5, vibration=True),
+        lambda: ModeFit(2.0, 3, 0.5),
+        lambda: CoefficientEstimate(ModeFit(2.0, 3), ModeFit(0.0, 1)),
+    ], ids=["StepDecision", "ActionSelection", "StepTrace", "ValveAction",
+            "ModeFit", "CoefficientEstimate"])
     def test_immutable_and_hashable(self, make):
         record = make()
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1        # no __dict__ to take a new attribute
         assert record == make() and hash(record) == hash(make())
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and type(again) is type(record)
+
+    def test_valve_action_defaults_and_repr(self):
+        assert ValveAction(10.0, 4.0) == ValveAction(10.0, 4.0, False)
+        assert repr(ValveAction(10.0, 4.0)) \
+            == "ValveAction(l_command=10.0, t_pose_s=4.0, vibration=False)"
 
     def test_controllers_share_the_cached_probe_rungs(self):
         # equal kinematics and grids give one action table, so both
@@ -309,6 +323,17 @@ class TestStepRecords:
             a, b = first.step(0.0), second.step(0.0)
             assert a.probe and b.probe
             assert a.action is b.action
+
+    def test_a_trial_on_the_last_pair_hashes_nothing(self):
+        # a suite builds each trial's controller from the same kin and
+        # grid objects; only the first goes through the cache
+        kin = ValveKinematics()
+        DispensingController(20.0, kin)
+        before = _action_table.cache_info()
+        ctl = DispensingController(50.0, kin)
+        ctl.estimate = estimate(2e-5, 2e-5)
+        assert not ctl.step(0.0).probe
+        assert _action_table.cache_info() == before
 
     def test_every_cell_action_is_built_from_the_axes(self):
         kin, grid = ValveKinematics(), ActionGrid()
@@ -605,6 +630,17 @@ class TestPidBaseline:
     def test_vibration_flag_passthrough(self):
         ctl = PidBaselineController(100.0, vibration=True)
         assert ctl.step(0.0).action.vibration
+
+    @pytest.mark.parametrize("vibration", [False, True],
+                             ids=["gravity", "vibration"])
+    def test_step_action_is_a_valve_action(self, vibration):
+        gains = PidGains(k_p=1.0, k_i=0.0, k_d=0.0, output_slope=0.1)
+        ctl = PidBaselineController(1000.0, gains=gains, vibration=vibration)
+        action = ctl.step(500.0).action
+        assert type(action) is ValveAction
+        assert action == ValveAction(50.0, gains.t_pose_fixed_s, vibration)
+        assert repr(action) == (f"ValveAction(l_command=50.0, t_pose_s=2.0, "
+                                f"vibration={vibration})")
 
     def test_dwell_must_fit_the_valve(self):
         with pytest.raises(ValueError):

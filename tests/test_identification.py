@@ -21,7 +21,7 @@ from powderdose import (
     fit_coefficient,
     regressor,
 )
-from powderdose.identify import fit_points
+from powderdose.identify import fit_points, select_mode
 
 KIN = ValveKinematics()
 
@@ -157,6 +157,35 @@ class TestModeFitAndEstimate:
                                   ModeFit(c_prime=5.0, n_obs=1))
         assert est.gravity.c_prime == 2.0
         assert est.vibration.c_prime == 5.0
+
+    def test_defaults_are_unfitted(self):
+        assert ModeFit() == ModeFit(None, 0, None)
+        assert ModeFit(2.0).n_obs == 0 and ModeFit(2.0).r_squared is None
+        est = CoefficientEstimate()
+        for mode in (est.gravity, est.vibration):
+            assert mode == ModeFit() and mode.c_prime is None
+        assert CoefficientEstimate(ModeFit(2.0)).vibration == ModeFit()
+
+    def test_repr(self):
+        assert repr(ModeFit(2.0, 3)) \
+            == "ModeFit(c_prime=2.0, n_obs=3, r_squared=None)"
+        assert repr(CoefficientEstimate()) == (
+            "CoefficientEstimate("
+            "gravity=ModeFit(c_prime=None, n_obs=0, r_squared=None), "
+            "vibration=ModeFit(c_prime=None, n_obs=0, r_squared=None))")
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_c_prime_must_be_finite_and_non_negative(self, bad):
+        message = "ModeFit.c_prime must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
+            ModeFit(bad)
+        with pytest.raises(ValueError, match=message):
+            ModeFit(c_prime=bad, n_obs=2)
+        # every other way to build one goes through the same check
+        with pytest.raises(ValueError, match=message):
+            ModeFit(2.0)._replace(c_prime=bad)
+        with pytest.raises(ValueError, match=message):
+            ModeFit._make([bad, 2, None])
 
 
 class TestObservationLog:
@@ -309,3 +338,32 @@ class TestFitPoints:
     def test_columns_of_unequal_length_are_rejected(self):
         with pytest.raises(ValueError):
             fit_points([1.0, 2.0], [1.0])
+
+    def test_a_fitted_mode_carries_its_r_squared(self):
+        # the two-point hand case of TestRSquared, as raw columns
+        fit = fit_points([1.0, 2.0], [1.0, 3.0])
+        assert type(fit) is ModeFit
+        assert (fit.c_prime, fit.n_obs) == (1.4, 2)
+        assert fit.r_squared == pytest.approx(0.9, rel=1e-12)
+
+
+class TestModeNames:
+    """select_mode, fit_coefficient and ObservationLog.fit take a mode by
+    name and share one check of it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda mode: select_mode([obs(2.0, 4.0)], mode),
+        lambda mode: fit_coefficient([obs(2.0, 4.0)], KIN, mode),
+        lambda mode: ObservationLog(KIN).fit(mode),
+    ], ids=["select_mode", "fit_coefficient", "ObservationLog.fit"])
+    @pytest.mark.parametrize("mode", ["vibratoin", "Gravity", "", None])
+    def test_unknown_mode_is_rejected(self, call, mode):
+        with pytest.raises(ValueError) as info:
+            call(mode)
+        assert str(info.value) \
+            == "mode must be one of ('gravity', 'vibration')"
+
+    def test_select_mode_keeps_the_order(self):
+        rows = [obs(1.0, 1.0, True), obs(2.0, 4.0), obs(3.0, 6.0, True)]
+        assert select_mode(rows, VIBRATION) == [rows[0], rows[2]]
+        assert select_mode(rows, GRAVITY) == [rows[1]]
