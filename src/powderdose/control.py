@@ -47,6 +47,14 @@ records a step emits or keeps, ValveAction, StepDecision, ActionSelection
 and the refitted CoefficientEstimate, are NamedTuples, as immutable as a
 frozen dataclass and cheaper to build.
 
+Both controllers' step and select_action take their flags, hopper_empty,
+use_vibration and grid, by position or by keyword, and the controllers
+and the harness pass them by position: CPython 3.11 specialises no call
+to a function that declares a keyword-only parameter, nor a call that
+passes a keyword. A model step attributes its delta and picks its action
+in its own frame, and the stop rule and the PID update read each
+attribute they use once, into a local.
+
 While a mode has no coefficient (its c_prime is None) the controller
 walks a probe ladder: smallest productive command first, escalating one
 grid step at a time, so exploration cannot overshoot even a 20 mg request.
@@ -288,7 +296,7 @@ def _table_for(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
 
 
 def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
-                  w_target: float, *, use_vibration: bool = False,
+                  w_target: float, use_vibration: bool = False,
                   grid: ActionGrid | None = None) -> ActionSelection:
     """Pick the grid action whose predicted drop is nearest W_target.
 
@@ -379,11 +387,16 @@ class _ProbeLadder:
         """The next action to try in this mode, or None when exhausted."""
         if self.pending is not None and self.pending[0].vibration == vibration:
             return self.pending[0]
+        table = self._table
         col = self._next[vibration]
-        if col >= len(self._table.l_vals):
+        if col >= len(table.l_vals):
             return None
         self._next[vibration] = col + 1
-        return self._table.action(col, vibration)
+        # the memo read of table.action, inline
+        action = table.cells[vibration][col]
+        if action is None:
+            action = table.action(col, vibration)
+        return action
 
     def latch_on_capacity(self) -> None:
         """Start the vibration ladder no lower than one rung below
@@ -441,25 +454,28 @@ class _TrialController:
         self.w_error: float | None = None
 
     def _stop(self, reading: float, hopper_empty: bool) -> StepDecision | None:
-        if self.status is not _RUNNING:
-            raise RuntimeError(f"trial already ended: {self.status.value}")
+        status = self.status
+        if status is not _RUNNING:
+            raise RuntimeError(f"trial already ended: {status.value}")
         if not math.isfinite(reading):
-            self.status = TrialStatus.ABORTED
-            return StepDecision(self.status)
-        self.w_measured = reading
-        self.w_error = self.w_goal - reading
-        if abs(self.w_error) < self.tolerance:
-            self.status = TrialStatus.SUCCESS
-        elif self.w_error < 0:
-            self.status = TrialStatus.OVERSHOOT_FAIL
-        elif hopper_empty:
-            self.status = TrialStatus.DEPLETED_FAIL
-        elif self.step_count >= self.max_steps:
-            self.status = TrialStatus.STEP_LIMIT_FAIL
+            status = TrialStatus.ABORTED
         else:
-            self.step_count += 1
-            return None
-        return StepDecision(self.status)
+            self.w_measured = reading
+            self.w_error = w_error = self.w_goal - reading
+            tolerance = self.tolerance
+            if w_error < tolerance:
+                # |W_error| < tolerance, else overshoot: w_error <= -tolerance
+                status = (TrialStatus.SUCCESS if w_error > -tolerance
+                          else TrialStatus.OVERSHOOT_FAIL)
+            elif hopper_empty:
+                status = TrialStatus.DEPLETED_FAIL
+            elif (count := self.step_count) >= self.max_steps:
+                status = TrialStatus.STEP_LIMIT_FAIL
+            else:
+                self.step_count = count + 1
+                return None
+        self.status = status
+        return StepDecision(status)
 
 
 class DispensingController(_TrialController):
@@ -483,71 +499,69 @@ class DispensingController(_TrialController):
         self._ladder = _ProbeLadder(_table_for(self.kin, self.grid))
         self._last_action: ValveAction | None = None
 
-    def step(self, reading: float, *, hopper_empty: bool = False) -> StepDecision:
+    def step(self, reading: float, hopper_empty: bool = False) -> StepDecision:
         """Consume one stabilised balance reading, emit the next action.
 
-        Terminal statuses carry no action. Calling again after termination
-        is an error; one controller drives exactly one trial.
+        The previous step's measured delta is attributed to the action that
+        caused it and refits that mode; then the model's action is picked,
+        or a probe while the mode it needs has no coefficient. The
+        vibration latch is set here and nowhere else. Terminal statuses
+        carry no action. Calling again after termination is an error; one
+        controller drives exactly one trial.
         """
         previous = self.w_measured
         stop = self._stop(reading, hopper_empty)
         if stop is not None:
             return stop
-        self._ingest(previous, reading)
-        return self._choose()
-
-    def _ingest(self, previous: float | None, reading: float) -> None:
-        if previous is None:
-            return
-        delta = reading - previous
-        if delta < 0.0:
-            delta = 0.0
-        action = self._last_action
-        vibration = action.vibration
         estimate = self.estimate
-        if (estimate.vibration if vibration
-                else estimate.gravity).c_prime is None:
-            confirmed = self._ladder.note_result(action, delta)
-            if confirmed is None:
-                return
-            first_action, first_delta = confirmed
-            self.log.record(first_action.l_command, first_action.t_pose_s,
-                            vibration, first_delta)
-        fit = self.log.record(action.l_command, action.t_pose_s, vibration,
-                              delta)
-        if fit is None:
-            return
-        self.estimate = _new(CoefficientEstimate,
-                             (estimate.gravity, fit) if vibration
-                             else (fit, estimate.vibration))
-
-    def _choose(self) -> StepDecision:
-        """The model's action, or a probe while the mode it needs has no
-        coefficient. The vibration latch is set here and nowhere else."""
-        self.w_target = self.k_p * self.w_error
+        ladder = self._ladder
+        if previous is not None:
+            delta = reading - previous
+            if delta < 0.0:
+                delta = 0.0
+            action = self._last_action
+            mode = action.vibration
+            fitted = (estimate.vibration if mode
+                      else estimate.gravity).c_prime is not None
+            if not fitted:
+                confirmed = ladder.note_result(action, delta)
+                if confirmed is not None:
+                    fitted = True
+                    first_action, first_delta = confirmed
+                    self.log.record(first_action.l_command,
+                                    first_action.t_pose_s, mode, first_delta)
+            if fitted:
+                fit = self.log.record(action.l_command, action.t_pose_s,
+                                      mode, delta)
+                if fit is not None:
+                    self.estimate = estimate = _new(
+                        CoefficientEstimate,
+                        (estimate.gravity, fit) if mode
+                        else (fit, estimate.vibration))
+        self.w_target = w_target = self.k_p * self.w_error
         vibration = self.use_vibration
         action = predicted = None
-        fit = self.estimate.vibration if vibration else self.estimate.gravity
-        if fit.c_prime is not None:
+        if (estimate.vibration if vibration
+                else estimate.gravity).c_prime is not None:
             action, predicted, selected = select_action(
-                self.estimate, self.kin, self.w_target,
-                use_vibration=vibration, grid=self.grid)
+                estimate, self.kin, w_target, vibration, self.grid)
             if selected and not vibration:
-                self._ladder.latch_on_capacity()
+                ladder.latch_on_capacity()
             vibration = selected
         probe = action is None
         if probe:
-            action = self._ladder.next_probe(vibration)
-        if action is None and not vibration:
-            # Nothing measurable across the whole gravity range: latch
-            # vibration and keep probing there.
-            vibration = True
-            action = self._ladder.next_probe(True)
-        if action is None:
-            # Both ladders spent with nothing measurable; push the most
-            # aggressive action until a termination condition ends the trial.
-            action = ValveAction(self.kin.l_max, self.kin.t_pose_max,
-                                 vibration=True)
+            action = ladder.next_probe(vibration)
+            if action is None and not vibration:
+                # Nothing measurable across the whole gravity range: latch
+                # vibration and keep probing there.
+                vibration = True
+                action = ladder.next_probe(True)
+            if action is None:
+                # Both ladders spent with nothing measurable; push the most
+                # aggressive action until a termination condition ends the
+                # trial.
+                action = ValveAction(self.kin.l_max, self.kin.t_pose_max,
+                                     vibration=True)
         self.use_vibration = vibration
         self._last_action = action
         return _new(StepDecision, (_RUNNING, action, predicted, probe))
@@ -604,24 +618,27 @@ class PidBaselineController(_TrialController):
     def action_for_error(self, w_error: float) -> ValveAction:
         """PID update for one error sample; mutates integral and history."""
         g = self.gains
-        self.integral += w_error
-        if self.integral > g.integral_limit:
-            self.integral = g.integral_limit
-        elif self.integral < -g.integral_limit:
-            self.integral = -g.integral_limit
-        derivative = 0.0 if self.previous_error is None \
-            else w_error - self.previous_error
+        integral = self.integral + w_error
+        limit = g.integral_limit
+        if integral > limit:
+            integral = limit
+        elif integral < -limit:
+            integral = -limit
+        self.integral = integral
+        previous = self.previous_error
+        derivative = 0.0 if previous is None else w_error - previous
         self.previous_error = w_error
-        u = g.k_p * w_error + g.k_i * self.integral + g.k_d * derivative
+        u = g.k_p * w_error + g.k_i * integral + g.k_d * derivative
         l_command = g.output_slope * u
-        if l_command < self.kin.l_min:
-            l_command = self.kin.l_min
-        elif l_command > self.kin.l_max:
-            l_command = self.kin.l_max
+        kin = self.kin
+        if l_command < kin.l_min:
+            l_command = kin.l_min
+        elif l_command > kin.l_max:
+            l_command = kin.l_max
         return _new(ValveAction,
                     (l_command, g.t_pose_fixed_s, self.vibration))
 
-    def step(self, reading: float, *, hopper_empty: bool = False) -> StepDecision:
+    def step(self, reading: float, hopper_empty: bool = False) -> StepDecision:
         stop = self._stop(reading, hopper_empty)
         if stop is not None:
             return stop

@@ -110,27 +110,29 @@ def _run_condition(config: ExperimentConfig, powder: str,
     initial_load = spec.initial_load
     model_based = controller_name == MODEL_BASED
     running = TrialStatus.RUNNING
-    c_gravity = c_vibration = None
-    reading, _ = plant.read_balance(wait_settle=False)
+    # the estimate whose coefficients c_gravity and c_vibration hold; a
+    # refit replaces ctl.estimate, so they are read again only then
+    estimate = c_gravity = c_vibration = None
+    reading, _ = plant.read_balance(False)
     # one plain tuple per step in StepTrace field order; the StepTraces
     # are built once the trial has ended
     rows: list[tuple] = []
+    steps = 0
     while True:
         status, action, predicted, probe = ctl.step(
-            reading, hopper_empty=plant.dispensed_total >= initial_load)
+            reading, plant.dispensed_total >= initial_load)
         if status is not running:
             break
-        l_command = action.l_command
-        t_pose_s = action.t_pose_s
-        vibration = action.vibration
+        l_command, t_pose_s, vibration = action
         true_delta, _ = plant.execute(l_command, t_pose_s, vibration)
         previous = reading
         reading, _ = plant.read_balance()
-        if model_based:
+        if model_based and ctl.estimate is not estimate:
             estimate = ctl.estimate
             c_gravity = estimate.gravity.c_prime
             c_vibration = estimate.vibration.c_prime
-        rows.append((len(rows) + 1, l_command, t_pose_s, vibration,
+        steps += 1
+        rows.append((steps, l_command, t_pose_s, vibration,
                      predicted, reading - previous, c_gravity, c_vibration,
                      target - reading, plant.sim_clock, true_delta, probe))
     return TrialRecord(
@@ -141,7 +143,7 @@ def _run_condition(config: ExperimentConfig, powder: str,
         trial_index=trial_index,
         status=ctl.status,
         final_mass_mg=ctl.w_measured,
-        total_steps=len(rows),
+        total_steps=steps,
         total_sim_time_s=plant.sim_clock,
         # tuple.__new__ builds each StepTrace without a Python call per
         # step, as read_trace_csv does

@@ -16,6 +16,11 @@ hopper holds.
 The balance is read between steps. Readings are the true dispensed total
 plus Gaussian noise, quantised to the display resolution (round half away
 from zero), and each stabilised reading costs a settling wait.
+read_balance takes wait_settle by position or by keyword, and the
+harness passes it by position, since CPython 3.11 specialises no call to
+a function with a keyword-only parameter. quantize_reading keeps the
+decimal ratio of the last resolution it was given, so the readings of a
+suite, which all pass one balance's resolution, compute it once.
 
 Randomness contract: a plant draws from two independent substreams, one
 for flow disturbances and one for the balance. They are the children
@@ -29,10 +34,11 @@ key of the same word count at once, in numpy uint32 array arithmetic.
 run_suite calls it once for all of a suite's trials and keeps 32 bytes a
 stream; each trial builds its Generators when it runs. In a suite of
 120 trials a stream then costs about 7 us with its Generator, against
-13-20 us through SeedSequence. The array operations cost about 0.1 ms a
-call whatever the batch, so a plant seeded on its own takes 0.08-0.13
-ms for its two streams, against 25-40 us through SeedSequence (2-CPU
-Xeon, numpy 2.4). The tests check every row against SeedSequence. As
+13-20 us through SeedSequence. The array operations cost about 50-60 us
+a call whatever the batch, since each is a fixed count of numpy calls
+on tiny arrays, so a plant seeded on its own takes 60-110 us for its
+two streams, against 25-40 us through SeedSequence (2-CPU Xeon, numpy
+2.4). The tests check every row against SeedSequence. As
 the streams are separate, enabling or disabling either noise source never
 shifts the draws of the other, and a fixed seed reproduces a trial bit
 for bit. Each stream is drawn BLOCK standard normals at a time and a
@@ -94,6 +100,9 @@ def quantize_reading(value: float, resolution: float) -> float:
     The reading is ticks * p / q, where p / q is the resolution's decimal
     value as an exact ratio; Python's integer true division rounds
     correctly, so this is the float nearest the exact decimal product.
+    The ratio of the last resolution object passed is kept in a one-entry
+    memo, so a run that reads one balance computes it once; any other
+    resolution takes its own ratio and becomes the memo's.
     Fast path: the tick count comes from the float ratio. That ratio can
     sit up to about 3e-16 of itself away from the decimal one, so a
     fraction within 1e-9 + 1e-15 * ticks of a half tick, a count of 1e10
@@ -103,6 +112,9 @@ def quantize_reading(value: float, resolution: float) -> float:
     every reading of 0.01 mg or more takes that path. No step depends on
     the decimal context. A non-finite value reads as itself.
     """
+    last, p, q = _last_ratio
+    if resolution is not last:
+        p, q = _decimal_ratio(resolution)
     x = abs(value / resolution)
     if x < _FAST_TICKS:
         ticks = math.floor(x)
@@ -110,20 +122,32 @@ def quantize_reading(value: float, resolution: float) -> float:
         if abs(fraction - 0.5) > 1e-9 + 1e-15 * x:
             if fraction > 0.5:
                 ticks += 1
-            p, q = _decimal_ratio(resolution)
+            if value > 0.0:
+                return ticks * p / q
             return math.copysign(ticks * p / q, value)
     if not math.isfinite(value):
         return value
     a, b = Decimal(repr(abs(value))).as_integer_ratio()
-    p, q = _decimal_ratio(resolution)
     # round half up: floor(a*q / (b*p) + 1/2)
     ticks = (2 * a * q + b * p) // (2 * b * p)
     return math.copysign(ticks * p / q, value)
 
 
-@functools.lru_cache(maxsize=16)
+# (resolution, p, q) of _decimal_ratio's last call, replaced whole. Every
+# reading of a suite passes the one BalanceModel's resolution object, so
+# an identity test finds its ratio without hashing a cache key, which
+# costs about 0.2 us a reading (Xeon, timeit). Holding the object keeps
+# its id from being reused.
+_last_ratio: tuple = (None, 1, 1)
+
+
 def _decimal_ratio(resolution: float) -> tuple[int, int]:
-    return Decimal(repr(resolution)).as_integer_ratio()
+    """The resolution's decimal value as an exact ratio (p, q), which
+    becomes the memo's."""
+    global _last_ratio
+    p, q = Decimal(repr(resolution)).as_integer_ratio()
+    _last_ratio = (resolution, p, q)
+    return p, q
 
 
 _MASK32 = 0xFFFFFFFF
@@ -156,9 +180,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L = np.array(0xCA01F9DD, dtype=np.uint32)
 _MIX_R = np.array(0x4973F715, dtype=np.uint32)
 _SHIFT = np.array(16, dtype=np.uint32)
-# for each pool word, the other pool words it is mixed into
-_OTHERS = tuple(np.array([d for d in range(_POOL) if d != s])
-                for s in range(_POOL))
 
 
 def _hash_columns(init: int, mult: int, shapes: list[tuple[int, ...]]
@@ -184,26 +205,43 @@ def _hash_columns(init: int, mult: int, shapes: list[tuple[int, ...]]
 def _mix_hashes(extra: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """mix_entropy's hash constants for 4 + extra entropy words: hashing
     the first 4 words into the pool, mixing each pool word into the 3
-    others in source order, then mixing each extra word into all 4."""
-    return _hash_columns(_INIT_A, _MULT_A, [(_POOL,)]
-                         + [(_POOL - 1,)] * _POOL + [(extra, _POOL)])
+    others in source order, then mixing each extra word into all 4.
+
+    A source word's 3 constant pairs are spread over all 4 pool rows, a
+    zero pair in the source's own row, so that one array operation mixes
+    every row; _pcg64_seeds then puts the source row back."""
+    first, *spread, extra_pair = _hash_columns(
+        _INIT_A, _MULT_A, [(_POOL,)] + [(_POOL - 1,)] * _POOL
+        + [(extra, _POOL)])
+    zero = np.zeros((1, 1), dtype=np.uint32)
+    return (first,
+            *(tuple(np.concatenate((column[:src], zero, column[src:]))
+                    for column in pair)
+              for src, pair in enumerate(spread)),
+            extra_pair)
 
 
 # generate_state(4, uint64) hashes 8 uint32 words, word i from pool word
-# i % 4, and pairs them low word first
-_CYCLE = np.arange(8) % _POOL
-((_STATE_XOR, _STATE_MUL),) = _hash_columns(_INIT_B, _MULT_B, [(8,)])
+# i % 4, and pairs them low word first; the constants of words i and
+# i + 4 sit in one column of a 2 x 4 block, so one broadcast hashes all 8
+((_STATE_XOR, _STATE_MUL),) = _hash_columns(_INIT_B, _MULT_B, [(2, _POOL)])
 
 
+# Both work in place on the first array they build, which saves numpy an
+# allocation on most steps; neither changes its arguments.
 def _hash(values: np.ndarray, xor: np.ndarray,
           mul: np.ndarray) -> np.ndarray:
-    v = (values ^ xor) * mul
-    return v ^ (v >> _SHIFT)
+    v = values ^ xor
+    v *= mul
+    v ^= v >> _SHIFT
+    return v
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_L - y * _MIX_R
-    return r ^ (r >> _SHIFT)
+    r = x * _MIX_L
+    r -= y * _MIX_R
+    r ^= r >> _SHIFT
+    return r
 
 
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
@@ -215,19 +253,26 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     array operation below does one step of the mixing for all of them.
     """
     n, width = entropy.shape
-    words = entropy.T  # one row per entropy word, one column per stream
+    # one row per entropy word, one column per stream; a contiguous copy,
+    # on which numpy's operations cost less than on the transposed view
+    words = np.ascontiguousarray(entropy.T)
     if width < _POOL:  # mix_entropy hashes zeros past the end
         words = np.concatenate(
             [words, np.zeros((_POOL - width, n), dtype=np.uint32)])
     (xor, mul), *spread, (extra_xor, extra_mul) = \
         _mix_hashes(max(width - _POOL, 0))
     pool = _hash(words[:_POOL], xor, mul)
-    for dst, src, (src_xor, src_mul) in zip(_OTHERS, pool, spread):
-        pool[dst] = _mix(pool[dst], _hash(src, src_xor, src_mul))
+    for src, (src_xor, src_mul) in enumerate(spread):
+        # mix the source row into all 4 rows, then restore its own: the
+        # new pool is a new array, so the view still holds the old row
+        row = pool[src]
+        pool = _mix(pool, _hash(row, src_xor, src_mul))
+        pool[src] = row
     # the extra words' hashes do not depend on the pool: all at once
     for hashed in _hash(words[_POOL:, None], extra_xor, extra_mul):
         pool = _mix(pool, hashed)
-    state = _hash(pool[_CYCLE], _STATE_XOR, _STATE_MUL).astype(np.uint64)
+    state = _hash(pool, _STATE_XOR, _STATE_MUL).reshape(8, n).astype(
+        np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
@@ -387,7 +432,7 @@ class SimulatedPlant:
         self.sim_clock += elapsed
         return dispensed, elapsed
 
-    def read_balance(self, *, wait_settle: bool = True) -> tuple[float, float]:
+    def read_balance(self, wait_settle: bool = True) -> tuple[float, float]:
         """Take one stabilised reading; returns (reading mg, settle wait s).
 
         The initial tare reading of a trial passes wait_settle=False: the

@@ -1,5 +1,6 @@
 """Action selection, bootstrap probing and both closed-loop controllers."""
 
+import inspect
 import math
 import pickle
 
@@ -659,3 +660,70 @@ class TestPidBaseline:
     def test_keeps_no_observation_log(self):
         ctl = PidBaselineController(100.0)
         assert not hasattr(ctl, "log")
+
+
+# CPython 3.11 specialises no call to a function that declares a
+# keyword-only parameter, nor a call that passes an argument by keyword,
+# so the step path's entry points take their flags by position or by
+# keyword, and the harness passes them by position.
+STEP_PATH = (DispensingController.step, PidBaselineController.step,
+             SimulatedPlant.read_balance, select_action)
+
+
+class TestStepPathCallForms:
+    @pytest.mark.parametrize("fn", STEP_PATH,
+                             ids=lambda fn: fn.__qualname__)
+    def test_no_keyword_only_parameter(self, fn):
+        kinds = {p.name: p.kind
+                 for p in inspect.signature(fn).parameters.values()}
+        assert inspect.Parameter.KEYWORD_ONLY not in kinds.values(), kinds
+
+    @pytest.mark.parametrize("make", [
+        lambda kin: DispensingController(500.0, kin),
+        lambda kin: PidBaselineController(500.0, kin),
+    ], ids=["model-based", "direct-pid"])
+    def test_keyword_and_positional_trials_agree(self, make):
+        """One trial driven with every flag by keyword and its twin with
+        every flag by position take the same readings and decisions, and
+        both end depleted when told that the hopper is empty."""
+        kin = ValveKinematics()
+        runs = []
+        for by_keyword in (True, False):
+            ctl = make(kin)
+            plant = SimulatedPlant(archetype("glass-beads"), kin, seed=5)
+            if by_keyword:
+                reading = plant.read_balance(wait_settle=False)
+            else:
+                reading = plant.read_balance(False)
+            seen = [reading]
+            for _ in range(6):
+                decision = (ctl.step(reading[0], hopper_empty=False)
+                            if by_keyword else ctl.step(reading[0], False))
+                seen.append(decision)
+                if decision.status is not TrialStatus.RUNNING:
+                    break
+                plant.execute(*decision.action)
+                reading = (plant.read_balance(wait_settle=True)
+                           if by_keyword else plant.read_balance(True))
+                seen.append(reading)
+            else:
+                seen.append(ctl.step(reading[0], hopper_empty=True)
+                            if by_keyword else ctl.step(reading[0], True))
+            seen.append((plant.sim_clock, plant.dispensed_total))
+            runs.append(seen)
+        assert runs[0] == runs[1]
+        assert runs[0][-2].status is TrialStatus.DEPLETED_FAIL
+        assert any(type(d) is StepDecision and d.action is not None
+                   for d in runs[0])
+
+    @pytest.mark.parametrize("use_vibration", [False, True])
+    def test_select_action_keyword_and_positional_agree(self,
+                                                        use_vibration):
+        kin = ValveKinematics()
+        grid = ActionGrid(l_step=2.5, t_step=0.25)
+        est = estimate(1e-5, 3e-5)
+        by_keyword = select_action(est, kin, 40.0,
+                                   use_vibration=use_vibration, grid=grid)
+        assert select_action(est, kin, 40.0, use_vibration, grid) \
+            == by_keyword
+        assert by_keyword.action.vibration is use_vibration

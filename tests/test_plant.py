@@ -105,6 +105,24 @@ class TestQuantizeReading:
         assert struct.pack("d", quantize_reading(value, resolution)) == \
             struct.pack("d", expected)
 
+    def test_interleaved_resolutions_each_take_their_own_ratio(self):
+        """quantize_reading keeps the ratio of one resolution at a time;
+        readings that switch resolution on every call, both ways round,
+        must still each get the exact reading of their own resolution."""
+        values = (1.25, -0.03, 0.07, 3.3e-12, 1e-3, 123.456789, 749597.95)
+        resolutions = (0.1, 0.05, 1e-12)
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            expected = {(v, r): decimal_quantize(v, r)
+                        for v in values for r in resolutions}
+        for order in (resolutions, resolutions[::-1]):
+            for value in values:
+                for resolution in order:
+                    got = quantize_reading(value, resolution)
+                    assert struct.pack("d", got) == struct.pack(
+                        "d", expected[value, resolution]), (value,
+                                                            resolution)
+
     def test_reading_does_not_depend_on_the_decimal_context(self):
         cases = [(2.616122026331733e+16, 2.4865945709414833e-11),
                  (1.25, 0.1), (1e300, 0.1), (20.0, 1e-300)]
