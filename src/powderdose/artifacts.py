@@ -194,9 +194,7 @@ def write_bytes(path: Path, data: bytes) -> None:
     Permissions and errors are open(path, "wb")'s, but an existing file is
     not truncated to zero first: only its tail past the new length is cut,
     and only when it has one, so a new file costs no more than with "wb".
-    On ext4, rewriting a trace-sized file through a truncation to zero
-    cost about ten times formatting it, most likely because closing such
-    a file starts its writeback at once.
+    README.md's "Performance notes" give what that saves on a rerun.
 
     That is a trade against durability. A write that fails partway
     (ENOSPC, EIO) or a process killed before the cut leaves the new bytes

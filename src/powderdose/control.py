@@ -16,45 +16,6 @@ vibration mode for the rest of the trial and selects against the vibration
 coefficient instead. The latch is one way, a trial never falls back to
 gravity.
 
-The search runs over an action table built once per (ValveKinematics,
-ActionGrid) pair and cached: both axes, every cell's L**2.5 and
-dispensing window T(L) + t, the cells sorted by their product, the
-capacity and floor factors, and every ValveAction the controller emits
-from the grid. A step reaches the table without hashing: _table_for,
-through which select_action and the controller's constructor both go,
-keeps the kin and grid objects of its last call with their table, and
-when a call passes those same two objects, as every step of a trial and
-every trial of a suite does, it takes that table; only another pair goes
-through the cache, whose key hashes both frozen dataclasses. A cell's
-action is built the first time the search or the probe ladder asks for
-that cell in that mode, and handed out from the table after that; the
-probe rungs are the cells at the minimum dwell. A step then bisects the
-sorted products at W_target / C' and computes the exact prediction of
-the few cells on either side that could be nearest; ties go to the
-smaller flat index in dwell-major order, the smaller dwell, then the
-smaller command. The search checks nothing per step: the grid axes run
-over the valve envelope's bounds and never past them, a coefficient is
-checked when its ModeFit is built, and the plant puts every action it
-executes through ValveKinematics.check, the one envelope test.
-
-A controller is built from shared immutable parts: every controller
-starts from one unfitted CoefficientEstimate, a NamedTuple, and, unless
-given a grid, searches one default ActionGrid, a frozen dataclass. A
-refit replaces the estimate rather than changing it, so building a
-controller for each trial allocates neither. The running status is bound
-to a module name once, since each step both tests and emits it. The
-records a step emits or keeps, ValveAction, StepDecision, ActionSelection
-and the refitted CoefficientEstimate, are NamedTuples, as immutable as a
-frozen dataclass and cheaper to build.
-
-Both controllers' step and select_action take their flags, hopper_empty,
-use_vibration and grid, by position or by keyword, and the controllers
-and the harness pass them by position: CPython 3.11 specialises no call
-to a function that declares a keyword-only parameter, nor a call that
-passes a keyword. A model step attributes its delta and picks its action
-in its own frame, and the stop rule and the PID update read each
-attribute they use once, into a local.
-
 While a mode has no coefficient (its c_prime is None) the controller
 walks a probe ladder: smallest productive command first, escalating one
 grid step at a time, so exploration cannot overshoot even a 20 mg request.
@@ -70,11 +31,33 @@ cannot deliver the request even at the largest action (the capacity
 latch), vibration's ladder starts one rung below gravity's next one, at
 the rung that seeded gravity, not back at the smallest command.
 
+The search runs over an action table built once per (ValveKinematics,
+ActionGrid) pair and cached: both axes, every cell's L**2.5 and
+dispensing window T(L) + t, the cells sorted by their product, the
+capacity and floor factors, and each cell's ValveAction in each mode,
+built the first time it is asked for; the probe rungs are the cells at
+the minimum dwell. A step bisects the sorted products at W_target / C'
+and computes the exact prediction of the few cells on either side that
+could be nearest; ties go to the smaller flat index in dwell-major order,
+the smaller dwell, then the smaller command. The search checks nothing
+per step: the grid axes run over the valve envelope's bounds and never
+past them, a coefficient is checked when its ModeFit is built, and the
+plant puts every action it executes through ValveKinematics.check, the
+one envelope test.
+
 PidBaselineController is the comparison controller: a direct PID on the
 weight error mapped linearly to the valve command, fixed dwell, no model
 and no logging. Both controllers inherit one trial lifecycle (goal,
 tolerance and step budget checks, trial state, stop rule), so they stop
 by the same rule trial for trial.
+
+The records a step emits or keeps, ValveAction, StepDecision,
+ActionSelection and CoefficientEstimate, are immutable NamedTuples. A
+refit replaces the estimate rather than changing it, so every controller
+starts from one shared unfitted estimate and, unless given a grid,
+searches one shared default ActionGrid. How the step path is kept cheap,
+with the table memo, flags passed by position and records built with
+tuple.__new__, is in README.md's "Performance notes".
 """
 
 from __future__ import annotations
@@ -111,9 +94,9 @@ class ValveAction(NamedTuple):
     """One dispensing command: opening, dwell, vibration flag.
 
     An immutable NamedTuple that holds any values. Whether they lie in
-    the valve envelope is ValveKinematics.check's to decide, and every
-    consumer of an action (SimulatedPlant.execute, identify.regressor,
-    predicted_drop) runs it.
+    the valve envelope is ValveKinematics.check's to decide, and both
+    consumers of an action, SimulatedPlant.execute and identify.regressor,
+    run it.
     """
 
     l_command: float
@@ -177,7 +160,7 @@ _RUNNING = TrialStatus.RUNNING
 # A NamedTuple's own constructor is a Python-level __new__. The decisions,
 # selections, PID actions and refitted estimates made on every step are
 # built with tuple.__new__, every field given in order: an equal instance
-# at half the cost (Xeon, timeit).
+# without that call.
 _new = tuple.__new__
 
 
@@ -278,9 +261,8 @@ _TINY = 1e-322
 
 # The (kin, grid, table) of _table_for's last call. A trial passes the
 # same two objects on every step, and a suite to every trial; an identity
-# test of both costs far less than hashing them for _action_table's cache
-# (0.7 us a call, Xeon, timeit). Holding the objects keeps their ids from
-# being reused.
+# test of both costs far less than hashing them for _action_table's cache.
+# Holding the objects keeps their ids from being reused.
 _last_table: tuple = (None, None, None)
 
 

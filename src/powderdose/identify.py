@@ -3,8 +3,14 @@
 Each dispensing step yields one observation (L, t_pose, measured delta-W).
 With the regressor x = L**2.5 * (T(L) + t_pose), the drop model is linear
 through the origin, W = C' * x. Gravity and vibration observations are
-kept strictly apart; each mode carries its own coefficient. Two
-estimators of C' serve two purposes.
+kept strictly apart; each mode carries its own coefficient, and a mode is
+fitted exactly when its c_prime is not None. Every regressor comes from
+regressor(), which first puts the action through ValveKinematics.check:
+an action outside the valve envelope is a ValueError, never a data point.
+Deltas below the balance's reliable range (MIN_OBSERVABLE_MG, 0.5 mg) are
+discarded before they reach a fit, so noise-level readings never steer
+it. Every regressor and every kept delta is >= 0, so C' is >= 0 by
+construction. Two estimators of C' serve two purposes.
 
 The controller's online fit, ObservationLog, is relative: over a mode's n
 accepted observations
@@ -36,16 +42,9 @@ least-squares question; moving this estimator to ratios too fails
 criterion 6, whose property suite checks it against a least-squares
 oracle. The controller never reads an R^2, so the log keeps none;
 fit_points adds it in the exact two-pass form, from the same columns in
-the same order, so C' and R^2 are bit for bit those of computing it in
-each pass.
-Every regressor, the log's included, comes from regressor(), which first
-puts the action through ValveKinematics.check: an action outside the
-valve envelope is a ValueError, never a data point.
+the same order, so C' and R^2 are bit for bit those of computing each in
+its own pass.
 
-Deltas below the balance's reliable range (MIN_OBSERVABLE_MG, 0.5 mg) are
-discarded before they reach the log, so noise-level readings never steer
-the fit. A mode is fitted exactly when its c_prime is not None. Every
-regressor and every stored delta is >= 0, so C' is >= 0 by construction.
 ModeFit and CoefficientEstimate are immutable NamedTuples: a refit builds
 new ones and never changes one in place.
 """
@@ -108,7 +107,8 @@ class ModeFit(_ModeFitFields):
 
     def __new__(cls, c_prime: float | None = None, n_obs: int = 0,
                 r_squared: float | None = None) -> ModeFit:
-        # inline: built every refit; check_fields adds 0.16 us (Xeon, timeit)
+        # the c_prime rule, inline rather than through check_fields: a
+        # ModeFit is built on every refit
         if c_prime is not None and not (math.isfinite(c_prime)
                                         and c_prime >= 0):
             raise ValueError("ModeFit.c_prime must be finite and >= 0")

@@ -4,49 +4,32 @@ The plant integrates the Beverloo rate over each open-dwell-close cycle and
 perturbs it with a multiplicative Gaussian disturbance. Arching is a hard
 gate: gravity flow stops entirely once the orifice is at or below the
 powder's critical arch diameter. Vibration defeats the gate and scales the
-rate by the powder's vibration gain.
-
-SimulatedPlant.execute works from factors computed when the plant is
-built: the Beverloo scale C * rho_b * sqrt(g) and offset k * d, which it
-hands to flow.beverloo_discharge, the formula's one implementation. A step
-adds only its own arithmetic: the envelope check, the flow draw, the arch
-gate and vibration gain applied inline, and one clamp against what the
-hopper holds.
+rate by the powder's vibration gain. Every action goes through
+ValveKinematics.check, the one envelope test, and every rate through
+flow.beverloo_discharge, the formula's one implementation.
 
 The balance is read between steps. Readings are the true dispensed total
 plus Gaussian noise, quantised to the display resolution (round half away
 from zero), and each stabilised reading costs a settling wait.
-read_balance takes wait_settle by position or by keyword, and the
-harness passes it by position, since CPython 3.11 specialises no call to
-a function with a keyword-only parameter. quantize_reading keeps the
-decimal ratio of the last resolution it was given, so the readings of a
-suite, which all pass one balance's resolution, compute it once.
 
 Randomness contract: a plant draws from two independent substreams, one
 for flow disturbances and one for the balance. They are the children
 (*stream_key, 0) and (*stream_key, 1) of the trial's seed, each in the
 state of the Generator default_rng(SeedSequence(seed, spawn_key=child))
-returns. The plant builds PCG64 from seed words that plant_states
-computes for any number of plants in one call: _stream_states assembles
-each key's entropy words as SeedSequence would (_append_words), then
-runs SeedSequence's pool mixing and generate_state(4, uint64) for every
-key of the same word count at once, in numpy uint32 array arithmetic.
-run_suite calls it once for all of a suite's trials and keeps 32 bytes a
-stream; each trial builds its Generators when it runs. In a suite of
-120 trials a stream then costs about 7 us with its Generator, against
-13-20 us through SeedSequence. The array operations cost about 50-60 us
-a call whatever the batch, since each is a fixed count of numpy calls
-on tiny arrays, so a plant seeded on its own takes 60-110 us for its
-two streams, against 25-40 us through SeedSequence (2-CPU Xeon, numpy
-2.4). The tests check every row against SeedSequence. As
-the streams are separate, enabling or disabling either noise source never
-shifts the draws of the other, and a fixed seed reproduces a trial bit
-for bit. Each stream is drawn BLOCK standard normals at a time and a
-variate is formed as loc + scale * z, which is what
-Generator.normal(loc, scale) computes: the values, and their order, are
-those of one scalar normal() draw per use (one flow draw per executed
-cycle, one noise draw per reading, one settle draw per settled reading).
-Draws left in a block when a trial ends are never read.
+returns. plant_states computes those states for any number of plants in
+one call, by SeedSequence's own steps in numpy uint32 arithmetic, and
+run_suite calls it once for a whole suite; the tests check every state
+against SeedSequence. As the streams are separate, enabling or disabling
+either noise source never shifts the draws of the other, and a fixed seed
+reproduces a trial bit for bit. A variate is loc + scale * z, which is
+what Generator.normal(loc, scale) computes, and the values, and their
+order, are those of one scalar normal() draw per use: one flow draw per
+executed cycle, one noise draw per reading, one settle draw per settled
+reading. Each stream is drawn BLOCK standard normals at a time; draws left
+in a block when a trial ends are never read.
+
+README.md's "Performance notes" give what the batched seeding and the
+resolution memo of quantize_reading save, and the tests that pin them.
 """
 
 from __future__ import annotations
@@ -54,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain, repeat
@@ -135,9 +118,8 @@ def quantize_reading(value: float, resolution: float) -> float:
 
 # (resolution, p, q) of _decimal_ratio's last call, replaced whole. Every
 # reading of a suite passes the one BalanceModel's resolution object, so
-# an identity test finds its ratio without hashing a cache key, which
-# costs about 0.2 us a reading (Xeon, timeit). Holding the object keeps
-# its id from being reused.
+# an identity test finds its ratio without hashing a cache key. Holding
+# the object keeps its id from being reused.
 _last_ratio: tuple = (None, 1, 1)
 
 
@@ -171,109 +153,68 @@ def _append_words(value: int, words: list[int]) -> None:
 
 
 # SeedSequence's constants. Its words are uint32 and every product is
-# taken mod 2**32, which numpy's uint32 arithmetic does without a warning.
-# The constants an array meets are 0-d arrays: numpy applies one of those
-# in about a third of a scalar's time.
-_POOL = 4
+# taken mod 2**32, which numpy's uint32 array arithmetic does without a
+# warning. The fixed operands are 0-d uint32 arrays, which numpy applies
+# in less time than Python ints.
+_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L = np.array(0xCA01F9DD, dtype=np.uint32)
-_MIX_R = np.array(0x4973F715, dtype=np.uint32)
-_SHIFT = np.array(16, dtype=np.uint32)
+_MIX_MULT_L = np.array(0xCA01F9DD, dtype=np.uint32)
+_MIX_MULT_R = np.array(0x4973F715, dtype=np.uint32)
+_XSHIFT = np.array(16, dtype=np.uint32)
 
 
-def _hash_columns(init: int, mult: int, shapes: list[tuple[int, ...]]
-                  ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The (xor, multiplier) constants of consecutive hashes, one pair of
-    arrays of each shape plus a trailing axis of 1, in order. The k-th
-    hash xors with h_k and multiplies by h_(k+1), where h_0 = init and
-    h_(k+1) = h_k * mult mod 2**32."""
-    h = [init]
-    for _ in range(sum(math.prod(shape) for shape in shapes)):
-        h.append(h[-1] * mult & _MASK32)
-    table = np.array(h, dtype=np.uint32)
-    out, first = [], 0
-    for shape in shapes:
-        last = first + math.prod(shape)
-        out.append((table[first:last].reshape(*shape, 1),
-                    table[first + 1:last + 1].reshape(*shape, 1)))
-        first = last
-    return tuple(out)
+def _hashmix(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix, its hash_const starting at init and
+    multiplied by mult before each product."""
+    hash_const = init
 
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ value >> _XSHIFT
 
-@functools.lru_cache(maxsize=8)
-def _mix_hashes(extra: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """mix_entropy's hash constants for 4 + extra entropy words: hashing
-    the first 4 words into the pool, mixing each pool word into the 3
-    others in source order, then mixing each extra word into all 4.
-
-    A source word's 3 constant pairs are spread over all 4 pool rows, a
-    zero pair in the source's own row, so that one array operation mixes
-    every row; _pcg64_seeds then puts the source row back."""
-    first, *spread, extra_pair = _hash_columns(
-        _INIT_A, _MULT_A, [(_POOL,)] + [(_POOL - 1,)] * _POOL
-        + [(extra, _POOL)])
-    zero = np.zeros((1, 1), dtype=np.uint32)
-    return (first,
-            *(tuple(np.concatenate((column[:src], zero, column[src:]))
-                    for column in pair)
-              for src, pair in enumerate(spread)),
-            extra_pair)
-
-
-# generate_state(4, uint64) hashes 8 uint32 words, word i from pool word
-# i % 4, and pairs them low word first; the constants of words i and
-# i + 4 sit in one column of a 2 x 4 block, so one broadcast hashes all 8
-((_STATE_XOR, _STATE_MUL),) = _hash_columns(_INIT_B, _MULT_B, [(2, _POOL)])
-
-
-# Both work in place on the first array they build, which saves numpy an
-# allocation on most steps; neither changes its arguments.
-def _hash(values: np.ndarray, xor: np.ndarray,
-          mul: np.ndarray) -> np.ndarray:
-    v = values ^ xor
-    v *= mul
-    v ^= v >> _SHIFT
-    return v
+    return hashmix
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_L
-    r -= y * _MIX_R
-    r ^= r >> _SHIFT
-    return r
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> _XSHIFT
 
 
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     """generate_state(4, uint64) of SeedSequence(row) for each row of an
     n x width uint32 array of assembled entropy words, as n x 4 uint64.
 
-    SeedSequence's hash multipliers advance once per hash whatever the
-    data, so all rows of one width take the same constants, and each
-    array operation below does one step of the mixing for all of them.
+    SeedSequence's mix_entropy and generate_state, step for step, with
+    each entropy word and each pool word an array of n uint32, one per
+    row: the hash constants advance once per hash whatever the data, so
+    the rows take the same ones.
     """
     n, width = entropy.shape
-    # one row per entropy word, one column per stream; a contiguous copy,
-    # on which numpy's operations cost less than on the transposed view
-    words = np.ascontiguousarray(entropy.T)
-    if width < _POOL:  # mix_entropy hashes zeros past the end
-        words = np.concatenate(
-            [words, np.zeros((_POOL - width, n), dtype=np.uint32)])
-    (xor, mul), *spread, (extra_xor, extra_mul) = \
-        _mix_hashes(max(width - _POOL, 0))
-    pool = _hash(words[:_POOL], xor, mul)
-    for src, (src_xor, src_mul) in enumerate(spread):
-        # mix the source row into all 4 rows, then restore its own: the
-        # new pool is a new array, so the view still holds the old row
-        row = pool[src]
-        pool = _mix(pool, _hash(row, src_xor, src_mul))
-        pool[src] = row
-    # the extra words' hashes do not depend on the pool: all at once
-    for hashed in _hash(words[_POOL:, None], extra_xor, extra_mul):
-        pool = _mix(pool, hashed)
-    state = _hash(pool, _STATE_XOR, _STATE_MUL).reshape(8, n).astype(
-        np.uint64)
-    return (state[0::2] | state[1::2] << np.uint64(32)).T
+    entropy_array = list(np.ascontiguousarray(entropy.T))
+    # mix_entropy: hash the first words into the pool, zeros past the end
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    mixer = [hashmix(entropy_array[i] if i < width
+                     else np.zeros(n, dtype=np.uint32))
+             for i in range(_POOL_SIZE)]
+    # mix every pool word into every other one
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                mixer[i_dst] = _mix(mixer[i_dst], hashmix(mixer[i_src]))
+    # then each remaining entropy word into every pool word
+    for i_src in range(_POOL_SIZE, width):
+        for i_dst in range(_POOL_SIZE):
+            mixer[i_dst] = _mix(mixer[i_dst], hashmix(entropy_array[i_src]))
+    # generate_state(4, uint64): 8 words from the pool in cycle, each
+    # pair read as one little-endian uint64
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(mixer[i % _POOL_SIZE]) for i in range(8)],
+                     axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _stream_states(seed: int,
@@ -289,7 +230,7 @@ def _stream_states(seed: int,
     """
     seed_words: list[int] = []
     _append_words(seed, seed_words)
-    padded = seed_words + [0] * (_POOL - len(seed_words))
+    padded = seed_words + [0] * (_POOL_SIZE - len(seed_words))
     # word count -> (row numbers, their words end to end)
     groups: dict[int, tuple[list[int], list[int]]] = {}
     for row, key in enumerate(keys):
@@ -323,8 +264,8 @@ def plant_states(seed: int,
 def _fixed_state_type() -> type:
     """A seed sequence type whose generate_state returns a state computed
     beforehand; PCG64 asks it for generate_state(4, np.uint64). Made on
-    first use: importing numpy.random costs about 13 ms and 6 MB, which
-    a process that only reads artifacts never needs."""
+    first use, so that a process that only reads artifacts never imports
+    numpy.random."""
     from numpy.random.bit_generator import ISeedSequence
 
     class FixedState(ISeedSequence):

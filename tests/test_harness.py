@@ -12,9 +12,11 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import zlib
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -612,6 +614,49 @@ class TestRunTrial:
             clock += 2.0 * row.l_command / 100.0 + row.t_pose_s + 8.0
             assert row.sim_time_s == pytest.approx(clock, rel=1e-12)
         assert record.total_sim_time_s == pytest.approx(clock, rel=1e-12)
+
+
+class TestStreamRecipe:
+    """README's numpy-only recipe, checked from outside the package: suite
+    trial i of a condition draws its flow and balance noise from
+    default_rng(SeedSequence(seed, spawn_key=(crc32(text key), i, child)))
+    with child 0 and 1, where the text key is powder/controller/target
+    and the target is written f"{target:g}"."""
+
+    @pytest.mark.parametrize("source", ["stream_key", "seed_sequence"])
+    def test_replayed_actions_read_the_trace(self, source):
+        config = small_config(powder=["glass-beads", "msg"],
+                              controller=["model-based", "direct-pid"],
+                              targets_mg=[20, 500.5], trials=3,
+                              plant={"powders": {"glass-beads": {
+                                  "flow_noise_sigma": 0.2}}})
+        summary = run_suite(config, write_artifacts=False)
+        for record in summary.trials:
+            text_key = (f"{record.powder}/{record.controller}/"
+                        f"{record.target_mg:g}").encode()
+            key = (zlib.crc32(text_key), record.trial_index)
+            spec = config.powder_spec(record.powder)
+            if source == "stream_key":
+                replay = plant.SimulatedPlant(
+                    spec, config.kinematics, config.balance,
+                    seed=config.seed, stream_key=key)
+            else:
+                # default_rng(SeedSequence(...)) seeds PCG64 with the
+                # sequence's generate_state(4, uint64)
+                states = np.stack([np.random.SeedSequence(
+                    config.seed, spawn_key=(*key, child)).generate_state(
+                        4, np.uint64) for child in (0, 1)])
+                replay = plant.SimulatedPlant(
+                    spec, config.kinematics, config.balance, states=states)
+            reading, _ = replay.read_balance(False)
+            assert record.steps
+            for row in record.steps:
+                replay.execute(row.l_command, row.t_pose_s, row.vibration)
+                previous = reading
+                reading, _ = replay.read_balance()
+                assert reading - previous == row.measured_delta_mg
+                assert replay.sim_clock == row.sim_time_s
+            assert reading == record.final_mass_mg
 
 
 # Digest of each shipped config's in-memory suite, measured when the
@@ -1352,17 +1397,36 @@ def cfg_path(tmp_path_factory):
     return path
 
 
+def checkout_env(env_extra=None):
+    """This process's environment with the checkout's src first on the
+    import path and no POWDERDOSE_OUT, updated by env_extra."""
+    env = dict(os.environ)
+    env.pop("POWDERDOSE_OUT", None)
+    env.update(env_extra or {})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 class TestCli:
     def run_cli(self, *args, env_extra=None):
-        env = dict(os.environ)
-        env.pop("POWDERDOSE_OUT", None)
-        env.update(env_extra or {})
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         return subprocess.run(
             [sys.executable, "-m", "powderdose.cli", *args],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=checkout_env(env_extra))
+
+    def test_report_does_not_import_numpy_random(self, tmp_path):
+        # the plant imports numpy.random when it builds its first
+        # Generator, so a process that only reads artifacts never does
+        run_suite(small_config(), out_dir=tmp_path)
+        code = ("import sys\n"
+                "from powderdose.cli import main\n"
+                "status = main(['report', sys.argv[1]])\n"
+                "print(status, 'numpy.random' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True,
+                              env=checkout_env())
+        assert proc.stdout.split()[-2:] == ["0", "False"]
 
     def test_validate_config_ok(self, cfg_path):
         proc = self.run_cli("validate-config", "--config", str(cfg_path))
