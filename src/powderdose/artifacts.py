@@ -34,7 +34,7 @@ import io
 import json
 import os
 from collections.abc import Iterable, Mapping
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import attrgetter
 from pathlib import Path
@@ -67,8 +67,9 @@ class StepTrace(NamedTuple):
     probe: bool = False
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
+    """One trial's outcome and every step it executed, an immutable record."""
+
     trial_id: str
     powder: str
     controller: str
@@ -85,8 +86,7 @@ class TrialRecord:
         return _trace_csv(self.trial_id)
 
 
-@dataclass(frozen=True)
-class ConditionStats:
+class ConditionStats(NamedTuple):
     """Success count and dispersion statistics for one condition.
 
     Standard deviations are sample deviations (n-1). degenerate_stats is
@@ -107,8 +107,7 @@ class ConditionStats:
     degenerate_stats: bool = False
 
 
-@dataclass(frozen=True)
-class PooledFit:
+class PooledFit(NamedTuple):
     """Suite-wide single-coefficient refit for one powder and mode."""
 
     powder: str
@@ -280,8 +279,8 @@ def _parse_cells(path: Path, column: str, cell: str,
 
 
 # summary.csv holds every ConditionStats field but the degenerate flag.
-SUMMARY_COLUMNS = tuple(f.name for f in dataclass_fields(ConditionStats)
-                        if f.name != "degenerate_stats")
+SUMMARY_COLUMNS = tuple(name for name in ConditionStats._fields
+                        if name != "degenerate_stats")
 
 
 def summary_csv_text(conditions: Iterable[ConditionStats]) -> str:
@@ -301,7 +300,10 @@ _INDEX_ENTRY = (
     ("final_mass_mg", float), ("total_steps", int),
     ("total_sim_time_s", float), ("trace_csv", str),
 )
-_RECORD_FIELDS = {f.name for f in dataclass_fields(TrialRecord)}
+# The TrialRecord fields an entry holds, all but steps, in field order
+# and with their types.
+_RECORD_FIELDS = tuple((name, dict(_INDEX_ENTRY)[name])
+                       for name in TrialRecord._fields if name != "steps")
 _STATUSES = {status.value for status in TrialStatus}
 
 
@@ -345,9 +347,8 @@ def index_entry_problem(entry: Any) -> str | None:
 def record_from_index(entry: Mapping,
                       steps: Iterable[StepTrace]) -> TrialRecord:
     """The TrialRecord of a valid summary.json trial entry and its trace."""
-    return TrialRecord(steps=tuple(steps), **{
-        key: kind(entry[key]) for key, kind in _INDEX_ENTRY
-        if key in _RECORD_FIELDS})
+    return TrialRecord(*[kind(entry[key]) for key, kind in _RECORD_FIELDS],
+                       tuple(steps))
 
 
 # The summary.json sections of the suite statistics, each with the keys
@@ -360,8 +361,8 @@ def summary_sections(conditions: Iterable[ConditionStats],
                      fits: Iterable[PooledFit]) -> dict[str, list[dict]]:
     """The conditions and pooled_fits sections of summary.json, as written
     and as a report recomputes them."""
-    return {"conditions": [asdict(c) for c in conditions],
-            "pooled_fits": [asdict(f) for f in fits]}
+    return {"conditions": [c._asdict() for c in conditions],
+            "pooled_fits": [f._asdict() for f in fits]}
 
 
 def write_suite_artifacts(summary: SuiteSummary,

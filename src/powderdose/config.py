@@ -40,26 +40,34 @@ OUT_DIR_ENV = "POWDERDOSE_OUT"
 # times the default grid's 1763 cells.
 _MAX_GRID_CELLS = 100_000
 
+# A suite keeps every executed step's row in memory until it returns,
+# about 453 bytes a step at a trial's end (tracemalloc, CPython 3.11, a
+# 200 000-step PID trial). A suite may take at most _MAX_RUN_STEPS steps
+# in all, powders x controllers x targets x trials x max_steps: about
+# 0.9 GB, and 13-22 s at the benchmark's 6.5-11 us a step. The shipped
+# configs take at most 12 000.
+_MAX_RUN_STEPS = 2_000_000
+
 # The physical domain of each numeric config field by JSON path, with
 # plant.powders fields under plant.powders: (low, high) admits 0 and the
 # magnitudes from low to high. Signs and finiteness are the section
-# dataclasses' rules. A suite takes at most n = _MAX_RUN_STEPS steps per
-# powder (trials x len(targets_mg) x max_steps), so no sum in the package
-# overflows (1.8e308) and no grid regressor squares below 2.2e-308:
+# dataclasses' rules. As a suite takes at most n = _MAX_RUN_STEPS = 2e6
+# steps, no sum in the package overflows (1.8e308) and no grid regressor
+# squares below 2.2e-308:
 # - a regressor x = L**2.5 * (L / travel_rate + t_pose) is at most
 #   1e10 * (1e7 + 1e4) = 1e17; the smallest positive one on the grid,
 #   L = 1e-3 at t_pose 0 and travel_rate 1e6, is 3e-17, its square 1e-33;
 # - a delta D is at most the load, 28 noise sigmas and one resolution
 #   step, about 1e7 mg, so a pooled fit's sums stay under n * x_max**2 =
-#   1e41 and n * x_max * D = 1e31, its squared residuals under
-#   4 * n**2 * D**2 = 4e28, and the online fit's n * D / x_min under 3e30;
+#   2e40 and n * x_max * D = 2e30, its squared residuals under
+#   4 * n**2 * D**2 = 1.6e27, and the online fit's n * D / x_min under
+#   7e29;
 # - a cycle, 2 * l_max / travel_rate + t_pose_max and a 14-sigma settle,
-#   is at most 2e7 s, so trial-time sums stay under 2e14 s;
+#   is at most 2e7 s, so trial-time sums stay under 4e13 s;
 # - the PID output |k_p| E + |k_i| integral_limit + 2 |k_d| E stays under
 #   1e18 (E = 2e7 mg), its command before the clamp under 1e24;
 # - the plant's rate is at most 10 * 100 * 99 * (10 * 1e4)**2.5 * 1e3 =
 #   3e20 mg/s before the hopper's clamp, a reading 1e19 ticks.
-_MAX_RUN_STEPS = 10 ** 7
 _DOMAIN: dict[str, tuple[float, float]] = {
     "targets_mg": (0.0, 1e7),
     "tolerance_mg": (0.0, 1e7),
@@ -107,8 +115,8 @@ class ExperimentConfig:
     name. It normalises a single powder or controller name to a one-tuple,
     an alias to its controller, and targets, tolerance, k_p and powder
     override values to floats. Every numeric field must lie in its domain
-    (_DOMAIN), and a suite may take at most _MAX_RUN_STEPS steps per
-    powder. With direct-pid among the controllers, t_pose_fixed_s must lie
+    (_DOMAIN), and a suite may take at most _MAX_RUN_STEPS steps in
+    all. With direct-pid among the controllers, t_pose_fixed_s must lie
     in the dwell range; with model-based, the action grid may hold at
     most _MAX_GRID_CELLS cells. No two conditions may share a stream key.
 
@@ -174,10 +182,11 @@ class ExperimentConfig:
         else:
             errors.extend(_outside("", {"tolerance_mg": self.tolerance_mg}))
         if is_count(self.trials, 1) and is_count(self.max_steps, 1) \
-                and (n := self.trials * len(targets) * self.max_steps) \
-                > _MAX_RUN_STEPS:
-            errors.append(f"max_steps: trials x targets x max_steps is {n}, "
-                          f"more than {_MAX_RUN_STEPS}")
+                and (n := len(powders) * len(controllers) * len(targets)
+                     * self.trials * self.max_steps) > _MAX_RUN_STEPS:
+            errors.append(f"max_steps: powders x controllers x targets x "
+                          f"trials x max_steps is {n}, more than "
+                          f"{_MAX_RUN_STEPS}")
 
         k_p = self.k_p
         if isinstance(k_p, Mapping):

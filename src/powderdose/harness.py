@@ -70,23 +70,27 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
     its stream key; run_suite computes every trial's in one call. Without
     them the plant computes its own.
     """
-    picks = {"powders": powder, "controllers": controller,
-             "targets_mg": target_mg}
-    if any(pick is not None and not _listed(pick, getattr(config, name))
-           for name, pick in picks.items()):
-        config = replace(config, **{name: (pick,) for name, pick
-                                    in picks.items() if pick is not None})
-        picks = dict.fromkeys(picks)
-    choices = [getattr(config, name) if pick is None else (pick,)
-               for name, pick in picks.items()]
-    if (count := math.prod(map(len, choices))) != 1:
+    if not ((powder is None or _listed(powder, config.powders))
+            and (controller is None
+                 or _listed(controller, config.controllers))
+            and (target_mg is None
+                 or _listed(target_mg, config.targets_mg))):
+        config = replace(config, **{
+            name: (pick,) for name, pick in (("powders", powder),
+                                             ("controllers", controller),
+                                             ("targets_mg", target_mg))
+            if pick is not None})
+        powder = controller = target_mg = None
+    powders = config.powders if powder is None else (powder,)
+    controllers = config.controllers if controller is None else (controller,)
+    targets = config.targets_mg if target_mg is None else (target_mg,)
+    if (count := len(powders) * len(controllers) * len(targets)) != 1:
         raise ConfigError([f"run_trial needs exactly one condition, config "
                            f"names {count}"])
     if not is_count(trial_index, 0):
         raise ConfigError([f"trial_index: must be an integer >= 0, "
                            f"got {trial_index!r}"])
-    ((powder,), (controller,), (target_mg,)) = choices
-    return _run_condition(config, powder, controller, target_mg,
+    return _run_condition(config, powders[0], controllers[0], targets[0],
                           trial_index, states)
 
 
@@ -141,20 +145,13 @@ def _run_condition(config: ExperimentConfig, powder: str,
         rows.append((steps, l_command, t_pose_s, vibration,
                      predicted, reading - previous, c_gravity, c_vibration,
                      target - reading, plant.sim_clock, true_delta, probe))
-    return TrialRecord(
-        trial_id=trial_id(powder, controller_name, target, trial_index),
-        powder=powder,
-        controller=controller_name,
-        target_mg=target,
-        trial_index=trial_index,
-        status=ctl.status,
-        final_mass_mg=ctl.w_measured,
-        total_steps=steps,
-        total_sim_time_s=plant.sim_clock,
-        # tuple.__new__ builds each StepTrace without a Python call per
-        # step, as read_trace_csv does
-        steps=tuple(map(tuple.__new__, repeat(StepTrace), rows)),
-    )
+    # tuple.__new__ builds the record and each StepTrace without a Python
+    # call, as read_trace_csv does; the fields in TrialRecord order
+    return tuple.__new__(TrialRecord, (
+        trial_id(powder, controller_name, target, trial_index), powder,
+        controller_name, target, trial_index, ctl.status, ctl.w_measured,
+        steps, plant.sim_clock,
+        tuple(map(tuple.__new__, repeat(StepTrace), rows))))
 
 
 def compute_metrics(records: Iterable[TrialRecord],
@@ -280,9 +277,9 @@ def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,
     conditions = config.conditions()
     trials = range(config.trials)
     # 32 bytes a stream; each trial builds its Generators from its rows
+    checksums = [condition_checksum(*condition) for condition in conditions]
     states = plant_states(config.seed, [
-        _stream_key(*condition, index)
-        for condition in conditions for index in trials]
+        (checksum, index) for checksum in checksums for index in trials]
     ).reshape(len(conditions), len(trials), 2, 4)
     records: list[TrialRecord] = []
     for (powder, controller, target), condition_states in zip(conditions,

@@ -16,12 +16,15 @@ from powderdose import (
     ActionGrid,
     ActionSelection,
     CoefficientEstimate,
+    ConditionStats,
     DispensingController,
     ModeFit,
     PidBaselineController,
     PidGains,
+    PooledFit,
     StepDecision,
     StepTrace,
+    TrialRecord,
     TrialStatus,
     ValveAction,
     ValveKinematics,
@@ -296,8 +299,18 @@ class TestStepRecords:
         lambda: ValveAction(5.0, 0.5, vibration=True),
         lambda: ModeFit(2.0, 3, 0.5),
         lambda: CoefficientEstimate(ModeFit(2.0, 3), ModeFit(0.0, 1)),
+        lambda: TrialRecord(
+            "glass-beads--model-based--t20--000", "glass-beads",
+            "model-based", 20.0, 0, TrialStatus.SUCCESS, 19.5, 1, 9.1,
+            (StepTrace(1, 5.0, 0.5, False, None, 19.5, 0.01, None, 0.5,
+                       9.1),)),
+        lambda: ConditionStats("glass-beads", "model-based", 20.0, 1, 1,
+                               19.5, 0.0, 1.0, 0.0, 9.1, 0.0,
+                               degenerate_stats=True),
+        lambda: PooledFit("glass-beads", GRAVITY, 0.01, None, 1),
     ], ids=["StepDecision", "ActionSelection", "StepTrace", "ValveAction",
-            "ModeFit", "CoefficientEstimate"])
+            "ModeFit", "CoefficientEstimate", "TrialRecord",
+            "ConditionStats", "PooledFit"])
     def test_immutable_and_hashable(self, make):
         record = make()
         for name in record._fields:

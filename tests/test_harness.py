@@ -95,7 +95,9 @@ def domain_corners():
         for value, inside in edges:
             yield path, value, inside
             yield path, -value, inside
-    for max_steps, inside in ((10 ** 7, True), (10 ** 7 + 1, False)):
+    # the 2e6-step budget of a one-trial suite of two conditions, as
+    # test_configs_at_and_past_the_domain_corners runs
+    for max_steps, inside in ((10 ** 6, True), (10 ** 6 + 1, False)):
         yield "max_steps", max_steps, inside
 
 
@@ -246,9 +248,9 @@ class TestConfigParsing:
           "trials": 1, "pid_gains": {"k_p": 1e308, "k_d": -1e308}},
          ["pid_gains.k_p: must be at most 1e+06 in magnitude, got 1e+308",
           "pid_gains.k_d: must be at most 1e+06 in magnitude, got -1e+308"]),
-        ({"trials": 10 ** 7, "max_steps": 2},
-         ["max_steps: trials x targets x max_steps is 80000000, more than "
-          "10000000"]),
+        ({"controller": [MODEL_BASED, DIRECT_PID], "trials": 834},
+         ["max_steps: powders x controllers x targets x trials x max_steps "
+          "is 2001600, more than 2000000"]),
     ], ids=["l-max", "t-pose-max", "travel-rate", "settle-time", "masses",
             "pid-gains", "run-size"])
     def test_configs_that_cannot_run_are_rejected(self, data, messages):
@@ -266,10 +268,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="more than 100000"):
             config_from_dict({"kinematics": {"l_max": 1e4,
                                              "t_pose_max": 24.5}})
-        # 25 000 trials x 4 targets x 100 steps is the most a suite runs
-        config_from_dict({"trials": 25_000})
-        with pytest.raises(ConfigError, match="is 10000400, more than"):
-            config_from_dict({"trials": 25_001})
+        # the step budget counts every condition: 3 powders x 2
+        # controllers x 4 targets x 833 trials x 100 steps fits in 2e6
+        both = [MODEL_BASED, DIRECT_PID]
+        config_from_dict({"controller": both, "trials": 833})
+        with pytest.raises(ConfigError, match="is 2001600, more than"):
+            config_from_dict({"controller": both, "trials": 834})
+        one = {"powder": "glass-beads", "targets_mg": [50], "trials": 1}
+        config_from_dict({**one, "max_steps": 2_000_000})
+        with pytest.raises(ConfigError, match="is 2000001, more than"):
+            config_from_dict({**one, "max_steps": 2_000_001})
         for name in ("settle_time_mean", "settle_time_sigma"):
             config_from_dict({"plant": {"balance": {name: 1e4}}})
             with pytest.raises(ConfigError, match=f"balance.{name}: must"):
@@ -395,9 +403,13 @@ class TestConfigParsing:
         {"plant": {"powders": {"tio2": {"initial_load": 10 ** 400}}}},
         {"plant": {"powders": {"tio2": {"initial_load": "heavy"}}}},
         {"plant": {"powders": {"tio2": {"initial_load": True}}}},
+        {"plant": 3}, {"plant": {"powders": []}}, {"out_dir": ""},
+        {"kinematics": []},
     ], ids=["null-powder", "null-controller", "huge-target",
             "huge-tolerance", "huge-k_p", "huge-k_p-entry", "huge-l_max",
-            "huge-override", "text-override", "bool-override"])
+            "huge-override", "text-override", "bool-override",
+            "plant-not-an-object", "powders-not-an-object", "empty-out-dir",
+            "kinematics-not-an-object"])
     def test_odd_json_values_become_config_errors(self, data):
         with pytest.raises(ConfigError):
             config_from_dict(data)
@@ -1344,7 +1356,20 @@ class TestArtifacts:
          "summary.csv: does not match the summary recomputed"),
         (lambda index, out: index.pop("config"),
          "summary.json: no 'config' key"),
-    ], ids=["successes", "c-prime", "summary-csv-row", "no-config-echo"])
+        (lambda index, out: index.update(trials=[]), "holds no trials"),
+        (lambda index, out: index["config"].update(trials=0),
+         "config echo invalid: trials: must be an integer >= 1"),
+        (lambda index, out: index["pooled_fits"].pop(),
+         "summary.json: pooled_fits does not hold the 1 entries recomputed "
+         "from the traces"),
+        (lambda index, out: index["conditions"].__setitem__(0, 5),
+         "summary.json: conditions glass-beads / model-based / 50.0: "
+         "controller stored None, recomputed 'model-based'"),
+        (lambda index, out: (out / "summary.csv").unlink(),
+         "cannot read summary.csv: "),
+    ], ids=["successes", "c-prime", "summary-csv-row", "no-config-echo",
+            "no-trials", "config-echo-without-trials", "pooled-fit-missing",
+            "condition-not-an-object", "summary-csv-deleted"])
     def test_report_checks_the_stored_summary(self, suite, tmp_path, capsys,
                                               edit, message):
         _, _, out = suite
@@ -1444,6 +1469,22 @@ class TestCli:
         proc = self.run_cli("run-trial")
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+    @pytest.mark.parametrize("controller", [MODEL_BASED, DIRECT_PID])
+    def test_run_trial_writes_the_trace_of_its_suite_twin(
+            self, suite, controller, tmp_path, capsys):
+        config, summary, out = suite
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_to_dict(config)))
+        (record,) = [r for r in summary.trials
+                     if r.controller == controller and r.trial_index == 1]
+        assert cli_main(["run-trial", "--config", str(cfg), "--controller",
+                         controller, "--trial-index", "1",
+                         "--out", str(tmp_path / "one")]) == 0
+        assert (tmp_path / "one" / record.trace_csv).read_bytes() \
+            == (out / record.trace_csv).read_bytes()
+        assert capsys.readouterr().out.startswith(
+            f"{record.trial_id}: {record.status.value}, dispensed ")
 
     def test_run_trial_honours_out_flag_over_env(self, cfg_path, tmp_path):
         flag_dir = tmp_path / "flagged"
