@@ -430,7 +430,8 @@ def stored_summary_problems(root: Path, payload: Mapping,
     """Where the stored summary differs from the recomputed one.
 
     Both list conditions and pooled fits in the order the trials ran, so
-    entries are compared position by position.
+    entries are compared position by position. Values are written as JSON,
+    so a key stored as null reads apart from a missing one.
     """
     problems = []
     for section, recomputed in summary_sections(conditions, fits).items():
@@ -445,9 +446,14 @@ def stored_summary_problems(root: Path, payload: Mapping,
                 continue
             label = " / ".join(str(fresh[k]) for k in _SECTION_KEYS[section])
             if not isinstance(entry, dict):
-                entry = {}
+                problems.append(f"summary.json: {section} {label}: not an "
+                                f"object, stored {json.dumps(entry)}")
+                continue
             differences = ", ".join(
-                f"{k} stored {entry.get(k)!r}, recomputed {fresh.get(k)!r}"
+                (f"{k} stored {json.dumps(entry[k])}" if k in entry
+                 else f"{k} missing")
+                + (f", recomputed {json.dumps(fresh[k])}" if k in fresh
+                   else "")
                 for k in sorted(entry.keys() | fresh.keys())
                 if k not in entry or k not in fresh or entry[k] != fresh[k])
             problems.append(f"summary.json: {section} {label}: {differences}")

@@ -35,9 +35,9 @@ CONTROLLER_ALIASES = {
 OUT_DIR_ENV = "POWDERDOSE_OUT"
 
 # The model-based controller builds one action table per envelope, about
-# 200 bytes a cell (tracemalloc, CPython 3.11: 16.0 MB at 79 581 cells,
-# 20.4 MB at 99 992). The cap keeps a table near 20 MB and allows 57
-# times the default grid's 1763 cells.
+# 345 bytes a cell (tracemalloc, CPython 3.11: 0.49 MB at the default
+# grid's 1763 cells, 34.5 MB at 100 000). The cap keeps a table near
+# 35 MB and allows 57 times the default grid's cells.
 _MAX_GRID_CELLS = 100_000
 
 # A suite keeps every executed step's row in memory until it returns,
@@ -242,7 +242,7 @@ class ExperimentConfig:
             errors.append(
                 f"kinematics: the envelope holds {cells:.4g} cells of the "
                 f"model-based controller's action grid, more than "
-                f"{_MAX_GRID_CELLS}; its action table takes about 200 "
+                f"{_MAX_GRID_CELLS}; its action table takes about 345 "
                 f"bytes a cell")
 
         if not (is_count(self.seed, 0) and self.seed < 2 ** 64):

@@ -31,15 +31,16 @@ cannot deliver the request even at the largest action (the capacity
 latch), vibration's ladder starts one rung below gravity's next one, at
 the rung that seeded gravity, not back at the smallest command.
 
-The search runs over an action table built once per (ValveKinematics,
-ActionGrid) pair and cached: both axes, every cell's L**2.5 and
-dispensing window T(L) + t, the cells sorted by their product, the
-capacity and floor factors, and each cell's ValveAction in each mode,
-built the first time it is asked for; the probe rungs are the cells at
-the minimum dwell. A step bisects the sorted products at W_target / C'
-and computes the exact prediction of the few cells on either side that
-could be nearest; ties go to the smaller flat index in dwell-major order,
-the smaller dwell, then the smaller command. The search checks nothing
+The search runs over an action table built whole once per
+(ValveKinematics, ActionGrid) pair, cached and never changed after:
+every cell's L**2.5 and dispensing window T(L) + t, the cells sorted by
+their product, the capacity and floor factors, every cell's ValveAction
+in each mode, and each mode's probe rungs, the minimum-dwell cells from
+the first positive command on. A step bisects the sorted products at
+W_target / C' and computes the exact prediction of the few cells on
+either side that could be nearest; ties go to the smaller flat index in
+dwell-major order, the smaller dwell, then the smaller command. The pick,
+like a probe, is a plain index into the table. The search checks nothing
 per step: the grid axes run over the valve envelope's bounds and never
 past them, a coefficient is checked when its ModeFit is built, and the
 plant puts every action it executes through ValveKinematics.check, the
@@ -183,8 +184,9 @@ class ActionSelection(NamedTuple):
 
 
 class _ActionTable(NamedTuple):
-    """Everything select_action needs that depends only on the kinematics
-    and the grid, built once per (ValveKinematics, ActionGrid) pair.
+    """Everything a trial reads that depends only on the kinematics and
+    the grid, built whole once per (ValveKinematics, ActionGrid) pair and
+    never changed after.
 
     Cells are flattened dwell-major: cell j * commands + i is dwell j and
     command i, so the smallest flat index is the smallest dwell, then the
@@ -193,36 +195,22 @@ class _ActionTable(NamedTuple):
     the same order as (cell, L**2.5, T(L) + t), the two factors kept apart
     so c' multiplies in the same order as the drop model. The capacity and
     floor factors are those two terms at the largest action and at the
-    smallest productive one; first_productive is the column of that
-    smallest positive command, the probe ladder's first rung, and equals
-    the number of commands when there is none. window_bound is the largest
-    window plus 2, for select_action's underflow slack. cells holds the
-    cells' actions, gravity then vibration, indexed by the flattened cell;
-    the first row, the minimum dwell, is the probe ladder's. action()
-    builds a slot's ValveAction the first time that cell is asked for in
-    that mode; the table stays cheap to build, and a cell's action is
-    built once per table, not once per step.
+    smallest productive one. window_bound is the largest window plus 2,
+    for select_action's underflow slack. cells holds every cell's
+    ValveAction, gravity then vibration, indexed by the flattened cell.
+    rungs holds each mode's probe ladder: the minimum-dwell cells from the
+    first positive command on, the same objects as in cells, so a probe
+    and a search pick of one cell are one ValveAction. Both are tuples, so
+    no trial can change the actions that every trial on the table shares.
     """
 
-    l_vals: list[float]
-    t_vals: list[float]
-    first_productive: int
     capacity: tuple[float, float]
     floor: tuple[float, float] | None
     products: list[float]
     ranked: list[tuple[int, float, float]]
     window_bound: float
-    cells: tuple[list[ValveAction | None], list[ValveAction | None]]
-
-    def action(self, cell: int, vibration: bool) -> ValveAction:
-        """The action of a flattened cell in one mode, built on first use."""
-        cells = self.cells[vibration]
-        action = cells[cell]
-        if action is None:
-            j, i = divmod(cell, len(self.l_vals))
-            action = cells[cell] = ValveAction(
-                self.l_vals[i], self.t_vals[j], vibration=vibration)
-        return action
+    cells: tuple[tuple[ValveAction, ...], tuple[ValveAction, ...]]
+    rungs: tuple[tuple[ValveAction, ...], tuple[ValveAction, ...]]
 
 
 @functools.lru_cache(maxsize=16)
@@ -241,13 +229,16 @@ def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
         smallest = float(l_vals[first])
         floor = (smallest ** 2.5,
                  smallest / kin.travel_rate + kin.t_pose_min)
+    l_list, t_list = l_vals.tolist(), t_vals.tolist()
+    cells = tuple(tuple([_new(ValveAction, (l_command, t_pose_s, vibration))
+                         for t_pose_s in t_list for l_command in l_list])
+                  for vibration in (False, True))
     return _ActionTable(
-        l_vals.tolist(), t_vals.tolist(), first, capacity, floor,
-        product[order].tolist(),
+        capacity, floor, product[order].tolist(),
         list(zip(order.tolist(), l_pow[order].tolist(),
                  window[order].tolist())),
         float(window.max()) + 2.0,
-        ([None] * window.size, [None] * window.size))
+        cells, tuple(mode[first:len(l_list)] for mode in cells))
 
 
 # A cell's prediction (c' * L**2.5) * window and c' times its stored
@@ -339,50 +330,43 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
         if cost < best_cost or cost == best_cost and cell < best:
             best_cost, best, best_pred = cost, cell, pred
         k -= 1
-    # the memo read of table.action, inline
-    action = table.cells[use_vibration][best]
-    if action is None:
-        action = table.action(best, use_vibration)
-    return _new(ActionSelection, (action, best_pred, use_vibration))
+    return _new(ActionSelection,
+                (table.cells[use_vibration][best], best_pred, use_vibration))
 
 
 class _ProbeLadder:
     """Escalating probe schedule used while a mode has no coefficient.
 
-    Rungs are the positive grid commands from smallest to largest, probed
-    at the minimum dwell: a mode's rung is the action table's first-row
-    cell in that mode, so a probe and a search pick of the same cell are
-    one ValveAction. Counters and the pending candidate are keyed by the
-    action's vibration flag. A rung whose delta reaches SEED_GATE_MG
-    becomes a pending candidate; the same action is repeated once and the
-    mode is seeded only if the repeat is measurable too. A failed repeat
-    discards the candidate and the ladder moves on.
+    A mode's rungs are the action table's, built once with the table: the
+    positive grid commands from smallest to largest at the minimum dwell,
+    so a probe and a search pick of the same cell are one ValveAction.
+    Counters, which count from 0 in the mode's rungs, and the pending
+    candidate are keyed by the action's vibration flag. A rung whose
+    delta reaches SEED_GATE_MG becomes a pending candidate; the same
+    action is repeated once and the mode is seeded only if the repeat is
+    measurable too. A failed repeat discards the candidate and the ladder
+    moves on.
     """
 
     def __init__(self, table: _ActionTable) -> None:
-        self._table = table
-        first = table.first_productive
-        self._next = [first, first]      # gravity, vibration
+        self._rungs = table.rungs
+        self._next = [0, 0]      # gravity, vibration
         self.pending: tuple[ValveAction, float] | None = None
 
     def next_probe(self, vibration: bool) -> ValveAction | None:
         """The next action to try in this mode, or None when exhausted."""
         if self.pending is not None and self.pending[0].vibration == vibration:
             return self.pending[0]
-        table = self._table
-        col = self._next[vibration]
-        if col >= len(table.l_vals):
+        rungs = self._rungs[vibration]
+        rung = self._next[vibration]
+        if rung >= len(rungs):
             return None
-        self._next[vibration] = col + 1
-        # the memo read of table.action, inline
-        action = table.cells[vibration][col]
-        if action is None:
-            action = table.action(col, vibration)
-        return action
+        self._next[vibration] = rung + 1
+        return rungs[rung]
 
     def latch_on_capacity(self) -> None:
         """Start the vibration ladder no lower than one rung below
-        gravity's next column, the rung that seeded gravity, so vibration
+        gravity's next rung, the rung that seeded gravity, so vibration
         is seeded at an opening that already moved measurable powder, not
         from noise-level drops at the smallest commands."""
         self._next[True] = max(self._next[True], self._next[False] - 1)

@@ -353,16 +353,54 @@ class TestStepRecords:
         kin, grid = ValveKinematics(), ActionGrid()
         table = _action_table(kin, grid)
         l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
+        first = int(np.count_nonzero(l_vals <= 0))
         for vibration in (False, True):
-            for cell in range(t_vals.size * l_vals.size):
+            cells = table.cells[vibration]
+            assert type(cells) is tuple
+            assert len(cells) == t_vals.size * l_vals.size
+            for cell, action in enumerate(cells):
                 j, i = divmod(cell, l_vals.size)   # dwell-major
-                action = table.action(cell, vibration)
                 assert action == ValveAction(float(l_vals[i]),
                                              float(t_vals[j]), vibration)
                 # Python floats, so traces write them by their float repr
                 assert type(action.l_command) is float
                 assert type(action.t_pose_s) is float
-                assert table.action(cell, vibration) is action
+            # the probe rungs are the minimum-dwell cells from the first
+            # positive command on, the very objects the search picks
+            rungs = table.rungs[vibration]
+            assert type(rungs) is tuple
+            assert len(rungs) == l_vals.size - first == 42
+            assert rungs[0] == ValveAction(5.0, 0.0, vibration)
+            for k, rung in enumerate(rungs):
+                assert rung is cells[first + k]
+
+    @pytest.mark.parametrize("powder", ["glass-beads", "tio2"])
+    def test_a_trial_leaves_a_fresh_table_as_built(self, powder):
+        # every slot is built with the table; a trial only reads it
+        _action_table.cache_clear()
+        kin, grid = ValveKinematics(), ActionGrid()
+        table = _action_table(kin, grid)
+        built = [list(mode) for mode in table.cells]
+        assert all(action is not None for mode in built for action in mode)
+        rungs = [list(mode) for mode in table.rungs]
+        ctl = DispensingController(500.0, kin, grid=grid)
+        plant = SimulatedPlant(archetype(powder), kin, seed=3)
+        reading, _ = plant.read_balance(False)
+        searched = 0
+        while True:
+            decision = ctl.step(reading, plant.depleted)
+            if decision.status is not TrialStatus.RUNNING:
+                break
+            searched += not decision.probe
+            a = decision.action
+            plant.execute(a.l_command, a.t_pose_s, a.vibration)
+            reading, _ = plant.read_balance()
+        assert decision.status is TrialStatus.SUCCESS and searched > 0
+        assert _action_table(kin, grid) is table
+        for now, then in zip(table.cells + table.rungs, built + rungs,
+                             strict=True):
+            assert len(now) == len(then)
+            assert all(a is b for a, b in zip(now, then))
 
     def test_controllers_share_the_memoised_cell_actions(self):
         first = DispensingController(20.0, ValveKinematics())

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import zlib
 from decimal import Decimal
 from pathlib import Path
@@ -229,7 +230,7 @@ class TestConfigParsing:
         ({"kinematics": {"t_pose_max": 1e4}},
          ["kinematics: the envelope holds 8.6e+05 cells of the model-based "
           "controller's action grid, more than 100000; its action table "
-          "takes about 200 bytes a cell"]),
+          "takes about 345 bytes a cell"]),
         ({"kinematics": {"travel_rate": 1e-307}},
          ["kinematics.travel_rate: must be 0 or 0.001 to 1e+06 in "
           "magnitude, got 1e-307"]),
@@ -626,6 +627,28 @@ class TestRunTrial:
             clock += 2.0 * row.l_command / 100.0 + row.t_pose_s + 8.0
             assert row.sim_time_s == pytest.approx(clock, rel=1e-12)
         assert record.total_sim_time_s == pytest.approx(clock, rel=1e-12)
+
+    def test_a_trial_runs_at_the_grid_cell_cap(self):
+        # 2000 commands x 50 dwells: the most cells the config admits
+        config = small_config(controller=MODEL_BASED, targets_mg=[500],
+                              kinematics={"l_max": 9995.0,
+                                          "t_pose_max": 24.5})
+        kin, grid = config.kinematics, control.ActionGrid()
+        assert grid.cells(kin) == 100_000
+        control._action_table.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = control._action_table(kin, grid)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        print(f"action table at the cap: {held / 1e6:.1f} MB, "
+              f"{held / 100_000:.0f} bytes a cell")
+        assert held < 40e6
+        assert len(table.cells[True]) == 100_000
+        record = run_trial(config, 0)
+        assert record.status is TrialStatus.SUCCESS
 
 
 class TestStreamRecipe:
@@ -1363,13 +1386,24 @@ class TestArtifacts:
          "summary.json: pooled_fits does not hold the 1 entries recomputed "
          "from the traces"),
         (lambda index, out: index["conditions"].__setitem__(0, 5),
+         "summary.json: conditions glass-beads / model-based / 50.0: not "
+         "an object, stored 5\n"),
+        (lambda index, out: index["pooled_fits"].__setitem__(0, [1, None]),
+         "summary.json: pooled_fits glass-beads / gravity: not an object, "
+         "stored [1, null]\n"),
+        (lambda index, out: index["conditions"][0].pop("successes"),
          "summary.json: conditions glass-beads / model-based / 50.0: "
-         "controller stored None, recomputed 'model-based'"),
+         "successes missing, recomputed 2\n"),
+        (lambda index, out: index["conditions"][0].update(successes=None),
+         "summary.json: conditions glass-beads / model-based / 50.0: "
+         "successes stored null, recomputed 2\n"),
         (lambda index, out: (out / "summary.csv").unlink(),
          "cannot read summary.csv: "),
     ], ids=["successes", "c-prime", "summary-csv-row", "no-config-echo",
             "no-trials", "config-echo-without-trials", "pooled-fit-missing",
-            "condition-not-an-object", "summary-csv-deleted"])
+            "condition-not-an-object", "pooled-fit-not-an-object",
+            "condition-key-missing", "condition-key-null",
+            "summary-csv-deleted"])
     def test_report_checks_the_stored_summary(self, suite, tmp_path, capsys,
                                               edit, message):
         _, _, out = suite
