@@ -393,8 +393,6 @@ def load_suite_records(artifact_dir: str | Path
     root = Path(artifact_dir)
     errors: list[str] = []
     index_path = root / "summary.json"
-    if not index_path.is_file():
-        return [], {}, [f"no data: {index_path} not found"]
     try:
         with index_path.open(encoding="utf-8") as handle:
             payload = json.load(handle)

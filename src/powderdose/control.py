@@ -33,7 +33,8 @@ the rung that seeded gravity, not back at the smallest command.
 
 The search runs over an action table built whole once per
 (ValveKinematics, ActionGrid) pair, cached and never changed after:
-every cell's L**2.5 and dispensing window T(L) + t, the cells sorted by
+every cell's L**2.5 and dispensing window T(L) + t, both from
+flow.drop_factors, the drop model's one definition, the cells sorted by
 their product, the capacity and floor factors, every cell's ValveAction
 in each mode, and each mode's probe rungs, the minimum-dwell cells from
 the first positive command on. A step bisects the sorted products at
@@ -70,9 +71,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
-from .flow import ValveKinematics, check_fields
+from .flow import ValveKinematics, check_fields, drop_factors
 from .identify import MIN_OBSERVABLE_MG, CoefficientEstimate, ObservationLog
 
 DEFAULT_K_P = 0.5
@@ -115,10 +114,10 @@ class ActionGrid:
     def __post_init__(self) -> None:
         check_fields(self, "> 0", "l_step", "t_step")
 
-    def l_values(self, kin: ValveKinematics) -> np.ndarray:
+    def l_values(self, kin: ValveKinematics) -> list[float]:
         return _axis(kin.l_min, kin.l_max, self.l_step)
 
-    def t_values(self, kin: ValveKinematics) -> np.ndarray:
+    def t_values(self, kin: ValveKinematics) -> list[float]:
         return _axis(kin.t_pose_min, kin.t_pose_max, self.t_step)
 
     def cells(self, kin: ValveKinematics) -> float:
@@ -134,11 +133,10 @@ def _axis_size(lo: float, hi: float, step: float) -> float:
     return math.floor(span) + 1 if span < math.inf else math.inf
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+def _axis(lo: float, hi: float, step: float) -> list[float]:
     # The clamp puts a last value that float steps land a hair above hi
     # back on hi.
-    n = _axis_size(lo, hi, step)
-    return np.minimum(lo + step * np.arange(n), hi)
+    return [min(lo + step * k, hi) for k in range(_axis_size(lo, hi, step))]
 
 
 # Shared by every controller that takes the default grid; frozen.
@@ -217,28 +215,21 @@ class _ActionTable(NamedTuple):
 def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
     l_vals = grid.l_values(kin)
     t_vals = grid.t_values(kin)
-    window = (t_vals[:, None] + (l_vals / kin.travel_rate)[None, :]).ravel()
-    l_pow = np.tile(np.power(l_vals, 2.5), t_vals.size)
-    product = l_pow * window
-    order = np.argsort(product, kind="stable")
-    capacity = (kin.l_max ** 2.5,
-                kin.l_max / kin.travel_rate + kin.t_pose_max)
-    first = int(np.count_nonzero(l_vals <= 0))
-    floor = None
-    if first < l_vals.size:
-        smallest = float(l_vals[first])
-        floor = (smallest ** 2.5,
-                 smallest / kin.travel_rate + kin.t_pose_min)
-    l_list, t_list = l_vals.tolist(), t_vals.tolist()
+    factors = [drop_factors(kin, l_command, t_pose_s)
+               for t_pose_s in t_vals for l_command in l_vals]
+    products = [l_pow * window for l_pow, window in factors]
+    order = sorted(range(len(products)), key=products.__getitem__)
+    first = sum(l_command <= 0 for l_command in l_vals)
+    floor = (drop_factors(kin, l_vals[first], kin.t_pose_min)
+             if first < len(l_vals) else None)
     cells = tuple(tuple([_new(ValveAction, (l_command, t_pose_s, vibration))
-                         for t_pose_s in t_list for l_command in l_list])
+                         for t_pose_s in t_vals for l_command in l_vals])
                   for vibration in (False, True))
     return _ActionTable(
-        capacity, floor, product[order].tolist(),
-        list(zip(order.tolist(), l_pow[order].tolist(),
-                 window[order].tolist())),
-        float(window.max()) + 2.0,
-        cells, tuple(mode[first:len(l_list)] for mode in cells))
+        drop_factors(kin, kin.l_max, kin.t_pose_max), floor,
+        [products[k] for k in order], [(k, *factors[k]) for k in order],
+        max(window for _, window in factors) + 2.0,
+        cells, tuple(mode[first:len(l_vals)] for mode in cells))
 
 
 # A cell's prediction (c' * L**2.5) * window and c' times its stored

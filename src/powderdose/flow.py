@@ -20,7 +20,9 @@ so the predicted mass of a single dispense step collapses to
 
 with a single lumped coefficient C' that absorbs C, rho_b, sqrt(g) and
 kappa**2.5 (and, when vibration is active, the vibration gain). T(L) is the
-time the valve spends travelling to the commanded opening.
+time the valve spends travelling to the commanded opening. drop_factors()
+is the model's one definition: predicted_drop here, identify.regressor and
+control's action table all take L**2.5 and T(L) + t_pose from it.
 """
 
 from __future__ import annotations
@@ -105,13 +107,12 @@ class ValveKinematics:
                 raise ValueError(f"ValveKinematics.{high} must be > {low}, "
                                  f"got {getattr(self, high)!r}")
 
-    def check(self, l_command: float, t_pose_s: float | None = None) -> None:
+    def check(self, l_command: float, t_pose_s: float) -> None:
         """Raise ValueError unless l_command lies in [l_min, l_max] and the
-        dwell, when given, in [t_pose_min, t_pose_max]. NaN and +-inf fail
-        the range test like any other value outside it."""
-        if not (self.l_min <= l_command <= self.l_max and (
-                t_pose_s is None
-                or self.t_pose_min <= t_pose_s <= self.t_pose_max)):
+        dwell in [t_pose_min, t_pose_max]. NaN and +-inf fail the range
+        test like any other value outside it."""
+        if not (self.l_min <= l_command <= self.l_max
+                and self.t_pose_min <= t_pose_s <= self.t_pose_max):
             raise ValueError(
                 f"action L={l_command!r}, t_pose_s={t_pose_s!r} is outside "
                 f"the valve envelope L in [{self.l_min}, {self.l_max}], "
@@ -162,6 +163,14 @@ def beverloo_discharge(scale: float, offset: float,
     return scale * effective ** 2.5
 
 
+def drop_factors(kin: ValveKinematics, l_command: float,
+                 t_pose_s: float) -> tuple[float, float]:
+    """The drop model's two factors, (L**2.5, T(L) + t_pose), without
+    checks. W = (C' * L**2.5) * (T(L) + t_pose), multiplied in that order
+    by every prediction."""
+    return l_command ** 2.5, l_command / kin.travel_rate + t_pose_s
+
+
 def predicted_drop(model: DispenseModel, kin: ValveKinematics,
                    l_command: float, t_pose_s: float) -> float:
     """Predicted dispensed mass in mg for one open-dwell-close cycle.
@@ -170,8 +179,8 @@ def predicted_drop(model: DispenseModel, kin: ValveKinematics,
     and dwells outside the kinematic bounds are rejected.
     """
     kin.check(l_command, t_pose_s)
-    return (model.coefficient * l_command ** 2.5) * (
-        l_command / kin.travel_rate + t_pose_s)
+    l_pow, window = drop_factors(kin, l_command, t_pose_s)
+    return (model.coefficient * l_pow) * window
 
 
 def effective_coefficient(spec: PowderSpec, kin: ValveKinematics,

@@ -1,7 +1,8 @@
 """Online identification of the lumped drop coefficient.
 
 Each dispensing step yields one observation (L, t_pose, measured delta-W).
-With the regressor x = L**2.5 * (T(L) + t_pose), the drop model is linear
+With the regressor x = L**2.5 * (T(L) + t_pose), the product of
+flow.drop_factors, the model's one definition, the drop model is linear
 through the origin, W = C' * x. Gravity and vibration observations are
 kept strictly apart; each mode carries its own coefficient, and a mode is
 fitted exactly when its c_prime is not None. Every regressor comes from
@@ -56,7 +57,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .flow import MODES, VIBRATION, ValveKinematics, check_fields
+from .flow import (MODES, VIBRATION, ValveKinematics, check_fields,
+                   drop_factors)
 
 MIN_OBSERVABLE_MG = 0.5
 
@@ -130,7 +132,8 @@ def regressor(kin: ValveKinematics, l_command: float, t_pose_s: float) -> float:
     """x = L**2.5 * (T(L) + t_pose), the model's per-step regressor, for
     an action inside the valve envelope."""
     kin.check(l_command, t_pose_s)
-    return l_command ** 2.5 * (l_command / kin.travel_rate + t_pose_s)
+    l_pow, window = drop_factors(kin, l_command, t_pose_s)
+    return l_pow * window
 
 
 def fit_coefficient(observations: list[Observation], kin: ValveKinematics,

@@ -46,9 +46,8 @@ def estimate(c_gravity=None, c_vibration=None):
 def brute_select(c_gravity, c_vibration, kin, grid, w_target,
                  use_vibration=False):
     """Full-sweep reference for select_action: every cell's prediction in
-    the drop model's operation order, L**2.5 from np.power as in the
-    action table, then the first minimum of |prediction - W_target| in
-    dwell-major order."""
+    the drop model's operation order, L**2.5 with Python's **, then the
+    first minimum of |prediction - W_target| in dwell-major order."""
     c, vibration = (c_vibration, True) if use_vibration else (c_gravity,
                                                               False)
     if not vibration and (c * kin.l_max ** 2.5) * (
@@ -57,27 +56,23 @@ def brute_select(c_gravity, c_vibration, kin, grid, w_target,
     if c is None:
         return None, None, vibration
     l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
-    positive = l_vals[l_vals > 0]
-    if positive.size:
-        smallest = float(positive[0])
+    positive = [l_command for l_command in l_vals if l_command > 0]
+    if positive:
+        smallest = positive[0]
         floor = (c * smallest ** 2.5) * (smallest / kin.travel_rate
                                          + kin.t_pose_min)
         w_target = max(w_target, floor)
-    window = t_vals[:, None] + (l_vals / kin.travel_rate)[None, :]
-    with np.errstate(over="ignore"):
-        pred = (c * np.power(l_vals, 2.5)) * window
-    best = int(np.abs(pred - w_target).argmin())
-    j, i = divmod(best, l_vals.size)
-    return (ValveAction(float(l_vals[i]), float(t_vals[j]), vibration),
-            pred.item(best), vibration)
+    pred = [(c * l_command ** 2.5) * (l_command / kin.travel_rate + t_pose_s)
+            for t_pose_s in t_vals for l_command in l_vals]
+    best = min(range(len(pred)), key=lambda k: abs(pred[k] - w_target))
+    j, i = divmod(best, len(l_vals))
+    return ValveAction(l_vals[i], t_vals[j], vibration), pred[best], vibration
 
 
 def exact_cell_prediction(c, kin, grid, cell):
     l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
-    j, i = divmod(cell % (l_vals.size * t_vals.size), l_vals.size)
-    with np.errstate(over="ignore"):
-        return float((c * np.power(l_vals[i], 2.5))
-                     * (t_vals[j] + l_vals[i] / kin.travel_rate))
+    j, i = divmod(cell % (len(l_vals) * len(t_vals)), len(l_vals))
+    return (c * l_vals[i] ** 2.5) * (l_vals[i] / kin.travel_rate + t_vals[j])
 
 
 @st.composite
@@ -136,7 +131,7 @@ class TestActionGrid:
         l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
         assert l_vals[-1] == kin.l_max and t_vals[-1] == kin.t_pose_max
         for l_command in l_vals:
-            kin.check(float(l_command), float(t_vals[-1]))
+            kin.check(l_command, t_vals[-1])
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
@@ -353,15 +348,14 @@ class TestStepRecords:
         kin, grid = ValveKinematics(), ActionGrid()
         table = _action_table(kin, grid)
         l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
-        first = int(np.count_nonzero(l_vals <= 0))
+        first = sum(l_command <= 0 for l_command in l_vals)
         for vibration in (False, True):
             cells = table.cells[vibration]
             assert type(cells) is tuple
-            assert len(cells) == t_vals.size * l_vals.size
+            assert len(cells) == len(t_vals) * len(l_vals)
             for cell, action in enumerate(cells):
-                j, i = divmod(cell, l_vals.size)   # dwell-major
-                assert action == ValveAction(float(l_vals[i]),
-                                             float(t_vals[j]), vibration)
+                j, i = divmod(cell, len(l_vals))   # dwell-major
+                assert action == ValveAction(l_vals[i], t_vals[j], vibration)
                 # Python floats, so traces write them by their float repr
                 assert type(action.l_command) is float
                 assert type(action.t_pose_s) is float
@@ -369,7 +363,7 @@ class TestStepRecords:
             # positive command on, the very objects the search picks
             rungs = table.rungs[vibration]
             assert type(rungs) is tuple
-            assert len(rungs) == l_vals.size - first == 42
+            assert len(rungs) == len(l_vals) - first == 42
             assert rungs[0] == ValveAction(5.0, 0.0, vibration)
             for k, rung in enumerate(rungs):
                 assert rung is cells[first + k]

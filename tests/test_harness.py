@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -694,16 +695,16 @@ class TestStreamRecipe:
             assert reading == record.final_mass_mg
 
 
-# Digest of each shipped config's in-memory suite, measured when the
-# controller moved to the 1 mg seed gate, the capacity latch's vibration
-# start and the online mean-of-ratios fit. A change meant only to be
-# faster must leave them; a change that moves the simulation on purpose
-# updates them and says why.
+# Digest of each shipped config's in-memory suite, measured when every
+# L**2.5 of the drop model became Python's ** (flow.drop_factors), which
+# moved only predicted_mg bits. A change meant only to be faster must
+# leave them; a change that moves the simulation on purpose updates them
+# and says why.
 GOLDEN_SUITE_DIGESTS = {
-    "default.json": "d86383cb37751be2",
-    "noise-free.json": "525fe7ee52a9c487",
-    "pid-contrast.json": "30e56273f92194f7",
-    "quick.json": "1b377090af41545e",
+    "default.json": "838e3e6649c82247",
+    "noise-free.json": "f5b62ca522b6e367",
+    "pid-contrast.json": "d98b08ce55302831",
+    "quick.json": "e7534ca1d12e8dd1",
 }
 
 
@@ -723,10 +724,53 @@ def test_shipped_configs_simulate_as_pinned(name):
     assert suite_digest(summary) == GOLDEN_SUITE_DIGESTS[name]
 
 
+# Run in a child with numpy's AVX-512 kernels off: prints whether numpy
+# still reports them and each shipped suite's digest.
+_NO_AVX512_DIGESTS = """\
+import json
+import sys
+
+from numpy._core._multiarray_umath import __cpu_features__
+
+sys.path.insert(0, sys.argv[1])
+from test_harness import CONFIGS, GOLDEN_SUITE_DIGESTS, suite_digest
+
+from powderdose import load_config, run_suite
+
+print(json.dumps({"X86_V4": __cpu_features__["X86_V4"], "digests": {
+    name: suite_digest(run_suite(load_config(CONFIGS / name),
+                                 write_artifacts=False))
+    for name in GOLDEN_SUITE_DIGESTS}}))
+"""
+
+
+def test_shipped_configs_simulate_as_pinned_without_avx512(capfd):
+    # The pinned bytes may not depend on which SIMD kernels numpy picks
+    # for this CPU. X86_V4 is numpy 2's name for its AVX-512 group.
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:   # numpy 1.x, whose groups have other names
+        __cpu_features__ = {}
+    if not __cpu_features__.get("X86_V4"):
+        reason = "numpy reports no X86_V4 kernels here to switch off"
+        with capfd.disabled():
+            print(f"[skip] {reason}", flush=True)
+        pytest.skip(reason)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_AVX512_DIGESTS,
+         str(Path(__file__).resolve().parent)],
+        capture_output=True, text=True,
+        env=checkout_env({"NPY_DISABLE_CPU_FEATURES": "X86_V4"}))
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["X86_V4"] is False
+    assert child["digests"] == GOLDEN_SUITE_DIGESTS
+
+
 # Digest of every file that run-suite and report write for quick.json,
 # report/ included, measured with GOLDEN_SUITE_DIGESTS. A change to any
 # artifact byte shows here.
-GOLDEN_QUICK_TREE_DIGEST = "b9ebbd9c562c4651"
+GOLDEN_QUICK_TREE_DIGEST = "064489de4b2a92cf"
 
 
 def tree_digest(root):
@@ -752,8 +796,8 @@ def test_quick_config_artifacts_are_pinned(tmp_path, capsys):
 # (default.json: msg and tio2) and for the PID contrast, measured with
 # GOLDEN_SUITE_DIGESTS; a change that moves the simulation re-pins these.
 GOLDEN_TREE_DIGESTS = {
-    "default.json": "dd00da829c6767c7",
-    "pid-contrast.json": "30165220bb166798",
+    "default.json": "1d6a8e97e677c9fa",
+    "pid-contrast.json": "fa324d5b63a08bdb",
 }
 
 
@@ -1839,3 +1883,17 @@ class TestCli:
         proc = self.run_cli("report", str(tmp_path / "empty"))
         assert proc.returncode == 1
         assert proc.stderr
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda index: index.parent.mkdir(), errno.ENOENT),
+        (lambda index: index.mkdir(parents=True), errno.EISDIR),
+    ], ids=["missing", "a-directory"])
+    def test_report_names_why_summary_json_cannot_be_read(self, tmp_path,
+                                                          make, reason):
+        index = tmp_path / "out" / "summary.json"
+        make(index)
+        proc = self.run_cli("report", str(index.parent))
+        assert proc.returncode == 1
+        assert f"cannot read {index}: " in proc.stderr
+        assert os.strerror(reason) in proc.stderr
+        assert "Traceback" not in proc.stderr
