@@ -34,12 +34,6 @@ CONTROLLER_ALIASES = {
 
 OUT_DIR_ENV = "POWDERDOSE_OUT"
 
-# The model-based controller builds one action table per envelope, about
-# 345 bytes a cell (tracemalloc, CPython 3.11: 0.49 MB at the default
-# grid's 1763 cells, 34.5 MB at 100 000). The cap keeps a table near
-# 35 MB and allows 57 times the default grid's cells.
-_MAX_GRID_CELLS = 100_000
-
 # A suite keeps every executed step's row in memory until it returns,
 # about 453 bytes a step at a trial's end (tracemalloc, CPython 3.11, a
 # 200 000-step PID trial). A suite may take at most _MAX_RUN_STEPS steps
@@ -117,8 +111,9 @@ class ExperimentConfig:
     override values to floats. Every numeric field must lie in its domain
     (_DOMAIN), and a suite may take at most _MAX_RUN_STEPS steps in
     all. With direct-pid among the controllers, t_pose_fixed_s must lie
-    in the dwell range; with model-based, the action grid may hold at
-    most _MAX_GRID_CELLS cells. No two conditions may share a stream key.
+    in the dwell range; with model-based, the envelope must pass
+    ActionGrid.check, the action table's cell cap. No two conditions may
+    share a stream key.
 
     k_p may be a single gain or a per-powder mapping; k_p_for() resolves it.
     powder_overrides patches archetype fields per powder before a trial
@@ -237,13 +232,11 @@ class ExperimentConfig:
                 f"pid_gains.t_pose_fixed_s: {pid.t_pose_fixed_s:g} s is "
                 f"outside the kinematics dwell range "
                 f"[{kin.t_pose_min:g}, {kin.t_pose_max:g}] s")
-        if in_domain and MODEL_BASED in controllers \
-                and (cells := ActionGrid().cells(kin)) > _MAX_GRID_CELLS:
-            errors.append(
-                f"kinematics: the envelope holds {cells:.4g} cells of the "
-                f"model-based controller's action grid, more than "
-                f"{_MAX_GRID_CELLS}; its action table takes about 345 "
-                f"bytes a cell")
+        if in_domain and MODEL_BASED in controllers:
+            try:
+                ActionGrid().check(kin)
+            except ValueError as error:
+                errors.append(f"kinematics: {error}")
 
         if not (is_count(self.seed, 0) and self.seed < 2 ** 64):
             errors.append("seed: must be an unsigned 64-bit integer")

@@ -32,20 +32,24 @@ latch), vibration's ladder starts one rung below gravity's next one, at
 the rung that seeded gravity, not back at the smallest command.
 
 The search runs over an action table built whole once per
-(ValveKinematics, ActionGrid) pair, cached and never changed after:
-every cell's L**2.5 and dispensing window T(L) + t, both from
-flow.drop_factors, the drop model's one definition, the cells sorted by
-their product, the capacity and floor factors, every cell's ValveAction
-in each mode, and each mode's probe rungs, the minimum-dwell cells from
-the first positive command on. A step bisects the sorted products at
-W_target / C' and computes the exact prediction of the few cells on
-either side that could be nearest; ties go to the smaller flat index in
-dwell-major order, the smaller dwell, then the smaller command. The pick,
-like a probe, is a plain index into the table. The search checks nothing
-per step: the grid axes run over the valve envelope's bounds and never
-past them, a coefficient is checked when its ModeFit is built, and the
-plant puts every action it executes through ValveKinematics.check, the
-one envelope test.
+(ValveKinematics, ActionGrid) pair, cached and never changed after: every
+cell's regressor x = L**2.5 * (T(L) + t) from flow.drop_regressor, the
+drop model's one definition, sorted ascending, the capacity and floor
+regressors, every cell's ValveAction in each mode, and each mode's probe
+rungs, the minimum-dwell cells from the first positive command on. A
+prediction is C' * x, the product the identification fits. For C' >= 0,
+fl(C' * x) is non-decreasing in x, overflow and underflow included, so
+along the sorted regressors |prediction - W_target| falls and then rises:
+a step bisects at W_target / C' and scans each way until a prediction is
+further from W_target than the best so far. Ties go to the smaller flat
+index in dwell-major order, the smaller dwell, then the smaller command.
+The pick, like a probe, is a plain index into the table. The table holds
+at most _MAX_GRID_CELLS cells, and ActionGrid.check, which config runs
+too, refuses a larger grid before any axis is built. The search checks
+nothing per step: the grid axes run over the valve envelope's bounds and
+never past them, a coefficient is checked when its ModeFit is built, and
+the plant puts every action it executes through ValveKinematics.check,
+the one envelope test.
 
 PidBaselineController is the comparison controller: a direct PID on the
 weight error mapped linearly to the valve command, fixed dwell, no model
@@ -71,7 +75,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .flow import ValveKinematics, check_fields, drop_factors
+from .flow import ValveKinematics, check_fields, drop_regressor
 from .identify import MIN_OBSERVABLE_MG, CoefficientEstimate, ObservationLog
 
 DEFAULT_K_P = 0.5
@@ -88,6 +92,12 @@ SEED_GATE_MG = 2 * MIN_OBSERVABLE_MG
 # Every controller's starting estimate, both modes unfitted; shared, since
 # a refit replaces the estimate rather than changing it.
 _UNFITTED = CoefficientEstimate()
+
+# The action table takes about 233 bytes a cell (tracemalloc, CPython
+# 3.11: 0.40 MB at the default grid's 1763 cells, 23.3 MB at 100 000).
+# The cap keeps a table near 25 MB and allows 57 times the default grid's
+# cells.
+_MAX_GRID_CELLS = 100_000
 
 
 class ValveAction(NamedTuple):
@@ -125,6 +135,16 @@ class ActionGrid:
         without building an axis; inf past the float range."""
         return (_axis_size(kin.l_min, kin.l_max, self.l_step)
                 * _axis_size(kin.t_pose_min, kin.t_pose_max, self.t_step))
+
+    def check(self, kin: ValveKinematics) -> None:
+        """Raise ValueError, naming the count and the cap, when the grid
+        holds more than _MAX_GRID_CELLS cells over kin's envelope."""
+        cells = self.cells(kin)
+        if cells > _MAX_GRID_CELLS:
+            raise ValueError(
+                f"the envelope holds {cells:.4g} cells of the model-based "
+                f"controller's action grid, more than {_MAX_GRID_CELLS}; "
+                f"its action table takes about 233 bytes a cell")
 
 
 def _axis_size(lo: float, hi: float, step: float) -> float:
@@ -188,58 +208,45 @@ class _ActionTable(NamedTuple):
 
     Cells are flattened dwell-major: cell j * commands + i is dwell j and
     command i, so the smallest flat index is the smallest dwell, then the
-    smallest command. products holds every cell's (L**2.5) * (T(L) + t)
-    in ascending order, ties by flat index, and ranked the same cells in
-    the same order as (cell, L**2.5, T(L) + t), the two factors kept apart
-    so c' multiplies in the same order as the drop model. The capacity and
-    floor factors are those two terms at the largest action and at the
-    smallest productive one. window_bound is the largest window plus 2,
-    for select_action's underflow slack. cells holds every cell's
-    ValveAction, gravity then vibration, indexed by the flattened cell.
-    rungs holds each mode's probe ladder: the minimum-dwell cells from the
-    first positive command on, the same objects as in cells, so a probe
-    and a search pick of one cell are one ValveAction. Both are tuples, so
-    no trial can change the actions that every trial on the table shares.
+    smallest command. products holds every cell's regressor
+    L**2.5 * (T(L) + t) in ascending order, ties by flat index, and order
+    the flat cell at each position of products. capacity is the regressor
+    of the largest action and floor that of the smallest productive one.
+    cells holds every cell's ValveAction, gravity then vibration, indexed
+    by the flattened cell. rungs holds each mode's probe ladder: the
+    minimum-dwell cells from the first positive command on, the same
+    objects as in cells, so a probe and a search pick of one cell are one
+    ValveAction. Both are tuples, so no trial can change the actions that
+    every trial on the table shares.
     """
 
-    capacity: tuple[float, float]
-    floor: tuple[float, float] | None
+    capacity: float
+    floor: float | None
     products: list[float]
-    ranked: list[tuple[int, float, float]]
-    window_bound: float
+    order: list[int]
     cells: tuple[tuple[ValveAction, ...], tuple[ValveAction, ...]]
     rungs: tuple[tuple[ValveAction, ...], tuple[ValveAction, ...]]
 
 
 @functools.lru_cache(maxsize=16)
 def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
+    grid.check(kin)
     l_vals = grid.l_values(kin)
     t_vals = grid.t_values(kin)
-    factors = [drop_factors(kin, l_command, t_pose_s)
-               for t_pose_s in t_vals for l_command in l_vals]
-    products = [l_pow * window for l_pow, window in factors]
+    products = [drop_regressor(kin, l_command, t_pose_s)
+                for t_pose_s in t_vals for l_command in l_vals]
     order = sorted(range(len(products)), key=products.__getitem__)
     first = sum(l_command <= 0 for l_command in l_vals)
-    floor = (drop_factors(kin, l_vals[first], kin.t_pose_min)
+    floor = (drop_regressor(kin, l_vals[first], kin.t_pose_min)
              if first < len(l_vals) else None)
     cells = tuple(tuple([_new(ValveAction, (l_command, t_pose_s, vibration))
                          for t_pose_s in t_vals for l_command in l_vals])
                   for vibration in (False, True))
     return _ActionTable(
-        drop_factors(kin, kin.l_max, kin.t_pose_max), floor,
-        [products[k] for k in order], [(k, *factors[k]) for k in order],
-        max(window for _, window in factors) + 2.0,
+        drop_regressor(kin, kin.l_max, kin.t_pose_max), floor,
+        [products[k] for k in order], order,
         cells, tuple(mode[first:len(l_vals)] for mode in cells))
 
-
-# A cell's prediction (c' * L**2.5) * window and c' times its stored
-# product differ by a few ulp, so the scan bounds every cell beyond the
-# current one by c' * product widened by this relative margin. The
-# absolute slack, (c' + window_bound) times twenty of the smallest
-# subnormal, covers products and predictions that underflow.
-_BELOW = 1.0 - 1e-15
-_ABOVE = 1.0 + 1e-15
-_TINY = 1e-322
 
 # The (kin, grid, table) of _table_for's last call. A trial passes the
 # same two objects on every step, and a suite to every trial; an identity
@@ -272,11 +279,14 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     that regime the smallest action wins. Exact cost ties break toward the
     smaller dwell, then the smaller command.
 
-    The search bisects the table's sorted products at W_target / c' and
-    scans outward both ways, computing each cell's exact prediction and
-    |prediction - W_target|. A scan stops once a rounding-safe bound shows
-    that no cell beyond it can reach the best cost, so the pick is the
-    (cost, flat index) minimum over every cell, as a full sweep finds it.
+    The search bisects the table's sorted regressors at W_target / c'
+    and scans down, then up, computing each cell's prediction c' * x and
+    |prediction - W_target|. Since c' * x never falls as x rises, that
+    cost falls and then rises along the regressors, so a scan stops at the
+    first cell whose cost exceeds the best so far; scanning down first
+    gives the upward scan a finite bound where its predictions overflow.
+    The pick is the (cost, flat index) minimum over every cell, as a full
+    sweep finds it.
     """
     if not math.isfinite(w_target) or w_target <= 0:
         raise ValueError("w_target must be finite and > 0")
@@ -284,43 +294,26 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     c = (estimate.vibration if use_vibration else estimate.gravity).c_prime
     if c is None:
         return ActionSelection(None, None, use_vibration)
-    if not use_vibration:
-        l_pow, window = table.capacity
-        if (c * l_pow) * window < w_target:
-            use_vibration = True
-            c = estimate.vibration.c_prime
-            if c is None:
-                return ActionSelection(None, None, True)
-    if table.floor is not None:
-        l_pow, window = table.floor
-        floor = (c * l_pow) * window
-        if w_target < floor:
-            w_target = floor
-    products, ranked = table.products, table.ranked
+    if not use_vibration and c * table.capacity < w_target:
+        use_vibration = True
+        c = estimate.vibration.c_prime
+        if c is None:
+            return ActionSelection(None, None, True)
+    if table.floor is not None and w_target < c * table.floor:
+        w_target = c * table.floor
+    products, order = table.products, table.order
     n = len(products)
     mid = bisect_left(products, w_target / c) if c > 0 else n
-    slack = (c + table.window_bound) * _TINY
     best_cost, best, best_pred = math.inf, n, 0.0
-    k = mid
-    while k < n:       # up: every cell from k on predicts at least this
-        if c * products[k] * _BELOW - slack - w_target > best_cost:
-            break
-        cell, l_pow, window = ranked[k]
-        pred = (c * l_pow) * window
-        cost = abs(pred - w_target)
-        if cost < best_cost or cost == best_cost and cell < best:
-            best_cost, best, best_pred = cost, cell, pred
-        k += 1
-    k = mid - 1
-    while k >= 0:      # down: every cell from k down predicts at most this
-        if w_target - (c * products[k] * _ABOVE + slack) > best_cost:
-            break
-        cell, l_pow, window = ranked[k]
-        pred = (c * l_pow) * window
-        cost = abs(pred - w_target)
-        if cost < best_cost or cost == best_cost and cell < best:
-            best_cost, best, best_pred = cost, cell, pred
-        k -= 1
+    for scan in (range(mid - 1, -1, -1), range(mid, n)):    # down, then up
+        for k in scan:
+            pred = c * products[k]
+            cost = abs(pred - w_target)
+            if cost > best_cost:
+                break
+            cell = order[k]
+            if cost < best_cost or cost == best_cost and cell < best:
+                best_cost, best, best_pred = cost, cell, pred
     return _new(ActionSelection,
                 (table.cells[use_vibration][best], best_pred, use_vibration))
 

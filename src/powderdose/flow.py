@@ -20,9 +20,12 @@ so the predicted mass of a single dispense step collapses to
 
 with a single lumped coefficient C' that absorbs C, rho_b, sqrt(g) and
 kappa**2.5 (and, when vibration is active, the vibration gain). T(L) is the
-time the valve spends travelling to the commanded opening. drop_factors()
-is the model's one definition: predicted_drop here, identify.regressor and
-control's action table all take L**2.5 and T(L) + t_pose from it.
+time the valve spends travelling to the commanded opening. The drop is
+C' times one quantity, the regressor x = L**2.5 * (T(L) + t_pose), and
+drop_regressor() is its one definition: predicted_drop here,
+identify.regressor and control's action table all take x from it, so
+every prediction is the product C' * x and the fit identifies C' against
+the same x.
 """
 
 from __future__ import annotations
@@ -163,12 +166,11 @@ def beverloo_discharge(scale: float, offset: float,
     return scale * effective ** 2.5
 
 
-def drop_factors(kin: ValveKinematics, l_command: float,
-                 t_pose_s: float) -> tuple[float, float]:
-    """The drop model's two factors, (L**2.5, T(L) + t_pose), without
-    checks. W = (C' * L**2.5) * (T(L) + t_pose), multiplied in that order
-    by every prediction."""
-    return l_command ** 2.5, l_command / kin.travel_rate + t_pose_s
+def drop_regressor(kin: ValveKinematics, l_command: float,
+                   t_pose_s: float) -> float:
+    """The drop model's regressor x = L**2.5 * (T(L) + t_pose), without
+    checks; every prediction is C' * x."""
+    return l_command ** 2.5 * (l_command / kin.travel_rate + t_pose_s)
 
 
 def predicted_drop(model: DispenseModel, kin: ValveKinematics,
@@ -179,8 +181,7 @@ def predicted_drop(model: DispenseModel, kin: ValveKinematics,
     and dwells outside the kinematic bounds are rejected.
     """
     kin.check(l_command, t_pose_s)
-    l_pow, window = drop_factors(kin, l_command, t_pose_s)
-    return (model.coefficient * l_pow) * window
+    return model.coefficient * drop_regressor(kin, l_command, t_pose_s)
 
 
 def effective_coefficient(spec: PowderSpec, kin: ValveKinematics,

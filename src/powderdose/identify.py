@@ -1,13 +1,14 @@
 """Online identification of the lumped drop coefficient.
 
 Each dispensing step yields one observation (L, t_pose, measured delta-W).
-With the regressor x = L**2.5 * (T(L) + t_pose), the product of
-flow.drop_factors, the model's one definition, the drop model is linear
-through the origin, W = C' * x. Gravity and vibration observations are
-kept strictly apart; each mode carries its own coefficient, and a mode is
-fitted exactly when its c_prime is not None. Every regressor comes from
-regressor(), which first puts the action through ValveKinematics.check:
-an action outside the valve envelope is a ValueError, never a data point.
+With the regressor x = L**2.5 * (T(L) + t_pose), from
+flow.drop_regressor, the model's one definition, the drop model is linear
+through the origin, W = C' * x, the product the controller predicts.
+Gravity and vibration observations are kept strictly apart; each mode
+carries its own coefficient, and a mode is fitted exactly when its c_prime
+is not None. Every regressor comes from regressor(), which first puts the
+action through ValveKinematics.check: an action outside the valve
+envelope is a ValueError, never a data point.
 Deltas below the balance's reliable range (MIN_OBSERVABLE_MG, 0.5 mg) are
 discarded before they reach a fit, so noise-level readings never steer
 it. Every regressor and every kept delta is >= 0, so C' is >= 0 by
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .flow import (MODES, VIBRATION, ValveKinematics, check_fields,
-                   drop_factors)
+                   drop_regressor)
 
 MIN_OBSERVABLE_MG = 0.5
 
@@ -132,8 +133,7 @@ def regressor(kin: ValveKinematics, l_command: float, t_pose_s: float) -> float:
     """x = L**2.5 * (T(L) + t_pose), the model's per-step regressor, for
     an action inside the valve envelope."""
     kin.check(l_command, t_pose_s)
-    l_pow, window = drop_factors(kin, l_command, t_pose_s)
-    return l_pow * window
+    return drop_regressor(kin, l_command, t_pose_s)
 
 
 def fit_coefficient(observations: list[Observation], kin: ValveKinematics,

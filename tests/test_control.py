@@ -29,6 +29,7 @@ from powderdose import (
     ValveAction,
     ValveKinematics,
 )
+from powderdose import control
 from powderdose.control import SEED_GATE_MG, _action_table, select_action
 from powderdose.plant import SimulatedPlant
 from powderdose.powders import archetype
@@ -45,13 +46,13 @@ def estimate(c_gravity=None, c_vibration=None):
 
 def brute_select(c_gravity, c_vibration, kin, grid, w_target,
                  use_vibration=False):
-    """Full-sweep reference for select_action: every cell's prediction in
-    the drop model's operation order, L**2.5 with Python's **, then the
-    first minimum of |prediction - W_target| in dwell-major order."""
+    """Full-sweep reference for select_action: every cell's prediction
+    C' * x, the regressor x = L**2.5 * (T(L) + t) with Python's **, then
+    the first minimum of |prediction - W_target| in dwell-major order."""
     c, vibration = (c_vibration, True) if use_vibration else (c_gravity,
                                                               False)
-    if not vibration and (c * kin.l_max ** 2.5) * (
-            kin.l_max / kin.travel_rate + kin.t_pose_max) < w_target:
+    if not vibration and c * (kin.l_max ** 2.5 * (
+            kin.l_max / kin.travel_rate + kin.t_pose_max)) < w_target:
         c, vibration = c_vibration, True
     if c is None:
         return None, None, vibration
@@ -59,10 +60,10 @@ def brute_select(c_gravity, c_vibration, kin, grid, w_target,
     positive = [l_command for l_command in l_vals if l_command > 0]
     if positive:
         smallest = positive[0]
-        floor = (c * smallest ** 2.5) * (smallest / kin.travel_rate
-                                         + kin.t_pose_min)
+        floor = c * (smallest ** 2.5 * (smallest / kin.travel_rate
+                                        + kin.t_pose_min))
         w_target = max(w_target, floor)
-    pred = [(c * l_command ** 2.5) * (l_command / kin.travel_rate + t_pose_s)
+    pred = [c * (l_command ** 2.5 * (l_command / kin.travel_rate + t_pose_s))
             for t_pose_s in t_vals for l_command in l_vals]
     best = min(range(len(pred)), key=lambda k: abs(pred[k] - w_target))
     j, i = divmod(best, len(l_vals))
@@ -72,7 +73,7 @@ def brute_select(c_gravity, c_vibration, kin, grid, w_target,
 def exact_cell_prediction(c, kin, grid, cell):
     l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
     j, i = divmod(cell % (len(l_vals) * len(t_vals)), len(l_vals))
-    return (c * l_vals[i] ** 2.5) * (l_vals[i] / kin.travel_rate + t_vals[j])
+    return c * (l_vals[i] ** 2.5 * (l_vals[i] / kin.travel_rate + t_vals[j]))
 
 
 @st.composite
@@ -169,8 +170,8 @@ class TestSelectAction:
             c_grav = float(10.0 ** rng.uniform(-5.0, 0.0))
             c_vib = (c_grav * float(rng.uniform(1.0, 10.0))
                      if rng.random() < 0.5 else None)
-            capacity = (c_grav * l_max ** 2.5) * (l_max / kin.travel_rate
-                                                  + t_max)
+            capacity = c_grav * (l_max ** 2.5 * (l_max / kin.travel_rate
+                                                 + t_max))
             w_target = capacity * float(rng.uniform(0.001, 1.3))
             sel = select_action(estimate(c_grav, c_vib), kin, w_target,
                                 grid=grid)
@@ -254,8 +255,8 @@ class TestSelectAction:
     def test_capacity_boundary_is_strict(self):
         kin = ValveKinematics()
         est = estimate(c_gravity=0.001, c_vibration=0.01)
-        capacity = (0.001 * kin.l_max ** 2.5) * (kin.l_max / kin.travel_rate
-                                                 + kin.t_pose_max)
+        capacity = 0.001 * (kin.l_max ** 2.5 * (kin.l_max / kin.travel_rate
+                                                + kin.t_pose_max))
         at_cap = select_action(est, kin, capacity)
         assert not at_cap.use_vibration
         beyond = select_action(est, kin, math.nextafter(capacity, math.inf))
@@ -639,6 +640,29 @@ class TestControllerValidation:
             DispensingController(100.0, tolerance=0.0)
         with pytest.raises(ValueError):
             DispensingController(100.0, max_steps=0)
+
+    # 5e-324 takes the command axis past the float range; 0.01 gives
+    # 21 001 commands x 41 dwells, a table of about 0.2 GB were it built
+    @pytest.mark.parametrize("l_step, cells", [(5e-324, "inf"),
+                                               (0.01, "8.61e+05")],
+                             ids=["past-the-float-range", "past-the-cap"])
+    def test_a_grid_past_the_cell_cap_is_refused_before_any_axis(
+            self, monkeypatch, l_step, cells):
+        def no_axis(*args):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(control, "_axis", no_axis)
+        grid = ActionGrid(l_step=l_step)
+        message = (f"the envelope holds {cells} cells of the model-based "
+                   f"controller's action grid, more than 100000; its "
+                   f"action table takes about 233 bytes a cell")
+        with pytest.raises(ValueError) as refused:
+            DispensingController(20.0, grid=grid)
+        assert str(refused.value) == message
+        with pytest.raises(ValueError) as refused:
+            select_action(estimate(c_gravity=0.01), ValveKinematics(), 5.0,
+                          grid=grid)
+        assert str(refused.value) == message
 
 
 class TestPidBaseline:

@@ -89,10 +89,11 @@ class TestTravelTime:
 
 class TestPredictedDrop:
     def test_anchor_value(self):
-        # T(10) = 1 s at travel_rate 10, so the window is exactly 3 s
+        # T(10) = 1 s at travel_rate 10, so the window is exactly 3 s and
+        # the drop is 0.001 * x with x = 10**2.5 * 3
         kin = ValveKinematics(travel_rate=10.0)
         model = DispenseModel(0.001)
-        assert predicted_drop(model, kin, 10.0, 2.0) == 0.9486832980505138
+        assert predicted_drop(model, kin, 10.0, 2.0) == 0.948683298050514
 
     def test_zero_coefficient_and_zero_command(self):
         kin = ValveKinematics()

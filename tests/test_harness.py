@@ -231,7 +231,7 @@ class TestConfigParsing:
         ({"kinematics": {"t_pose_max": 1e4}},
          ["kinematics: the envelope holds 8.6e+05 cells of the model-based "
           "controller's action grid, more than 100000; its action table "
-          "takes about 345 bytes a cell"]),
+          "takes about 233 bytes a cell"]),
         ({"kinematics": {"travel_rate": 1e-307}},
          ["kinematics.travel_rate: must be 0 or 0.001 to 1e+06 in "
           "magnitude, got 1e-307"]),
@@ -696,15 +696,15 @@ class TestStreamRecipe:
 
 
 # Digest of each shipped config's in-memory suite, measured when every
-# L**2.5 of the drop model became Python's ** (flow.drop_factors), which
+# prediction became C' * x, the regressor flow.drop_regressor gives, which
 # moved only predicted_mg bits. A change meant only to be faster must
 # leave them; a change that moves the simulation on purpose updates them
 # and says why.
 GOLDEN_SUITE_DIGESTS = {
-    "default.json": "838e3e6649c82247",
-    "noise-free.json": "f5b62ca522b6e367",
-    "pid-contrast.json": "d98b08ce55302831",
-    "quick.json": "e7534ca1d12e8dd1",
+    "default.json": "cc05819801e1d5da",
+    "noise-free.json": "161b799d857bee6a",
+    "pid-contrast.json": "fb75a2c5e14e5293",
+    "quick.json": "8a2470c215086cca",
 }
 
 
@@ -722,6 +722,27 @@ def suite_digest(summary):
 def test_shipped_configs_simulate_as_pinned(name):
     summary = run_suite(load_config(CONFIGS / name), write_artifacts=False)
     assert suite_digest(summary) == GOLDEN_SUITE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUITE_DIGESTS))
+def test_every_search_step_predicts_c_prime_times_the_regressor(name):
+    # A search pick's predicted_mg is the product the fit identifies,
+    # C' * x: the coefficient of the step's mode, as the trace records it,
+    # times identify.regressor of the executed action, bit for bit.
+    config = load_config(CONFIGS / name)
+    kin = config.kinematics
+    searched = 0
+    for record in run_suite(config, write_artifacts=False).trials:
+        for row in record.steps:
+            if row.predicted_mg is None:
+                continue
+            assert not row.probe
+            c = row.cprime_vibration if row.vibration else row.cprime_gravity
+            assert row.predicted_mg == c * regressor(kin, row.l_command,
+                                                     row.t_pose_s), (
+                record.trial_id, row.step)
+            searched += 1
+    assert searched > 0
 
 
 # Run in a child with numpy's AVX-512 kernels off: prints whether numpy
@@ -770,7 +791,7 @@ def test_shipped_configs_simulate_as_pinned_without_avx512(capfd):
 # Digest of every file that run-suite and report write for quick.json,
 # report/ included, measured with GOLDEN_SUITE_DIGESTS. A change to any
 # artifact byte shows here.
-GOLDEN_QUICK_TREE_DIGEST = "064489de4b2a92cf"
+GOLDEN_QUICK_TREE_DIGEST = "4779cc3737b1fdb0"
 
 
 def tree_digest(root):
@@ -796,8 +817,8 @@ def test_quick_config_artifacts_are_pinned(tmp_path, capsys):
 # (default.json: msg and tio2) and for the PID contrast, measured with
 # GOLDEN_SUITE_DIGESTS; a change that moves the simulation re-pins these.
 GOLDEN_TREE_DIGESTS = {
-    "default.json": "1d6a8e97e677c9fa",
-    "pid-contrast.json": "fa324d5b63a08bdb",
+    "default.json": "ef2e08d9f3cd23d5",
+    "pid-contrast.json": "9ed26c2ed937d501",
 }
 
 
