@@ -21,15 +21,16 @@ walks a probe ladder: smallest productive command first, escalating one
 grid step at a time, so exploration cannot overshoot even a 20 mg request.
 A probe opens a candidate first observation only when it moves at least
 SEED_GATE_MG (1 mg, twice the observability gate), and the candidate is
-accepted only after an immediate repeat of the same probe clears the
-observability gate (MIN_OBSERVABLE_MG); a single noise spike on a quiet
-balance therefore cannot seed a phantom model, and a seed is not a
-noise-level pair. When the gravity ladder tops out with nothing
-measurable the controller latches vibration and starts probing there, at
-the first productive command. When instead the fitted gravity model
-cannot deliver the request even at the largest action (the capacity
-latch), vibration's ladder starts one rung below gravity's next one, at
-the rung that seeded gravity, not back at the smallest command.
+accepted only after the log accepts an immediate repeat of the same
+probe, by identify.observed_regressor's rule (MIN_OBSERVABLE_MG); a
+single noise spike on a quiet balance therefore cannot seed a phantom
+model, and a seed is not a noise-level pair. When the gravity ladder
+tops out with nothing measurable the controller latches vibration and
+starts probing there, at the first productive command. When instead the
+fitted gravity model cannot deliver the request even at the largest
+action (the capacity latch), vibration's ladder starts one rung below
+gravity's next one, at the rung that seeded gravity, not back at the
+smallest command.
 
 The search runs over an action table built whole once per
 (ValveKinematics, ActionGrid) pair, cached and never changed after: every
@@ -105,8 +106,8 @@ class ValveAction(NamedTuple):
 
     An immutable NamedTuple that holds any values. Whether they lie in
     the valve envelope is ValveKinematics.check's to decide, and both
-    consumers of an action, SimulatedPlant.execute and identify.regressor,
-    run it.
+    consumers of an action, SimulatedPlant.execute and identify's
+    regressors, run it.
     """
 
     l_command: float
@@ -327,9 +328,10 @@ class _ProbeLadder:
     Counters, which count from 0 in the mode's rungs, and the pending
     candidate are keyed by the action's vibration flag. A rung whose
     delta reaches SEED_GATE_MG becomes a pending candidate; the same
-    action is repeated once and the mode is seeded only if the repeat is
-    measurable too. A failed repeat discards the candidate and the ladder
-    moves on.
+    action is repeated once and handed back with the candidate, and the
+    controller seeds the mode only if its log accepts the repeat. Either
+    way the candidate is gone and the ladder moves on. The ladder judges
+    no delta against the observability gate.
     """
 
     def __init__(self, table: _ActionTable) -> None:
@@ -359,17 +361,15 @@ class _ProbeLadder:
                     delta_w: float) -> tuple[ValveAction, float] | None:
         """Feed back a probe's measured delta.
 
-        Returns the (action, delta) pair of the confirmed first observation
-        when a pending candidate of the action's mode is corroborated by a
-        measurable repeat, else None. A first-time delta of at least
-        SEED_GATE_MG only opens a pending candidate.
+        Returns the pending candidate's (action, delta) pair, and clears
+        it, when this step repeated it; whether the repeat confirms it is
+        the log's to judge. Otherwise a delta of at least SEED_GATE_MG
+        opens a pending candidate, and None is returned.
         """
         pending = self.pending
         if pending is not None and pending[0].vibration == action.vibration:
             self.pending = None
-            if delta_w >= MIN_OBSERVABLE_MG:
-                return pending
-            return None
+            return pending
         if delta_w >= SEED_GATE_MG:
             self.pending = (action, delta_w)
         return None
@@ -471,23 +471,26 @@ class DispensingController(_TrialController):
                 delta = 0.0
             action = self._last_action
             mode = action.vibration
-            fitted = (estimate.vibration if mode
-                      else estimate.gravity).c_prime is not None
-            if not fitted:
-                confirmed = ladder.note_result(action, delta)
-                if confirmed is not None:
-                    fitted = True
-                    first_action, first_delta = confirmed
-                    self.log.record(first_action.l_command,
-                                    first_action.t_pose_s, mode, first_delta)
-            if fitted:
+            fit = None
+            if (estimate.vibration if mode
+                    else estimate.gravity).c_prime is not None:
+                fit = self.log.record(action.l_command, action.t_pose_s,
+                                      mode, delta)
+            elif (candidate := ladder.note_result(action, delta)) is not None:
+                # the log judges the repeat, and the candidate follows
+                # only once it is accepted; a mode's sum starts at 0.0,
+                # so its two terms add alike in either order
                 fit = self.log.record(action.l_command, action.t_pose_s,
                                       mode, delta)
                 if fit is not None:
-                    self.estimate = estimate = _new(
-                        CoefficientEstimate,
-                        (estimate.gravity, fit) if mode
-                        else (fit, estimate.vibration))
+                    first, first_delta = candidate
+                    fit = self.log.record(first.l_command, first.t_pose_s,
+                                          mode, first_delta)
+            if fit is not None:
+                self.estimate = estimate = _new(
+                    CoefficientEstimate,
+                    (estimate.gravity, fit) if mode
+                    else (fit, estimate.vibration))
         self.w_target = w_target = self.k_p * self.w_error
         vibration = self.use_vibration
         action = predicted = None

@@ -13,7 +13,8 @@ the controller returns a terminal status. Its record keeps every executed
 step as a StepTrace.
 
 pooled_points gives, per (powder, mode), the regressors and measured
-deltas of a suite's gated model-based steps as two parallel lists;
+deltas of a suite's model-based steps that identify.observed_regressor
+keeps, the rule the controller's log applies, as two parallel lists;
 pooled_fits fits each pair through identify.fit_points, and report writes
 the same lists to its fit CSVs.
 
@@ -38,7 +39,7 @@ from .config import (MODEL_BASED, ConfigError, ExperimentConfig,
 from .control import (DEFAULT_TOLERANCE_MG, DispensingController,
                       PidBaselineController, TrialStatus)
 from .flow import MODES, PowderSpec, ValveKinematics
-from .identify import MIN_OBSERVABLE_MG, fit_points, regressor
+from .identify import fit_points, observed_regressor
 from .plant import SimulatedPlant, plant_states
 
 
@@ -214,12 +215,13 @@ def pooled_points(records: Iterable[TrialRecord],
 
     Maps each (powder, mode) to two parallel lists, the regressors and the
     measured deltas of the executed steps of model-based trials whose
-    delta clears the observability gate, probe steps included, in trial
-    and step order; aborted trials, which end on a reading that is not
-    finite, are left out, as compute_metrics leaves them out. Keys run by
-    powder in order of first appearance, gravity before vibration.
-    ValueError, naming the trial and the 1-based step, on a gated delta
-    that is not finite or a step outside the valve envelope.
+    delta identify.observed_regressor keeps, probe steps and regressors
+    of 0 included, in trial and step order; aborted trials, which end on
+    a reading that is not finite, are left out, as compute_metrics leaves
+    them out. Keys run by powder in order of first appearance, gravity
+    before vibration. ValueError, naming the trial and the 1-based step,
+    on a delta that is not finite or a kept step outside the valve
+    envelope.
     """
     # powder -> (regressors, deltas) of gravity, then of vibration
     pools: dict[str, tuple[tuple[list[float], list[float]], ...]] = {}
@@ -228,17 +230,14 @@ def pooled_points(records: Iterable[TrialRecord],
                 or record.status is TrialStatus.ABORTED:
             continue
         for step, row in enumerate(record.steps, 1):
-            if row.measured_delta_mg < MIN_OBSERVABLE_MG:  # nan passes
-                continue
             try:
-                # checked here, not through check_fields: this runs per row
-                if not math.isfinite(row.measured_delta_mg):
-                    raise ValueError(f"measured_delta_mg must be finite, got "
-                                     f"{row.measured_delta_mg!r}")
-                x = regressor(kin, row.l_command, row.t_pose_s)
+                x = observed_regressor(kin, row.l_command, row.t_pose_s,
+                                       row.measured_delta_mg)
             except ValueError as exc:
                 raise ValueError(f"trial {record.trial_id} step {step}: "
                                  f"{exc}") from None
+            if x is None:
+                continue
             if record.powder not in pools:
                 pools[record.powder] = (([], []), ([], []))
             xs, deltas = pools[record.powder][1 if row.vibration else 0]

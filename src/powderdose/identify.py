@@ -6,13 +6,19 @@ flow.drop_regressor, the model's one definition, the drop model is linear
 through the origin, W = C' * x, the product the controller predicts.
 Gravity and vibration observations are kept strictly apart; each mode
 carries its own coefficient, and a mode is fitted exactly when its c_prime
-is not None. Every regressor comes from regressor(), which first puts the
+is not None. Every regressor comes from regressor(), or from
+observed_regressor() for a measured delta, both of which first put the
 action through ValveKinematics.check: an action outside the valve
 envelope is a ValueError, never a data point.
-Deltas below the balance's reliable range (MIN_OBSERVABLE_MG, 0.5 mg) are
-discarded before they reach a fit, so noise-level readings never steer
-it. Every regressor and every kept delta is >= 0, so C' is >= 0 by
-construction. Two estimators of C' serve two purposes.
+
+observed_regressor() is the one statement of which measured deltas are
+evidence, and both the controller's log and the suite's pooled refit
+(harness.pooled_points) go through it: a delta that is not finite is a
+ValueError, and one below the balance's reliable range
+(MIN_OBSERVABLE_MG, 0.5 mg) is discarded before it reaches a fit, so
+noise-level readings never steer it. Every regressor and every kept
+delta is >= 0, so C' is >= 0 by construction. Two estimators of C'
+serve two purposes.
 
 The controller's online fit, ObservationLog, is relative: over a mode's n
 accepted observations
@@ -77,20 +83,6 @@ class Observation:
         check_fields(self, ">= 0", "delta_w_mg")
 
 
-def _is_vibration(mode: str) -> bool:
-    """Whether mode names vibration; ValueError unless it is one of MODES."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    return mode == VIBRATION
-
-
-def select_mode(observations: Iterable[Observation],
-                mode: str) -> list[Observation]:
-    """The observations taken in the given flow mode, in order."""
-    vibration = _is_vibration(mode)
-    return [o for o in observations if o.vibration == vibration]
-
-
 class _ModeFitFields(NamedTuple):
     c_prime: float | None = None
     n_obs: int = 0
@@ -136,15 +128,39 @@ def regressor(kin: ValveKinematics, l_command: float, t_pose_s: float) -> float:
     return drop_regressor(kin, l_command, t_pose_s)
 
 
+def observed_regressor(kin: ValveKinematics, l_command: float,
+                       t_pose_s: float, delta_w_mg: float) -> float | None:
+    """The regressor x of a measured delta that is evidence of the drop
+    model, or None for a delta below MIN_OBSERVABLE_MG.
+
+    The one rule for which deltas count, for the controller's log and
+    the suite's pooled refit alike: a delta that is not finite is a
+    ValueError, one below the gate is no observation, and a kept one's
+    action must lie inside the valve envelope.
+    """
+    # checked inline, not through check_fields: this runs on every step
+    # the log takes and every row of a pooled refit
+    if not math.isfinite(delta_w_mg):
+        raise ValueError(f"measured_delta_mg must be finite, got "
+                         f"{delta_w_mg!r}")
+    if delta_w_mg < MIN_OBSERVABLE_MG:
+        return None
+    kin.check(l_command, t_pose_s)
+    return drop_regressor(kin, l_command, t_pose_s)
+
+
 def fit_coefficient(observations: list[Observation], kin: ValveKinematics,
                     mode: str) -> ModeFit:
     """Least-squares coefficient through the origin for one mode.
 
-    Only observations matching the requested mode enter the fit, through
-    fit_points. An empty selection, or one whose regressors are all zero,
-    returns an unfitted ModeFit.
+    Only observations matching the requested mode, one of MODES, enter
+    the fit, through fit_points. An empty selection, or one whose
+    regressors are all zero, returns an unfitted ModeFit.
     """
-    selected = select_mode(observations, mode)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    vibration = mode == VIBRATION
+    selected = [o for o in observations if o.vibration == vibration]
     return fit_points([regressor(kin, o.l_command, o.t_pose_s)
                        for o in selected],
                       [o.delta_w_mg for o in selected])
@@ -193,12 +209,12 @@ class ObservationLog:
     """Per-mode count and sum of dW/x of one trial's accepted observations.
 
     The log belongs to the ValveKinematics it is built with. record()
-    drops a delta below MIN_OBSERVABLE_MG, or one whose regressor is 0,
-    and returns None; a kept one must come from an action inside the
-    valve envelope, adds its ratio to its mode's sum, and record() returns
-    that mode's refreshed ModeFit. fit() gives C' as the mean of those
-    ratios, in arrival order, with their count and no R^2; it is not
-    fit_coefficient's least-squares C' over the same observations.
+    takes a delta as observed_regressor judges it, and drops one whose
+    regressor is 0 too, which has no ratio. A kept delta adds its ratio
+    to its mode's sum, and record() returns that mode's refreshed
+    ModeFit: C' as the mean of the ratios, in arrival order, with their
+    count and no R^2; it is not fit_coefficient's least-squares C' over
+    the same observations.
     """
 
     def __init__(self, kin: ValveKinematics) -> None:
@@ -208,17 +224,14 @@ class ObservationLog:
 
     def record(self, l_command: float, t_pose_s: float, vibration: bool,
                delta_w_mg: float) -> ModeFit | None:
-        """Add one measured delta if it clears the observable threshold.
+        """Add one measured delta if observed_regressor keeps it with a
+        regressor above 0, else return None.
 
-        A delta whose ratio leaves the float range is a ValueError, from
-        ModeFit, and leaves the log as it was.
+        A ValueError, from observed_regressor or from ModeFit for a ratio
+        that leaves the float range, leaves the log as it was.
         """
-        if not math.isfinite(delta_w_mg):
-            raise ValueError("delta_w_mg must be finite")
-        if delta_w_mg < MIN_OBSERVABLE_MG:
-            return None
-        x = regressor(self._kin, l_command, t_pose_s)
-        if x == 0.0:
+        x = observed_regressor(self._kin, l_command, t_pose_s, delta_w_mg)
+        if not x:   # None, or a regressor of 0
             return None
         n = self._n[vibration] + 1
         ratios = self._ratios[vibration] + delta_w_mg / x
@@ -226,10 +239,3 @@ class ObservationLog:
         self._n[vibration] = n
         self._ratios[vibration] = ratios
         return fit
-
-    def fit(self, mode: str) -> ModeFit:
-        vibration = _is_vibration(mode)
-        n = self._n[vibration]
-        if n == 0:
-            return ModeFit()
-        return ModeFit(c_prime=self._ratios[vibration] / n, n_obs=n)

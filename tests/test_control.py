@@ -492,9 +492,9 @@ class TestBootstrapProbing:
         assert second.action == ValveAction(10.0, 0.0)
         third = ctl.step(5.0)            # measurable once: repeat to confirm
         assert third.probe and third.action == ValveAction(10.0, 0.0)
-        assert ctl.log.fit(GRAVITY).n_obs == 0
+        assert ctl.estimate.gravity.n_obs == 0
         fourth = ctl.step(10.0)          # confirmed: both observations land
-        assert ctl.log.fit(GRAVITY).n_obs == 2
+        assert ctl.estimate.gravity.n_obs == 2
         x = 10.0 ** 2.5 * (10.0 / 100.0 + 0.0)
         assert ctl.estimate.gravity.c_prime == pytest.approx(5.0 / x,
                                                              rel=1e-12)
@@ -508,11 +508,18 @@ class TestBootstrapProbing:
 
     def test_failed_confirmation_discards_and_advances(self):
         ctl = DispensingController(20.0)
+        recorded = []
+        record = ctl.log.record
+        ctl.log.record = lambda *args: recorded.append(args) or record(*args)
         ctl.step(0.0)                    # probe (5, 0)
         ctl.step(0.0)                    # probe (10, 0)
         ctl.step(5.0)                    # candidate, repeat (10, 0)
+        assert recorded == []
         decision = ctl.step(5.3)         # repeat delta 0.3: below the gate
-        assert ctl.log.fit(GRAVITY).n_obs == 0
+        # the log judges the repeat alone and drops it; the candidate
+        # never reaches the log
+        assert [args[:3] for args in recorded] == [(10.0, 0.0, False)]
+        assert ctl.estimate.gravity.n_obs == 0
         assert ctl.estimate.gravity.c_prime is None
         assert decision.probe and decision.action == ValveAction(15.0, 0.0)
 
@@ -528,9 +535,9 @@ class TestBootstrapProbing:
         reading = MIN_OBSERVABLE_MG + SEED_GATE_MG
         third = ctl.step(reading)        # at the seed gate: repeat
         assert third.probe and third.action == ValveAction(10.0, 0.0)
-        assert ctl.log.fit(GRAVITY).n_obs == 0
+        assert ctl.estimate.gravity.n_obs == 0
         fourth = ctl.step(reading + MIN_OBSERVABLE_MG)  # repeat confirmed
-        assert ctl.log.fit(GRAVITY).n_obs == 2
+        assert ctl.estimate.gravity.n_obs == 2
         x = 10.0 ** 2.5 * (10.0 / 100.0 + 0.0)
         assert ctl.estimate.gravity.c_prime == pytest.approx(
             (SEED_GATE_MG / x + MIN_OBSERVABLE_MG / x) / 2, rel=1e-12)

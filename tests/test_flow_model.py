@@ -21,6 +21,7 @@ from powderdose import (
     predicted_drop,
     regressor,
 )
+from powderdose.identify import observed_regressor
 
 
 def make_spec(**kw):
@@ -198,7 +199,10 @@ def take_action(entry, l_command, t_pose_s):
                               t_pose_s)
     if entry == "regressor":
         return regressor(ENVELOPE, l_command, t_pose_s)
-    if entry == "ObservationLog.record":  # a delta above the gate
+    # the two entries that take a delta get one above the gate
+    if entry == "observed_regressor":
+        return observed_regressor(ENVELOPE, l_command, t_pose_s, 10.0)
+    if entry == "ObservationLog.record":
         return ObservationLog(ENVELOPE).record(l_command, t_pose_s, False,
                                                10.0)
     return SimulatedPlant(make_spec(), ENVELOPE).execute(l_command, t_pose_s,
@@ -208,8 +212,8 @@ def take_action(entry, l_command, t_pose_s):
 class TestValveEnvelope:
     """Every entry point that takes an action applies the same envelope."""
 
-    ENTRIES = ("predicted_drop", "regressor", "ObservationLog.record",
-               "SimulatedPlant.execute")
+    ENTRIES = ("predicted_drop", "regressor", "observed_regressor",
+               "ObservationLog.record", "SimulatedPlant.execute")
 
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("l_command", [

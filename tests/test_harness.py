@@ -49,7 +49,7 @@ from powderdose import (
     write_suite_artifacts,
     write_trace_csv,
 )
-from powderdose import artifacts, config, control, harness, plant
+from powderdose import artifacts, config, control, harness, identify, plant
 from powderdose.artifacts import (
     SUMMARY_COLUMNS,
     TRACE_COLUMNS,
@@ -65,7 +65,6 @@ from powderdose.identify import (
     ObservationLog,
     fit_coefficient,
     regressor,
-    select_mode,
 )
 from powderdose.report import format_mass
 
@@ -527,6 +526,38 @@ class TestPooledFits:
         assert by_mode[GRAVITY].c_prime == pytest.approx(5.0 / x, rel=1e-12)
         assert by_mode[VIBRATION].c_prime == pytest.approx(7.0 / x, rel=1e-12)
 
+    @pytest.mark.parametrize("l_command, delta, expected", [
+        (50.0, 0.4999, "dropped"),
+        (50.0, MIN_OBSERVABLE_MG, "kept"),
+        (50.0, 1.0, "kept"),
+        (50.0, -1.0, "dropped"),
+        (50.0, -math.inf, "raised"),
+        (50.0, math.inf, "raised"),
+        (50.0, math.nan, "raised"),
+        (ValveKinematics().l_max + 1.0, 1.0, "raised"),
+    ], ids=["below-the-gate", "at-the-gate", "above-the-gate", "negative",
+            "minus-inf", "inf", "nan", "outside-the-envelope"])
+    def test_the_log_and_the_refit_judge_a_delta_alike(self, l_command,
+                                                        delta, expected):
+        # one model-based step with x > 0, judged by the controller's log
+        # and by the pooled refit of its trace
+        kin = ValveKinematics()
+        record = record_for(500.0, steps=[trace_row(1, l_command, 2.0,
+                                                     delta)])
+
+        def judge(call):
+            try:
+                return "kept" if call() else "dropped", None
+            except ValueError as exc:
+                return "raised", str(exc)
+
+        log, log_error = judge(lambda: ObservationLog(kin).record(
+            l_command, 2.0, False, delta))
+        pooled, pooled_error = judge(lambda: pooled_points([record], kin))
+        assert log == pooled == expected
+        if expected == "raised":
+            assert pooled_error == f"trial synthetic-0 step 1: {log_error}"
+
     def test_aborted_trials_are_left_out(self):
         # a trial aborts on a reading that is not finite; its last delta
         # is then nan and must not reach the refit
@@ -557,7 +588,8 @@ class TestPooledFits:
         expected = []
         for powder, observations in gated.items():
             for mode in (GRAVITY, VIBRATION):
-                if selected := select_mode(observations, mode):
+                if selected := [o for o in observations
+                                if o.vibration == (mode == VIBRATION)]:
                     fit = fit_coefficient(selected, kin, mode)
                     expected.append(PooledFit(powder, mode, fit.c_prime,
                                               fit.r_squared, len(selected)))
@@ -856,9 +888,9 @@ def test_traced_names_see_every_unit_of_work(monkeypatch):
 
     One select_action call finds each model action that is not a probe,
     one quantize_reading call makes each balance reading, one
-    ObservationLog.record call takes each ingested model step and two each
-    confirmed first observation, and one harness fit_points call makes
-    each pooled fit. The tracer's harness.pooled_fit boundary still names
+    ObservationLog.record call takes each ingested model step, each probe
+    repeat the ladder hands back and each first observation that repeat
+    confirms, and one harness fit_points call makes each pooled fit. The tracer's harness.pooled_fit boundary still names
     harness:fit_coefficient, which harness no longer binds, so that
     boundary is absent until it is re-pointed at harness:fit_points.
     """
@@ -878,6 +910,7 @@ def test_traced_names_see_every_unit_of_work(monkeypatch):
     spy(harness, "fit_points")
     spy(plant, "quantize_reading")
     spy(ObservationLog, "record")
+    spy(control._ProbeLadder, "note_result")
     summary = run_suite(small_config(
         powder=["glass-beads", "msg"], controller=[MODEL_BASED, DIRECT_PID],
         targets_mg=[20, 500]), write_artifacts=False)
@@ -892,12 +925,15 @@ def test_traced_names_see_every_unit_of_work(monkeypatch):
     assert len(seen["quantize_reading"]) \
         == sum(r.total_steps + 1 for r in summary.trials)
     # the last step of a trial is never ingested; a mode fitted by the
-    # end of a trial was confirmed once, from two recorded observations
+    # end of a trial was confirmed once, by a repeat the log accepted and
+    # then the candidate it repeated
     ingested = sum(not row.probe for r in model for row in r.steps[:-1])
+    repeats = sum(pair is not None for pair in seen["note_result"])
     confirmed = sum((r.steps[-1].cprime_gravity is not None)
                     + (r.steps[-1].cprime_vibration is not None)
                     for r in model if r.steps)
-    assert len(seen["record"]) == ingested + 2 * confirmed
+    assert repeats >= confirmed > 0
+    assert len(seen["record"]) == ingested + repeats + confirmed
     assert len(seen["fit_points"]) == len(summary.pooled_fits) > 0
 
 
@@ -1363,7 +1399,7 @@ class TestArtifacts:
          "cannot refit the traces: trial glass-beads--model-based--t50--001 "
          "step 2: action L=999.0, t_pose_s=0.0 is outside the valve "
          "envelope"),
-        # nan passes the observability gate's < test, like inf
+        # a delta that is not finite, on either side of the gate
         (lambda entry, trace: set_first_cell(trace, "measured_delta_mg",
                                              "inf"),
          "cannot refit the traces: trial glass-beads--model-based--t50--001 "
@@ -1372,6 +1408,10 @@ class TestArtifacts:
                                              "nan"),
          "cannot refit the traces: trial glass-beads--model-based--t50--001 "
          "step 1: measured_delta_mg must be finite, got nan"),
+        (lambda entry, trace: set_first_cell(trace, "measured_delta_mg",
+                                             "-inf"),
+         "cannot refit the traces: trial glass-beads--model-based--t50--001 "
+         "step 1: measured_delta_mg must be finite, got -inf"),
         # finite deltas whose pooled fit leaves the float range
         (lambda entry, trace: set_first_cell(trace, "measured_delta_mg",
                                              "1e160"),
@@ -1409,7 +1449,7 @@ class TestArtifacts:
          "summary.json: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["missing-key", "unknown-status", "short-row", "empty-trace",
             "command-beyond-l-max", "delta-cell-inf", "delta-cell-nan",
-            "delta-cell-1e160", "delta-cell-1e308", "powder-with-slash",
+            "delta-cell-minus-inf", "delta-cell-1e160", "delta-cell-1e308", "powder-with-slash",
             "vibration-cell", "delta-cell-not-a-number",
             "step-cell-not-an-integer", "absolute-trace-path",
             "parent-trace-path", "trial-id-mismatch", "unknown-controller",
@@ -1488,12 +1528,12 @@ class TestArtifacts:
         copy = tmp_path / "copy"
         shutil.copytree(out, copy)
         calls = []
-        original = harness.regressor
+        original = identify.drop_regressor
 
         def counted(*args):
             calls.append(args)
             return original(*args)
-        monkeypatch.setattr(harness, "regressor", counted)
+        monkeypatch.setattr(identify, "drop_regressor", counted)
         result = build_report(copy)
         assert result.ok
         assert len(calls) == sum(f.n_points for f in result.fits) > 0

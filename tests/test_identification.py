@@ -21,7 +21,7 @@ from powderdose import (
     fit_coefficient,
     regressor,
 )
-from powderdose.identify import fit_points, select_mode
+from powderdose.identify import fit_points
 
 KIN = ValveKinematics()
 
@@ -193,22 +193,25 @@ class TestObservationLog:
         log = ObservationLog(KIN)
         assert not log.record(10.0, 2.0, False, 0.4)
         assert not log.record(10.0, 2.0, False, 0.0)
-        assert log.record(10.0, 2.0, False, 0.5)
-        assert log.fit(GRAVITY).n_obs == 1
+        assert log.record(10.0, 2.0, False, 0.5).n_obs == 1
 
-    def test_rejects_non_finite_delta(self):
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_delta(self, delta):
         log = ObservationLog(KIN)
-        with pytest.raises(ValueError):
-            log.record(10.0, 2.0, False, float("nan"))
+        with pytest.raises(ValueError, match=f"^measured_delta_mg must be "
+                           f"finite, got {delta!r}$"):
+            log.record(10.0, 2.0, False, delta)
 
     def test_fit_is_the_mean_of_the_ratios(self):
         # ratios 1 and 3 average to 2; least squares gives
         # (1*1 + 2*6) / (1 + 4) = 2.6 over the same points
         log = ObservationLog(KIN)
         first, second = obs(1.0, 1.0), obs(2.0, 6.0)
-        for o in (first, second):
-            assert log.record(o.l_command, o.t_pose_s, False, o.delta_w_mg)
-        assert log.fit(GRAVITY) == ModeFit(c_prime=2.0, n_obs=2)
+        fits = [log.record(o.l_command, o.t_pose_s, False, o.delta_w_mg)
+                for o in (first, second)]
+        assert fits == [ModeFit(c_prime=1.0, n_obs=1),
+                        ModeFit(c_prime=2.0, n_obs=2)]
         assert fit_coefficient([first, second], KIN, GRAVITY).c_prime == 2.6
 
     def test_zero_regressor_leaves_the_fit(self):
@@ -216,21 +219,18 @@ class TestObservationLog:
         # ratio to add
         log = ObservationLog(KIN)
         assert log.record(0.0, 5.0, False, 10.0) is None
-        assert log.fit(GRAVITY) == ModeFit()
         assert log.record(1.0, 1.99, False, 4.0) == ModeFit(c_prime=2.0,
                                                             n_obs=1)
         assert log.record(1e-200, 20.0, False, 10.0) is None
-        assert log.fit(GRAVITY) == ModeFit(c_prime=2.0, n_obs=1)
+        assert log.record(1.0, 1.99, False, 8.0) == ModeFit(c_prime=3.0,
+                                                            n_obs=2)
 
     def test_mode_isolation_and_fit(self):
         log = ObservationLog(KIN)
-        assert log.record(1.0, 1.99, False, 4.0)
-        assert log.record(1.0, 0.99, True, 7.0)
-        assert log.fit(GRAVITY).n_obs == 1
-        assert log.fit(VIBRATION).n_obs == 1
-        assert log.fit(GRAVITY).c_prime == 2.0
-        assert log.fit(VIBRATION).c_prime == 7.0
-        assert log.fit(GRAVITY).r_squared is None
+        assert log.record(1.0, 1.99, False, 4.0) == ModeFit(2.0, 1)
+        assert log.record(1.0, 0.99, True, 7.0) == ModeFit(7.0, 1)
+        assert log.record(1.0, 1.99, False, 8.0) == ModeFit(3.0, 2)
+        assert log.record(1.0, 0.99, True, 7.0) == ModeFit(7.0, 2)
 
     def test_refit_is_fixed_point_on_model_consistent_data(self):
         # feeding the fitted model's own predictions back in cannot move it
@@ -239,11 +239,10 @@ class TestObservationLog:
         for _ in range(6):
             l = float(rng.uniform(1.0, 210.0))
             t = float(rng.uniform(0.0, 20.0))
-            assert log.record(l, t, False, 0.03 * regressor(KIN, l, t))
-        first = log.fit(GRAVITY).c_prime
-        assert log.record(40.0, 3.0, False,
-                          first * regressor(KIN, 40.0, 3.0))
-        again = log.fit(GRAVITY).c_prime
+            fit = log.record(l, t, False, 0.03 * regressor(KIN, l, t))
+        first = fit.c_prime
+        again = log.record(40.0, 3.0, False,
+                           first * regressor(KIN, 40.0, 3.0)).c_prime
         assert math.isclose(first, again, rel_tol=1e-12)
 
     def test_observation_validation(self):
@@ -268,17 +267,18 @@ entries = st.lists(
 
 class TestRunningSumFit:
     @settings(max_examples=300, deadline=None)
-    @given(entries, st.sampled_from(MODES))
+    @given(entries)
     @example([(0.0, 2.0, False, 10.0, True),         # x == 0
               (1e-123, 1.0, False, 5000.0, True),    # ratio overflows
-              (5.0, 1.0, False, 1.0, True)], GRAVITY)
-    def test_matches_full_refit_bit_for_bit(self, rows, mode):
+              (5.0, 1.0, False, 1.0, True)])
+    def test_matches_full_refit_bit_for_bit(self, rows):
         """The log's C' is the mean of dW/x over the observations it kept
         of a mode, summed in arrival order. An observation with x == 0,
         or one whose ratio would leave the float range, changes nothing;
         the second is a ValueError."""
         log = ObservationLog(KIN)
         kept = {GRAVITY: [], VIBRATION: []}
+        fits = {GRAVITY: ModeFit(), VIBRATION: ModeFit()}
 
         def mean(ratios):
             total = 0.0
@@ -286,21 +286,18 @@ class TestRunningSumFit:
                 total += ratio
             return total / len(ratios) if ratios else None
 
-        for l, t, vibration, delta, refit_now in rows:
+        for l, t, vibration, delta, _ in rows:
             m = VIBRATION if vibration else GRAVITY
             x = regressor(KIN, l, t)
             if x == 0.0:
                 assert log.record(l, t, vibration, delta) is None
             elif math.isfinite(mean(kept[m] + [delta / x])):
                 kept[m].append(delta / x)
-                assert log.record(l, t, vibration, delta) \
-                    == ModeFit(c_prime=mean(kept[m]), n_obs=len(kept[m]))
+                fits[m] = log.record(l, t, vibration, delta)
             else:
                 with pytest.raises(ValueError):
                     log.record(l, t, vibration, delta)
-            checked = (GRAVITY, VIBRATION) if refit_now else ()
-            for m in checked + (mode,):
-                fit = log.fit(m)
+            for m, fit in fits.items():
                 assert (fit.c_prime, fit.n_obs, fit.r_squared) \
                     == (mean(kept[m]), len(kept[m]), None)
                 assert fit.c_prime is None or fit.c_prime >= 0.0
@@ -312,7 +309,7 @@ class TestRunningSumFit:
             log.record(KIN.l_max + 1.0, 2.0, False, 10.0)
         with pytest.raises(ValueError):
             log.record(-1.0, 2.0, False, 10.0)
-        assert log.fit(GRAVITY).n_obs == 0
+        assert log.record(10.0, 2.0, False, 10.0).n_obs == 1
         with pytest.raises(ValueError):
             fit_coefficient([Observation(KIN.l_max + 1.0, 2.0, False, 10.0)],
                             KIN, GRAVITY)
@@ -348,22 +345,14 @@ class TestFitPoints:
 
 
 class TestModeNames:
-    """select_mode, fit_coefficient and ObservationLog.fit take a mode by
-    name and share one check of it."""
+    """fit_coefficient takes a mode by name and checks it."""
 
     @pytest.mark.parametrize("call", [
-        lambda mode: select_mode([obs(2.0, 4.0)], mode),
         lambda mode: fit_coefficient([obs(2.0, 4.0)], KIN, mode),
-        lambda mode: ObservationLog(KIN).fit(mode),
-    ], ids=["select_mode", "fit_coefficient", "ObservationLog.fit"])
+    ], ids=["fit_coefficient"])
     @pytest.mark.parametrize("mode", ["vibratoin", "Gravity", "", None])
     def test_unknown_mode_is_rejected(self, call, mode):
         with pytest.raises(ValueError) as info:
             call(mode)
         assert str(info.value) \
             == "mode must be one of ('gravity', 'vibration')"
-
-    def test_select_mode_keeps_the_order(self):
-        rows = [obs(1.0, 1.0, True), obs(2.0, 4.0), obs(3.0, 6.0, True)]
-        assert select_mode(rows, VIBRATION) == [rows[0], rows[2]]
-        assert select_mode(rows, GRAVITY) == [rows[1]]
