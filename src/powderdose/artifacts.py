@@ -89,8 +89,11 @@ class TrialRecord(NamedTuple):
 class ConditionStats(NamedTuple):
     """Success count and dispersion statistics for one condition.
 
-    Standard deviations are sample deviations (n-1). degenerate_stats is
-    set when fewer than two completed trials back the numbers.
+    trials counts the condition's completed (not aborted) trials and
+    successes those whose status is SUCCESS, the controllers' stop rule's
+    verdict. Standard deviations are sample deviations (n-1).
+    degenerate_stats is set when fewer than two completed trials back the
+    numbers.
     """
 
     powder: str

@@ -115,7 +115,10 @@ class ExperimentConfig:
     ActionGrid.check, the action table's cell cap. No two conditions may
     share a stream key.
 
-    k_p may be a single gain or a per-powder mapping; k_p_for() resolves it.
+    k_p, one gain in (0, 1] for every powder, and tolerance_mg are plain
+    numbers that only the controllers read: the stop rule's verdict on
+    |W_error| < tolerance_mg is the trial's status, and the summary counts
+    those statuses.
     powder_overrides patches archetype fields per powder before a trial
     builds its plant, under the same rule as a JSON section (_patch).
     """
@@ -126,7 +129,7 @@ class ExperimentConfig:
     trials: int = 10
     tolerance_mg: float = DEFAULT_TOLERANCE_MG
     max_steps: int = DEFAULT_MAX_STEPS
-    k_p: float | Mapping[str, float] = DEFAULT_K_P
+    k_p: float = DEFAULT_K_P
     pid_gains: PidGains = PidGains()
     kinematics: ValveKinematics = ValveKinematics()
     balance: BalanceModel = BalanceModel()
@@ -183,21 +186,8 @@ class ExperimentConfig:
                           f"trials x max_steps is {n}, more than "
                           f"{_MAX_RUN_STEPS}")
 
-        k_p = self.k_p
-        if isinstance(k_p, Mapping):
-            gains = {}
-            for name, value in k_p.items():
-                if name not in ARCHETYPES:
-                    errors.append(f"k_p: unknown powder {name!r}")
-                if finite(value) and 0 < value <= 1:
-                    gains[name] = float(value)
-                else:
-                    errors.append(f"k_p[{name!r}]: must be in (0, 1]")
-            k_p = gains
-        elif finite(k_p) and 0 < k_p <= 1:
-            k_p = float(k_p)
-        else:
-            errors.append("k_p: must be in (0, 1]")
+        if not (finite(self.k_p) and 0 < self.k_p <= 1):
+            errors.append("k_p: must be a number in (0, 1]")
 
         pid, kin = self.pid_gains, self.kinematics
         sections = (("pid_gains", pid, PidGains),
@@ -248,13 +238,9 @@ class ExperimentConfig:
                             ("controllers", tuple(controllers)),
                             ("targets_mg", tuple(targets)),
                             ("tolerance_mg", float(self.tolerance_mg)),
-                            ("k_p", k_p), ("powder_overrides", overrides)):
+                            ("k_p", float(self.k_p)),
+                            ("powder_overrides", overrides)):
             object.__setattr__(self, name, value)
-
-    def k_p_for(self, powder: str) -> float:
-        if isinstance(self.k_p, Mapping):
-            return self.k_p.get(powder, DEFAULT_K_P)
-        return self.k_p
 
     def powder_spec(self, powder: str) -> PowderSpec:
         return archetype(powder, **self.powder_overrides.get(powder, {}))
@@ -273,8 +259,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "trials": config.trials,
         "tolerance_mg": config.tolerance_mg,
         "max_steps": config.max_steps,
-        "k_p": (dict(config.k_p) if isinstance(config.k_p, Mapping)
-                else config.k_p),
+        "k_p": config.k_p,
         "pid_gains": asdict(config.pid_gains),
         "kinematics": asdict(config.kinematics),
         "plant": {

@@ -325,13 +325,17 @@ class _ProbeLadder:
     A mode's rungs are the action table's, built once with the table: the
     positive grid commands from smallest to largest at the minimum dwell,
     so a probe and a search pick of the same cell are one ValveAction.
-    Counters, which count from 0 in the mode's rungs, and the pending
-    candidate are keyed by the action's vibration flag. A rung whose
-    delta reaches SEED_GATE_MG becomes a pending candidate; the same
-    action is repeated once and handed back with the candidate, and the
-    controller seeds the mode only if its log accepts the repeat. Either
-    way the candidate is gone and the ladder moves on. The ladder judges
-    no delta against the observability gate.
+    The rung counters, which count from 0 in the mode's rungs, are keyed
+    by the action's vibration flag. A probe whose delta reaches
+    SEED_GATE_MG becomes the pending candidate, and the very next step
+    repeats it in its own mode: the mode is still unfitted and latched
+    as it was, so the controller asks this mode for a probe, and
+    next_probe hands back the candidate's action itself. note_result then
+    hands back the candidate with the repeat, and the controller seeds
+    the mode only if its log accepts the repeat. Either way the candidate
+    is gone and the ladder moves on. So at most one candidate is pending,
+    always of the mode asked, and neither method compares modes. The
+    ladder judges no delta against the observability gate.
     """
 
     def __init__(self, table: _ActionTable) -> None:
@@ -340,8 +344,9 @@ class _ProbeLadder:
         self.pending: tuple[ValveAction, float] | None = None
 
     def next_probe(self, vibration: bool) -> ValveAction | None:
-        """The next action to try in this mode, or None when exhausted."""
-        if self.pending is not None and self.pending[0].vibration == vibration:
+        """The next action to try in this mode, the pending candidate's
+        while there is one, or None when the mode's rungs are spent."""
+        if self.pending is not None:
             return self.pending[0]
         rungs = self._rungs[vibration]
         rung = self._next[vibration]
@@ -362,12 +367,13 @@ class _ProbeLadder:
         """Feed back a probe's measured delta.
 
         Returns the pending candidate's (action, delta) pair, and clears
-        it, when this step repeated it; whether the repeat confirms it is
-        the log's to judge. Otherwise a delta of at least SEED_GATE_MG
-        opens a pending candidate, and None is returned.
+        it, when there is one: this step repeated it, as action. Whether
+        the repeat confirms it is the log's to judge. Otherwise a delta of
+        at least SEED_GATE_MG opens a pending candidate, and None is
+        returned.
         """
         pending = self.pending
-        if pending is not None and pending[0].vibration == action.vibration:
+        if pending is not None:
             self.pending = None
             return pending
         if delta_w >= SEED_GATE_MG:
@@ -384,6 +390,9 @@ class _TrialController:
     success (|W_error| < tolerance), overshoot, an empty hopper and the
     step budget. It returns the terminal decision, or counts one more step
     and returns None, in which case the caller emits that step's action.
+    This is the package's one comparison of a mass error with the
+    tolerance: the status it sets is the trial's verdict, and
+    compute_metrics counts the SUCCESS statuses.
     """
 
     def __init__(self, w_goal: float, kin: ValveKinematics | None,

@@ -36,8 +36,7 @@ from .artifacts import (ConditionStats, PooledFit, StepTrace, SuiteSummary,
                         TrialRecord, trial_id, write_suite_artifacts)
 from .config import (MODEL_BASED, ConfigError, ExperimentConfig,
                      condition_checksum, is_count)
-from .control import (DEFAULT_TOLERANCE_MG, DispensingController,
-                      PidBaselineController, TrialStatus)
+from .control import DispensingController, PidBaselineController, TrialStatus
 from .flow import MODES, PowderSpec, ValveKinematics
 from .identify import fit_points, observed_regressor
 from .plant import SimulatedPlant, plant_states
@@ -110,7 +109,7 @@ def _run_condition(config: ExperimentConfig, powder: str,
     if controller_name == MODEL_BASED:
         ctl: DispensingController | PidBaselineController = \
             DispensingController(
-                target, kin, k_p=config.k_p_for(powder),
+                target, kin, k_p=config.k_p,
                 tolerance=config.tolerance_mg, max_steps=config.max_steps)
     else:
         ctl = PidBaselineController(
@@ -155,13 +154,12 @@ def _run_condition(config: ExperimentConfig, powder: str,
         tuple(map(tuple.__new__, repeat(StepTrace), rows))))
 
 
-def compute_metrics(records: Iterable[TrialRecord],
-                    tolerance: float = DEFAULT_TOLERANCE_MG
-                    ) -> list[ConditionStats]:
+def compute_metrics(records: Iterable[TrialRecord]) -> list[ConditionStats]:
     """Per-condition statistics over completed trials.
 
-    Success means the final dispensed reading landed within the tolerance
-    band of the target. Aborted trials are excluded from the statistics.
+    A success is a trial whose status is SUCCESS: the controllers' stop
+    rule, which alone reads the tolerance, is the one verdict. Aborted
+    trials are excluded from the statistics.
     """
     grouped: dict[tuple[str, str, float], list[TrialRecord]] = {}
     for record in records:
@@ -174,7 +172,7 @@ def compute_metrics(records: Iterable[TrialRecord],
         finals = [r.final_mass_mg for r in group]
         steps = [float(r.total_steps) for r in group]
         times = [r.total_sim_time_s for r in group]
-        successes = sum(1 for f in finals if abs(f - target) <= tolerance)
+        successes = sum(1 for r in group if r.status is TrialStatus.SUCCESS)
         out.append(ConditionStats(
             powder=powder, controller=controller, target_mg=target,
             trials=len(group), successes=successes,
@@ -291,7 +289,7 @@ def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,
                 target_mg=target, states=condition_states[index]))
     summary = SuiteSummary(
         config=config,
-        conditions=tuple(compute_metrics(records, config.tolerance_mg)),
+        conditions=tuple(compute_metrics(records)),
         pooled_fits=tuple(pooled_fits(
             pooled_points(records, config.kinematics))),
         trials=tuple(records),

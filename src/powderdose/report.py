@@ -76,7 +76,7 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
     except ValueError as exc:
         errors.append(f"config echo invalid: {exc}")
         return ReportResult(root, None, (), (), tuple(errors))
-    conditions = compute_metrics(records, config.tolerance_mg)
+    conditions = compute_metrics(records)
     try:
         points = pooled_points(records, config.kinematics)
         fits = pooled_fits(points)

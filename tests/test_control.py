@@ -1,8 +1,10 @@
 """Action selection, bootstrap probing and both closed-loop controllers."""
 
+import dataclasses
 import inspect
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from hypothesis import strategies as st
 from powderdose import (
     GRAVITY,
     MIN_OBSERVABLE_MG,
-    VIBRATION,
     ActionGrid,
     ActionSelection,
     CoefficientEstimate,
@@ -28,6 +29,8 @@ from powderdose import (
     TrialStatus,
     ValveAction,
     ValveKinematics,
+    load_config,
+    run_suite,
 )
 from powderdose import control
 from powderdose.control import SEED_GATE_MG, _action_table, select_action
@@ -542,6 +545,35 @@ class TestBootstrapProbing:
         assert ctl.estimate.gravity.c_prime == pytest.approx(
             (SEED_GATE_MG / x + MIN_OBSERVABLE_MG / x) / 2, rel=1e-12)
         assert not fourth.probe
+
+    def test_a_candidate_comes_back_on_the_very_next_step(self,
+                                                          monkeypatch):
+        # the ladder compares no modes: a pending candidate is repeated on
+        # the step right after it opened, in its own mode, so every
+        # candidate note_result hands back is the action of the step just
+        # executed, the very ValveAction object; checked over the shipped
+        # configs at their balance noise and at a 0.5 mg one
+        handed = []
+        note_result = control._ProbeLadder.note_result
+
+        def spy(ladder, action, delta_w):
+            candidate = note_result(ladder, action, delta_w)
+            if candidate is not None:
+                handed.append(candidate[0] is action)
+            return candidate
+
+        monkeypatch.setattr(control._ProbeLadder, "note_result", spy)
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        for path in sorted(configs.glob("*.json")):
+            base = load_config(path)
+            for noise_sigma in (base.balance.noise_sigma, 0.5):
+                balance = dataclasses.replace(base.balance,
+                                              noise_sigma=noise_sigma)
+                for seed in (1, 2):
+                    run_suite(dataclasses.replace(base, balance=balance,
+                                                  seed=seed),
+                              write_artifacts=False)
+        assert len(handed) > 100 and all(handed)
 
     def test_gravity_exhaustion_latches_vibration_then_falls_back(self):
         ctl = DispensingController(3000.0)

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from powderdose import (
     GRAVITY,
     VIBRATION,
-    BalanceModel,
     ConditionStats,
     ConfigError,
     ExperimentConfig,
@@ -175,19 +174,31 @@ class TestConfigParsing:
             config_from_dict({"controller": "bang-bang"})
 
     def test_k_p_scalar_bounds(self):
-        assert config_from_dict({"k_p": 1.0}).k_p_for("msg") == 1.0
+        assert config_from_dict({"k_p": 1.0}).k_p == 1.0
+        assert type(config_from_dict({"k_p": 1}).k_p) is float
         for bad in (0.0, 1.5, -0.2):
             with pytest.raises(ConfigError):
                 config_from_dict({"k_p": bad})
 
-    def test_k_p_per_powder(self):
-        config = config_from_dict({"k_p": {"glass-beads": 0.8}})
-        assert config.k_p_for("glass-beads") == 0.8
-        assert config.k_p_for("msg") == 0.5
-        with pytest.raises(ConfigError):
-            config_from_dict({"k_p": {"glass-beads": 1.5}})
-        with pytest.raises(ConfigError):
-            config_from_dict({"k_p": {"granite": 0.5}})
+    @pytest.mark.parametrize("k_p", [{"glass-beads": 0.8}, {}])
+    def test_k_p_mapping_is_one_config_error(self, k_p, tmp_path, capsys):
+        # one gain serves every powder; a per-powder mapping is refused
+        # alike from JSON and from Python, and the CLI prints one line
+        expected = ["k_p: must be a number in (0, 1]"]
+        with pytest.raises(ConfigError) as from_json:
+            config_from_dict({"k_p": k_p})
+        with pytest.raises(ConfigError) as from_python:
+            ExperimentConfig(k_p=k_p)
+        assert from_json.value.errors == from_python.value.errors == expected
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k_p": k_p}))
+        for args in (["validate-config", "--config", str(path)],
+                     ["run-suite", "--config", str(path),
+                      "--out", str(tmp_path / "out")]):
+            assert cli_main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: {expected[0]}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_target_validation(self):
         for bad in ([], [-5.0], [0.0], [True], ["50"]):
@@ -449,7 +460,7 @@ class TestConfigParsing:
     def test_dict_roundtrip_is_identity(self):
         config = small_config(
             controller=["model", "pid"],
-            k_p={"glass-beads": 0.7},
+            k_p=0.7,
             plant={"powders": {"glass-beads": {"initial_load": 900.0}}})
         assert config_from_dict(config_to_dict(config)) == config
 
@@ -457,20 +468,27 @@ class TestConfigParsing:
 class TestComputeMetrics:
     def test_hand_computed_statistics(self):
         records = [record_for(499.0, index=0, total_steps=3, time=10.0),
-                   record_for(503.0, index=1, total_steps=5, time=20.0)]
+                   record_for(503.0, status=TrialStatus.OVERSHOOT_FAIL,
+                              index=1, total_steps=5, time=20.0)]
         (stats,) = compute_metrics(records)
         assert stats.trials == 2
-        assert stats.successes == 1          # 503 misses the +/-2 band
+        assert stats.successes == 1          # 503 overshot the +/-2 band
         assert stats.dropped_mean_mg == 501.0
         assert stats.dropped_std_mg == 2.8284271247461903
         assert stats.steps_mean == 4.0
         assert stats.time_mean_s == 15.0
         assert not stats.degenerate_stats
 
-    def test_success_band_is_inclusive(self):
-        records = [record_for(498.0, index=0), record_for(502.0, index=1)]
+    def test_success_is_the_trial_status(self):
+        # the stop rule's verdict counts, not a band of its own: a trial
+        # that stalled or overshot at the band's edge is no success
+        records = [
+            record_for(498.0, status=TrialStatus.STEP_LIMIT_FAIL, index=0),
+            record_for(502.0, status=TrialStatus.OVERSHOOT_FAIL, index=1),
+            record_for(498.1, status=TrialStatus.SUCCESS, index=2)]
         (stats,) = compute_metrics(records)
-        assert stats.successes == 2
+        assert stats.trials == 3
+        assert stats.successes == 1
 
     def test_spread_past_the_square_range_is_finite(self):
         # deviations of 2e307 square past the float range; the spread does
@@ -1734,10 +1752,34 @@ class TestCli:
         records = load_suite_records(copy)[0]
         kept = [r for r in records if r.status is not TrialStatus.ABORTED]
         assert len(kept) == len(records) - 1
-        assert list(result.conditions) == compute_metrics(
-            kept, small_config().tolerance_mg)
+        assert list(result.conditions) == compute_metrics(kept)
         assert list(result.fits) == pooled_fits(pooled_points(
             kept, small_config().kinematics))
+
+    def test_trials_stalled_at_the_band_edge_are_no_success(self, tmp_path,
+                                                            capsys):
+        # both trials stall short of the band until the step limit, the
+        # second at 48.0 mg, exactly 2 mg off: run-suite and report count
+        # the status the stop rule gave, not a band of their own
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "powder": "glass-beads", "controller": "direct-pid",
+            "targets_mg": [50], "trials": 2, "seed": 10}))
+        out = tmp_path / "out"
+        assert cli_main(["run-suite", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        index = json.loads((out / "summary.json").read_text())
+        assert [(t["status"], t["final_mass_mg"]) for t in index["trials"]] \
+            == [("step-limit-fail", 47.5), ("step-limit-fail", 48.0)]
+        with (out / "summary.csv").open(newline="") as handle:
+            (row,) = csv.DictReader(handle)
+        assert (row["trials"], row["successes"]) == ("2", "0")
+        assert "0/2 ok" in capsys.readouterr().out
+        assert cli_main(["report", str(out)]) == 0
+        (line,) = [line for line in (out / "report" / "report.txt")
+                   .read_text().splitlines()
+                   if line.startswith("glass-beads")]
+        assert line.split()[3] == "0/2"
 
     @settings(max_examples=50, deadline=None)
     @given(corner=st.sampled_from(list(domain_corners())),
