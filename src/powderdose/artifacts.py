@@ -15,7 +15,9 @@ A trace CSV's bytes: a header line of TRACE_COLUMNS, then one line per
 step, every line ended by CRLF and its cells joined by commas. step and
 vibration are decimal integers (vibration 0 or 1), a float is its Python
 repr, and None is an empty cell. Every cell is numeric, so none is ever
-quoted, and these are the bytes csv.writer gives the same rows.
+quoted, and these are the bytes csv.writer gives the same rows. The
+reader takes CRLF, LF or CR line ends, but every line, the last one too,
+must end, and no cell may be quoted: a quote is a bad cell like any other.
 
 The fit CSVs that report writes, report/fit_<powder>_<mode>.csv, follow
 the same rules: a header line regressor,measured_mg,predicted_mg, then
@@ -35,7 +37,7 @@ import json
 import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -216,9 +218,18 @@ def write_bytes(path: Path, data: bytes) -> None:
 
 
 def read_trace_csv(path: Path) -> list[StepTrace]:
-    """Parse a trace CSV a column at a time; ValueError on a bad cell."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
+    """Parse a trace CSV a column at a time; ValueError on a bad cell.
+
+    The text is read once, as UTF-8 with universal newlines, so CRLF, LF
+    and CR line ends all read alike, and split into lines and then cells
+    with no quoting, so data row r (0 for the first) is line r + 2. A last
+    line with no line end is an error: the file was cut short.
+    """
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    if lines.pop():
+        raise ValueError(f"{path}: line {len(lines) + 1} has no line end")
+    rows = list(map(str.split, lines, repeat(",")))
     header = tuple(rows[0]) if rows else ()
     if header != TRACE_COLUMNS:
         raise ValueError(f"{path}: unexpected trace header {header!r}")
@@ -227,7 +238,7 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
     if any(map(width.__ne__, map(len, rows))):
         row = next(row for row, cells in enumerate(rows)
                    if len(cells) != width)
-        raise ValueError(f"{path}: line {_line_of(path, row)} has "
+        raise ValueError(f"{path}: line {row + 2} has "
                          f"{len(rows[row])} fields, expected {width}")
     if not rows:
         return []
@@ -236,16 +247,6 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
     # tuple.__new__ builds each StepTrace without a Python call per row
     return list(map(tuple.__new__, repeat(StepTrace),
                     zip(*columns, *map(repeat, _UNTRACED_DEFAULTS))))
-
-
-def _line_of(path: Path, row: int) -> int:
-    """The line a trace's data row (0 for the first) ends on, read again,
-    since a quoted cell may span lines."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        for _ in islice(reader, row + 2):
-            pass
-        return reader.line_num
 
 
 def _bools(cells: tuple[str, ...]) -> list[bool]:
@@ -275,7 +276,7 @@ def _parse_cells(path: Path, column: str, cell: str,
             try:
                 parse((text,))
             except ValueError:
-                raise ValueError(f"{path}: line {_line_of(path, row)}: "
+                raise ValueError(f"{path}: line {row + 2}: "
                                  f"{column} must be {rule}, got {text!r}"
                                  ) from None
         raise
@@ -413,7 +414,7 @@ def load_suite_records(artifact_dir: str | Path
             continue
         try:
             steps = read_trace_csv(root / entry["trace_csv"])
-        except (OSError, ValueError, csv.Error) as exc:
+        except (OSError, ValueError) as exc:
             errors.append(f"trial {entry['trial_id']}: {exc}")
             continue
         if len(steps) != entry["total_steps"]:

@@ -14,6 +14,12 @@ writes a report/ subdirectory:
 A report over an earlier one rewrites these files and removes the fit
 CSVs of fits it no longer has.
 
+The condition statistics come from summary.json's trial entries (status,
+final mass, steps and simulated time); the traces give each trial's step
+count, checked against its entry, and the pooled fits' points. A trace
+is read as artifacts.read_trace_csv reads it: CRLF, LF or CR line ends,
+the last line ended too, and no cell quoted.
+
 Because trials are rebuilt in their original order from exact string
 round-tripped floats, the recomputed summary matches the one written at
 run time byte for byte; any difference is reported as an error, per

@@ -1158,14 +1158,21 @@ class TestTraceCsvIo:
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "trace.csv"
             write_trace_csv(record_for(0.0, steps=steps), path)
-            assert path.read_bytes() == csv_writer_trace(steps)
-            parsed = read_trace_csv(path)
-        assert len(parsed) == len(steps)
-        for got, original in zip(parsed, steps):
-            for _, attr, _ in artifacts._TRACE_FORMAT:
-                assert same_cell(getattr(got, attr), getattr(original, attr)), \
-                    (attr, getattr(got, attr), getattr(original, attr))
-            assert (got.true_delta_mg, got.probe) == (0.0, False)
+            data = path.read_bytes()
+            assert data == csv_writer_trace(steps)
+            # the written CRLF form, then the LF and the CR forms
+            parsed_forms = []
+            for line_end in (b"\r\n", b"\n", b"\r"):
+                path.write_bytes(data.replace(b"\r\n", line_end))
+                parsed_forms.append(read_trace_csv(path))
+        for parsed in parsed_forms:
+            assert len(parsed) == len(steps)
+            for got, original in zip(parsed, steps):
+                for _, attr, _ in artifacts._TRACE_FORMAT:
+                    assert same_cell(getattr(got, attr),
+                                     getattr(original, attr)), \
+                        (attr, getattr(got, attr), getattr(original, attr))
+                assert (got.true_delta_mg, got.probe) == (0.0, False)
 
     def test_a_shorter_trace_replaces_a_longer_one(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -1187,29 +1194,51 @@ class TestTraceCsvIo:
                            match=f"line 5 has {width} fields, expected 10$"):
             read_trace_csv(path)
 
-    @pytest.mark.parametrize("column, text, message", [
-        ("measured_delta_mg", "x",
-         "line 5: measured_delta_mg must be a number, got 'x'"),
-        ("cprime_gravity", "1e", "line 5: cprime_gravity must be a number, "
-                                 "got '1e'"),
-        ("step", "1.5", "line 5: step must be an integer, got '1.5'"),
-        ("vibration", "2", "line 5: vibration must be 0 or 1, got '2'"),
-        ("L", "1,2", "line 5 has 11 fields, expected 10"),
-    ], ids=["float", "optional-float", "int", "bool", "width"])
-    def test_a_bad_row_after_a_two_line_cell_names_its_line(
-            self, tmp_path, column, text, message):
+    @pytest.mark.parametrize("line, column, text, message", [
+        (4, "measured_delta_mg", "x",
+         "line 4: measured_delta_mg must be a number, got 'x'"),
+        (4, "cprime_gravity", "1e", "line 4: cprime_gravity must be a "
+                                    "number, got '1e'"),
+        (4, "step", "1.5", "line 4: step must be an integer, got '1.5'"),
+        (4, "vibration", "2", "line 4: vibration must be 0 or 1, got '2'"),
+        (4, "L", "1,2", "line 4 has 11 fields, expected 10"),
+        # no cell is ever quoted, so a quoted cell that spans two lines
+        # is no cell: its first line is one field short of a row
+        (2, "step", '"1\r\n"', "line 2 has 1 fields, expected 10"),
+    ], ids=["float", "optional-float", "int", "bool", "width", "quoted-cell"])
+    def test_a_bad_cell_names_its_line(self, tmp_path, line, column, text,
+                                       message):
         path = tmp_path / "trace.csv"
         write_trace_csv(record_for(0.0, steps=numbered_steps(4)), path)
         lines = path.read_bytes().split(b"\r\n")
-        # the first step's quoted step cell spans two lines, so the third
-        # step is on line 5
-        lines[1] = b'"1\r\n"' + lines[1][1:]
-        cells = lines[3].split(b",")
+        cells = lines[line - 1].split(b",")
         cells[TRACE_COLUMNS.index(column)] = text.encode()
-        lines[3] = b",".join(cells)
+        lines[line - 1] = b",".join(cells)
         path.write_bytes(b"\r\n".join(lines))
         with pytest.raises(ValueError, match=f"{message}$"):
             read_trace_csv(path)
+
+    def test_a_trace_cut_short_never_reads_as_a_whole_one(self, tmp_path):
+        """Every proper prefix of a trace is an error that names the file,
+        or reads back as fewer leading rows; only the prefix that drops
+        the last LF of the final CRLF reads back whole."""
+        steps = numbered_steps(3) + [trace_row(4, 2.0, 1.0, 0.4)._replace(
+            predicted_mg=0.1 + 0.2, cprime_gravity=1e-05,
+            sim_time_s=12.300000000000001)]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(record_for(0.0, steps=steps), path)
+        data = path.read_bytes()
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            try:
+                parsed = read_trace_csv(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: "), end
+                continue
+            if end == len(data) - 1:
+                assert parsed == steps
+            else:
+                assert parsed == steps[:len(parsed)] != steps, end
 
 
 class TestFitCsvIo:
@@ -1465,13 +1494,16 @@ class TestArtifacts:
         # an edit that returns bytes makes them the whole summary.json
         (lambda entry, trace: b"\xff\xfe{",
          "summary.json: 'utf-8' codec can't decode byte 0xff"),
+        # the trace's last line loses its final cell's tail and its CRLF
+        (lambda entry, trace: trace.write_bytes(trace.read_bytes()[:-4]),
+         "glass-beads--model-based--t50--001.csv: line 9 has no line end"),
     ], ids=["missing-key", "unknown-status", "short-row", "empty-trace",
             "command-beyond-l-max", "delta-cell-inf", "delta-cell-nan",
             "delta-cell-minus-inf", "delta-cell-1e160", "delta-cell-1e308", "powder-with-slash",
             "vibration-cell", "delta-cell-not-a-number",
             "step-cell-not-an-integer", "absolute-trace-path",
             "parent-trace-path", "trial-id-mismatch", "unknown-controller",
-            "mass-beyond-float", "index-not-utf8"])
+            "mass-beyond-float", "index-not-utf8", "trace-cut-short"])
     def test_report_rejects_a_hand_edited_index(self, suite, tmp_path, capsys,
                                                 edit, message):
         _, _, out = suite
