@@ -223,10 +223,20 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
     The text is read once, as UTF-8 with universal newlines, so CRLF, LF
     and CR line ends all read alike, and split into lines and then cells
     with no quoting, so data row r (0 for the first) is line r + 2. A last
-    line with no line end is an error: the file was cut short.
+    line with no line end is an error: the file was cut short. So is a
+    byte that is not UTF-8, named with its line.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError as exc:
+        # exc.object is the whole file, decoded in one piece; its line
+        # ends are counted as the text read counts them
+        head = exc.object[:exc.start].replace(b"\r\n", b"\n")
+        line = head.replace(b"\r", b"\n").count(b"\n") + 1
+        raise ValueError(f"{path}: line {line}: byte "
+                         f"0x{exc.object[exc.start]:02x} is not UTF-8 "
+                         f"({exc.reason})") from None
     if lines.pop():
         raise ValueError(f"{path}: line {len(lines) + 1} has no line end")
     rows = list(map(str.split, lines, repeat(",")))
@@ -400,7 +410,9 @@ def load_suite_records(artifact_dir: str | Path
     try:
         with index_path.open(encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep to parse
         return [], {}, [f"cannot read {index_path}: {exc}"]
     if not isinstance(payload, dict) \
             or not isinstance(payload.get("trials", []), list):

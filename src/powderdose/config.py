@@ -281,7 +281,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError([f"cannot read config: {exc}"])
     except UnicodeDecodeError as exc:
         raise ConfigError([f"config is not UTF-8 text: {exc}"])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the parser raises RecursionError on arrays or objects nested
+        # deeper than the interpreter's recursion limit
         raise ConfigError([f"config is not valid JSON: {exc}"])
     return config_from_dict(data)
 

@@ -136,19 +136,17 @@ class DispenseModel:
         check_fields(self, ">= 0", "coefficient")
 
 
-def beverloo_rate(spec: PowderSpec, orifice_diameter: float,
-                  g: float = G_MM_S2) -> float:
+def beverloo_rate(spec: PowderSpec, orifice_diameter: float) -> float:
     """Steady discharge rate in mg/s through an orifice of the given diameter.
 
     Returns 0 when the particle-corrected opening is not positive. Raises
-    ValueError for a negative or non-finite diameter or non-positive g.
+    ValueError for a negative or non-finite diameter.
     """
-    if not (math.isfinite(orifice_diameter) and orifice_diameter >= 0
-            and math.isfinite(g) and g > 0):
-        raise ValueError(f"beverloo_rate needs a finite orifice_diameter >= 0 "
-                         f"and a finite g > 0, got {orifice_diameter!r}, {g!r}")
+    if not (math.isfinite(orifice_diameter) and orifice_diameter >= 0):
+        raise ValueError(f"beverloo_rate needs a finite orifice_diameter "
+                         f">= 0, got {orifice_diameter!r}")
     return beverloo_discharge(
-        spec.flow_coefficient * spec.bulk_density * math.sqrt(g),
+        spec.flow_coefficient * spec.bulk_density * math.sqrt(G_MM_S2),
         spec.particle_correction * spec.particle_diameter, orifice_diameter)
 
 
@@ -185,7 +183,7 @@ def predicted_drop(model: DispenseModel, kin: ValveKinematics,
 
 
 def effective_coefficient(spec: PowderSpec, kin: ValveKinematics,
-                          vibration: bool = False, g: float = G_MM_S2) -> float:
+                          vibration: bool = False) -> float:
     """Lumped command-unit coefficient implied by the plant parameters.
 
     Exact only when the particle correction term k*d vanishes; otherwise the
@@ -194,5 +192,5 @@ def effective_coefficient(spec: PowderSpec, kin: ValveKinematics,
     """
     gain = spec.vibration_gain if vibration else 1.0
     return (gain * spec.flow_coefficient * spec.bulk_density
-            * math.sqrt(g) * kin.opening_per_command ** 2.5)
+            * math.sqrt(G_MM_S2) * kin.opening_per_command ** 2.5)
 

@@ -5,7 +5,9 @@ number of trials per condition, run in that order. Every trial gets its
 own pair of random substreams derived from (suite seed, condition
 checksum, trial index), so a single trial rerun standalone reproduces its
 in-suite twin bit for bit and reordering conditions never shifts anybody's
-draws. run_suite seeds all of a suite's streams in one plant_states call.
+draws. run_suite seeds all of a suite's streams in one plant_states call:
+every key (condition checksum, trial index) takes one 32-bit word per
+element, as a CRC-32 and an index below the step budget do.
 
 A trial alternates the controller's step and the plant's: the tare
 reading, then one executed action and one settled reading per step, until

@@ -17,8 +17,9 @@ for flow disturbances and one for the balance. They are the children
 (*stream_key, 0) and (*stream_key, 1) of the trial's seed, each in the
 state of the Generator default_rng(SeedSequence(seed, spawn_key=child))
 returns. plant_states computes those states for any number of plants in
-one call, by SeedSequence's own steps in numpy uint32 arithmetic, and
-run_suite calls it once for a whole suite; the tests check every state
+one call, by SeedSequence's own steps in numpy uint32 arithmetic, when
+their keys take one number of 32-bit words; run_suite's keys always take
+two, so it calls it once for a whole suite. The tests check every state
 against SeedSequence. As the streams are separate, enabling or disabling
 either noise source never shifts the draws of the other, and a fixed seed
 reproduces a trial bit for bit. A variate is loc + scale * z, which is
@@ -186,20 +187,19 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     """generate_state(4, uint64) of SeedSequence(row) for each row of an
-    n x width uint32 array of assembled entropy words, as n x 4 uint64.
+    n x width uint32 array of assembled entropy words, width 4 or more,
+    as n x 4 uint64.
 
     SeedSequence's mix_entropy and generate_state, step for step, with
     each entropy word and each pool word an array of n uint32, one per
     row: the hash constants advance once per hash whatever the data, so
     the rows take the same ones.
     """
-    n, width = entropy.shape
+    width = entropy.shape[1]
     entropy_array = list(np.ascontiguousarray(entropy.T))
-    # mix_entropy: hash the first words into the pool, zeros past the end
+    # mix_entropy: hash the first words into the pool
     hashmix = _hashmix(_INIT_A, _MULT_A)
-    mixer = [hashmix(entropy_array[i] if i < width
-                     else np.zeros(n, dtype=np.uint32))
-             for i in range(_POOL_SIZE)]
+    mixer = [hashmix(entropy_array[i]) for i in range(_POOL_SIZE)]
     # mix every pool word into every other one
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
@@ -217,47 +217,35 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _stream_states(seed: int,
-                   keys: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """PCG64's seed words in default_rng(SeedSequence(seed, spawn_key=key))
-    for each key, one row of 4 uint64 per key in key order.
-
-    Each row's entropy is assembled as SeedSequence assembles it: the
-    seed's words, zero-padded to the pool size of 4 when the key is not
-    empty, then each key element's words. Rows are grouped by word count
-    and each group is mixed by _pcg64_seeds in one pass. ValueError on a
-    negative or non-integer seed or key element.
-    """
-    seed_words: list[int] = []
-    _append_words(seed, seed_words)
-    padded = seed_words + [0] * (_POOL_SIZE - len(seed_words))
-    # word count -> (row numbers, their words end to end)
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for row, key in enumerate(keys):
-        words = padded.copy() if key else seed_words.copy()
-        for element in key:
-            _append_words(element, words)
-        group = groups.get(len(words))
-        if group is None:
-            group = groups[len(words)] = ([], [])
-        group[0].append(row)
-        group[1].extend(words)
-    states = np.empty((len(keys), 4), dtype=np.uint64)
-    for width, (rows, flat) in groups.items():
-        states[rows] = _pcg64_seeds(
-            np.array(flat, dtype=np.uint32).reshape(-1, width))
-    return states
-
-
 def plant_states(seed: int,
                  stream_keys: Sequence[tuple[int, ...]]) -> np.ndarray:
     """The stream states of the plants of the given stream keys under one
     seed: shape (n, 2, 4), the flow and then the balance stream of each,
     the children (*stream_key, 0) and (*stream_key, 1). run_suite computes
-    a whole suite's at once and hands each trial's to SimulatedPlant."""
-    return _stream_states(
-        seed, [(*key, child) for key in stream_keys for child in (0, 1)]
-    ).reshape(-1, 2, 4)
+    a whole suite's at once and hands each trial's to SimulatedPlant.
+
+    Each child's entropy is assembled as SeedSequence assembles it: the
+    seed's words, zero-padded to the pool size of 4, then each key
+    element's words and the child's. All rows are mixed by _pcg64_seeds
+    in one pass, so the keys of one call must take one number of words,
+    as run_suite's do. ValueError on keys of different word counts, on no
+    keys, and on a negative or non-integer seed or key element.
+    """
+    padded: list[int] = []
+    _append_words(seed, padded)
+    padded += [0] * (_POOL_SIZE - len(padded))
+    rows = []
+    for key in stream_keys:
+        words = padded.copy()
+        for element in key:
+            _append_words(element, words)
+        rows += (words + [0], words + [1])
+    widths = {len(words) for words in rows}
+    if len(widths) != 1:
+        counts = sorted(width - len(padded) - 1 for width in widths)
+        raise ValueError(f"plant_states needs one or more stream keys of "
+                         f"one word count, got word counts {counts}")
+    return _pcg64_seeds(np.array(rows, dtype=np.uint32)).reshape(-1, 2, 4)
 
 
 @functools.cache

@@ -67,11 +67,6 @@ class TestBeverlooRate:
         assert all(b >= a for a, b in zip(rates, rates[1:]))
         assert rates[-1] > 0.0
 
-    def test_g_override(self):
-        spec = make_spec(flow_coefficient=1.0, particle_correction=0.0,
-                         particle_diameter=0.0)
-        assert beverloo_rate(spec, 4.0, g=1.0) == 32.0
-
 
 class TestTravelTime:
     """T(L) = L / travel_rate: a cycle without dwell travels out and back."""

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -727,22 +728,46 @@ class TestStreamRecipe:
                     spec, config.kinematics, config.balance,
                     seed=config.seed, stream_key=key)
             else:
-                # default_rng(SeedSequence(...)) seeds PCG64 with the
-                # sequence's generate_state(4, uint64)
-                states = np.stack([np.random.SeedSequence(
-                    config.seed, spawn_key=(*key, child)).generate_state(
-                        4, np.uint64) for child in (0, 1)])
                 replay = plant.SimulatedPlant(
-                    spec, config.kinematics, config.balance, states=states)
-            reading, _ = replay.read_balance(False)
-            assert record.steps
-            for row in record.steps:
-                replay.execute(row.l_command, row.t_pose_s, row.vibration)
-                previous = reading
-                reading, _ = replay.read_balance()
-                assert reading - previous == row.measured_delta_mg
-                assert replay.sim_clock == row.sim_time_s
-            assert reading == record.final_mass_mg
+                    spec, config.kinematics, config.balance,
+                    states=seed_sequence_states(config.seed, key))
+            assert_replay_reads_the_trace(replay, record)
+
+    def test_a_two_word_trial_index_reads_the_trace(self):
+        # run-trial admits any index; one of 2**32 or more takes two
+        # 32-bit words in the key, the widest key a package path sends
+        config = small_config(powder="msg", controller="model-based",
+                              targets_mg=[50], trials=1)
+        index = 2 ** 32 + 5
+        record = run_trial(config, index)
+        key = (zlib.crc32(b"msg/model-based/50"), index)
+        replay = plant.SimulatedPlant(
+            config.powder_spec("msg"), config.kinematics, config.balance,
+            states=seed_sequence_states(config.seed, key))
+        assert_replay_reads_the_trace(replay, record)
+
+
+def seed_sequence_states(seed, key):
+    """The flow and balance stream states of a stream key, from numpy's
+    SeedSequence: default_rng(SeedSequence(...)) seeds PCG64 with the
+    sequence's generate_state(4, uint64)."""
+    return np.stack([np.random.SeedSequence(
+        seed, spawn_key=(*key, child)).generate_state(4, np.uint64)
+        for child in (0, 1)])
+
+
+def assert_replay_reads_the_trace(replay, record):
+    """A fresh plant, driven by the trace's actions, reads every measured
+    delta, clock and the final mass the trace holds."""
+    reading, _ = replay.read_balance(False)
+    assert record.steps
+    for row in record.steps:
+        replay.execute(row.l_command, row.t_pose_s, row.vibration)
+        previous = reading
+        reading, _ = replay.read_balance()
+        assert reading - previous == row.measured_delta_mg
+        assert replay.sim_clock == row.sim_time_s
+    assert reading == record.final_mass_mg
 
 
 # Digest of each shipped config's in-memory suite, measured when every
@@ -1240,6 +1265,19 @@ class TestTraceCsvIo:
             else:
                 assert parsed == steps[:len(parsed)] != steps, end
 
+    @pytest.mark.parametrize("end", [b"\r\n", b"\n", b"\r"],
+                             ids=["crlf", "lf", "cr"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, end):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(record_for(0.0, steps=numbered_steps(4)), path)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[3] = lines[3][:5] + b"\xe9" + lines[3][5:]
+        path.write_bytes(end.join(lines))
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: line 4: byte 0xe9 is not UTF-8 "
+                f"\\(invalid continuation byte\\)$")):
+            read_trace_csv(path)
+
 
 class TestFitCsvIo:
     """The fit CSV writer formats every line itself; this pins it to the
@@ -1494,16 +1532,25 @@ class TestArtifacts:
         # an edit that returns bytes makes them the whole summary.json
         (lambda entry, trace: b"\xff\xfe{",
          "summary.json: 'utf-8' codec can't decode byte 0xff"),
+        # arrays nested past the parser's recursion limit
+        (lambda entry, trace: b"[" * 200_000 + b"]" * 200_000,
+         "summary.json: maximum recursion depth exceeded"),
         # the trace's last line loses its final cell's tail and its CRLF
         (lambda entry, trace: trace.write_bytes(trace.read_bytes()[:-4]),
          "glass-beads--model-based--t50--001.csv: line 9 has no line end"),
+        # one byte that is not UTF-8 after the final CRLF
+        (lambda entry, trace: trace.write_bytes(trace.read_bytes()
+                                                + b"\xff"),
+         "glass-beads--model-based--t50--001.csv: line 10: byte 0xff is not "
+         "UTF-8 (invalid start byte)"),
     ], ids=["missing-key", "unknown-status", "short-row", "empty-trace",
             "command-beyond-l-max", "delta-cell-inf", "delta-cell-nan",
             "delta-cell-minus-inf", "delta-cell-1e160", "delta-cell-1e308", "powder-with-slash",
             "vibration-cell", "delta-cell-not-a-number",
             "step-cell-not-an-integer", "absolute-trace-path",
             "parent-trace-path", "trial-id-mismatch", "unknown-controller",
-            "mass-beyond-float", "index-not-utf8", "trace-cut-short"])
+            "mass-beyond-float", "index-not-utf8", "index-nested-too-deep",
+            "trace-cut-short", "trace-not-utf8"])
     def test_report_rejects_a_hand_edited_index(self, suite, tmp_path, capsys,
                                                 edit, message):
         _, _, out = suite
@@ -1760,6 +1807,21 @@ class TestCli:
         assert cli_main([command, "--config", str(path), *out]) == 2
         err = capsys.readouterr().err
         assert "config error: config is not UTF-8 text" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "run-suite"])
+    def test_config_nested_too_deep_is_a_config_error(self, command,
+                                                      tmp_path, capsys):
+        # the JSON parser gives up on arrays nested past the recursion
+        # limit with RecursionError, which must not become a traceback
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+        out = ["--out", str(tmp_path / "out")] if command == "run-suite" \
+            else []
+        assert cli_main([command, "--config", str(path), *out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: config is not valid JSON: maximum recursion depth "
+            "exceeded while decoding a JSON array from a unicode string"]
         assert not (tmp_path / "out").exists()
 
     def test_run_suite_and_report_skip_an_aborted_trial(self, suite,

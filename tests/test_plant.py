@@ -334,36 +334,60 @@ U64 = st.integers(0, 2 ** 64 - 1)
 
 
 class TestStreamSeeding:
+    """plant_states against numpy's own SeedSequence: each key's children
+    (*key, 0) and (*key, 1) give the flow and the balance stream."""
+
+    @staticmethod
+    def assert_states_match(seed, keys):
+        states = plant_module.plant_states(seed, keys)
+        assert states.shape == (len(keys), 2, 4)
+        for pair, key in zip(states, keys):
+            for row, child in zip(pair, (0, 1)):
+                expected = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(*key, child)))
+                assert (plant_module._generator(row).bit_generator.state
+                        == expected.bit_generator.state)
+
     @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 256), key=st.lists(U64, max_size=4))
+    @example(seed=0, key=[])
+    @example(seed=0, key=[0])
+    @example(seed=2 ** 128 + 7, key=[])
+    @example(seed=2 ** 128 + 7, key=[2 ** 32, 1])
+    @example(seed=2 ** 32 - 1, key=[2 ** 32, 1])
+    @example(seed=2 ** 32, key=[2 ** 32 - 1, 0])
+    @example(seed=2 ** 64 - 1, key=[2 ** 64 - 1, 2 ** 33, 7, 0])
+    def test_one_key_per_call(self, seed, key):
+        self.assert_states_match(seed, [tuple(key)])
+
+    @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 256),
-           keys=st.lists(st.lists(U64, max_size=4), min_size=1, max_size=5))
-    @example(seed=0, keys=[[0]])
-    @example(seed=0, keys=[[]])
-    @example(seed=2 ** 128 + 7, keys=[[]])
-    @example(seed=2 ** 128 + 7, keys=[[2 ** 32, 1]])
-    @example(seed=2 ** 32 - 1, keys=[[2 ** 32, 1]])
-    @example(seed=2 ** 32, keys=[[2 ** 32 - 1, 0]])
-    @example(seed=2 ** 64 - 1, keys=[[2 ** 64 - 1, 2 ** 33, 7, 0]])
-    # word counts 7, 2, 5, 8 and 2 in one batch, which mixes them in
-    # separate groups but must return the rows in input order
-    @example(seed=2 ** 40 + 3,
-             keys=[[2 ** 32, 1], [], [5], [2 ** 64 - 1, 0, 7], []])
-    def test_stream_is_default_rng_of_the_seed_sequence(self, seed, keys):
-        keys = [tuple(key) for key in keys]
-        states = plant_module._stream_states(seed, keys)
-        assert states.shape == (len(keys), 4)
-        for row, key in zip(states, keys):
-            expected = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=key))
-            assert (plant_module._generator(row).bit_generator.state
-                    == expected.bit_generator.state)
+           keys=st.integers(0, 3).flatmap(lambda length: st.lists(
+               st.tuples(*[st.integers(0, 2 ** 32 - 1)] * length),
+               min_size=1, max_size=8)))
+    # a suite's keys: (CRC-32 of the condition, trial index)
+    @example(seed=2 ** 40 + 3, keys=[(2 ** 32 - 1, 0), (7, 1), (0, 2)])
+    # element counts 2, 3 and 2, each key three words
+    @example(seed=2 ** 64 - 1,
+             keys=[(2 ** 32, 1), (1, 2, 3), (2 ** 64 - 1, 0)])
+    def test_a_batch_of_keys_of_one_word_count(self, seed, keys):
+        self.assert_states_match(seed, keys)
+
+    @pytest.mark.parametrize("keys", [
+        [(2 ** 32, 1), (), (5,), (2 ** 64 - 1, 0, 7), ()],
+        [(1,), (2 ** 32,)],
+        [],
+    ], ids=["word-counts-3-0-1-4-0", "word-counts-1-2", "no-keys"])
+    def test_keys_of_several_word_counts_are_a_value_error(self, keys):
+        with pytest.raises(ValueError, match="of one word count"):
+            plant_module.plant_states(0, keys)
 
     @pytest.mark.parametrize("seed, key", [
         (-1, (0,)), (0, (-1,)), (5, (3, -2 ** 40)), (1.0, (0,)),
         (0, (0.5,)), (None, (0,))])
     def test_negative_or_non_integer_input_is_a_value_error(self, seed, key):
         with pytest.raises(ValueError, match="integers >= 0"):
-            plant_module._stream_states(seed, [(1,), key])
+            plant_module.plant_states(seed, [(1,), key])
 
     @pytest.mark.parametrize("shape", [(4,), (1, 4), (2, 3), (3, 4)])
     def test_states_of_another_shape_are_a_value_error(self, shape):
