@@ -11,18 +11,24 @@ Each format is defined once, below, and written and read through that one
 definition. A summary.json trial entry must name trial_id(powder,
 controller, target_mg, trial_index) and that trial's trials/<id>.csv.
 
+Every CSV table, a trace, summary.csv and the report's tables, is built
+by one line writer, _csv_text: a header line of the column names, then
+one line per row, every line ended by CRLF and its cells joined by
+commas. No cell ever holds a comma, a quote or a line end, so none is
+quoted, and these are the bytes csv.writer gives the same rows.
+
 A trace CSV's bytes: a header line of TRACE_COLUMNS, then one line per
-step, every line ended by CRLF and its cells joined by commas. step and
-vibration are decimal integers (vibration 0 or 1), a float is its Python
-repr, and None is an empty cell. Every cell is numeric, so none is ever
-quoted, and these are the bytes csv.writer gives the same rows. The
-reader takes CRLF, LF or CR line ends, but every line, the last one too,
-must end, and no cell may be quoted: a quote is a bad cell like any other.
+step. step and vibration are decimal integers (vibration 0 or 1), a
+float is its Python repr, and None is an empty cell. The reader takes
+CRLF, LF or CR line ends, but every line, the last one too, must end, no
+cell may be quoted (a quote is a bad cell like any other), and data row
+r (0 for the first) must hold step r + 1.
 
 The fit CSVs that report writes, report/fit_<powder>_<mode>.csv, follow
 the same rules: a header line regressor,measured_mg,predicted_mg, then
 one line per pooled point, its regressor, its measured delta and the
 fit's prediction C' * regressor, an empty cell while the fit is unfitted.
+A summary.csv line holds a condition's SUMMARY_COLUMNS, each its str().
 
 A rerun into an existing directory rewrites each file it writes in place
 to exactly the new bytes; the trace files of trials the new config no
@@ -31,8 +37,6 @@ longer has are left as they are.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from collections.abc import Iterable, Mapping
@@ -43,7 +47,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from .config import (DIRECT_PID, MODEL_BASED, ExperimentConfig,
-                     config_to_dict, finite, is_count)
+                     config_to_dict, finite, is_count, shown)
 from .control import TrialStatus
 from .powders import ARCHETYPES
 
@@ -140,9 +144,33 @@ def _trace_csv(trial_id: str) -> str:
     return f"trials/{trial_id}.csv"
 
 
-# The trace CSV format: (column, StepTrace attribute, cell) in file order.
-# A cell is an "int", a "float", a "float?" (None as an empty cell) or a
-# "0/1" bool. The attributes are StepTrace's leading fields, in order.
+def _bools(cells: tuple[str, ...]) -> list[bool]:
+    if not {"0", "1"}.issuperset(cells):
+        raise ValueError("not 0 or 1")
+    return list(map("1".__eq__, cells))
+
+
+# Per cell kind: its %-conversion in a written line, a parser of a whole
+# column of read cells, and what a read cell must be. A "float?" cell is
+# a float or None, turned into its text (repr, or "" for None) before it
+# is formatted.
+_CELL_KINDS = {
+    "int": ("%d", lambda cells: list(map(int, cells)), "an integer"),
+    "float": ("%r", lambda cells: list(map(float, cells)), "a number"),
+    "float?": ("%s", lambda cells: [float(text) if text else None
+                                    for text in cells], "a number"),
+    "0/1": ("%d", _bools, "0 or 1"),
+}
+
+
+def _csv_text(columns: Iterable[str], lines: Iterable[str]) -> str:
+    """A CSV table: a header line of the column names, then the lines,
+    each already ended by CRLF."""
+    return ",".join(columns) + "\r\n" + "".join(lines)
+
+
+# The trace CSV format: (column, StepTrace attribute, cell kind) in file
+# order. The attributes are StepTrace's leading fields, in order.
 _TRACE_FORMAT = (
     ("step", "step", "int"), ("L", "l_command", "float"),
     ("t_pose_s", "t_pose_s", "float"), ("vibration", "vibration", "0/1"),
@@ -154,17 +182,13 @@ _TRACE_FORMAT = (
     ("sim_time_s", "sim_time_s", "float"),
 )
 TRACE_COLUMNS = tuple(column for column, _, _ in _TRACE_FORMAT)
-
-
-# A trace line's %-format, one conversion per cell kind. A "float?" cell is
-# turned into its text (repr, or "" for None) before it is formatted.
-_CELL_CONVERSION = {"int": "%d", "0/1": "%d", "float": "%r", "float?": "%s"}
-_TRACE_HEADER = ",".join(TRACE_COLUMNS) + "\r\n"
-_TRACE_LINE = ",".join(_CELL_CONVERSION[cell]
+_TRACE_LINE = ",".join(_CELL_KINDS[cell][0]
                        for _, _, cell in _TRACE_FORMAT) + "\r\n"
 # The StepTrace fields past the traced ones, as a read trace gives them.
 _UNTRACED_DEFAULTS = tuple(StepTrace._field_defaults[name] for name
                            in StepTrace._fields[len(_TRACE_FORMAT):])
+
+_FIT_COLUMNS = ("regressor", "measured_mg", "predicted_mg")
 
 
 def write_trace_csv(record: TrialRecord, path: Path) -> None:
@@ -175,7 +199,7 @@ def write_trace_csv(record: TrialRecord, path: Path) -> None:
                if cell == "float?" else values
                for (_, _, cell), values in zip(_TRACE_FORMAT,
                                                zip(*record.steps))]
-    text = _TRACE_HEADER + "".join(map(_TRACE_LINE.__mod__, zip(*columns)))
+    text = _csv_text(TRACE_COLUMNS, map(_TRACE_LINE.__mod__, zip(*columns)))
     write_bytes(path, text.encode())
 
 
@@ -184,12 +208,15 @@ def write_fit_csv(xs: list[float], deltas: list[float],
     """Write one pooled fit's points, regressors xs and measured deltas,
     as one buffer in the byte format above."""
     rows = zip(xs, deltas, strict=True)
+    # The lines of "float" cells, the last an empty "float?" one while
+    # unfitted, are written out: CPython 3.11 compiles a literal format
+    # of %r cells to f-string code, about 10 % faster than a format built
+    # from _CELL_KINDS.
     if c_prime is None:
         lines = map("%r,%r,\r\n".__mod__, rows)
     else:
         lines = ["%r,%r,%r\r\n" % (x, dw, c_prime * x) for x, dw in rows]
-    text = "regressor,measured_mg,predicted_mg\r\n" + "".join(lines)
-    write_bytes(path, text.encode())
+    write_bytes(path, _csv_text(_FIT_COLUMNS, lines).encode())
 
 
 def write_bytes(path: Path, data: bytes) -> None:
@@ -224,7 +251,8 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
     and CR line ends all read alike, and split into lines and then cells
     with no quoting, so data row r (0 for the first) is line r + 2. A last
     line with no line end is an error: the file was cut short. So is a
-    byte that is not UTF-8, named with its line.
+    byte that is not UTF-8, named with its line, and a step that does
+    not number its row from 1.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -242,7 +270,8 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
     rows = list(map(str.split, lines, repeat(",")))
     header = tuple(rows[0]) if rows else ()
     if header != TRACE_COLUMNS:
-        raise ValueError(f"{path}: unexpected trace header {header!r}")
+        raise ValueError(f"{path}: unexpected trace header "
+                         f"{shown(header)}")
     del rows[0]
     width = len(TRACE_COLUMNS)
     if any(map(width.__ne__, map(len, rows))):
@@ -254,30 +283,20 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
         return []
     columns = [_parse_cells(path, column, cell, cells) for (column, _, cell),
                cells in zip(_TRACE_FORMAT, zip(*rows))]
+    # the step column, the first, numbers the rows from 1
+    if columns[0] != list(range(1, len(rows) + 1)):
+        row = next(row for row, step in enumerate(columns[0])
+                   if step != row + 1)
+        raise ValueError(f"{path}: line {row + 2}: step must be {row + 1}, "
+                         f"got {shown(rows[row][0])}")
     # tuple.__new__ builds each StepTrace without a Python call per row
     return list(map(tuple.__new__, repeat(StepTrace),
                     zip(*columns, *map(repeat, _UNTRACED_DEFAULTS))))
 
 
-def _bools(cells: tuple[str, ...]) -> list[bool]:
-    if not {"0", "1"}.issuperset(cells):
-        raise ValueError("not 0 or 1")
-    return list(map("1".__eq__, cells))
-
-
-# Per cell kind: a parser of a whole column, and what a cell must be.
-_CELL_PARSERS = {
-    "int": (lambda cells: list(map(int, cells)), "an integer"),
-    "float": (lambda cells: list(map(float, cells)), "a number"),
-    "float?": (lambda cells: [float(text) if text else None
-                              for text in cells], "a number"),
-    "0/1": (_bools, "0 or 1"),
-}
-
-
 def _parse_cells(path: Path, column: str, cell: str,
                  cells: tuple[str, ...]) -> list:
-    parse, rule = _CELL_PARSERS[cell]
+    _, parse, rule = _CELL_KINDS[cell]
     try:
         return parse(cells)
     except ValueError:
@@ -287,8 +306,8 @@ def _parse_cells(path: Path, column: str, cell: str,
                 parse((text,))
             except ValueError:
                 raise ValueError(f"{path}: line {row + 2}: "
-                                 f"{column} must be {rule}, got {text!r}"
-                                 ) from None
+                                 f"{column} must be {rule}, got "
+                                 f"{shown(text)}") from None
         raise
 
 
@@ -297,12 +316,13 @@ SUMMARY_COLUMNS = tuple(name for name in ConditionStats._fields
                         if name != "degenerate_stats")
 
 
+# Every summary cell is a name, a count or a float, written as its str().
+_SUMMARY_LINE = ",".join(["%s"] * len(SUMMARY_COLUMNS)) + "\r\n"
+
+
 def summary_csv_text(conditions: Iterable[ConditionStats]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(SUMMARY_COLUMNS)
-    writer.writerows(map(attrgetter(*SUMMARY_COLUMNS), conditions))
-    return buffer.getvalue()
+    return _csv_text(SUMMARY_COLUMNS, map(
+        _SUMMARY_LINE.__mod__, map(attrgetter(*SUMMARY_COLUMNS), conditions)))
 
 
 # A summary.json trial entry: (key, type) in file order. Each key is a
@@ -340,21 +360,21 @@ def index_entry_problem(entry: Any) -> str | None:
         else:
             ok = isinstance(value, str)
         if not ok:
-            return f"{key} has the wrong type or value: {value!r}"
+            return f"{key} has the wrong type or value: {shown(value)}"
     if entry["status"] not in _STATUSES:
-        return f"unknown status {entry['status']!r}"
+        return f"unknown status {shown(entry['status'])}"
     if entry["powder"] not in ARCHETYPES:
-        return f"unknown powder {entry['powder']!r}"
+        return f"unknown powder {shown(entry['powder'])}"
     if entry["controller"] not in (MODEL_BASED, DIRECT_PID):
-        return f"unknown controller {entry['controller']!r}"
+        return f"unknown controller {shown(entry['controller'])}"
     expected = trial_id(entry["powder"], entry["controller"],
                         entry["target_mg"], entry["trial_index"])
     if entry["trial_id"] != expected:
-        return (f"trial_id {entry['trial_id']!r} does not match its "
-                f"condition, expected {expected!r}")
+        return (f"trial_id {shown(entry['trial_id'])} does not match its "
+                f"condition, expected {shown(expected)}")
     if entry["trace_csv"] != _trace_csv(expected):
-        return (f"trace_csv {entry['trace_csv']!r} is not the trial's trace "
-                f"{_trace_csv(expected)!r}")
+        return (f"trace_csv {shown(entry['trace_csv'])} is not the trial's "
+                f"trace {shown(_trace_csv(expected))}")
     return None
 
 
@@ -410,9 +430,10 @@ def load_suite_records(artifact_dir: str | Path
     try:
         with index_path.open(encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            RecursionError) as exc:
-        # RecursionError: arrays or objects nested too deep to parse
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer of more digits
+        # than int() takes; RecursionError: arrays or objects nested too
+        # deep to parse
         return [], {}, [f"cannot read {index_path}: {exc}"]
     if not isinstance(payload, dict) \
             or not isinstance(payload.get("trials", []), list):
@@ -461,11 +482,11 @@ def stored_summary_problems(root: Path, payload: Mapping,
             label = " / ".join(str(fresh[k]) for k in _SECTION_KEYS[section])
             if not isinstance(entry, dict):
                 problems.append(f"summary.json: {section} {label}: not an "
-                                f"object, stored {json.dumps(entry)}")
+                                f"object, stored {shown(entry, json.dumps)}")
                 continue
             differences = ", ".join(
-                (f"{k} stored {json.dumps(entry[k])}" if k in entry
-                 else f"{k} missing")
+                (f"{shown(k, str)} stored {shown(entry[k], json.dumps)}"
+                 if k in entry else f"{k} missing")
                 + (f", recomputed {json.dumps(fresh[k])}" if k in fresh
                    else "")
                 for k in sorted(entry.keys() | fresh.keys())

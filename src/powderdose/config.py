@@ -3,8 +3,9 @@
 An ExperimentConfig checks itself on construction, from JSON, Python or
 dataclasses.replace alike; config_from_dict maps the JSON form onto it and
 config_to_dict writes it back. The validation helpers here (is_count,
-finite) are the one copy of the integer and finite-number rules, which
-the artifact checks use too.
+finite) are the one copy of the integer and finite-number rules, and
+shown the one rule for how much of an outside value an error message
+echoes; the artifact checks use them too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import os
 import zlib
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import (asdict, dataclass, field,
                          fields as dataclass_fields, replace)
 from pathlib import Path
@@ -141,17 +142,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         errors: list[str] = []
         powders = _names(self.powders, "powder", errors)
-        errors.extend(f"powder: unknown archetype {name!r}"
+        errors.extend(f"powder: unknown archetype {shown(name)}"
                       for name in powders if name not in ARCHETYPES)
         names = _names(self.controllers, "controller", errors)
         errors.extend(f"controller: must be one of "
-                      f"{sorted(CONTROLLER_ALIASES)}, got {name!r}"
+                      f"{sorted(CONTROLLER_ALIASES)}, got {shown(name)}"
                       for name in names if name not in CONTROLLER_ALIASES)
         controllers = [CONTROLLER_ALIASES[name] for name in names
                        if name in CONTROLLER_ALIASES]
         for what, listed in (("powder", powders),
                              ("controller", controllers)):
-            errors.extend(f"{what}: {name!r} is listed more than once"
+            errors.extend(f"{what}: {shown(name)} is listed more than once"
                           for name in sorted({n for n in listed
                                               if listed.count(n) > 1}))
 
@@ -166,7 +167,7 @@ class ExperimentConfig:
                     errors.extend(_outside("", {"targets_mg": t}))
                 else:
                     errors.append(f"targets_mg: entries must be positive "
-                                  f"finite numbers, got {t!r}")
+                                  f"finite numbers, got {shown(t)}")
             errors.extend(_target_collisions(targets))
             errors.extend(_stream_collisions(powders, controllers, targets))
 
@@ -183,7 +184,7 @@ class ExperimentConfig:
                 and (n := len(powders) * len(controllers) * len(targets)
                      * self.trials * self.max_steps) > _MAX_RUN_STEPS:
             errors.append(f"max_steps: powders x controllers x targets x "
-                          f"trials x max_steps is {n}, more than "
+                          f"trials x max_steps is {shown(n, str)}, more than "
                           f"{_MAX_RUN_STEPS}")
 
         if not (finite(self.k_p) and 0 < self.k_p <= 1):
@@ -205,7 +206,8 @@ class ExperimentConfig:
         if isinstance(self.powder_overrides, Mapping):
             for name, raw in self.powder_overrides.items():
                 if name not in ARCHETYPES:
-                    errors.append(f"plant.powders: unknown powder {name!r}")
+                    errors.append(f"plant.powders: unknown powder "
+                                  f"{shown(name)}")
                 elif patch := _patch(ARCHETYPES[name], raw,
                                      f"plant.powders[{name!r}]", errors):
                     overrides[name] = patch
@@ -281,9 +283,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError([f"cannot read config: {exc}"])
     except UnicodeDecodeError as exc:
         raise ConfigError([f"config is not UTF-8 text: {exc}"])
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # the parser raises RecursionError on arrays or objects nested
-        # deeper than the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
+        # ValueError: not JSON, or an integer of more digits than int()
+        # takes; RecursionError: arrays or objects nested deeper than the
+        # interpreter's recursion limit
         raise ConfigError([f"config is not valid JSON: {exc}"])
     return config_from_dict(data)
 
@@ -305,7 +308,7 @@ def config_from_dict(data: Any) -> ExperimentConfig:
     """
     if not isinstance(data, Mapping):
         raise ConfigError(["config root must be a JSON object"])
-    errors = [f"unknown key {key!r}" for key in data if key not in
+    errors = [f"unknown key {shown(key)}" for key in data if key not in
               (*_JSON_FIELDS, "pid_gains", "kinematics", "plant")]
     fields = {_JSON_FIELDS[key]: value for key, value in data.items()
               if key in _JSON_FIELDS}
@@ -313,7 +316,7 @@ def config_from_dict(data: Any) -> ExperimentConfig:
     if not isinstance(plant, Mapping):
         errors.append("plant: must be an object")
         plant = {}
-    errors.extend(f"plant: unknown key {key!r}" for key in plant
+    errors.extend(f"plant: unknown key {shown(key)}" for key in plant
                   if key not in ("balance", "powders"))
     if "powders" in plant:
         fields["powder_overrides"] = plant["powders"]
@@ -399,7 +402,7 @@ def _outside(section: str, values: Mapping[str, float],
             rule = f"0 or {low:g} to {high:g}" if low else f"at most {high:g}"
             where = f"{path or section}.{name}".lstrip(".")
             errors.append(f"{where}: must be {rule} in magnitude, "
-                          f"got {value!r}")
+                          f"got {shown(value)}")
     return errors
 
 
@@ -412,6 +415,21 @@ def _names(value: Any, what: str, errors: list[str]) -> list[str]:
         return list(value)
     errors.append(f"{what}: must be a name or non-empty list of names")
     return []
+
+
+# An error message echoes an outside value, a config's or a stored
+# summary's, whole up to _SHOWN_CHARS characters, so that no message line
+# grows with its input.
+_SHOWN_CHARS = 80
+
+
+def shown(value: Any, form: Callable[[Any], str] = repr) -> str:
+    """form(value) as an error message echoes it: whole if it is at most
+    _SHOWN_CHARS characters, else its first 60 and its length."""
+    text = form(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:60]}... ({len(text)} characters)"
 
 
 def is_count(value: Any, minimum: int) -> bool:
@@ -445,7 +463,7 @@ def _patch(base: Any, raw: Any, path: str, errors: list[str]) -> dict:
     found = len(errors)
     for key, value in raw.items():
         if key not in allowed:
-            errors.append(f"{path}: unknown field {key!r}")
+            errors.append(f"{path}: unknown field {shown(key)}")
         elif not _is_number(value):
             errors.append(f"{path}.{key}: must be a number")
     if len(errors) > found:

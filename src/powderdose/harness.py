@@ -37,7 +37,7 @@ import numpy as np
 from .artifacts import (ConditionStats, PooledFit, StepTrace, SuiteSummary,
                         TrialRecord, trial_id, write_suite_artifacts)
 from .config import (MODEL_BASED, ConfigError, ExperimentConfig,
-                     condition_checksum, is_count)
+                     condition_checksum, is_count, shown)
 from .control import DispensingController, PidBaselineController, TrialStatus
 from .flow import MODES, PowderSpec, ValveKinematics
 from .identify import fit_points, observed_regressor
@@ -91,7 +91,7 @@ def run_trial(config: ExperimentConfig, trial_index: int = 0, *,
                            f"names {count}"])
     if not is_count(trial_index, 0):
         raise ConfigError([f"trial_index: must be an integer >= 0, "
-                           f"got {trial_index!r}"])
+                           f"got {shown(trial_index)}"])
     return _run_condition(config, powders[0], controllers[0], targets[0],
                           trial_index, states)
 

@@ -54,7 +54,6 @@ def format_mass(value: float) -> str:
 
 @dataclass(frozen=True)
 class ReportResult:
-    artifact_dir: Path
     report_dir: Path | None
     conditions: tuple[ConditionStats, ...]
     fits: tuple[PooledFit, ...]
@@ -72,23 +71,23 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
     if not records and not errors:
         errors.append(f"no data: {root} holds no trials")
     if not records:
-        return ReportResult(root, None, (), (), tuple(errors))
+        return ReportResult(None, (), (), tuple(errors))
     if "config" not in payload:
         errors.append("summary.json: no 'config' key; the report needs the "
                       "run's config echo to recompute the summary")
-        return ReportResult(root, None, (), (), tuple(errors))
+        return ReportResult(None, (), (), tuple(errors))
     try:
         config = config_from_dict(payload["config"])
     except ValueError as exc:
         errors.append(f"config echo invalid: {exc}")
-        return ReportResult(root, None, (), (), tuple(errors))
+        return ReportResult(None, (), (), tuple(errors))
     conditions = compute_metrics(records)
     try:
         points = pooled_points(records, config.kinematics)
         fits = pooled_fits(points)
     except ValueError as exc:  # a trace step or a fit the refit cannot take
         errors.append(f"cannot refit the traces: {exc}")
-        return ReportResult(root, None, (), (), tuple(errors))
+        return ReportResult(None, (), (), tuple(errors))
     if not errors:  # a trial that failed to load already explains a mismatch
         errors.extend(stored_summary_problems(root, payload, conditions,
                                               fits))
@@ -98,7 +97,7 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
                 summary_csv_text(conditions).encode())
     _write_fit_points(points, fits, report_dir)
     _write_text_report(conditions, fits, records, report_dir / "report.txt")
-    return ReportResult(root, report_dir, tuple(conditions), tuple(fits),
+    return ReportResult(report_dir, tuple(conditions), tuple(fits),
                         tuple(errors))
 
 

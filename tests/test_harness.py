@@ -21,10 +21,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powderdose import (
+    ARCHETYPES,
     GRAVITY,
     VIBRATION,
     ConditionStats,
@@ -1183,6 +1184,11 @@ class TestTraceCsvIo:
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "trace.csv"
             write_trace_csv(record_for(0.0, steps=steps), path)
+            assert path.read_bytes() == csv_writer_trace(steps)
+            # the reader takes only steps numbered from 1
+            steps = [row._replace(step=number)
+                     for number, row in enumerate(steps, 1)]
+            write_trace_csv(record_for(0.0, steps=steps), path)
             data = path.read_bytes()
             assert data == csv_writer_trace(steps)
             # the written CRLF form, then the LF and the CR forms
@@ -1225,12 +1231,15 @@ class TestTraceCsvIo:
         (4, "cprime_gravity", "1e", "line 4: cprime_gravity must be a "
                                     "number, got '1e'"),
         (4, "step", "1.5", "line 4: step must be an integer, got '1.5'"),
+        # a step that is an integer, but not its row's number
+        (3, "step", "7", "line 3: step must be 2, got '7'"),
         (4, "vibration", "2", "line 4: vibration must be 0 or 1, got '2'"),
         (4, "L", "1,2", "line 4 has 11 fields, expected 10"),
         # no cell is ever quoted, so a quoted cell that spans two lines
         # is no cell: its first line is one field short of a row
         (2, "step", '"1\r\n"', "line 2 has 1 fields, expected 10"),
-    ], ids=["float", "optional-float", "int", "bool", "width", "quoted-cell"])
+    ], ids=["float", "optional-float", "int", "step", "bool", "width",
+            "quoted-cell"])
     def test_a_bad_cell_names_its_line(self, tmp_path, line, column, text,
                                        message):
         path = tmp_path / "trace.csv"
@@ -1306,6 +1315,36 @@ class TestFitCsvIo:
             for cell, value in zip(cells, row):
                 assert cell == "" if value is None \
                     else same_cell(float(cell), value), (cell, value)
+
+
+CONDITION_STATS = st.builds(
+    ConditionStats, powder=st.sampled_from(sorted(ARCHETYPES)),
+    controller=st.sampled_from([MODEL_BASED, DIRECT_PID]),
+    target_mg=FLOAT_CELLS, trials=st.integers(0, 2 ** 63),
+    successes=st.integers(0, 2 ** 63), dropped_mean_mg=FLOAT_CELLS,
+    dropped_std_mg=FLOAT_CELLS, steps_mean=FLOAT_CELLS,
+    steps_std=FLOAT_CELLS, time_mean_s=FLOAT_CELLS, time_std_s=FLOAT_CELLS,
+    degenerate_stats=st.booleans())
+
+
+class TestSummaryCsvText:
+    """summary_csv_text joins each row's cells with str() itself; this pins
+    it to the csv module's output."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(conditions=st.lists(CONDITION_STATS, max_size=6))
+    @example(conditions=[
+        ConditionStats(powder, controller, 50.0, 2, 1, 49.5, 0.5, 3.0, 0.0,
+                       10.0, 1.0)
+        for powder in sorted(ARCHETYPES)
+        for controller in (MODEL_BASED, DIRECT_PID)])
+    def test_bytes_match_the_csv_module(self, conditions):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerows([getattr(stats, name) for name in SUMMARY_COLUMNS]
+                         for stats in conditions)
+        assert artifacts.summary_csv_text(conditions) == buffer.getvalue()
 
 
 class TestArtifacts:
@@ -1514,6 +1553,15 @@ class TestArtifacts:
          "line 2: measured_delta_mg must be a number, got 'x'"),
         (lambda entry, trace: set_first_cell(trace, "step", "1.5"),
          "line 2: step must be an integer, got '1.5'"),
+        # line 3's step 2 made 7: every cell still parses
+        (lambda entry, trace: trace.write_bytes(
+            trace.read_bytes().replace(b"\n2,", b"\n7,", 1)),
+         "glass-beads--model-based--t50--001.csv: line 3: step must be 2, "
+         "got '7'"),
+        # a status far past what a message echoes whole
+        (lambda entry, trace: entry.update(status="x" * 100_000),
+         "trials[1]: unknown status '" + "x" * 59 + "... (100002 "
+         "characters)\n"),
         # a valid trace, but named by a path the index rule does not give
         (lambda entry, trace: entry.update(trace_csv=str(trace.resolve())),
          "is not the trial's trace 'trials/glass-beads--model-based--t50--001"
@@ -1535,6 +1583,9 @@ class TestArtifacts:
         # arrays nested past the parser's recursion limit
         (lambda entry, trace: b"[" * 200_000 + b"]" * 200_000,
          "summary.json: maximum recursion depth exceeded"),
+        # an integer of more digits than int() converts
+        (lambda entry, trace: b'{"trials": ' + b"1" * 5000 + b"}",
+         "summary.json: Exceeds the limit (4300"),
         # the trace's last line loses its final cell's tail and its CRLF
         (lambda entry, trace: trace.write_bytes(trace.read_bytes()[:-4]),
          "glass-beads--model-based--t50--001.csv: line 9 has no line end"),
@@ -1547,9 +1598,11 @@ class TestArtifacts:
             "command-beyond-l-max", "delta-cell-inf", "delta-cell-nan",
             "delta-cell-minus-inf", "delta-cell-1e160", "delta-cell-1e308", "powder-with-slash",
             "vibration-cell", "delta-cell-not-a-number",
-            "step-cell-not-an-integer", "absolute-trace-path",
+            "step-cell-not-an-integer", "trace-step-renumbered",
+            "status-100000-characters", "absolute-trace-path",
             "parent-trace-path", "trial-id-mismatch", "unknown-controller",
             "mass-beyond-float", "index-not-utf8", "index-nested-too-deep",
+            "index-integer-past-the-digit-limit",
             "trace-cut-short", "trace-not-utf8"])
     def test_report_rejects_a_hand_edited_index(self, suite, tmp_path, capsys,
                                                 edit, message):
@@ -1566,6 +1619,7 @@ class TestArtifacts:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        assert max(map(len, err.splitlines())) <= 300
         if message.startswith("cannot refit the traces"):
             assert not (copy / "report").exists()  # nothing written
 
@@ -1823,6 +1877,40 @@ class TestCli:
             "config error: config is not valid JSON: maximum recursion depth "
             "exceeded while decoding a JSON array from a unicode string"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data, message", [
+        ({"powder": "p" * 5000},
+         "powder: unknown archetype '" + "p" * 59 + "... (5002 characters)"),
+        ({"plant": {"powders": {"k" * 3000: {}}}},
+         "plant.powders: unknown powder '" + "k" * 59
+         + "... (3002 characters)"),
+        ({"tolerance_mg": 10 ** 300},
+         "tolerance_mg: must be at most 1e+07 in magnitude, got "
+         + "1" + "0" * 59 + "... (301 characters)"),
+        ({"powder": "glass-beads", "targets_mg": [50], "max_steps": 1,
+          "trials": 10 ** 100},
+         "max_steps: powders x controllers x targets x trials x max_steps "
+         "is 1" + "0" * 59 + "... (101 characters), more than 2000000"),
+    ], ids=["powder-5000-characters", "override-key-3000-characters",
+            "tolerance-301-digits", "run-steps-101-digits"])
+    def test_a_long_value_is_echoed_cut(self, data, message, tmp_path,
+                                        capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["validate-config", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() \
+            == [f"config error: {message}"]
+
+    def test_an_integer_past_the_digit_limit_is_a_config_error(
+            self, tmp_path, capsys):
+        # json.load raises a ValueError that is no JSONDecodeError on an
+        # integer of more digits than int() converts
+        path = tmp_path / "cfg.json"
+        path.write_text('{"trials": ' + "1" * 5000 + "}")
+        assert cli_main(["validate-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid JSON: ")
+        assert "Traceback" not in err
 
     def test_run_suite_and_report_skip_an_aborted_trial(self, suite,
                                                         tmp_path, capsys):
