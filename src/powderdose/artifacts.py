@@ -41,13 +41,14 @@ import json
 import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, NamedTuple
 
 from .config import (DIRECT_PID, MODEL_BASED, ExperimentConfig,
-                     config_to_dict, finite, is_count, shown)
+                     config_to_dict, finite, is_run_count, shown)
 from .control import TrialStatus
 from .powders import ARCHETYPES
 
@@ -150,23 +151,27 @@ def _bools(cells: tuple[str, ...]) -> list[bool]:
     return list(map("1".__eq__, cells))
 
 
-# Per cell kind: its %-conversion in a written line, a parser of a whole
-# column of read cells, and what a read cell must be. A "float?" cell is
-# a float or None, turned into its text (repr, or "" for None) before it
-# is formatted.
+# Per cell kind: the text of a whole column of values as written, a parser
+# of a whole column of read cells, and what a read cell must be. Both go
+# through a column with no Python call per cell: str, repr, repr or ""
+# for None, and "0" or "1" for a bool.
 _CELL_KINDS = {
-    "int": ("%d", lambda cells: list(map(int, cells)), "an integer"),
-    "float": ("%r", lambda cells: list(map(float, cells)), "a number"),
-    "float?": ("%s", lambda cells: [float(text) if text else None
-                                    for text in cells], "a number"),
-    "0/1": ("%d", _bools, "0 or 1"),
+    "int": (partial(map, str), lambda cells: list(map(int, cells)),
+            "an integer"),
+    "float": (partial(map, repr), lambda cells: list(map(float, cells)),
+              "a number"),
+    "float?": (lambda values: ["" if value is None else repr(value)
+                               for value in values],
+               lambda cells: [float(text) if text else None
+                              for text in cells], "a number"),
+    "0/1": (partial(map, ("0", "1").__getitem__), _bools, "0 or 1"),
 }
 
 
 def _csv_text(columns: Iterable[str], lines: Iterable[str]) -> str:
     """A CSV table: a header line of the column names, then the lines,
-    each already ended by CRLF."""
-    return ",".join(columns) + "\r\n" + "".join(lines)
+    each ended by CRLF."""
+    return "\r\n".join([",".join(columns), *lines, ""])
 
 
 # The trace CSV format: (column, StepTrace attribute, cell kind) in file
@@ -182,8 +187,6 @@ _TRACE_FORMAT = (
     ("sim_time_s", "sim_time_s", "float"),
 )
 TRACE_COLUMNS = tuple(column for column, _, _ in _TRACE_FORMAT)
-_TRACE_LINE = ",".join(_CELL_KINDS[cell][0]
-                       for _, _, cell in _TRACE_FORMAT) + "\r\n"
 # The StepTrace fields past the traced ones, as a read trace gives them.
 _UNTRACED_DEFAULTS = tuple(StepTrace._field_defaults[name] for name
                            in StepTrace._fields[len(_TRACE_FORMAT):])
@@ -194,12 +197,11 @@ _FIT_COLUMNS = ("regressor", "measured_mg", "predicted_mg")
 def write_trace_csv(record: TrialRecord, path: Path) -> None:
     """Write a trial's trace as one buffer, in the byte format above."""
     # zip(*steps) gives StepTrace's columns; zipping with _TRACE_FORMAT
-    # keeps the traced ones.
-    columns = [["" if value is None else repr(value) for value in values]
-               if cell == "float?" else values
+    # keeps the traced ones, each turned into text a column at a time.
+    columns = [_CELL_KINDS[cell][0](values)
                for (_, _, cell), values in zip(_TRACE_FORMAT,
                                                zip(*record.steps))]
-    text = _csv_text(TRACE_COLUMNS, map(_TRACE_LINE.__mod__, zip(*columns)))
+    text = _csv_text(TRACE_COLUMNS, map(",".join, zip(*columns)))
     write_bytes(path, text.encode())
 
 
@@ -213,9 +215,9 @@ def write_fit_csv(xs: list[float], deltas: list[float],
     # of %r cells to f-string code, about 10 % faster than a format built
     # from _CELL_KINDS.
     if c_prime is None:
-        lines = map("%r,%r,\r\n".__mod__, rows)
+        lines = map("%r,%r,".__mod__, rows)
     else:
-        lines = ["%r,%r,%r\r\n" % (x, dw, c_prime * x) for x, dw in rows]
+        lines = ["%r,%r,%r" % (x, dw, c_prime * x) for x, dw in rows]
     write_bytes(path, _csv_text(_FIT_COLUMNS, lines).encode())
 
 
@@ -237,11 +239,16 @@ def write_bytes(path: Path, data: bytes) -> None:
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
                  0o666)
-    with open(fd, "wb") as handle:
+    try:
         old_size = os.fstat(fd).st_size
-        handle.write(data)
+        # os.write may write less than it is given; the rest goes next
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
         if old_size > len(data):
-            handle.truncate()
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def read_trace_csv(path: Path) -> list[StepTrace]:
@@ -317,7 +324,7 @@ SUMMARY_COLUMNS = tuple(name for name in ConditionStats._fields
 
 
 # Every summary cell is a name, a count or a float, written as its str().
-_SUMMARY_LINE = ",".join(["%s"] * len(SUMMARY_COLUMNS)) + "\r\n"
+_SUMMARY_LINE = ",".join(["%s"] * len(SUMMARY_COLUMNS))
 
 
 def summary_csv_text(conditions: Iterable[ConditionStats]) -> str:
@@ -354,7 +361,7 @@ def index_entry_problem(entry: Any) -> str | None:
             return f"missing key {key!r}"
         value = entry[key]
         if kind is int:
-            ok = is_count(value, 0)
+            ok = is_run_count(value)
         elif kind is float:
             ok = finite(value)
         else:
@@ -484,14 +491,19 @@ def stored_summary_problems(root: Path, payload: Mapping,
                 problems.append(f"summary.json: {section} {label}: not an "
                                 f"object, stored {shown(entry, json.dumps)}")
                 continue
+            # the keys in the order summary.json writes them, then the
+            # stored ones it does not write, sorted; the line echoes as
+            # much of their differences as any other outside value
+            keys = [*fresh, *sorted(entry.keys() - fresh.keys())]
             differences = ", ".join(
-                (f"{shown(k, str)} stored {shown(entry[k], json.dumps)}"
-                 if k in entry else f"{k} missing")
+                (f"{k} stored {json.dumps(entry[k])}" if k in entry
+                 else f"{k} missing")
                 + (f", recomputed {json.dumps(fresh[k])}" if k in fresh
                    else "")
-                for k in sorted(entry.keys() | fresh.keys())
+                for k in keys
                 if k not in entry or k not in fresh or entry[k] != fresh[k])
-            problems.append(f"summary.json: {section} {label}: {differences}")
+            problems.append(f"summary.json: {section} {label}: "
+                            f"{shown(differences, str)}")
     try:
         with (root / "summary.csv").open(newline="") as handle:
             stored_csv = handle.read()

@@ -3,9 +3,9 @@
 An ExperimentConfig checks itself on construction, from JSON, Python or
 dataclasses.replace alike; config_from_dict maps the JSON form onto it and
 config_to_dict writes it back. The validation helpers here (is_count,
-finite) are the one copy of the integer and finite-number rules, and
-shown the one rule for how much of an outside value an error message
-echoes; the artifact checks use them too.
+is_run_count, finite) are the one copy of the integer and finite-number
+rules, and shown the one rule for how much of an outside value an error
+message echoes; the artifact checks use them too.
 """
 
 from __future__ import annotations
@@ -435,6 +435,12 @@ def shown(value: Any, form: Callable[[Any], str] = repr) -> str:
 def is_count(value: Any, minimum: int) -> bool:
     return (isinstance(value, int) and not isinstance(value, bool)
             and value >= minimum)
+
+
+def is_run_count(value: Any) -> bool:
+    """A trial index or a trial's step count that a valid suite can hold:
+    it runs at most _MAX_RUN_STEPS steps, so neither is larger."""
+    return is_count(value, 0) and value <= _MAX_RUN_STEPS
 
 
 def _is_number(value: Any) -> bool:

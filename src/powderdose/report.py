@@ -34,7 +34,7 @@ from pathlib import Path
 from .artifacts import (ConditionStats, PooledFit, load_suite_records,
                         stored_summary_problems, summary_csv_text,
                         write_bytes, write_fit_csv)
-from .config import config_from_dict
+from .config import ConfigError, config_from_dict
 from .harness import compute_metrics, pooled_fits, pooled_points
 
 
@@ -78,8 +78,9 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
         return ReportResult(None, (), (), tuple(errors))
     try:
         config = config_from_dict(payload["config"])
-    except ValueError as exc:
-        errors.append(f"config echo invalid: {exc}")
+    except ConfigError as exc:  # one line per problem, as validate-config
+        errors.extend(f"config echo invalid: {message}"
+                      for message in exc.errors)
         return ReportResult(None, (), (), tuple(errors))
     conditions = compute_metrics(records)
     try:

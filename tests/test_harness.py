@@ -146,6 +146,15 @@ def set_first_cell(trace, column, value):
     trace.write_text("\n".join([header, ",".join(fields), *rows]) + "\n")
 
 
+def renumber_trial(entry, index):
+    """Give a summary.json trial entry another trial_index, with the
+    trial_id and the trace path that index makes."""
+    entry["trial_index"] = index
+    entry["trial_id"] = trial_id(entry["powder"], entry["controller"],
+                                 entry["target_mg"], index)
+    entry["trace_csv"] = f"trials/{entry['trial_id']}.csv"
+
+
 def widen_every_command(trace):
     """Rewrite a trace CSV with every L beyond the valve's l_max."""
     header, *rows = trace.read_text().splitlines()
@@ -1213,6 +1222,26 @@ class TestTraceCsvIo:
         assert path.read_bytes() == csv_writer_trace(short.steps)
         assert read_trace_csv(path) == list(short.steps)
 
+    @pytest.mark.parametrize("old_size", [3, 1000],
+                             ids=["shorter-old-file", "longer-old-file"])
+    def test_writes_the_os_cuts_short_are_finished(self, tmp_path,
+                                                   monkeypatch, old_size):
+        # os.write may take fewer bytes than it is given; write_bytes
+        # writes the rest, and only the rest, until the data is whole
+        path = tmp_path / "file"
+        path.write_bytes(b"x" * old_size)
+        data = bytes(range(256)) * 2
+        real_write, sizes = os.write, []
+
+        def write_at_most_7(fd, chunk):
+            sizes.append(len(chunk))
+            return real_write(fd, chunk[:7])
+        monkeypatch.setattr(os, "write", write_at_most_7)
+        artifacts.write_bytes(path, data)
+        monkeypatch.undo()
+        assert path.read_bytes() == data
+        assert sizes == list(range(len(data), 0, -7))
+
     @pytest.mark.parametrize("width", [3, 11])
     def test_a_row_of_the_wrong_width_names_its_line(self, tmp_path, width):
         path = tmp_path / "trace.csv"
@@ -1562,6 +1591,17 @@ class TestArtifacts:
         (lambda entry, trace: entry.update(status="x" * 100_000),
          "trials[1]: unknown status '" + "x" * 59 + "... (100002 "
          "characters)\n"),
+        # counts no suite reaches, echoed cut; the index's trial_id and
+        # trace path would name a file too long to open
+        (lambda entry, trace: renumber_trial(entry, int("1" * 3000)),
+         "trials[1]: trial_index has the wrong type or value: " + "1" * 60
+         + "... (3000 characters)\n"),
+        (lambda entry, trace: entry.update(total_steps=10 ** 3000),
+         "trials[1]: total_steps has the wrong type or value: 1" + "0" * 59
+         + "... (3001 characters)\n"),
+        (lambda entry, trace: renumber_trial(entry,
+                                             config._MAX_RUN_STEPS + 1),
+         "trials[1]: trial_index has the wrong type or value: 2000001\n"),
         # a valid trace, but named by a path the index rule does not give
         (lambda entry, trace: entry.update(trace_csv=str(trace.resolve())),
          "is not the trial's trace 'trials/glass-beads--model-based--t50--001"
@@ -1599,7 +1639,9 @@ class TestArtifacts:
             "delta-cell-minus-inf", "delta-cell-1e160", "delta-cell-1e308", "powder-with-slash",
             "vibration-cell", "delta-cell-not-a-number",
             "step-cell-not-an-integer", "trace-step-renumbered",
-            "status-100000-characters", "absolute-trace-path",
+            "status-100000-characters", "trial-index-3000-digits",
+            "total-steps-3000-digits", "trial-index-past-the-step-budget",
+            "absolute-trace-path",
             "parent-trace-path", "trial-id-mismatch", "unknown-controller",
             "mass-beyond-float", "index-not-utf8", "index-nested-too-deep",
             "index-integer-past-the-digit-limit",
@@ -1672,6 +1714,40 @@ class TestArtifacts:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_report_prints_each_config_echo_error_on_its_own_line(
+            self, suite, tmp_path, capsys):
+        _, _, out = suite
+        copy = tmp_path / "edited"
+        shutil.copytree(out, copy)
+        index = json.loads((copy / "summary.json").read_text())
+        index["config"].update({f"extra_{n:02d}": n for n in range(20)})
+        (copy / "summary.json").write_text(json.dumps(index))
+        assert cli_main(["report", str(copy)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"report: config echo invalid: unknown key 'extra_{n:02d}'"
+            for n in range(20)]
+
+    @pytest.mark.parametrize("extra", [
+        {f"extra_{n:02d}": n for n in range(50)},
+        {f"{n}" * 1200: "v" * 3000 for n in range(6)},
+    ], ids=["50-short-keys", "6-long-keys"])
+    def test_report_cuts_the_differing_keys_to_one_short_line(
+            self, suite, tmp_path, capsys, extra):
+        _, _, out = suite
+        copy = tmp_path / "edited"
+        shutil.copytree(out, copy)
+        index = json.loads((copy / "summary.json").read_text())
+        index["conditions"][0].update(extra)
+        (copy / "summary.json").write_text(json.dumps(index))
+        assert cli_main(["report", str(copy)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        differences = ", ".join(f"{k} stored {json.dumps(v)}"
+                                for k, v in extra.items())
+        assert line == (
+            "report: summary.json: conditions glass-beads / model-based / "
+            f"50.0: {differences[:60]}... ({len(differences)} characters)")
+        assert len(line) <= 300
 
     def test_report_computes_each_regressor_once(self, suite, tmp_path,
                                                  monkeypatch):
