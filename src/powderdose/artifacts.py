@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from .config import (DIRECT_PID, MODEL_BASED, ExperimentConfig,
-                     config_to_dict, finite, is_run_count, shown)
+                     config_to_dict, finite, is_run_count, shown, shown_path)
 from .control import TrialStatus
 from .powders import ARCHETYPES
 
@@ -441,16 +441,18 @@ def load_suite_records(artifact_dir: str | Path
         # ValueError: not UTF-8, not JSON, or an integer of more digits
         # than int() takes; RecursionError: arrays or objects nested too
         # deep to parse
-        return [], {}, [f"cannot read {index_path}: {exc}"]
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        return [], {}, [f"cannot read {shown_path(index_path)}: {reason}"]
     if not isinstance(payload, dict) \
             or not isinstance(payload.get("trials", []), list):
-        return [], {}, [f"{index_path}: expected an object with a "
-                        f"'trials' list"]
+        return [], {}, [f"{shown_path(index_path)}: expected an object "
+                        f"with a 'trials' list"]
     records: list[TrialRecord] = []
     for position, entry in enumerate(payload.get("trials", [])):
         problem = index_entry_problem(entry)
         if problem is not None:
-            errors.append(f"{index_path}: trials[{position}]: {problem}")
+            errors.append(f"{shown_path(index_path)}: trials[{position}]: "
+                          f"{problem}")
             continue
         try:
             steps = read_trace_csv(root / entry["trace_csv"])

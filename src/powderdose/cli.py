@@ -22,10 +22,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .artifacts import write_trace_csv
-from .config import ConfigError, ExperimentConfig, load_config, resolve_out_dir
+from .config import (ConfigError, ExperimentConfig, load_config,
+                     resolve_out_dir, shown, shown_path)
 from .harness import run_suite, run_trial
 from .report import build_report, format_mass
 
@@ -42,8 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     trial.add_argument("--controller",
                        help="controller to drive the trial: model-based "
                             "(model) or direct-pid (pid)")
-    trial.add_argument("--target", type=float, help="target mass in mg")
-    trial.add_argument("--trial-index", type=int, default=0,
+    trial.add_argument("--target", type=_parsed(float),
+                       help="target mass in mg")
+    trial.add_argument("--trial-index", type=_parsed(int), default=0,
                        help="trial index within the condition (default 0)")
 
     suite = sub.add_parser("run-suite", help="run the full benchmark suite")
@@ -65,8 +68,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="experiment config JSON")
-    sub.add_argument("--seed", type=int, help="override the suite seed")
+    sub.add_argument("--seed", type=_parsed(int),
+                     help="override the suite seed")
     sub.add_argument("--out", help="override the output directory")
+
+
+def _parsed(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse type that parses a flag's value with parse, and names
+    a value parse refuses as config.shown echoes it."""
+    def convert(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {parse.__name__} value: {shown(text)}") from None
+    return convert
 
 
 def _load(args) -> ExperimentConfig:
@@ -145,7 +161,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config error: {message}", file=sys.stderr)
         return 2
     except OSError as exc:  # an output path that cannot be written
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        # the path may be a long --out; os.write's errors name none
+        reason = (exc if exc.filename is None
+                  else f"{shown_path(exc.filename)}: {exc.strerror}")
+        print(f"{args.command}: {reason}", file=sys.stderr)
         return 1
 
 

@@ -280,7 +280,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         with Path(path).open(encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise ConfigError([f"cannot read config: {exc}"])
+        raise ConfigError([f"cannot read config {shown_path(path)}: "
+                           f"{exc.strerror}"])
     except UnicodeDecodeError as exc:
         raise ConfigError([f"config is not UTF-8 text: {exc}"])
     except (ValueError, RecursionError) as exc:
@@ -430,6 +431,20 @@ def shown(value: Any, form: Callable[[Any], str] = repr) -> str:
     if len(text) <= _SHOWN_CHARS:
         return text
     return f"{text[:60]}... ({len(text)} characters)"
+
+
+# A path from the command line, or one under it, is echoed whole up to
+# _SHOWN_PATH_CHARS characters, which the paths of a temporary directory
+# fit, and else by shown()'s rule, so that an OS error's line, which names
+# one path, stays within 300 characters.
+_SHOWN_PATH_CHARS = 160
+
+
+def shown_path(path: Any) -> str:
+    """str(path) as an error message echoes it: whole if it is at most
+    _SHOWN_PATH_CHARS characters, else its first 60 and its length."""
+    text = str(path)
+    return text if len(text) <= _SHOWN_PATH_CHARS else shown(text, str)
 
 
 def is_count(value: Any, minimum: int) -> bool:

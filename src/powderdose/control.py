@@ -30,7 +30,9 @@ starts probing there, at the first productive command. When instead the
 fitted gravity model cannot deliver the request even at the largest
 action (the capacity latch), vibration's ladder starts one rung below
 gravity's next one, at the rung that seeded gravity, not back at the
-smallest command.
+smallest command. DispensingController holds this seed protocol whole,
+its rung counters and pending candidate included, and step runs all of
+it.
 
 The search runs over an action table built whole once per
 (ValveKinematics, ActionGrid) pair, cached and never changed after: every
@@ -214,11 +216,12 @@ class _ActionTable(NamedTuple):
     the flat cell at each position of products. capacity is the regressor
     of the largest action and floor that of the smallest productive one.
     cells holds every cell's ValveAction, gravity then vibration, indexed
-    by the flattened cell. rungs holds each mode's probe ladder: the
-    minimum-dwell cells from the first positive command on, the same
-    objects as in cells, so a probe and a search pick of one cell are one
-    ValveAction. Both are tuples, so no trial can change the actions that
-    every trial on the table shares.
+    by the flattened cell. rungs holds each mode's probe ladder, which
+    DispensingController climbs by index: the minimum-dwell cells from
+    the first positive command on, the same objects as in cells, so a
+    probe and a search pick of one cell are one ValveAction. Both are
+    tuples, so no trial can change the actions that every trial on the
+    table shares.
     """
 
     capacity: float
@@ -292,7 +295,7 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     if not math.isfinite(w_target) or w_target <= 0:
         raise ValueError("w_target must be finite and > 0")
     table = _table_for(kin, grid if grid is not None else _DEFAULT_GRID)
-    c = (estimate.vibration if use_vibration else estimate.gravity).c_prime
+    c = estimate[use_vibration].c_prime
     if c is None:
         return ActionSelection(None, None, use_vibration)
     if not use_vibration and c * table.capacity < w_target:
@@ -317,68 +320,6 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
                 best_cost, best, best_pred = cost, cell, pred
     return _new(ActionSelection,
                 (table.cells[use_vibration][best], best_pred, use_vibration))
-
-
-class _ProbeLadder:
-    """Escalating probe schedule used while a mode has no coefficient.
-
-    A mode's rungs are the action table's, built once with the table: the
-    positive grid commands from smallest to largest at the minimum dwell,
-    so a probe and a search pick of the same cell are one ValveAction.
-    The rung counters, which count from 0 in the mode's rungs, are keyed
-    by the action's vibration flag. A probe whose delta reaches
-    SEED_GATE_MG becomes the pending candidate, and the very next step
-    repeats it in its own mode: the mode is still unfitted and latched
-    as it was, so the controller asks this mode for a probe, and
-    next_probe hands back the candidate's action itself. note_result then
-    hands back the candidate with the repeat, and the controller seeds
-    the mode only if its log accepts the repeat. Either way the candidate
-    is gone and the ladder moves on. So at most one candidate is pending,
-    always of the mode asked, and neither method compares modes. The
-    ladder judges no delta against the observability gate.
-    """
-
-    def __init__(self, table: _ActionTable) -> None:
-        self._rungs = table.rungs
-        self._next = [0, 0]      # gravity, vibration
-        self.pending: tuple[ValveAction, float] | None = None
-
-    def next_probe(self, vibration: bool) -> ValveAction | None:
-        """The next action to try in this mode, the pending candidate's
-        while there is one, or None when the mode's rungs are spent."""
-        if self.pending is not None:
-            return self.pending[0]
-        rungs = self._rungs[vibration]
-        rung = self._next[vibration]
-        if rung >= len(rungs):
-            return None
-        self._next[vibration] = rung + 1
-        return rungs[rung]
-
-    def latch_on_capacity(self) -> None:
-        """Start the vibration ladder no lower than one rung below
-        gravity's next rung, the rung that seeded gravity, so vibration
-        is seeded at an opening that already moved measurable powder, not
-        from noise-level drops at the smallest commands."""
-        self._next[True] = max(self._next[True], self._next[False] - 1)
-
-    def note_result(self, action: ValveAction,
-                    delta_w: float) -> tuple[ValveAction, float] | None:
-        """Feed back a probe's measured delta.
-
-        Returns the pending candidate's (action, delta) pair, and clears
-        it, when there is one: this step repeated it, as action. Whether
-        the repeat confirms it is the log's to judge. Otherwise a delta of
-        at least SEED_GATE_MG opens a pending candidate, and None is
-        returned.
-        """
-        pending = self.pending
-        if pending is not None:
-            self.pending = None
-            return pending
-        if delta_w >= SEED_GATE_MG:
-            self.pending = (action, delta_w)
-        return None
 
 
 class _TrialController:
@@ -438,7 +379,16 @@ class _TrialController:
 
 
 class DispensingController(_TrialController):
-    """Model-based closed-loop dispenser for a single trial."""
+    """Model-based closed-loop dispenser for a single trial.
+
+    The seed protocol lives here whole. Each mode's probe rungs are the
+    action table's, and _next_rung counts from 0 in them; both, like the
+    log and the estimate, are indexed by the vibration flag. A probe
+    whose delta reaches SEED_GATE_MG becomes the pending _candidate, and
+    the very next step repeats that ValveAction in its own mode; the
+    mode is seeded with both drops only if the log accepts the repeat.
+    Either way the candidate is gone and the ladder moves on.
+    """
 
     def __init__(self, w_goal: float, kin: ValveKinematics | None = None, *,
                  k_p: float = DEFAULT_K_P,
@@ -455,8 +405,19 @@ class DispensingController(_TrialController):
         self.w_target: float | None = None
         # replaced whenever a refit changes one mode's fit, read every step
         self.estimate = _UNFITTED
-        self._ladder = _ProbeLadder(_table_for(self.kin, self.grid))
+        self._rungs = _table_for(self.kin, self.grid).rungs
+        self._next_rung = [0, 0]      # gravity, vibration
+        self._candidate: tuple[ValveAction, float] | None = None
         self._last_action: ValveAction | None = None
+
+    def _probe(self, vibration: bool) -> ValveAction | None:
+        """The mode's next rung, or None when its rungs are spent."""
+        rungs = self._rungs[vibration]
+        rung = self._next_rung[vibration]
+        if rung >= len(rungs):
+            return None
+        self._next_rung[vibration] = rung + 1
+        return rungs[rung]
 
     def step(self, reading: float, hopper_empty: bool = False) -> StepDecision:
         """Consume one stabilised balance reading, emit the next action.
@@ -473,28 +434,30 @@ class DispensingController(_TrialController):
         if stop is not None:
             return stop
         estimate = self.estimate
-        ladder = self._ladder
         if previous is not None:
+            # a delta below MIN_OBSERVABLE_MG, a fall included, neither
+            # reaches a fit nor opens a candidate
             delta = reading - previous
-            if delta < 0.0:
-                delta = 0.0
             action = self._last_action
             mode = action.vibration
             fit = None
-            if (estimate.vibration if mode
-                    else estimate.gravity).c_prime is not None:
+            if estimate[mode].c_prime is not None:
                 fit = self.log.record(action.l_command, action.t_pose_s,
                                       mode, delta)
-            elif (candidate := ladder.note_result(action, delta)) is not None:
-                # the log judges the repeat, and the candidate follows
-                # only once it is accepted; a mode's sum starts at 0.0,
-                # so its two terms add alike in either order
+            elif (candidate := self._candidate) is not None:
+                # this step repeated the candidate: the log judges the
+                # repeat, and the candidate follows only once it is
+                # accepted; a mode's sum starts at 0.0, so its two terms
+                # add alike in either order
+                self._candidate = None
                 fit = self.log.record(action.l_command, action.t_pose_s,
                                       mode, delta)
                 if fit is not None:
                     first, first_delta = candidate
                     fit = self.log.record(first.l_command, first.t_pose_s,
                                           mode, first_delta)
+            elif delta >= SEED_GATE_MG:
+                self._candidate = (action, delta)
             if fit is not None:
                 self.estimate = estimate = _new(
                     CoefficientEstimate,
@@ -503,21 +466,27 @@ class DispensingController(_TrialController):
         self.w_target = w_target = self.k_p * self.w_error
         vibration = self.use_vibration
         action = predicted = None
-        if (estimate.vibration if vibration
-                else estimate.gravity).c_prime is not None:
+        if estimate[vibration].c_prime is not None:
             action, predicted, selected = select_action(
                 estimate, self.kin, w_target, vibration, self.grid)
             if selected and not vibration:
-                ladder.latch_on_capacity()
+                # The capacity latch: vibration's ladder starts no lower
+                # than the rung that seeded gravity, one below gravity's
+                # next, at an opening that already moved measurable powder.
+                next_rung = self._next_rung
+                next_rung[True] = max(next_rung[True], next_rung[False] - 1)
             vibration = selected
         probe = action is None
         if probe:
-            action = ladder.next_probe(vibration)
-            if action is None and not vibration:
-                # Nothing measurable across the whole gravity range: latch
-                # vibration and keep probing there.
-                vibration = True
-                action = ladder.next_probe(True)
+            if self._candidate is not None:
+                action = self._candidate[0]
+            else:
+                action = self._probe(vibration)
+                if action is None and not vibration:
+                    # Nothing measurable across the whole gravity range:
+                    # latch vibration and keep probing there.
+                    vibration = True
+                    action = self._probe(True)
             if action is None:
                 # Both ladders spent with nothing measurable; push the most
                 # aggressive action until a termination condition ends the

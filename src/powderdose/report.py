@@ -34,7 +34,7 @@ from pathlib import Path
 from .artifacts import (ConditionStats, PooledFit, load_suite_records,
                         stored_summary_problems, summary_csv_text,
                         write_bytes, write_fit_csv)
-from .config import ConfigError, config_from_dict
+from .config import ConfigError, config_from_dict, shown_path
 from .harness import compute_metrics, pooled_fits, pooled_points
 
 
@@ -69,7 +69,7 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
     root = Path(artifact_dir)
     records, payload, errors = load_suite_records(root)
     if not records and not errors:
-        errors.append(f"no data: {root} holds no trials")
+        errors.append(f"no data: {shown_path(root)} holds no trials")
     if not records:
         return ReportResult(None, (), (), tuple(errors))
     if "config" not in payload:

@@ -526,6 +526,29 @@ class TestBootstrapProbing:
         assert ctl.estimate.gravity.c_prime is None
         assert decision.probe and decision.action == ValveAction(15.0, 0.0)
 
+    def test_a_falling_reading_after_a_probe_opens_no_candidate(self):
+        # a reading 3 mg below the last one is no drop: it fits neither
+        # mode and opens no candidate, so the ladder moves on rather than
+        # repeating (5, 0)
+        ctl = DispensingController(20.0)
+        ctl.step(5.0)                    # probe (5, 0)
+        decision = ctl.step(2.0)
+        assert ctl.estimate == CoefficientEstimate()
+        assert decision.probe and decision.action == ValveAction(10.0, 0.0)
+
+    def test_a_falling_reading_after_a_model_step_leaves_the_fit(self):
+        ctl = DispensingController(100.0)
+        ctl.step(0.0)                    # probe (5, 0)
+        ctl.step(0.0)                    # probe (10, 0)
+        ctl.step(5.0)                    # candidate, repeat (10, 0)
+        decision = ctl.step(10.0)        # confirmed: a model step
+        fitted = ctl.estimate
+        assert fitted.gravity.n_obs == 2 and not decision.probe
+        decision = ctl.step(7.0)         # 3 mg below the last reading
+        assert ctl.estimate is fitted
+        assert ctl.estimate.gravity.n_obs == 2
+        assert not decision.probe
+
     def test_deltas_at_the_gate_confirm_and_land_in_the_log(self):
         # a probe opens a candidate at SEED_GATE_MG and not below it, and
         # a repeat confirms at the log's MIN_OBSERVABLE_MG: a probe of
@@ -548,21 +571,24 @@ class TestBootstrapProbing:
 
     def test_a_candidate_comes_back_on_the_very_next_step(self,
                                                           monkeypatch):
-        # the ladder compares no modes: a pending candidate is repeated on
-        # the step right after it opened, in its own mode, so every
-        # candidate note_result hands back is the action of the step just
-        # executed, the very ValveAction object; checked over the shipped
-        # configs at their balance noise and at a 0.5 mg one
+        # the controller compares no modes: a pending candidate is
+        # repeated on the step right after it opened, in its own mode, so
+        # each step that goes on past a pending candidate consumes it, and
+        # the candidate is the action of the step just executed, the very
+        # ValveAction object; checked over the shipped configs at their
+        # balance noise and at a 0.5 mg one
         handed = []
-        note_result = control._ProbeLadder.note_result
+        step = DispensingController.step
 
-        def spy(ladder, action, delta_w):
-            candidate = note_result(ladder, action, delta_w)
-            if candidate is not None:
-                handed.append(candidate[0] is action)
-            return candidate
+        def spy(ctl, *args):
+            candidate, executed = ctl._candidate, ctl._last_action
+            decision = step(ctl, *args)
+            if candidate is not None and decision.action is not None:
+                handed.append(ctl._candidate is None
+                              and candidate[0] is executed)
+            return decision
 
-        monkeypatch.setattr(control._ProbeLadder, "note_result", spy)
+        monkeypatch.setattr(DispensingController, "step", spy)
         configs = Path(__file__).resolve().parents[1] / "configs"
         for path in sorted(configs.glob("*.json")):
             base = load_config(path)

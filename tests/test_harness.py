@@ -30,6 +30,7 @@ from powderdose import (
     VIBRATION,
     ConditionStats,
     ConfigError,
+    DispensingController,
     ExperimentConfig,
     PooledFit,
     StepTrace,
@@ -942,10 +943,12 @@ def test_traced_names_see_every_unit_of_work(monkeypatch):
     One select_action call finds each model action that is not a probe,
     one quantize_reading call makes each balance reading, one
     ObservationLog.record call takes each ingested model step, each probe
-    repeat the ladder hands back and each first observation that repeat
-    confirms, and one harness fit_points call makes each pooled fit. The tracer's harness.pooled_fit boundary still names
-    harness:fit_coefficient, which harness no longer binds, so that
-    boundary is absent until it is re-pointed at harness:fit_points.
+    repeat that consumes the controller's pending candidate and each
+    first observation that repeat confirms, and one harness fit_points
+    call makes each pooled fit. The tracer's harness.pooled_fit boundary
+    still names harness:fit_coefficient, which harness no longer binds,
+    so that boundary is absent until it is re-pointed at
+    harness:fit_points.
     """
     seen: dict[str, list] = {}
 
@@ -963,7 +966,16 @@ def test_traced_names_see_every_unit_of_work(monkeypatch):
     spy(harness, "fit_points")
     spy(plant, "quantize_reading")
     spy(ObservationLog, "record")
-    spy(control._ProbeLadder, "note_result")
+    repeats = 0
+    step = DispensingController.step
+
+    def count_repeats(ctl, *args):
+        nonlocal repeats
+        pending = ctl._candidate
+        decision = step(ctl, *args)
+        repeats += pending is not None and ctl._candidate is None
+        return decision
+    monkeypatch.setattr(DispensingController, "step", count_repeats)
     summary = run_suite(small_config(
         powder=["glass-beads", "msg"], controller=[MODEL_BASED, DIRECT_PID],
         targets_mg=[20, 500]), write_artifacts=False)
@@ -981,7 +993,6 @@ def test_traced_names_see_every_unit_of_work(monkeypatch):
     # end of a trial was confirmed once, by a repeat the log accepted and
     # then the candidate it repeated
     ingested = sum(not row.probe for r in model for row in r.steps[:-1])
-    repeats = sum(pair is not None for pair in seen["note_result"])
     confirmed = sum((r.steps[-1].cprime_gravity is not None)
                     + (r.steps[-1].cprime_vibration is not None)
                     for r in model if r.steps)
@@ -2239,6 +2250,28 @@ class TestCli:
         assert str(path) in proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, flag, value, code", [
+        ("run-trial", "--seed", "1" * 5000, 2),
+        ("run-trial", "--target", "1" + "x" * 400, 2),
+        ("run-suite", "--out", "o" * 600, 1),
+        ("report", None, "r" * 600, 1),
+    ], ids=["5000-digit-seed", "long-bad-target", "long-out",
+            "long-artifact-dir"])
+    def test_long_flag_values_are_echoed_bounded(self, command, flag, value,
+                                                 code, cfg_path, tmp_path):
+        # argparse's type errors and the OS errors of a path too long to
+        # open echo the value as config.shown bounds it
+        if code == 1:                    # a path that cannot be opened
+            value = str(tmp_path / value)
+        args = [value] if flag is None else [flag, value]
+        if command == "run-suite":
+            args += ["--config", str(cfg_path)]
+        proc = self.run_cli(command, *args)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr
+        assert max(map(len, proc.stderr.splitlines())) <= 300
 
     def test_report_on_empty_dir_fails(self, tmp_path):
         proc = self.run_cli("report", str(tmp_path / "empty"))
