@@ -11,24 +11,28 @@ Each format is defined once, below, and written and read through that one
 definition. A summary.json trial entry must name trial_id(powder,
 controller, target_mg, trial_index) and that trial's trials/<id>.csv.
 
-Every CSV table, a trace, summary.csv and the report's tables, is built
-by one line writer, _csv_text: a header line of the column names, then
-one line per row, every line ended by CRLF and its cells joined by
-commas. No cell ever holds a comma, a quote or a line end, so none is
-quoted, and these are the bytes csv.writer gives the same rows.
+Every CSV table, a trace, summary.csv and the report's tables, is
+rendered by one writer, _csv_table, from the table's format: one
+(column, ..., cell kind) entry per column, in file order. It writes a
+header line of the column names, then one line per row, every line ended
+by CRLF and its cells joined by commas, and turns the values into text a
+column at a time by their cell kinds in _CELL_KINDS: a name is itself, an
+integer its decimal digits, a float its Python repr (which is its str())
+and None an empty cell. No cell ever holds a comma, a quote or a line
+end, so none is quoted, and these are the bytes csv.writer gives the same
+rows.
 
 A trace CSV's bytes: a header line of TRACE_COLUMNS, then one line per
-step. step and vibration are decimal integers (vibration 0 or 1), a
-float is its Python repr, and None is an empty cell. The reader takes
-CRLF, LF or CR line ends, but every line, the last one too, must end, no
-cell may be quoted (a quote is a bad cell like any other), and data row
-r (0 for the first) must hold step r + 1.
+step, vibration written 0 or 1. The reader takes CRLF, LF or CR line
+ends, but every line, the last one too, must end, no cell may be quoted
+(a quote is a bad cell like any other), and data row r (0 for the first)
+must hold step r + 1.
 
 The fit CSVs that report writes, report/fit_<powder>_<mode>.csv, follow
 the same rules: a header line regressor,measured_mg,predicted_mg, then
 one line per pooled point, its regressor, its measured delta and the
 fit's prediction C' * regressor, an empty cell while the fit is unfitted.
-A summary.csv line holds a condition's SUMMARY_COLUMNS, each its str().
+A summary.csv line holds a condition's SUMMARY_COLUMNS.
 
 A rerun into an existing directory rewrites each file it writes in place
 to exactly the new bytes; the trace files of trials the new config no
@@ -43,7 +47,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -153,9 +156,10 @@ def _bools(cells: tuple[str, ...]) -> list[bool]:
 
 # Per cell kind: the text of a whole column of values as written, a parser
 # of a whole column of read cells, and what a read cell must be. Both go
-# through a column with no Python call per cell: str, repr, repr or ""
-# for None, and "0" or "1" for a bool.
+# through a column with no Python call per cell: str, str, repr, repr or
+# "" for None, and "0" or "1" for a bool.
 _CELL_KINDS = {
+    "str": (partial(map, str), list, "text"),
     "int": (partial(map, str), lambda cells: list(map(int, cells)),
             "an integer"),
     "float": (partial(map, repr), lambda cells: list(map(float, cells)),
@@ -168,10 +172,14 @@ _CELL_KINDS = {
 }
 
 
-def _csv_text(columns: Iterable[str], lines: Iterable[str]) -> str:
-    """A CSV table: a header line of the column names, then the lines,
-    each ended by CRLF."""
-    return "\r\n".join([",".join(columns), *lines, ""])
+def _csv_table(table_format: tuple, columns: Iterable[Iterable]) -> str:
+    """The CSV table of a format's columns of values, in the byte format
+    above. Columns past the format's are left out; a column longer or
+    shorter than the others is a ValueError."""
+    texts = [_CELL_KINDS[entry[-1]][0](values)
+             for entry, values in zip(table_format, columns)]
+    return "\r\n".join([",".join([entry[0] for entry in table_format]),
+                        *map(",".join, zip(*texts, strict=True)), ""])
 
 
 # The trace CSV format: (column, StepTrace attribute, cell kind) in file
@@ -191,34 +199,24 @@ TRACE_COLUMNS = tuple(column for column, _, _ in _TRACE_FORMAT)
 _UNTRACED_DEFAULTS = tuple(StepTrace._field_defaults[name] for name
                            in StepTrace._fields[len(_TRACE_FORMAT):])
 
-_FIT_COLUMNS = ("regressor", "measured_mg", "predicted_mg")
+_FIT_FORMAT = (("regressor", "float"), ("measured_mg", "float"),
+               ("predicted_mg", "float?"))
 
 
 def write_trace_csv(record: TrialRecord, path: Path) -> None:
     """Write a trial's trace as one buffer, in the byte format above."""
-    # zip(*steps) gives StepTrace's columns; zipping with _TRACE_FORMAT
-    # keeps the traced ones, each turned into text a column at a time.
-    columns = [_CELL_KINDS[cell][0](values)
-               for (_, _, cell), values in zip(_TRACE_FORMAT,
-                                               zip(*record.steps))]
-    text = _csv_text(TRACE_COLUMNS, map(",".join, zip(*columns)))
-    write_bytes(path, text.encode())
+    # zip(*steps) gives StepTrace's columns, of which the table keeps the
+    # traced ones
+    write_bytes(path, _csv_table(_TRACE_FORMAT, zip(*record.steps)).encode())
 
 
 def write_fit_csv(xs: list[float], deltas: list[float],
                   c_prime: float | None, path: Path) -> None:
     """Write one pooled fit's points, regressors xs and measured deltas,
-    as one buffer in the byte format above."""
-    rows = zip(xs, deltas, strict=True)
-    # The lines of "float" cells, the last an empty "float?" one while
-    # unfitted, are written out: CPython 3.11 compiles a literal format
-    # of %r cells to f-string code, about 10 % faster than a format built
-    # from _CELL_KINDS.
-    if c_prime is None:
-        lines = map("%r,%r,".__mod__, rows)
-    else:
-        lines = ["%r,%r,%r" % (x, dw, c_prime * x) for x, dw in rows]
-    write_bytes(path, _csv_text(_FIT_COLUMNS, lines).encode())
+    as one buffer in the byte format above; ValueError if their lengths
+    differ."""
+    fitted = [None if c_prime is None else c_prime * x for x in xs]
+    write_bytes(path, _csv_table(_FIT_FORMAT, (xs, deltas, fitted)).encode())
 
 
 def write_bytes(path: Path, data: bytes) -> None:
@@ -259,8 +257,10 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
     with no quoting, so data row r (0 for the first) is line r + 2. A last
     line with no line end is an error: the file was cut short. So is a
     byte that is not UTF-8, named with its line, and a step that does
-    not number its row from 1.
+    not number its row from 1. Each message names the file as
+    config.shown_path echoes it.
     """
+    name = shown_path(path)
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().split("\n")
@@ -269,39 +269,39 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
         # ends are counted as the text read counts them
         head = exc.object[:exc.start].replace(b"\r\n", b"\n")
         line = head.replace(b"\r", b"\n").count(b"\n") + 1
-        raise ValueError(f"{path}: line {line}: byte "
+        raise ValueError(f"{name}: line {line}: byte "
                          f"0x{exc.object[exc.start]:02x} is not UTF-8 "
                          f"({exc.reason})") from None
     if lines.pop():
-        raise ValueError(f"{path}: line {len(lines) + 1} has no line end")
+        raise ValueError(f"{name}: line {len(lines) + 1} has no line end")
     rows = list(map(str.split, lines, repeat(",")))
     header = tuple(rows[0]) if rows else ()
     if header != TRACE_COLUMNS:
-        raise ValueError(f"{path}: unexpected trace header "
+        raise ValueError(f"{name}: unexpected trace header "
                          f"{shown(header)}")
     del rows[0]
     width = len(TRACE_COLUMNS)
     if any(map(width.__ne__, map(len, rows))):
         row = next(row for row, cells in enumerate(rows)
                    if len(cells) != width)
-        raise ValueError(f"{path}: line {row + 2} has "
+        raise ValueError(f"{name}: line {row + 2} has "
                          f"{len(rows[row])} fields, expected {width}")
     if not rows:
         return []
-    columns = [_parse_cells(path, column, cell, cells) for (column, _, cell),
+    columns = [_parse_cells(name, column, cell, cells) for (column, _, cell),
                cells in zip(_TRACE_FORMAT, zip(*rows))]
     # the step column, the first, numbers the rows from 1
     if columns[0] != list(range(1, len(rows) + 1)):
         row = next(row for row, step in enumerate(columns[0])
                    if step != row + 1)
-        raise ValueError(f"{path}: line {row + 2}: step must be {row + 1}, "
+        raise ValueError(f"{name}: line {row + 2}: step must be {row + 1}, "
                          f"got {shown(rows[row][0])}")
     # tuple.__new__ builds each StepTrace without a Python call per row
     return list(map(tuple.__new__, repeat(StepTrace),
                     zip(*columns, *map(repeat, _UNTRACED_DEFAULTS))))
 
 
-def _parse_cells(path: Path, column: str, cell: str,
+def _parse_cells(name: str, column: str, cell: str,
                  cells: tuple[str, ...]) -> list:
     _, parse, rule = _CELL_KINDS[cell]
     try:
@@ -312,24 +312,25 @@ def _parse_cells(path: Path, column: str, cell: str,
             try:
                 parse((text,))
             except ValueError:
-                raise ValueError(f"{path}: line {row + 2}: "
+                raise ValueError(f"{name}: line {row + 2}: "
                                  f"{column} must be {rule}, got "
                                  f"{shown(text)}") from None
         raise
 
 
-# summary.csv holds every ConditionStats field but the degenerate flag.
-SUMMARY_COLUMNS = tuple(name for name in ConditionStats._fields
-                        if name != "degenerate_stats")
-
-
-# Every summary cell is a name, a count or a float, written as its str().
-_SUMMARY_LINE = ",".join(["%s"] * len(SUMMARY_COLUMNS))
+# The summary.csv format: (column, cell kind) in file order, for every
+# ConditionStats field but the degenerate flag, the last; each column is
+# the field of its name, in field order.
+_SUMMARY_FORMAT = (
+    ("powder", "str"), ("controller", "str"), ("target_mg", "float"),
+    ("trials", "int"), ("successes", "int"), ("dropped_mean_mg", "float"),
+    ("dropped_std_mg", "float"), ("steps_mean", "float"),
+    ("steps_std", "float"), ("time_mean_s", "float"), ("time_std_s", "float"))
+SUMMARY_COLUMNS = tuple(column for column, _ in _SUMMARY_FORMAT)
 
 
 def summary_csv_text(conditions: Iterable[ConditionStats]) -> str:
-    return _csv_text(SUMMARY_COLUMNS, map(
-        _SUMMARY_LINE.__mod__, map(attrgetter(*SUMMARY_COLUMNS), conditions)))
+    return _csv_table(_SUMMARY_FORMAT, zip(*conditions))
 
 
 # A summary.json trial entry: (key, type) in file order. Each key is a
@@ -454,10 +455,13 @@ def load_suite_records(artifact_dir: str | Path
             errors.append(f"{shown_path(index_path)}: trials[{position}]: "
                           f"{problem}")
             continue
+        trace = root / entry["trace_csv"]
         try:
-            steps = read_trace_csv(root / entry["trace_csv"])
+            steps = read_trace_csv(trace)
         except (OSError, ValueError) as exc:
-            errors.append(f"trial {entry['trial_id']}: {exc}")
+            reason = (f"{shown_path(trace)}: {exc.strerror}"
+                      if isinstance(exc, OSError) else exc)
+            errors.append(f"trial {entry['trial_id']}: {reason}")
             continue
         if len(steps) != entry["total_steps"]:
             errors.append(
@@ -506,11 +510,13 @@ def stored_summary_problems(root: Path, payload: Mapping,
                 if k not in entry or k not in fresh or entry[k] != fresh[k])
             problems.append(f"summary.json: {section} {label}: "
                             f"{shown(differences, str)}")
+    path = root / "summary.csv"
     try:
-        with (root / "summary.csv").open(newline="") as handle:
+        with path.open(newline="") as handle:
             stored_csv = handle.read()
     except (OSError, ValueError) as exc:
-        problems.append(f"cannot read summary.csv: {exc}")
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        problems.append(f"cannot read {shown_path(path)}: {reason}")
     else:
         if stored_csv != summary_csv_text(conditions):
             problems.append("summary.csv: does not match the summary "

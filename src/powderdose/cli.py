@@ -14,7 +14,8 @@ argument), then the POWDERDOSE_OUT environment variable, then the
 config's out_dir (for report, that of --config). Exit status is zero on
 success and nonzero when configuration or input artifacts are invalid, or
 when an output path cannot be written (1, with one stderr line naming the
-path and the OS error).
+path and the OS error). A command line argparse refuses exits 2, its
+error echoed as config.shown_path bounds a path.
 """
 
 from __future__ import annotations
@@ -22,18 +23,27 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from collections.abc import Callable
 from pathlib import Path
+from typing import NoReturn
 
 from .artifacts import write_trace_csv
 from .config import (ConfigError, ExperimentConfig, load_config,
-                     resolve_out_dir, shown, shown_path)
+                     resolve_out_dir, shown_path)
 from .harness import run_suite, run_trial
 from .report import build_report, format_mass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose error lines echo the command line bounded:
+    argparse names a refused value or a stray argument whole. Its
+    subparsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(shown_path(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powderdose",
         description="Closed-loop powder dispensing benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -44,9 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     trial.add_argument("--controller",
                        help="controller to drive the trial: model-based "
                             "(model) or direct-pid (pid)")
-    trial.add_argument("--target", type=_parsed(float),
-                       help="target mass in mg")
-    trial.add_argument("--trial-index", type=_parsed(int), default=0,
+    trial.add_argument("--target", type=float, help="target mass in mg")
+    trial.add_argument("--trial-index", type=int, default=0,
                        help="trial index within the condition (default 0)")
 
     suite = sub.add_parser("run-suite", help="run the full benchmark suite")
@@ -68,21 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="experiment config JSON")
-    sub.add_argument("--seed", type=_parsed(int),
+    sub.add_argument("--seed", type=int,
                      help="override the suite seed")
     sub.add_argument("--out", help="override the output directory")
-
-
-def _parsed(parse: Callable[[str], object]) -> Callable[[str], object]:
-    """An argparse type that parses a flag's value with parse, and names
-    a value parse refuses as config.shown echoes it."""
-    def convert(text: str) -> object:
-        try:
-            return parse(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {parse.__name__} value: {shown(text)}") from None
-    return convert
 
 
 def _load(args) -> ExperimentConfig:

@@ -755,6 +755,17 @@ class TestPidBaseline:
         assert ctl.action_for_error(8.0).l_command == 10.0   # clamped at 16
         assert ctl.integral == 10.0
 
+    def test_integral_clamps_an_overshoot_from_below(self):
+        gains = PidGains(k_p=0.0, k_i=1.0, k_d=0.0, output_slope=1.0,
+                         integral_limit=10.0)
+        ctl = PidBaselineController(100.0, gains=gains)
+        assert ctl.action_for_error(-8.0).l_command == 0.0   # valve floor
+        assert ctl.action_for_error(-8.0).l_command == 0.0   # -16, clamped
+        assert ctl.integral == -10.0
+        # wound up only to -10, so the next error opens the valve at once
+        assert ctl.action_for_error(15.0).l_command == 5.0
+        assert ctl.integral == 5.0
+
     def test_derivative_kicks_in_from_second_sample(self):
         gains = PidGains(k_p=0.0, k_i=0.0, k_d=1.0, output_slope=1.0)
         ctl = PidBaselineController(100.0, gains=gains)

@@ -60,7 +60,8 @@ from powderdose.artifacts import (
     write_fit_csv,
 )
 from powderdose.cli import main as cli_main
-from powderdose.config import DIRECT_PID, MODEL_BASED, resolve_out_dir
+from powderdose.config import (DIRECT_PID, MODEL_BASED, resolve_out_dir,
+                               shown_path)
 from powderdose.identify import (
     MIN_OBSERVABLE_MG,
     Observation,
@@ -154,6 +155,18 @@ def renumber_trial(entry, index):
     entry["trial_id"] = trial_id(entry["powder"], entry["controller"],
                                  entry["target_mg"], index)
     entry["trace_csv"] = f"trials/{entry['trial_id']}.csv"
+
+
+def cut_last_line(trace):
+    """Drop a trace CSV's last line, its line end with it."""
+    data = trace.read_bytes()
+    trace.write_bytes(data[:data.rindex(b"\r\n", 0, -2) + 2])
+
+
+# The trial the report tests edit, the second in summary.json's index of
+# the suite fixture, and its trace in the artifact directory.
+EDITED_TRIAL = "glass-beads--model-based--t50--001"
+EDITED_TRACE = f"trials/{EDITED_TRIAL}.csv"
 
 
 def widen_every_command(trace):
@@ -1706,25 +1719,58 @@ class TestArtifacts:
         (lambda index, out: index["conditions"][0].update(successes=None),
          "summary.json: conditions glass-beads / model-based / 50.0: "
          "successes stored null, recomputed 2\n"),
+        # an edit that returns bytes makes them the whole summary.json
+        (lambda index, out: json.dumps([index]).encode(),
+         lambda copy: f"report: {shown_path(copy / 'summary.json')}: "
+                      f"expected an object with a 'trials' list\n"),
+        (lambda index, out: index.update(trials={}),
+         lambda copy: f"report: {shown_path(copy / 'summary.json')}: "
+                      f"expected an object with a 'trials' list\n"),
+        (lambda index, out: index["trials"].__setitem__(1, [1]),
+         lambda copy: f"report: {shown_path(copy / 'summary.json')}: "
+                      f"trials[1]: entry is not an object\n"),
+        # the trace's last whole line removed: every line still ends, so
+        # only the step count in the index tells the trace was cut
+        (lambda index, out: cut_last_line(out / EDITED_TRACE),
+         f"report: trial {EDITED_TRIAL}: index says 8 steps, trace has 7\n"),
         (lambda index, out: (out / "summary.csv").unlink(),
-         "cannot read summary.csv: "),
+         lambda copy: f"report: cannot read "
+                      f"{shown_path(copy / 'summary.csv')}: "
+                      f"{os.strerror(errno.ENOENT)}\n"),
+        (lambda index, out: (out / EDITED_TRACE).unlink(),
+         lambda copy: f"report: trial {EDITED_TRIAL}: "
+                      f"{shown_path(copy / EDITED_TRACE)}: "
+                      f"{os.strerror(errno.ENOENT)}\n"),
+        # one byte that is not UTF-8 after the final CRLF
+        (lambda index, out: (out / EDITED_TRACE).write_bytes(
+            (out / EDITED_TRACE).read_bytes() + b"\xff"),
+         lambda copy: f"report: trial {EDITED_TRIAL}: "
+                      f"{shown_path(copy / EDITED_TRACE)}: line 10: byte "
+                      f"0xff is not UTF-8 (invalid start byte)\n"),
     ], ids=["successes", "c-prime", "summary-csv-row", "no-config-echo",
             "no-trials", "config-echo-without-trials", "pooled-fit-missing",
             "condition-not-an-object", "pooled-fit-not-an-object",
             "condition-key-missing", "condition-key-null",
-            "summary-csv-deleted"])
+            "index-root-a-list", "trials-not-a-list",
+            "trial-entry-not-an-object", "trace-last-line-removed",
+            "summary-csv-deleted", "trace-deleted", "trace-not-utf8"])
     def test_report_checks_the_stored_summary(self, suite, tmp_path, capsys,
                                               edit, message):
+        # The copy sits 600 characters deep, three nested names of 200,
+        # so that every path a message echoes is one config.shown_path
+        # cuts; a message that names a path is built from the copy's.
         _, _, out = suite
-        copy = tmp_path / "edited"
+        copy = tmp_path.joinpath(*(letter * 200 for letter in "abc"))
         shutil.copytree(out, copy)
         index = json.loads((copy / "summary.json").read_text())
-        edit(index, copy)
-        (copy / "summary.json").write_text(json.dumps(index))
+        raw = edit(index, copy)
+        (copy / "summary.json").write_bytes(
+            raw if isinstance(raw, bytes) else json.dumps(index).encode())
         assert cli_main(["report", str(copy)]) == 1
         err = capsys.readouterr().err
-        assert message in err
+        assert (message(copy) if callable(message) else message) in err
         assert "Traceback" not in err
+        assert max(map(len, err.splitlines())) <= 300
 
     def test_report_prints_each_config_echo_error_on_its_own_line(
             self, suite, tmp_path, capsys):
@@ -2256,12 +2302,13 @@ class TestCli:
         ("run-trial", "--target", "1" + "x" * 400, 2),
         ("run-suite", "--out", "o" * 600, 1),
         ("report", None, "r" * 600, 1),
+        ("run-trial", None, "s" * 5000, 2),
     ], ids=["5000-digit-seed", "long-bad-target", "long-out",
-            "long-artifact-dir"])
+            "long-artifact-dir", "long-stray-argument"])
     def test_long_flag_values_are_echoed_bounded(self, command, flag, value,
                                                  code, cfg_path, tmp_path):
-        # argparse's type errors and the OS errors of a path too long to
-        # open echo the value as config.shown bounds it
+        # argparse's errors and the OS errors of a path too long to open
+        # echo the value as config.shown_path bounds it
         if code == 1:                    # a path that cannot be opened
             value = str(tmp_path / value)
         args = [value] if flag is None else [flag, value]
