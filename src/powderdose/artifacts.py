@@ -9,7 +9,9 @@ Artifacts written by run_suite:
 
 Each format is defined once, below, and written and read through that one
 definition. A summary.json trial entry must name trial_id(powder,
-controller, target_mg, trial_index) and that trial's trials/<id>.csv.
+controller, target_mg, trial_index). A trial's trace is trials/<id>.csv,
+derived from that id and stored nowhere, so a reader opens no path that
+an index names.
 
 Every CSV table, a trace, summary.csv and the report's tables, is
 rendered by one writer, _csv_table, from the table's format: one
@@ -333,27 +335,26 @@ def summary_csv_text(conditions: Iterable[ConditionStats]) -> str:
     return _csv_table(_SUMMARY_FORMAT, zip(*conditions))
 
 
-# A summary.json trial entry: (key, type) in file order. Each key is a
-# TrialRecord attribute, written as is (a TrialStatus as its string) and
-# read back through its type.
+# A summary.json trial entry: (key, type) in file order, every TrialRecord
+# field but steps, in field order. Each value is written as is (a
+# TrialStatus as its string) and read back through its type. The trace
+# path is not stored: a reader derives it from the trial_id.
 _INDEX_ENTRY = (
     ("trial_id", str), ("powder", str), ("controller", str),
     ("target_mg", float), ("trial_index", int), ("status", TrialStatus),
     ("final_mass_mg", float), ("total_steps", int),
-    ("total_sim_time_s", float), ("trace_csv", str),
+    ("total_sim_time_s", float),
 )
-# The TrialRecord fields an entry holds, all but steps, in field order
-# and with their types.
-_RECORD_FIELDS = tuple((name, dict(_INDEX_ENTRY)[name])
-                       for name in TrialRecord._fields if name != "steps")
 _STATUSES = {status.value for status in TrialStatus}
 
 
-def index_entry_problem(entry: Any) -> str | None:
+def _index_entry_problem(entry: Any) -> str | None:
     """What is wrong with one summary.json trial entry, or None.
 
-    The trace path must follow from the condition, so a reader of a valid
-    entry opens nothing outside the artifact directory's trials/.
+    The trial_id must follow from the condition, so the trace a reader
+    opens for a valid entry, _trace_csv(trial_id), lies in the artifact
+    directory's trials/. Keys past _INDEX_ENTRY's, such as the trace_csv
+    path an older index stores, are not read.
     """
     if not isinstance(entry, dict):
         return "entry is not an object"
@@ -380,16 +381,13 @@ def index_entry_problem(entry: Any) -> str | None:
     if entry["trial_id"] != expected:
         return (f"trial_id {shown(entry['trial_id'])} does not match its "
                 f"condition, expected {shown(expected)}")
-    if entry["trace_csv"] != _trace_csv(expected):
-        return (f"trace_csv {shown(entry['trace_csv'])} is not the trial's "
-                f"trace {shown(_trace_csv(expected))}")
     return None
 
 
-def record_from_index(entry: Mapping,
-                      steps: Iterable[StepTrace]) -> TrialRecord:
+def _record_from_index(entry: Mapping,
+                       steps: Iterable[StepTrace]) -> TrialRecord:
     """The TrialRecord of a valid summary.json trial entry and its trace."""
-    return TrialRecord(*[kind(entry[key]) for key, kind in _RECORD_FIELDS],
+    return TrialRecord(*[kind(entry[key]) for key, kind in _INDEX_ENTRY],
                        tuple(steps))
 
 
@@ -399,8 +397,8 @@ _SECTION_KEYS = {"conditions": ("powder", "controller", "target_mg"),
                  "pooled_fits": ("powder", "mode")}
 
 
-def summary_sections(conditions: Iterable[ConditionStats],
-                     fits: Iterable[PooledFit]) -> dict[str, list[dict]]:
+def _summary_sections(conditions: Iterable[ConditionStats],
+                      fits: Iterable[PooledFit]) -> dict[str, list[dict]]:
     """The conditions and pooled_fits sections of summary.json, as written
     and as a report recomputes them."""
     return {"conditions": [c._asdict() for c in conditions],
@@ -417,7 +415,7 @@ def write_suite_artifacts(summary: SuiteSummary,
                 summary_csv_text(summary.conditions).encode())
     payload = {
         "config": config_to_dict(summary.config),
-        **summary_sections(summary.conditions, summary.pooled_fits),
+        **_summary_sections(summary.conditions, summary.pooled_fits),
         "trials": [{key: getattr(r, key) for key, _ in _INDEX_ENTRY}
                    for r in summary.trials],
     }
@@ -450,12 +448,12 @@ def load_suite_records(artifact_dir: str | Path
                         f"with a 'trials' list"]
     records: list[TrialRecord] = []
     for position, entry in enumerate(payload.get("trials", [])):
-        problem = index_entry_problem(entry)
+        problem = _index_entry_problem(entry)
         if problem is not None:
             errors.append(f"{shown_path(index_path)}: trials[{position}]: "
                           f"{problem}")
             continue
-        trace = root / entry["trace_csv"]
+        trace = root / _trace_csv(entry["trial_id"])
         try:
             steps = read_trace_csv(trace)
         except (OSError, ValueError) as exc:
@@ -468,7 +466,7 @@ def load_suite_records(artifact_dir: str | Path
                 f"trial {entry['trial_id']}: index says "
                 f"{entry['total_steps']} steps, trace has {len(steps)}")
             continue
-        records.append(record_from_index(entry, steps))
+        records.append(_record_from_index(entry, steps))
     return records, payload, errors
 
 
@@ -482,7 +480,7 @@ def stored_summary_problems(root: Path, payload: Mapping,
     so a key stored as null reads apart from a missing one.
     """
     problems = []
-    for section, recomputed in summary_sections(conditions, fits).items():
+    for section, recomputed in _summary_sections(conditions, fits).items():
         stored = payload.get(section)
         if not isinstance(stored, list) or len(stored) != len(recomputed):
             problems.append(f"summary.json: {section} does not hold the "

@@ -124,9 +124,7 @@ def _cmd_report(args) -> int:
     for message in result.errors:
         print(f"report: {message}", file=sys.stderr)
     if result.report_dir is not None:
-        text = (result.report_dir / "report.txt")
-        if text.is_file():
-            print(text.read_text(), end="")
+        print((result.report_dir / "report.txt").read_text(), end="")
         print(f"report files: {result.report_dir}")
     return 0 if result.ok else 1
 

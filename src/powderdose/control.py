@@ -34,12 +34,13 @@ smallest command. DispensingController holds this seed protocol whole,
 its rung counters and pending candidate included, and step runs all of
 it.
 
-The search runs over an action table built whole once per
-(ValveKinematics, ActionGrid) pair, cached and never changed after: every
-cell's regressor x = L**2.5 * (T(L) + t) from flow.drop_regressor, the
-drop model's one definition, sorted ascending, the capacity and floor
-regressors, every cell's ValveAction in each mode, and each mode's probe
-rungs, the minimum-dwell cells from the first positive command on. A
+The search runs over an action table built whole for the
+(ValveKinematics, ActionGrid) pair in use, held as the one entry of
+_table_for's memo and never changed after: every cell's regressor
+x = L**2.5 * (T(L) + t) from flow.drop_regressor, the drop model's one
+definition, sorted ascending, the capacity and floor regressors, every
+cell's ValveAction in each mode, and each mode's probe rungs, the
+minimum-dwell cells from the first positive command on. A
 prediction is C' * x, the product the identification fits. For C' >= 0,
 fl(C' * x) is non-decreasing in x, overflow and underflow included, so
 along the sorted regressors |prediction - W_target| falls and then rises:
@@ -71,7 +72,6 @@ tuple.__new__, is in README.md's "Performance notes".
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -98,8 +98,8 @@ _UNFITTED = CoefficientEstimate()
 
 # The action table takes about 233 bytes a cell (tracemalloc, CPython
 # 3.11: 0.40 MB at the default grid's 1763 cells, 23.3 MB at 100 000).
-# The cap keeps a table near 25 MB and allows 57 times the default grid's
-# cells.
+# A process holds one table, _table_for's, so the cap keeps what the
+# tables hold near 25 MB; it allows 57 times the default grid's cells.
 _MAX_GRID_CELLS = 100_000
 
 
@@ -133,16 +133,13 @@ class ActionGrid:
     def t_values(self, kin: ValveKinematics) -> list[float]:
         return _axis(kin.t_pose_min, kin.t_pose_max, self.t_step)
 
-    def cells(self, kin: ValveKinematics) -> float:
-        """How many actions the grid holds over kin's envelope, counted
-        without building an axis; inf past the float range."""
-        return (_axis_size(kin.l_min, kin.l_max, self.l_step)
-                * _axis_size(kin.t_pose_min, kin.t_pose_max, self.t_step))
-
     def check(self, kin: ValveKinematics) -> None:
         """Raise ValueError, naming the count and the cap, when the grid
-        holds more than _MAX_GRID_CELLS cells over kin's envelope."""
-        cells = self.cells(kin)
+        holds more than _MAX_GRID_CELLS cells over kin's envelope. The
+        cells are counted without building an axis, inf past the float
+        range."""
+        cells = (_axis_size(kin.l_min, kin.l_max, self.l_step)
+                 * _axis_size(kin.t_pose_min, kin.t_pose_max, self.t_step))
         if cells > _MAX_GRID_CELLS:
             raise ValueError(
                 f"the envelope holds {cells:.4g} cells of the model-based "
@@ -206,7 +203,7 @@ class ActionSelection(NamedTuple):
 
 class _ActionTable(NamedTuple):
     """Everything a trial reads that depends only on the kinematics and
-    the grid, built whole once per (ValveKinematics, ActionGrid) pair and
+    the grid, built whole for one (ValveKinematics, ActionGrid) pair and
     never changed after.
 
     Cells are flattened dwell-major: cell j * commands + i is dwell j and
@@ -232,8 +229,8 @@ class _ActionTable(NamedTuple):
     rungs: tuple[tuple[ValveAction, ...], tuple[ValveAction, ...]]
 
 
-@functools.lru_cache(maxsize=16)
 def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
+    """Build the action table of (kin, grid); _table_for keeps the last."""
     grid.check(kin)
     l_vals = grid.l_values(kin)
     t_vals = grid.t_values(kin)
@@ -241,8 +238,8 @@ def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
                 for t_pose_s in t_vals for l_command in l_vals]
     order = sorted(range(len(products)), key=products.__getitem__)
     first = sum(l_command <= 0 for l_command in l_vals)
-    floor = (drop_regressor(kin, l_vals[first], kin.t_pose_min)
-             if first < len(l_vals) else None)
+    # cell (first command, t_values[0]), and t_values[0] is t_pose_min
+    floor = products[first] if first < len(l_vals) else None
     cells = tuple(tuple([_new(ValveAction, (l_command, t_pose_s, vibration))
                          for t_pose_s in t_vals for l_command in l_vals])
                   for vibration in (False, True))
@@ -252,20 +249,24 @@ def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
         cells, tuple(mode[first:len(l_vals)] for mode in cells))
 
 
-# The (kin, grid, table) of _table_for's last call. A trial passes the
-# same two objects on every step, and a suite to every trial; an identity
-# test of both costs far less than hashing them for _action_table's cache.
-# Holding the objects keeps their ids from being reused.
+# The (kin, grid, table) of _table_for's last call, the one table a
+# process holds. A trial passes the same two objects on every step, and a
+# suite to every trial, so an identity test of both decides almost every
+# call; equal objects, such as a config rebuilt from the same values,
+# reuse the table too. Holding the objects keeps their ids from being
+# reused.
 _last_table: tuple = (None, None, None)
 
 
 def _table_for(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
     """The action table of (kin, grid): the memo's when both are the
-    objects of the last call, else _action_table's."""
+    objects of the last call or equal to them, else a new build, which
+    replaces it."""
     global _last_table
     last_kin, last_grid, table = _last_table
     if kin is not last_kin or grid is not last_grid:
-        table = _action_table(kin, grid)
+        if kin != last_kin or grid != last_grid:
+            table = _action_table(kin, grid)
         _last_table = (kin, grid, table)
     return table
 

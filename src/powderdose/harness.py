@@ -129,7 +129,6 @@ def _run_condition(config: ExperimentConfig, powder: str,
     # one plain tuple per step in StepTrace field order; the StepTraces
     # are built once the trial has ended
     rows: list[tuple] = []
-    steps = 0
     while True:
         status, action, predicted, probe = ctl.step(
             reading, plant.dispensed_total >= initial_load)
@@ -143,8 +142,7 @@ def _run_condition(config: ExperimentConfig, powder: str,
             estimate = ctl.estimate
             c_gravity = estimate.gravity.c_prime
             c_vibration = estimate.vibration.c_prime
-        steps += 1
-        rows.append((steps, l_command, t_pose_s, vibration,
+        rows.append((ctl.step_count, l_command, t_pose_s, vibration,
                      predicted, reading - previous, c_gravity, c_vibration,
                      target - reading, plant.sim_clock, true_delta, probe))
     # tuple.__new__ builds the record and each StepTrace without a Python
@@ -152,7 +150,7 @@ def _run_condition(config: ExperimentConfig, powder: str,
     return tuple.__new__(TrialRecord, (
         trial_id(powder, controller_name, target, trial_index), powder,
         controller_name, target, trial_index, ctl.status, ctl.w_measured,
-        steps, plant.sim_clock,
+        ctl.step_count, plant.sim_clock,
         tuple(map(tuple.__new__, repeat(StepTrace), rows))))
 
 

@@ -48,7 +48,7 @@ def mutate(root, kind, data) -> None:
     index_path = root / "summary.json"
     index = json.loads(index_path.read_text())
     entry = data.draw(st.sampled_from(index["trials"]))
-    trace = root / entry["trace_csv"]
+    trace = root / "trials" / f"{entry['trial_id']}.csv"
     if kind == "truncate-trace":
         raw = trace.read_bytes()
         trace.write_bytes(raw[:data.draw(st.integers(0, len(raw)))])

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -337,16 +338,55 @@ class TestStepRecords:
             assert a.probe and b.probe
             assert a.action is b.action
 
-    def test_a_trial_on_the_last_pair_hashes_nothing(self):
+    def test_a_trial_on_the_last_pair_hashes_nothing(self, table_builds):
         # a suite builds each trial's controller from the same kin and
-        # grid objects; only the first goes through the cache
+        # grid objects; only the first can build a table
         kin = ValveKinematics()
         DispensingController(20.0, kin)
-        before = _action_table.cache_info()
+        before = len(table_builds)
         ctl = DispensingController(50.0, kin)
         ctl.estimate = estimate(2e-5, 2e-5)
         assert not ctl.step(0.0).probe
-        assert _action_table.cache_info() == before
+        assert len(table_builds) == before
+
+    def test_an_equal_kinematics_reuses_the_table(self, table_builds):
+        # the benchmark rebuilds its config on every pass: new kinematics
+        # and grid objects, equal to the last ones
+        kin = ValveKinematics(l_max=200.0)
+        table = control._table_for(kin, ActionGrid())
+        built = len(table_builds)
+        again = ValveKinematics(**dataclasses.asdict(kin))
+        assert again == kin and again is not kin
+        assert control._table_for(again, ActionGrid()) is table
+        ctl = DispensingController(20.0, ValveKinematics(l_max=200.0))
+        assert ctl._rungs is table.rungs
+        assert len(table_builds) == built
+        # a kinematics that differs builds anew
+        control._table_for(ValveKinematics(l_max=190.0), ActionGrid())
+        assert len(table_builds) == built + 1
+
+    def test_two_envelopes_in_turn_retain_one_table(self, table_builds,
+                                                    monkeypatch):
+        # 400 x 50 and 399 x 50 cells, some 4.7 MB a table; the memo the
+        # test starts from is kept aside, so no table is freed in between
+        monkeypatch.setattr(control, "_last_table", (None, None, None))
+        grid = ActionGrid()
+        envelopes = [ValveKinematics(l_max=l_max, t_pose_max=24.5)
+                     for l_max in (1995.0, 1990.0)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            held = []
+            for kin in envelopes:
+                control._table_for(kin, grid)
+                held.append(tracemalloc.get_traced_memory()[0] - start)
+        finally:
+            tracemalloc.stop()
+        assert table_builds == [(kin, grid) for kin in envelopes]
+        print(f"held after each build: {held[0] / 1e6:.2f} MB, "
+              f"{held[1] / 1e6:.2f} MB")
+        assert held[0] > 4e6
+        assert abs(held[1] - held[0]) < 0.1 * held[0]
 
     def test_every_cell_action_is_built_from_the_axes(self):
         kin, grid = ValveKinematics(), ActionGrid()
@@ -373,11 +413,13 @@ class TestStepRecords:
                 assert rung is cells[first + k]
 
     @pytest.mark.parametrize("powder", ["glass-beads", "tio2"])
-    def test_a_trial_leaves_a_fresh_table_as_built(self, powder):
+    def test_a_trial_leaves_a_fresh_table_as_built(self, powder,
+                                                   table_builds, monkeypatch):
         # every slot is built with the table; a trial only reads it
-        _action_table.cache_clear()
+        monkeypatch.setattr(control, "_last_table", (None, None, None))
         kin, grid = ValveKinematics(), ActionGrid()
-        table = _action_table(kin, grid)
+        table = control._table_for(kin, grid)
+        assert table_builds == [(kin, grid)]
         built = [list(mode) for mode in table.cells]
         assert all(action is not None for mode in built for action in mode)
         rungs = [list(mode) for mode in table.rungs]
@@ -394,7 +436,8 @@ class TestStepRecords:
             plant.execute(a.l_command, a.t_pose_s, a.vibration)
             reading, _ = plant.read_balance()
         assert decision.status is TrialStatus.SUCCESS and searched > 0
-        assert _action_table(kin, grid) is table
+        assert control._table_for(kin, grid) is table
+        assert len(table_builds) == 1
         for now, then in zip(table.cells + table.rungs, built + rungs,
                              strict=True):
             assert len(now) == len(then)

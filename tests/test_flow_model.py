@@ -56,6 +56,12 @@ class TestBeverlooRate:
         assert beverloo_rate(spec, 1.4) == 0.0
         assert beverloo_rate(spec, 1.0) == 0.0
         assert beverloo_rate(spec, 0.0) == 0.0
+        # below a closed opening there is no diameter
+        for diameter in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"beverloo_rate needs a finite orifice_diameter >= 0, "
+                    f"got {diameter!r}")):
+                beverloo_rate(spec, diameter)
 
     def test_zero_coefficient_means_no_flow(self):
         spec = make_spec(flow_coefficient=0.0)
@@ -151,6 +157,9 @@ class TestEffectiveCoefficient:
 
 class TestValidation:
     def test_powder_spec_rejects_bad_fields(self):
+        with pytest.raises(ValueError,
+                           match="^PowderSpec.name must be non-empty$"):
+            make_spec(name="")
         with pytest.raises(ValueError):
             make_spec(bulk_density=0.0)
         with pytest.raises(ValueError):

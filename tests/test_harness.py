@@ -38,6 +38,7 @@ from powderdose import (
     TrialRecord,
     TrialStatus,
     ValveKinematics,
+    archetype,
     build_report,
     compute_metrics,
     config_from_dict,
@@ -150,11 +151,10 @@ def set_first_cell(trace, column, value):
 
 def renumber_trial(entry, index):
     """Give a summary.json trial entry another trial_index, with the
-    trial_id and the trace path that index makes."""
+    trial_id that index makes."""
     entry["trial_index"] = index
     entry["trial_id"] = trial_id(entry["powder"], entry["controller"],
                                  entry["target_mg"], index)
-    entry["trace_csv"] = f"trials/{entry['trial_id']}.csv"
 
 
 def cut_last_line(trace):
@@ -390,6 +390,10 @@ class TestConfigParsing:
             {"plant": {"powders": {"tio2": {"initial_load": 123.0}}}})
         assert config.powder_spec("tio2").initial_load == 123.0
         assert config.powder_spec("msg").initial_load == 5000.0
+        with pytest.raises(ValueError) as info:
+            archetype("granite", initial_load=123.0)
+        assert str(info.value) == ("unknown powder archetype 'granite' "
+                                   "(known: glass-beads, msg, tio2)")
 
     def test_plant_powder_overrides_validated(self):
         with pytest.raises(ConfigError):
@@ -704,18 +708,22 @@ class TestRunTrial:
             assert row.sim_time_s == pytest.approx(clock, rel=1e-12)
         assert record.total_sim_time_s == pytest.approx(clock, rel=1e-12)
 
-    def test_a_trial_runs_at_the_grid_cell_cap(self):
+    def test_a_trial_runs_at_the_grid_cell_cap(self, table_builds,
+                                               monkeypatch):
         # 2000 commands x 50 dwells: the most cells the config admits
         config = small_config(controller=MODEL_BASED, targets_mg=[500],
                               kinematics={"l_max": 9995.0,
                                           "t_pose_max": 24.5})
         kin, grid = config.kinematics, control.ActionGrid()
-        assert grid.cells(kin) == 100_000
-        control._action_table.cache_clear()
+        assert len(grid.l_values(kin)) == 2000
+        assert len(grid.t_values(kin)) == 50
+        # the memo the test starts from is kept aside, so no table is
+        # freed while the new one is measured
+        monkeypatch.setattr(control, "_last_table", (None, None, None))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            table = control._action_table(kin, grid)
+            table = control._table_for(kin, grid)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -725,6 +733,8 @@ class TestRunTrial:
         assert len(table.cells[True]) == 100_000
         record = run_trial(config, 0)
         assert record.status is TrialStatus.SUCCESS
+        # the trial searched the table just built
+        assert table_builds == [(kin, grid)]
 
 
 class TestStreamRecipe:
@@ -890,7 +900,7 @@ def test_shipped_configs_simulate_as_pinned_without_avx512(capfd):
 # Digest of every file that run-suite and report write for quick.json,
 # report/ included, measured with GOLDEN_SUITE_DIGESTS. A change to any
 # artifact byte shows here.
-GOLDEN_QUICK_TREE_DIGEST = "4779cc3737b1fdb0"
+GOLDEN_QUICK_TREE_DIGEST = "a8f450cb1270de5b"
 
 
 def tree_digest(root):
@@ -916,8 +926,8 @@ def test_quick_config_artifacts_are_pinned(tmp_path, capsys):
 # (default.json: msg and tio2) and for the PID contrast, measured with
 # GOLDEN_SUITE_DIGESTS; a change that moves the simulation re-pins these.
 GOLDEN_TREE_DIGESTS = {
-    "default.json": "ef2e08d9f3cd23d5",
-    "pid-contrast.json": "9ed26c2ed937d501",
+    "default.json": "71a10d1daf7d46f4",
+    "pid-contrast.json": "f73c21018779b2f0",
 }
 
 
@@ -1055,6 +1065,17 @@ def suite(tmp_path_factory):
     return config, summary, out
 
 
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    """A configs/quick.json run and its report, through the CLI."""
+    out = tmp_path_factory.mktemp("quick") / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["run-suite", "--config",
+                         str(CONFIGS / "quick.json"), "--out", str(out)]) == 0
+        assert cli_main(["report", str(out)]) == 0
+    return out
+
+
 GOLDEN_TRACE = (
     "step,L,t_pose_s,vibration,predicted_mg,measured_delta_mg,"
     "cprime_gravity,cprime_vibration,w_error_mg,sim_time_s\r\n"
@@ -1101,8 +1122,7 @@ GOLDEN_SUMMARY_JSON_TAIL = """\
       "status": "overshoot-fail",
       "final_mass_mg": 51.2,
       "total_steps": 2,
-      "total_sim_time_s": 30.5,
-      "trace_csv": "trials/glass-beads--model-based--t50--003.csv"
+      "total_sim_time_s": 30.5
     }
   ]
 }
@@ -1473,7 +1493,10 @@ class TestArtifacts:
         assert config_from_dict(data["config"]) == config
         assert len(data["trials"]) == len(summary.trials)
         for entry in data["trials"]:
-            assert (out / entry["trace_csv"]).is_file()
+            # the trace path is derived from the trial_id, not stored
+            assert list(entry) == [field for field in TrialRecord._fields
+                                   if field != "steps"]
+            assert (out / "trials" / f"{entry['trial_id']}.csv").is_file()
 
     def test_rerun_is_byte_identical(self, suite, tmp_path):
         config, summary, out = suite
@@ -1626,13 +1649,6 @@ class TestArtifacts:
         (lambda entry, trace: renumber_trial(entry,
                                              config._MAX_RUN_STEPS + 1),
          "trials[1]: trial_index has the wrong type or value: 2000001\n"),
-        # a valid trace, but named by a path the index rule does not give
-        (lambda entry, trace: entry.update(trace_csv=str(trace.resolve())),
-         "is not the trial's trace 'trials/glass-beads--model-based--t50--001"
-         ".csv'"),
-        (lambda entry, trace: entry.update(
-            trace_csv="../edited/" + entry["trace_csv"]),
-         "trace_csv '../edited/trials/"),
         (lambda entry, trace: entry.update(
             trial_id="glass-beads--model-based--t50--000"),
          "trial_id 'glass-beads--model-based--t50--000' does not match its "
@@ -1665,8 +1681,7 @@ class TestArtifacts:
             "step-cell-not-an-integer", "trace-step-renumbered",
             "status-100000-characters", "trial-index-3000-digits",
             "total-steps-3000-digits", "trial-index-past-the-step-budget",
-            "absolute-trace-path",
-            "parent-trace-path", "trial-id-mismatch", "unknown-controller",
+            "trial-id-mismatch", "unknown-controller",
             "mass-beyond-float", "index-not-utf8", "index-nested-too-deep",
             "index-integer-past-the-digit-limit",
             "trace-cut-short", "trace-not-utf8"])
@@ -1678,7 +1693,7 @@ class TestArtifacts:
         shutil.rmtree(copy / "report", ignore_errors=True)
         index = json.loads((copy / "summary.json").read_text())
         entry = index["trials"][1]
-        raw = edit(entry, copy / entry["trace_csv"])
+        raw = edit(entry, copy / EDITED_TRACE)
         (copy / "summary.json").write_bytes(
             raw if isinstance(raw, bytes) else json.dumps(index).encode())
         assert cli_main(["report", str(copy)]) == 1
@@ -1688,6 +1703,32 @@ class TestArtifacts:
         assert max(map(len, err.splitlines())) <= 300
         if message.startswith("cannot refit the traces"):
             assert not (copy / "report").exists()  # nothing written
+
+    # A trace path stored in the first trial entry, as an older index
+    # stores one: its own trace, an outside file, and another trial's
+    # trace by an absolute and by a relative path.
+    @pytest.mark.parametrize("stored", [
+        lambda root, entries: f"trials/{entries[0]['trial_id']}.csv",
+        lambda root, entries: "../../etc/passwd",
+        lambda root, entries: str(
+            (root / "trials" / f"{entries[1]['trial_id']}.csv").resolve()),
+        lambda root, entries: f"../edited/trials/{entries[1]['trial_id']}.csv",
+    ], ids=["older-index", "etc-passwd", "absolute-trace-path",
+            "parent-trace-path"])
+    def test_report_reads_no_stored_trace_path(self, quick_run, tmp_path,
+                                               capsys, stored):
+        copy = tmp_path / "edited"
+        shutil.copytree(quick_run, copy)
+        shutil.rmtree(copy / "report")
+        index = json.loads((copy / "summary.json").read_text())
+        index["trials"][0]["trace_csv"] = stored(copy, index["trials"])
+        (copy / "summary.json").write_text(json.dumps(index, indent=2))
+        assert cli_main(["report", str(copy)]) == 0
+        assert capsys.readouterr().err == ""
+        report = {path.name: path.read_bytes()
+                  for path in (copy / "report").iterdir()}
+        assert report == {path.name: path.read_bytes()
+                          for path in (quick_run / "report").iterdir()}
 
     @pytest.mark.parametrize("edit, message", [
         (lambda index, out: index["conditions"][0].update(successes=1),
