@@ -46,9 +46,17 @@ for row in rec.steps:
     err_pct = 100.0 * (row.cprime_gravity - c_true) / c_true
     print(f"  step {row.step:2d}: C' = {row.cprime_gravity:.6f} ({err_pct:+6.2f} %)")
 
+
+def step_points(records):
+    """Each trial's record with the (L, t_pose, vibration, measured drop)
+    of every step it executed, the pairs pooled_points reads."""
+    return [(r, [(s.l_command, s.t_pose_s, s.vibration, s.measured_delta_mg)
+                 for s in r.steps]) for r in records]
+
+
 # pooled across trials the estimate tightens further
 records = [run_trial(cfg, i) for i in range(cfg.trials)]
-fits = pooled_fits(pooled_points(records, kin))
+fits = pooled_fits(pooled_points(step_points(records), kin))
 print()
 for f in fits:
     err_pct = 100.0 * (f.c_prime - c_true) / c_true
@@ -61,7 +69,7 @@ clean = ExperimentConfig(powders=["glass-beads"], controllers=["model-based"],
                          targets_mg=[500.0], trials=8, seed=3,
                          powder_overrides={"glass-beads": {"particle_correction": 0.0}})
 records = [run_trial(clean, i) for i in range(clean.trials)]
-for f in pooled_fits(pooled_points(records, kin)):
+for f in pooled_fits(pooled_points(step_points(records), kin)):
     err_pct = 100.0 * (f.c_prime - c_true) / c_true
     print(f"no-correction plant:    C' = {f.c_prime:.6f} ({err_pct:+.2f} %), "
           f"R^2 = {f.r_squared:.4f} over {f.n_points} points")

@@ -28,7 +28,11 @@ A trace CSV's bytes: a header line of TRACE_COLUMNS, then one line per
 step, vibration written 0 or 1. The reader takes CRLF, LF or CR line
 ends, but every line, the last one too, must end, no cell may be quoted
 (a quote is a bad cell like any other), and data row r (0 for the first)
-must hold step r + 1.
+must hold step r + 1. One parser, _trace_columns, reads a trace a
+column at a time and makes every one of these checks and the check of
+each cell against its column's kind. read_trace_csv builds its
+StepTraces from those columns; load_suite_records, which report reads
+through, keeps the columns and builds no StepTrace.
 
 The fit CSVs that report writes, report/fit_<powder>_<mode>.csv, follow
 the same rules: a header line regressor,measured_mg,predicted_mg, then
@@ -252,14 +256,29 @@ def write_bytes(path: Path, data: bytes) -> None:
 
 
 def read_trace_csv(path: Path) -> list[StepTrace]:
-    """Parse a trace CSV a column at a time; ValueError on a bad cell.
+    """Parse a trace CSV into its StepTraces; ValueError on a bad cell.
 
-    The text is read once, as UTF-8 with universal newlines, so CRLF, LF
-    and CR line ends all read alike, and split into lines and then cells
-    with no quoting, so data row r (0 for the first) is line r + 2. A last
-    line with no line end is an error: the file was cut short. So is a
-    byte that is not UTF-8, named with its line, and a step that does
-    not number its row from 1. Each message names the file as
+    The rows are built from the columns _trace_columns parses, which
+    makes every check and gives every message.
+    """
+    # tuple.__new__ builds each StepTrace without a Python call per row
+    return list(map(tuple.__new__, repeat(StepTrace),
+                    zip(*_trace_columns(path),
+                        *map(repeat, _UNTRACED_DEFAULTS))))
+
+
+def _trace_columns(path: Path) -> list[list]:
+    """Parse a trace CSV a column at a time into its TRACE_COLUMNS'
+    values, one list per column in file order; ValueError on a bad cell.
+
+    The one trace parser: read_trace_csv builds its rows from these
+    columns, and load_suite_records keeps them as they are. The text is
+    read once, as UTF-8 with universal newlines, so CRLF, LF and CR line
+    ends all read alike, and split into lines and then cells with no
+    quoting, so data row r (0 for the first) is line r + 2. A last line
+    with no line end is an error: the file was cut short. So is a byte
+    that is not UTF-8, named with its line, and a step that does not
+    number its row from 1. Each message names the file as
     config.shown_path echoes it.
     """
     name = shown_path(path)
@@ -288,19 +307,16 @@ def read_trace_csv(path: Path) -> list[StepTrace]:
                    if len(cells) != width)
         raise ValueError(f"{name}: line {row + 2} has "
                          f"{len(rows[row])} fields, expected {width}")
-    if not rows:
-        return []
+    # a trace of no steps has every column empty
     columns = [_parse_cells(name, column, cell, cells) for (column, _, cell),
-               cells in zip(_TRACE_FORMAT, zip(*rows))]
+               cells in zip(_TRACE_FORMAT, list(zip(*rows)) or [()] * width)]
     # the step column, the first, numbers the rows from 1
     if columns[0] != list(range(1, len(rows) + 1)):
         row = next(row for row, step in enumerate(columns[0])
                    if step != row + 1)
         raise ValueError(f"{name}: line {row + 2}: step must be {row + 1}, "
                          f"got {shown(rows[row][0])}")
-    # tuple.__new__ builds each StepTrace without a Python call per row
-    return list(map(tuple.__new__, repeat(StepTrace),
-                    zip(*columns, *map(repeat, _UNTRACED_DEFAULTS))))
+    return columns
 
 
 def _parse_cells(name: str, column: str, cell: str,
@@ -345,7 +361,9 @@ _INDEX_ENTRY = (
     ("final_mass_mg", float), ("total_steps", int),
     ("total_sim_time_s", float),
 )
-_STATUSES = {status.value for status in TrialStatus}
+# a saved trial has ended, so RUNNING is no status it can hold
+_STATUSES = {status.value for status in TrialStatus
+             if status is not TrialStatus.RUNNING}
 
 
 def _index_entry_problem(entry: Any) -> str | None:
@@ -384,11 +402,10 @@ def _index_entry_problem(entry: Any) -> str | None:
     return None
 
 
-def _record_from_index(entry: Mapping,
-                       steps: Iterable[StepTrace]) -> TrialRecord:
-    """The TrialRecord of a valid summary.json trial entry and its trace."""
-    return TrialRecord(*[kind(entry[key]) for key, kind in _INDEX_ENTRY],
-                       tuple(steps))
+def _record_from_index(entry: Mapping) -> TrialRecord:
+    """The TrialRecord of a valid summary.json trial entry, its steps
+    left empty."""
+    return TrialRecord(*[kind(entry[key]) for key, kind in _INDEX_ENTRY], ())
 
 
 # The summary.json sections of the suite statistics, each with the keys
@@ -425,10 +442,15 @@ def write_suite_artifacts(summary: SuiteSummary,
 
 
 def load_suite_records(artifact_dir: str | Path
-                       ) -> tuple[list[TrialRecord], dict, list[str]]:
+                       ) -> tuple[list[tuple[TrialRecord, list[list]]],
+                                  dict, list[str]]:
     """Rebuild trial records from summary.json and the trace CSVs.
 
-    Returns the records, the parsed summary.json and the problems found.
+    Returns the trials, the parsed summary.json and the problems found.
+    Each trial is a (record, columns) pair: the record of its index entry,
+    whose steps are left empty, and its trace's columns as
+    _trace_columns parses them, TRACE_COLUMNS' values in StepTrace field
+    order. No StepTrace is built.
     """
     root = Path(artifact_dir)
     errors: list[str] = []
@@ -446,7 +468,7 @@ def load_suite_records(artifact_dir: str | Path
             or not isinstance(payload.get("trials", []), list):
         return [], {}, [f"{shown_path(index_path)}: expected an object "
                         f"with a 'trials' list"]
-    records: list[TrialRecord] = []
+    trials: list[tuple[TrialRecord, list[list]]] = []
     for position, entry in enumerate(payload.get("trials", [])):
         problem = _index_entry_problem(entry)
         if problem is not None:
@@ -455,29 +477,33 @@ def load_suite_records(artifact_dir: str | Path
             continue
         trace = root / _trace_csv(entry["trial_id"])
         try:
-            steps = read_trace_csv(trace)
+            columns = _trace_columns(trace)
         except (OSError, ValueError) as exc:
             reason = (f"{shown_path(trace)}: {exc.strerror}"
                       if isinstance(exc, OSError) else exc)
             errors.append(f"trial {entry['trial_id']}: {reason}")
             continue
-        if len(steps) != entry["total_steps"]:
+        if len(columns[0]) != entry["total_steps"]:
             errors.append(
                 f"trial {entry['trial_id']}: index says "
-                f"{entry['total_steps']} steps, trace has {len(steps)}")
+                f"{entry['total_steps']} steps, trace has "
+                f"{len(columns[0])}")
             continue
-        records.append(_record_from_index(entry, steps))
-    return records, payload, errors
+        trials.append((_record_from_index(entry), columns))
+    return trials, payload, errors
 
 
 def stored_summary_problems(root: Path, payload: Mapping,
                             conditions: list[ConditionStats],
-                            fits: list[PooledFit]) -> list[str]:
+                            fits: list[PooledFit],
+                            summary_csv: bytes) -> list[str]:
     """Where the stored summary differs from the recomputed one.
 
     Both list conditions and pooled fits in the order the trials ran, so
     entries are compared position by position. Values are written as JSON,
-    so a key stored as null reads apart from a missing one.
+    so a key stored as null reads apart from a missing one. summary.csv's
+    bytes are compared with summary_csv, the recomputed conditions'
+    summary_csv_text as UTF-8, in any locale.
     """
     problems = []
     for section, recomputed in _summary_sections(conditions, fits).items():
@@ -510,13 +536,11 @@ def stored_summary_problems(root: Path, payload: Mapping,
                             f"{shown(differences, str)}")
     path = root / "summary.csv"
     try:
-        with path.open(newline="") as handle:
-            stored_csv = handle.read()
-    except (OSError, ValueError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) else exc
-        problems.append(f"cannot read {shown_path(path)}: {reason}")
+        stored_csv = path.read_bytes()
+    except OSError as exc:
+        problems.append(f"cannot read {shown_path(path)}: {exc.strerror}")
     else:
-        if stored_csv != summary_csv_text(conditions):
+        if stored_csv != summary_csv:
             problems.append("summary.csv: does not match the summary "
                             "recomputed from the traces")
     return problems

@@ -18,7 +18,10 @@ pooled_points gives, per (powder, mode), the regressors and measured
 deltas of a suite's model-based steps that identify.observed_regressor
 keeps, the rule the controller's log applies, as two parallel lists;
 pooled_fits fits each pair through identify.fit_points, and report writes
-the same lists to its fit CSVs.
+the same lists to its fit CSVs. It reads each trial's record and the
+(L, t_pose_s, vibration, measured_delta_mg) points of its steps:
+run_suite takes them from its StepTraces, report zips them from a
+trace's columns, and neither builds a row for the other.
 
 The config rules live in config, and the records run_suite returns and
 the artifacts it writes in artifacts.
@@ -30,6 +33,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import replace
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -205,17 +209,23 @@ def _sample_std(values: list[float]) -> float:
 
 # (powder, mode) -> (regressors, measured deltas), as pooled_points gives it
 _Points = dict[tuple[str, str], tuple[list[float], list[float]]]
+# A StepTrace's (l_command, t_pose_s, vibration, measured_delta_mg), the
+# point of a step that pooled_points reads
+_step_point = itemgetter(1, 2, 3, 5)
 
 
-def pooled_points(records: Iterable[TrialRecord],
+def pooled_points(trials: Iterable[tuple[TrialRecord, Iterable[tuple]]],
                   kin: ValveKinematics) -> _Points:
     """The data points of a suite-wide refit of the drop model.
 
-    Maps each (powder, mode) to two parallel lists, the regressors and the
-    measured deltas of the executed steps of model-based trials whose
-    delta identify.observed_regressor keeps, probe steps and regressors
-    of 0 included, in trial and step order; aborted trials, which end on
-    a reading that is not finite, are left out, as compute_metrics leaves
+    Takes (record, points) pairs: a trial's record, whose steps are not
+    read, and the (L, t_pose_s, vibration, measured_delta_mg) point of
+    each of its executed steps in step order. Maps each (powder, mode) to
+    two parallel lists, the regressors and the measured deltas of the
+    points of model-based trials whose delta
+    identify.observed_regressor keeps, probe steps and regressors of 0
+    included, in trial and step order; aborted trials, which end on a
+    reading that is not finite, are left out, as compute_metrics leaves
     them out. Keys run by powder in order of first appearance, gravity
     before vibration. ValueError, naming the trial and the 1-based step,
     on a delta that is not finite or a kept step outside the valve
@@ -223,14 +233,14 @@ def pooled_points(records: Iterable[TrialRecord],
     """
     # powder -> (regressors, deltas) of gravity, then of vibration
     pools: dict[str, tuple[tuple[list[float], list[float]], ...]] = {}
-    for record in records:
+    for record, points in trials:
         if record.controller != MODEL_BASED \
                 or record.status is TrialStatus.ABORTED:
             continue
-        for step, row in enumerate(record.steps, 1):
+        for step, (l_command, t_pose_s, vibration, delta) in enumerate(
+                points, 1):
             try:
-                x = observed_regressor(kin, row.l_command, row.t_pose_s,
-                                       row.measured_delta_mg)
+                x = observed_regressor(kin, l_command, t_pose_s, delta)
             except ValueError as exc:
                 raise ValueError(f"trial {record.trial_id} step {step}: "
                                  f"{exc}") from None
@@ -238,9 +248,9 @@ def pooled_points(records: Iterable[TrialRecord],
                 continue
             if record.powder not in pools:
                 pools[record.powder] = (([], []), ([], []))
-            xs, deltas = pools[record.powder][1 if row.vibration else 0]
+            xs, deltas = pools[record.powder][1 if vibration else 0]
             xs.append(x)
-            deltas.append(row.measured_delta_mg)
+            deltas.append(delta)
     return {(powder, mode): pair for powder, pairs in pools.items()
             for mode, pair in zip(MODES, pairs) if pair[0]}
 
@@ -290,8 +300,9 @@ def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,
     summary = SuiteSummary(
         config=config,
         conditions=tuple(compute_metrics(records)),
-        pooled_fits=tuple(pooled_fits(
-            pooled_points(records, config.kinematics))),
+        pooled_fits=tuple(pooled_fits(pooled_points(
+            [(record, map(_step_point, record.steps)) for record in records],
+            config.kinematics))),
         trials=tuple(records),
     )
     if write_artifacts:

@@ -17,8 +17,11 @@ CSVs of fits it no longer has.
 The condition statistics come from summary.json's trial entries (status,
 final mass, steps and simulated time); the traces give each trial's step
 count, checked against its entry, and the pooled fits' points. A trace
-is read as artifacts.read_trace_csv reads it: CRLF, LF or CR line ends,
-the last line ended too, and no cell quoted.
+is read a column at a time by artifacts' one trace parser, the one
+read_trace_csv builds its rows from, with every check it makes: UTF-8,
+CRLF, LF or CR line ends, the last line ended too, no cell quoted, each
+cell of its column's kind and the steps numbered from 1. The report
+keeps the columns and builds no per-step row.
 
 Because trials are rebuilt in their original order from exact string
 round-tripped floats, the recomputed summary matches the one written at
@@ -67,10 +70,10 @@ class ReportResult:
 def build_report(artifact_dir: str | Path) -> ReportResult:
     """Recompute statistics from an artifact directory and write report/."""
     root = Path(artifact_dir)
-    records, payload, errors = load_suite_records(root)
-    if not records and not errors:
+    trials, payload, errors = load_suite_records(root)
+    if not trials and not errors:
         errors.append(f"no data: {shown_path(root)} holds no trials")
-    if not records:
+    if not trials:
         return ReportResult(None, (), (), tuple(errors))
     if "config" not in payload:
         errors.append("summary.json: no 'config' key; the report needs the "
@@ -82,22 +85,27 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
         errors.extend(f"config echo invalid: {message}"
                       for message in exc.errors)
         return ReportResult(None, (), (), tuple(errors))
-    conditions = compute_metrics(records)
+    conditions = compute_metrics(record for record, _ in trials)
     try:
-        points = pooled_points(records, config.kinematics)
+        # a step's point, (L, t_pose_s, vibration, measured_delta_mg), is
+        # the trace's columns 1, 2, 3 and 5
+        points = pooled_points(
+            ((record, zip(*columns[1:4], columns[5]))
+             for record, columns in trials), config.kinematics)
         fits = pooled_fits(points)
     except ValueError as exc:  # a trace step or a fit the refit cannot take
         errors.append(f"cannot refit the traces: {exc}")
         return ReportResult(None, (), (), tuple(errors))
+    summary_csv = summary_csv_text(conditions).encode()
     if not errors:  # a trial that failed to load already explains a mismatch
         errors.extend(stored_summary_problems(root, payload, conditions,
-                                              fits))
+                                              fits, summary_csv))
     report_dir = root / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    write_bytes(report_dir / "summary_recomputed.csv",
-                summary_csv_text(conditions).encode())
+    write_bytes(report_dir / "summary_recomputed.csv", summary_csv)
     _write_fit_points(points, fits, report_dir)
-    _write_text_report(conditions, fits, records, report_dir / "report.txt")
+    _write_text_report(conditions, fits, len(trials),
+                       report_dir / "report.txt")
     return ReportResult(report_dir, tuple(conditions), tuple(fits),
                         tuple(errors))
 
@@ -116,10 +124,10 @@ def _write_fit_points(points, fits, report_dir: Path) -> None:
             path.unlink()
 
 
-def _write_text_report(conditions, fits, records, path: Path) -> None:
+def _write_text_report(conditions, fits, trials: int, path: Path) -> None:
     lines = []
     lines.append("Dispensing benchmark report")
-    lines.append(f"trials: {len(records)}")
+    lines.append(f"trials: {trials}")
     lines.append("")
     lines.append("Per-condition accuracy")
     masses = [f"{format_mass(c.dropped_mean_mg)} +/- "

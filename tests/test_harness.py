@@ -135,6 +135,14 @@ def record_for(final, status=TrialStatus.SUCCESS, target=500.0, index=0,
         total_sim_time_s=time, steps=tuple(steps))
 
 
+def step_points(records):
+    """Each record with its steps' (L, t_pose_s, vibration,
+    measured_delta_mg) points, the pairs pooled_points reads."""
+    return [(record, [(row.l_command, row.t_pose_s, row.vibration,
+                       row.measured_delta_mg) for row in record.steps])
+            for record in records]
+
+
 def trace_row(step, l, t, delta, vibration=False, probe=False):
     return StepTrace(step=step, l_command=l, t_pose_s=t, vibration=vibration,
                      predicted_mg=None, measured_delta_mg=delta,
@@ -562,7 +570,7 @@ class TestPooledFits:
         records = [record_for(500.0, steps=rows),
                    record_for(500.0, steps=rows, controller=DIRECT_PID,
                               index=1)]
-        points = pooled_points(records, ValveKinematics())
+        points = pooled_points(step_points(records), ValveKinematics())
         # the pid record contributes none
         assert [len(xs) for xs, _ in points.values()] == [1, 1]
         fits = pooled_fits(points)
@@ -600,7 +608,8 @@ class TestPooledFits:
 
         log, log_error = judge(lambda: ObservationLog(kin).record(
             l_command, 2.0, False, delta))
-        pooled, pooled_error = judge(lambda: pooled_points([record], kin))
+        pooled, pooled_error = judge(
+            lambda: pooled_points(step_points([record]), kin))
         assert log == pooled == expected
         if expected == "raised":
             assert pooled_error == f"trial synthetic-0 step 1: {log_error}"
@@ -611,10 +620,11 @@ class TestPooledFits:
         rows = [trace_row(1, 50.0, 2.0, 5.0),
                 trace_row(2, 50.0, 2.0, math.nan)]
         aborted = record_for(500.0, status=TrialStatus.ABORTED, steps=rows)
-        assert pooled_points([aborted], ValveKinematics()) == {}
+        kin = ValveKinematics()
+        assert pooled_points(step_points([aborted]), kin) == {}
         kept = record_for(500.0, steps=rows[:1], index=1)
-        points = pooled_points([aborted, kept], ValveKinematics())
-        assert points == pooled_points([kept], ValveKinematics())
+        points = pooled_points(step_points([aborted, kept]), kin)
+        assert points == pooled_points(step_points([kept]), kin)
         assert [len(xs) for xs, _ in points.values()] == [1]
 
     def test_equal_one_fit_coefficient_per_powder_and_mode(self):
@@ -642,7 +652,8 @@ class TestPooledFits:
                                               fit.r_squared, len(selected)))
         assert [(f.powder, f.mode) for f in expected] == [
             ("glass-beads", GRAVITY), ("msg", GRAVITY), ("msg", VIBRATION)]
-        assert pooled_fits(pooled_points(records, kin)) == expected
+        assert pooled_fits(pooled_points(step_points(records), kin)) \
+            == expected
 
 
 class TestRunTrial:
@@ -1184,7 +1195,10 @@ class TestArtifactFormats:
         text = (out / "summary.json").read_text()
         assert text.endswith(GOLDEN_SUMMARY_JSON_TAIL)
         assert text[:-len(GOLDEN_SUMMARY_JSON_TAIL)].endswith("},\n")
-        assert load_suite_records(out)[::2] == ([record], [])
+        # the record without its steps, beside the trace's columns
+        columns = [list(column) for column in zip(*record.steps)]
+        assert load_suite_records(out)[::2] == (
+            [(record._replace(steps=()), columns[:len(TRACE_COLUMNS)])], [])
 
 
 # Floats of every kind a float cell can hold, the edge values always drawn
@@ -1590,6 +1604,9 @@ class TestArtifacts:
          "missing key 'total_steps'"),
         (lambda entry, trace: entry.update(status="finished"),
          "unknown status 'finished'"),
+        # a saved trial has ended, so it cannot still be running
+        (lambda entry, trace: entry.update(status="running"),
+         "trials[1]: unknown status 'running'"),
         (lambda entry, trace: trace.write_text(
             trace.read_text() + "99,5.0,0.0\n"),
          "has 3 fields, expected 10"),
@@ -1674,7 +1691,8 @@ class TestArtifacts:
                                                 + b"\xff"),
          "glass-beads--model-based--t50--001.csv: line 10: byte 0xff is not "
          "UTF-8 (invalid start byte)"),
-    ], ids=["missing-key", "unknown-status", "short-row", "empty-trace",
+    ], ids=["missing-key", "unknown-status", "status-running", "short-row",
+            "empty-trace",
             "command-beyond-l-max", "delta-cell-inf", "delta-cell-nan",
             "delta-cell-minus-inf", "delta-cell-1e160", "delta-cell-1e308", "powder-with-slash",
             "vibration-cell", "delta-cell-not-a-number",
@@ -1863,6 +1881,51 @@ class TestArtifacts:
         assert result.ok
         assert len(calls) == sum(f.n_points for f in result.fits) > 0
 
+    # Each column's rule, as a bad cell's message names it
+    @pytest.mark.parametrize("column, cell, rule", [
+        ("step", "x", "an integer"), ("L", "x", "a number"),
+        ("t_pose_s", "x", "a number"), ("vibration", "x", "0 or 1"),
+        ("vibration", "2", "0 or 1"), ("predicted_mg", "x", "a number"),
+        ("measured_delta_mg", "x", "a number"),
+        ("cprime_gravity", "x", "a number"),
+        ("cprime_vibration", "x", "a number"),
+        ("w_error_mg", "x", "a number"), ("sim_time_s", "x", "a number"),
+    ], ids=[*TRACE_COLUMNS[:4], "vibration-2", *TRACE_COLUMNS[4:]])
+    def test_report_checks_every_trace_cell(self, suite, tmp_path, capsys,
+                                            column, cell, rule):
+        _, _, out = suite
+        copy = tmp_path / "edited"
+        shutil.copytree(out, copy)
+        set_first_cell(copy / EDITED_TRACE, column, cell)
+        assert cli_main(["report", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert (f"report: trial {EDITED_TRIAL}: "
+                f"{shown_path(copy / EDITED_TRACE)}: line 2: {column} must "
+                f"be {rule}, got {cell!r}\n") in err
+        assert "Traceback" not in err
+
+    def test_report_builds_no_step_rows(self, suite, tmp_path, monkeypatch):
+        # the report reads each trace as columns: with read_trace_csv
+        # raising and no StepTrace class to build rows of, it writes the
+        # same report
+        _, _, out = suite
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        expected = build_report(out)
+
+        def no_rows(path):
+            raise AssertionError(f"read_trace_csv({path}) on the report path")
+        monkeypatch.setattr(artifacts, "read_trace_csv", no_rows)
+        monkeypatch.setattr(artifacts, "StepTrace", None)
+        result = build_report(copy)
+        assert result.ok
+        assert (result.conditions, result.fits) \
+            == (expected.conditions, expected.fits)
+        report = {path.name: path.read_bytes()
+                  for path in (copy / "report").iterdir()}
+        assert report == {path.name: path.read_bytes()
+                          for path in (out / "report").iterdir()}
+
     def test_report_without_artifacts_reports_errors(self, tmp_path):
         result = build_report(tmp_path / "nothing")
         assert not result.ok
@@ -1916,6 +1979,22 @@ class TestCli:
                               capture_output=True, text=True,
                               env=checkout_env())
         assert proc.stdout.split()[-2:] == ["0", "False"]
+
+    def test_report_reads_summary_csv_as_utf8_in_any_locale(self, suite,
+                                                           tmp_path):
+        # a hand-edited summary.csv holding a character past ASCII is one
+        # that does not match, under a C locale too
+        _, _, out = suite
+        copy = tmp_path / "edited"
+        shutil.copytree(out, copy)
+        data = (copy / "summary.csv").read_bytes()
+        (copy / "summary.csv").write_bytes(
+            data.replace(b"glass-beads", "glass-beadé".encode(), 1))
+        proc = self.run_cli("report", str(copy), env_extra={
+            "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+        assert proc.returncode == 1
+        assert proc.stderr == ("report: summary.csv: does not match the "
+                               "summary recomputed from the traces\n")
 
     def test_validate_config_ok(self, cfg_path):
         proc = self.run_cli("validate-config", "--config", str(cfg_path))
@@ -2105,12 +2184,14 @@ class TestCli:
         assert "conditions glass-beads / model-based / 50.0: " in err
         assert "trials stored 2, recomputed 1" in err
         result = build_report(copy)
-        records = load_suite_records(copy)[0]
-        kept = [r for r in records if r.status is not TrialStatus.ABORTED]
-        assert len(kept) == len(records) - 1
-        assert list(result.conditions) == compute_metrics(kept)
+        trials = load_suite_records(copy)[0]
+        kept = [(r, columns) for r, columns in trials
+                if r.status is not TrialStatus.ABORTED]
+        assert len(kept) == len(trials) - 1
+        assert list(result.conditions) == compute_metrics(r for r, _ in kept)
         assert list(result.fits) == pooled_fits(pooled_points(
-            kept, small_config().kinematics))
+            [(r, zip(*columns[1:4], columns[5])) for r, columns in kept],
+            small_config().kinematics))
 
     def test_trials_stalled_at_the_band_edge_are_no_success(self, tmp_path,
                                                             capsys):
@@ -2223,10 +2304,10 @@ class TestCli:
         (copy / "summary.json").write_text(json.dumps(index))
         assert cli_main(["report", str(copy)]) == 1  # the stored summary
         printed = capsys.readouterr().out
-        records = load_suite_records(copy)[0]
+        trials = load_suite_records(copy)[0]
         dropped = [f"{format_mass(c.dropped_mean_mg)} +/- "
                    f"{format_mass(c.dropped_std_mg)}"
-                   for c in compute_metrics(records)]
+                   for c in compute_metrics(r for r, _ in trials)]
         assert all("e+1" in text and len(text) < 30 for text in dropped)
         for text in dropped:
             assert f" {text} " in printed
