@@ -702,6 +702,50 @@ class TestBootstrapProbing:
         assert decision.action == ValveAction(5.0, 0.0, vibration=True)
 
 
+class TestFinish:
+    """Within control.FINISH_FACTOR tolerances of the goal a step requests
+    the whole remaining error; further out, k_p of it."""
+
+    @pytest.mark.parametrize("tolerance", [2.0, 0.5])
+    def test_at_the_threshold_a_step_requests_the_whole_error(self,
+                                                              tolerance):
+        ctl = DispensingController(100.0, tolerance=tolerance)
+        ctl.step(100.0 - control.FINISH_FACTOR * tolerance)
+        assert ctl.w_error == control.FINISH_FACTOR * tolerance
+        assert ctl.w_target == ctl.w_error
+
+    @pytest.mark.parametrize("tolerance", [2.0, 0.5])
+    def test_just_above_the_threshold_a_step_requests_k_p_of_it(self,
+                                                                tolerance):
+        ctl = DispensingController(100.0, tolerance=tolerance, k_p=0.7)
+        ctl.step(math.nextafter(100.0 - control.FINISH_FACTOR * tolerance,
+                                0.0))
+        assert ctl.w_error > control.FINISH_FACTOR * tolerance
+        assert ctl.w_target == 0.7 * ctl.w_error
+
+    @staticmethod
+    def trial(k_p):
+        """A glass-beads 500 mg trial's decisions and requests."""
+        ctl = DispensingController(500.0, k_p=k_p)
+        plant = SimulatedPlant(archetype("glass-beads"), ctl.kin, seed=3)
+        reading, _ = plant.read_balance(wait_settle=False)
+        steps = []
+        while (decision := ctl.step(reading, plant.depleted)).status \
+                is TrialStatus.RUNNING:
+            steps.append((decision, ctl.w_target))
+            plant.execute(*decision.action)
+            reading, _ = plant.read_balance()
+        return steps, decision
+
+    def test_at_k_p_1_the_finish_changes_nothing(self, monkeypatch):
+        whole = self.trial(1.0)
+        halving = self.trial(0.5)
+        monkeypatch.setattr(control, "FINISH_FACTOR", 0.0)
+        assert self.trial(1.0) == whole
+        # the trial at k_p 0.5 reaches the finish, so turning it off shows
+        assert self.trial(0.5) != halving
+
+
 class TestControllerMatchesReference:
     @pytest.mark.parametrize("powder, target", [
         ("glass-beads", 500.0), ("glass-beads", 3000.0), ("tio2", 500.0)])
