@@ -6,19 +6,21 @@
 from powderdose import (
     BalanceModel,
     DispensingController,
+    ExperimentConfig,
     SimulatedPlant,
     TrialStatus,
-    ValveKinematics,
-    archetype,
 )
 
 TARGET_MG = 500.0
 SEED = 42
 
-spec = archetype("glass-beads")
-kin = ValveKinematics()
-plant = SimulatedPlant(spec, kin, BalanceModel(), seed=SEED)
-ctl = DispensingController(TARGET_MG, kin, k_p=0.5, tolerance=2.0)
+config = ExperimentConfig(powders=["glass-beads"])
+spec = config.powder_spec("glass-beads")
+plant = SimulatedPlant(spec, config.kinematics, BalanceModel(), seed=SEED)
+# the controller's rig: the valve, the balance's gate and the powder's
+# Beverloo offset, as run_suite gives it
+ctl = DispensingController(TARGET_MG, config.rig("glass-beads"), k_p=0.5,
+                           tolerance=2.0)
 
 print(f"target {TARGET_MG} mg of {spec.name}, tolerance +/-2 mg")
 print(f"{'step':>4} {'L':>7} {'t_pose':>7} {'vib':>4} {'pred mg':>9} "

@@ -5,37 +5,34 @@ Online identification of the lumped drop coefficient
 
 Every dispensing step yields one (regressor, measured drop) pair:
 
-    W = C' * L^2.5 * (L / v + t_pose)
+    W = C' * max(L - L0, 0)^2.5 * (L / v + t_pose)
 
-Within a trial the controller takes C' as the mean of the pairs'
-ratios, drop over regressor, refreshed while the trial is still
-running; across trials a least-squares line through the origin pools
-them.  This script runs several noisy trials, tracks the running
-estimate inside each trial, then pools all trials into a single fit
-and compares against the coefficient the plant was actually built with.
+where L0 = k * d / kappa is the powder's Beverloo offset in command
+units, the plant's own. Within a trial the controller takes C' as the
+mean of the pairs' ratios, drop over regressor, refreshed while the
+trial is still running; across trials a least-squares line through the
+origin pools them.  This script runs several noisy trials, tracks the
+running estimate inside each trial, then pools all trials into a single
+fit and compares against the coefficient the plant was actually built
+with. Last, it refits the same points under the pure power law, L0 = 0.
 """
 
 from powderdose import (
     ExperimentConfig,
-    ValveKinematics,
-    archetype,
+    Rig,
     effective_coefficient,
     pooled_fits,
     pooled_points,
     run_trial,
 )
 
-kin = ValveKinematics()
-c_true = effective_coefficient(archetype("glass-beads"), kin)
-print(f"ideal coefficient (gravity, no particle correction): {c_true:.6f}")
-print()
-
-# The plant shrinks the opening by k*d before applying the power law;
-# the lumped model has no such term, so the fitted C' comes out a bit
-# below the ideal value. It absorbs the correction, which is the point:
-# the controller needs the coefficient that predicts actual drops.
 cfg = ExperimentConfig(powders=["glass-beads"], controllers=["model-based"],
                        targets_mg=[500.0], trials=8, seed=3)
+c_true = effective_coefficient(cfg.powder_spec("glass-beads"),
+                               cfg.kinematics)
+print(f"plant coefficient (gravity): {c_true:.6f}, Beverloo offset "
+      f"L0 = {cfg.rig('glass-beads').l_offset:.2f} command units")
+print()
 
 # convergence inside a single trial
 rec = run_trial(cfg, 0)
@@ -54,22 +51,20 @@ def step_points(records):
                  for s in r.steps]) for r in records]
 
 
-# pooled across trials the estimate tightens further
+# pooled across trials the estimate tightens further; cfg.rig gives each
+# powder the rig its controllers ran on, offset included
 records = [run_trial(cfg, i) for i in range(cfg.trials)]
-fits = pooled_fits(pooled_points(step_points(records), kin))
+points = step_points(records)
 print()
-for f in fits:
+for f in pooled_fits(pooled_points(points, cfg.rig)):
     err_pct = 100.0 * (f.c_prime - c_true) / c_true
     print(f"pooled {f.powder}/{f.mode}: C' = {f.c_prime:.6f} ({err_pct:+.2f} %), "
           f"R^2 = {f.r_squared:.4f} over {f.n_points} points")
 
-# with the particle correction switched off the plant matches the lumped
-# model exactly, and the fit recovers the coefficient to within noise
-clean = ExperimentConfig(powders=["glass-beads"], controllers=["model-based"],
-                         targets_mg=[500.0], trials=8, seed=3,
-                         powder_overrides={"glass-beads": {"particle_correction": 0.0}})
-records = [run_trial(clean, i) for i in range(clean.trials)]
-for f in pooled_fits(pooled_points(step_points(records), kin)):
+# The pure power law, L0 = 0, lacks the plant's k*d term: the same points
+# fit a C' below the plant's, which absorbs the correction at the openings
+# the controller used and mispredicts the smaller ones.
+for f in pooled_fits(pooled_points(points, lambda powder: Rig(cfg.kinematics))):
     err_pct = 100.0 * (f.c_prime - c_true) / c_true
-    print(f"no-correction plant:    C' = {f.c_prime:.6f} ({err_pct:+.2f} %), "
+    print(f"pure power law (L0 = 0): C' = {f.c_prime:.6f} ({err_pct:+.2f} %), "
           f"R^2 = {f.r_squared:.4f} over {f.n_points} points")

@@ -31,7 +31,7 @@ from .flow import (G_MM_S2, GRAVITY, MODES, VIBRATION, DispenseModel,
 from .harness import (compute_metrics, pooled_fits, pooled_points, run_suite,
                       run_trial)
 from .identify import (MIN_OBSERVABLE_MG, CoefficientEstimate, ModeFit,
-                       Observation, ObservationLog, fit_coefficient,
+                       Observation, ObservationLog, Rig, fit_coefficient,
                        regressor)
 from .plant import BalanceModel, SimulatedPlant, quantize_reading
 from .powders import ARCHETYPES, GLASS_BEADS, MSG, TIO2, archetype
@@ -47,7 +47,7 @@ __all__ = [
     "G_MM_S2", "GLASS_BEADS", "GRAVITY", "MIN_OBSERVABLE_MG", "MODEL_BASED",
     "MODES", "MSG", "ModeFit", "Observation", "ObservationLog",
     "PidBaselineController", "PidGains", "PooledFit", "PowderSpec",
-    "ReportResult", "SimulatedPlant", "StepDecision", "StepTrace",
+    "ReportResult", "Rig", "SimulatedPlant", "StepDecision", "StepTrace",
     "SuiteSummary", "TIO2", "TrialRecord", "TrialStatus", "VIBRATION",
     "ValveAction", "ValveKinematics", "archetype", "beverloo_rate",
     "build_report", "compute_metrics", "config_from_dict", "config_to_dict",

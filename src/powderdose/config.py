@@ -23,6 +23,7 @@ from typing import Any
 from .control import (DEFAULT_K_P, DEFAULT_MAX_STEPS, DEFAULT_TOLERANCE_MG,
                       ActionGrid, PidGains)
 from .flow import PowderSpec, ValveKinematics
+from .identify import Rig
 from .plant import BalanceModel
 from .powders import ARCHETYPES, archetype
 
@@ -49,14 +50,22 @@ _MAX_RUN_STEPS = 2_000_000
 # dataclasses' rules. As a suite takes at most n = _MAX_RUN_STEPS = 2e6
 # steps, no sum in the package overflows (1.8e308) and no grid regressor
 # squares below 2.2e-308:
-# - a regressor x = L**2.5 * (L / travel_rate + t_pose) is at most
-#   1e10 * (1e7 + 1e4) = 1e17; the smallest positive one on the grid,
-#   L = 1e-3 at t_pose 0 and travel_rate 1e6, is 3e-17, its square 1e-33;
+# - a regressor x = max(L - L0, 0)**2.5 * (L / travel_rate + t_pose) is
+#   at most 1e10 * (1e7 + 1e4) = 1e17. Every positive grid command is
+#   1e-3 or more (l_min is 0 or at least 1e-3, and l_step is 5), so
+#   L / travel_rate >= 1e-9. With L0 = 0 the smallest positive x,
+#   L = 1e-3 at t_pose 0 and travel_rate 1e6, is 3e-17, its square
+#   1e-33. A command a hair above L0 > 0 is no smaller case than one ulp:
+#   when L0 >= L / 2, both are floats of at least 5e-4 > 2**-11, so
+#   L - L0 is exact and a multiple of 2**-63 = 1.1e-19, and otherwise it
+#   exceeds L / 2. So a positive x is at least 1.1e-19**2.5 * 1e-9 =
+#   3.9e-57, its square 1.5e-113, and a command at or below L0 has x = 0,
+#   which no ratio or fit divides by;
 # - a delta D is at most the load, 28 noise sigmas and one resolution
 #   step, about 1e7 mg, so a pooled fit's sums stay under n * x_max**2 =
 #   2e40 and n * x_max * D = 2e30, its squared residuals under
 #   4 * n**2 * D**2 = 1.6e27, and the online fit's n * D / x_min under
-#   7e29;
+#   5.2e69, its predictions C' * x under 3e80;
 # - a cycle, 2 * l_max / travel_rate + t_pose_max and a 14-sigma settle,
 #   is at most 2e7 s, so trial-time sums stay under 4e13 s;
 # - the PID output |k_p| E + |k_i| integral_limit + 2 |k_d| E stays under
@@ -241,11 +250,31 @@ class ExperimentConfig:
                             ("targets_mg", tuple(targets)),
                             ("tolerance_mg", float(self.tolerance_mg)),
                             ("k_p", float(self.k_p)),
-                            ("powder_overrides", overrides)):
+                            ("powder_overrides", overrides),
+                            ("_rigs", {})):
             object.__setattr__(self, name, value)
 
     def powder_spec(self, powder: str) -> PowderSpec:
         return archetype(powder, **self.powder_overrides.get(powder, {}))
+
+    def rig(self, powder: str) -> Rig:
+        """The Rig of powder's model-based trials: the config's kinematics
+        and the powder's Beverloo offset in command units,
+        L0 = particle_correction * particle_diameter /
+        opening_per_command, the plant's own. The one place a Rig is
+        made from a config: run_suite's controllers and the pooled refits
+        of run_suite and of report all take it from here. Built once a
+        powder, so every trial of a powder hands its controller the same
+        Rig, whose action table control._table_for then finds by
+        identity."""
+        rig = self._rigs.get(powder)
+        if rig is None:
+            spec = self.powder_spec(powder)
+            kin = self.kinematics
+            rig = self._rigs[powder] = Rig(
+                kin, l_offset=spec.particle_correction
+                * spec.particle_diameter / kin.opening_per_command)
+        return rig
 
     def conditions(self) -> list[tuple[str, str, float]]:
         return [(p, c, t) for p in self.powders for c in self.controllers

@@ -18,13 +18,18 @@ vibration mode for the rest of the trial and selects against the vibration
 coefficient instead. The latch is one way, a trial never falls back to
 gravity.
 
+The controller runs on one identify.Rig: the valve kinematics and the
+powder's Beverloo offset L0, which its log and the pooled refit of its
+trials take too.
+
 While a mode has no coefficient (its c_prime is None) the controller
-walks a probe ladder: smallest productive command first, escalating one
-grid step at a time, so exploration cannot overshoot even a 20 mg request.
-A probe opens a candidate first observation only when it moves at least
-SEED_GATE_MG (1 mg, twice the observability gate), and the candidate is
-accepted only after the log accepts an immediate repeat of the same
-probe, by identify.observed_regressor's rule (MIN_OBSERVABLE_MG); a
+walks a probe ladder: smallest productive command first, the first
+command above L0, escalating one grid step at a time, so exploration
+cannot overshoot even a 20 mg request. A probe opens a candidate first
+observation only when it moves at least SEED_GATE_MG (1 mg, twice the
+observability gate), and the candidate is accepted only after the log
+accepts an immediate repeat of the same probe, by
+identify.observed_regressor's rule (MIN_OBSERVABLE_MG); a
 single noise spike on a quiet balance therefore cannot seed a phantom
 model, and a seed is not a noise-level pair. When the gravity ladder
 tops out with nothing measurable the controller latches vibration and
@@ -36,13 +41,13 @@ smallest command. DispensingController holds this seed protocol whole,
 its rung counters and pending candidate included, and step runs all of
 it.
 
-The search runs over an action table built whole for the
-(ValveKinematics, ActionGrid) pair in use, held as the one entry of
-_table_for's memo and never changed after: every cell's regressor
-x = L**2.5 * (T(L) + t) from flow.drop_regressor, the drop model's one
-definition, sorted ascending, the capacity and floor regressors, every
-cell's ValveAction in each mode, and each mode's probe rungs, the
-minimum-dwell cells from the first positive command on. A
+The search runs over an action table built whole for the (Rig,
+ActionGrid) pair in use, held in _table_for's memo of the last
+_MAX_TABLES pairs, one a powder, and never changed after: every cell's
+regressor x = max(L - L0, 0)**2.5 * (T(L) + t) from flow.drop_regressor,
+the drop model's one definition, sorted ascending, the capacity and floor
+regressors, every cell's ValveAction in each mode, and each mode's probe
+rungs, the minimum-dwell cells from the first command above L0 on. A
 prediction is C' * x, the product the identification fits. For C' >= 0,
 fl(C' * x) is non-decreasing in x, overflow and underflow included, so
 along the sorted regressors |prediction - W_target| falls and then rises:
@@ -74,6 +79,7 @@ tuple.__new__, is in README.md's "Performance notes".
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -81,7 +87,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .flow import ValveKinematics, check_fields, drop_regressor
-from .identify import MIN_OBSERVABLE_MG, CoefficientEstimate, ObservationLog
+from .identify import (MIN_OBSERVABLE_MG, CoefficientEstimate,
+                       ObservationLog, Rig, as_rig)
 
 DEFAULT_K_P = 0.5
 # Within FINISH_FACTOR tolerances of the goal a step requests the whole
@@ -94,10 +101,8 @@ DEFAULT_TOLERANCE_MG = 2.0
 DEFAULT_MAX_STEPS = 100
 
 # The least delta of a probe that opens a seed candidate. A pair at the
-# 0.5 mg gate sits at a 0.1 mg balance's noise level and comes from the
-# smallest openings, where the plant's Beverloo offset makes the apparent
-# C' a fraction of that at the openings the search then picks. A 2 mg
-# gate fails acceptance criterion 1.
+# 0.5 mg gate sits at a 0.1 mg balance's noise level; a 2 mg gate fails
+# acceptance criterion 1.
 SEED_GATE_MG = 2 * MIN_OBSERVABLE_MG
 
 # Every controller's starting estimate, both modes unfitted; shared, since
@@ -106,8 +111,9 @@ _UNFITTED = CoefficientEstimate()
 
 # The action table takes about 233 bytes a cell (tracemalloc, CPython
 # 3.11: 0.40 MB at the default grid's 1763 cells, 23.3 MB at 100 000).
-# A process holds one table, _table_for's, so the cap keeps what the
-# tables hold near 25 MB; it allows 57 times the default grid's cells.
+# A process holds at most _MAX_TABLES tables, _table_for's memo, so the
+# cap keeps what the tables hold under 3 x 25 MB; it allows 57 times the
+# default grid's cells.
 _MAX_GRID_CELLS = 100_000
 
 
@@ -210,20 +216,22 @@ class ActionSelection(NamedTuple):
 
 
 class _ActionTable(NamedTuple):
-    """Everything a trial reads that depends only on the kinematics and
-    the grid, built whole for one (ValveKinematics, ActionGrid) pair and
-    never changed after.
+    """Everything a trial reads that depends only on the rig and the
+    grid, built whole for one (Rig, ActionGrid) pair and never changed
+    after.
 
     Cells are flattened dwell-major: cell j * commands + i is dwell j and
     command i, so the smallest flat index is the smallest dwell, then the
     smallest command. products holds every cell's regressor
-    L**2.5 * (T(L) + t) in ascending order, ties by flat index, and order
-    the flat cell at each position of products. capacity is the regressor
-    of the largest action and floor that of the smallest productive one.
+    max(L - L0, 0)**2.5 * (T(L) + t) in ascending order, ties by flat
+    index, and order the flat cell at each position of products. capacity
+    is the regressor of the largest action and floor that of the smallest
+    productive one, the first command above L0 at the least dwell, or
+    None when no command lies above L0.
     cells holds every cell's ValveAction, gravity then vibration, indexed
     by the flattened cell. rungs holds each mode's probe ladder, which
     DispensingController climbs by index: the minimum-dwell cells from
-    the first positive command on, the same objects as in cells, so a
+    the first command above L0 on, the same objects as in cells, so a
     probe and a search pick of one cell are one ValveAction. Both are
     tuples, so no trial can change the actions that every trial on the
     table shares.
@@ -237,52 +245,68 @@ class _ActionTable(NamedTuple):
     rungs: tuple[tuple[ValveAction, ...], tuple[ValveAction, ...]]
 
 
-def _action_table(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
-    """Build the action table of (kin, grid); _table_for keeps the last."""
+def _action_table(rig: Rig, grid: ActionGrid) -> _ActionTable:
+    """Build the action table of (rig, grid); _table_for keeps it."""
+    kin, offset = rig.kin, rig.l_offset
     grid.check(kin)
     l_vals = grid.l_values(kin)
     t_vals = grid.t_values(kin)
-    products = [drop_regressor(kin, l_command, t_pose_s)
+    products = [drop_regressor(kin, l_command, t_pose_s, offset)
                 for t_pose_s in t_vals for l_command in l_vals]
     order = sorted(range(len(products)), key=products.__getitem__)
-    first = sum(l_command <= 0 for l_command in l_vals)
+    # the commands at or below L0 dispense nothing; the axis is ascending
+    first = sum(l_command <= offset for l_command in l_vals)
     # cell (first command, t_values[0]), and t_values[0] is t_pose_min
     floor = products[first] if first < len(l_vals) else None
     cells = tuple(tuple([_new(ValveAction, (l_command, t_pose_s, vibration))
                          for t_pose_s in t_vals for l_command in l_vals])
                   for vibration in (False, True))
     return _ActionTable(
-        drop_regressor(kin, kin.l_max, kin.t_pose_max), floor,
+        drop_regressor(kin, kin.l_max, kin.t_pose_max, offset), floor,
         [products[k] for k in order], order,
         cells, tuple(mode[first:len(l_vals)] for mode in cells))
 
 
-# The (kin, grid, table) of _table_for's last call, the one table a
-# process holds. A trial passes the same two objects on every step, and a
-# suite to every trial, so an identity test of both decides almost every
-# call; equal objects, such as a config rebuilt from the same values,
-# reuse the table too. Holding the objects keeps their ids from being
-# reused.
+# The memo holds the tables of the last _MAX_TABLES (Rig, ActionGrid)
+# pairs, keyed by equality: a suite runs its powders in turn, one Rig
+# each, so a process that runs many passes of one config, as
+# tools/outcomes.py and the benchmark do, builds each powder's table once,
+# and a config rebuilt from the same values reuses them. A rebuild costs
+# about 1 ms at the default grid.
+_MAX_TABLES = 3
+
+
+@functools.lru_cache(maxsize=_MAX_TABLES)
+def _cached_table(rig: Rig, grid: ActionGrid) -> _ActionTable:
+    return _action_table(rig, grid)
+
+
+# (rig, grid, table) of _table_for's last call. A trial passes the same
+# two objects on every step, so an identity test of both decides almost
+# every call without hashing a key. Holding the objects keeps their ids
+# from being reused.
 _last_table: tuple = (None, None, None)
 
 
-def _table_for(kin: ValveKinematics, grid: ActionGrid) -> _ActionTable:
-    """The action table of (kin, grid): the memo's when both are the
-    objects of the last call or equal to them, else a new build, which
-    replaces it."""
+def _table_for(rig: Rig, grid: ActionGrid) -> _ActionTable:
+    """The action table of (rig, grid): the last call's when both are its
+    objects, else the memo's, built on a miss."""
     global _last_table
-    last_kin, last_grid, table = _last_table
-    if kin is not last_kin or grid is not last_grid:
-        if kin != last_kin or grid != last_grid:
-            table = _action_table(kin, grid)
-        _last_table = (kin, grid, table)
+    last_rig, last_grid, table = _last_table
+    if rig is not last_rig or grid is not last_grid:
+        table = _cached_table(rig, grid)
+        _last_table = (rig, grid, table)
     return table
 
 
-def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
-                  w_target: float, use_vibration: bool = False,
+def select_action(estimate: CoefficientEstimate,
+                  rig: Rig | ValveKinematics, w_target: float,
+                  use_vibration: bool = False,
                   grid: ActionGrid | None = None) -> ActionSelection:
     """Pick the grid action whose predicted drop is nearest W_target.
+
+    Predictions are C' * x under rig's drop model; a bare ValveKinematics
+    is read as Rig(kin), whose L0 = 0 is the pure power law.
 
     Gravity mode first runs a capacity check: if even the largest action's
     predicted drop falls short of W_target, the selection switches to the
@@ -303,7 +327,8 @@ def select_action(estimate: CoefficientEstimate, kin: ValveKinematics,
     """
     if not math.isfinite(w_target) or w_target <= 0:
         raise ValueError("w_target must be finite and > 0")
-    table = _table_for(kin, grid if grid is not None else _DEFAULT_GRID)
+    table = _table_for(as_rig(rig),
+                       grid if grid is not None else _DEFAULT_GRID)
     c = estimate[use_vibration].c_prime
     if c is None:
         return ActionSelection(None, None, use_vibration)
@@ -390,31 +415,35 @@ class _TrialController:
 class DispensingController(_TrialController):
     """Model-based closed-loop dispenser for a single trial.
 
-    The seed protocol lives here whole. Each mode's probe rungs are the
-    action table's, and _next_rung counts from 0 in them; both, like the
-    log and the estimate, are indexed by the vibration flag. A probe
-    whose delta reaches SEED_GATE_MG becomes the pending _candidate, and
-    the very next step repeats that ValveAction in its own mode; the
+    The controller runs on rig, by default Rig(ValveKinematics()), held
+    as self.rig and its kinematics as self.kin. The seed protocol lives
+    here whole. Each mode's probe rungs are the action table's, and
+    _next_rung counts from 0 in them; both, like the log and the
+    estimate, are indexed by the vibration flag. A probe whose delta
+    reaches SEED_GATE_MG becomes the pending _candidate, and the very
+    next step repeats that ValveAction in its own mode; the
     mode is seeded with both drops only if the log accepts the repeat.
     Either way the candidate is gone and the ladder moves on.
     """
 
-    def __init__(self, w_goal: float, kin: ValveKinematics | None = None, *,
+    def __init__(self, w_goal: float, rig: Rig | None = None, *,
                  k_p: float = DEFAULT_K_P,
                  tolerance: float = DEFAULT_TOLERANCE_MG,
                  max_steps: int = DEFAULT_MAX_STEPS,
                  grid: ActionGrid | None = None) -> None:
-        super().__init__(w_goal, kin, tolerance, max_steps)
+        rig = rig if rig is not None else Rig(ValveKinematics())
+        super().__init__(w_goal, rig.kin, tolerance, max_steps)
         if not 0 < k_p <= 1:
             raise ValueError("k_p must satisfy 0 < k_p <= 1")
         self.k_p = k_p
+        self.rig = rig
         self.grid = grid if grid is not None else _DEFAULT_GRID
-        self.log = ObservationLog(self.kin)
+        self.log = ObservationLog(rig)
         self.use_vibration = False
         self.w_target: float | None = None
         # replaced whenever a refit changes one mode's fit, read every step
         self.estimate = _UNFITTED
-        self._rungs = _table_for(self.kin, self.grid).rungs
+        self._rungs = _table_for(rig, self.grid).rungs
         self._next_rung = [0, 0]      # gravity, vibration
         self._candidate: tuple[ValveAction, float] | None = None
         self._last_action: ValveAction | None = None
@@ -480,7 +509,7 @@ class DispensingController(_TrialController):
         action = predicted = None
         if estimate[vibration].c_prime is not None:
             action, predicted, selected = select_action(
-                estimate, self.kin, w_target, vibration, self.grid)
+                estimate, self.rig, w_target, vibration, self.grid)
             if selected and not vibration:
                 # The capacity latch: vibration's ladder starts no lower
                 # than the rung that seeded gravity, one below gravity's

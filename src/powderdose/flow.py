@@ -14,18 +14,24 @@ the corrected opening (D_o - k*d) is not positive.
 
 The dispensing controller works in valve command units L rather than
 millimetres. The valve opens the orifice proportionally, D_o = kappa * L,
-so the predicted mass of a single dispense step collapses to
+so (D_o - k*d)**2.5 = kappa**2.5 * (L - L0)**2.5 with the offset
+L0 = k * d / kappa in command units, and the mass of a single dispense
+step collapses to
 
-    W_drop = C' * L**2.5 * (T(L) + t_pose)              [mg]
+    W_drop = C' * max(L - L0, 0)**2.5 * (T(L) + t_pose)     [mg]
 
 with a single lumped coefficient C' that absorbs C, rho_b, sqrt(g) and
 kappa**2.5 (and, when vibration is active, the vibration gain). T(L) is the
-time the valve spends travelling to the commanded opening. The drop is
-C' times one quantity, the regressor x = L**2.5 * (T(L) + t_pose), and
-drop_regressor() is its one definition: predicted_drop here,
-identify.regressor and control's action table all take x from it, so
-every prediction is the product C' * x and the fit identifies C' against
-the same x.
+time the valve spends travelling to the commanded opening. This is the
+plant's own drop, arching aside: the controller, its log and the pooled
+refit model the discharge the plant computes. The drop is C' times one
+quantity, the regressor x = max(L - L0, 0)**2.5 * (T(L) + t_pose), and
+drop_regressor() is its one definition: identify's regressors and
+control's action table all take x from it, so every prediction is the
+product C' * x and the fit identifies C' against the same x. Each powder's
+L0 comes with its identify.Rig, which ExperimentConfig.rig builds;
+predicted_drop and a bare ValveKinematics read L0 as 0, the pure power
+law.
 """
 
 from __future__ import annotations
@@ -165,10 +171,14 @@ def beverloo_discharge(scale: float, offset: float,
 
 
 def drop_regressor(kin: ValveKinematics, l_command: float,
-                   t_pose_s: float) -> float:
-    """The drop model's regressor x = L**2.5 * (T(L) + t_pose), without
-    checks; every prediction is C' * x."""
-    return l_command ** 2.5 * (l_command / kin.travel_rate + t_pose_s)
+                   t_pose_s: float, l_offset: float = 0.0) -> float:
+    """The drop model's regressor x = max(L - L0, 0)**2.5 * (T(L) + t_pose)
+    with L0 = l_offset, without checks; every prediction is C' * x. At
+    L0 = 0 it is L**2.5 * (T(L) + t_pose) bit for bit, since L - 0.0 is L."""
+    opening = l_command - l_offset
+    if opening <= 0.0:
+        return 0.0
+    return opening ** 2.5 * (l_command / kin.travel_rate + t_pose_s)
 
 
 def predicted_drop(model: DispenseModel, kin: ValveKinematics,
@@ -186,9 +196,12 @@ def effective_coefficient(spec: PowderSpec, kin: ValveKinematics,
                           vibration: bool = False) -> float:
     """Lumped command-unit coefficient implied by the plant parameters.
 
-    Exact only when the particle correction term k*d vanishes; otherwise the
-    plant discharge deviates from the pure power law at small openings and
-    the identified coefficient will differ.
+    Exact for the drop model with the powder's offset L0 = k*d / kappa,
+    the model the controller and the pooled refit identify, so their C'
+    estimates this value. Against the pure power law (L0 = 0, as
+    predicted_drop computes it) it is exact only when the particle
+    correction term k*d vanishes; otherwise the plant discharge falls
+    below that law at small openings.
     """
     gain = spec.vibration_gain if vibration else 1.0
     return (gain * spec.flow_coefficient * spec.bulk_density

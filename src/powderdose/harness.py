@@ -14,14 +14,20 @@ reading, then one executed action and one settled reading per step, until
 the controller returns a terminal status. Its record keeps every executed
 step as a StepTrace.
 
+A model-based trial's controller runs on its powder's identify.Rig,
+which ExperimentConfig.rig builds: the kinematics and the powder's
+Beverloo offset.
+
 pooled_points gives, per (powder, mode), the regressors and measured
-deltas of a suite's model-based steps that identify.observed_regressor
-keeps, the rule the controller's log applies, as two parallel lists;
-pooled_fits fits each pair through identify.fit_points, and report writes
-the same lists to its fit CSVs. It reads each trial's record and the
-(L, t_pose_s, vibration, measured_delta_mg) points of its steps:
-run_suite takes them from its StepTraces, report zips them from a
-trace's columns, and neither builds a row for the other.
+deltas of a suite's model-based steps that the controller's log would
+keep, by identify.observed_points under the powder's Rig, as two
+parallel lists; pooled_fits fits each pair through identify.fit_points,
+and report writes the same lists to its fit CSVs. It reads each trial's
+record and the (L, t_pose_s, vibration, measured_delta_mg) points of its
+steps: run_suite takes them from its StepTraces, report zips them from a
+trace's columns, and neither builds a row for the other. Both hand it
+ExperimentConfig.rig, the builder of the controllers' Rigs, so the
+refit and the controllers take one Rig a powder.
 
 The config rules live in config, and the records run_suite returns and
 the artifacts it writes in artifacts.
@@ -30,7 +36,7 @@ the artifacts it writes in artifacts.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import replace
 from itertools import repeat
 from operator import itemgetter
@@ -44,7 +50,7 @@ from .config import (MODEL_BASED, ConfigError, ExperimentConfig,
                      condition_checksum, is_count, shown)
 from .control import DispensingController, PidBaselineController, TrialStatus
 from .flow import MODES, PowderSpec, ValveKinematics
-from .identify import fit_points, observed_regressor
+from .identify import Rig, fit_points, observed_points
 from .plant import SimulatedPlant, plant_states
 
 
@@ -115,7 +121,7 @@ def _run_condition(config: ExperimentConfig, powder: str,
     if controller_name == MODEL_BASED:
         ctl: DispensingController | PidBaselineController = \
             DispensingController(
-                target, kin, k_p=config.k_p,
+                target, config.rig(powder), k_p=config.k_p,
                 tolerance=config.tolerance_mg, max_steps=config.max_steps)
     else:
         ctl = PidBaselineController(
@@ -215,43 +221,42 @@ _step_point = itemgetter(1, 2, 3, 5)
 
 
 def pooled_points(trials: Iterable[tuple[TrialRecord, Iterable[tuple]]],
-                  kin: ValveKinematics) -> _Points:
+                  rig_for: Callable[[str], Rig]) -> _Points:
     """The data points of a suite-wide refit of the drop model.
 
     Takes (record, points) pairs: a trial's record, whose steps are not
     read, and the (L, t_pose_s, vibration, measured_delta_mg) point of
-    each of its executed steps in step order. Maps each (powder, mode) to
-    two parallel lists, the regressors and the measured deltas of the
-    points of model-based trials whose delta
-    identify.observed_regressor keeps, probe steps and regressors of 0
-    included, in trial and step order; aborted trials, which end on a
-    reading that is not finite, are left out, as compute_metrics leaves
-    them out. Keys run by powder in order of first appearance, gravity
-    before vibration. ValueError, naming the trial and the 1-based step,
-    on a delta that is not finite or a kept step outside the valve
-    envelope.
+    each of its executed steps in step order; and rig_for, which gives a
+    powder's Rig and is called once a powder (ExperimentConfig.rig). Maps
+    each (powder, mode) to two parallel lists, the regressors and the measured deltas of the points of
+    model-based trials that identify.observed_points keeps under the
+    powder's Rig, probe steps and regressors of 0 included, in trial and
+    step order; aborted trials, which end on a reading that is not
+    finite, are left out, as compute_metrics leaves them out. Keys run by
+    powder in order of first appearance, gravity before vibration.
+    ValueError, naming the trial and the 1-based step, on a delta that
+    is not finite or a kept step outside the valve envelope.
     """
-    # powder -> (regressors, deltas) of gravity, then of vibration
-    pools: dict[str, tuple[tuple[list[float], list[float]], ...]] = {}
+    # powder -> its Rig and the (regressors, deltas) of gravity, then of
+    # vibration
+    pools: dict[str, tuple[Rig, tuple[tuple[list[float], list[float]],
+                                      ...]]] = {}
     for record, points in trials:
         if record.controller != MODEL_BASED \
                 or record.status is TrialStatus.ABORTED:
             continue
-        for step, (l_command, t_pose_s, vibration, delta) in enumerate(
-                points, 1):
-            try:
-                x = observed_regressor(kin, l_command, t_pose_s, delta)
-            except ValueError as exc:
-                raise ValueError(f"trial {record.trial_id} step {step}: "
-                                 f"{exc}") from None
-            if x is None:
-                continue
-            if record.powder not in pools:
-                pools[record.powder] = (([], []), ([], []))
-            xs, deltas = pools[record.powder][1 if vibration else 0]
-            xs.append(x)
-            deltas.append(delta)
-    return {(powder, mode): pair for powder, pairs in pools.items()
+        powder = record.powder
+        if powder not in pools:
+            pools[powder] = (rig_for(powder), (([], []), ([], [])))
+        rig, pairs = pools[powder]
+        try:
+            kept = observed_points(rig, points)
+        except ValueError as exc:
+            raise ValueError(f"trial {record.trial_id} {exc}") from None
+        for (xs, deltas), (new_xs, new_deltas) in zip(pairs, kept):
+            xs += new_xs
+            deltas += new_deltas
+    return {(powder, mode): pair for powder, (_, pairs) in pools.items()
             for mode, pair in zip(MODES, pairs) if pair[0]}
 
 
@@ -302,7 +307,7 @@ def run_suite(config: ExperimentConfig, *, out_dir: str | Path | None = None,
         conditions=tuple(compute_metrics(records)),
         pooled_fits=tuple(pooled_fits(pooled_points(
             [(record, map(_step_point, record.steps)) for record in records],
-            config.kinematics))),
+            config.rig))),
         trials=tuple(records),
     )
     if write_artifacts:

@@ -1,24 +1,33 @@
 """Online identification of the lumped drop coefficient.
 
 Each dispensing step yields one observation (L, t_pose, measured delta-W).
-With the regressor x = L**2.5 * (T(L) + t_pose), from
+With the regressor x = max(L - L0, 0)**2.5 * (T(L) + t_pose), from
 flow.drop_regressor, the model's one definition, the drop model is linear
 through the origin, W = C' * x, the product the controller predicts.
 Gravity and vibration observations are kept strictly apart; each mode
 carries its own coefficient, and a mode is fitted exactly when its c_prime
 is not None. Every regressor comes from regressor(), or from
-observed_regressor() for a measured delta, both of which first put the
-action through ValveKinematics.check: an action outside the valve
-envelope is a ValueError, never a data point.
+observed_regressor() or observed_points() for measured deltas, each of
+which first puts the action through ValveKinematics.check: an action
+outside the valve envelope is a ValueError, never a data point.
+
+A Rig is the rig as the identification and the controller see it: the
+valve kinematics and the powder's Beverloo offset L0.
+ExperimentConfig.rig alone makes one from a config, and the controllers
+of run_suite and the pooled refits of run_suite and report all take it,
+so a powder's controllers, their logs and its pooled refit take one
+offset. fit_coefficient() and control.select_action also take a bare
+ValveKinematics, read as Rig(kin): L0 = 0, the pure power law.
 
 observed_regressor() is the one statement of which measured deltas are
-evidence, and both the controller's log and the suite's pooled refit
-(harness.pooled_points) go through it: a delta that is not finite is a
-ValueError, and one below the balance's reliable range
-(MIN_OBSERVABLE_MG, 0.5 mg) is discarded before it reaches a fit, so
-noise-level readings never steer it. Every regressor and every kept
-delta is >= 0, so C' is >= 0 by construction. Two estimators of C'
-serve two purposes.
+evidence, for one delta, and observed_points() the same rule for a
+trial's points at once: the controller's log goes through the first, the
+suite's pooled refit (harness.pooled_points) through the second, and a
+test holds the two to one verdict. A delta that is not finite is a
+ValueError, and one below MIN_OBSERVABLE_MG (0.5 mg) is discarded
+before it reaches a fit, so noise-level readings never steer it. Every
+regressor and every kept delta is >= 0, so C' is >= 0 by construction.
+Two estimators of C' serve two purposes.
 
 The controller's online fit, ObservationLog, is relative: over a mode's n
 accepted observations
@@ -34,8 +43,8 @@ overshoots by the ratio of two draws. The log keeps per mode only n and
 the sum of ratios, added in arrival order, and stores no observations:
 record() adds an accepted delta and returns its mode's refreshed ModeFit,
 or None when it drops the delta, so a refit is O(1). An observation whose
-regressor is 0 (a zero command, or one whose x underflows) has no ratio
-and leaves the fit as it was.
+regressor is 0 (a zero command, one at or below L0, or one whose x
+underflows) has no ratio and leaves the fit as it was.
 
 The offline fits stay least squares through the origin,
 
@@ -68,6 +77,35 @@ from .flow import (MODES, VIBRATION, ValveKinematics, check_fields,
                    drop_regressor)
 
 MIN_OBSERVABLE_MG = 0.5
+
+
+@dataclass(frozen=True)
+class Rig:
+    """The rig as the controller, its log and the pooled refit see it.
+
+    kin is the valve and l_offset the powder's Beverloo offset L0 in
+    command units, below which a command dispenses nothing. An l_offset
+    of inf, which a tiny opening_per_command can give, is a powder that
+    never flows.
+    Frozen and hashable: control keys its action tables by the Rig.
+    """
+
+    kin: ValveKinematics
+    l_offset: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kin, ValveKinematics):
+            raise TypeError(f"Rig.kin must be a ValveKinematics, got "
+                            f"{type(self.kin).__name__}")
+        if not self.l_offset >= 0.0:    # NaN fails too
+            raise ValueError(f"Rig.l_offset must be >= 0, got "
+                             f"{self.l_offset!r}")
+
+
+def as_rig(rig: Rig | ValveKinematics) -> Rig:
+    """rig itself, or a bare ValveKinematics as Rig(kin), with no
+    offset."""
+    return rig if isinstance(rig, Rig) else Rig(rig)
 
 
 @dataclass(frozen=True)
@@ -121,47 +159,83 @@ class CoefficientEstimate(NamedTuple):
     vibration: ModeFit = ModeFit()
 
 
-def regressor(kin: ValveKinematics, l_command: float, t_pose_s: float) -> float:
-    """x = L**2.5 * (T(L) + t_pose), the model's per-step regressor, for
-    an action inside the valve envelope."""
-    kin.check(l_command, t_pose_s)
-    return drop_regressor(kin, l_command, t_pose_s)
+def regressor(rig: Rig, l_command: float, t_pose_s: float) -> float:
+    """x = max(L - L0, 0)**2.5 * (T(L) + t_pose), the model's per-step
+    regressor, for an action inside the valve envelope."""
+    rig.kin.check(l_command, t_pose_s)
+    return drop_regressor(rig.kin, l_command, t_pose_s, rig.l_offset)
 
 
-def observed_regressor(kin: ValveKinematics, l_command: float,
-                       t_pose_s: float, delta_w_mg: float) -> float | None:
+def _not_finite(delta_w_mg: float) -> str:
+    return f"measured_delta_mg must be finite, got {delta_w_mg!r}"
+
+
+def observed_regressor(rig: Rig, l_command: float, t_pose_s: float,
+                       delta_w_mg: float) -> float | None:
     """The regressor x of a measured delta that is evidence of the drop
     model, or None for a delta below MIN_OBSERVABLE_MG.
 
-    The one rule for which deltas count, for the controller's log and
-    the suite's pooled refit alike: a delta that is not finite is a
-    ValueError, one below the gate is no observation, and a kept one's
-    action must lie inside the valve envelope.
+    The one rule for which deltas count, for the controller's log and,
+    through observed_points, the suite's pooled refit: a delta that is
+    not finite is a ValueError, one below the gate is no observation,
+    and a kept one's action must lie inside the valve envelope.
     """
     # checked inline, not through check_fields: this runs on every step
-    # the log takes and every row of a pooled refit
+    # the log takes
     if not math.isfinite(delta_w_mg):
-        raise ValueError(f"measured_delta_mg must be finite, got "
-                         f"{delta_w_mg!r}")
+        raise ValueError(_not_finite(delta_w_mg))
     if delta_w_mg < MIN_OBSERVABLE_MG:
         return None
+    kin = rig.kin
     kin.check(l_command, t_pose_s)
-    return drop_regressor(kin, l_command, t_pose_s)
+    return drop_regressor(kin, l_command, t_pose_s, rig.l_offset)
 
 
-def fit_coefficient(observations: list[Observation], kin: ValveKinematics,
-                    mode: str) -> ModeFit:
+def observed_points(rig: Rig, points: Iterable[tuple]) -> tuple[
+        tuple[list[float], list[float]], tuple[list[float], list[float]]]:
+    """observed_regressor's rule over one trial's points at once.
+
+    points are (L, t_pose_s, vibration, measured_delta_mg) in step
+    order. Returns the regressors and the deltas of the points the rule
+    keeps, regressors of 0 included, in step order: gravity's pair, then
+    vibration's. Each kept point's regressor and delta are those
+    observed_regressor gives it, bit for bit; the loop makes no call for
+    a point below the gate. A ValueError names the 1-based step.
+    """
+    kin, offset, gate = rig.kin, rig.l_offset, MIN_OBSERVABLE_MG
+    check, inf = kin.check, math.inf
+    modes: tuple[tuple[list[float], list[float]], ...] = (([], []), ([], []))
+    for step, (l_command, t_pose_s, vibration, delta) in enumerate(points,
+                                                                   1):
+        if -inf < delta < gate:
+            continue
+        try:
+            if not -inf < delta < inf:
+                raise ValueError(_not_finite(delta))
+            check(l_command, t_pose_s)
+        except ValueError as exc:
+            raise ValueError(f"step {step}: {exc}") from None
+        xs, deltas = modes[vibration]
+        xs.append(drop_regressor(kin, l_command, t_pose_s, offset))
+        deltas.append(delta)
+    return modes
+
+
+def fit_coefficient(observations: list[Observation],
+                    rig: Rig | ValveKinematics, mode: str) -> ModeFit:
     """Least-squares coefficient through the origin for one mode.
 
     Only observations matching the requested mode, one of MODES, enter
-    the fit, through fit_points. An empty selection, or one whose
-    regressors are all zero, returns an unfitted ModeFit.
+    the fit, through fit_points, with regressor()'s x under rig (a bare
+    ValveKinematics: L0 = 0). An empty selection, or one whose regressors
+    are all zero, returns an unfitted ModeFit.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     vibration = mode == VIBRATION
+    rig = as_rig(rig)
     selected = [o for o in observations if o.vibration == vibration]
-    return fit_points([regressor(kin, o.l_command, o.t_pose_s)
+    return fit_points([regressor(rig, o.l_command, o.t_pose_s)
                        for o in selected],
                       [o.delta_w_mg for o in selected])
 
@@ -208,8 +282,8 @@ def _r_squared(xs: list[float], deltas: list[float],
 class ObservationLog:
     """Per-mode count and sum of dW/x of one trial's accepted observations.
 
-    The log belongs to the ValveKinematics it is built with. record()
-    takes a delta as observed_regressor judges it, and drops one whose
+    The log belongs to the Rig it is built with. record() takes a delta
+    as observed_regressor judges it under that rig, and drops one whose
     regressor is 0 too, which has no ratio. A kept delta adds its ratio
     to its mode's sum, and record() returns that mode's refreshed
     ModeFit: C' as the mean of the ratios, in arrival order, with their
@@ -217,8 +291,8 @@ class ObservationLog:
     the same observations.
     """
 
-    def __init__(self, kin: ValveKinematics) -> None:
-        self._kin = kin
+    def __init__(self, rig: Rig) -> None:
+        self._rig = rig
         self._n = [0, 0]            # gravity, vibration
         self._ratios = [0.0, 0.0]
 
@@ -230,7 +304,7 @@ class ObservationLog:
         A ValueError, from observed_regressor or from ModeFit for a ratio
         that leaves the float range, leaves the log as it was.
         """
-        x = observed_regressor(self._kin, l_command, t_pose_s, delta_w_mg)
+        x = observed_regressor(self._rig, l_command, t_pose_s, delta_w_mg)
         if not x:   # None, or a regressor of 0
             return None
         n = self._n[vibration] + 1

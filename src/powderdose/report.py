@@ -91,7 +91,7 @@ def build_report(artifact_dir: str | Path) -> ReportResult:
         # the trace's columns 1, 2, 3 and 5
         points = pooled_points(
             ((record, zip(*columns[1:4], columns[5]))
-             for record, columns in trials), config.kinematics)
+             for record, columns in trials), config.rig)
         fits = pooled_fits(points)
     except ValueError as exc:  # a trace step or a fit the refit cannot take
         errors.append(f"cannot refit the traces: {exc}")

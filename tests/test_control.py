@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from powderdose import (
+    ARCHETYPES,
     GRAVITY,
     MIN_OBSERVABLE_MG,
     ActionGrid,
@@ -35,6 +36,7 @@ from powderdose import (
 )
 from powderdose import control
 from powderdose.control import SEED_GATE_MG, _action_table, select_action
+from powderdose.identify import Rig
 from powderdose.plant import SimulatedPlant
 from powderdose.powders import archetype
 
@@ -330,67 +332,94 @@ class TestStepRecords:
     def test_controllers_share_the_cached_probe_rungs(self):
         # equal kinematics and grids give one action table, so both
         # controllers hand out the very same prebuilt probe actions
-        first = DispensingController(20.0, ValveKinematics())
-        second = DispensingController(50.0, ValveKinematics(),
+        first = DispensingController(20.0, Rig(ValveKinematics()))
+        second = DispensingController(50.0, Rig(ValveKinematics()),
                                       grid=ActionGrid())
         for _ in range(3):
             a, b = first.step(0.0), second.step(0.0)
             assert a.probe and b.probe
             assert a.action is b.action
 
-    def test_a_trial_on_the_last_pair_hashes_nothing(self, table_builds):
-        # a suite builds each trial's controller from the same kin and
-        # grid objects; only the first can build a table
-        kin = ValveKinematics()
-        DispensingController(20.0, kin)
-        before = len(table_builds)
-        ctl = DispensingController(50.0, kin)
+    def test_a_trial_on_the_last_pair_hashes_nothing(self, table_builds,
+                                                     monkeypatch):
+        # a trial passes the same Rig and grid objects on every step; only
+        # its controller's construction looks its table up in the memo, and
+        # its steps find the table by identity
+        ctl = DispensingController(50.0, Rig(ValveKinematics(),
+                                             l_offset=0.56))
+        monkeypatch.setattr(control, "_cached_table", None)  # a lookup raises
         ctl.estimate = estimate(2e-5, 2e-5)
         assert not ctl.step(0.0).probe
-        assert len(table_builds) == before
+        assert not ctl.step(10.0).probe
+        assert len(table_builds) == 1
 
     def test_an_equal_kinematics_reuses_the_table(self, table_builds):
         # the benchmark rebuilds its config on every pass: new kinematics
         # and grid objects, equal to the last ones
         kin = ValveKinematics(l_max=200.0)
-        table = control._table_for(kin, ActionGrid())
+        table = control._table_for(Rig(kin), ActionGrid())
         built = len(table_builds)
         again = ValveKinematics(**dataclasses.asdict(kin))
         assert again == kin and again is not kin
-        assert control._table_for(again, ActionGrid()) is table
-        ctl = DispensingController(20.0, ValveKinematics(l_max=200.0))
+        assert control._table_for(Rig(again), ActionGrid()) is table
+        ctl = DispensingController(20.0, Rig(ValveKinematics(l_max=200.0)))
         assert ctl._rungs is table.rungs
         assert len(table_builds) == built
         # a kinematics that differs builds anew
-        control._table_for(ValveKinematics(l_max=190.0), ActionGrid())
+        control._table_for(Rig(ValveKinematics(l_max=190.0)), ActionGrid())
         assert len(table_builds) == built + 1
 
-    def test_two_envelopes_in_turn_retain_one_table(self, table_builds,
-                                                    monkeypatch):
-        # 400 x 50 and 399 x 50 cells, some 4.7 MB a table; the memo the
-        # test starts from is kept aside, so no table is freed in between
-        monkeypatch.setattr(control, "_last_table", (None, None, None))
+    def test_envelopes_in_turn_retain_at_most_three_tables(
+            self, table_builds):
+        # 400 x 50 down to 396 x 50 cells, some 4.7 MB a table: the memo
+        # keeps the last three, one per archetype a suite can run, and a
+        # fourth build evicts the least recently used
         grid = ActionGrid()
-        envelopes = [ValveKinematics(l_max=l_max, t_pose_max=24.5)
-                     for l_max in (1995.0, 1990.0)]
+        rigs = [Rig(ValveKinematics(l_max=l_max, t_pose_max=24.5))
+                for l_max in (1995.0, 1990.0, 1985.0, 1980.0, 1975.0)]
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             held = []
-            for kin in envelopes:
-                control._table_for(kin, grid)
+            for rig in rigs:
+                control._table_for(rig, grid)
                 held.append(tracemalloc.get_traced_memory()[0] - start)
         finally:
             tracemalloc.stop()
-        assert table_builds == [(kin, grid) for kin in envelopes]
-        print(f"held after each build: {held[0] / 1e6:.2f} MB, "
-              f"{held[1] / 1e6:.2f} MB")
-        assert held[0] > 4e6
-        assert abs(held[1] - held[0]) < 0.1 * held[0]
+        assert table_builds == [(rig, grid) for rig in rigs]
+        print("held after each build: "
+              + ", ".join(f"{h / 1e6:.2f} MB" for h in held))
+        one = held[0]
+        assert one > 4e6
+        assert control._MAX_TABLES == len(ARCHETYPES) == 3
+        assert abs(held[2] - 3 * one) < 0.1 * one
+        assert all(abs(h - held[2]) < 0.1 * one for h in held[3:])
+        # the last three are held, equal Rigs find them
+        for rig in rigs[2:]:
+            control._table_for(Rig(rig.kin), grid)
+        assert len(table_builds) == len(rigs)
+
+    def test_a_pass_builds_one_table_per_powder_and_the_next_none(
+            self, table_builds):
+        # a rebuild costs about 1 ms, so a run of passes over an equal
+        # config, as tools/outcomes.py and the benchmark make, builds each
+        # powder's table once
+        path = Path(__file__).resolve().parents[1] / "configs/default.json"
+        config = load_config(path)
+        run_suite(config, write_artifacts=False)
+        assert table_builds == [(config.rig(powder), ActionGrid())
+                                for powder in config.powders]
+        assert len({rig.l_offset for rig, _ in table_builds}) == 3
+        # config.rig hands every trial of a powder the same Rig, so only
+        # a powder's first trial looks its table up in the memo
+        assert control._cached_table.cache_info()[:2] == (0, 3)
+        run_suite(load_config(path), write_artifacts=False)
+        assert len(table_builds) == 3
+        assert control._cached_table.cache_info()[:2] == (3, 3)
 
     def test_every_cell_action_is_built_from_the_axes(self):
         kin, grid = ValveKinematics(), ActionGrid()
-        table = _action_table(kin, grid)
+        table = _action_table(Rig(kin), grid)
         l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
         first = sum(l_command <= 0 for l_command in l_vals)
         for vibration in (False, True):
@@ -414,16 +443,16 @@ class TestStepRecords:
 
     @pytest.mark.parametrize("powder", ["glass-beads", "tio2"])
     def test_a_trial_leaves_a_fresh_table_as_built(self, powder,
-                                                   table_builds, monkeypatch):
+                                                   table_builds):
         # every slot is built with the table; a trial only reads it
-        monkeypatch.setattr(control, "_last_table", (None, None, None))
-        kin, grid = ValveKinematics(), ActionGrid()
-        table = control._table_for(kin, grid)
-        assert table_builds == [(kin, grid)]
+        rig, grid = Rig(ValveKinematics()), ActionGrid()
+        kin = rig.kin
+        table = control._table_for(rig, grid)
+        assert table_builds == [(rig, grid)]
         built = [list(mode) for mode in table.cells]
         assert all(action is not None for mode in built for action in mode)
         rungs = [list(mode) for mode in table.rungs]
-        ctl = DispensingController(500.0, kin, grid=grid)
+        ctl = DispensingController(500.0, rig, grid=grid)
         plant = SimulatedPlant(archetype(powder), kin, seed=3)
         reading, _ = plant.read_balance(False)
         searched = 0
@@ -436,7 +465,7 @@ class TestStepRecords:
             plant.execute(a.l_command, a.t_pose_s, a.vibration)
             reading, _ = plant.read_balance()
         assert decision.status is TrialStatus.SUCCESS and searched > 0
-        assert control._table_for(kin, grid) is table
+        assert control._table_for(rig, grid) is table
         assert len(table_builds) == 1
         for now, then in zip(table.cells + table.rungs, built + rungs,
                              strict=True):
@@ -444,8 +473,8 @@ class TestStepRecords:
             assert all(a is b for a, b in zip(now, then))
 
     def test_controllers_share_the_memoised_cell_actions(self):
-        first = DispensingController(20.0, ValveKinematics())
-        second = DispensingController(50.0, ValveKinematics(),
+        first = DispensingController(20.0, Rig(ValveKinematics()))
+        second = DispensingController(50.0, Rig(ValveKinematics()),
                                       grid=ActionGrid())
         for ctl in (first, second):
             ctl.estimate = estimate(2e-5, 2e-5)
@@ -459,7 +488,7 @@ class TestStepRecords:
                              ids=["gravity", "vibration"])
     def test_a_probe_and_a_search_pick_of_one_cell_are_one_action(
             self, vibration):
-        ctl = DispensingController(20.0, ValveKinematics())
+        ctl = DispensingController(20.0, Rig(ValveKinematics()))
         ctl.use_vibration = vibration    # probe this mode's ladder
         probe = ctl.step(0.0)
         assert probe.probe
@@ -612,6 +641,19 @@ class TestBootstrapProbing:
             (SEED_GATE_MG / x + MIN_OBSERVABLE_MG / x) / 2, rel=1e-12)
         assert not fourth.probe
 
+    def test_the_rig_sets_the_first_rung(self):
+        # the ladder starts at the first command above L0, and the gates
+        # are the same as without an offset
+        ctl = DispensingController(20.0, Rig(ValveKinematics(),
+                                             l_offset=8.4))
+        assert ctl.step(0.0).action == ValveAction(10.0, 0.0)
+        assert ctl.step(0.75).action == ValveAction(15.0, 0.0)  # below 1 mg
+        repeat = ctl.step(1.75)                 # at the seed gate
+        assert repeat.probe and repeat.action == ValveAction(15.0, 0.0)
+        after = ctl.step(2.0)                   # a repeat below 0.5 mg
+        assert after.action == ValveAction(20.0, 0.0)
+        assert ctl.estimate.gravity.n_obs == 0
+
     def test_a_candidate_comes_back_on_the_very_next_step(self,
                                                           monkeypatch):
         # the controller compares no modes: a pending candidate is
@@ -668,7 +710,7 @@ class TestBootstrapProbing:
         # gravity fitted, but its whole-envelope capacity is far below the
         # target: the controller must latch vibration and start probing it
         kin = ValveKinematics(l_max=10.0, t_pose_max=1.0)
-        ctl = DispensingController(3000.0, kin, k_p=1.0)
+        ctl = DispensingController(3000.0, Rig(kin), k_p=1.0)
         ctl.step(0.0)                    # probe (5, 0)
         ctl.step(1.0)                    # candidate at (5, 0), repeat it
         decision = ctl.step(2.0)         # confirmed, and capacity falls short
@@ -682,7 +724,7 @@ class TestBootstrapProbing:
         # target even at its largest action: the vibration ladder starts
         # one rung below gravity's next column, at (25, 0), not at (5, 0)
         kin = ValveKinematics(l_max=50.0, t_pose_max=1.0)
-        ctl = DispensingController(3000.0, kin, k_p=1.0)
+        ctl = DispensingController(3000.0, Rig(kin), k_p=1.0)
         for l in (5.0, 10.0, 15.0, 20.0, 25.0):
             decision = ctl.step(0.0)
             assert decision.probe and decision.action == ValveAction(l, 0.0)
@@ -694,7 +736,7 @@ class TestBootstrapProbing:
         assert decision.action == ValveAction(25.0, 0.0, vibration=True)
         assert ctl.step(2.0).action == ValveAction(30.0, 0.0, vibration=True)
         # a latch on an exhausted gravity ladder starts at the first rung
-        ctl = DispensingController(3000.0, kin, k_p=1.0)
+        ctl = DispensingController(3000.0, Rig(kin), k_p=1.0)
         for l in range(5, 55, 5):
             assert ctl.step(0.0).action == ValveAction(float(l), 0.0)
         decision = ctl.step(0.0)
@@ -754,7 +796,8 @@ class TestControllerMatchesReference:
         kin = ValveKinematics(travel_rate=80.0, l_max=180.0,
                               t_pose_min=0.5, t_pose_max=12.0)
         grid = ActionGrid(l_step=7.5, t_step=0.75)
-        ctl = DispensingController(target, kin, grid=grid, k_p=0.6)
+        ctl = DispensingController(target, Rig(kin), grid=grid,
+                                   k_p=0.6)
         plant = SimulatedPlant(archetype(powder), kin, seed=3)
         reading, _ = plant.read_balance(wait_settle=False)
         compared = 0
@@ -911,7 +954,7 @@ class TestStepPathCallForms:
         assert inspect.Parameter.KEYWORD_ONLY not in kinds.values(), kinds
 
     @pytest.mark.parametrize("make", [
-        lambda kin: DispensingController(500.0, kin),
+        lambda kin: DispensingController(500.0, Rig(kin)),
         lambda kin: PidBaselineController(500.0, kin),
     ], ids=["model-based", "direct-pid"])
     def test_keyword_and_positional_trials_agree(self, make):

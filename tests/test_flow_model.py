@@ -14,6 +14,7 @@ from powderdose import (
     ObservationLog,
     PidGains,
     PowderSpec,
+    Rig,
     SimulatedPlant,
     ValveKinematics,
     beverloo_rate,
@@ -21,7 +22,9 @@ from powderdose import (
     predicted_drop,
     regressor,
 )
-from powderdose.identify import observed_regressor
+from powderdose.flow import drop_regressor
+from powderdose.identify import observed_points, observed_regressor
+from powderdose.powders import ARCHETYPES
 
 
 def make_spec(**kw):
@@ -155,6 +158,65 @@ class TestEffectiveCoefficient:
                 beverloo_rate(spec, kin.opening_per_command * l), rel=1e-12)
 
 
+class TestBeverlooOffset:
+    """The drop model with the powder's offset L0 = k*d / kappa is the
+    plant's discharge over C'."""
+
+    @pytest.mark.parametrize("powder", sorted(ARCHETYPES))
+    def test_offset_model_is_the_plants_drop(self, powder):
+        spec = dataclasses.replace(ARCHETYPES[powder],
+                                   critical_arch_diameter=0.0)
+        kin = ValveKinematics()
+        rig = Rig(kin, l_offset=spec.particle_correction
+                  * spec.particle_diameter / kin.opening_per_command)
+        coeff = effective_coefficient(spec, kin)
+        for l in (5.0, 10.0, 20.0, 50.0, 210.0):
+            for t in (0.0, 2.0):
+                rate = beverloo_rate(spec, kin.opening_per_command * l)
+                plant = rate * (l / kin.travel_rate + t)
+                assert coeff * regressor(rig, l, t) == pytest.approx(
+                    plant, rel=1e-12, abs=1e-300)
+
+    def test_a_command_at_or_below_the_offset_dispenses_nothing(self):
+        kin = ValveKinematics()
+        for l_offset in (10.0, 12.5, math.inf):
+            rig = Rig(kin, l_offset=l_offset)
+            assert regressor(rig, 5.0, 2.0) == 0.0
+            assert regressor(rig, 10.0, 2.0) == 0.0
+        assert regressor(Rig(kin, l_offset=8.4), 10.0, 2.0) == \
+            (10.0 - 8.4) ** 2.5 * (10.0 / 100.0 + 2.0)
+
+    @pytest.mark.parametrize("l_command", [0.0, 1e-3, 5.0, 37.5, 210.0])
+    def test_no_offset_is_the_pure_power_law_bit_for_bit(self, l_command):
+        kin = ValveKinematics()
+        for t in (0.0, 0.5, 20.0):
+            power_law = l_command ** 2.5 * (l_command / kin.travel_rate + t)
+            assert drop_regressor(kin, l_command, t) == power_law
+            assert regressor(Rig(kin), l_command, t) == power_law
+
+    def test_a_command_a_hair_above_the_offset_has_a_normal_square(self):
+        # the config domain's smallest positive grid regressor: a command
+        # of 1e-3 one ulp above L0, at travel_rate 1e6 and t_pose 0
+        kin = ValveKinematics(l_min=1e-3, travel_rate=1e6)
+        rig = Rig(kin, l_offset=math.nextafter(1e-3, 0.0))
+        x = regressor(rig, 1e-3, 0.0)
+        assert 0.0 < 3.9e-57 < x
+        assert x * x >= 1e-113
+
+    def test_rig_rejects_bad_fields(self):
+        kin = ValveKinematics()
+        for bad in (-1e-12, -math.inf, math.nan):
+            with pytest.raises(ValueError,
+                               match=re.escape("Rig.l_offset must be >= 0")):
+                Rig(kin, l_offset=bad)
+        with pytest.raises(TypeError, match="Rig.kin must be a "
+                                            "ValveKinematics"):
+            Rig(ActionGrid())
+        assert Rig(kin, l_offset=math.inf).l_offset == math.inf
+        assert Rig(kin) == Rig(ValveKinematics())
+        assert hash(Rig(kin, 2.0)) == hash(Rig(ValveKinematics(), 2.0))
+
+
 class TestValidation:
     def test_powder_spec_rejects_bad_fields(self):
         with pytest.raises(ValueError,
@@ -202,13 +264,16 @@ def take_action(entry, l_command, t_pose_s):
         return predicted_drop(DispenseModel(0.01), ENVELOPE, l_command,
                               t_pose_s)
     if entry == "regressor":
-        return regressor(ENVELOPE, l_command, t_pose_s)
-    # the two entries that take a delta get one above the gate
+        return regressor(Rig(ENVELOPE), l_command, t_pose_s)
+    # the entries that take a delta get one above the gate
     if entry == "observed_regressor":
-        return observed_regressor(ENVELOPE, l_command, t_pose_s, 10.0)
+        return observed_regressor(Rig(ENVELOPE), l_command, t_pose_s, 10.0)
+    if entry == "observed_points":
+        return observed_points(Rig(ENVELOPE),
+                               [(l_command, t_pose_s, False, 10.0)])
     if entry == "ObservationLog.record":
-        return ObservationLog(ENVELOPE).record(l_command, t_pose_s, False,
-                                               10.0)
+        return ObservationLog(Rig(ENVELOPE)).record(l_command, t_pose_s,
+                                                    False, 10.0)
     return SimulatedPlant(make_spec(), ENVELOPE).execute(l_command, t_pose_s,
                                                          False)
 
@@ -217,7 +282,8 @@ class TestValveEnvelope:
     """Every entry point that takes an action applies the same envelope."""
 
     ENTRIES = ("predicted_drop", "regressor", "observed_regressor",
-               "ObservationLog.record", "SimulatedPlant.execute")
+               "observed_points", "ObservationLog.record",
+               "SimulatedPlant.execute")
 
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("l_command", [

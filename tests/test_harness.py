@@ -67,6 +67,7 @@ from powderdose.identify import (
     MIN_OBSERVABLE_MG,
     Observation,
     ObservationLog,
+    Rig,
     fit_coefficient,
     regressor,
 )
@@ -74,14 +75,31 @@ from powderdose.report import format_mass
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# The smallest positive grid regressor the config domain admits: a
-# command of 1e-3 at t_pose 0 and travel_rate 1e6, about 3e-17. At
-# glass-beads' 0.028 mm particle offset such a command flows nothing, so
-# its pooled points are balance noise over that regressor.
+# The smallest positive grid regressor of a powder without a Beverloo
+# offset: a command of 1e-3 at t_pose 0 and travel_rate 1e6, about
+# 3e-17. glass-beads' particle correction is set to 0, so that command
+# lies above L0 = 0; it flows a trace of powder, so its pooled points
+# are balance noise over that regressor. A command a hair above an
+# offset L0 > 0 is the edge case of OFFSET_EDGE.
 SMALLEST_REGRESSOR = {
     "powder": "glass-beads", "targets_mg": [20], "trials": 1,
     "kinematics": {"l_min": 1e-3, "travel_rate": 1e6},
-    "plant": {"balance": {"noise_sigma": 3.0}}}
+    "plant": {"balance": {"noise_sigma": 3.0},
+              "powders": {"glass-beads": {"particle_correction": 0.0}}}}
+
+# A powder whose Beverloo offset L0 = k*d / kappa lies about 1e-12 below
+# the grid command 5: at particle_correction 1 and opening_per_command
+# 0.05, L0 is particle_diameter / 0.05. The command 5 is the first rung,
+# its regressor about (1e-12)**2.5 * 0.05 = 5e-32, and the plant's drop
+# there is nil; at a 3 mg balance noise, noise readings over that
+# regressor reach the controller's log and the pooled refit.
+OFFSET_EDGE = {
+    "powder": "glass-beads", "controller": ["model-based", "direct-pid"],
+    "targets_mg": [20, 500], "trials": 2,
+    "plant": {"balance": {"noise_sigma": 3.0},
+              "powders": {"glass-beads": {
+                  "particle_correction": 1.0,
+                  "particle_diameter": 0.05 * (5.0 - 1e-12)}}}}
 
 
 def past(value):
@@ -133,6 +151,12 @@ def record_for(final, status=TrialStatus.SUCCESS, target=500.0, index=0,
         controller=controller, target_mg=target, trial_index=index,
         status=status, final_mass_mg=final, total_steps=total_steps,
         total_sim_time_s=time, steps=tuple(steps))
+
+
+def bare_rigs(kin):
+    """A rig_for for pooled_points that gives every powder Rig(kin): no
+    offset, the pure power law."""
+    return lambda powder: Rig(kin)
 
 
 def step_points(records):
@@ -378,7 +402,7 @@ class TestConfigParsing:
         kin = config.kinematics
         assert (kin.l_min, kin.t_pose_min, kin.travel_rate) == (1e-3, 0.0,
                                                                 1e6)
-        x = regressor(kin, kin.l_min, kin.t_pose_min)
+        x = regressor(Rig(kin), kin.l_min, kin.t_pose_min)
         assert x * x >= sys.float_info.min
         with pytest.raises(ConfigError, match="kinematics.l_min: must be 0 "
                                               "or 0.001 to 10000"):
@@ -570,7 +594,8 @@ class TestPooledFits:
         records = [record_for(500.0, steps=rows),
                    record_for(500.0, steps=rows, controller=DIRECT_PID,
                               index=1)]
-        points = pooled_points(step_points(records), ValveKinematics())
+        points = pooled_points(step_points(records),
+                               bare_rigs(ValveKinematics()))
         # the pid record contributes none
         assert [len(xs) for xs, _ in points.values()] == [1, 1]
         fits = pooled_fits(points)
@@ -606,10 +631,10 @@ class TestPooledFits:
             except ValueError as exc:
                 return "raised", str(exc)
 
-        log, log_error = judge(lambda: ObservationLog(kin).record(
+        log, log_error = judge(lambda: ObservationLog(Rig(kin)).record(
             l_command, 2.0, False, delta))
         pooled, pooled_error = judge(
-            lambda: pooled_points(step_points([record]), kin))
+            lambda: pooled_points(step_points([record]), bare_rigs(kin)))
         assert log == pooled == expected
         if expected == "raised":
             assert pooled_error == f"trial synthetic-0 step 1: {log_error}"
@@ -620,11 +645,11 @@ class TestPooledFits:
         rows = [trace_row(1, 50.0, 2.0, 5.0),
                 trace_row(2, 50.0, 2.0, math.nan)]
         aborted = record_for(500.0, status=TrialStatus.ABORTED, steps=rows)
-        kin = ValveKinematics()
-        assert pooled_points(step_points([aborted]), kin) == {}
+        rigs = bare_rigs(ValveKinematics())
+        assert pooled_points(step_points([aborted]), rigs) == {}
         kept = record_for(500.0, steps=rows[:1], index=1)
-        points = pooled_points(step_points([aborted, kept]), kin)
-        assert points == pooled_points(step_points([kept]), kin)
+        points = pooled_points(step_points([aborted, kept]), rigs)
+        assert points == pooled_points(step_points([kept]), rigs)
         assert [len(xs) for xs, _ in points.values()] == [1]
 
     def test_equal_one_fit_coefficient_per_powder_and_mode(self):
@@ -633,7 +658,6 @@ class TestPooledFits:
                               controller=[MODEL_BASED, DIRECT_PID],
                               targets_mg=[3000])
         records = run_suite(config, write_artifacts=False).trials
-        kin = config.kinematics
         gated: dict[str, list[Observation]] = {}
         for record in records:
             if record.controller == MODEL_BASED:
@@ -644,16 +668,62 @@ class TestPooledFits:
                     if row.measured_delta_mg >= MIN_OBSERVABLE_MG)
         expected = []
         for powder, observations in gated.items():
+            rig = config.rig(powder)
+            assert rig.l_offset > 0
             for mode in (GRAVITY, VIBRATION):
                 if selected := [o for o in observations
                                 if o.vibration == (mode == VIBRATION)]:
-                    fit = fit_coefficient(selected, kin, mode)
+                    fit = fit_coefficient(selected, rig, mode)
                     expected.append(PooledFit(powder, mode, fit.c_prime,
                                               fit.r_squared, len(selected)))
         assert [(f.powder, f.mode) for f in expected] == [
             ("glass-beads", GRAVITY), ("msg", GRAVITY), ("msg", VIBRATION)]
-        assert pooled_fits(pooled_points(step_points(records), kin)) \
+        assert pooled_fits(pooled_points(step_points(records), config.rig)) \
             == expected
+
+
+    def test_the_report_refits_under_the_rig_the_run_took(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        # ExperimentConfig.rig alone makes a config's Rigs: a record put
+        # in through it, here with each offset 2.5 commands above the
+        # powder's, reaches the controllers, the run's pooled refit and
+        # the report's refit alike, and no config key holds it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"powder": ["glass-beads", "msg"],
+                                    "targets_mg": [20, 500], "trials": 2}))
+        default = tmp_path / "default"
+        assert cli_main(["run-suite", "--config", str(path),
+                         "--out", str(default)]) == 0
+        build = ExperimentConfig.rig
+
+        def rig(config, powder):
+            built = build(config, powder)
+            return dataclasses.replace(built, l_offset=built.l_offset + 2.5)
+
+        monkeypatch.setattr(ExperimentConfig, "rig", rig)
+        out = tmp_path / "out"
+        assert cli_main(["run-suite", "--config", str(path),
+                         "--out", str(out)]) == 0
+        assert cli_main(["report", str(out)]) == 0
+        stored = json.loads((out / "summary.json").read_text())
+        assert stored["config"] == json.loads(
+            (default / "summary.json").read_text())["config"]
+        assert stored["pooled_fits"] != json.loads(
+            (default / "summary.json").read_text())["pooled_fits"]
+        assert len(list((out / "report").glob("fit_*.csv"))) >= 2
+        # the first probe rung is the first command above the record's
+        # offset: msg's 8.4 + 2.5 puts it at 15, not config.rig's 10
+        first = {record.powder: record.steps[0].l_command
+                 for record in run_suite(config_from_dict(json.loads(
+                     path.read_text())), write_artifacts=False).trials}
+        monkeypatch.undo()
+        assert first == {"glass-beads": 5.0, "msg": 15.0}
+        # under config.rig's own record the refit no longer agrees
+        capsys.readouterr()
+        assert cli_main(["report", str(out)]) == 1
+        assert "pooled_fits glass-beads / gravity: c_prime stored" \
+            in capsys.readouterr().err
 
 
 class TestRunTrial:
@@ -719,22 +789,19 @@ class TestRunTrial:
             assert row.sim_time_s == pytest.approx(clock, rel=1e-12)
         assert record.total_sim_time_s == pytest.approx(clock, rel=1e-12)
 
-    def test_a_trial_runs_at_the_grid_cell_cap(self, table_builds,
-                                               monkeypatch):
+    def test_a_trial_runs_at_the_grid_cell_cap(self, table_builds):
         # 2000 commands x 50 dwells: the most cells the config admits
         config = small_config(controller=MODEL_BASED, targets_mg=[500],
                               kinematics={"l_max": 9995.0,
                                           "t_pose_max": 24.5})
         kin, grid = config.kinematics, control.ActionGrid()
+        rig = config.rig("glass-beads")
         assert len(grid.l_values(kin)) == 2000
         assert len(grid.t_values(kin)) == 50
-        # the memo the test starts from is kept aside, so no table is
-        # freed while the new one is measured
-        monkeypatch.setattr(control, "_last_table", (None, None, None))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            table = control._table_for(kin, grid)
+            table = control._table_for(rig, grid)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -745,7 +812,7 @@ class TestRunTrial:
         record = run_trial(config, 0)
         assert record.status is TrialStatus.SUCCESS
         # the trial searched the table just built
-        assert table_builds == [(kin, grid)]
+        assert table_builds == [(rig, grid)]
 
 
 class TestStreamRecipe:
@@ -815,17 +882,17 @@ def assert_replay_reads_the_trace(replay, record):
     assert reading == record.final_mass_mg
 
 
-# Digest of each shipped config's in-memory suite, measured when a step
-# within control.FINISH_FACTOR tolerances of the goal began to request the
-# whole remaining error; noise-free.json, at k_p 1, did not move.
-# OUTCOMES.json holds what that moved. A change meant only to be faster
-# must leave them; a change that moves the simulation on purpose updates
-# them and says why.
+# Digest of each shipped config's in-memory suite, measured when the
+# controller and the pooled refit took each powder's Beverloo offset into
+# the drop model; noise-free.json, whose particle_correction is 0 and so
+# its offset, did not move. OUTCOMES.json holds what that moved. A change
+# meant only to be faster must leave them; a change that moves the
+# simulation on purpose updates them and says why.
 GOLDEN_SUITE_DIGESTS = {
-    "default.json": "0b32f7a30fd71758",
+    "default.json": "e19df6050bb0cf4c",
     "noise-free.json": "161b799d857bee6a",
-    "pid-contrast.json": "283cca8195d5b124",
-    "quick.json": "d0eedd5c28bbaff2",
+    "pid-contrast.json": "e43509bbb587d6e0",
+    "quick.json": "6d2795f886589a80",
 }
 
 
@@ -850,16 +917,18 @@ def test_every_search_step_predicts_c_prime_times_the_regressor(name):
     # A search pick's predicted_mg is the product the fit identifies,
     # C' * x: the coefficient of the step's mode, as the trace records it,
     # times identify.regressor of the executed action, bit for bit.
+    # The regressor takes the powder's Beverloo offset, from
+    # ExperimentConfig.rig, where the controller's rig came from.
     config = load_config(CONFIGS / name)
-    kin = config.kinematics
     searched = 0
     for record in run_suite(config, write_artifacts=False).trials:
+        rig = config.rig(record.powder)
         for row in record.steps:
             if row.predicted_mg is None:
                 continue
             assert not row.probe
             c = row.cprime_vibration if row.vibration else row.cprime_gravity
-            assert row.predicted_mg == c * regressor(kin, row.l_command,
+            assert row.predicted_mg == c * regressor(rig, row.l_command,
                                                      row.t_pose_s), (
                 record.trial_id, row.step)
             searched += 1
@@ -912,7 +981,7 @@ def test_shipped_configs_simulate_as_pinned_without_avx512(capfd):
 # Digest of every file that run-suite and report write for quick.json,
 # report/ included, measured with GOLDEN_SUITE_DIGESTS. A change to any
 # artifact byte shows here.
-GOLDEN_QUICK_TREE_DIGEST = "4610355a6c8c1c70"
+GOLDEN_QUICK_TREE_DIGEST = "1ea364945052f42f"
 
 
 def tree_digest(root):
@@ -938,8 +1007,8 @@ def test_quick_config_artifacts_are_pinned(tmp_path, capsys):
 # (default.json: msg and tio2) and for the PID contrast, measured with
 # GOLDEN_SUITE_DIGESTS; a change that moves the simulation re-pins these.
 GOLDEN_TREE_DIGESTS = {
-    "default.json": "5b44e725717672f1",
-    "pid-contrast.json": "38a8e59a685d902a",
+    "default.json": "9edc6e7538a7f5a8",
+    "pid-contrast.json": "eeae739c71aa9e5f",
 }
 
 
@@ -1686,11 +1755,11 @@ class TestArtifacts:
          "summary.json: Exceeds the limit (4300"),
         # the trace's last line loses its final cell's tail and its CRLF
         (lambda entry, trace: trace.write_bytes(trace.read_bytes()[:-4]),
-         "glass-beads--model-based--t50--001.csv: line 9 has no line end"),
+         "glass-beads--model-based--t50--001.csv: line 8 has no line end"),
         # one byte that is not UTF-8 after the final CRLF
         (lambda entry, trace: trace.write_bytes(trace.read_bytes()
                                                 + b"\xff"),
-         "glass-beads--model-based--t50--001.csv: line 10: byte 0xff is not "
+         "glass-beads--model-based--t50--001.csv: line 9: byte 0xff is not "
          "UTF-8 (invalid start byte)"),
     ], ids=["missing-key", "unknown-status", "status-running", "short-row",
             "empty-trace",
@@ -1755,7 +1824,7 @@ class TestArtifacts:
          "recomputed 2"),
         (lambda index, out: index["pooled_fits"][0].update(c_prime=0.5),
          "pooled_fits glass-beads / gravity: c_prime stored 0.5, "
-         "recomputed 0.0379799"),
+         "recomputed 0.0471810"),
         (lambda index, out: (out / "summary.csv").write_text(
             (out / "summary.csv").read_text() + "glass-beads,x\n"),
          "summary.csv: does not match the summary recomputed"),
@@ -1792,7 +1861,7 @@ class TestArtifacts:
         # the trace's last whole line removed: every line still ends, so
         # only the step count in the index tells the trace was cut
         (lambda index, out: cut_last_line(out / EDITED_TRACE),
-         f"report: trial {EDITED_TRIAL}: index says 8 steps, trace has 7\n"),
+         f"report: trial {EDITED_TRIAL}: index says 7 steps, trace has 6\n"),
         (lambda index, out: (out / "summary.csv").unlink(),
          lambda copy: f"report: cannot read "
                       f"{shown_path(copy / 'summary.csv')}: "
@@ -1805,7 +1874,7 @@ class TestArtifacts:
         (lambda index, out: (out / EDITED_TRACE).write_bytes(
             (out / EDITED_TRACE).read_bytes() + b"\xff"),
          lambda copy: f"report: trial {EDITED_TRIAL}: "
-                      f"{shown_path(copy / EDITED_TRACE)}: line 10: byte "
+                      f"{shown_path(copy / EDITED_TRACE)}: line 9: byte "
                       f"0xff is not UTF-8 (invalid start byte)\n"),
     ], ids=["successes", "c-prime", "summary-csv-row", "no-config-echo",
             "no-trials", "config-echo-without-trials", "pooled-fit-missing",
@@ -2192,7 +2261,7 @@ class TestCli:
         assert list(result.conditions) == compute_metrics(r for r, _ in kept)
         assert list(result.fits) == pooled_fits(pooled_points(
             [(r, zip(*columns[1:4], columns[5])) for r, columns in kept],
-            small_config().kinematics))
+            small_config().rig))
 
     def test_trials_stalled_at_the_band_edge_are_no_success(self, tmp_path,
                                                             capsys):
@@ -2281,8 +2350,9 @@ class TestCli:
         assert cli_main(["run-suite", "--config", str(path),
                          "--out", str(out)]) == 0
         assert cli_main(["report", str(out)]) == 0
-        smallest = regressor(config_from_dict(SMALLEST_REGRESSOR).kinematics,
-                             1e-3, 0.0)
+        smallest = regressor(
+            config_from_dict(SMALLEST_REGRESSOR).rig("glass-beads"), 1e-3,
+            0.0)
         fit = out / "report" / f"fit_glass-beads_{GRAVITY}.csv"
         xs = [float(line.split(",")[0])
               for line in fit.read_text().splitlines()[1:]]
@@ -2290,6 +2360,28 @@ class TestCli:
         fits = json.loads((out / "summary.json").read_text())["pooled_fits"]
         assert fits and all(f["c_prime"] is not None for f in fits)
         assert "unfitted" not in capsys.readouterr().out
+
+    def test_run_suite_and_report_a_hair_above_the_offset(self, tmp_path,
+                                                          capsys):
+        # the first rung's regressor, about 5e-32, is the smallest positive
+        # one of this rig; noise over it seeds and refits without a
+        # float past its range, and the report recomputes every fit
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(OFFSET_EDGE))
+        config = config_from_dict(OFFSET_EDGE)
+        rig = config.rig("glass-beads")
+        assert 0.0 < 5.0 - rig.l_offset < 1.1e-12
+        smallest = regressor(rig, 5.0, 0.0)
+        assert 0.0 < smallest < 1e-31
+        out = tmp_path / "out"
+        assert cli_main(["run-suite", "--config", str(path),
+                         "--out", str(out)]) == 0
+        assert cli_main(["report", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        fit = out / "report" / f"fit_glass-beads_{GRAVITY}.csv"
+        xs = [float(line.split(",")[0])
+              for line in fit.read_text().splitlines()[1:]]
+        assert smallest in xs
 
     def test_masses_past_a_million_mg_print_in_six_digits(self, suite,
                                                           tmp_path, capsys):

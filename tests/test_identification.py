@@ -17,13 +17,15 @@ from powderdose import (
     ModeFit,
     Observation,
     ObservationLog,
+    Rig,
     ValveKinematics,
     fit_coefficient,
     regressor,
 )
-from powderdose.identify import fit_points
+from powderdose.identify import fit_points, observed_points, observed_regressor
 
 KIN = ValveKinematics()
+RIG = Rig(KIN)      # L0 = 0, the pure power law
 
 
 def obs(x_target, delta, vibration=False):
@@ -34,17 +36,17 @@ def obs(x_target, delta, vibration=False):
     """
     t = x_target - 1.0 / KIN.travel_rate
     o = Observation(1.0, t, vibration, delta)
-    assert regressor(KIN, o.l_command, o.t_pose_s) == x_target
+    assert regressor(RIG, o.l_command, o.t_pose_s) == x_target
     return o
 
 
 class TestRegressor:
     def test_composition(self):
         # x = L**2.5 * (T(L) + t)
-        assert regressor(KIN, 100.0, 2.0) == 100.0 ** 2.5 * 3.0
+        assert regressor(RIG, 100.0, 2.0) == 100.0 ** 2.5 * 3.0
 
     def test_zero_command(self):
-        assert regressor(KIN, 0.0, 5.0) == 0.0
+        assert regressor(RIG, 0.0, 5.0) == 0.0
 
 
 class TestFitCoefficient:
@@ -102,7 +104,7 @@ class TestFitCoefficient:
                 l = float(rng.uniform(0.5, 210.0))
                 t = float(rng.uniform(0.0, 20.0))
                 rows.append(Observation(
-                    l, t, False, true_c * regressor(KIN, l, t)))
+                    l, t, False, true_c * regressor(RIG, l, t)))
             fit = fit_coefficient(rows, KIN, GRAVITY)
             assert fit.c_prime == pytest.approx(true_c, rel=1e-12)
             if n >= 2:
@@ -114,7 +116,7 @@ class TestFitCoefficient:
             n = int(rng.integers(2, 30))
             l = rng.uniform(1.0, 210.0, n)
             t = rng.uniform(0.0, 20.0, n)
-            x = np.array([regressor(KIN, float(a), float(b))
+            x = np.array([regressor(RIG, float(a), float(b))
                           for a, b in zip(l, t)])
             y = np.abs(0.05 * x + rng.normal(0.0, 0.2 * x.mean(), n))
             rows = [Observation(float(a), float(b), False, float(c))
@@ -190,7 +192,7 @@ class TestModeFitAndEstimate:
 
 class TestObservationLog:
     def test_observability_gate(self):
-        log = ObservationLog(KIN)
+        log = ObservationLog(RIG)
         assert not log.record(10.0, 2.0, False, 0.4)
         assert not log.record(10.0, 2.0, False, 0.0)
         assert log.record(10.0, 2.0, False, 0.5).n_obs == 1
@@ -198,7 +200,7 @@ class TestObservationLog:
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
     def test_rejects_non_finite_delta(self, delta):
-        log = ObservationLog(KIN)
+        log = ObservationLog(RIG)
         with pytest.raises(ValueError, match=f"^measured_delta_mg must be "
                            f"finite, got {delta!r}$"):
             log.record(10.0, 2.0, False, delta)
@@ -206,7 +208,7 @@ class TestObservationLog:
     def test_fit_is_the_mean_of_the_ratios(self):
         # ratios 1 and 3 average to 2; least squares gives
         # (1*1 + 2*6) / (1 + 4) = 2.6 over the same points
-        log = ObservationLog(KIN)
+        log = ObservationLog(RIG)
         first, second = obs(1.0, 1.0), obs(2.0, 6.0)
         fits = [log.record(o.l_command, o.t_pose_s, False, o.delta_w_mg)
                 for o in (first, second)]
@@ -217,7 +219,7 @@ class TestObservationLog:
     def test_zero_regressor_leaves_the_fit(self):
         # a zero command, and a command whose L**2.5 underflows, have no
         # ratio to add
-        log = ObservationLog(KIN)
+        log = ObservationLog(RIG)
         assert log.record(0.0, 5.0, False, 10.0) is None
         assert log.record(1.0, 1.99, False, 4.0) == ModeFit(c_prime=2.0,
                                                             n_obs=1)
@@ -226,7 +228,7 @@ class TestObservationLog:
                                                             n_obs=2)
 
     def test_mode_isolation_and_fit(self):
-        log = ObservationLog(KIN)
+        log = ObservationLog(RIG)
         assert log.record(1.0, 1.99, False, 4.0) == ModeFit(2.0, 1)
         assert log.record(1.0, 0.99, True, 7.0) == ModeFit(7.0, 1)
         assert log.record(1.0, 1.99, False, 8.0) == ModeFit(3.0, 2)
@@ -234,15 +236,15 @@ class TestObservationLog:
 
     def test_refit_is_fixed_point_on_model_consistent_data(self):
         # feeding the fitted model's own predictions back in cannot move it
-        log = ObservationLog(KIN)
+        log = ObservationLog(RIG)
         rng = np.random.default_rng(7)
         for _ in range(6):
             l = float(rng.uniform(1.0, 210.0))
             t = float(rng.uniform(0.0, 20.0))
-            fit = log.record(l, t, False, 0.03 * regressor(KIN, l, t))
+            fit = log.record(l, t, False, 0.03 * regressor(RIG, l, t))
         first = fit.c_prime
         again = log.record(40.0, 3.0, False,
-                           first * regressor(KIN, 40.0, 3.0)).c_prime
+                           first * regressor(RIG, 40.0, 3.0)).c_prime
         assert math.isclose(first, again, rel_tol=1e-12)
 
     def test_observation_validation(self):
@@ -276,7 +278,7 @@ class TestRunningSumFit:
         of a mode, summed in arrival order. An observation with x == 0,
         or one whose ratio would leave the float range, changes nothing;
         the second is a ValueError."""
-        log = ObservationLog(KIN)
+        log = ObservationLog(RIG)
         kept = {GRAVITY: [], VIBRATION: []}
         fits = {GRAVITY: ModeFit(), VIBRATION: ModeFit()}
 
@@ -288,7 +290,7 @@ class TestRunningSumFit:
 
         for l, t, vibration, delta, _ in rows:
             m = VIBRATION if vibration else GRAVITY
-            x = regressor(KIN, l, t)
+            x = regressor(RIG, l, t)
             if x == 0.0:
                 assert log.record(l, t, vibration, delta) is None
             elif math.isfinite(mean(kept[m] + [delta / x])):
@@ -303,7 +305,7 @@ class TestRunningSumFit:
                 assert fit.c_prime is None or fit.c_prime >= 0.0
 
     def test_command_outside_the_envelope_is_rejected(self):
-        log = ObservationLog(KIN)
+        log = ObservationLog(RIG)
         assert not log.record(KIN.l_max + 1.0, 2.0, False, 0.1)  # gated out
         with pytest.raises(ValueError):
             log.record(KIN.l_max + 1.0, 2.0, False, 10.0)
@@ -313,6 +315,54 @@ class TestRunningSumFit:
         with pytest.raises(ValueError):
             fit_coefficient([Observation(KIN.l_max + 1.0, 2.0, False, 10.0)],
                             KIN, GRAVITY)
+
+
+class TestObservedPoints:
+    """observed_points is observed_regressor's rule over a trial's points:
+    one verdict and one regressor per point, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(l_offset=st.one_of(st.just(0.0), st.floats(0.0, KIN.l_max)),
+           points=st.lists(st.tuples(
+               st.floats(-1.0, KIN.l_max + 1.0),
+               st.floats(KIN.t_pose_min, KIN.t_pose_max),
+               st.booleans(),
+               st.one_of(st.floats(-5.0, 50.0),
+                         st.sampled_from([math.nan, math.inf, -math.inf]))),
+               max_size=30))
+    def test_matches_observed_regressor_point_by_point(self, l_offset,
+                                                       points):
+        rig = Rig(KIN, l_offset=l_offset)
+        expected = (([], []), ([], []))
+        error = None
+        for step, (l, t, vibration, delta) in enumerate(points, 1):
+            try:
+                x = observed_regressor(rig, l, t, delta)
+            except ValueError as exc:
+                error = f"step {step}: {exc}"
+                break
+            if x is not None:
+                expected[vibration][0].append(x)
+                expected[vibration][1].append(delta)
+        if error is None:
+            assert observed_points(rig, points) == expected
+        else:
+            with pytest.raises(ValueError) as info:
+                observed_points(rig, points)
+            assert str(info.value) == error
+
+    def test_the_offset_is_the_rigs(self):
+        rig = Rig(KIN, l_offset=20.0)
+        points = [(10.0, 1.0, False, 5.0),    # at or below L0: x = 0, kept
+                  (30.0, 1.0, False, 0.4),    # below the gate
+                  (30.0, 1.0, True, 0.5)]     # at the gate
+        assert observed_points(rig, points) == (
+            ([0.0], [5.0]),
+            ([10.0 ** 2.5 * (30.0 / KIN.travel_rate + 1.0)], [0.5]))
+        log = ObservationLog(rig)
+        assert log.record(*points[0]) is None      # no ratio at x = 0
+        assert log.record(*points[1]) is None
+        assert log.record(*points[2]).n_obs == 1
 
 
 class TestFitPoints:
@@ -326,7 +376,7 @@ class TestFitPoints:
         selected = [o for o in observations
                     if o.vibration == (mode == VIBRATION)]
         fit = fit_coefficient(observations, KIN, mode)
-        pooled = fit_points([regressor(KIN, o.l_command, o.t_pose_s)
+        pooled = fit_points([regressor(RIG, o.l_command, o.t_pose_s)
                              for o in selected],
                             [o.delta_w_mg for o in selected])
         assert (fit.c_prime, fit.n_obs, fit.r_squared) \
