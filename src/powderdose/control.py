@@ -9,8 +9,10 @@ DispensingController implements the model-based loop. Each cycle it
    it and refits that mode's coefficient,
 4. sets the per-step request W_target = K_p * W_error, or the whole
    W_error once it is within FINISH_FACTOR tolerances of the goal (the
-   finish), and picks the grid action whose predicted drop is nearest
-   to it.
+   finish), picks the grid action whose predicted drop is nearest to it,
+   and executes that pick's fastest cell: the least valve cycle
+   2 * T(L) + t among the cells that predict at most the pick's drop and
+   at least (1 - CYCLE_BAND) of it.
 
 Before searching, the controller checks whether the gravity model at the
 largest action could deliver W_target at all; if not it latches into
@@ -46,21 +48,34 @@ ActionGrid) pair in use, held in _table_for's memo of the last
 _MAX_TABLES pairs, one a powder, and never changed after: every cell's
 regressor x = max(L - L0, 0)**2.5 * (T(L) + t) from flow.drop_regressor,
 the drop model's one definition, sorted ascending, the capacity and floor
-regressors, every cell's ValveAction in each mode, and each mode's probe
-rungs, the minimum-dwell cells from the first command above L0 on. A
-prediction is C' * x, the product the identification fits. For C' >= 0,
-fl(C' * x) is non-decreasing in x, overflow and underflow included, so
-along the sorted regressors |prediction - W_target| falls and then rises:
-a step bisects at W_target / C' and scans each way until a prediction is
+regressors, every cell's ValveAction in each mode, each mode's probe
+rungs, the minimum-dwell cells from the first command above L0 on, and
+each cell's substitute, the fastest cell in its band. A prediction is
+C' * x, the product the identification fits. For C' >= 0, fl(C' * x) is
+non-decreasing in x, overflow and underflow included, so along the
+sorted regressors |prediction - W_target| falls and then rises: a step
+bisects at W_target / C' and scans each way until a prediction is
 further from W_target than the best so far. Ties go to the smaller flat
 index in dwell-major order, the smaller dwell, then the smaller command.
-The pick, like a probe, is a plain index into the table. The table holds
-at most _MAX_GRID_CELLS cells, and ActionGrid.check, which config runs
-too, refuses a larger grid before any axis is built. The search checks
-nothing per step: the grid axes run over the valve envelope's bounds and
-never past them, a coefficient is checked when its ModeFit is built, and
-the plant puts every action it executes through ValveKinematics.check,
-the one envelope test.
+The pick, like a probe, is a plain index into the table.
+
+The step executes the pick's fastest cell: among the cells whose x lies
+in [(1 - CYCLE_BAND) * x_pick, x_pick], the least cycle 2 * (L / v) + t,
+the time SimulatedPlant.execute charges a cycle, ties to the smaller flat
+index. The band depends on the pick alone, so the table holds each
+cell's substitute, found for all cells by one sliding-window minimum
+over the sorted regressors when the table is built, and a step looks
+the pick's up by its dwell and command in constant time. The band is
+one-sided: the executed cell never predicts more than the pick, so it
+overshoots no request the pick would not, and never takes a longer
+cycle.
+
+The table holds at most _MAX_GRID_CELLS cells, and ActionGrid.check,
+which config runs too, refuses a larger grid before any axis is built.
+The search checks nothing per step: the grid axes run over the valve
+envelope's bounds and never past them, a coefficient is checked when
+its ModeFit is built, and the plant puts every action it executes
+through ValveKinematics.check, the one envelope test.
 
 PidBaselineController is the comparison controller: a direct PID on the
 weight error mapped linearly to the valve command, fixed dwell, no model
@@ -80,8 +95,10 @@ tuple.__new__, is in README.md's "Performance notes".
 from __future__ import annotations
 
 import functools
+import gc
 import math
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -97,6 +114,12 @@ DEFAULT_K_P = 0.5
 # protocol's seeds 1-10 from {2, 3, 5}: a larger factor lets flow noise
 # overshoot the final request.
 FINISH_FACTOR = 2.0
+# A search step executes the fastest cell whose regressor lies within
+# CYCLE_BAND below the pick's. 0.1 was picked on the default protocol's
+# seeds 1-10 from {0.05, 0.1, 0.2}: 0.1 and 0.2 land the most trials
+# within +-2 mg (1188 of 1200, 0.05 1184), and 0.1 in fewer steps (33 305
+# against 34 001).
+CYCLE_BAND = 0.1
 DEFAULT_TOLERANCE_MG = 2.0
 DEFAULT_MAX_STEPS = 100
 
@@ -109,8 +132,8 @@ SEED_GATE_MG = 2 * MIN_OBSERVABLE_MG
 # a refit replaces the estimate rather than changing it.
 _UNFITTED = CoefficientEstimate()
 
-# The action table takes about 233 bytes a cell (tracemalloc, CPython
-# 3.11: 0.40 MB at the default grid's 1763 cells, 23.3 MB at 100 000).
+# The action table takes about 243 bytes a cell (tracemalloc, CPython
+# 3.11: 0.43 MB at the default grid's 1763 cells, 24.3 MB at 100 000).
 # A process holds at most _MAX_TABLES tables, _table_for's memo, so the
 # cap keeps what the tables hold under 3 x 25 MB; it allows 57 times the
 # default grid's cells.
@@ -158,7 +181,7 @@ class ActionGrid:
             raise ValueError(
                 f"the envelope holds {cells:.4g} cells of the model-based "
                 f"controller's action grid, more than {_MAX_GRID_CELLS}; "
-                f"its action table takes about 233 bytes a cell")
+                f"its action table takes about 243 bytes a cell")
 
 
 def _axis_size(lo: float, hi: float, step: float) -> float:
@@ -235,6 +258,14 @@ class _ActionTable(NamedTuple):
     probe and a search pick of one cell are one ValveAction. Both are
     tuples, so no trial can change the actions that every trial on the
     table shares.
+    faster[j][i] is the position in products of the cell a search step
+    executes in place of a pick of cell (dwell j, command i): the least
+    (cycle, flat index) among the cells whose regressor lies in
+    [(1 - CYCLE_BAND) * x, x], x the pick's regressor. dwells and
+    commands map each axis value to its index, so a step finds the
+    pick's entry from the pick's own fields. An axis value that floats
+    repeat maps to one of its indices, a cell of the same regressor and
+    so of the same entry.
     """
 
     capacity: float
@@ -243,6 +274,9 @@ class _ActionTable(NamedTuple):
     order: list[int]
     cells: tuple[tuple[ValveAction, ...], tuple[ValveAction, ...]]
     rungs: tuple[tuple[ValveAction, ...], tuple[ValveAction, ...]]
+    faster: list[list[int]]
+    dwells: dict[float, int]
+    commands: dict[float, int]
 
 
 def _action_table(rig: Rig, grid: ActionGrid) -> _ActionTable:
@@ -261,10 +295,65 @@ def _action_table(rig: Rig, grid: ActionGrid) -> _ActionTable:
     cells = tuple(tuple([_new(ValveAction, (l_command, t_pose_s, vibration))
                          for t_pose_s in t_vals for l_command in l_vals])
                   for vibration in (False, True))
+    products = [products[k] for k in order]
+    faster = _fastest_in_band(products, order, _cycles(kin, l_vals, t_vals))
+    width = len(l_vals)
     return _ActionTable(
         drop_regressor(kin, kin.l_max, kin.t_pose_max, offset), floor,
-        [products[k] for k in order], order,
-        cells, tuple(mode[first:len(l_vals)] for mode in cells))
+        products, order, cells,
+        tuple(mode[first:width] for mode in cells),
+        [faster[start:start + width]
+         for start in range(0, len(faster), width)],
+        {t_pose_s: j for j, t_pose_s in enumerate(t_vals)},
+        {l_command: i for i, l_command in enumerate(l_vals)})
+
+
+def _cycles(kin: ValveKinematics, l_vals: list[float],
+            t_vals: list[float]) -> list[float]:
+    """Every cell's valve cycle, dwell-major: travel out, dwell, travel
+    back, 2 * (L / v) + t, in SimulatedPlant.execute's operations, so
+    each is the elapsed time the plant returns for the cell."""
+    rate = kin.travel_rate
+    return [2.0 * (l_command / rate) + t_pose_s
+            for t_pose_s in t_vals for l_command in l_vals]
+
+
+def _fastest_in_band(products: list[float], order: list[int],
+                     cycles: list[float]) -> list[int]:
+    """For each flat cell, the position in the ascending products of the
+    least (cycle, flat index) among the cells whose regressor lies in
+    [(1 - CYCLE_BAND) * x, x], x the cell's own regressor.
+
+    Both ends of the band only move up as x does, so one pass up the
+    products keeps the band's candidates in a deque, a sliding-window
+    minimum: a position enters at the back, after dropping every
+    candidate behind it that it beats, and leaves at the front once its
+    regressor falls below the band. The front is then the band's
+    minimum. Each cell is ranked by (cycle, flat index) first, by a
+    stable sort of the flat cells on their cycles, so the pass compares
+    single ints.
+    """
+    n = len(products)
+    rank = [0] * n
+    for place, cell in enumerate(sorted(range(n), key=cycles.__getitem__)):
+        rank[cell] = place
+    keys = [rank[cell] for cell in order]
+    window: deque[int] = deque()
+    faster = [0] * n
+    top = 0         # the next position to enter the band
+    for cell, x in zip(order, products):
+        # the band's top end takes every regressor up to x, ties included
+        while top < n and products[top] <= x:
+            key = keys[top]
+            while window and keys[window[-1]] > key:
+                window.pop()
+            window.append(top)
+            top += 1
+        low = (1.0 - CYCLE_BAND) * x
+        while products[window[0]] < low:
+            window.popleft()
+        faster[cell] = window[0]
+    return faster
 
 
 # The memo holds the tables of the last _MAX_TABLES (Rig, ActionGrid)
@@ -272,13 +361,24 @@ def _action_table(rig: Rig, grid: ActionGrid) -> _ActionTable:
 # each, so a process that runs many passes of one config, as
 # tools/outcomes.py and the benchmark do, builds each powder's table once,
 # and a config rebuilt from the same values reuses them. A rebuild costs
-# about 1 ms at the default grid.
+# about 3 ms at the default grid.
 _MAX_TABLES = 3
 
 
 @functools.lru_cache(maxsize=_MAX_TABLES)
 def _cached_table(rig: Rig, grid: ActionGrid) -> _ActionTable:
-    return _action_table(rig, grid)
+    # A build allocates several objects a cell and frees no cycle, so the
+    # cyclic collector's passes during it find nothing to free; at the
+    # cell cap they took a quarter of the build. The collector is paused
+    # for the build, if it runs, and resumed however the build ends.
+    running = gc.isenabled()
+    if running:
+        gc.disable()
+    try:
+        return _action_table(rig, grid)
+    finally:
+        if running:
+            gc.enable()
 
 
 # (rig, grid, table) of _table_for's last call. A trial passes the same
@@ -416,10 +516,11 @@ class DispensingController(_TrialController):
     """Model-based closed-loop dispenser for a single trial.
 
     The controller runs on rig, by default Rig(ValveKinematics()), held
-    as self.rig and its kinematics as self.kin. The seed protocol lives
-    here whole. Each mode's probe rungs are the action table's, and
-    _next_rung counts from 0 in them; both, like the log and the
-    estimate, are indexed by the vibration flag. A probe whose delta
+    as self.rig and its kinematics as self.kin, and on the action table
+    of (rig, grid), held as _table. The seed protocol lives here whole.
+    Each mode's probe rungs are the table's, and _next_rung counts from 0
+    in them; both, like the log and the estimate, are indexed by the
+    vibration flag. A probe whose delta
     reaches SEED_GATE_MG becomes the pending _candidate, and the very
     next step repeats that ValveAction in its own mode; the
     mode is seeded with both drops only if the log accepts the repeat.
@@ -443,14 +544,14 @@ class DispensingController(_TrialController):
         self.w_target: float | None = None
         # replaced whenever a refit changes one mode's fit, read every step
         self.estimate = _UNFITTED
-        self._rungs = _table_for(rig, self.grid).rungs
+        self._table = _table_for(rig, self.grid)
         self._next_rung = [0, 0]      # gravity, vibration
         self._candidate: tuple[ValveAction, float] | None = None
         self._last_action: ValveAction | None = None
 
     def _probe(self, vibration: bool) -> ValveAction | None:
         """The mode's next rung, or None when its rungs are spent."""
-        rungs = self._rungs[vibration]
+        rungs = self._table.rungs[vibration]
         rung = self._next_rung[vibration]
         if rung >= len(rungs):
             return None
@@ -461,11 +562,12 @@ class DispensingController(_TrialController):
         """Consume one stabilised balance reading, emit the next action.
 
         The previous step's measured delta is attributed to the action that
-        caused it and refits that mode; then the model's action is picked,
-        or a probe while the mode it needs has no coefficient. The
-        vibration latch is set here and nowhere else. Terminal statuses
-        carry no action. Calling again after termination is an error; one
-        controller drives exactly one trial.
+        caused it and refits that mode; then the model's action is picked
+        and its fastest cell in the band executed, predicting C' times
+        that cell's regressor, or a probe while the mode it needs has no
+        coefficient. The vibration latch is set here and nowhere else.
+        Terminal statuses carry no action. Calling again after termination
+        is an error; one controller drives exactly one trial.
         """
         previous = self.w_measured
         stop = self._stop(reading, hopper_empty)
@@ -510,6 +612,13 @@ class DispensingController(_TrialController):
         if estimate[vibration].c_prime is not None:
             action, predicted, selected = select_action(
                 estimate, self.rig, w_target, vibration, self.grid)
+            if action is not None:
+                # execute the pick's fastest cell in the band
+                table = self._table
+                fast = table.faster[table.dwells[action.t_pose_s]][
+                    table.commands[action.l_command]]
+                action = table.cells[selected][table.order[fast]]
+                predicted = estimate[selected].c_prime * table.products[fast]
             if selected and not vibration:
                 # The capacity latch: vibration's ladder starts no lower
                 # than the rung that seeded gravity, one below gravity's

@@ -1,6 +1,7 @@
 """Action selection, bootstrap probing and both closed-loop controllers."""
 
 import dataclasses
+import gc
 import inspect
 import math
 import pickle
@@ -36,7 +37,7 @@ from powderdose import (
 )
 from powderdose import control
 from powderdose.control import SEED_GATE_MG, _action_table, select_action
-from powderdose.identify import Rig
+from powderdose.identify import Rig, regressor
 from powderdose.plant import SimulatedPlant
 from powderdose.powders import archetype
 
@@ -74,6 +75,26 @@ def brute_select(c_gravity, c_vibration, kin, grid, w_target,
     best = min(range(len(pred)), key=lambda k: abs(pred[k] - w_target))
     j, i = divmod(best, len(l_vals))
     return ValveAction(l_vals[i], t_vals[j], vibration), pred[best], vibration
+
+
+def brute_fastest(kin, grid, x_pick, l_offset=0.0):
+    """Full-sweep reference for the cell a search step executes in place
+    of a pick whose regressor is x_pick: the least (cycle, flat index),
+    the cycle 2 * (L / v) + t, among the cells whose regressor
+    max(L - L0, 0)**2.5 * (T(L) + t) lies in
+    [(1 - CYCLE_BAND) * x_pick, x_pick]. Returns (flat index, regressor)."""
+    l_vals, t_vals = grid.l_values(kin), grid.t_values(kin)
+    low = (1.0 - control.CYCLE_BAND) * x_pick
+    band = []
+    for cell, (t_pose_s, l_command) in enumerate(
+            (t_pose_s, l_command) for t_pose_s in t_vals
+            for l_command in l_vals):
+        x = max(l_command - l_offset, 0.0) ** 2.5 * (
+            l_command / kin.travel_rate + t_pose_s)
+        if low <= x <= x_pick:
+            band.append((2.0 * (l_command / kin.travel_rate) + t_pose_s,
+                         cell, x))
+    return min(band)[1:]
 
 
 def exact_cell_prediction(c, kin, grid, cell):
@@ -291,6 +312,61 @@ class TestSelectAction:
                 select_action(est, ValveKinematics(), bad)
 
 
+class TestFastestCell:
+    """The cell a search step executes: the least cycle in the band
+    [(1 - CYCLE_BAND) * x_pick, x_pick] of the pick's regressor."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(setup=search_setups(),
+           l_offset=st.just(0.0) | st.floats(0.0, 300.0) | st.just(math.inf),
+           c=coefficients,
+           positions=st.lists(st.integers(0, 10 ** 6), max_size=4))
+    def test_matches_the_full_sweep(self, setup, l_offset, c, positions):
+        kin, grid = setup
+        table = _action_table(Rig(kin, l_offset), grid)
+        products, n = table.products, len(table.products)
+        assert len(table.faster) == len(grid.t_values(kin))
+        assert {len(row) for row in table.faster} == {len(grid.l_values(kin))}
+        for k in {0, n - 1, *(position % n for position in positions)}:
+            # the pick at position k, looked up as a step looks it up
+            pick = table.cells[False][table.order[k]]
+            fast = table.faster[table.dwells[pick.t_pose_s]][
+                table.commands[pick.l_command]]
+            x, x_fast = products[k], products[fast]
+            assert (table.order[fast], x_fast) == brute_fastest(
+                kin, grid, x, l_offset)
+            # never above the pick, never below (1 - CYCLE_BAND) of it;
+            # C' * x never falls as x rises, so neither does a prediction
+            assert (1.0 - control.CYCLE_BAND) * x <= x_fast <= x
+            assert c * x_fast <= c * x
+
+    def test_a_repeated_axis_value_finds_its_cells_substitute(self):
+        # commands 1 + k * 1e-16 round to 1.0, 1.0, 1 + 2**-52 twice and
+        # 1 + 2**-51: the commands dict holds one index for each repeated
+        # value, whose cell has the pick's regressor and so its band
+        kin = ValveKinematics(l_min=1.0, l_max=1.0 + 4e-16, t_pose_max=2.0)
+        grid = ActionGrid(l_step=1e-16, t_step=0.5)
+        assert len(set(grid.l_values(kin))) == 3
+        table = _action_table(Rig(kin), grid)
+        for k, cell in enumerate(table.order):
+            pick = table.cells[False][cell]
+            fast = table.faster[table.dwells[pick.t_pose_s]][
+                table.commands[pick.l_command]]
+            assert (table.order[fast], table.products[fast]) \
+                == brute_fastest(kin, grid, table.products[k])
+
+    def test_the_table_cycle_is_the_plants_elapsed_time(self):
+        # one cycle formula: the cycles the table ranks are the elapsed
+        # times SimulatedPlant.execute charges, bit for bit, cell by cell
+        kin, grid = ValveKinematics(), ActionGrid()
+        cycles = control._cycles(kin, grid.l_values(kin), grid.t_values(kin))
+        cells = _action_table(Rig(kin), grid).cells[False]
+        plant = SimulatedPlant(archetype("tio2"), kin, seed=3)
+        for cycle, action in zip(cycles, cells, strict=True):
+            _, elapsed = plant.execute(*action)
+            assert cycle.hex() == elapsed.hex(), action
+
+
 class TestStepRecords:
     @pytest.mark.parametrize("make", [
         lambda: StepDecision(TrialStatus.RUNNING, ValveAction(5.0, 0.5),
@@ -363,7 +439,7 @@ class TestStepRecords:
         assert again == kin and again is not kin
         assert control._table_for(Rig(again), ActionGrid()) is table
         ctl = DispensingController(20.0, Rig(ValveKinematics(l_max=200.0)))
-        assert ctl._rungs is table.rungs
+        assert ctl._table is table
         assert len(table_builds) == built
         # a kinematics that differs builds anew
         control._table_for(Rig(ValveKinematics(l_max=190.0)), ActionGrid())
@@ -401,7 +477,7 @@ class TestStepRecords:
 
     def test_a_pass_builds_one_table_per_powder_and_the_next_none(
             self, table_builds):
-        # a rebuild costs about 1 ms, so a run of passes over an equal
+        # a rebuild costs about 3 ms, so a run of passes over an equal
         # config, as tools/outcomes.py and the benchmark make, builds each
         # powder's table once
         path = Path(__file__).resolve().parents[1] / "configs/default.json"
@@ -416,6 +492,58 @@ class TestStepRecords:
         run_suite(load_config(path), write_artifacts=False)
         assert len(table_builds) == 3
         assert control._cached_table.cache_info()[:2] == (3, 3)
+
+    def test_a_build_at_the_cell_cap_runs_no_full_collection(
+            self, table_builds):
+        # 2000 commands x 50 dwells
+        rig = Rig(ValveKinematics(l_max=9995.0, t_pose_max=24.5))
+        generations = []
+
+        def seen(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(seen)
+        try:
+            table = control._table_for(rig, ActionGrid())
+        finally:
+            gc.callbacks.remove(seen)
+        assert len(table.products) == control._MAX_GRID_CELLS
+        assert 2 not in generations
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize("fails", [False, True],
+                             ids=["built", "raised"])
+    def test_a_build_restores_the_collector_state(self, monkeypatch,
+                                                  enabled, fails):
+        build = control._action_table
+        during = []
+
+        def build_with_the_collector_seen(rig, grid):
+            during.append(gc.isenabled())
+            if fails:
+                raise RuntimeError("build failed")
+            return build(rig, grid)
+
+        monkeypatch.setattr(control, "_action_table",
+                            build_with_the_collector_seen)
+        control._cached_table.cache_clear()
+        monkeypatch.setattr(control, "_last_table", (None, None, None))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if fails:
+                with pytest.raises(RuntimeError, match="build failed"):
+                    control._table_for(Rig(ValveKinematics()), ActionGrid())
+            else:
+                control._table_for(Rig(ValveKinematics()), ActionGrid())
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]
 
     def test_every_cell_action_is_built_from_the_axes(self):
         kin, grid = ValveKinematics(), ActionGrid()
@@ -481,8 +609,17 @@ class TestStepRecords:
         a, b = first.step(0.0), second.step(30.0)   # the same 20 mg error
         assert not a.probe and not b.probe
         assert a.action is b.action
-        assert a.action is select_action(
-            estimate(2e-5, 2e-5), ValveKinematics(), first.w_target).action
+        # the step executes the pick's fastest cell in the band, and that
+        # cell is the table's own ValveAction
+        pick = select_action(estimate(2e-5, 2e-5), ValveKinematics(),
+                             first.w_target).action
+        cell, x = brute_fastest(ValveKinematics(), ActionGrid(),
+                                regressor(Rig(ValveKinematics()),
+                                          pick.l_command, pick.t_pose_s))
+        table = control._table_for(first.rig, first.grid)
+        assert a.action is table.cells[False][cell]
+        assert a.action != pick
+        assert a.predicted_mg == 2e-5 * x
 
     @pytest.mark.parametrize("vibration", [False, True],
                              ids=["gravity", "vibration"])
@@ -793,6 +930,8 @@ class TestControllerMatchesReference:
         ("glass-beads", 500.0), ("glass-beads", 3000.0), ("tio2", 500.0)])
     def test_every_model_step_picks_the_brute_force_action(self, powder,
                                                            target):
+        # the reference: the nearest prediction in a full sweep, then the
+        # fastest cell in that pick's band, also in a full sweep
         kin = ValveKinematics(travel_rate=80.0, l_max=180.0,
                               t_pose_min=0.5, t_pose_max=12.0)
         grid = ActionGrid(l_step=7.5, t_step=0.75)
@@ -808,12 +947,17 @@ class TestControllerMatchesReference:
                 break
             if not decision.probe:
                 est = ctl.estimate
-                action, predicted, vibration = brute_select(
+                pick, _, vibration = brute_select(
                     est.gravity.c_prime, est.vibration.c_prime, kin, grid,
                     ctl.w_target,
                     use_vibration=latched or est.gravity.c_prime is None)
-                assert decision.action == action
-                assert decision.predicted_mg == pytest.approx(predicted,
+                cell, x = brute_fastest(kin, grid, pick.l_command ** 2.5 * (
+                    pick.l_command / kin.travel_rate + pick.t_pose_s))
+                j, i = divmod(cell, len(grid.l_values(kin)))
+                assert decision.action == ValveAction(
+                    grid.l_values(kin)[i], grid.t_values(kin)[j], vibration)
+                c = est[vibration].c_prime
+                assert decision.predicted_mg == pytest.approx(c * x,
                                                               rel=1e-12)
                 assert ctl.use_vibration == vibration
                 compared += 1
@@ -850,7 +994,7 @@ class TestControllerValidation:
         grid = ActionGrid(l_step=l_step)
         message = (f"the envelope holds {cells} cells of the model-based "
                    f"controller's action grid, more than 100000; its "
-                   f"action table takes about 233 bytes a cell")
+                   f"action table takes about 243 bytes a cell")
         with pytest.raises(ValueError) as refused:
             DispensingController(20.0, grid=grid)
         assert str(refused.value) == message

@@ -298,7 +298,7 @@ class TestConfigParsing:
         ({"kinematics": {"t_pose_max": 1e4}},
          ["kinematics: the envelope holds 8.6e+05 cells of the model-based "
           "controller's action grid, more than 100000; its action table "
-          "takes about 233 bytes a cell"]),
+          "takes about 243 bytes a cell"]),
         ({"kinematics": {"travel_rate": 1e-307}},
          ["kinematics.travel_rate: must be 0 or 0.001 to 1e+06 in "
           "magnitude, got 1e-307"]),
@@ -882,17 +882,17 @@ def assert_replay_reads_the_trace(replay, record):
     assert reading == record.final_mass_mg
 
 
-# Digest of each shipped config's in-memory suite, measured when the
-# controller and the pooled refit took each powder's Beverloo offset into
-# the drop model; noise-free.json, whose particle_correction is 0 and so
-# its offset, did not move. OUTCOMES.json holds what that moved. A change
+# Digest of each shipped config's in-memory suite, measured when a search
+# step came to execute its pick's fastest cell within control.CYCLE_BAND
+# below it, which moved every config that searches, noise-free.json
+# included. OUTCOMES.json holds what that moved. A change
 # meant only to be faster must leave them; a change that moves the
 # simulation on purpose updates them and says why.
 GOLDEN_SUITE_DIGESTS = {
-    "default.json": "e19df6050bb0cf4c",
-    "noise-free.json": "161b799d857bee6a",
-    "pid-contrast.json": "e43509bbb587d6e0",
-    "quick.json": "6d2795f886589a80",
+    "default.json": "fcb0a5429907b8a8",
+    "noise-free.json": "29f10f848abe73c0",
+    "pid-contrast.json": "4698e25c90b8e226",
+    "quick.json": "23037c2c6cbb4f17",
 }
 
 
@@ -981,7 +981,7 @@ def test_shipped_configs_simulate_as_pinned_without_avx512(capfd):
 # Digest of every file that run-suite and report write for quick.json,
 # report/ included, measured with GOLDEN_SUITE_DIGESTS. A change to any
 # artifact byte shows here.
-GOLDEN_QUICK_TREE_DIGEST = "1ea364945052f42f"
+GOLDEN_QUICK_TREE_DIGEST = "1c0b7b59243419e3"
 
 
 def tree_digest(root):
@@ -1007,8 +1007,8 @@ def test_quick_config_artifacts_are_pinned(tmp_path, capsys):
 # (default.json: msg and tio2) and for the PID contrast, measured with
 # GOLDEN_SUITE_DIGESTS; a change that moves the simulation re-pins these.
 GOLDEN_TREE_DIGESTS = {
-    "default.json": "9edc6e7538a7f5a8",
-    "pid-contrast.json": "eeae739c71aa9e5f",
+    "default.json": "6eccbc8e728d2e2e",
+    "pid-contrast.json": "78560c5dc38f1edb",
 }
 
 
@@ -1755,11 +1755,11 @@ class TestArtifacts:
          "summary.json: Exceeds the limit (4300"),
         # the trace's last line loses its final cell's tail and its CRLF
         (lambda entry, trace: trace.write_bytes(trace.read_bytes()[:-4]),
-         "glass-beads--model-based--t50--001.csv: line 8 has no line end"),
+         "glass-beads--model-based--t50--001.csv: line 9 has no line end"),
         # one byte that is not UTF-8 after the final CRLF
         (lambda entry, trace: trace.write_bytes(trace.read_bytes()
                                                 + b"\xff"),
-         "glass-beads--model-based--t50--001.csv: line 9: byte 0xff is not "
+         "glass-beads--model-based--t50--001.csv: line 10: byte 0xff is not "
          "UTF-8 (invalid start byte)"),
     ], ids=["missing-key", "unknown-status", "status-running", "short-row",
             "empty-trace",
@@ -1824,7 +1824,7 @@ class TestArtifacts:
          "recomputed 2"),
         (lambda index, out: index["pooled_fits"][0].update(c_prime=0.5),
          "pooled_fits glass-beads / gravity: c_prime stored 0.5, "
-         "recomputed 0.0471810"),
+         "recomputed 0.0471225"),
         (lambda index, out: (out / "summary.csv").write_text(
             (out / "summary.csv").read_text() + "glass-beads,x\n"),
          "summary.csv: does not match the summary recomputed"),
@@ -1861,7 +1861,7 @@ class TestArtifacts:
         # the trace's last whole line removed: every line still ends, so
         # only the step count in the index tells the trace was cut
         (lambda index, out: cut_last_line(out / EDITED_TRACE),
-         f"report: trial {EDITED_TRIAL}: index says 7 steps, trace has 6\n"),
+         f"report: trial {EDITED_TRIAL}: index says 8 steps, trace has 7\n"),
         (lambda index, out: (out / "summary.csv").unlink(),
          lambda copy: f"report: cannot read "
                       f"{shown_path(copy / 'summary.csv')}: "
@@ -1874,7 +1874,7 @@ class TestArtifacts:
         (lambda index, out: (out / EDITED_TRACE).write_bytes(
             (out / EDITED_TRACE).read_bytes() + b"\xff"),
          lambda copy: f"report: trial {EDITED_TRIAL}: "
-                      f"{shown_path(copy / EDITED_TRACE)}: line 9: byte "
+                      f"{shown_path(copy / EDITED_TRACE)}: line 10: byte "
                       f"0xff is not UTF-8 (invalid start byte)\n"),
     ], ids=["successes", "c-prime", "summary-csv-row", "no-config-echo",
             "no-trials", "config-echo-without-trials", "pooled-fit-missing",
