@@ -326,33 +326,29 @@ def _fastest_in_band(products: list[float], order: list[int],
 
     Both ends of the band only move up as x does, so one pass up the
     products keeps the band's candidates in a deque, a sliding-window
-    minimum: a position enters at the back, after dropping every
-    candidate behind it that it beats, and leaves at the front once its
-    regressor falls below the band. The front is then the band's
-    minimum. Each cell is ranked by (cycle, flat index) first, by a
-    stable sort of the flat cells on their cycles, so the pass compares
-    single ints.
+    minimum: a cell enters at the back as its (cycle, flat index,
+    position), after dropping every candidate behind it that it beats,
+    and leaves at the front once its regressor falls below the band. The
+    front is then the band's minimum; flat indices are distinct, so the
+    position never decides a comparison.
     """
     n = len(products)
-    rank = [0] * n
-    for place, cell in enumerate(sorted(range(n), key=cycles.__getitem__)):
-        rank[cell] = place
-    keys = [rank[cell] for cell in order]
-    window: deque[int] = deque()
+    window: deque[tuple[float, int, int]] = deque()
     faster = [0] * n
     top = 0         # the next position to enter the band
     for cell, x in zip(order, products):
         # the band's top end takes every regressor up to x, ties included
         while top < n and products[top] <= x:
-            key = keys[top]
-            while window and keys[window[-1]] > key:
+            entering = order[top]
+            key = (cycles[entering], entering, top)
+            while window and window[-1] > key:
                 window.pop()
-            window.append(top)
+            window.append(key)
             top += 1
         low = (1.0 - CYCLE_BAND) * x
-        while products[window[0]] < low:
+        while products[window[0][2]] < low:
             window.popleft()
-        faster[cell] = window[0]
+        faster[cell] = window[0][2]
     return faster
 
 

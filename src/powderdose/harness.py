@@ -20,7 +20,7 @@ Beverloo offset.
 
 pooled_points gives, per (powder, mode), the regressors and measured
 deltas of a suite's model-based steps that the controller's log would
-keep, by identify.observed_points under the powder's Rig, as two
+keep, by identify.observed_regressor under the powder's Rig, as two
 parallel lists; pooled_fits fits each pair through identify.fit_points,
 and report writes the same lists to its fit CSVs. It reads each trial's
 record and the (L, t_pose_s, vibration, measured_delta_mg) points of its
@@ -50,7 +50,7 @@ from .config import (MODEL_BASED, ConfigError, ExperimentConfig,
                      condition_checksum, is_count, shown)
 from .control import DispensingController, PidBaselineController, TrialStatus
 from .flow import MODES, PowderSpec, ValveKinematics
-from .identify import Rig, fit_points, observed_points
+from .identify import Rig, fit_points, observed_regressor
 from .plant import SimulatedPlant, plant_states
 
 
@@ -228,14 +228,16 @@ def pooled_points(trials: Iterable[tuple[TrialRecord, Iterable[tuple]]],
     read, and the (L, t_pose_s, vibration, measured_delta_mg) point of
     each of its executed steps in step order; and rig_for, which gives a
     powder's Rig and is called once a powder (ExperimentConfig.rig). Maps
-    each (powder, mode) to two parallel lists, the regressors and the measured deltas of the points of
-    model-based trials that identify.observed_points keeps under the
-    powder's Rig, probe steps and regressors of 0 included, in trial and
-    step order; aborted trials, which end on a reading that is not
-    finite, are left out, as compute_metrics leaves them out. Keys run by
-    powder in order of first appearance, gravity before vibration.
-    ValueError, naming the trial and the 1-based step, on a delta that
-    is not finite or a kept step outside the valve envelope.
+    each (powder, mode) to two parallel lists, the regressors and the
+    measured deltas of the points of model-based trials that
+    identify.observed_regressor keeps under the powder's Rig, the rule
+    the controllers' logs apply, probe steps and regressors of 0
+    included, in trial and step order; aborted trials, which end on a
+    reading that is not finite, are left out, as compute_metrics leaves
+    them out. Keys run by powder in order of first appearance, gravity
+    before vibration. ValueError, naming the trial and the 1-based step,
+    on a delta that is not finite or a kept step outside the valve
+    envelope.
     """
     # powder -> its Rig and the (regressors, deltas) of gravity, then of
     # vibration
@@ -249,13 +251,17 @@ def pooled_points(trials: Iterable[tuple[TrialRecord, Iterable[tuple]]],
         if powder not in pools:
             pools[powder] = (rig_for(powder), (([], []), ([], [])))
         rig, pairs = pools[powder]
-        try:
-            kept = observed_points(rig, points)
-        except ValueError as exc:
-            raise ValueError(f"trial {record.trial_id} {exc}") from None
-        for (xs, deltas), (new_xs, new_deltas) in zip(pairs, kept):
-            xs += new_xs
-            deltas += new_deltas
+        for step, (l_command, t_pose_s, vibration, delta) in enumerate(
+                points, 1):
+            try:
+                x = observed_regressor(rig, l_command, t_pose_s, delta)
+            except ValueError as exc:
+                raise ValueError(f"trial {record.trial_id} step {step}: "
+                                 f"{exc}") from None
+            if x is not None:
+                xs, deltas = pairs[vibration]
+                xs.append(x)
+                deltas.append(delta)
     return {(powder, mode): pair for powder, (_, pairs) in pools.items()
             for mode, pair in zip(MODES, pairs) if pair[0]}
 

@@ -6,10 +6,10 @@ flow.drop_regressor, the model's one definition, the drop model is linear
 through the origin, W = C' * x, the product the controller predicts.
 Gravity and vibration observations are kept strictly apart; each mode
 carries its own coefficient, and a mode is fitted exactly when its c_prime
-is not None. Every regressor comes from regressor(), or from
-observed_regressor() or observed_points() for measured deltas, each of
-which first puts the action through ValveKinematics.check: an action
-outside the valve envelope is a ValueError, never a data point.
+is not None. Every regressor comes from regressor(), directly or, for a
+measured delta, through observed_regressor(); it first puts the action
+through ValveKinematics.check: an action outside the valve envelope is a
+ValueError, never a data point.
 
 A Rig is the rig as the identification and the controller see it: the
 valve kinematics and the powder's Beverloo offset L0.
@@ -20,14 +20,12 @@ offset. fit_coefficient() and control.select_action also take a bare
 ValveKinematics, read as Rig(kin): L0 = 0, the pure power law.
 
 observed_regressor() is the one statement of which measured deltas are
-evidence, for one delta, and observed_points() the same rule for a
-trial's points at once: the controller's log goes through the first, the
-suite's pooled refit (harness.pooled_points) through the second, and a
-test holds the two to one verdict. A delta that is not finite is a
-ValueError, and one below MIN_OBSERVABLE_MG (0.5 mg) is discarded
-before it reaches a fit, so noise-level readings never steer it. Every
-regressor and every kept delta is >= 0, so C' is >= 0 by construction.
-Two estimators of C' serve two purposes.
+evidence: the controller's log and the suite's pooled refit
+(harness.pooled_points) both ask it of every delta. A delta that is not
+finite is a ValueError, and one below MIN_OBSERVABLE_MG (0.5 mg) is
+discarded before it reaches a fit, so noise-level readings never steer
+it. Every regressor and every kept delta is >= 0, so C' is >= 0 by
+construction. Two estimators of C' serve two purposes.
 
 The controller's online fit, ObservationLog, is relative: over a mode's n
 accepted observations
@@ -166,59 +164,24 @@ def regressor(rig: Rig, l_command: float, t_pose_s: float) -> float:
     return drop_regressor(rig.kin, l_command, t_pose_s, rig.l_offset)
 
 
-def _not_finite(delta_w_mg: float) -> str:
-    return f"measured_delta_mg must be finite, got {delta_w_mg!r}"
-
-
 def observed_regressor(rig: Rig, l_command: float, t_pose_s: float,
                        delta_w_mg: float) -> float | None:
     """The regressor x of a measured delta that is evidence of the drop
     model, or None for a delta below MIN_OBSERVABLE_MG.
 
-    The one rule for which deltas count, for the controller's log and,
-    through observed_points, the suite's pooled refit: a delta that is
-    not finite is a ValueError, one below the gate is no observation,
-    and a kept one's action must lie inside the valve envelope.
+    The one rule for which deltas count, for the controller's log and the
+    suite's pooled refit: a delta that is not finite is a ValueError, one
+    below the gate is no observation, and a kept one's regressor is
+    regressor()'s, so its action must lie inside the valve envelope.
     """
     # checked inline, not through check_fields: this runs on every step
     # the log takes
     if not math.isfinite(delta_w_mg):
-        raise ValueError(_not_finite(delta_w_mg))
+        raise ValueError(f"measured_delta_mg must be finite, got "
+                         f"{delta_w_mg!r}")
     if delta_w_mg < MIN_OBSERVABLE_MG:
         return None
-    kin = rig.kin
-    kin.check(l_command, t_pose_s)
-    return drop_regressor(kin, l_command, t_pose_s, rig.l_offset)
-
-
-def observed_points(rig: Rig, points: Iterable[tuple]) -> tuple[
-        tuple[list[float], list[float]], tuple[list[float], list[float]]]:
-    """observed_regressor's rule over one trial's points at once.
-
-    points are (L, t_pose_s, vibration, measured_delta_mg) in step
-    order. Returns the regressors and the deltas of the points the rule
-    keeps, regressors of 0 included, in step order: gravity's pair, then
-    vibration's. Each kept point's regressor and delta are those
-    observed_regressor gives it, bit for bit; the loop makes no call for
-    a point below the gate. A ValueError names the 1-based step.
-    """
-    kin, offset, gate = rig.kin, rig.l_offset, MIN_OBSERVABLE_MG
-    check, inf = kin.check, math.inf
-    modes: tuple[tuple[list[float], list[float]], ...] = (([], []), ([], []))
-    for step, (l_command, t_pose_s, vibration, delta) in enumerate(points,
-                                                                   1):
-        if -inf < delta < gate:
-            continue
-        try:
-            if not -inf < delta < inf:
-                raise ValueError(_not_finite(delta))
-            check(l_command, t_pose_s)
-        except ValueError as exc:
-            raise ValueError(f"step {step}: {exc}") from None
-        xs, deltas = modes[vibration]
-        xs.append(drop_regressor(kin, l_command, t_pose_s, offset))
-        deltas.append(delta)
-    return modes
+    return regressor(rig, l_command, t_pose_s)
 
 
 def fit_coefficient(observations: list[Observation],

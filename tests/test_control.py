@@ -926,8 +926,14 @@ class TestFinish:
 
 
 class TestControllerMatchesReference:
+    # the cases in which some search step executes a faster cell than
+    # its pick, so that they fail if the substitution is dropped; at
+    # seed 3, glass-beads at 500 mg executes every pick as it is
+    SUBSTITUTING = {("glass-beads", 3000.0), ("tio2", 500.0), ("msg", 500.0)}
+
     @pytest.mark.parametrize("powder, target", [
-        ("glass-beads", 500.0), ("glass-beads", 3000.0), ("tio2", 500.0)])
+        ("glass-beads", 500.0), ("glass-beads", 3000.0), ("tio2", 500.0),
+        ("msg", 500.0)])
     def test_every_model_step_picks_the_brute_force_action(self, powder,
                                                            target):
         # the reference: the nearest prediction in a full sweep, then the
@@ -939,7 +945,7 @@ class TestControllerMatchesReference:
                                    k_p=0.6)
         plant = SimulatedPlant(archetype(powder), kin, seed=3)
         reading, _ = plant.read_balance(wait_settle=False)
-        compared = 0
+        compared = substituted = 0
         while True:
             latched = ctl.use_vibration
             decision = ctl.step(reading, hopper_empty=plant.depleted)
@@ -961,10 +967,13 @@ class TestControllerMatchesReference:
                                                               rel=1e-12)
                 assert ctl.use_vibration == vibration
                 compared += 1
+                substituted += decision.action != pick
             a = decision.action
             plant.execute(a.l_command, a.t_pose_s, a.vibration)
             reading, _ = plant.read_balance()
         assert compared >= 3
+        if (powder, target) in self.SUBSTITUTING:
+            assert substituted >= 1
 
 
 class TestControllerValidation:

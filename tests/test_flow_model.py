@@ -8,6 +8,7 @@ import pytest
 
 from powderdose import (
     G_MM_S2,
+    MODEL_BASED,
     ActionGrid,
     BalanceModel,
     DispenseModel,
@@ -16,14 +17,17 @@ from powderdose import (
     PowderSpec,
     Rig,
     SimulatedPlant,
+    TrialRecord,
+    TrialStatus,
     ValveKinematics,
     beverloo_rate,
     effective_coefficient,
+    pooled_points,
     predicted_drop,
     regressor,
 )
 from powderdose.flow import drop_regressor
-from powderdose.identify import observed_points, observed_regressor
+from powderdose.identify import observed_regressor
 from powderdose.powders import ARCHETYPES
 
 
@@ -268,9 +272,12 @@ def take_action(entry, l_command, t_pose_s):
     # the entries that take a delta get one above the gate
     if entry == "observed_regressor":
         return observed_regressor(Rig(ENVELOPE), l_command, t_pose_s, 10.0)
-    if entry == "observed_points":
-        return observed_points(Rig(ENVELOPE),
-                               [(l_command, t_pose_s, False, 10.0)])
+    if entry == "pooled_points":
+        record = TrialRecord("synthetic-0", "test-powder", MODEL_BASED,
+                             500.0, 0, TrialStatus.SUCCESS, 10.0, 1, 10.0,
+                             ())
+        return pooled_points([(record, [(l_command, t_pose_s, False, 10.0)])],
+                             lambda powder: Rig(ENVELOPE))
     if entry == "ObservationLog.record":
         return ObservationLog(Rig(ENVELOPE)).record(l_command, t_pose_s,
                                                     False, 10.0)
@@ -282,7 +289,7 @@ class TestValveEnvelope:
     """Every entry point that takes an action applies the same envelope."""
 
     ENTRIES = ("predicted_drop", "regressor", "observed_regressor",
-               "observed_points", "ObservationLog.record",
+               "pooled_points", "ObservationLog.record",
                "SimulatedPlant.execute")
 
     @pytest.mark.parametrize("entry", ENTRIES)

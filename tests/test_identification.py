@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from powderdose import (
     GRAVITY,
     MIN_OBSERVABLE_MG,
+    MODEL_BASED,
     MODES,
     VIBRATION,
     CoefficientEstimate,
@@ -18,11 +19,14 @@ from powderdose import (
     Observation,
     ObservationLog,
     Rig,
+    TrialRecord,
+    TrialStatus,
     ValveKinematics,
     fit_coefficient,
+    pooled_points,
     regressor,
 )
-from powderdose.identify import fit_points, observed_points, observed_regressor
+from powderdose.identify import fit_points
 
 KIN = ValveKinematics()
 RIG = Rig(KIN)      # L0 = 0, the pure power law
@@ -317,48 +321,23 @@ class TestRunningSumFit:
                             KIN, GRAVITY)
 
 
-class TestObservedPoints:
-    """observed_points is observed_regressor's rule over a trial's points:
-    one verdict and one regressor per point, bit for bit."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(l_offset=st.one_of(st.just(0.0), st.floats(0.0, KIN.l_max)),
-           points=st.lists(st.tuples(
-               st.floats(-1.0, KIN.l_max + 1.0),
-               st.floats(KIN.t_pose_min, KIN.t_pose_max),
-               st.booleans(),
-               st.one_of(st.floats(-5.0, 50.0),
-                         st.sampled_from([math.nan, math.inf, -math.inf]))),
-               max_size=30))
-    def test_matches_observed_regressor_point_by_point(self, l_offset,
-                                                       points):
-        rig = Rig(KIN, l_offset=l_offset)
-        expected = (([], []), ([], []))
-        error = None
-        for step, (l, t, vibration, delta) in enumerate(points, 1):
-            try:
-                x = observed_regressor(rig, l, t, delta)
-            except ValueError as exc:
-                error = f"step {step}: {exc}"
-                break
-            if x is not None:
-                expected[vibration][0].append(x)
-                expected[vibration][1].append(delta)
-        if error is None:
-            assert observed_points(rig, points) == expected
-        else:
-            with pytest.raises(ValueError) as info:
-                observed_points(rig, points)
-            assert str(info.value) == error
+class TestPooledEvidence:
+    """The suite's pooled refit keeps a delta exactly when the
+    controller's log would, under the powder's Rig: both ask
+    observed_regressor."""
 
     def test_the_offset_is_the_rigs(self):
         rig = Rig(KIN, l_offset=20.0)
         points = [(10.0, 1.0, False, 5.0),    # at or below L0: x = 0, kept
                   (30.0, 1.0, False, 0.4),    # below the gate
                   (30.0, 1.0, True, 0.5)]     # at the gate
-        assert observed_points(rig, points) == (
-            ([0.0], [5.0]),
-            ([10.0 ** 2.5 * (30.0 / KIN.travel_rate + 1.0)], [0.5]))
+        record = TrialRecord("synthetic-0", "glass-beads", MODEL_BASED,
+                             500.0, 0, TrialStatus.SUCCESS, 505.5, 3, 10.0,
+                             ())
+        assert pooled_points([(record, points)], lambda powder: rig) == {
+            ("glass-beads", GRAVITY): ([0.0], [5.0]),
+            ("glass-beads", VIBRATION): (
+                [10.0 ** 2.5 * (30.0 / KIN.travel_rate + 1.0)], [0.5])}
         log = ObservationLog(rig)
         assert log.record(*points[0]) is None      # no ratio at x = 0
         assert log.record(*points[1]) is None
